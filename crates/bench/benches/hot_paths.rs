@@ -4,9 +4,10 @@
 //! per benchmark: `name  ns/iter`.
 
 use icfp_bench::time_ns_per_iter;
+use icfp_core::slicebuf::Producer;
 use icfp_core::{ChainedStoreBuffer, SliceBuffer, SliceEntry, StoreBufferKind};
 use icfp_isa::Reg;
-use icfp_mem::{MemConfig, MemoryHierarchy, MshrFile, MshrRequest};
+use icfp_mem::{MemConfig, MemoryHierarchy, MshrFile, MshrRequest, StreamPrefetcher};
 use icfp_pipeline::{PoisonMask, TimedRegFile};
 
 fn report(name: &str, ns: f64) {
@@ -52,23 +53,28 @@ fn bench_storebuf_forward() {
     report("storebuf/forward_hit", ns);
 }
 
-fn filled_slicebuf(bit_of: impl Fn(usize) -> u8) -> SliceBuffer {
+/// A full 128-entry slice buffer of `entry_of(k)` for k in 0..128.
+fn filled_slicebuf(entry_of: impl Fn(usize) -> SliceEntry) -> SliceBuffer {
     let mut sb = SliceBuffer::new(128);
     for k in 0..128usize {
-        sb.push(SliceEntry {
-            trace_idx: k,
-            seq_from_ckpt: k as u64,
-            src1_value: Some(1),
-            src2_value: None,
-            src1_producer: usize::MAX,
-            src2_producer: usize::MAX,
-            store_color: 0,
-            poison: PoisonMask::bit(bit_of(k)),
-            active: true,
-        })
-        .unwrap();
+        sb.push(entry_of(k)).unwrap();
     }
     sb
+}
+
+/// Entry `k` with both operands captured, waiting on poison bit `bit`.
+fn captured_entry(k: usize, bit: u8) -> SliceEntry {
+    SliceEntry {
+        trace_idx: k,
+        seq_from_ckpt: k as u64,
+        src1_value: Some(1),
+        src2_value: None,
+        src1_producer: usize::MAX,
+        src2_producer: usize::MAX,
+        store_color: 0,
+        poison: PoisonMask::bit(bit),
+        active: true,
+    }
 }
 
 fn bench_slicebuf_rally_selection() {
@@ -79,18 +85,25 @@ fn bench_slicebuf_rally_selection() {
     // against the per-entry bit-loop reference (`rally_iter`) back-to-back,
     // so the word-level speedup is read off the same process and host state.
     for (label, sb) in [
-        ("interleaved", filled_slicebuf(|k| (k % 8) as u8)),
-        ("clustered", filled_slicebuf(|k| (k / 16) as u8)),
+        (
+            "interleaved",
+            filled_slicebuf(|k| captured_entry(k, (k % 8) as u8)),
+        ),
+        (
+            "clustered",
+            filled_slicebuf(|k| captured_entry(k, (k / 16) as u8)),
+        ),
     ] {
-        let mut scratch = Vec::with_capacity(128);
+        let mut slots = Vec::with_capacity(128);
         let words = time_ns_per_iter(
             || {
-                sb.entries_for_rally_into(PoisonMask::bit(3), &mut scratch);
-                assert_eq!(scratch.len(), 16);
+                sb.rally_slots_into(PoisonMask::bit(3), &mut slots);
+                assert_eq!(slots.len(), 16);
             },
             20_000,
             5,
         );
+        let mut scratch = Vec::with_capacity(128);
         let bitloop = time_ns_per_iter(
             || {
                 scratch.clear();
@@ -103,6 +116,67 @@ fn bench_slicebuf_rally_selection() {
         report(&format!("slicebuf/rally_select_words({label})"), words);
         report(&format!("slicebuf/rally_select_bitloop({label})"), bitloop);
     }
+}
+
+fn bench_slicebuf_rally_visit() {
+    // The two kernels a rally visit used to pay for, each back-to-back with
+    // its replacement on a dependent-chain buffer (entry k waits on entry
+    // k-1, every entry selected — the pointer-chase shape): selecting by
+    // copying every entry into scratch vs selecting slots and reading one
+    // field in place, and finding the producer by binary search on its trace
+    // index vs following the consumer's link.
+    let sb = filled_slicebuf(|k| SliceEntry {
+        src1_value: None,
+        src1_producer: k.checked_sub(1).unwrap_or(usize::MAX),
+        ..captured_entry(k, 0)
+    });
+    let mut copies = Vec::with_capacity(128);
+    let copying = time_ns_per_iter(
+        || {
+            sb.rally_select_into(PoisonMask::bit(0), &mut copies);
+            let sum: usize = copies.iter().map(|(_, e)| e.trace_idx).sum();
+            assert_eq!(sum, 127 * 64);
+        },
+        20_000,
+        5,
+    );
+    let mut slots = Vec::with_capacity(128);
+    let in_place = time_ns_per_iter(
+        || {
+            sb.rally_slots_into(PoisonMask::bit(0), &mut slots);
+            let sum: usize = slots.iter().map(|&s| sb.entry_at(s as usize).trace_idx).sum();
+            assert_eq!(sum, 127 * 64);
+        },
+        20_000,
+        5,
+    );
+    report("slicebuf/rally_select128_copy_entries", copying);
+    report("slicebuf/rally_select128_slots_in_place", in_place);
+
+    let searched = time_ns_per_iter(
+        || {
+            let waiting = slots
+                .iter()
+                .filter(|&&s| sb.entry_poison(sb.entry_at(s as usize).src1_producer).is_some())
+                .count();
+            assert_eq!(waiting, 127);
+        },
+        20_000,
+        5,
+    );
+    let linked = time_ns_per_iter(
+        || {
+            let waiting = slots
+                .iter()
+                .filter(|&&s| matches!(sb.producer(s as usize, 0), Producer::Waiting(_)))
+                .count();
+            assert_eq!(waiting, 127);
+        },
+        20_000,
+        5,
+    );
+    report("slicebuf/producer128_entry_poison_search", searched);
+    report("slicebuf/producer128_link", linked);
 }
 
 fn bench_regfile_poison_plane() {
@@ -169,6 +243,44 @@ fn bench_mshr_request_retire() {
         5,
     );
     report("mshr/request32+retire", ns);
+}
+
+fn bench_prefetch_demand_miss() {
+    // Training the stream prefetcher on a demand miss: the burst handed over
+    // by value, vs the shape it replaced (the same requests collected into a
+    // fresh `Vec` per miss), back-to-back.
+    let mut p = StreamPrefetcher::new(8, 8, 128);
+    let mut addr = 0x10_0000u64;
+    let mut now = 0u64;
+    let by_value = time_ns_per_iter(
+        || {
+            let mut issued = 0usize;
+            for req in p.on_demand_miss(addr, now) {
+                p.record_arrival(req, now + 100);
+                issued += 1;
+            }
+            assert_eq!(issued, 8);
+            addr += 0x10_0000;
+            now += 1;
+        },
+        20_000,
+        5,
+    );
+    let collected = time_ns_per_iter(
+        || {
+            let burst: Vec<_> = p.on_demand_miss(addr, now).collect();
+            for &req in &burst {
+                p.record_arrival(req, now + 100);
+            }
+            assert_eq!(burst.len(), 8);
+            addr += 0x10_0000;
+            now += 1;
+        },
+        20_000,
+        5,
+    );
+    report("prefetch/on_demand_miss_burst_by_value", by_value);
+    report("prefetch/on_demand_miss_burst_collected", collected);
 }
 
 fn bench_hierarchy_hit_loop() {
@@ -335,8 +447,10 @@ fn main() {
     bench_storebuf_drain();
     bench_storebuf_forward();
     bench_slicebuf_rally_selection();
+    bench_slicebuf_rally_visit();
     bench_regfile_poison_plane();
     bench_mshr_request_retire();
+    bench_prefetch_demand_miss();
     bench_hierarchy_hit_loop();
     bench_batched_vs_per_step_engine();
     bench_trace_decode_v1_vs_v2();

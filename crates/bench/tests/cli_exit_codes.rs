@@ -82,6 +82,28 @@ fn an_invalid_spec_exits_2_without_connecting() {
 }
 
 #[test]
+fn a_zero_valued_sweep_axis_exits_2_naming_the_axis() {
+    // A zero slice buffer used to panic inside every cell (rendered `fail`,
+    // exit 0) and zero MSHRs never terminated; both are invalid specs, for
+    // the local runner and for `sweep submit` (which must not connect).
+    for (flag, axis) in [
+        ("--sweep-slice", "slice_buffer_entries"),
+        ("--sweep-mshr", "mshr_counts"),
+    ] {
+        let started = std::time::Instant::now();
+        let out = Command::new(BIN)
+            .args(["--sweep", flag, "0", "--insts", "200"])
+            .output()
+            .expect("spawn icfp-bench");
+        assert_eq!(out.status.code(), Some(2), "{flag} 0");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(axis), "{flag} 0 must name {axis}: {stderr}");
+        assert!(started.elapsed().as_secs() < 5, "{flag} 0 was not rejected up front");
+        assert_eq!(submit_status(&["--server", "127.0.0.1:1", flag, "0"]), 2);
+    }
+}
+
+#[test]
 fn a_refused_connection_exits_3_after_retries() {
     let code = submit_status(&["--server", "127.0.0.1:1"]);
     assert_eq!(code, 3);

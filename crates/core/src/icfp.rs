@@ -14,15 +14,18 @@
 //! The model is written as an explicit state machine ([`IcfpMachine`]) that
 //! advances one dynamic instruction (or one rally pass) per [`IcfpMachine::step`]
 //! call.  This is what `icfp-sim` builds its batched `step_n(cycles)` API on;
-//! [`IcfpCore::run`] simply steps the machine to completion.  The hot loop is
-//! allocation-free in steady state: rally work lists, drain buffers and
-//! operand-producer tables are scratch structures that are reused (capacity is
-//! retained) across cycles and episodes.
+//! [`IcfpCore::run`] simply steps the machine to completion.  The hot loop
+//! reuses its storage: rally slot lists, drain buffers, the register
+//! checkpoint and the slice-value table keep their capacity across cycles and
+//! episodes, so after the first tenth of a trace a run makes fewer than 2
+//! heap-allocation calls per 1000 instructions (what is left is the
+//! occasional growth of a hash table or a stream buffer) — the bound
+//! `crates/sim/tests/steady_state_allocs.rs` enforces.
 
 use crate::common::Engine;
 use crate::config::CoreConfig;
 use crate::fxmap::FxHashMap;
-use crate::slicebuf::{SliceBuffer, SliceEntry};
+use crate::slicebuf::{Producer, SliceBuffer, SliceEntry};
 use crate::storebuf::ChainedStoreBuffer;
 use crate::Core;
 use icfp_isa::{exec, exec::ArchState, Cycle, DynInst, InstSeq, OpClass, TraceCursor, Value};
@@ -73,16 +76,24 @@ struct PendingRally {
     bit: PoisonMask,
 }
 
+/// Index of the rally that returns first (the first such on a tie).
+fn earliest_of(rallies: &[PendingRally]) -> Option<usize> {
+    rallies
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, r)| r.returns_at)
+        .map(|(k, _)| k)
+}
+
 /// Values produced by re-executed slice instructions, indexed by trace
 /// position.  This models the paper's slice-buffer data storage: a rallying
 /// instruction reads "pending from slice" operands from here.
 ///
-/// Backed by an [`FxHashMap`] (fast non-cryptographic hash — rally passes
-/// probe it up to three times per rallied instruction) whose capacity is
-/// retained across rallies (cleared, not dropped, at episode boundaries), so
-/// steady-state rally passes perform O(1) lookups and no per-cycle
-/// allocation.  The serde codec writes entries sorted by key, so checkpoint
-/// bytes are independent of the hasher.
+/// Backed by an [`FxHashMap`] (fast non-cryptographic hash — a rally writes
+/// it once per executed instruction and reads it only for producers that
+/// have left the slice buffer) whose capacity is retained across rallies
+/// (cleared, not dropped, at episode boundaries).  The serde codec writes
+/// entries sorted by key, so checkpoint bytes are independent of the hasher.
 #[derive(Debug, Default, Serialize, Deserialize)]
 struct SliceValues {
     vals: FxHashMap<usize, (Value, Cycle)>,
@@ -114,12 +125,21 @@ pub struct IcfpMachine {
     sbuf: ChainedStoreBuffer,
     palloc: PoisonAllocator,
     /// Misses awaiting their rally, unordered (bounded by MSHR count).
+    /// Changed only through [`IcfpMachine::poison_for_miss`] and
+    /// [`IcfpMachine::take_rally`], which keep `earliest` current.
     rallies: Vec<PendingRally>,
+    /// Index into `rallies` of the miss that returns first (the first such on
+    /// a tie) — what every step asks for, recomputed only when `rallies`
+    /// changes.  Derived: not in the checkpoint bytes, rebuilt on restore.
+    earliest: Option<usize>,
     /// Results of re-executed slice instructions (the slice data storage).
+    /// A consumer reads a producer that still sits in the slice buffer through
+    /// its link ([`SliceBuffer::producer`]); this map serves the producers
+    /// already reclaimed from the head, and is what a checkpoint carries.
     slice_values: SliceValues,
-    /// Scratch: `(physical slot, entry)` pairs selected for the current rally
-    /// pass (capacity reused); the slot gives O(1) retire/re-poison.
-    rally_scratch: Vec<(u32, SliceEntry)>,
+    /// Scratch: physical slots selected for the current rally pass (capacity
+    /// reused); the pass reads, retires and re-poisons entries in place.
+    rally_scratch: Vec<u32>,
     /// Scratch: stores drained from the store buffer this step.
     drain_scratch: Vec<(u64, Value)>,
     /// Next trace index to process.
@@ -142,6 +162,7 @@ impl IcfpMachine {
             ),
             palloc: PoisonAllocator::new(cfg.features.poison_vector_width.clamp(1, 16)),
             rallies: Vec::with_capacity(cfg.mem.max_outstanding_misses),
+            earliest: None,
             slice_values: SliceValues::default(),
             rally_scratch: Vec::with_capacity(cfg.slice_buffer_entries),
             drain_scratch: Vec::with_capacity(cfg.store_buffer_entries),
@@ -206,14 +227,14 @@ impl IcfpMachine {
         }
         // 1. Fire any rally whose miss has returned by the current frontier.
         if let Some(k) = self.due_rally() {
-            let r = self.rallies.swap_remove(k);
+            let r = self.take_rally(k);
             self.run_rally(trace, r);
             return true;
         }
         // 2. Out of instructions: drain remaining rallies in return order.
         if self.i >= trace.len() {
-            if let Some(k) = self.earliest_rally() {
-                let r = self.rallies.swap_remove(k);
+            if let Some(k) = self.earliest {
+                let r = self.take_rally(k);
                 self.eng.frontier = self.eng.frontier.max(r.returns_at);
                 self.run_rally(trace, r);
                 return true;
@@ -255,13 +276,13 @@ impl IcfpMachine {
                 return true;
             }
             if let Some(k) = self.due_rally() {
-                let r = self.rallies.swap_remove(k);
+                let r = self.take_rally(k);
                 self.run_rally(trace, r);
                 continue;
             }
             if self.i >= len {
-                if let Some(k) = self.earliest_rally() {
-                    let r = self.rallies.swap_remove(k);
+                if let Some(k) = self.earliest {
+                    let r = self.take_rally(k);
                     self.eng.frontier = self.eng.frontier.max(r.returns_at);
                     self.run_rally(trace, r);
                     continue;
@@ -280,23 +301,18 @@ impl IcfpMachine {
         }
     }
 
+    /// The earliest pending rally, if its miss has returned by the current
+    /// frontier.
     fn due_rally(&self) -> Option<usize> {
-        let now = self.eng.frontier;
-        let mut best: Option<(usize, Cycle)> = None;
-        for (k, r) in self.rallies.iter().enumerate() {
-            if r.returns_at <= now && best.is_none_or(|(_, c)| r.returns_at < c) {
-                best = Some((k, r.returns_at));
-            }
-        }
-        best.map(|(k, _)| k)
+        self.earliest
+            .filter(|&k| self.rallies[k].returns_at <= self.eng.frontier)
     }
 
-    fn earliest_rally(&self) -> Option<usize> {
-        self.rallies
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| r.returns_at)
-            .map(|(k, _)| k)
+    /// Removes pending rally `k` for running.
+    fn take_rally(&mut self, k: usize) -> PendingRally {
+        let r = self.rallies.swap_remove(k);
+        self.earliest = earliest_of(&self.rallies);
+        r
     }
 
     /// Registers a miss for a future rally and returns its poison bit.
@@ -311,6 +327,7 @@ impl IcfpMachine {
                 bit,
             });
         }
+        self.earliest = earliest_of(&self.rallies);
         if !self.in_episode {
             self.in_episode = true;
             self.eng.stats.advance_episodes += 1;
@@ -367,12 +384,12 @@ impl IcfpMachine {
             // and its rally retires head entries, then retry the instruction.
             self.eng.stats.simple_runahead_entries += 1;
             let k = self
-                .earliest_rally()
+                .earliest
                 .expect("slice buffer full of active entries with no pending miss");
-            let at = self.rallies[k].returns_at;
+            let r = self.take_rally(k);
+            let at = r.returns_at;
             self.eng.stats.resource_stall_cycles += at.saturating_sub(self.eng.frontier);
             self.eng.frontier = self.eng.frontier.max(at);
-            let r = self.rallies.swap_remove(k);
             self.run_rally(trace, r);
             return false;
         }
@@ -435,11 +452,11 @@ impl IcfpMachine {
             // until the earliest rally frees slice/store entries.
             self.drain_stores(seq, at);
             while self.sbuf.is_full() {
-                let Some(k) = self.earliest_rally() else { break };
-                let ret = self.rallies[k].returns_at;
+                let Some(k) = self.earliest else { break };
+                let r = self.take_rally(k);
+                let ret = r.returns_at;
                 self.eng.stats.resource_stall_cycles += ret.saturating_sub(self.eng.frontier);
                 self.eng.frontier = self.eng.frontier.max(ret);
-                let r = self.rallies.swap_remove(k);
                 // Rally to unclog poisoned stores, then drain again.
                 self.run_rally(trace, r);
                 self.drain_stores(seq, self.eng.frontier);
@@ -631,14 +648,14 @@ impl IcfpMachine {
                 .filter(|(_, r)| r.bit.intersects(poison))
                 .min_by_key(|(_, r)| r.returns_at)
                 .map(|(k, _)| k)
-                .or_else(|| self.earliest_rally())
+                .or(self.earliest)
             else {
                 break;
             };
-            let ret = self.rallies[k].returns_at;
+            let r = self.take_rally(k);
+            let ret = r.returns_at;
             self.eng.stats.resource_stall_cycles += ret.saturating_sub(self.eng.frontier);
             self.eng.frontier = self.eng.frontier.max(ret);
-            let r = self.rallies.swap_remove(k);
             self.run_rally(trace, r);
             if self.rallies.is_empty() {
                 break;
@@ -648,10 +665,9 @@ impl IcfpMachine {
 
     /// Runs every pending rally to completion (limited-forwarding stall path).
     fn drain_all_rallies(&mut self, trace: &TraceCursor<'_>) {
-        while let Some(k) = self.earliest_rally() {
-            let ret = self.rallies[k].returns_at;
-            self.eng.frontier = self.eng.frontier.max(ret);
-            let r = self.rallies.swap_remove(k);
+        while let Some(k) = self.earliest {
+            let r = self.take_rally(k);
+            self.eng.frontier = self.eng.frontier.max(r.returns_at);
             self.run_rally(trace, r);
         }
     }
@@ -696,6 +712,22 @@ impl IcfpMachine {
         }
     }
 
+    /// The rallied result of the producer of operand `operand` of the entry
+    /// in slice slot `slot`; `Err` if it has none yet, with the misses the
+    /// producer waits on when it is still active in the buffer.
+    #[inline]
+    fn produced(&self, slot: usize, operand: usize) -> Result<(Value, Cycle), Option<PoisonMask>> {
+        match self.slice.producer(slot, operand) {
+            Producer::Waiting(poison) => Err(Some(poison)),
+            Producer::Rallied(result) => result.ok_or(None),
+            Producer::Gone => {
+                let e = self.slice.entry_at(slot);
+                let producer = [e.src1_producer, e.src2_producer][operand];
+                self.slice_values.get(producer).ok_or(None)
+            }
+        }
+    }
+
     /// One pass over the active slice entries selected by `select`.
     fn rally_pass(&mut self, trace: &TraceCursor<'_>, select: PoisonMask, returns_at: Cycle) {
         self.eng.stats.rally_passes += 1;
@@ -710,53 +742,63 @@ impl IcfpMachine {
             pending_bits |= p.bit;
         }
 
-        self.slice
-            .rally_select_into(select, &mut self.rally_scratch);
+        self.slice.rally_slots_into(select, &mut self.rally_scratch);
 
         let mut rally_frontier = start;
         let mut rally_end = start;
         for k in 0..self.rally_scratch.len() {
-            let (slot, e) = self.rally_scratch[k];
-            let slot = slot as usize;
-            let inst = trace.get(e.trace_idx);
+            let slot = self.rally_scratch[k] as usize;
+            // Most visits only find a producer still waiting and re-poison the
+            // entry, so read the few fields a visit needs, where it needs them.
+            let &SliceEntry {
+                trace_idx,
+                src1_value,
+                src2_value,
+                store_color,
+                poison,
+                ..
+            } = self.slice.entry_at(slot);
+            let inst = trace.get(trace_idx);
             let inst = &inst;
-            let seq = e.trace_idx as InstSeq;
+            let seq = trace_idx as InstSeq;
             self.eng.stats.rally_instructions += 1;
 
             // Resolve operands: captured side inputs or slice data storage.
-            let (p1, p2) = (e.src1_producer, e.src2_producer);
+            // (The two operands are picked by index, not iterated as an array
+            // of tuples by value: that form went through memory and stalled
+            // every visit.)
             let mut vals = [0u64; 2];
             let mut ready = rally_frontier;
             let mut unresolved = PoisonMask::CLEAN;
-            for (n, (src, cap, prod)) in [
-                (inst.src1, e.src1_value, p1),
-                (inst.src2, e.src2_value, p2),
-            ]
-            .into_iter()
-            .enumerate()
-            {
+            for (n, val) in vals.iter_mut().enumerate() {
+                let (src, cap) = if n == 0 {
+                    (inst.src1, src1_value)
+                } else {
+                    (inst.src2, src2_value)
+                };
                 if src.is_none() {
                     continue;
                 }
                 if let Some(v) = cap {
-                    vals[n] = v;
-                } else if let Some((v, c)) = self.slice_values.get(prod) {
-                    vals[n] = v;
-                    ready = ready.max(c);
-                } else {
-                    // Producer has not rallied yet: it belongs to a different
-                    // pending miss.  Re-poison with the producer's bits.
-                    let pb = self
-                        .slice
-                        .entry_poison(prod)
-                        .unwrap_or(pending_bits)
-                        .without(select);
-                    unresolved |= if pb.is_clean() { pending_bits } else { pb };
+                    *val = v;
+                    continue;
+                }
+                match self.produced(slot, n) {
+                    Ok((v, c)) => {
+                        *val = v;
+                        ready = ready.max(c);
+                    }
+                    Err(waiting_on) => {
+                        // Producer has not rallied yet: it belongs to a
+                        // different pending miss.  Re-poison with its bits.
+                        let pb = waiting_on.unwrap_or(pending_bits).without(select);
+                        unresolved |= if pb.is_clean() { pending_bits } else { pb };
+                    }
                 }
             }
             if unresolved.is_poisoned() && !self.rallies.is_empty() {
                 // Entry waits for another miss (non-blocking rally).
-                let np = e.poison.without(select).union(unresolved);
+                let np = poison.without(select).union(unresolved);
                 self.slice.repoison_at(slot, np);
                 if let Some(dst) = inst.dst {
                     if self.eng.rf.entry(dst).last_writer == Some(seq) {
@@ -772,12 +814,12 @@ impl IcfpMachine {
             let (value, completes) = match inst.class() {
                 OpClass::Load => {
                     let addr = inst.addr.expect("load without address");
-                    let fwd = self.sbuf.forward(addr & !7, e.store_color);
+                    let fwd = self.sbuf.forward(addr & !7, store_color);
                     self.eng.stats.chain_hops += fwd.excess_hops;
                     if let Some(st) = fwd.store {
                         if st.poison.is_poisoned() {
                             // Forwarding store still poisoned by another miss.
-                            let np = e.poison.without(select).union(st.poison.without(select));
+                            let np = poison.without(select).union(st.poison.without(select));
                             let np = if np.is_clean() { pending_bits } else { np };
                             if np.is_poisoned() && !self.rallies.is_empty() {
                                 self.slice.repoison_at(slot, np);
@@ -807,7 +849,7 @@ impl IcfpMachine {
                                 // The line is gone again: hand the entry to a
                                 // new rally instead of blocking this one.
                                 let bit = self.poison_for_miss(m, completes);
-                                let np = e.poison.without(select).union(bit);
+                                let np = poison.without(select).union(bit);
                                 self.slice.repoison_at(slot, np);
                                 if let Some(dst) = inst.dst {
                                     if self.eng.rf.entry(dst).last_writer == Some(seq) {
@@ -823,14 +865,13 @@ impl IcfpMachine {
                 }
                 OpClass::Store => {
                     let v = if let Some(data) = inst.store_data_reg() {
-                        let (dp1, dp2) = (p1, p2);
                         // Store data is src2 (falling back to src1).
-                        let (cap, prod) = if inst.src2.is_some() {
-                            (e.src2_value, dp2)
+                        let (cap, n) = if inst.src2.is_some() {
+                            (src2_value, 1)
                         } else {
-                            (e.src1_value, dp1)
+                            (src1_value, 0)
                         };
-                        cap.or_else(|| self.slice_values.get(prod).map(|(v, _)| v))
+                        cap.or_else(|| self.produced(slot, n).ok().map(|(v, _)| v))
                             .unwrap_or_else(|| self.eng.rf.value(data))
                     } else {
                         0
@@ -849,7 +890,8 @@ impl IcfpMachine {
                 }
             };
             if let (Some(dst), Some(v)) = (inst.dst, value) {
-                self.slice_values.set(e.trace_idx, v, completes);
+                self.slice_values.set(trace_idx, v, completes);
+                self.slice.record_result(slot, v, completes);
                 self.eng.rf.rally_write(dst, v, completes, seq);
             }
             rally_end = rally_end.max(completes);
@@ -886,7 +928,8 @@ impl IcfpMachine {
 /// Checkpoint codec for the machine: every *persistent* field is written in
 /// declaration order; the rally/drain scratch buffers are pure per-step
 /// staging (always drained before `step` returns) and are rebuilt empty, with
-/// their configured capacities, on restore.
+/// their configured capacities, on restore, and the derived `earliest` index
+/// and the slice buffer's recorded results are recomputed.
 impl Serialize for IcfpMachine {
     fn serialize(&self, out: &mut Vec<u8>) {
         self.eng.serialize(out);
@@ -908,13 +951,20 @@ impl Deserialize for IcfpMachine {
             eng.cfg.slice_buffer_entries,
             eng.cfg.store_buffer_entries,
         );
+        let mut slice: SliceBuffer = Deserialize::deserialize(r)?;
+        let sbuf = Deserialize::deserialize(r)?;
+        let palloc = Deserialize::deserialize(r)?;
+        let rallies: Vec<PendingRally> = Deserialize::deserialize(r)?;
+        let slice_values: SliceValues = Deserialize::deserialize(r)?;
+        slice.restore_results(|idx| slice_values.get(idx));
         Ok(IcfpMachine {
             eng,
-            slice: Deserialize::deserialize(r)?,
-            sbuf: Deserialize::deserialize(r)?,
-            palloc: Deserialize::deserialize(r)?,
-            rallies: Deserialize::deserialize(r)?,
-            slice_values: Deserialize::deserialize(r)?,
+            slice,
+            sbuf,
+            palloc,
+            earliest: earliest_of(&rallies),
+            rallies,
+            slice_values,
             rally_scratch: Vec::with_capacity(slice_cap),
             drain_scratch: Vec::with_capacity(store_cap),
             i: Deserialize::deserialize(r)?,

@@ -13,8 +13,18 @@
 //! active entries depend on this returning miss" — scans `capacity / 4` words
 //! and only touches the entries that actually match, instead of testing every
 //! entry's mask in a bit loop.
+//!
+//! A second side array holds each slot's producer *links*: the physical slots
+//! of the (up to two) sliced instructions its operands wait on, resolved once
+//! when the entry is pushed.  A rally pass visits an entry many times before
+//! it finally executes, and each visit asks "has my producer rallied yet?";
+//! through the link that is one indexed read ([`SliceBuffer::producer`])
+//! instead of a search by trace index, and the same read hands over the
+//! producer's rallied result while the producer is still resident.  Links and
+//! results are derived state — not part of an entry, not serialized; links
+//! are rebuilt on decode and results by [`SliceBuffer::restore_results`].
 
-use icfp_isa::{InstSeq, Value};
+use icfp_isa::{Cycle, InstSeq, Value};
 use icfp_pipeline::{lane_range_mask, PoisonMask, PoisonVec, POISON_LANES_PER_WORD};
 use serde::{Deserialize, Serialize};
 
@@ -83,7 +93,7 @@ impl std::error::Error for SliceBufferFull {}
 /// oldest occupied slot) plus a packed poison plane mirroring the *active*
 /// slots' masks, kept in sync by push/retire/repoison/clear so that rally
 /// selection runs at word granularity.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SliceBuffer {
     slots: Vec<SliceEntry>,
     /// Packed per-slot poison; lanes of retired or vacant slots are clean.
@@ -98,6 +108,73 @@ pub struct SliceBuffer {
     peak: usize,
     /// Total entries ever inserted.
     inserted: u64,
+    /// Per slot, the physical slots that held the entry's two producers when
+    /// it was pushed ([`NO_LINK`] = operand captured, absent, or its producer
+    /// not resident).  A link may outlive its producer — the slot is
+    /// reclaimed and reused — which [`SliceBuffer::producer`] detects by
+    /// comparing trace indices.  Derived state: see the module docs.
+    links: Vec<[u32; 2]>,
+    /// Per slot, the result its entry produced when it rallied
+    /// ([`SliceBuffer::record_result`]); meaningful while the slot holds that
+    /// retired entry.  Derived state, like `links`.
+    results: Vec<Option<(Value, Cycle)>>,
+}
+
+/// The link of an operand that has no resident producer.
+const NO_LINK: u32 = u32::MAX;
+
+/// What a consumer's producer link finds ([`SliceBuffer::producer`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Producer {
+    /// The producer is still active in the buffer, waiting on these misses.
+    Waiting(PoisonMask),
+    /// The producer has rallied and still occupies its slot; its recorded
+    /// result, if it produced one.
+    Rallied(Option<(Value, Cycle)>),
+    /// The producer is not in the buffer: reclaimed from the head, or never
+    /// sliced.
+    Gone,
+}
+
+/// The serialized form is the ring without its derived side arrays.
+impl Serialize for SliceBuffer {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        self.slots.serialize(out);
+        self.plane.serialize(out);
+        self.head.serialize(out);
+        self.len.serialize(out);
+        self.capacity.serialize(out);
+        self.active.serialize(out);
+        self.peak.serialize(out);
+        self.inserted.serialize(out);
+    }
+}
+
+impl Deserialize for SliceBuffer {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut sb = SliceBuffer {
+            slots: Deserialize::deserialize(r)?,
+            plane: Deserialize::deserialize(r)?,
+            head: Deserialize::deserialize(r)?,
+            len: Deserialize::deserialize(r)?,
+            capacity: Deserialize::deserialize(r)?,
+            active: Deserialize::deserialize(r)?,
+            peak: Deserialize::deserialize(r)?,
+            inserted: Deserialize::deserialize(r)?,
+            links: Vec::new(),
+            results: Vec::new(),
+        };
+        if sb.slots.len() != sb.capacity || sb.head >= sb.capacity.max(1) || sb.len > sb.capacity {
+            return Err(serde::Error::invalid("slice buffer ring geometry", r.position()));
+        }
+        sb.links = vec![[NO_LINK; 2]; sb.capacity];
+        sb.results = vec![None; sb.capacity];
+        for l in 0..sb.len {
+            let slot = sb.phys(l);
+            sb.links[slot] = sb.links_for(&sb.slots[slot]);
+        }
+        Ok(sb)
+    }
 }
 
 impl SliceBuffer {
@@ -117,6 +194,8 @@ impl SliceBuffer {
             active: 0,
             peak: 0,
             inserted: 0,
+            links: vec![[NO_LINK; 2]; capacity],
+            results: vec![None; capacity],
         }
     }
 
@@ -180,6 +259,8 @@ impl SliceBuffer {
             return Err(SliceBufferFull);
         }
         let slot = self.phys(self.len);
+        self.links[slot] = self.links_for(&entry);
+        self.results[slot] = None;
         self.active += usize::from(entry.active);
         self.plane.set(
             slot,
@@ -217,45 +298,44 @@ impl SliceBuffer {
             .filter(|e| e.active)
     }
 
-    /// Active entries whose poison mask intersects `returning` — the entries a
-    /// rally pass for that returning miss must process (Section 3.4).
-    ///
-    /// Allocates a fresh `Vec` per call; the simulation hot path uses
-    /// [`SliceBuffer::entries_for_rally_into`] (scratch-buffer reuse, word
-    /// scan) or [`SliceBuffer::rally_iter`] instead.
-    pub fn entries_for_rally(&self, returning: PoisonMask) -> Vec<SliceEntry> {
-        let mut out = Vec::new();
-        self.entries_for_rally_into(returning, &mut out);
-        out
-    }
-
-    /// Zero-allocation form of [`SliceBuffer::entries_for_rally`]: appends the
-    /// selected entries to `out` (cleared first), reusing its capacity.
+    /// The physical slots of the active entries whose poison mask intersects
+    /// `returning` — the entries a rally pass for that returning miss must
+    /// process (Section 3.4) — appended to `out` (cleared first) in program
+    /// order.  The pass reads each entry in place ([`SliceBuffer::entry_at`])
+    /// and retires or re-poisons it by slot ([`SliceBuffer::retire_at`] /
+    /// [`SliceBuffer::repoison_at`]); slots stay valid until the next push or
+    /// head reclamation (entries never move otherwise).
     ///
     /// This is the word-level hot path: the packed poison plane is scanned
     /// four entries per `u64` word (`returning` broadcast into every lane), so
     /// words with no intersecting lane are skipped with a single compare.
-    pub fn entries_for_rally_into(&self, returning: PoisonMask, out: &mut Vec<SliceEntry>) {
+    pub fn rally_slots_into(&self, returning: PoisonMask, out: &mut Vec<u32>) {
         out.clear();
-        self.scan_ring(returning, &mut |_, e| out.push(*e));
+        self.scan_ring(returning, &mut |slot| out.push(slot as u32));
     }
 
-    /// Slot-carrying form of [`SliceBuffer::entries_for_rally_into`]: appends
-    /// `(physical_slot, entry)` pairs to `out` (cleared first).  The slot lets
-    /// the rally pass retire or re-poison the entry it is processing in O(1)
-    /// ([`SliceBuffer::retire_at`] / [`SliceBuffer::repoison_at`]) instead of
-    /// re-finding it by trace index — valid as long as no push or head
-    /// reclamation happens between selection and use (entries never move
-    /// otherwise).
+    /// [`SliceBuffer::rally_slots_into`] with a copy of each selected entry
+    /// beside its slot, for callers that want the entries by value.
     pub fn rally_select_into(&self, returning: PoisonMask, out: &mut Vec<(u32, SliceEntry)>) {
         out.clear();
-        self.scan_ring(returning, &mut |slot, e| out.push((slot as u32, *e)));
+        self.scan_ring(returning, &mut |slot| out.push((slot as u32, self.slots[slot])));
+    }
+
+    /// The entry in physical slot `slot` (vacant slots read as an inactive
+    /// placeholder).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is not below the capacity.
+    #[inline]
+    pub fn entry_at(&self, slot: usize) -> &SliceEntry {
+        &self.slots[slot]
     }
 
     /// Scans the ring in program order for active entries whose poison
-    /// intersects `returning`, feeding `(physical_slot, entry)` to `sink`.
+    /// intersects `returning`, feeding each one's physical slot to `sink`.
     #[inline]
-    fn scan_ring(&self, returning: PoisonMask, sink: &mut impl FnMut(usize, &SliceEntry)) {
+    fn scan_ring(&self, returning: PoisonMask, sink: &mut impl FnMut(usize)) {
         if self.len == 0 || returning.is_clean() {
             return;
         }
@@ -271,7 +351,7 @@ impl SliceBuffer {
     }
 
     /// Word-scans physical slots `[lo, hi)` for lanes intersecting
-    /// `returning`, appending the matching entries in slot order.  The
+    /// `returning`, feeding the matching slots to `sink` in slot order.  The
     /// broadcast comparand is hoisted and only the two edge words pay for
     /// lane masking; zero words (no intersecting entry among four) are
     /// skipped with a single compare.
@@ -280,7 +360,7 @@ impl SliceBuffer {
         lo: usize,
         hi: usize,
         returning: PoisonMask,
-        sink: &mut impl FnMut(usize, &SliceEntry),
+        sink: &mut impl FnMut(usize),
     ) {
         if lo >= hi {
             return;
@@ -312,15 +392,15 @@ impl SliceBuffer {
             while lanes != 0 {
                 let lane = lanes.trailing_zeros() as usize >> 4;
                 lanes &= lanes - 1;
-                sink(base + lane, &self.slots[base + lane]);
+                sink(base + lane);
             }
         }
     }
 
     /// Borrowing iterator over the entries a rally for `returning` must
     /// process, in program order.  This is the reference (per-entry) path the
-    /// word scan is checked against; prefer
-    /// [`SliceBuffer::entries_for_rally_into`] on hot paths.
+    /// word scan is checked against; hot paths use
+    /// [`SliceBuffer::rally_slots_into`].
     pub fn rally_iter(&self, returning: PoisonMask) -> impl Iterator<Item = SliceEntry> + '_ {
         (0..self.len)
             .map(|l| &self.slots[self.phys(l)])
@@ -353,6 +433,57 @@ impl SliceBuffer {
             .map(|e| e.poison)
     }
 
+    /// The physical slots currently holding `entry`'s two producers
+    /// ([`NO_LINK`] where the operand has none in the buffer).
+    fn links_for(&self, entry: &SliceEntry) -> [u32; 2] {
+        [entry.src1_producer, entry.src2_producer].map(|producer| {
+            if producer == usize::MAX {
+                return NO_LINK;
+            }
+            self.position_of(producer)
+                .map_or(NO_LINK, |l| self.phys(l) as u32)
+        })
+    }
+
+    /// Where the producer of operand `operand` (0 = `src1_producer`, 1 =
+    /// `src2_producer`) of the entry in physical slot `slot` stands — the O(1)
+    /// form of [`SliceBuffer::entry_poison`] on that producer.  The linked
+    /// slot still holds the producer exactly when its trace index matches: a
+    /// reclaimed slot is vacant or reused by a younger instruction.
+    #[inline]
+    pub fn producer(&self, slot: usize, operand: usize) -> Producer {
+        let e = &self.slots[slot];
+        let trace_idx = [e.src1_producer, e.src2_producer][operand];
+        let link = self.links[slot][operand] as usize;
+        match self.slots.get(link) {
+            Some(p) if p.trace_idx == trace_idx => {
+                if p.active {
+                    Producer::Waiting(p.poison)
+                } else {
+                    Producer::Rallied(self.results[link])
+                }
+            }
+            _ => Producer::Gone,
+        }
+    }
+
+    /// Records the result the entry in physical slot `slot` produced, for
+    /// its consumers to read through their links once it is retired.
+    #[inline]
+    pub fn record_result(&mut self, slot: usize, value: Value, ready: Cycle) {
+        self.results[slot] = Some((value, ready));
+    }
+
+    /// Rebuilds the recorded results of a decoded buffer: `result_of` gives,
+    /// by trace index, what [`SliceBuffer::record_result`] had been told.
+    pub fn restore_results(&mut self, result_of: impl Fn(usize) -> Option<(Value, Cycle)>) {
+        for l in 0..self.len {
+            let slot = self.phys(l);
+            let e = &self.slots[slot];
+            self.results[slot] = if e.active { None } else { result_of(e.trace_idx) };
+        }
+    }
+
     /// Marks the entry for `trace_idx` as retired (executed successfully).
     pub fn retire(&mut self, trace_idx: usize) -> bool {
         if let Some(l) = self.position_of(trace_idx) {
@@ -369,7 +500,7 @@ impl SliceBuffer {
     }
 
     /// O(1) form of [`SliceBuffer::retire`] for a physical slot obtained from
-    /// [`SliceBuffer::rally_select_into`].
+    /// [`SliceBuffer::rally_slots_into`].
     pub fn retire_at(&mut self, slot: usize) -> bool {
         let e = &mut self.slots[slot];
         if e.active {
@@ -382,7 +513,7 @@ impl SliceBuffer {
     }
 
     /// O(1) form of [`SliceBuffer::repoison`] for a physical slot obtained
-    /// from [`SliceBuffer::rally_select_into`].
+    /// from [`SliceBuffer::rally_slots_into`].
     pub fn repoison_at(&mut self, slot: usize, poison: PoisonMask) -> bool {
         let e = &mut self.slots[slot];
         if e.active {
@@ -410,8 +541,10 @@ impl SliceBuffer {
 
     /// Clears the buffer entirely (squash).
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = SliceEntry::vacant();
+        // Unoccupied slots are already vacant.
+        for l in 0..self.len {
+            let slot = self.phys(l);
+            self.slots[slot] = SliceEntry::vacant();
         }
         self.plane.clear_all();
         self.head = 0;
@@ -423,6 +556,13 @@ impl SliceBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The entries a rally for `returning` selects, by value.
+    fn entries_for_rally(sb: &SliceBuffer, returning: PoisonMask) -> Vec<SliceEntry> {
+        let mut selected = Vec::new();
+        sb.rally_select_into(returning, &mut selected);
+        selected.into_iter().map(|(_, e)| e).collect()
+    }
 
     fn entry(idx: usize, poison: PoisonMask) -> SliceEntry {
         SliceEntry {
@@ -444,9 +584,9 @@ mod tests {
         sb.push(entry(0, PoisonMask::bit(0))).unwrap();
         sb.push(entry(1, PoisonMask::bit(1))).unwrap();
         sb.push(entry(2, PoisonMask::bit(0) | PoisonMask::bit(1))).unwrap();
-        let pass0 = sb.entries_for_rally(PoisonMask::bit(0));
+        let pass0 = entries_for_rally(&sb, PoisonMask::bit(0));
         assert_eq!(pass0.iter().map(|e| e.trace_idx).collect::<Vec<_>>(), vec![0, 2]);
-        let pass1 = sb.entries_for_rally(PoisonMask::bit(1));
+        let pass1 = entries_for_rally(&sb, PoisonMask::bit(1));
         assert_eq!(pass1.iter().map(|e| e.trace_idx).collect::<Vec<_>>(), vec![1, 2]);
     }
 
@@ -459,7 +599,7 @@ mod tests {
         assert!(!sb.retire(0), "already retired");
         assert_eq!(sb.active_len(), 1);
         assert_eq!(sb.len(), 2, "entries are not compacted");
-        let pass = sb.entries_for_rally(PoisonMask::bit(0));
+        let pass = entries_for_rally(&sb, PoisonMask::bit(0));
         assert_eq!(pass.len(), 1);
         assert_eq!(pass[0].trace_idx, 1);
     }
@@ -481,28 +621,29 @@ mod tests {
 
     #[test]
     fn rally_selection_apis_are_equivalent() {
-        // The scratch-buffer (word-scan) and iterator (per-entry) forms must
-        // select exactly what the allocating form does, and the scratch must
-        // reuse its capacity.
+        // The slot-only (word-scan) form, the entry-carrying wrapper and the
+        // iterator (per-entry) form must select exactly the same entries, and
+        // the slot scratch must reuse its capacity.
         let mut sb = SliceBuffer::new(16);
         for k in 0..12usize {
             sb.push(entry(k, PoisonMask::bit((k % 3) as u8))).unwrap();
         }
         sb.retire(3);
         sb.retire(6);
-        let mut scratch = Vec::new();
+        let mut slots = Vec::new();
         for bit in 0..3u8 {
             let select = PoisonMask::bit(bit);
-            let allocated = sb.entries_for_rally(select);
-            sb.entries_for_rally_into(select, &mut scratch);
-            assert_eq!(allocated, scratch);
             let iterated: Vec<SliceEntry> = sb.rally_iter(select).collect();
-            assert_eq!(allocated, iterated);
+            assert_eq!(entries_for_rally(&sb, select), iterated);
+            sb.rally_slots_into(select, &mut slots);
+            let in_place: Vec<SliceEntry> =
+                slots.iter().map(|&s| *sb.entry_at(s as usize)).collect();
+            assert_eq!(in_place, iterated);
         }
-        let warmed = scratch.capacity();
+        let warmed = slots.capacity();
         for _ in 0..50 {
-            sb.entries_for_rally_into(PoisonMask::bit(0), &mut scratch);
-            assert_eq!(scratch.capacity(), warmed, "scratch must not reallocate");
+            sb.rally_slots_into(PoisonMask::bit(0), &mut slots);
+            assert_eq!(slots.capacity(), warmed, "scratch must not reallocate");
         }
     }
 
@@ -518,7 +659,6 @@ mod tests {
         };
         let mut sb = SliceBuffer::new(13); // odd capacity: exercises wrap lanes
         let mut next_idx = 0usize;
-        let mut scratch = Vec::new();
         for _ in 0..400 {
             match lcg() % 4 {
                 0 | 1 => {
@@ -548,12 +688,121 @@ mod tests {
             }
             for bit in 0..16u8 {
                 let select = PoisonMask::bit(bit);
-                sb.entries_for_rally_into(select, &mut scratch);
                 let reference: Vec<SliceEntry> = sb.rally_iter(select).collect();
-                assert_eq!(scratch, reference, "selection diverged for bit {bit}");
+                assert_eq!(
+                    entries_for_rally(&sb, select),
+                    reference,
+                    "selection diverged for bit {bit}"
+                );
             }
         }
         assert!(next_idx > 20, "churn should have inserted entries");
+    }
+
+    #[test]
+    fn link_lookup_matches_binary_search_on_randomized_ring_states() {
+        // Seeded push / retire_at / repoison_at / reclaim_head / clear churn
+        // with every pushed entry naming up to two earlier instructions as
+        // producers — resident, already reclaimed from the head, or never
+        // sliced.  After every step, and across a serialize → decode of the
+        // buffer mid-sequence, each active consumer's link must answer
+        // exactly what the binary search by trace index answers (poison from
+        // `entry_poison`, results from a reference map), and the slot-only
+        // selection must name the slots of `rally_iter`'s entries.
+        for (seed, capacity) in [(0x11CFu64, 13usize), (0xBEEF, 8), (0x5EED, 32)] {
+            let mut state = seed;
+            let mut lcg = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                state >> 16
+            };
+            let mut sb = SliceBuffer::new(capacity);
+            let mut recorded = std::collections::HashMap::new();
+            let mut next_idx = 0usize;
+            let mut slots = Vec::new();
+            let (mut gone, mut rallied, mut wraps) = (0usize, 0usize, 0usize);
+            for step in 0..1500 {
+                sb.rally_slots_into(PoisonMask::all_bits(), &mut slots);
+                match lcg() % 8 {
+                    0..=3 => {
+                        let mut producer = || match lcg() % 4 {
+                            0 => usize::MAX,
+                            _ => next_idx.checked_sub(1 + (lcg() % 24) as usize).unwrap_or(usize::MAX),
+                        };
+                        let e = SliceEntry {
+                            src1_value: None,
+                            src1_producer: producer(),
+                            src2_producer: producer(),
+                            ..entry(next_idx, PoisonMask::from_bits((lcg() % 0xFFFF) as u16 | 1))
+                        };
+                        if sb.push(e).is_ok() {
+                            next_idx += 1;
+                        } else {
+                            sb.retire_at(slots[0] as usize);
+                        }
+                    }
+                    4 | 5 if !slots.is_empty() => {
+                        let pick = slots[(lcg() % slots.len() as u64) as usize] as usize;
+                        if lcg() % 4 != 0 {
+                            let result = (lcg(), lcg() % 1000);
+                            sb.record_result(pick, result.0, result.1);
+                            recorded.insert(sb.entry_at(pick).trace_idx, result);
+                        }
+                        sb.retire_at(pick);
+                    }
+                    6 if !slots.is_empty() => {
+                        let pick = slots[(lcg() % slots.len() as u64) as usize] as usize;
+                        sb.repoison_at(pick, PoisonMask::from_bits((lcg() % 0xFFFF) as u16 | 2));
+                    }
+                    _ if lcg() % 64 == 0 => {
+                        sb.clear();
+                        recorded.clear();
+                    }
+                    _ => sb.reclaim_head(),
+                }
+                if step % 97 == 41 {
+                    let bytes = serde::to_bytes(&sb);
+                    sb = serde::from_bytes(&bytes).expect("a serialized buffer decodes");
+                    assert_eq!(serde::to_bytes(&sb), bytes, "decode must not change the bytes");
+                    sb.restore_results(|idx| recorded.get(&idx).copied());
+                }
+
+                wraps += usize::from(sb.head + sb.len > sb.capacity);
+                sb.rally_slots_into(PoisonMask::all_bits(), &mut slots);
+                for &slot in &slots {
+                    let slot = slot as usize;
+                    let e = *sb.entry_at(slot);
+                    for (n, producer) in [e.src1_producer, e.src2_producer].into_iter().enumerate() {
+                        let searched = match sb.position_of(producer) {
+                            None => Producer::Gone,
+                            Some(l) if sb.slots[sb.phys(l)].active => {
+                                Producer::Waiting(sb.entry_poison(producer).expect("active"))
+                            }
+                            Some(_) => Producer::Rallied(recorded.get(&producer).copied()),
+                        };
+                        assert_eq!(
+                            sb.producer(slot, n),
+                            searched,
+                            "seed {seed:#x} step {step}: consumer {} producer {producer}",
+                            e.trace_idx
+                        );
+                        gone += usize::from(producer != usize::MAX && searched == Producer::Gone);
+                        rallied += usize::from(matches!(searched, Producer::Rallied(Some(_))));
+                    }
+                }
+                for bit in 0..16u8 {
+                    let select = PoisonMask::bit(bit);
+                    sb.rally_slots_into(select, &mut slots);
+                    let by_slot: Vec<SliceEntry> =
+                        slots.iter().map(|&s| *sb.entry_at(s as usize)).collect();
+                    let reference: Vec<SliceEntry> = sb.rally_iter(select).collect();
+                    assert_eq!(by_slot, reference, "seed {seed:#x} step {step} bit {bit}");
+                }
+            }
+            assert!(next_idx > 4 * capacity, "churn should have cycled the ring");
+            assert!(wraps > 0, "the ring never wrapped");
+            assert!(gone > 0, "no active consumer ever outlived its producer");
+            assert!(rallied > 0, "no active consumer ever read a resident result");
+        }
     }
 
     #[test]
@@ -575,9 +824,9 @@ mod tests {
 
         let mut with_slots = Vec::new();
         sb.rally_select_into(PoisonMask::bit(0), &mut with_slots);
-        let plain = sb.entries_for_rally(PoisonMask::bit(0));
+        let reference: Vec<SliceEntry> = sb.rally_iter(PoisonMask::bit(0)).collect();
         let entries: Vec<SliceEntry> = with_slots.iter().map(|&(_, e)| e).collect();
-        assert_eq!(entries, plain);
+        assert_eq!(entries, reference);
 
         for &(slot, e) in &with_slots {
             // The slot really addresses this entry.
@@ -588,7 +837,7 @@ mod tests {
             assert!(!sb.retire_at(slot as usize), "already retired");
             assert_eq!(sb.entry_poison(e.trace_idx), None);
         }
-        assert!(sb.entries_for_rally(PoisonMask::bit(0)).is_empty());
+        assert!(entries_for_rally(&sb, PoisonMask::bit(0)).is_empty());
     }
 
     #[test]
@@ -596,9 +845,9 @@ mod tests {
         let mut sb = SliceBuffer::new(4);
         sb.push(entry(0, PoisonMask::bit(0))).unwrap();
         assert!(sb.repoison(0, PoisonMask::bit(3)));
-        let pass = sb.entries_for_rally(PoisonMask::bit(3));
+        let pass = entries_for_rally(&sb, PoisonMask::bit(3));
         assert_eq!(pass.len(), 1);
-        assert!(sb.entries_for_rally(PoisonMask::bit(0)).is_empty());
+        assert!(entries_for_rally(&sb, PoisonMask::bit(0)).is_empty());
     }
 
     #[test]

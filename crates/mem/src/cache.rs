@@ -35,7 +35,7 @@ impl CacheConfig {
 
     /// The set index for `addr`.
     pub fn set_index(&self, addr: Addr) -> usize {
-        ((addr / self.line_bytes) as usize) & (self.num_sets() - 1)
+        ((addr >> self.line_bytes.trailing_zeros()) as usize) & (self.num_sets() - 1)
     }
 }
 
@@ -213,13 +213,20 @@ impl Cache {
         self.config.line_addr(addr)
     }
 
+    /// [`CacheConfig::set_index`] without recomputing the set count (two
+    /// divisions) on every access: the set array's length *is* the set count.
+    #[inline]
+    fn set_of(&self, addr: Addr) -> usize {
+        ((addr >> self.config.line_bytes.trailing_zeros()) as usize) & (self.sets.len() - 1)
+    }
+
     /// Probes for `addr` as a demand access at cycle `now`, updating LRU state
     /// and statistics.  A victim-buffer hit counts as a hit and moves the line
     /// back into the main array.
     pub fn access(&mut self, addr: Addr, now: Cycle, is_write: bool) -> ProbeResult {
         self.stats.accesses += 1;
         let line_addr = self.config.line_addr(addr);
-        let set = self.config.set_index(addr);
+        let set = self.set_of(addr);
         if let Some(line) = self.sets[set]
             .iter_mut()
             .find(|l| l.valid && l.tag == line_addr)
@@ -249,7 +256,7 @@ impl Cache {
     /// external-store snoops).
     pub fn peek(&self, addr: Addr) -> bool {
         let line_addr = self.config.line_addr(addr);
-        let set = self.config.set_index(addr);
+        let set = self.set_of(addr);
         self.sets[set].iter().any(|l| l.valid && l.tag == line_addr)
     }
 
@@ -268,7 +275,7 @@ impl Cache {
         ready_at: Cycle,
         dirty: bool,
     ) -> Option<Evicted> {
-        let set = self.config.set_index(line_addr);
+        let set = self.set_of(line_addr);
         // Already present (e.g. prefetch raced a demand fill): refresh.
         if let Some(line) = self.sets[set]
             .iter_mut()
@@ -317,7 +324,7 @@ impl Cache {
     /// invalidated.
     pub fn invalidate(&mut self, addr: Addr) -> bool {
         let line_addr = self.config.line_addr(addr);
-        let set = self.config.set_index(addr);
+        let set = self.set_of(addr);
         for line in &mut self.sets[set] {
             if line.valid && line.tag == line_addr {
                 line.valid = false;
@@ -355,6 +362,10 @@ mod tests {
         assert_eq!(c.config().num_sets(), 4);
         assert_eq!(c.config().line_addr(0x7f), 0x40);
         assert_eq!(c.config().set_index(0x40), 1);
+        for addr in [0u64, 0x3f, 0x40, 0x1c0, 0x1000, 0xdead_beef, u64::MAX] {
+            assert_eq!(c.set_of(addr), c.config().set_index(addr), "{addr:#x}");
+            assert_eq!(c.set_of(addr), (addr / 64) as usize % 4, "{addr:#x}");
+        }
     }
 
     #[test]

@@ -66,14 +66,68 @@ pub struct MshrStats {
 /// Storage is *slot-indexed*: entry `k` lives in `slots[k]` for its entire
 /// lifetime and its [`MshrId`] encodes `k`, so completion updates and
 /// per-miss side tables are O(1) array accesses.  Lookups by line address
-/// scan the (small, fixed) slot array, which is cache-friendly and
-/// allocation-free.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// walk the (small, fixed) slot array once, and no method allocates after
+/// [`MshrFile::new`] — part of the whole-run allocation budget that
+/// `crates/sim/tests/steady_state_allocs.rs` enforces.
+#[derive(Debug, Clone)]
 pub struct MshrFile {
     slots: Vec<Option<MshrEntry>>,
     outstanding: usize,
     next_gen: u64,
     stats: MshrStats,
+    /// No outstanding miss completes before this cycle, so
+    /// [`MshrFile::retire_completed`] for an earlier `now` has nothing to do
+    /// and returns without touching the slots.  Derived from `slots`: not in
+    /// the serialized form, recomputed on decode.
+    next_completion: Cycle,
+}
+
+impl Serialize for MshrFile {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        self.slots.serialize(out);
+        self.outstanding.serialize(out);
+        self.next_gen.serialize(out);
+        self.stats.serialize(out);
+    }
+}
+
+impl Deserialize for MshrFile {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let slots: Vec<Option<MshrEntry>> = Deserialize::deserialize(r)?;
+        let outstanding: usize = Deserialize::deserialize(r)?;
+        // The slot walks stop after `outstanding` occupied slots.
+        if outstanding != slots.iter().flatten().count() {
+            return Err(serde::Error::invalid("MSHR outstanding count", r.position()));
+        }
+        Ok(MshrFile {
+            next_completion: earliest_completion(&slots),
+            slots,
+            outstanding,
+            next_gen: Deserialize::deserialize(r)?,
+            stats: Deserialize::deserialize(r)?,
+        })
+    }
+}
+
+/// The earliest completion cycle among the occupied `slots`
+/// (`Cycle::MAX` when none is occupied).
+fn earliest_completion(slots: &[Option<MshrEntry>]) -> Cycle {
+    slots
+        .iter()
+        .flatten()
+        .map(|e| e.completes_at)
+        .min()
+        .unwrap_or(Cycle::MAX)
+}
+
+/// What one walk over the slots found for a line address.
+enum SlotProbe {
+    /// The slot whose outstanding miss covers the line.
+    Covers(usize),
+    /// No miss covers the line; this is the first free slot.
+    Free(usize),
+    /// No miss covers the line and every slot is occupied.
+    Full,
 }
 
 /// Result of requesting an MSHR for a missing line.
@@ -108,6 +162,7 @@ impl MshrFile {
             outstanding: 0,
             next_gen: 0,
             stats: MshrStats::default(),
+            next_completion: Cycle::MAX,
         }
     }
 
@@ -131,23 +186,59 @@ impl MshrFile {
         self.outstanding == 0
     }
 
-    /// Retires every entry whose miss has completed by `now`.
+    /// Retires every entry whose miss has completed by `now`.  Returns at
+    /// once when no outstanding miss can have completed yet, so calling it on
+    /// every access costs one compare.
     pub fn retire_completed(&mut self, now: Cycle) {
+        if now < self.next_completion {
+            return;
+        }
+        let mut next = Cycle::MAX;
+        let mut unseen = self.outstanding;
         for s in &mut self.slots {
-            if matches!(s, Some(e) if e.completes_at <= now) {
-                *s = None;
-                self.outstanding -= 1;
+            if unseen == 0 {
+                break;
+            }
+            if let Some(e) = s {
+                unseen -= 1;
+                if e.completes_at <= now {
+                    *s = None;
+                    self.outstanding -= 1;
+                } else {
+                    next = next.min(e.completes_at);
+                }
             }
         }
+        self.next_completion = next;
+    }
+
+    /// The one slot walk [`MshrFile::lookup`] and [`MshrFile::request`]
+    /// share: the slot covering `line_addr`, else the first free one.  The
+    /// walk ends at the last occupied slot — allocation takes the first free
+    /// slot, so the occupied ones sit at the front of a mostly empty file.
+    fn probe(&self, line_addr: Addr) -> SlotProbe {
+        let mut free = None;
+        let mut unseen = self.outstanding;
+        for (k, s) in self.slots.iter().enumerate() {
+            if unseen == 0 {
+                // Every later slot is free.
+                return SlotProbe::Free(free.unwrap_or(k));
+            }
+            match s {
+                Some(e) if e.line_addr == line_addr => return SlotProbe::Covers(k),
+                Some(_) => unseen -= 1,
+                None => free = free.or(Some(k)),
+            }
+        }
+        free.map_or(SlotProbe::Full, SlotProbe::Free)
     }
 
     /// Looks up an outstanding miss covering `line_addr`.
     pub fn lookup(&self, line_addr: Addr) -> Option<(MshrId, Cycle)> {
-        self.slots
-            .iter()
-            .flatten()
-            .find(|e| e.line_addr == line_addr)
-            .map(|e| (e.id, e.completes_at))
+        match self.probe(line_addr) {
+            SlotProbe::Covers(k) => self.slots[k].map(|e| (e.id, e.completes_at)),
+            _ => None,
+        }
     }
 
     /// Requests an MSHR for a miss to `line_addr` observed at `now`.
@@ -157,35 +248,30 @@ impl MshrFile {
     /// the completion cycle.
     pub fn request(&mut self, line_addr: Addr, now: Cycle, prefetch: bool) -> MshrRequest {
         self.retire_completed(now);
-        let mut free = None;
-        for (k, s) in self.slots.iter_mut().enumerate() {
-            match s {
-                Some(e) if e.line_addr == line_addr => {
-                    e.references += 1;
-                    // A demand reference upgrades a prefetch-initiated miss.
-                    if !prefetch {
-                        e.prefetch = false;
-                    }
-                    self.stats.merges += 1;
-                    return MshrRequest::Merged {
-                        id: e.id,
-                        completes_at: e.completes_at,
-                    };
+        let slot = match self.probe(line_addr) {
+            SlotProbe::Covers(k) => {
+                let e = self.slots[k].as_mut().expect("probe found the slot occupied");
+                e.references += 1;
+                // A demand reference upgrades a prefetch-initiated miss.
+                if !prefetch {
+                    e.prefetch = false;
                 }
-                None if free.is_none() => free = Some(k),
-                _ => {}
+                self.stats.merges += 1;
+                return MshrRequest::Merged {
+                    id: e.id,
+                    completes_at: e.completes_at,
+                };
             }
-        }
-        let Some(slot) = free else {
-            self.stats.full_stalls += 1;
-            let retry_at = self
-                .slots
-                .iter()
-                .flatten()
-                .map(|e| e.completes_at)
-                .min()
-                .unwrap_or(now + 1);
-            return MshrRequest::Full { retry_at };
+            SlotProbe::Full => {
+                self.stats.full_stalls += 1;
+                let retry_at = if self.slots.is_empty() {
+                    now + 1
+                } else {
+                    earliest_completion(&self.slots)
+                };
+                return MshrRequest::Full { retry_at };
+            }
+            SlotProbe::Free(k) => k,
         };
         let id = MshrId((self.next_gen << MshrId::SLOT_BITS) | slot as u64);
         self.next_gen += 1;
@@ -214,6 +300,7 @@ impl MshrFile {
             .filter(|e| e.id == id)
             .expect("set_completion on unknown MSHR");
         e.completes_at = completes_at;
+        self.next_completion = self.next_completion.min(completes_at);
     }
 
     /// Iterates over `(line_addr, completes_at, id)` of outstanding misses.

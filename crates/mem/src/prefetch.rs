@@ -126,49 +126,59 @@ impl StreamPrefetcher {
 
     /// Notifies the prefetcher of a demand miss that no stream buffer covered.
     /// Allocates (or re-targets) a stream buffer starting at the next
-    /// sequential block and returns the initial burst of prefetch requests.
-    pub fn on_demand_miss(&mut self, addr: Addr, now: Cycle) -> Vec<PrefetchRequest> {
+    /// sequential block and returns the initial burst of prefetch requests —
+    /// an iterator over plain values, so training on a miss allocates nothing.
+    pub fn on_demand_miss(
+        &mut self,
+        addr: Addr,
+        now: Cycle,
+    ) -> impl ExactSizeIterator<Item = PrefetchRequest> {
+        let (first, buffer, blocks) = self.allocate_stream(addr, now).unwrap_or((0, 0, 0));
+        let block_bytes = self.block_bytes;
+        (0..blocks).map(move |k| PrefetchRequest {
+            block_addr: first.wrapping_add(block_bytes.wrapping_mul(k as u64)),
+            buffer,
+        })
+    }
+
+    /// Re-targets a stream buffer at the block after `addr`'s and accounts
+    /// for its initial burst: `(first block, buffer, blocks)`, or `None` when
+    /// there is no buffer or an active stream already covers the miss.
+    fn allocate_stream(&mut self, addr: Addr, now: Cycle) -> Option<(Addr, usize, usize)> {
         if self.buffers.is_empty() {
-            return Vec::new();
+            return None;
         }
         let block = self.block_addr(addr);
-        // Don't steal a buffer that is already streaming over this address:
-        // the missing block lies within the span some active stream covers.
         let next = block.wrapping_add(self.block_bytes);
-        if self.buffers.iter().any(|b| {
-            b.active
+        // One walk over the buffers both checks coverage and picks the
+        // victim: the least-recently-used buffer, inactive buffers first, the
+        // first such on a tie.
+        let (mut victim, mut victim_key) = (0, (true, Cycle::MAX));
+        for (i, b) in self.buffers.iter().enumerate() {
+            // Don't steal a buffer that is already streaming over this
+            // address: the missing block lies within the span some active
+            // stream covers.
+            if b.active
                 && (b.next_block == next
                     || (block >= b.stream_base && next <= b.next_block)
                     || b.blocks.iter().any(|&(a, _)| a == next))
-        }) {
-            return Vec::new();
+            {
+                return None;
+            }
+            let key = (b.active, b.last_use);
+            if i == 0 || key < victim_key {
+                (victim, victim_key) = (i, key);
+            }
         }
-        // Choose the least-recently-used buffer (inactive buffers first).
-        let victim = self
-            .buffers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, b)| (b.active, b.last_use))
-            .map(|(i, _)| i)
-            .expect("at least one buffer");
         let buf = &mut self.buffers[victim];
         buf.active = true;
         buf.blocks.clear();
         buf.last_use = now;
         buf.stream_base = block;
-        buf.next_block = block.wrapping_add(self.block_bytes);
+        buf.next_block = next.wrapping_add(self.block_bytes.wrapping_mul(self.depth as u64));
         self.stats.allocations += 1;
-        let mut reqs = Vec::with_capacity(self.depth);
-        for _ in 0..self.depth {
-            let a = buf.next_block;
-            buf.next_block = a.wrapping_add(self.block_bytes);
-            self.stats.issued += 1;
-            reqs.push(PrefetchRequest {
-                block_addr: a,
-                buffer: victim,
-            });
-        }
-        reqs
+        self.stats.issued += self.depth as u64;
+        Some((next, victim, self.depth))
     }
 
     /// Records that a previously requested prefetch block will arrive at
@@ -210,7 +220,7 @@ mod tests {
     #[test]
     fn miss_allocates_stream_of_depth_blocks() {
         let mut p = pf();
-        let reqs = p.on_demand_miss(0x1000, 0);
+        let reqs: Vec<_> = p.on_demand_miss(0x1000, 0).collect();
         assert_eq!(reqs.len(), 4);
         assert_eq!(reqs[0].block_addr, 0x1080);
         assert_eq!(reqs[3].block_addr, 0x1200);
@@ -221,9 +231,8 @@ mod tests {
     #[test]
     fn probe_hit_consumes_block_and_extends_stream() {
         let mut p = pf();
-        let reqs = p.on_demand_miss(0x1000, 0);
-        for r in &reqs {
-            p.record_arrival(*r, 500);
+        for r in p.on_demand_miss(0x1000, 0) {
+            p.record_arrival(r, 500);
         }
         assert_eq!(p.blocks_in_flight(), 4);
         let (hit, extend) = p.probe(0x1080, 600);
@@ -237,8 +246,8 @@ mod tests {
     #[test]
     fn probe_before_arrival_returns_arrival_time() {
         let mut p = pf();
-        let reqs = p.on_demand_miss(0x1000, 0);
-        p.record_arrival(reqs[0], 500);
+        let first = p.on_demand_miss(0x1000, 0).next().expect("a burst of four");
+        p.record_arrival(first, 500);
         let (hit, _) = p.probe(0x1080, 100);
         assert_eq!(hit, Some(500));
     }
@@ -246,7 +255,7 @@ mod tests {
     #[test]
     fn dropped_request_rolls_the_stream_back() {
         let mut p = pf();
-        let reqs = p.on_demand_miss(0x1000, 0); // 0x1080, 0x1100, 0x1180, 0x1200
+        let reqs: Vec<_> = p.on_demand_miss(0x1000, 0).collect(); // 0x1080, 0x1100, 0x1180, 0x1200
         p.record_arrival(reqs[0], 500);
         p.record_drop(reqs[1]); // bus refused 0x1100
         // Consuming a buffered block extends the stream from the dropped
@@ -259,9 +268,8 @@ mod tests {
     #[test]
     fn unrelated_address_misses_all_buffers() {
         let mut p = pf();
-        let reqs = p.on_demand_miss(0x1000, 0);
-        for r in &reqs {
-            p.record_arrival(*r, 10);
+        for r in p.on_demand_miss(0x1000, 0) {
+            p.record_arrival(r, 10);
         }
         let (hit, ext) = p.probe(0x9000, 20);
         assert!(hit.is_none());
@@ -271,18 +279,18 @@ mod tests {
     #[test]
     fn repeated_miss_in_same_stream_does_not_thrash() {
         let mut p = pf();
-        p.on_demand_miss(0x1000, 0);
+        assert_eq!(p.on_demand_miss(0x1000, 0).len(), 4);
         // Miss to the block the existing stream is about to cover must not
         // re-allocate a buffer.
         let reqs = p.on_demand_miss(0x1000, 1);
-        assert!(reqs.is_empty());
+        assert_eq!(reqs.len(), 0);
         assert_eq!(p.stats().allocations, 1);
     }
 
     #[test]
     fn zero_buffers_is_a_no_op() {
         let mut p = StreamPrefetcher::new(0, 4, 128);
-        assert!(p.on_demand_miss(0x1000, 0).is_empty());
+        assert_eq!(p.on_demand_miss(0x1000, 0).len(), 0);
         assert_eq!(p.probe(0x1000, 0), (None, None));
     }
 }

@@ -55,6 +55,31 @@ pub struct Checkpoint {
     pub at_seq: InstSeq,
 }
 
+/// The value buffer of the last consumed checkpoint, parked so the next
+/// [`TimedRegFile::checkpoint`] (one per advance episode) reuses it instead
+/// of allocating.  Capacity, not state: it serializes to nothing, decodes
+/// empty and never makes two register files differ.
+#[derive(Debug, Clone, Default)]
+struct SpareValues(Vec<Value>);
+
+impl PartialEq for SpareValues {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for SpareValues {}
+
+impl Serialize for SpareValues {
+    fn serialize(&self, _: &mut Vec<u8>) {}
+}
+
+impl Deserialize for SpareValues {
+    fn deserialize(_: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        Ok(SpareValues::default())
+    }
+}
+
 /// A register file with values, readiness, a packed poison plane and
 /// last-writer tracking, plus one checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,6 +87,7 @@ pub struct TimedRegFile {
     regs: Vec<RegEntry>,
     poison: PoisonVec,
     checkpoint: Option<Checkpoint>,
+    spare: SpareValues,
 }
 
 impl Default for TimedRegFile {
@@ -81,6 +107,7 @@ impl TimedRegFile {
                 .collect(),
             poison: PoisonVec::new(NUM_ARCH_REGS),
             checkpoint: None,
+            spare: SpareValues::default(),
         }
     }
 
@@ -96,6 +123,7 @@ impl TimedRegFile {
             regs: values.iter().map(|&v| RegEntry::new(v)).collect(),
             poison: PoisonVec::new(NUM_ARCH_REGS),
             checkpoint: None,
+            spare: SpareValues::default(),
         }
     }
 
@@ -199,8 +227,11 @@ impl TimedRegFile {
     /// Creates the checkpoint (there is only one, as in the paper's
     /// shadow-bitcell design).  Overwrites any previous checkpoint.
     pub fn checkpoint(&mut self, now: Cycle, at_seq: InstSeq) {
+        self.release_checkpoint();
+        let mut values = std::mem::take(&mut self.spare.0);
+        values.extend(self.regs.iter().map(|e| e.value));
         self.checkpoint = Some(Checkpoint {
-            values: self.regs.iter().map(|e| e.value).collect(),
+            values,
             created_at: now,
             at_seq,
         });
@@ -235,12 +266,21 @@ impl TimedRegFile {
             };
         }
         self.poison.clear_all();
+        self.park(ck);
+    }
+
+    /// Keeps a consumed checkpoint's buffer for the next one.
+    fn park(&mut self, ck: Checkpoint) {
+        self.spare.0 = ck.values;
+        self.spare.0.clear();
     }
 
     /// Discards the checkpoint without restoring (successful completion of an
     /// advance/rally episode).
     pub fn release_checkpoint(&mut self) {
-        self.checkpoint = None;
+        if let Some(ck) = self.checkpoint.take() {
+            self.park(ck);
+        }
     }
 
     /// Snapshot of all architectural values in flat register-index order.

@@ -136,6 +136,16 @@ impl SweepSpec {
         {
             return Err("sweep spec has an empty configuration axis".into());
         }
+        // A zero here would reach the models: `SliceBuffer::new(0)` panics in
+        // every cell, and a hierarchy without MSHRs retries a miss forever.
+        for (axis, values) in [
+            ("slice_buffer_entries", &self.slice_buffer_entries),
+            ("mshr_counts", &self.mshr_counts),
+        ] {
+            if values.contains(&0) {
+                return Err(format!("sweep axis {axis} contains 0 (must be at least 1)"));
+            }
+        }
         if self.insts == 0 {
             return Err("sweep spec has a zero instruction budget".into());
         }
@@ -233,6 +243,22 @@ mod tests {
         let mut s = tiny_spec();
         s.insts = 0;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validate_names_the_axis_that_holds_a_zero() {
+        let mut s = tiny_spec();
+        s.slice_buffer_entries = vec![64, 0];
+        let err = s.validate_axes().unwrap_err();
+        assert!(err.contains("slice_buffer_entries"), "{err}");
+        let mut s = tiny_spec();
+        s.mshr_counts = vec![0];
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("mshr_counts"), "{err}");
+        // A zero L2 latency is a legal (if ideal) machine.
+        let mut s = tiny_spec();
+        s.l2_hit_latencies = vec![0];
+        assert!(s.validate().is_ok());
     }
 
     #[test]
