@@ -133,47 +133,21 @@ impl BenchSession {
     }
 }
 
-/// Runs `trace` on `core` through the shared warmup + median-of-N timing
-/// protocol ([`icfp_sim::median_run`]).
-pub fn bench_trace(core: CoreModel, trace: &icfp_isa::Trace, reps: u32) -> BenchRun {
-    BenchRun {
-        report: icfp_sim::median_run(&SimConfig::new(core), trace, reps),
-        reps: reps.max(1),
-    }
-}
-
-/// [`bench_trace`] over any block-based [`icfp_isa::TraceSource`] — how
-/// `--trace-file` containers and streamed generator workloads run through
-/// the harness with peak trace memory bounded by the source's resident
-/// blocks, not the trace length.
-pub fn bench_source(core: CoreModel, source: &dyn icfp_isa::TraceSource, reps: u32) -> BenchRun {
-    BenchRun {
-        report: icfp_sim::median_run_source(&SimConfig::new(core), source, reps),
-        reps: reps.max(1),
-    }
-}
-
-/// [`bench_trace`] with a functional fast-forward prefix: each repetition
+/// Runs the trace behind `source` on `core` through the shared warmup +
+/// median-of-N timing protocol ([`icfp_sim::median_run`]): each repetition
 /// architecturally executes the first `ff` instructions without the timing
 /// model and times the rest from a cold microarchitectural state (0 = fully
-/// cold; see [`icfp_sim::Simulator::run_source_ff`]).
-pub fn bench_trace_ff(core: CoreModel, trace: &icfp_isa::Trace, ff: usize, reps: u32) -> BenchRun {
-    BenchRun {
-        report: icfp_sim::median_run_ff(&SimConfig::new(core), trace, ff, reps),
-        reps: reps.max(1),
-    }
-}
-
-/// [`bench_source_ff`]: [`bench_source`] with a functional fast-forward
-/// prefix (see [`bench_trace_ff`]).
-pub fn bench_source_ff(
+/// cold).  `--trace-file` containers and streamed generator workloads run
+/// with peak trace memory bounded by the source's resident blocks, not the
+/// trace length; an in-memory trace goes in as an [`icfp_isa::ArenaSource`].
+pub fn bench_source(
     core: CoreModel,
     source: &dyn icfp_isa::TraceSource,
     ff: usize,
     reps: u32,
 ) -> BenchRun {
     BenchRun {
-        report: icfp_sim::median_run_source_ff(&SimConfig::new(core), source, ff, reps),
+        report: icfp_sim::median_run(&SimConfig::new(core), source, ff, reps),
         reps: reps.max(1),
     }
 }
@@ -655,12 +629,13 @@ pub fn time_ns_per_iter<F: FnMut()>(mut f: F, iters: u32, reps: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icfp_isa::ArenaSource;
     use icfp_sim::Simulator;
 
     #[test]
     fn bench_session_json_is_well_formed() {
-        let trace = icfp_workloads::branchy(300, 1);
-        let run = bench_trace(CoreModel::InOrder, &trace, 2);
+        let trace = ArenaSource::new(icfp_workloads::branchy(300, 1));
+        let run = bench_source(CoreModel::InOrder, &trace, 0, 2);
         let session = BenchSession {
             mode: "smoke".into(),
             runs: vec![run],
@@ -701,10 +676,10 @@ mod tests {
 
     #[test]
     fn aggregate_mips_parses_from_json() {
-        let trace = icfp_workloads::branchy(300, 1);
+        let trace = ArenaSource::new(icfp_workloads::branchy(300, 1));
         let session = BenchSession {
             mode: "smoke".into(),
-            runs: vec![bench_trace(CoreModel::InOrder, &trace, 1)],
+            runs: vec![bench_source(CoreModel::InOrder, &trace, 0, 1)],
         };
         let json = session.to_json();
         let parsed = parse_aggregate_mips(&json).expect("figure present");
@@ -715,12 +690,12 @@ mod tests {
 
     /// A small real session plus its own JSON as the baseline document.
     fn session_and_baseline() -> (Vec<DetCell>, f64, String) {
-        let trace = icfp_workloads::branchy(400, 7);
+        let trace = ArenaSource::new(icfp_workloads::branchy(400, 7));
         let session = BenchSession {
             mode: "smoke".into(),
             runs: vec![
-                bench_trace(CoreModel::InOrder, &trace, 1),
-                bench_trace(CoreModel::Icfp, &trace, 1),
+                bench_source(CoreModel::InOrder, &trace, 0, 1),
+                bench_source(CoreModel::Icfp, &trace, 0, 1),
             ],
         };
         (session.det_cells(), session.aggregate_mips(), session.to_json())
@@ -858,8 +833,8 @@ mod tests {
 
     #[test]
     fn bench_trace_reports_requested_reps() {
-        let trace = icfp_workloads::branchy(300, 1);
-        let run = bench_trace(CoreModel::InOrder, &trace, 3);
+        let trace = ArenaSource::new(icfp_workloads::branchy(300, 1));
+        let run = bench_source(CoreModel::InOrder, &trace, 0, 3);
         assert_eq!(run.reps, 3);
         assert!(run.report.host_seconds >= 0.0);
     }

@@ -8,7 +8,7 @@
 //!            [--core NAME[,NAME...]] [--workload NAME[,NAME...]]
 //!            [--trace-file PATH[,PATH...]] [--fast-forward N]
 //!            [--out PATH] [--baseline PATH] [--max-regress-pct P]
-//!            [--sweep] [--warm-fork] [--sweep-slice N[,N...]]
+//!            [--sweep] [--sweep-slice N[,N...]]
 //!            [--sweep-mshr N[,N...]] [--sweep-l2 N[,N...]] [--threads N]
 //!            [--cache-dir DIR] [--ckpt-smoke] [--figures PATH]
 //! icfp-bench sweep submit (--server ADDR | --workers A,B[,..]) [--shards N]
@@ -37,7 +37,7 @@
 //! the standard warmup-skipping methodology.  Final architectural state and
 //! state digests equal the cold full run's; cycle counts cover only the
 //! timed region.  With `--sweep` the same flag applies per cell and is part
-//! of each cell's warm-fork and result-cache identity.
+//! of each cell's fork-group and result-cache identity.
 //!
 //! `--smoke` selects a small instruction budget (CI-friendly, a few seconds);
 //! the default "full" mode uses a larger budget for stable MIPS numbers.
@@ -52,18 +52,21 @@
 //! demoted to an advisory note otherwise (a slow runner is not a code
 //! regression).
 //!
-//! `--warm-fork` makes `--sweep` fork each column's equivalent cells from a
-//! shared mid-trace checkpoint; `--ckpt-smoke` runs a save→restore→compare
-//! round-trip over every (model × workload) pair and exits non-zero on any
-//! divergence.
+//! `--ckpt-smoke` runs a save→restore→compare round-trip over every
+//! (model × workload) pair and exits non-zero on any divergence.
 //!
-//! `--cache-dir DIR` gives `--sweep` a persistent `icfp-cache/v1` result
+//! A sweep runs one way — spec → backend → cell stream → report — and the
+//! flags only pick the backend.  `--sweep` executes on this process's thread
+//! pool; `--cache-dir DIR` gives it a persistent `icfp-cache/v1` result
 //! store: repeated or overlapping grids are served from disk, with reports
 //! byte-identical to cold runs.  `sweep submit --server ADDR` sends the same
-//! grid to a running `icfp-sweepd` over `icfp-wire/v2` instead of executing
-//! locally, reassembling the streamed cells into the identical report.
+//! grid to a running `icfp-sweepd` over `icfp-wire/v2` instead, reassembling
+//! the streamed cells into the identical report.  Every backend's failures
+//! exit with the same codes: 2 invalid spec/usage, 3 connect/transport
+//! failed after every retry, 4 protocol/version/digest mismatch,
+//! 5 server-reported error.
 //!
-//! `sweep submit --workers A,B[,..]` distributes the grid instead: the
+//! `sweep submit --workers A,B[,..]` distributes the grid: the
 //! shard planner splits it by workload column, each shard (a spec slice
 //! plus per-column trace *digests*, never trace bytes) goes to one
 //! `icfp-sweepd --worker`, and the streamed cells merge deterministically —
@@ -77,14 +80,14 @@
 //! and exits 2 on an invalid spec.
 
 use icfp_bench::{
-    bench_source_ff, bench_trace_ff, gate_against_baseline, machine_class, parse_baseline,
-    render_figures, sweep_det_cells, BenchSession, DetCell,
+    bench_source, gate_against_baseline, machine_class, parse_baseline, render_figures,
+    sweep_det_cells, BenchSession, DetCell,
 };
-use icfp_isa::{TraceFile, TraceFileWriter, DEFAULT_BLOCK_INSTS};
+use icfp_isa::{ArenaSource, TraceFile, TraceFileWriter, DEFAULT_BLOCK_INSTS};
 use icfp_sim::{CoreModel, SimCheckpoint, SimConfig, Simulator};
 use icfp_sweep::{
-    plan_shards, CacheStats, ExecBackend, LocalBackend, RemoteBackend, RetryPolicy, SweepReport,
-    SweepSpec, WireError,
+    plan_shards, ExecBackend, LocalBackend, RemoteBackend, RetryPolicy, ServerBackend,
+    SweepError, SweepReport, SweepSpec, WireError,
 };
 use icfp_workloads::TraceSink;
 
@@ -100,7 +103,6 @@ struct Args {
     baseline: Option<String>,
     max_regress_pct: f64,
     sweep: bool,
-    warm_fork: bool,
     fast_forward: usize,
     ckpt_smoke: bool,
     figures: Option<String>,
@@ -113,9 +115,7 @@ struct Args {
     workers: Vec<String>,
     shards: usize,
     stream_columns: bool,
-    retries: u32,
-    retry_base_ms: u64,
-    io_timeout_ms: u64,
+    policy: RetryPolicy,
 }
 
 fn parse_list<T: std::str::FromStr>(name: &str, v: &str) -> Result<Vec<T>, String>
@@ -143,7 +143,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         baseline: None,
         max_regress_pct: 20.0,
         sweep: false,
-        warm_fork: false,
         fast_forward: 0,
         ckpt_smoke: false,
         figures: None,
@@ -156,9 +155,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         workers: Vec::new(),
         shards: 0,
         stream_columns: false,
-        retries: RetryPolicy::default().retries,
-        retry_base_ms: RetryPolicy::default().base_delay_ms,
-        io_timeout_ms: RetryPolicy::default().io_timeout_ms,
+        policy: RetryPolicy::default(),
     };
     let mut it = argv.iter().cloned();
     while let Some(arg) = it.next() {
@@ -169,7 +166,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match arg.as_str() {
             "--smoke" => a.smoke = true,
             "--sweep" => a.sweep = true,
-            "--warm-fork" => a.warm_fork = true,
             "--fast-forward" => {
                 a.fast_forward = val("--fast-forward")?
                     .parse()
@@ -249,17 +245,17 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--stream-columns" => a.stream_columns = true,
             "--retries" => {
-                a.retries = val("--retries")?
+                a.policy.retries = val("--retries")?
                     .parse()
                     .map_err(|e| format!("--retries: {e}"))?
             }
             "--retry-base-ms" => {
-                a.retry_base_ms = val("--retry-base-ms")?
+                a.policy.base_delay_ms = val("--retry-base-ms")?
                     .parse()
                     .map_err(|e| format!("--retry-base-ms: {e}"))?
             }
             "--io-timeout-ms" => {
-                a.io_timeout_ms = val("--io-timeout-ms")?
+                a.policy.io_timeout_ms = val("--io-timeout-ms")?
                     .parse()
                     .map_err(|e| format!("--io-timeout-ms: {e}"))?
             }
@@ -269,7 +265,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                      [--core NAMES] [--workload NAMES|none] [--trace-file PATHS] \
                      [--fast-forward N] \
                      [--out PATH] [--baseline PATH] [--max-regress-pct P] \
-                     [--sweep] [--warm-fork] [--sweep-slice NS] [--sweep-mshr NS] \
+                     [--sweep] [--sweep-slice NS] [--sweep-mshr NS] \
                      [--sweep-l2 NS] [--threads N] [--cache-dir DIR] \
                      [--ckpt-smoke] [--figures PATH]\n\
                      \u{20}      icfp-bench sweep submit (--server ADDR | --workers A,B) \
@@ -277,7 +273,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                      [--retry-base-ms MS] [--io-timeout-ms MS] [sweep flags as above]\n\
                      \u{20}      icfp-bench sweep plan [--shards N] [--workers A,B] \
                      [sweep flags as above]\n\
-                     \u{20}      sweep submit exit codes: 2 invalid spec/usage, \
+                     \u{20}      sweep exit codes (any backend): 2 invalid spec/usage, \
                      3 connect/transport failed, 4 protocol/version/digest mismatch, \
                      5 server-reported error\n\
                      \u{20}      icfp-bench trace convert <in.bbp|in.trace> <out.trace> \
@@ -369,7 +365,6 @@ fn sweep_spec_of(args: &Args) -> SweepSpec {
     spec.mshr_counts = args.sweep_mshr.clone();
     spec.l2_hit_latencies = args.sweep_l2.clone();
     spec.reps = args.reps;
-    spec.warm_fork = args.warm_fork;
     spec.fast_forward = args.fast_forward;
     spec.streamed = args.stream_columns;
     spec
@@ -397,37 +392,9 @@ fn finish_sweep(args: &Args, report: &SweepReport) {
     gate_on_baseline(args, &sweep_det_cells(report), report.aggregate_mips());
 }
 
-fn run_sweep_mode(args: &Args) {
-    let spec = sweep_spec_of(args);
-    println!(
-        "sweep: {} cells ({} models x {} configs x {} workloads) on {} threads{}",
-        spec.cell_count(),
-        spec.models.len(),
-        spec.slice_buffer_entries.len() * spec.mshr_counts.len() * spec.l2_hit_latencies.len(),
-        spec.workloads.len(),
-        args.threads,
-        if args.warm_fork { ", warm-fork" } else { "" }
-    );
-    let backend = LocalBackend {
-        threads: args.threads,
-        cache_dir: args.cache_dir.as_deref().map(Into::into),
-        ..LocalBackend::default()
-    };
-    let outcome = match backend.run(&spec) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("icfp-bench: {e}");
-            std::process::exit(2);
-        }
-    };
-    if args.cache_dir.is_some() {
-        println!("cache: {}", outcome.cache.summary());
-    }
-    finish_sweep(args, &outcome.report);
-}
-
-/// Exit codes for `sweep submit` failures, one per failure class so scripts
-/// can branch without parsing stderr:
+/// Exit codes for sweep failures, one per failure class so scripts can
+/// branch without parsing stderr — the same whichever backend ran the sweep
+/// (a distributed run reports its first failed shard's class):
 ///
 /// * `2` — the spec (or usage) is invalid; nothing was sent.
 /// * `3` — connect or transport failed after every retry (refused,
@@ -437,90 +404,38 @@ fn run_sweep_mode(args: &Args) {
 ///   handshake), or a reassembled-report digest mismatch.
 /// * `5` — the server answered with a typed error (e.g. it rejected the
 ///   spec, or was draining for shutdown).
-fn wire_exit_code(e: &WireError) -> i32 {
-    match e {
-        WireError::Spec(_) => 2,
-        WireError::Io(_) | WireError::Frame(_) | WireError::Disconnected => 3,
-        WireError::Protocol(_) | WireError::Decode(_) | WireError::UnsupportedVersion { .. } => 4,
-        WireError::Server(_) => 5,
+fn wire_exit_code(e: &SweepError) -> i32 {
+    match e.wire() {
+        None | Some(WireError::Spec(_)) => 2,
+        Some(WireError::Io(_) | WireError::Frame(_) | WireError::Disconnected) => 3,
+        Some(
+            WireError::Protocol(_) | WireError::Decode(_) | WireError::UnsupportedVersion { .. },
+        ) => 4,
+        Some(WireError::Server(_)) => 5,
     }
 }
 
-/// `icfp-bench sweep submit --server ADDR`: submit the spec to a running
-/// `icfp-sweepd`, reassemble the streamed cells, and finish exactly like a
-/// local sweep — same matrix, same `BENCH_sweep.json`, same gate.  Retriable
-/// transport failures reconnect with deterministic exponential backoff
-/// (`--retries`, `--retry-base-ms`); failures exit with [`wire_exit_code`]'s
-/// documented codes.
-fn run_sweep_submit(args: &Args) {
+/// Where `sweep submit` sends the grid: a pool of `icfp-sweepd --worker`
+/// processes (`--workers`, which wins when both are given) or one
+/// `icfp-sweepd` (`--server`).  `None` when the command line names neither.
+fn submit_backend(args: &Args) -> Option<Box<dyn ExecBackend>> {
+    let (threads, policy) = (args.threads, args.policy);
     if !args.workers.is_empty() {
-        run_sweep_distributed(args);
-        return;
+        let (workers, shards) = (args.workers.clone(), args.shards);
+        return Some(Box::new(RemoteBackend { workers, shards, threads, policy }));
     }
-    let Some(server) = args.server.as_deref() else {
-        eprintln!("icfp-bench: sweep submit requires --server ADDR or --workers A,B[,..]");
-        std::process::exit(2);
-    };
-    let spec = sweep_spec_of(args);
-    println!(
-        "sweep submit: {} cells ({} models x {} configs x {} workloads) -> {server}",
-        spec.cell_count(),
-        spec.models.len(),
-        spec.slice_buffer_entries.len() * spec.mshr_counts.len() * spec.l2_hit_latencies.len(),
-        spec.workloads.len(),
-    );
-    let policy = RetryPolicy {
-        retries: args.retries,
-        base_delay_ms: args.retry_base_ms,
-        io_timeout_ms: args.io_timeout_ms,
-        ..RetryPolicy::default()
-    };
-    let mut streamed = 0u64;
-    let outcome = match icfp_sweep::submit_with(server, &spec, args.threads, &policy, |_, _, _| {
-        streamed += 1;
-    }) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("icfp-bench: sweep submit: {e}");
-            std::process::exit(wire_exit_code(&e));
-        }
-    };
-    let stats = CacheStats {
-        hits: outcome.hits,
-        misses: outcome.misses,
-        ..CacheStats::default()
-    };
-    println!("streamed {streamed} cells; server cache: {}", stats.summary());
-    finish_sweep(args, &outcome.report);
+    let addr = args.server.clone()?;
+    Some(Box::new(ServerBackend { addr, threads, policy }))
 }
 
-/// `icfp-bench sweep submit --workers A,B[,..]`: distribute the grid across
-/// a pool of `icfp-sweepd --worker` processes through [`RemoteBackend`] —
-/// shard per workload-column slice, digests instead of trace bytes on the
-/// wire, deterministic merge, reassignment when a worker dies.  The final
-/// report is digest-identical to a serial local run of the same spec.
-/// Exit codes: `2` invalid spec (nothing was sent), `3` the distributed run
-/// failed (a shard exhausted every reassignment attempt, or a worker broke
-/// protocol).
-fn run_sweep_distributed(args: &Args) {
+/// Runs the sweep the command line describes on `backend` and finishes it —
+/// same matrix, same `BENCH_sweep.json`, same gate, and a report
+/// digest-identical to a serial local run wherever the cells ran.  Failures
+/// exit with [`wire_exit_code`]'s documented codes.
+fn run_sweep_on(args: &Args, backend: &dyn ExecBackend) {
     let spec = sweep_spec_of(args);
-    if let Err(e) = spec.validate() {
-        eprintln!("icfp-bench: sweep submit: {e}");
-        std::process::exit(2);
-    }
-    let backend = RemoteBackend {
-        workers: args.workers.clone(),
-        shards: args.shards,
-        threads: args.threads,
-        policy: RetryPolicy {
-            retries: args.retries,
-            base_delay_ms: args.retry_base_ms,
-            io_timeout_ms: args.io_timeout_ms,
-            ..RetryPolicy::default()
-        },
-    };
     println!(
-        "sweep submit: {} cells ({} models x {} configs x {} workloads) -> {}",
+        "sweep: {} cells ({} models x {} configs x {} workloads) -> {}",
         spec.cell_count(),
         spec.models.len(),
         spec.slice_buffer_entries.len() * spec.mshr_counts.len() * spec.l2_hit_latencies.len(),
@@ -531,14 +446,11 @@ fn run_sweep_distributed(args: &Args) {
     let outcome = match backend.run_streamed(&spec, &mut |_| streamed += 1) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("icfp-bench: sweep submit: {e}");
-            std::process::exit(3);
+            eprintln!("icfp-bench: sweep: {e}");
+            std::process::exit(wire_exit_code(&e));
         }
     };
-    println!(
-        "streamed {streamed} cells; worker caches: {}",
-        outcome.cache.summary()
-    );
+    println!("streamed {streamed} cells; cache: {}", outcome.cache.summary());
     finish_sweep(args, &outcome.report);
 }
 
@@ -624,7 +536,7 @@ fn run_sweep_plan(args: &Args) {
 }
 
 /// `--ckpt-smoke`: for every (model × standard workload) pair, run the front
-/// half, checkpoint through the full `icfp-ckpt/v1` byte encoding, resume,
+/// half, checkpoint through the full `icfp-ckpt/v2` byte encoding, resume,
 /// and require cycles and state digest to match an uninterrupted run.  With
 /// `--fast-forward N` both runs skip the first N instructions functionally
 /// first, so the round-trip covers checkpoints minted after a warmup skip.
@@ -740,11 +652,12 @@ fn run_standard_mode(args: &Args) {
                 std::process::exit(2);
             }
         };
+        let trace = ArenaSource::new(trace);
         if args.fast_forward > 0 {
-            report_ff_rate(wl, &icfp_isa::TraceCursor::from_trace(&trace), args.fast_forward);
+            report_ff_rate(wl, &icfp_isa::TraceCursor::new(&trace), args.fast_forward);
         }
         for &core in &args.cores {
-            let run = bench_trace_ff(core, &trace, args.fast_forward, args.reps);
+            let run = bench_source(core, &trace, args.fast_forward, args.reps);
             println!("  {}", run.report.summary());
             session.runs.push(run);
         }
@@ -764,7 +677,7 @@ fn run_standard_mode(args: &Args) {
             report_ff_rate(path, &icfp_isa::TraceCursor::new(&file), args.fast_forward);
         }
         for &core in &args.cores {
-            let run = bench_source_ff(core, &file, args.fast_forward, args.reps);
+            let run = bench_source(core, &file, args.fast_forward, args.reps);
             println!("  {}", run.report.summary());
             session.runs.push(run);
         }
@@ -969,7 +882,15 @@ fn main() {
         }
         match parse_args(&argv[2..]) {
             Ok(a) if verb == Some("plan") => run_sweep_plan(&a),
-            Ok(a) => run_sweep_submit(&a),
+            Ok(a) => match submit_backend(&a) {
+                Some(backend) => run_sweep_on(&a, &*backend),
+                None => {
+                    eprintln!(
+                        "icfp-bench: sweep submit requires --server ADDR or --workers A,B[,..]"
+                    );
+                    std::process::exit(2);
+                }
+            },
             Err(e) => {
                 eprintln!("icfp-bench: {e}");
                 std::process::exit(2);
@@ -989,7 +910,12 @@ fn main() {
     } else if args.ckpt_smoke {
         run_ckpt_smoke(&args);
     } else if args.sweep {
-        run_sweep_mode(&args);
+        let backend = LocalBackend {
+            threads: args.threads,
+            cache_dir: args.cache_dir.as_deref().map(Into::into),
+            ..LocalBackend::default()
+        };
+        run_sweep_on(&args, &backend);
     } else {
         run_standard_mode(&args);
     }

@@ -2,7 +2,9 @@
 //! each documented failure class (invalid spec, connect/transport failure,
 //! protocol violation, server-reported error) must map to its own distinct
 //! exit code so scripts can tell "fix the spec" from "retry later" from
-//! "incompatible peer".
+//! "incompatible peer" — and to the *same* code whether the grid went to one
+//! server (`--server`, a `Submit`) or to a worker pool (`--workers`, a
+//! `ShardSubmit`).
 
 use icfp_sweep::wire::{base_features, Request, Response, WIRE_VERSION};
 use serde::frame::{read_frame, write_frame};
@@ -57,6 +59,18 @@ fn scripted_server(
     (addr, handle)
 }
 
+/// The two remote front ends, by the flag that names their peer.
+const FRONT_ENDS: [&str; 2] = ["--server", "--workers"];
+
+/// Consumes the submission `front_end` sends: a `Submit` from `--server`,
+/// a `ShardSubmit` from `--workers`.
+fn recv_submission(r: &mut BufReader<TcpStream>, front_end: &str) {
+    match (recv_req(r), front_end) {
+        (Request::Submit { .. }, "--server") | (Request::ShardSubmit { .. }, "--workers") => {}
+        (other, _) => panic!("{front_end} sent {other:?}"),
+    }
+}
+
 /// The scripted server's side of a successful v2 handshake.
 fn send_hello2(w: &mut BufWriter<TcpStream>) {
     send_resp(
@@ -72,64 +86,70 @@ fn send_hello2(w: &mut BufWriter<TcpStream>) {
 fn an_invalid_spec_exits_2_without_connecting() {
     // Port 1 would refuse the connection — but validation fails first, so
     // the distinct spec code (2) must win over the transport code (3).
-    let code = submit_status(&[
-        "--server",
-        "127.0.0.1:1",
-        "--workload",
-        "no-such-workload",
-    ]);
-    assert_eq!(code, 2);
+    for front_end in FRONT_ENDS {
+        let code = submit_status(&[front_end, "127.0.0.1:1", "--workload", "no-such-workload"]);
+        assert_eq!(code, 2, "{front_end}");
+    }
 }
 
 #[test]
 fn a_zero_valued_sweep_axis_exits_2_naming_the_axis() {
     // A zero slice buffer used to panic inside every cell (rendered `fail`,
-    // exit 0) and zero MSHRs never terminated; both are invalid specs, for
-    // the local runner and for `sweep submit` (which must not connect).
-    for (flag, axis) in [
-        ("--sweep-slice", "slice_buffer_entries"),
-        ("--sweep-mshr", "mshr_counts"),
+    // exit 0), zero MSHRs never terminated, and a grid over the cell limit
+    // (2 models x 300 x 300 configs x 4 workloads) died allocating its jobs;
+    // all are invalid specs, for the local runner and for `sweep submit`
+    // (which must not connect).
+    let long: Vec<String> = (1..=300).map(|n| n.to_string()).collect();
+    let long = long.join(",");
+    for (axes, names) in [
+        (&["--sweep-slice", "0"][..], "slice_buffer_entries"),
+        (&["--sweep-mshr", "0"][..], "mshr_counts"),
+        (&["--sweep-slice", &long, "--sweep-mshr", &long][..], "720000 cells"),
     ] {
         let started = std::time::Instant::now();
         let out = Command::new(BIN)
-            .args(["--sweep", flag, "0", "--insts", "200"])
+            .args(["--sweep", "--insts", "200"])
+            .args(axes)
             .output()
             .expect("spawn icfp-bench");
-        assert_eq!(out.status.code(), Some(2), "{flag} 0");
+        assert_eq!(out.status.code(), Some(2), "{axes:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(axis), "{flag} 0 must name {axis}: {stderr}");
-        assert!(started.elapsed().as_secs() < 5, "{flag} 0 was not rejected up front");
-        assert_eq!(submit_status(&["--server", "127.0.0.1:1", flag, "0"]), 2);
+        assert!(stderr.contains(names), "{axes:?} must name {names}: {stderr}");
+        assert!(started.elapsed().as_secs() < 5, "{axes:?} was not rejected up front");
+        for front_end in FRONT_ENDS {
+            let args = [&[front_end, "127.0.0.1:1"], axes].concat();
+            assert_eq!(submit_status(&args), 2, "{front_end} {axes:?}");
+        }
     }
 }
 
 #[test]
 fn a_refused_connection_exits_3_after_retries() {
-    let code = submit_status(&["--server", "127.0.0.1:1"]);
-    assert_eq!(code, 3);
+    for front_end in FRONT_ENDS {
+        assert_eq!(submit_status(&[front_end, "127.0.0.1:1"]), 3, "{front_end}");
+    }
 }
 
 #[test]
 fn a_protocol_violation_exits_4() {
     // The server "accepts" a cell count that cannot match the submitted
     // spec; the client must refuse the conversation, not stream forever.
-    let (addr, server) = scripted_server(|r, w| {
-        send_hello2(w);
-        match recv_req(r) {
-            Request::Submit { .. } => {}
-            other => panic!("expected Submit, got {other:?}"),
-        }
-        send_resp(
-            w,
-            &Response::Accepted {
-                cells: 999_999,
-                threads: 1,
-            },
-        );
-    });
-    let code = submit_status(&["--server", &addr]);
-    server.join().expect("server thread");
-    assert_eq!(code, 4);
+    for front_end in FRONT_ENDS {
+        let (addr, server) = scripted_server(move |r, w| {
+            send_hello2(w);
+            recv_submission(r, front_end);
+            send_resp(
+                w,
+                &Response::Accepted {
+                    cells: 999_999,
+                    threads: 1,
+                },
+            );
+        });
+        let code = submit_status(&[front_end, &addr]);
+        server.join().expect("server thread");
+        assert_eq!(code, 4, "{front_end}");
+    }
 }
 
 #[test]
@@ -154,20 +174,19 @@ fn a_pre_v2_server_exits_4_as_an_incompatible_peer() {
 fn a_server_reported_error_exits_5() {
     // The error arrives *after* a completed handshake: a refusal during the
     // handshake itself is classified as an incompatible peer (exit 4).
-    let (addr, server) = scripted_server(|r, w| {
-        send_hello2(w);
-        match recv_req(r) {
-            Request::Submit { .. } => {}
-            other => panic!("expected Submit, got {other:?}"),
-        }
-        send_resp(
-            w,
-            &Response::Error {
-                message: "draining for shutdown".to_string(),
-            },
-        );
-    });
-    let code = submit_status(&["--server", &addr]);
-    server.join().expect("server thread");
-    assert_eq!(code, 5);
+    for front_end in FRONT_ENDS {
+        let (addr, server) = scripted_server(move |r, w| {
+            send_hello2(w);
+            recv_submission(r, front_end);
+            send_resp(
+                w,
+                &Response::Error {
+                    message: "draining for shutdown".to_string(),
+                },
+            );
+        });
+        let code = submit_status(&[front_end, &addr]);
+        server.join().expect("server thread");
+        assert_eq!(code, 5, "{front_end}");
+    }
 }

@@ -24,7 +24,7 @@ fn ten_million_instructions_stream_with_bounded_block_residency() {
     let blocks = source.block_count();
     assert!(blocks >= TEN_MILLION / BLOCK, "{blocks} blocks");
 
-    let run = bench_source(CoreModel::InOrder, &source, 1);
+    let run = bench_source(CoreModel::InOrder, &source, 0, 1);
     assert_eq!(run.report.instructions, source.len() as u64);
     assert!(run.report.cycles > run.report.instructions / 2, "degenerate run");
 

@@ -113,7 +113,7 @@ impl CoreModel {
     /// axis (`CoreConfig::slice_buffer_entries` / `chain_table_entries`).
     /// Only the slice-based designs (iCFP, SLTP) construct a slice buffer;
     /// for the other models the axis is inert, which lets the sweep executor
-    /// warm-fork cells that differ only along it from one shared checkpoint
+    /// run cells that differ only along it once and share the figures
     /// without changing any deterministic output.
     pub fn reads_slice_buffer(self) -> bool {
         matches!(self, CoreModel::Icfp | CoreModel::Sltp)

@@ -102,8 +102,8 @@ impl Trace {
     /// same content.
     ///
     /// Computed once and cached: repeated calls (one per checkpoint capture
-    /// and per resume validation — warm-fork sweeps make many against one
-    /// shared trace) are O(1) after the first.
+    /// and per resume validation — sweeps make many against one shared
+    /// trace) are O(1) after the first.
     pub fn digest(&self) -> u64 {
         *self.digest.get_or_init(|| {
             let mut h = crate::Fnv1a::new();

@@ -118,7 +118,7 @@ pub struct SimReport {
 /// it identically.  Everything except `host_seconds`/`mips` is deterministic;
 /// the host figures record the measurement the figures were produced by, so
 /// replaying a cached cell reproduces the original report byte for byte.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CellFigures {
     /// Committed instructions.
     pub instructions: u64,
@@ -195,41 +195,30 @@ impl SimReport {
     }
 }
 
-/// Runs `trace` under `config`: one untimed warmup (host caches, branch
-/// history, allocator), then `reps` timed repetitions, returning the run
-/// with the *median* host time.  Median-of-N is robust to one-sided host
-/// noise in both directions, unlike best-of-N.  This is the one timing
-/// protocol shared by the bench harness and the sweep executor.
-pub fn median_run(config: &SimConfig, trace: &Trace, reps: u32) -> SimReport {
-    median_protocol(reps, || Simulator::new(config.clone()).run(trace))
-}
-
-/// [`median_run`] with a functional fast-forward prefix of `ff` instructions
-/// per repetition (0 = fully cold; see [`Simulator::run_source_ff`]).
-pub fn median_run_ff(config: &SimConfig, trace: &Trace, ff: usize, reps: u32) -> SimReport {
-    median_protocol(reps, || Simulator::new(config.clone()).run_ff(trace, ff))
-}
-
-/// [`median_run`] over any block-based source — the entry point for sweep
-/// columns (one shared `Arc<dyn TraceSource>` per workload) and for
-/// `--trace-file` benches whose traces never fully materialize.
-pub fn median_run_source(config: &SimConfig, source: &dyn TraceSource, reps: u32) -> SimReport {
-    median_protocol(reps, || Simulator::new(config.clone()).run_source(source))
-}
-
-/// [`median_run_source`] with a functional fast-forward prefix: each
-/// repetition architecturally executes the first `ff` instructions (no
-/// timing model) and runs the rest timed from a cold microarchitectural
-/// state (0 = fully cold; see [`Simulator::run_source_ff`]).
-pub fn median_run_source_ff(
-    config: &SimConfig,
-    source: &dyn TraceSource,
-    ff: usize,
-    reps: u32,
-) -> SimReport {
-    median_protocol(reps, || {
-        Simulator::new(config.clone()).run_source_ff(source, ff)
-    })
+/// Runs the trace behind `source` under `config`: one untimed warmup (host
+/// caches, branch history, allocator), then `reps` timed repetitions,
+/// returning the run with the *median* host time.  Median-of-N is robust to
+/// one-sided host noise in both directions, unlike best-of-N.  Each
+/// repetition architecturally executes the first `ff` instructions without
+/// the timing model and times the rest from a cold microarchitectural state
+/// (0 = fully cold; see [`Simulator::run_source_ff`]).  This is the one
+/// timing protocol shared by the bench harness and the sweep executor; an
+/// in-memory [`Trace`] goes in as an [`icfp_isa::ArenaSource`].
+pub fn median_run(config: &SimConfig, source: &dyn TraceSource, ff: usize, reps: u32) -> SimReport {
+    let one_run = || Simulator::new(config.clone()).run_source_ff(source, ff);
+    let reps = reps.max(1);
+    if reps > 1 {
+        let _ = one_run(); // untimed warmup
+    }
+    let mut reports: Vec<SimReport> = (0..reps).map(|_| one_run()).collect();
+    debug_assert!(
+        reports
+            .windows(2)
+            .all(|w| w[0].state_digest == w[1].state_digest),
+        "repetitions of a deterministic run diverged"
+    );
+    reports.sort_by(|a, b| a.host_seconds.total_cmp(&b.host_seconds));
+    reports.swap_remove(reports.len() / 2)
 }
 
 /// Functionally executes the first `n` instructions of the trace behind the
@@ -249,22 +238,6 @@ pub fn functional_warmup(trace: &TraceCursor<'_>, n: usize) -> ArchState {
         first + take < n
     });
     st
-}
-
-fn median_protocol(reps: u32, mut one_run: impl FnMut() -> SimReport) -> SimReport {
-    let reps = reps.max(1);
-    if reps > 1 {
-        let _ = one_run(); // untimed warmup
-    }
-    let mut reports: Vec<SimReport> = (0..reps).map(|_| one_run()).collect();
-    debug_assert!(
-        reports
-            .windows(2)
-            .all(|w| w[0].state_digest == w[1].state_digest),
-        "repetitions of a deterministic run diverged"
-    );
-    reports.sort_by(|a, b| a.host_seconds.total_cmp(&b.host_seconds));
-    reports.swap_remove(reports.len() / 2)
 }
 
 /// Progress of a batched [`Simulator::step_n`] call.
@@ -368,7 +341,7 @@ impl Simulator {
 
     /// Simulates `trace` to completion and reports timing plus throughput.
     pub fn run(&mut self, trace: &Trace) -> SimReport {
-        self.run_cursor(&TraceCursor::from_trace(trace))
+        self.run_cursor_ff(&TraceCursor::from_trace(trace), 0)
     }
 
     /// [`Simulator::run`] with a functional fast-forward prefix (see
@@ -382,7 +355,7 @@ impl Simulator {
     /// sources (trace files, generators) stay bounded to a handful of
     /// resident blocks however long the trace is.
     pub fn run_source(&mut self, source: &dyn TraceSource) -> SimReport {
-        self.run_cursor(&TraceCursor::new(source))
+        self.run_cursor_ff(&TraceCursor::new(source), 0)
     }
 
     /// [`Simulator::run_source`] with a functional fast-forward prefix: the
@@ -394,10 +367,6 @@ impl Simulator {
     /// is the fast-forward methodology, not an accident.
     pub fn run_source_ff(&mut self, source: &dyn TraceSource, ff: usize) -> SimReport {
         self.run_cursor_ff(&TraceCursor::new(source), ff)
-    }
-
-    fn run_cursor(&mut self, trace: &TraceCursor<'_>) -> SimReport {
-        self.run_cursor_ff(trace, 0)
     }
 
     fn run_cursor_ff(&mut self, trace: &TraceCursor<'_>, ff: usize) -> SimReport {
@@ -439,8 +408,8 @@ impl Simulator {
     /// timing structure — caches, MSHRs, slice buffer — cold.  The run then
     /// continues under the timing model from instruction `n`, and a
     /// [`Simulator::checkpoint`] afterwards mints an ordinary
-    /// `icfp-ckpt/v2` checkpoint at that position, so warm-fork members
-    /// inherit the fast-forwarded state for free.  Returns the number of
+    /// `icfp-ckpt/v2` checkpoint at that position, so a resumed run
+    /// inherits the fast-forwarded state for free.  Returns the number of
     /// instructions skipped (clamped to the trace length).
     ///
     /// # Errors
@@ -510,8 +479,7 @@ impl Simulator {
     /// Advances the loaded run until at least `target` dynamic instructions
     /// have been processed (first pass), or the engine has fully stepped the
     /// trace, whichever comes first.  Unlike [`Simulator::step_n`] this never
-    /// drains the engine, so a [`Simulator::checkpoint`] can follow — this is
-    /// the warm-fork primitive the sweep executor builds on.
+    /// drains the engine, so a [`Simulator::checkpoint`] can follow.
     ///
     /// Returns `Ok(true)` while the engine still has work (more instructions
     /// or pending rallies), `Ok(false)` once fully stepped (still undrained).

@@ -2,10 +2,11 @@
 //!
 //! [`ExecBackend`] abstracts sweep execution so every front end — the
 //! `icfp-bench` CLI, the service, tests — drives grids the same way whether
-//! the cells run on this process's thread pool ([`LocalBackend`]) or across
-//! a fleet of `icfp-sweepd --worker` processes ([`RemoteBackend`]).  Both
-//! produce the same artifact: a [`SweepReport`] whose deterministic content
-//! is byte-identical to a serial in-process run of the same spec — the
+//! the cells run on this process's thread pool ([`LocalBackend`]), on one
+//! `icfp-sweepd` ([`ServerBackend`]) or across a fleet of
+//! `icfp-sweepd --worker` processes ([`RemoteBackend`]).  All produce the
+//! same artifact: a [`crate::SweepReport`] whose deterministic content is
+//! byte-identical to a serial in-process run of the same spec — the
 //! executor's thread-count invariance, lifted to N processes.
 //!
 //! The remote backend composes the rest of this crate: the shard planner
@@ -26,10 +27,56 @@ use crate::executor::{run_sweep_streamed, CacheStats, CellEvent, ExecOptions, Sw
 use crate::plan::{merge_report, plan_shards};
 use crate::report::SweepCell;
 use crate::spec::SweepSpec;
-use crate::wire::{backoff_delay, submit_shard, RetryPolicy, ShardOutcome, WireError};
+use crate::wire::{submit_shard, submit_with, with_retries, RetryPolicy, WireError};
 use crate::ResultCache;
+use std::fmt;
 use std::path::PathBuf;
 use std::sync::mpsc;
+
+/// Why a backend produced no report.
+#[derive(Debug)]
+pub enum SweepError {
+    /// The spec (or the local set-up: an unusable cache directory, an empty
+    /// worker pool) was refused before any cell ran.
+    Spec(String),
+    /// The conversation with the server failed — or never started, for a
+    /// spec the client refused ([`WireError::Spec`]) — retriable failures
+    /// ([`WireError::is_retriable`]) only after every retry.
+    Wire(WireError),
+    /// These shards failed on every worker they were offered to; ascending
+    /// shard index, never empty.
+    Shards(Vec<(u64, WireError)>),
+}
+
+impl SweepError {
+    /// The wire failure behind this error — the first failed shard's for a
+    /// distributed run, `None` for a spec refused locally.
+    pub fn wire(&self) -> Option<&WireError> {
+        match self {
+            SweepError::Spec(_) => None,
+            SweepError::Wire(e) => Some(e),
+            SweepError::Shards(failed) => failed.first().map(|(_, e)| e),
+        }
+    }
+}
+
+impl fmt::Display for SweepError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SweepError::Spec(e) => write!(f, "{e}"),
+            SweepError::Wire(e) => write!(f, "{e}"),
+            SweepError::Shards(failed) => {
+                write!(f, "distributed sweep failed:")?;
+                for (shard, e) in failed {
+                    write!(f, " shard {shard}: {e};")?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+impl std::error::Error for SweepError {}
 
 /// One place a sweep can execute.  Implementations must uphold the crate's
 /// core contract: for a given spec, the returned report's deterministic
@@ -44,20 +91,20 @@ pub trait ExecBackend {
     ///
     /// # Errors
     ///
-    /// A human-readable description: spec validation, transport failures
-    /// after retries are exhausted, an incomplete merge.
+    /// A [`SweepError`]: the spec was refused, or the wire failed (after
+    /// every retry and reassignment the backend's policy allows).
     fn run_streamed(
         &self,
         spec: &SweepSpec,
         on_cell: &mut dyn FnMut(CellEvent<'_>),
-    ) -> Result<SweepOutcome, String>;
+    ) -> Result<SweepOutcome, SweepError>;
 
     /// Executes the sweep without observing the stream.
     ///
     /// # Errors
     ///
     /// As [`ExecBackend::run_streamed`].
-    fn run(&self, spec: &SweepSpec) -> Result<SweepOutcome, String> {
+    fn run(&self, spec: &SweepSpec) -> Result<SweepOutcome, SweepError> {
         self.run_streamed(spec, &mut |_| {})
     }
 }
@@ -66,7 +113,7 @@ pub trait ExecBackend {
 /// always had, now behind the seam.
 #[derive(Debug, Clone)]
 pub struct LocalBackend {
-    /// Worker threads (0 or 1 = serial, in the calling thread).
+    /// Worker threads (0 = 1).
     pub threads: usize,
     /// Persistent result cache directory, if caching is enabled.
     pub cache_dir: Option<PathBuf>,
@@ -75,20 +122,14 @@ pub struct LocalBackend {
     pub panic_retries: u32,
 }
 
-impl LocalBackend {
-    /// A local backend on `threads` worker threads, no cache.
-    pub fn new(threads: usize) -> Self {
+impl Default for LocalBackend {
+    /// Serial, no cache.
+    fn default() -> Self {
         LocalBackend {
-            threads,
+            threads: 0,
             cache_dir: None,
             panic_retries: crate::executor::DEFAULT_PANIC_RETRIES,
         }
-    }
-}
-
-impl Default for LocalBackend {
-    fn default() -> Self {
-        LocalBackend::new(0)
     }
 }
 
@@ -101,11 +142,12 @@ impl ExecBackend for LocalBackend {
         &self,
         spec: &SweepSpec,
         on_cell: &mut dyn FnMut(CellEvent<'_>),
-    ) -> Result<SweepOutcome, String> {
+    ) -> Result<SweepOutcome, SweepError> {
         let cache = match &self.cache_dir {
-            Some(dir) => {
-                Some(ResultCache::open(dir).map_err(|e| format!("result cache: {e}"))?)
-            }
+            Some(dir) => Some(
+                ResultCache::open(dir)
+                    .map_err(|e| SweepError::Spec(format!("result cache: {e}")))?,
+            ),
             None => None,
         };
         run_sweep_streamed(
@@ -118,6 +160,47 @@ impl ExecBackend for LocalBackend {
             },
             on_cell,
         )
+        .map_err(SweepError::Spec)
+    }
+}
+
+/// One `icfp-sweepd`, the whole spec in one submission ([`submit_with`]).
+#[derive(Debug, Clone)]
+pub struct ServerBackend {
+    /// The server's address (`host:port`).
+    pub addr: String,
+    /// Requested server-side worker threads (0 = server default).
+    pub threads: usize,
+    /// Reconnect-and-resubmit policy and per-stream I/O deadline.
+    pub policy: RetryPolicy,
+}
+
+impl ExecBackend for ServerBackend {
+    fn label(&self) -> String {
+        format!("server {}", self.addr)
+    }
+
+    fn run_streamed(
+        &self,
+        spec: &SweepSpec,
+        on_cell: &mut dyn FnMut(CellEvent<'_>),
+    ) -> Result<SweepOutcome, SweepError> {
+        let done = submit_with(&self.addr, spec, self.threads, &self.policy, |index, cached, cell| {
+            on_cell(CellEvent {
+                index,
+                cached,
+                cell,
+            })
+        })
+        .map_err(SweepError::Wire)?;
+        Ok(SweepOutcome {
+            report: done.report,
+            cache: CacheStats {
+                hits: done.hits,
+                misses: done.misses,
+                ..CacheStats::default()
+            },
+        })
     }
 }
 
@@ -141,27 +224,6 @@ pub struct RemoteBackend {
     pub policy: RetryPolicy,
 }
 
-impl RemoteBackend {
-    /// A remote backend over `workers` with default sharding and retry
-    /// policy.
-    pub fn new(workers: Vec<String>) -> Self {
-        RemoteBackend {
-            workers,
-            shards: 0,
-            threads: 0,
-            policy: RetryPolicy::default(),
-        }
-    }
-}
-
-/// What a shard driver thread reports back to the merge loop.
-enum ShardEvent {
-    /// The shard completed and its digest verified: commit these cells.
-    Done(ShardOutcome),
-    /// Every attempt failed; the whole sweep must error.
-    Failed { shard_index: u64, error: String },
-}
-
 impl ExecBackend for RemoteBackend {
     fn label(&self) -> String {
         format!("distributed ({} workers)", self.workers.len())
@@ -171,20 +233,22 @@ impl ExecBackend for RemoteBackend {
         &self,
         spec: &SweepSpec,
         on_cell: &mut dyn FnMut(CellEvent<'_>),
-    ) -> Result<SweepOutcome, String> {
+    ) -> Result<SweepOutcome, SweepError> {
         if self.workers.is_empty() {
-            return Err("remote backend has no worker addresses".to_string());
+            return Err(SweepError::Spec(
+                "remote backend has no worker addresses".to_string(),
+            ));
         }
         let shard_count = if self.shards == 0 {
             self.workers.len()
         } else {
             self.shards
         };
-        let shards = plan_shards(spec, shard_count)?;
+        let shards = plan_shards(spec, shard_count).map_err(SweepError::Spec)?;
         let n = spec.cell_count();
         let mut slots: Vec<Option<SweepCell>> = vec![None; n];
         let mut stats = CacheStats::default();
-        let mut failures: Vec<String> = Vec::new();
+        let mut failed: Vec<(u64, WireError)> = Vec::new();
 
         // One driver thread per shard; the calling thread runs the merge
         // loop (and the caller's stream callback).  Cells cross the channel
@@ -192,49 +256,26 @@ impl ExecBackend for RemoteBackend {
         // that died mid-stream — whose attempt is being retried elsewhere —
         // never contributes half a shard.
         std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel::<ShardEvent>();
+            let (tx, rx) = mpsc::channel();
             for shard in &shards {
                 let tx = tx.clone();
-                let workers = &self.workers;
-                let policy = &self.policy;
-                let threads = self.threads;
                 scope.spawn(move || {
-                    let mut last: Option<WireError> = None;
-                    for attempt in 0..=policy.retries {
-                        if attempt > 0 {
-                            std::thread::sleep(backoff_delay(policy, attempt - 1));
-                        }
-                        // Rotate through the pool: the first attempt lands
-                        // on this shard's home worker, each retry moves to
-                        // the next — that rotation *is* reassignment when a
-                        // worker is gone.
-                        let addr = &workers
-                            [(shard.shard_index as usize + attempt as usize) % workers.len()];
-                        match submit_shard(addr, shard, threads, policy.io_timeout()) {
-                            Ok(outcome) => {
-                                let _ = tx.send(ShardEvent::Done(outcome));
-                                return;
-                            }
-                            Err(e) if e.is_retriable() => last = Some(e),
-                            Err(e) => {
-                                let _ = tx.send(ShardEvent::Failed {
-                                    shard_index: shard.shard_index,
-                                    error: e.to_string(),
-                                });
-                                return;
-                            }
-                        }
-                    }
-                    let _ = tx.send(ShardEvent::Failed {
-                        shard_index: shard.shard_index,
-                        error: last.expect("at least one attempt ran").to_string(),
+                    // Rotate through the pool: the first attempt lands on
+                    // this shard's home worker, each retry moves to the next
+                    // — that rotation *is* reassignment when a worker is
+                    // gone.
+                    let home = shard.shard_index as usize;
+                    let result = with_retries(&self.policy, |attempt| {
+                        let addr = &self.workers[(home + attempt as usize) % self.workers.len()];
+                        submit_shard(addr, shard, self.threads, self.policy.io_timeout())
                     });
+                    let _ = tx.send((shard.shard_index, result));
                 });
             }
             drop(tx);
-            for event in rx {
-                match event {
-                    ShardEvent::Done(outcome) => {
+            for (shard_index, result) in rx {
+                match result {
+                    Ok(outcome) => {
                         stats.hits += outcome.hits;
                         stats.misses += outcome.misses;
                         for (index, cached, cell) in outcome.cells {
@@ -249,21 +290,17 @@ impl ExecBackend for RemoteBackend {
                             slots[index] = Some(cell);
                         }
                     }
-                    ShardEvent::Failed { shard_index, error } => {
-                        failures.push(format!("shard {shard_index}: {error}"));
-                    }
+                    Err(e) => failed.push((shard_index, e)),
                 }
             }
         });
 
-        if !failures.is_empty() {
-            failures.sort();
-            return Err(format!(
-                "distributed sweep failed: {}",
-                failures.join("; ")
-            ));
+        if !failed.is_empty() {
+            failed.sort_by_key(|(shard_index, _)| *shard_index);
+            return Err(SweepError::Shards(failed));
         }
-        let report = merge_report(spec, self.workers.len(), slots)?;
+        let report = merge_report(spec, self.workers.len(), slots)
+            .map_err(|e| SweepError::Wire(WireError::Protocol(e)))?;
         Ok(SweepOutcome {
             report,
             cache: stats,
@@ -280,7 +317,10 @@ mod tests {
     fn local_backend_matches_the_bare_executor() {
         let spec = tiny_spec();
         let bare = crate::run_sweep(&spec, 2).unwrap();
-        let backend = LocalBackend::new(2);
+        let backend = LocalBackend {
+            threads: 2,
+            ..LocalBackend::default()
+        };
         assert!(backend.label().contains("local"));
         let mut streamed = 0usize;
         let outcome = backend
@@ -293,9 +333,14 @@ mod tests {
 
     #[test]
     fn remote_backend_refuses_an_empty_pool() {
-        let err = RemoteBackend::new(vec![])
-            .run(&tiny_spec())
-            .unwrap_err();
-        assert!(err.contains("no worker addresses"), "{err}");
+        let empty = RemoteBackend {
+            workers: Vec::new(),
+            shards: 0,
+            threads: 0,
+            policy: RetryPolicy::default(),
+        };
+        let err = empty.run(&tiny_spec()).unwrap_err();
+        assert!(matches!(err, SweepError::Spec(_)), "{err:?}");
+        assert!(err.to_string().contains("no worker addresses"), "{err}");
     }
 }

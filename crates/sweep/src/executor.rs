@@ -1,14 +1,14 @@
 //! The sweep executor: a `std::thread` pool pulling fork groups from an
-//! atomic counter, with optional warm-forking and an optional persistent
-//! result cache, streaming cells to a callback as they finish.
+//! atomic counter — each group computed once, optionally through a
+//! persistent result cache — streaming cells to a callback as they finish.
 
 use crate::cache::ResultCache;
 use crate::fault::FaultPlan;
 use crate::job::SweepJob;
+use crate::plan::merge_report;
 use crate::report::{SweepCell, SweepReport};
 use crate::spec::SweepSpec;
 use icfp_isa::{ArenaSource, TraceSource, DEFAULT_BLOCK_INSTS};
-use icfp_sim::{CellFigures, SimConfig, Simulator};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -23,7 +23,7 @@ pub const DEFAULT_PANIC_RETRIES: u32 = 2;
 /// Executor options beyond the spec itself.
 #[derive(Clone, Copy)]
 pub struct ExecOptions<'a> {
-    /// Worker threads (0 or 1 = serial, in the calling thread).
+    /// Worker threads (0 = 1; the pool never outnumbers the fork groups).
     pub threads: usize,
     /// Persistent result cache to serve and populate, if any.
     pub cache: Option<&'a ResultCache>,
@@ -160,104 +160,34 @@ pub struct CellEvent<'a> {
     pub cell: &'a SweepCell,
 }
 
-/// A set of jobs executed from one simulation: the leader (first, lowest
-/// expand index) runs — in warm-fork mode checkpointing at the column's
-/// halfway point — and every member resumes from the leader's checkpoint
-/// (or, in cached mode, replays the leader's figures).
-pub(crate) struct ForkGroup {
-    /// Expand indices, leader first (ascending).
-    pub(crate) jobs: Vec<usize>,
-}
-
-/// Groups jobs by [`SweepJob::fork_key`] (`group_equivalent`) or one group
-/// per job.  Group order follows the leaders' expand order, so the plan —
-/// and therefore every deterministic output — is independent of thread
-/// count and scheduling.
-pub(crate) fn plan_groups(group_equivalent: bool, jobs: &[SweepJob]) -> Vec<ForkGroup> {
-    if !group_equivalent {
-        return jobs
-            .iter()
-            .map(|j| ForkGroup { jobs: vec![j.index] })
-            .collect();
-    }
+/// Groups jobs by [`SweepJob::fork_key`]: same model, same workload trace,
+/// and configurations that differ only along axes the model never reads
+/// (see [`icfp_core::CoreModel::reads_slice_buffer`]).  A *fork group* is a
+/// set of jobs with identical deterministic inputs, executed from one
+/// simulation, as expand indices with the leader first (ascending): the
+/// leader computes — or its figures are found in the result cache — and
+/// every member replays them.  Group order follows the leaders' expand
+/// order, so the plan — and therefore every deterministic output — is
+/// independent of thread count and scheduling.
+pub(crate) fn plan_groups(jobs: &[SweepJob]) -> Vec<Vec<usize>> {
     let mut by_key: HashMap<Vec<u8>, usize> = HashMap::new();
-    let mut groups: Vec<ForkGroup> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
     for job in jobs {
-        match by_key.entry(job.fork_key()) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                groups[*e.get()].jobs.push(job.index);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(groups.len());
-                groups.push(ForkGroup {
-                    jobs: vec![job.index],
-                });
-            }
+        let at = *by_key.entry(job.fork_key()).or_insert(groups.len());
+        if at == groups.len() {
+            groups.push(Vec::new());
         }
+        groups[at].push(job.index);
     }
     groups
 }
 
-/// Executes one warm-fork group.
-///
-/// Singleton groups — cells nothing else can share — keep the cold path
-/// (warmup + median-of-reps timing) and pay no checkpoint.  Groups with
-/// members fork: the leader advances to the column's halfway instruction,
-/// checkpoints, finishes; each member resumes from the checkpoint.  For the
-/// incremental iCFP model that is a genuine mid-trace state (this arises
-/// when a grid repeats a configuration); for the whole-trace comparison
-/// models — today's only source of multi-member groups, via the inert slice
-/// axis — the first step simulates the entire trace, so the checkpoint
-/// captures the *finished, undrained* run and members replay its result
-/// rather than re-simulating.  Either way the checkpoint round-trip is
-/// bit-identical to an uninterrupted run and members share the leader's
-/// fork key (identical deterministic inputs), so every produced cell equals
-/// its cold-run counterpart in all digested fields.  Host-time figures of
-/// forked cells are single-run estimates: each member is charged the
-/// group's shared pre-checkpoint wall time plus its own post-resume time,
-/// so its MIPS approximates a whole-trace rate instead of counting every
-/// instruction against a fraction of the work.
-fn run_fork_group(
-    jobs: &[SweepJob],
-    group: &ForkGroup,
-    trace: &Arc<dyn TraceSource>,
-) -> Vec<(usize, SweepCell)> {
-    let leader = &jobs[group.jobs[0]];
-    if group.jobs.len() == 1 {
-        return vec![(leader.index, leader.run_with_source(&**trace))];
-    }
-    let mut sim = Simulator::new(SimConfig::with_config(leader.model, leader.config.clone()));
-    sim.load(Arc::clone(trace));
-    let t0 = std::time::Instant::now();
-    if leader.fast_forward > 0 {
-        // The group's fast-forward depth is part of its fork key, so every
-        // member wants exactly this warmed state — seed it once, before the
-        // timed advance, and the checkpoint hands it to every member.
-        sim.fast_forward(leader.fast_forward)
-            .expect("leader engine was just loaded and has done no work");
-    }
-    sim.advance_to_inst((trace.len() / 2).max(leader.fast_forward))
-        .expect("leader trace was just loaded");
-    let front_seconds = t0.elapsed().as_secs_f64();
-    let ckpt = sim
-        .checkpoint()
-        .expect("engine is loaded and not drained at the fork point");
-    let mut cells = Vec::with_capacity(group.jobs.len());
-    let leader_report = sim.finish_loaded();
-    cells.push((leader.index, leader.cell_from_report(&leader_report)));
-    for &member in &group.jobs[1..] {
-        let mut resumed = Simulator::resume(&ckpt, Arc::clone(trace))
-            .expect("resuming against the checkpoint's own trace");
-        let mut report = resumed.finish_loaded();
-        report.host_seconds += front_seconds;
-        report.mips = if report.host_seconds > 0.0 {
-            report.instructions as f64 / report.host_seconds / 1.0e6
-        } else {
-            0.0
-        };
-        cells.push((member, jobs[member].cell_from_report(&report)));
-    }
-    cells
+/// The worker count a sweep of `spec` actually runs on when `requested`
+/// threads are asked for: the pool never outnumbers the fork groups.  The
+/// report header records this figure, and the server's `Accepted` frame
+/// states it up front.
+pub(crate) fn pool_size(spec: &SweepSpec, requested: usize) -> usize {
+    requested.clamp(1, plan_groups(&spec.expand()).len().max(1))
 }
 
 /// Per-execution cache counters, shared across the worker pool.
@@ -280,76 +210,66 @@ impl Tallies {
     }
 }
 
-/// Executes one group against the result cache.  On a hit every cell of the
-/// group replays the stored figures; on a miss the leader computes once
-/// (cold timing protocol), the figures are stored first-write-wins, and
-/// members replay them — cells sharing a cache key have identical
-/// deterministic inputs, so replaying is exact, and sharing the leader's
-/// host figures is what makes a later fully-cached rerun reproduce this
-/// report byte-for-byte.  A damaged entry is counted and treated as a miss.
-fn run_cached_group(
+/// Executes one group: the leader's figures are looked up in `cache` (when
+/// there is one) or computed once under the cold median protocol, stored
+/// first-write-wins, and replayed into every cell of the group — members
+/// share the leader's fork key (identical deterministic inputs), so
+/// replaying is exact, and sharing the leader's host figures is what makes
+/// a later fully-cached rerun reproduce this report byte-for-byte.  A
+/// damaged entry is counted and treated as a miss.  Returns whether the
+/// group was served from the cache.
+fn run_group(
     jobs: &[SweepJob],
-    group: &ForkGroup,
-    trace: &Arc<dyn TraceSource>,
-    cache: &ResultCache,
+    group: &[usize],
+    trace: &dyn TraceSource,
+    cache: Option<&ResultCache>,
     tallies: &Tallies,
 ) -> (bool, Vec<(usize, SweepCell)>) {
-    let leader = &jobs[group.jobs[0]];
-    let key = leader.cache_key(trace.digest());
-    match cache.load(key) {
-        Ok(Some(figures)) => {
-            tallies
-                .hits
-                .fetch_add(group.jobs.len() as u64, Ordering::Relaxed);
-            let cells = group
-                .jobs
-                .iter()
-                .map(|&j| (j, jobs[j].cell_from_figures(&figures)))
-                .collect();
-            return (true, cells);
-        }
-        Ok(None) => {}
+    let leader = &jobs[group[0]];
+    let members = group.len() as u64;
+    let keyed = cache.map(|c| (c, leader.cache_key(trace.digest())));
+    let found = keyed.and_then(|(cache, key)| match cache.load(key) {
+        Ok(found) => found,
         Err(_) => {
             // Damaged entry: count it, evict it so the recompute's store can
             // land, and fall through to the miss path.
             tallies.invalid.fetch_add(1, Ordering::Relaxed);
             let _ = cache.remove(key);
+            None
         }
-    }
-    let leader_cell = leader.run_with_source(&**trace);
-    // Tally the miss only after the compute succeeds: a panicking attempt
-    // unwinds past this point, so a retry never double-counts and the
-    // hits + misses pair always totals the cell count.
-    tallies
-        .misses
-        .fetch_add(group.jobs.len() as u64, Ordering::Relaxed);
-    let figures = CellFigures {
-        instructions: leader_cell.instructions,
-        cycles: leader_cell.cycles,
-        ipc: leader_cell.ipc,
-        l1d_mpki: leader_cell.l1d_mpki,
-        l2_mpki: leader_cell.l2_mpki,
-        host_seconds: leader_cell.host_seconds,
-        mips: leader_cell.mips,
-        state_digest: leader_cell.state_digest,
+    });
+    let cached = found.is_some();
+    let figures = match found {
+        Some(figures) => {
+            tallies.hits.fetch_add(members, Ordering::Relaxed);
+            figures
+        }
+        None => {
+            let figures = leader.figures(trace);
+            // Tally the miss only after the compute succeeds: a panicking
+            // attempt unwinds past this point, so a retry never double-counts
+            // and the hits + misses pair always totals the cell count.
+            tallies.misses.fetch_add(members, Ordering::Relaxed);
+            if let Some((cache, key)) = keyed {
+                if let Ok(true) = cache.store(key, &figures) {
+                    tallies.stored.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            figures
+        }
     };
-    if let Ok(true) = cache.store(key, &figures) {
-        tallies.stored.fetch_add(1, Ordering::Relaxed);
-    }
-    let mut cells = Vec::with_capacity(group.jobs.len());
-    cells.push((leader.index, leader_cell));
-    for &member in &group.jobs[1..] {
-        cells.push((member, jobs[member].cell_from_figures(&figures)));
-    }
-    (false, cells)
+    let cells = group
+        .iter()
+        .map(|&j| (j, jobs[j].cell_from_figures(&figures)))
+        .collect();
+    (cached, cells)
 }
 
-/// Executes a sweep on `threads` worker threads (1 = serial, in the calling
-/// thread).  Each workload column's trace is generated once and shared via
-/// `Arc` across every job; with [`SweepSpec::warm_fork`] set, fork groups of
-/// equivalent cells resume from one checkpoint per group.  The report's
-/// cells are in [`SweepSpec::expand`] order and its digest is independent of
-/// `threads` and of warm-forking.
+/// Executes a sweep on a pool of `threads` worker threads (at least one;
+/// the calling thread collects).  Each workload column's trace is generated
+/// once and shared via `Arc` across every job, and cells with identical
+/// deterministic inputs are simulated once.  The report's cells are in
+/// [`SweepSpec::expand`] order and its digest is independent of `threads`.
 ///
 /// # Errors
 ///
@@ -407,9 +327,7 @@ pub fn run_sweep_streamed(
     let jobs = spec.expand();
     let n = jobs.len();
 
-    // Warm-forking and caching share one equivalence relation (the fork
-    // key), so either turns grouping on.
-    let groups = plan_groups(spec.warm_fork || opts.cache.is_some(), &jobs);
+    let groups = plan_groups(&jobs);
     let num_groups = groups.len();
     let workers = opts.threads.clamp(1, num_groups.max(1));
     let mut cells: Vec<Option<SweepCell>> = (0..n).map(|_| None).collect();
@@ -421,37 +339,21 @@ pub fn run_sweep_streamed(
         // catch_unwind scope below — indistinguishable from a latent
         // timing-model bug tripping on this grid point.
         if let Some(plan) = opts.fault {
-            for &j in &group.jobs {
+            for &j in group {
                 if let Some(msg) = plan.injected_panic(j) {
                     panic!("{msg}");
                 }
             }
         }
-        let leader = &jobs[group.jobs[0]];
-        let trace = &traces[leader.workload.as_str()];
-        if let Some(cache) = opts.cache {
-            run_cached_group(&jobs, group, trace, cache, &tallies)
-        } else {
-            let batch = if spec.warm_fork {
-                run_fork_group(&jobs, group, trace)
-            } else {
-                vec![(leader.index, leader.run_with_source(&**trace))]
-            };
-            // No cache: every computed cell counts as a miss (the
-            // hits/misses pair always totals the cell count).  Tallied
-            // after the compute so a panicking attempt never double-counts.
-            tallies
-                .misses
-                .fetch_add(group.jobs.len() as u64, Ordering::Relaxed);
-            (false, batch)
-        }
+        let trace = &*traces[jobs[group[0]].workload.as_str()];
+        run_group(&jobs, group, trace, opts.cache, &tallies)
     };
 
     // Crash-safe wrapper: a panicking group is retried up to
     // `panic_retries` times, then recorded as typed *failed cells* — the
     // sweep completes and reports the hole instead of unwinding a worker
     // and poisoning the whole run.
-    let run_group = |k: usize| -> (bool, Vec<(usize, SweepCell)>) {
+    let run_group_safely = |k: usize| -> (bool, Vec<(usize, SweepCell)>) {
         let mut reason = String::new();
         for _ in 0..=opts.panic_retries {
             match catch_unwind(AssertUnwindSafe(|| run_group_once(k))) {
@@ -463,9 +365,8 @@ pub fn run_sweep_streamed(
         // Failed cells were still *computed attempts*, not cache hits.
         tallies
             .misses
-            .fetch_add(group.jobs.len() as u64, Ordering::Relaxed);
+            .fetch_add(group.len() as u64, Ordering::Relaxed);
         let cells = group
-            .jobs
             .iter()
             .map(|&j| (j, jobs[j].failed_cell(&reason)))
             .collect();
@@ -474,12 +375,31 @@ pub fn run_sweep_streamed(
 
     let cancelled = || opts.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
 
-    if workers == 1 {
-        for k in 0..num_groups {
-            if cancelled() {
-                break;
-            }
-            let (cached, batch) = run_group(k);
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(bool, Vec<(usize, SweepCell)>)>();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let tx = tx.clone();
+            let next = &next;
+            let run_group_safely = &run_group_safely;
+            let cancelled = &cancelled;
+            scope.spawn(move || loop {
+                if cancelled() {
+                    break;
+                }
+                let k = next.fetch_add(1, Ordering::Relaxed);
+                if k >= num_groups {
+                    break;
+                }
+                // A send only fails if the receiver is gone (sweep
+                // abandoned): stop pulling work.
+                if tx.send(run_group_safely(k)).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        for (cached, batch) in rx {
             for (idx, cell) in batch {
                 on_cell(CellEvent {
                     index: idx,
@@ -489,43 +409,7 @@ pub fn run_sweep_streamed(
                 cells[idx] = Some(cell);
             }
         }
-    } else {
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(bool, Vec<(usize, SweepCell)>)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let run_group = &run_group;
-                let cancelled = &cancelled;
-                scope.spawn(move || loop {
-                    if cancelled() {
-                        break;
-                    }
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= num_groups {
-                        break;
-                    }
-                    // A send only fails if the receiver is gone (sweep
-                    // abandoned): stop pulling work.
-                    if tx.send(run_group(k)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (cached, batch) in rx {
-                for (idx, cell) in batch {
-                    on_cell(CellEvent {
-                        index: idx,
-                        cached,
-                        cell: &cell,
-                    });
-                    cells[idx] = Some(cell);
-                }
-            }
-        });
-    }
+    });
 
     // A cancelled sweep leaves holes: report the cancellation as a typed
     // error instead of panicking on them.  (Absent cancellation every group
@@ -536,18 +420,7 @@ pub fn run_sweep_streamed(
     }
 
     Ok(SweepOutcome {
-        report: SweepReport {
-            threads: workers,
-            warm_fork: spec.warm_fork,
-            insts: spec.insts,
-            seed: spec.seed,
-            reps: spec.reps.max(1),
-            workloads: spec.workloads.clone(),
-            cells: cells
-                .into_iter()
-                .map(|c| c.expect("completeness checked above"))
-                .collect(),
-        },
+        report: merge_report(spec, workers, cells)?,
         cache: tallies.snapshot(),
     })
 }
@@ -656,53 +529,68 @@ mod tests {
     }
 
     #[test]
-    fn warm_fork_groups_cells_along_inert_axes_only() {
-        let spec = {
-            let mut s = tiny_spec();
-            s.warm_fork = true;
-            s
-        };
-        let jobs = spec.expand();
-        let groups = plan_groups(true, &jobs);
+    fn fork_groups_collect_cells_along_inert_axes_only() {
+        let jobs = tiny_spec().expand();
+        let groups = plan_groups(&jobs);
         // icfp reads the slice axis: its 4 configs × 4 workloads stay
         // singleton groups (16).  in-order ignores it: {sb 64, sb 128}
         // collapse per (l2 latency, workload) — 2 × 4 = 8 groups of two.
         assert_eq!(jobs.len(), 32);
         assert_eq!(groups.len(), 16 + 8, "grouping changed unexpectedly");
-        let pairs = groups.iter().filter(|g| g.jobs.len() == 2).count();
+        let pairs = groups.iter().filter(|g| g.len() == 2).count();
         assert_eq!(pairs, 8);
         for g in &groups {
-            assert!(
-                g.jobs.windows(2).all(|w| w[0] < w[1]),
-                "leader is lowest index"
-            );
-            let leader = &jobs[g.jobs[0]];
-            for &m in &g.jobs[1..] {
+            assert!(g.windows(2).all(|w| w[0] < w[1]), "leader is lowest index");
+            let leader = &jobs[g[0]];
+            for &m in &g[1..] {
                 assert_eq!(jobs[m].model, leader.model);
                 assert_eq!(jobs[m].workload, leader.workload);
                 assert!(!jobs[m].model.reads_slice_buffer());
             }
         }
-        // Cold mode: no grouping at all.
-        assert_eq!(plan_groups(false, &jobs).len(), jobs.len());
     }
 
     #[test]
-    fn warm_fork_report_is_deterministically_identical_to_cold_run() {
-        // The PR 3 acceptance grid: 2 models × 4 configs × 4 workloads.
-        let cold_spec = tiny_spec();
-        let warm_spec = {
-            let mut s = tiny_spec();
-            s.warm_fork = true;
-            s
+    fn grouped_cells_equal_the_same_job_run_standalone() {
+        // Every multi-member group the executor can form: the inert slice
+        // axis (three whole-trace models) and a repeated iCFP configuration.
+        let mut spec = tiny_spec();
+        spec.models = vec![
+            CoreModel::InOrder,
+            CoreModel::Runahead,
+            CoreModel::Multipass,
+            CoreModel::Icfp,
+        ];
+        spec.slice_buffer_entries = vec![64, 128, 64];
+        spec.l2_hit_latencies = vec![20];
+        spec.workloads.truncate(2);
+        let jobs = spec.expand();
+        assert!(plan_groups(&jobs).len() < jobs.len());
+        let standalone = SweepReport {
+            threads: 1,
+            insts: spec.insts,
+            seed: spec.seed,
+            reps: spec.reps,
+            workloads: spec.workloads.clone(),
+            cells: jobs
+                .iter()
+                .map(|j| j.run(&*column_source(&spec, &j.workload).unwrap()))
+                .collect(),
         };
-        let cold = run_sweep(&cold_spec, 1).unwrap();
-        let warm_serial = run_sweep(&warm_spec, 1).unwrap();
-        let warm_pooled = run_sweep(&warm_spec, 8).unwrap();
-        assert!(warm_serial.warm_fork && !cold.warm_fork);
-        assert_deterministically_equal(&cold, &warm_serial);
-        assert_deterministically_equal(&cold, &warm_pooled);
-        assert_deterministically_equal(&warm_serial, &warm_pooled);
+        let dir = tmp_cache("standalone");
+        let cache = ResultCache::open(&dir).unwrap();
+        for cache in [None, Some(&cache)] {
+            for threads in [1, 8] {
+                let opts = ExecOptions {
+                    threads,
+                    cache,
+                    ..ExecOptions::default()
+                };
+                let grouped = run_sweep_streamed(&spec, &opts, |_| {}).unwrap().report;
+                assert_deterministically_equal(&standalone, &grouped);
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -724,18 +612,8 @@ mod tests {
             // The timed region shrank; cycles cannot grow.
             assert!(f.cycles <= b.cycles, "{} {}", f.model, f.workload);
         }
-        // Warm-forked fast-forward cells agree with cold-path ones on every
-        // deterministic field — the leader seeds once and every member
-        // inherits the warmed state through the checkpoint.
-        let ff_forked = {
-            let mut s = ff_spec.clone();
-            s.warm_fork = true;
-            run_sweep(&s, 1).unwrap()
-        };
-        assert_deterministically_equal(&ff, &ff_forked);
-
         // Fast-forward is part of the cell identity: different depths never
-        // share a warm-fork checkpoint or a result-cache entry.
+        // share a fork group or a result-cache entry.
         let j0 = base_spec.expand();
         let j1 = ff_spec.expand();
         assert_ne!(j0[0].fork_key(), j1[0].fork_key());

@@ -1,11 +1,11 @@
 //! Sweep jobs: one grid point, ready to execute, plus the identity keys the
-//! executor derives from a job — the warm-fork key (may two cells share a
-//! checkpoint?) and the result-cache key (may a cell be served from disk?).
+//! executor derives from a job — the fork key (may two cells share one
+//! computation?) and the result-cache key (may a cell be served from disk?).
 
 use crate::report::SweepCell;
 use icfp_core::{CoreConfig, CoreModel};
-use icfp_isa::{Fnv1a, Trace, TraceSource};
-use icfp_sim::{CellFigures, SimConfig, SimReport};
+use icfp_isa::{Fnv1a, TraceSource};
+use icfp_sim::{CellFigures, SimConfig};
 
 /// One grid point, ready to execute.
 #[derive(Debug, Clone)]
@@ -30,42 +30,25 @@ pub struct SweepJob {
 }
 
 impl SweepJob {
-    /// Executes the job standalone: generates its trace and runs it through
-    /// the shared warmup + median-of-N timing protocol
-    /// ([`icfp_sim::median_run`]).
-    pub fn run(&self) -> SweepCell {
-        let trace = icfp_workloads::by_name(&self.workload, self.insts, self.seed)
-            .expect("workload validated by SweepSpec::validate");
-        self.run_with_trace(&trace)
+    /// Executes the job against its workload column's trace (the executor
+    /// shares one `Arc<dyn TraceSource>` per column across the pool; see
+    /// [`crate::column_source`]) through the shared warmup + median-of-N
+    /// timing protocol ([`icfp_sim::median_run`]).  Deterministic outputs
+    /// are independent of the backing.
+    pub fn run(&self, source: &dyn TraceSource) -> SweepCell {
+        self.cell_from_figures(&self.figures(source))
     }
 
-    /// Executes the job against an already generated trace.
-    pub fn run_with_trace(&self, trace: &Trace) -> SweepCell {
+    /// The figures [`SweepJob::run`] labels: what the executor computes once
+    /// per group, stores in the result cache and replays into every member.
+    pub(crate) fn figures(&self, source: &dyn TraceSource) -> CellFigures {
         let config = SimConfig::with_config(self.model, self.config.clone());
-        let median = icfp_sim::median_run_ff(&config, trace, self.fast_forward, self.reps);
-        self.cell_from_report(&median)
+        icfp_sim::median_run(&config, source, self.fast_forward, self.reps).figures()
     }
 
-    /// Executes the job against a shared block-based source (the executor
-    /// shares one `Arc<dyn TraceSource>` per workload column across the
-    /// pool).  Deterministic outputs are independent of the backing.
-    pub fn run_with_source(&self, source: &dyn TraceSource) -> SweepCell {
-        let config = SimConfig::with_config(self.model, self.config.clone());
-        let median = icfp_sim::median_run_source_ff(&config, source, self.fast_forward, self.reps);
-        self.cell_from_report(&median)
-    }
-
-    /// Builds this job's cell from a finished report (the configuration
-    /// labels come from the job; the figures from the report).
-    pub(crate) fn cell_from_report(&self, report: &SimReport) -> SweepCell {
-        self.cell_from_figures(&report.figures())
-    }
-
-    /// Builds this job's cell from bare per-cell figures — the cache-replay
-    /// path: a cached [`CellFigures`] carries no labels, so the model,
-    /// workload and axis labels come from the job itself.  For a computed
-    /// report the two sources agree (the simulator reports the model and
-    /// workload names the job handed it), so computed and replayed cells of
+    /// Builds this job's cell from bare per-cell figures: a computed or
+    /// cached [`CellFigures`] carries no labels, so the model, workload and
+    /// axis labels come from the job itself — computed and replayed cells of
     /// one cache key are identical.
     pub(crate) fn cell_from_figures(&self, figures: &CellFigures) -> SweepCell {
         SweepCell {
@@ -93,27 +76,14 @@ impl SweepJob {
     /// the hole instead of aborting.
     pub(crate) fn failed_cell(&self, reason: &str) -> SweepCell {
         SweepCell {
-            model: self.model.name().to_string(),
-            workload: self.workload.clone(),
-            slice_buffer_entries: self.config.slice_buffer_entries,
-            mshr_count: self.config.mem.max_outstanding_misses,
-            l2_hit_latency: self.config.mem.l2_hit_latency,
-            seed: self.seed,
-            instructions: 0,
-            cycles: 0,
-            ipc: 0.0,
-            l1d_mpki: 0.0,
-            l2_mpki: 0.0,
-            host_seconds: 0.0,
-            mips: 0.0,
-            state_digest: 0,
             failed: Some(crate::report::sanitize_reason(reason)),
+            ..self.cell_from_figures(&CellFigures::default())
         }
     }
 
     /// The job's configuration with axes this model never reads canonicalized
     /// to zero, so configurations that run the identical simulation compare
-    /// (and hash) equal.  Shared by the warm-fork key and the cache key.
+    /// (and hash) equal.  Shared by the fork key and the cache key.
     fn normalized_config(&self) -> CoreConfig {
         let mut cfg = self.config.clone();
         if !self.model.reads_slice_buffer() {
@@ -125,7 +95,7 @@ impl SweepJob {
         cfg
     }
 
-    /// The job's *fork key*: two jobs may share one warm-fork checkpoint iff
+    /// The job's *fork key*: two jobs may share one computation iff
     /// their keys are byte-identical — same model, workload, seed,
     /// instruction budget and fast-forward depth, and configurations equal
     /// after normalizing the axes this model never reads.  Keys are the

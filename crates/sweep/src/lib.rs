@@ -10,13 +10,13 @@
 //!   ordered job list with *deterministic per-job seeds* (a pure function of
 //!   the spec seed and the workload name, so every cell of a workload column
 //!   simulates the identical trace and cells are comparable);
-//! * [`job`] — [`SweepJob`]: one grid point, its execution paths, and its
-//!   identity keys (the warm-fork key; the content-addressed cache key);
+//! * [`job`] — [`SweepJob`]: one grid point, its one way to run, and its
+//!   identity keys (the fork key; the content-addressed cache key);
 //! * [`executor`] — [`run_sweep`] / [`run_sweep_streamed`]: a `std::thread`
-//!   pool pulling fork groups from an atomic counter and posting results
-//!   back by job index, so the assembled report is byte-identical regardless
-//!   of thread count or scheduling; cells stream to a callback as they
-//!   finish;
+//!   pool pulling fork groups (cells with identical deterministic inputs,
+//!   simulated once) from an atomic counter and posting results back by job
+//!   index, so the assembled report is byte-identical regardless of thread
+//!   count or scheduling; cells stream to a callback as they finish;
 //! * [`cache`] — [`ResultCache`]: the persistent `icfp-cache/v1` store
 //!   between executor and report — each cell keyed by a digest of its
 //!   deterministic inputs, so repeated and overlapping grids are served from
@@ -35,11 +35,14 @@
 //!   trace *digests* (never trace bytes), and [`merge_report`], the
 //!   deterministic merge back into one report;
 //! * [`backend`] — [`ExecBackend`]: one seam over *where* cells run —
-//!   [`LocalBackend`] (this process's pool) or [`RemoteBackend`] (a fleet
-//!   of `icfp-sweepd --worker` processes, with shard reassignment when a
-//!   worker dies).
+//!   [`LocalBackend`] (this process's pool), [`ServerBackend`] (one
+//!   `icfp-sweepd`) or [`RemoteBackend`] (a fleet of `icfp-sweepd --worker`
+//!   processes, with shard reassignment when a worker dies).
 //!
-//! ## Shared sources and warm-forking
+//! Every front end runs a sweep the same way: build a [`SweepSpec`], pick a
+//! backend, watch the cell stream, keep the [`SweepReport`].
+//!
+//! ## Shared sources and fork groups
 //!
 //! Every cell of a workload column simulates the identical trace, so the
 //! executor builds each column's trace **once** as an
@@ -48,21 +51,16 @@
 //! column backed by a streamed source (an `icfp-trace/v1` file, a resumable
 //! generator) shares one bounded block cache across the whole pool.
 //!
-//! With [`SweepSpec::warm_fork`] enabled, jobs are additionally grouped so
-//! that cells whose deterministic inputs are provably identical — same
-//! model, same workload trace, and configurations that differ only along
-//! axes the model never reads (see
-//! [`icfp_core::CoreModel::reads_slice_buffer`]) — run as one *fork group*:
-//! the group leader runs to the column's halfway instruction, captures a
-//! [`icfp_sim::SimCheckpoint`], finishes its own run, and every member
-//! resumes from that checkpoint instead of re-simulating from cycle zero.
-//! Because checkpoint resume is bit-identical to an uninterrupted run, the
-//! warm-fork report's deterministic fields equal the cold run's exactly;
-//! only the advisory host-time figures change.
+//! Jobs whose deterministic inputs are provably identical — same model,
+//! same workload trace, and configurations that differ only along axes the
+//! model never reads (see [`icfp_core::CoreModel::reads_slice_buffer`]) —
+//! run as one *fork group*: the group leader computes once (or its figures
+//! are found in the result cache) and every member replays the leader's
+//! figures under its own labels.
 //!
 //! `icfp-bench --sweep` is the local CLI front end; `icfp-sweepd` serves
-//! sweeps over TCP and `icfp-bench sweep submit --server ADDR` is its
-//! client.
+//! sweeps over TCP and `icfp-bench sweep submit --server ADDR` (or
+//! `--workers A,B`) is its client.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,7 +76,7 @@ pub mod schema;
 pub mod spec;
 pub mod wire;
 
-pub use backend::{ExecBackend, LocalBackend, RemoteBackend};
+pub use backend::{ExecBackend, LocalBackend, RemoteBackend, ServerBackend, SweepError};
 pub use cache::{CacheError, ResultCache};
 pub use executor::{
     column_source, run_sweep, run_sweep_streamed, CacheStats, CellEvent, ExecOptions,
@@ -89,7 +87,7 @@ pub use job::SweepJob;
 pub use plan::{merge_report, plan_shards, ColumnSpec, SweepShard};
 pub use report::{ReportError, SweepCell, SweepReport};
 pub use schema::SchemaError;
-pub use spec::{SweepSpec, STREAM_COLUMN_THRESHOLD};
+pub use spec::{SweepSpec, MAX_GRID_CELLS, STREAM_COLUMN_THRESHOLD};
 pub use wire::{
     backoff_delay, serve, submit_shard, submit_with, AcceptOptions, RetryPolicy, ServeOptions,
     ServeSummary, ShardOutcome, SubmitOutcome, WireError,
@@ -115,6 +113,18 @@ pub(crate) mod testutil {
         );
         s.slice_buffer_entries = vec![64, 128];
         s.l2_hit_latencies = vec![10, 20];
+        s
+    }
+
+    /// A grid whose true cell count (2^65) wraps to 0 in unchecked
+    /// arithmetic, in a spec that still fits one wire frame.
+    pub(crate) fn overflowing_spec() -> SweepSpec {
+        let mut s = tiny_spec();
+        s.models = vec![CoreModel::InOrder; 1 << 13];
+        s.slice_buffer_entries = vec![64; 1 << 13];
+        s.mshr_counts = vec![64; 1 << 13];
+        s.l2_hit_latencies = vec![20; 1 << 13];
+        s.workloads = vec!["branchy".into(); 1 << 13];
         s
     }
 }

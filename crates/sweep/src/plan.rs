@@ -17,8 +17,8 @@
 //! expand axis (so a shard's jobs are exactly the full grid's jobs at mapped
 //! indices), trace construction — the one expensive shared input — is
 //! per-column (so no column is ever built twice across shards), and the
-//! warm-fork/cache equivalence groups never span columns (so sharding never
-//! breaks inert-axis sharing).
+//! executor's fork groups never span columns (so sharding never breaks
+//! inert-axis sharing).
 
 use crate::executor::column_source;
 use crate::report::{SweepCell, SweepReport};
@@ -62,6 +62,25 @@ impl SweepShard {
     /// Number of cells this shard executes.
     pub fn cell_count(&self) -> usize {
         self.spec.cell_count()
+    }
+
+    /// What both ends of the wire check before a shard runs: the sub-spec's
+    /// axes ([`SweepSpec::validate_axes`] — column names are the worker's to
+    /// resolve) and one index-map entry per cell.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        self.spec.validate_axes()?;
+        if self.index_map.len() != self.cell_count() {
+            return Err(format!(
+                "shard index map has {} entries for a {}-cell sub-spec",
+                self.index_map.len(),
+                self.cell_count()
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -147,11 +166,10 @@ pub fn merge_report(
     }
     let mut assembled = Vec::with_capacity(n);
     for (k, c) in cells.into_iter().enumerate() {
-        assembled.push(c.ok_or_else(|| format!("no shard produced cell {k} of {n}"))?);
+        assembled.push(c.ok_or_else(|| format!("nothing produced cell {k} of {n}"))?);
     }
     Ok(SweepReport {
         threads,
-        warm_fork: spec.warm_fork,
         insts: spec.insts,
         seed: spec.seed,
         reps: spec.reps.max(1),

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 /// One completed grid cell of a [`SweepReport`].
 ///
 /// Serializable (vendored-serde) so cells stream individually over the
-/// `icfp-wire/v1` protocol as they finish.
+/// `icfp-wire/v2` protocol as they finish.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepCell {
     /// Core model name.
@@ -122,9 +122,6 @@ pub struct SweepReport {
     /// Worker threads the sweep ran on (1 = serial; excluded from the
     /// digest — parallelism must not change results).
     pub threads: usize,
-    /// Whether the sweep executed in warm-fork mode (excluded from the
-    /// digest — forking must not change deterministic results).
-    pub warm_fork: bool,
     /// Instruction budget per trace.
     pub insts: usize,
     /// The spec's base seed.

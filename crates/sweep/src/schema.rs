@@ -76,7 +76,6 @@ pub fn to_json(report: &SweepReport) -> String {
     s.push_str("{\n");
     let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
     let _ = writeln!(s, "  \"threads\": {},", report.threads);
-    let _ = writeln!(s, "  \"warm_fork\": {},", report.warm_fork);
     let _ = writeln!(s, "  \"insts\": {},", report.insts);
     let _ = writeln!(s, "  \"seed\": {},", report.seed);
     let _ = writeln!(s, "  \"reps\": {},", report.reps);
@@ -183,18 +182,6 @@ fn f64_field(line: &str, key: &str) -> Option<f64> {
     num_token(line, key)?.parse().ok()
 }
 
-fn bool_field(line: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\": ");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
 /// Extracts a `"0x…"`-encoded u64 after `"key": `.
 fn hex_field(line: &str, key: &str) -> Option<u64> {
     let s = str_field(line, key)?;
@@ -240,7 +227,6 @@ pub fn parse(doc: &str) -> Result<SweepReport, SchemaError> {
     }
 
     let mut threads = None;
-    let mut warm_fork = None;
     let mut insts = None;
     let mut seed = None;
     let mut reps = None;
@@ -269,8 +255,6 @@ pub fn parse(doc: &str) -> Result<SweepReport, SchemaError> {
         }
         if line.contains("\"threads\":") {
             threads = Some(u64_field(line, "threads").ok_or(malformed("threads"))?);
-        } else if line.contains("\"warm_fork\":") {
-            warm_fork = Some(bool_field(line, "warm_fork").ok_or(malformed("warm_fork"))?);
         } else if line.contains("\"insts\":") {
             insts = Some(u64_field(line, "insts").ok_or(malformed("insts"))?);
         } else if line.contains("\"seed\":") {
@@ -286,7 +270,6 @@ pub fn parse(doc: &str) -> Result<SweepReport, SchemaError> {
 
     let report = SweepReport {
         threads: threads.ok_or(SchemaError::MissingField { field: "threads" })? as usize,
-        warm_fork: warm_fork.ok_or(SchemaError::MissingField { field: "warm_fork" })?,
         insts: insts.ok_or(SchemaError::MissingField { field: "insts" })? as usize,
         seed: seed.ok_or(SchemaError::MissingField { field: "seed" })?,
         reps: reps.ok_or(SchemaError::MissingField { field: "reps" })? as u32,

@@ -16,7 +16,7 @@ fn splitmix(x: u64) -> u64 {
 /// A cartesian sweep specification: models × config axes × workloads.
 ///
 /// Serializable (vendored-serde) so a spec travels whole over the
-/// `icfp-wire/v1` protocol — the server expands and validates the identical
+/// `icfp-wire/v2` protocol — the server expands and validates the identical
 /// grid the client described.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepSpec {
@@ -40,15 +40,10 @@ pub struct SweepSpec {
     /// leading instructions without the timing model (registers + memory
     /// only) and times the remainder from a cold microarchitectural state
     /// (0 = fully cold).  Part of every cell's deterministic identity: it is
-    /// folded into both the warm-fork key and the result-cache key, so cells
-    /// with different fast-forward depths never share a checkpoint or a cache
+    /// folded into both the fork key and the result-cache key, so cells with
+    /// different fast-forward depths never share a computation or a cache
     /// entry.
     pub fast_forward: usize,
-    /// Warm-fork execution: fork groups of equivalent cells resume from one
-    /// checkpoint per group instead of re-simulating from cycle zero (see the
-    /// crate docs).  Deterministic outputs are unchanged; host-time figures
-    /// measure only the work actually performed.
-    pub warm_fork: bool,
     /// Stream workload columns instead of materializing them: each column is
     /// backed by a resumable [`icfp_workloads::WorkloadSource`] generator
     /// (bounded block residency) rather than a whole-trace arena, so columns
@@ -66,6 +61,12 @@ pub struct SweepSpec {
 /// being a sensible default.
 pub const STREAM_COLUMN_THRESHOLD: usize = 2_000_000;
 
+/// Ceiling on [`SweepSpec::cell_count`]: [`SweepSpec::validate_axes`] refuses
+/// anything larger before a single job is expanded.  Specs arrive from the
+/// wire, where five modest axes multiply past any allocation the process
+/// could survive; the paper's largest grid is a few thousand cells.
+pub const MAX_GRID_CELLS: usize = 1 << 16;
+
 impl SweepSpec {
     /// A spec over `models` × `workloads` at the paper-default configuration
     /// point (single value on every axis).
@@ -80,7 +81,6 @@ impl SweepSpec {
             seed,
             reps: 1,
             fast_forward: 0,
-            warm_fork: false,
             streamed: false,
         }
     }
@@ -93,13 +93,18 @@ impl SweepSpec {
         self.streamed || self.insts >= STREAM_COLUMN_THRESHOLD
     }
 
-    /// Number of grid cells the spec expands to.
+    /// Number of grid cells the spec expands to, saturating at `usize::MAX`
+    /// (an unvalidated spec's axes can multiply past it).
     pub fn cell_count(&self) -> usize {
-        self.models.len()
-            * self.slice_buffer_entries.len()
-            * self.mshr_counts.len()
-            * self.l2_hit_latencies.len()
-            * self.workloads.len()
+        [
+            self.models.len(),
+            self.slice_buffer_entries.len(),
+            self.mshr_counts.len(),
+            self.l2_hit_latencies.len(),
+            self.workloads.len(),
+        ]
+        .into_iter()
+        .fold(1, usize::saturating_mul)
     }
 
     /// Validates the spec: every axis non-empty, every workload known.
@@ -135,6 +140,13 @@ impl SweepSpec {
             || self.l2_hit_latencies.is_empty()
         {
             return Err("sweep spec has an empty configuration axis".into());
+        }
+        let cells = self.cell_count();
+        if cells > MAX_GRID_CELLS {
+            return Err(format!(
+                "sweep grid has {}{cells} cells; the limit is {MAX_GRID_CELLS}",
+                if cells == usize::MAX { "at least " } else { "" }
+            ));
         }
         // A zero here would reach the models: `SliceBuffer::new(0)` panics in
         // every cell, and a hierarchy without MSHRs retries a miss forever.
@@ -202,7 +214,7 @@ impl SweepSpec {
 mod tests {
     use super::*;
     use crate::run_sweep;
-    use crate::testutil::tiny_spec;
+    use crate::testutil::{overflowing_spec, tiny_spec};
 
     #[test]
     fn expand_is_cartesian_and_ordered() {
@@ -262,10 +274,34 @@ mod tests {
     }
 
     #[test]
+    fn validate_caps_the_grid_and_survives_a_product_past_usize() {
+        // 256 x 257 = 65,792 cells: one over-long axis pair is enough.
+        let mut s = tiny_spec();
+        s.models = vec![CoreModel::InOrder];
+        s.workloads.truncate(1);
+        s.slice_buffer_entries = (1..=256).collect();
+        s.mshr_counts = (1..=257).collect();
+        s.l2_hit_latencies = vec![20];
+        assert_eq!(s.cell_count(), 65_792);
+        let err = s.validate_axes().unwrap_err();
+        assert!(err.contains("65792") && err.contains("65536"), "{err}");
+        s.mshr_counts.pop();
+        assert_eq!(s.cell_count(), MAX_GRID_CELLS);
+        assert!(s.validate().is_ok(), "the limit itself is a legal grid");
+
+        // A product past `usize` must saturate and be refused, not wrap.
+        let s = overflowing_spec();
+        assert_eq!(s.cell_count(), usize::MAX);
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("at least"), "{err}");
+        assert!(run_sweep(&s, 1).is_err());
+    }
+
+    #[test]
     fn specs_round_trip_through_the_wire_encoding() {
         let mut spec = tiny_spec();
         spec.reps = 3;
-        spec.warm_fork = true;
+        spec.fast_forward = 7;
         let bytes = serde::to_bytes(&spec);
         let back: SweepSpec = serde::from_bytes(&bytes).expect("decode");
         assert_eq!(back, spec);

@@ -1,0 +1,341 @@
+//! The client side of `icfp-wire/v2`: one conversation loop, two ways to
+//! start it — a whole spec ([`submit_with`]) or one planned shard
+//! ([`submit_shard`]).  The two requests stay two because a whole-spec client
+//! has no use for the per-column trace digests a shard must carry, and
+//! computing them means building every trace column first.
+
+use super::protocol::{
+    base_features, recv_expected, send, Request, Response, WireError, WIRE_VERSION,
+};
+use crate::plan::{merge_report, SweepShard};
+use crate::report::{SweepCell, SweepReport};
+use crate::spec::SweepSpec;
+use std::collections::HashMap;
+use std::io::{BufReader, BufWriter};
+use std::net::TcpStream;
+use std::time::Duration;
+
+/// Client retry policy: deterministic exponential backoff between
+/// reconnect-and-resubmit attempts, plus the per-stream I/O deadline.
+///
+/// The delay before retry *k* (0-based) is `base_delay_ms << k`, capped at
+/// `max_delay_ms` — a pure function of the policy and the attempt number,
+/// so the schedule is reproducible ([`backoff_delay`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Reconnect attempts after the first failure (0 = fail fast).
+    pub retries: u32,
+    /// Backoff before the first retry, in milliseconds.
+    pub base_delay_ms: u64,
+    /// Ceiling on any single backoff delay, in milliseconds.
+    pub max_delay_ms: u64,
+    /// Read/write deadline on the client's stream, in milliseconds
+    /// (0 = no deadline).  A server that stalls mid-frame longer than this
+    /// surfaces as a retriable [`serde::frame::FrameError::TimedOut`].
+    pub io_timeout_ms: u64,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy {
+            retries: 4,
+            base_delay_ms: 100,
+            max_delay_ms: 2_000,
+            io_timeout_ms: 30_000,
+        }
+    }
+}
+
+impl RetryPolicy {
+    /// The stream deadline as a `Duration` (`None` when disabled).
+    pub fn io_timeout(&self) -> Option<Duration> {
+        (self.io_timeout_ms > 0).then(|| Duration::from_millis(self.io_timeout_ms))
+    }
+}
+
+/// The deterministic backoff delay before 0-based retry `attempt`:
+/// `base_delay_ms << attempt`, capped at `max_delay_ms`.
+pub fn backoff_delay(policy: &RetryPolicy, attempt: u32) -> Duration {
+    let exp = policy
+        .base_delay_ms
+        .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX).max(1));
+    Duration::from_millis(exp.min(policy.max_delay_ms))
+}
+
+/// Runs `attempt(k)` for `k = 0, 1, …` until it succeeds, fails with a
+/// non-retriable error ([`WireError::is_retriable`]), or `policy.retries`
+/// retries are spent, sleeping the policy's deterministic backoff
+/// ([`backoff_delay`]) before each retry.
+///
+/// # Errors
+///
+/// The last retriable [`WireError`] once the retries are exhausted, or the
+/// first non-retriable one.
+pub(crate) fn with_retries<T>(
+    policy: &RetryPolicy,
+    mut attempt: impl FnMut(u32) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut last = None;
+    for k in 0..=policy.retries {
+        if k > 0 {
+            std::thread::sleep(backoff_delay(policy, k - 1));
+        }
+        match attempt(k) {
+            Ok(done) => return Ok(done),
+            Err(e) if e.is_retriable() => last = Some(e),
+            Err(e) => return Err(e),
+        }
+    }
+    Err(last.expect("loop ran at least once"))
+}
+
+/// The result of one client submission.
+#[derive(Debug, Clone)]
+pub struct SubmitOutcome {
+    /// The reassembled report — byte-identical to a local run of the spec.
+    pub report: SweepReport,
+    /// Cells the server served from its result cache.
+    pub hits: u64,
+    /// Cells the server computed.
+    pub misses: u64,
+}
+
+/// Submits a sweep to a running `icfp-sweepd` at `addr` (e.g.
+/// `127.0.0.1:7400`), reassembling the streamed cells into a report.
+/// `threads` is the requested server-side worker count (0 = server
+/// default).  On a retriable failure (I/O error, torn or timed-out frame,
+/// peer vanished mid-stream) the client waits the policy's deterministic
+/// backoff, reconnects, and re-submits the whole spec.  Cells the server
+/// already computed come back as cache hits, so the reassembled report of
+/// the successful attempt is byte-identical to an uninterrupted run.
+/// Non-retriable failures (invalid spec, server-reported errors, protocol
+/// violations) return immediately.
+///
+/// `on_cell` sees each cell as it arrives (completion order) on every
+/// attempt, so an interrupted attempt's cells may be seen twice;
+/// reassembly uses only the successful attempt.
+///
+/// # Errors
+///
+/// Any [`WireError`]: the last retriable one once `policy.retries` is
+/// exhausted, or the first non-retriable one.  The returned report's digest
+/// is verified against the server's `Done` digest, so a successful return
+/// is a report identical to the server's — and, by the executor's
+/// determinism, to a local run.
+pub fn submit_with(
+    addr: &str,
+    spec: &SweepSpec,
+    threads: usize,
+    policy: &RetryPolicy,
+    mut on_cell: impl FnMut(usize, bool, &SweepCell),
+) -> Result<SubmitOutcome, WireError> {
+    spec.validate().map_err(WireError::Spec)?;
+    let request = Request::Submit {
+        spec: spec.clone(),
+        threads: threads as u64,
+    };
+    let identity: Vec<u64> = (0..spec.cell_count() as u64).collect();
+    with_retries(policy, |_| {
+        let timeout = policy.io_timeout();
+        converse(addr, timeout, &request, spec, &identity, None, &mut on_cell)
+    })
+}
+
+/// Opens a framed connection to `addr` under the given I/O deadline.
+pub(super) fn connect_framed(
+    addr: &str,
+    io_timeout: Option<Duration>,
+) -> Result<(BufReader<TcpStream>, BufWriter<TcpStream>), WireError> {
+    let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
+    stream.set_read_timeout(io_timeout).map_err(WireError::Io)?;
+    stream.set_write_timeout(io_timeout).map_err(WireError::Io)?;
+    let reader = BufReader::new(stream.try_clone().map_err(WireError::Io)?);
+    Ok((reader, BufWriter::new(stream)))
+}
+
+/// Performs the client side of the v2 handshake, returning the capability
+/// set the server granted.  A pre-v2 server — which answers the unknown
+/// `Hello2` variant with an `Error` frame or a v1 `Hello` — is a typed
+/// [`WireError::UnsupportedVersion`], never a decode failure.
+pub(super) fn client_handshake(
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut BufWriter<TcpStream>,
+) -> Result<Vec<String>, WireError> {
+    send(
+        writer,
+        &Request::Hello2 {
+            version: WIRE_VERSION.to_string(),
+            features: base_features(),
+        },
+    )?;
+    match recv_expected::<Response>(reader)? {
+        Response::Hello2 { version, features } if version == WIRE_VERSION => Ok(features),
+        Response::Hello2 { version, .. } | Response::Hello { version } => {
+            Err(WireError::UnsupportedVersion {
+                ours: WIRE_VERSION.to_string(),
+                theirs: version,
+            })
+        }
+        // A peer that refuses the handshake outright is a version (or
+        // capability) mismatch by definition — its Error text is the best
+        // version description it gave us.
+        Response::Error { message } => Err(WireError::UnsupportedVersion {
+            ours: WIRE_VERSION.to_string(),
+            theirs: format!("pre-v2 peer ({message})"),
+        }),
+        other => Err(WireError::Protocol(format!(
+            "expected Hello2, got {other:?}"
+        ))),
+    }
+}
+
+/// One conversation over one fresh connection, the same for both request
+/// kinds: handshake → `request` → `Accepted` (count check) → the cell stream
+/// (every index in `index_map`, exactly once) → the closing frame →
+/// reassembly in `spec`'s expand order → digest verification.
+///
+/// `index_map[i]` is the index the peer streams `spec`'s `i`-th cell under:
+/// the identity for a whole spec, the shard's full-grid positions for a
+/// shard.  `shard` is the submitted shard index — `Some` makes the stream
+/// `ShardCell … ShardDone` (with the index echoed) instead of `Cell … Done`
+/// and requires the peer's `"shard"` capability.  `on_cell` sees each cell
+/// under its streamed index as it arrives.
+fn converse(
+    addr: &str,
+    io_timeout: Option<Duration>,
+    request: &Request,
+    spec: &SweepSpec,
+    index_map: &[u64],
+    shard: Option<u64>,
+    on_cell: &mut dyn FnMut(usize, bool, &SweepCell),
+) -> Result<SubmitOutcome, WireError> {
+    let (mut reader, mut writer) = connect_framed(addr, io_timeout)?;
+    let features = client_handshake(&mut reader, &mut writer)?;
+    if shard.is_some() && !features.iter().any(|f| f == "shard") {
+        return Err(WireError::Protocol(format!(
+            "peer granted no \"shard\" capability (features: {features:?})"
+        )));
+    }
+
+    send(&mut writer, request)?;
+    let n = index_map.len();
+    let threads = match recv_expected::<Response>(&mut reader)? {
+        Response::Accepted { cells, threads } if cells == n as u64 => threads as usize,
+        Response::Accepted { cells, .. } => {
+            return Err(WireError::Protocol(format!(
+                "peer accepted {cells} cells for a {n}-cell submission"
+            )))
+        }
+        Response::Error { message } => return Err(WireError::Server(message)),
+        other => {
+            return Err(WireError::Protocol(format!(
+                "expected Accepted, got {other:?}"
+            )))
+        }
+    };
+
+    // Invert the map to validate membership and detect duplicates.
+    let position: HashMap<u64, usize> = index_map
+        .iter()
+        .enumerate()
+        .map(|(at, &streamed)| (streamed, at))
+        .collect();
+    let mut slots: Vec<Option<SweepCell>> = vec![None; n];
+    loop {
+        match (recv_expected::<Response>(&mut reader)?, shard) {
+            (Response::Cell { index, cached, cell }, None)
+            | (Response::ShardCell { index, cached, cell }, Some(_)) => {
+                let &at = position.get(&index).ok_or_else(|| {
+                    WireError::Protocol(format!("cell index {index} is not in this submission"))
+                })?;
+                if slots[at].is_some() {
+                    return Err(WireError::Protocol(format!("cell {index} streamed twice")));
+                }
+                on_cell(index as usize, cached, &cell);
+                slots[at] = Some(cell);
+            }
+            (Response::ShardDone { shard_index, .. }, Some(submitted))
+                if shard_index != submitted =>
+            {
+                return Err(WireError::Protocol(format!(
+                    "worker finished shard {shard_index}, we submitted {submitted}"
+                )));
+            }
+            (Response::Done { report_digest, hits, misses }, None)
+            | (Response::ShardDone { report_digest, hits, misses, .. }, Some(_)) => {
+                // A cell the peer never streamed is the merge's error; the
+                // header thread count is the one the peer said it would use.
+                let report = merge_report(spec, threads, slots).map_err(WireError::Protocol)?;
+                let digest = report.digest();
+                if digest != report_digest {
+                    return Err(WireError::Protocol(format!(
+                        "reassembled report digest {digest:#018x} does not match the \
+                         peer's {report_digest:#018x}"
+                    )));
+                }
+                return Ok(SubmitOutcome { report, hits, misses });
+            }
+            (Response::Error { message }, _) => return Err(WireError::Server(message)),
+            (other, _) => {
+                return Err(WireError::Protocol(format!(
+                    "expected a cell or the closing frame of this submission, got {other:?}"
+                )))
+            }
+        }
+    }
+}
+
+/// The result of one shard submission: the verified cells (full-grid
+/// indices, completion order) plus the worker's cache counters.
+#[derive(Debug, Clone)]
+pub struct ShardOutcome {
+    /// `(full_grid_index, cached, cell)` for every cell of the shard, in
+    /// the order the worker streamed them.  Only returned once the worker's
+    /// `ShardDone` digest has been verified against the reassembled slice —
+    /// a partially streamed or corrupted shard never leaks cells.
+    pub cells: Vec<(usize, bool, SweepCell)>,
+    /// Cells served from the worker's result cache.
+    pub hits: u64,
+    /// Cells the worker computed.
+    pub misses: u64,
+}
+
+/// Submits one planned shard to a worker at `addr`, collecting its streamed
+/// cells.  `threads` is the requested worker-side thread count (0 = worker
+/// default).  The returned cells carry *full-grid* indices and are verified
+/// two ways before return: every streamed index must belong to the shard's
+/// index map (exactly once), and the reassembled sub-report's digest must
+/// equal the worker's `ShardDone` digest.
+///
+/// # Errors
+///
+/// Any [`WireError`].  Transport-level failures (including a worker that
+/// died mid-shard) are retriable ([`WireError::is_retriable`]) — the
+/// coordinator's cue to reassign the shard to another worker.
+pub fn submit_shard(
+    addr: &str,
+    shard: &SweepShard,
+    threads: usize,
+    io_timeout: Option<Duration>,
+) -> Result<ShardOutcome, WireError> {
+    shard.validate().map_err(WireError::Spec)?;
+    let request = Request::ShardSubmit {
+        shard: shard.clone(),
+        threads: threads as u64,
+    };
+    let mut cells = Vec::with_capacity(shard.cell_count());
+    let done = converse(
+        addr,
+        io_timeout,
+        &request,
+        &shard.spec,
+        &shard.index_map,
+        Some(shard.shard_index),
+        &mut |index, cached, cell| cells.push((index, cached, cell.clone())),
+    )?;
+    Ok(ShardOutcome {
+        cells,
+        hits: done.hits,
+        misses: done.misses,
+    })
+}

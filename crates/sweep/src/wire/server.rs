@@ -1,0 +1,541 @@
+//! The server side of `icfp-wire/v2`: [`serve`], a concurrent accept loop
+//! over one shared executor and result cache, and the per-connection
+//! conversation it runs on each accepted stream.
+
+use super::protocol::{base_features, recv, send, Request, Response, WireError, WIRE_VERSION};
+use crate::executor::{
+    column_source, pool_size, run_sweep_streamed, ExecOptions, DEFAULT_PANIC_RETRIES,
+};
+use crate::fault::{FaultPlan, FrameAction};
+use crate::plan::SweepShard;
+use crate::ResultCache;
+use icfp_isa::{TraceFile, TraceSource};
+use serde::frame::write_frame;
+use serde::Serialize;
+use std::collections::HashMap;
+use std::io::{BufReader, BufWriter};
+use std::net::{TcpListener, TcpStream};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
+
+/// Server-side send through the outbound-frame fault seam: an armed
+/// [`FaultPlan`] can drop or truncate exactly one frame, after which the
+/// injected transport error propagates like a real mid-stream crash and the
+/// connection is severed.
+fn send_srv<T: Serialize>(
+    w: &mut impl std::io::Write,
+    msg: &T,
+    fault: Option<&FaultPlan>,
+) -> Result<(), WireError> {
+    match fault.map_or(FrameAction::Pass, |p| p.next_frame_action()) {
+        FrameAction::Pass => send(w, msg),
+        FrameAction::Drop => Err(WireError::Io(std::io::Error::new(
+            std::io::ErrorKind::ConnectionAborted,
+            "injected fault: outbound frame dropped, connection severed",
+        ))),
+        FrameAction::Truncate(k) => {
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &serde::to_bytes(msg))?;
+            let keep = k.min(framed.len().saturating_sub(1)).max(1);
+            w.write_all(&framed[..keep]).map_err(WireError::Io)?;
+            w.flush().map_err(WireError::Io)?;
+            Err(WireError::Io(std::io::Error::new(
+                std::io::ErrorKind::ConnectionAborted,
+                "injected fault: outbound frame truncated, connection severed",
+            )))
+        }
+    }
+}
+
+/// Server-side options, shared by every connection [`serve`] accepts.
+#[derive(Debug, Clone)]
+pub struct ServeOptions {
+    /// Default worker threads for submissions that request 0.
+    pub threads: usize,
+    /// Result cache directory, if caching is enabled: [`serve`] opens it
+    /// once and every connection shares the one store.
+    pub cache_dir: Option<PathBuf>,
+    /// Read/write deadline on each accepted stream (`None` = no deadline).
+    /// A peer that stalls mid-frame longer than this gets a typed
+    /// [`serde::frame::FrameError::TimedOut`] and its connection reaped — a
+    /// slow-loris client can never hang a server thread.
+    pub io_timeout: Option<Duration>,
+    /// Retries for a panicking cell before it is recorded as a typed failed
+    /// cell ([`crate::executor::ExecOptions::panic_retries`]).
+    pub panic_retries: u32,
+    /// Deterministic fault-injection plan for the outbound-frame and
+    /// executor seams (tests only; `None` in production).
+    pub fault: Option<Arc<FaultPlan>>,
+    /// Cooperative cancellation for in-flight sweeps (graceful drain):
+    /// when set, executors stop pulling new cell groups, in-flight cells
+    /// finish and land in the cache, and the submission ends in a typed
+    /// error frame.
+    pub cancel: Option<Arc<AtomicBool>>,
+    /// Worker mode (`icfp-sweepd --worker`): advertise the `"worker"`
+    /// capability in the handshake.  Advisory — the served message set is
+    /// identical; coordinators use it to label their worker pools.
+    pub worker: bool,
+}
+
+impl Default for ServeOptions {
+    fn default() -> Self {
+        ServeOptions {
+            threads: 0,
+            cache_dir: None,
+            io_timeout: None,
+            panic_retries: DEFAULT_PANIC_RETRIES,
+            fault: None,
+            cancel: None,
+            worker: false,
+        }
+    }
+}
+
+/// Per-connection summary returned by [`handle_conn`].
+#[derive(Default)]
+struct ConnSummary {
+    /// Sweeps executed on this connection.
+    submits: u64,
+    /// Total cells served from the result cache across them.
+    hits: u64,
+    /// Total cells computed across them.
+    misses: u64,
+}
+
+/// Resolves a shard's trace columns on the worker side: a column with a
+/// [`crate::plan::ColumnSpec::local_path`] opens that `icfp-trace/v1|v2`
+/// container; anything else regenerates from the workload registry exactly
+/// as a local executor would.  Every resolved source must match the
+/// planner's content digest — traces never travel on the wire, so the
+/// digest is the *only* thing binding the worker's trace to the
+/// coordinator's, and any mismatch (stale file, skewed registry, wrong
+/// seed) refuses the shard before a single cell runs.
+fn resolve_shard_columns(
+    shard: &SweepShard,
+) -> Result<HashMap<String, Arc<dyn TraceSource>>, String> {
+    shard.validate()?;
+    let mut columns: HashMap<String, Arc<dyn TraceSource>> = HashMap::new();
+    for col in &shard.columns {
+        let source: Arc<dyn TraceSource> = match &col.local_path {
+            Some(path) => Arc::new(
+                TraceFile::open_validated(path, col.trace_digest).map_err(|e| {
+                    format!("shard column {:?}: container {path:?}: {e}", col.workload)
+                })?,
+            ),
+            None => column_source(&shard.spec, &col.workload).ok_or_else(|| {
+                format!(
+                    "shard column {:?} is not a registry workload and carries no local container",
+                    col.workload
+                )
+            })?,
+        };
+        let found = source.digest();
+        if found != col.trace_digest {
+            return Err(format!(
+                "shard column {:?}: trace digest {found:#018x} does not match the planner's {:#018x}",
+                col.workload, col.trace_digest
+            ));
+        }
+        columns.insert(col.workload.clone(), source);
+    }
+    for w in &shard.spec.workloads {
+        if !columns.contains_key(w) {
+            return Err(format!("shard carries no trace column for workload {w:?}"));
+        }
+    }
+    Ok(columns)
+}
+
+/// Serves one client connection: handshake, then any number of submissions,
+/// until the client closes.  Every failure path answers with an `Error`
+/// frame when the stream still works and returns a typed [`WireError`] —
+/// a hostile or confused peer never panics the server.  `cache` is the one
+/// store [`serve`] opened; `served` counts submissions answered with their
+/// closing frame, so the submission ceiling counts real service, never
+/// failed handshakes.
+///
+/// # Errors
+///
+/// Any [`WireError`]; [`serve`] logs it and moves on to the next connection.
+fn handle_conn(
+    stream: TcpStream,
+    opts: &ServeOptions,
+    cache: Option<&ResultCache>,
+    served: &AtomicU64,
+) -> Result<ConnSummary, WireError> {
+    stream
+        .set_read_timeout(opts.io_timeout)
+        .map_err(WireError::Io)?;
+    stream
+        .set_write_timeout(opts.io_timeout)
+        .map_err(WireError::Io)?;
+    let fault = opts.fault.as_deref();
+    let mut reader = BufReader::new(stream.try_clone().map_err(WireError::Io)?);
+    let mut writer = BufWriter::new(stream);
+    let mut summary = ConnSummary::default();
+
+    // Handshake.  An undecodable first frame still gets an Error reply.
+    let hello = match recv::<Request>(&mut reader) {
+        Ok(Some(req)) => req,
+        Ok(None) => return Ok(summary),
+        Err(e) => {
+            let _ = send(
+                &mut writer,
+                &Response::Error {
+                    message: format!("bad handshake: {e}"),
+                },
+            );
+            return Err(e);
+        }
+    };
+    match hello {
+        Request::Hello2 { ref version, .. } if version == WIRE_VERSION => {}
+        // Version skew — a v1 `Hello`, or a future `Hello2` with a version
+        // we don't speak — gets a typed refusal naming both versions, never
+        // a decode failure or a confusing protocol error.
+        Request::Hello { version } | Request::Hello2 { version, .. } => {
+            let message =
+                format!("server speaks {WIRE_VERSION:?}, client sent {version:?}");
+            let _ = send(&mut writer, &Response::Error { message: message.clone() });
+            return Err(WireError::UnsupportedVersion {
+                ours: WIRE_VERSION.to_string(),
+                theirs: version,
+            });
+        }
+        other => {
+            let message = format!("expected Hello2 first, got {other:?}");
+            let _ = send(&mut writer, &Response::Error { message: message.clone() });
+            return Err(WireError::Protocol(message));
+        }
+    }
+    let mut features = base_features();
+    if opts.worker {
+        features.push("worker".to_string());
+    }
+    send_srv(
+        &mut writer,
+        &Response::Hello2 {
+            version: WIRE_VERSION.to_string(),
+            features,
+        },
+        fault,
+    )?;
+
+    // Submission loop: whole specs (`Submit`) and grid slices
+    // (`ShardSubmit`) share the executor, the cache and the streaming
+    // machinery; shards additionally carry pre-resolved trace columns and
+    // translate cell indices back to full-grid positions.
+    loop {
+        let req = match recv::<Request>(&mut reader) {
+            Ok(Some(req)) => req,
+            Ok(None) => return Ok(summary),
+            Err(e) => {
+                let _ = send(
+                    &mut writer,
+                    &Response::Error {
+                        message: format!("bad request: {e}"),
+                    },
+                );
+                return Err(e);
+            }
+        };
+        let (spec, threads, shard_meta) = match req {
+            Request::Submit { spec, threads } => {
+                if let Err(e) = spec.validate() {
+                    // An invalid spec fails the submission, not the
+                    // connection.
+                    send(&mut writer, &Response::Error { message: e })?;
+                    continue;
+                }
+                (spec, threads, None)
+            }
+            Request::ShardSubmit { shard, threads } => {
+                // A malformed shard — bad axes, unknown column, digest
+                // mismatch — likewise fails the submission only.
+                match resolve_shard_columns(&shard) {
+                    Ok(columns) => {
+                        let SweepShard {
+                            shard_index,
+                            spec,
+                            index_map,
+                            ..
+                        } = shard;
+                        (spec, threads, Some((shard_index, index_map, columns)))
+                    }
+                    Err(e) => {
+                        send(&mut writer, &Response::Error { message: e })?;
+                        continue;
+                    }
+                }
+            }
+            other => {
+                let message = format!("expected Submit or ShardSubmit, got {other:?}");
+                let _ = send(&mut writer, &Response::Error { message: message.clone() });
+                return Err(WireError::Protocol(message));
+            }
+        };
+        let requested = if threads == 0 {
+            opts.threads.max(1)
+        } else {
+            threads as usize
+        };
+        // Mirror the executor's thread clamp so the Accepted message (which
+        // the client copies into its reassembled report header) states the
+        // worker count the report will actually record.
+        let workers = pool_size(&spec, requested);
+
+        send_srv(
+            &mut writer,
+            &Response::Accepted {
+                cells: spec.cell_count() as u64,
+                threads: workers as u64,
+            },
+            fault,
+        )?;
+
+        // Stream cells as the executor completes them.  A send failure mid-
+        // sweep is recorded and surfaced after the executor returns (the
+        // callback itself must not unwind through the thread pool) — the
+        // sweep still completes into the cache, so the client's re-submit
+        // after reconnecting is served as hits.
+        let mut send_err: Option<WireError> = None;
+        let exec = ExecOptions {
+            threads: workers,
+            cache,
+            panic_retries: opts.panic_retries,
+            fault,
+            cancel: opts.cancel.as_deref(),
+            columns: shard_meta.as_ref().map(|(_, _, cols)| cols),
+        };
+        let outcome = run_sweep_streamed(&spec, &exec, |event| {
+            if send_err.is_none() {
+                // Shard cells go out under their *full-grid* index, so the
+                // coordinator's merge needs no per-shard bookkeeping.
+                let resp = match &shard_meta {
+                    Some((_, index_map, _)) => Response::ShardCell {
+                        index: index_map[event.index],
+                        cached: event.cached,
+                        cell: event.cell.clone(),
+                    },
+                    None => Response::Cell {
+                        index: event.index as u64,
+                        cached: event.cached,
+                        cell: event.cell.clone(),
+                    },
+                };
+                if let Err(e) = send_srv(&mut writer, &resp, fault) {
+                    send_err = Some(e);
+                }
+            }
+        });
+        if let Some(e) = send_err {
+            return Err(e);
+        }
+        // validate() passed, so the only executor failure left is a
+        // graceful-drain cancellation: answer with a typed Error frame.
+        let outcome = match outcome {
+            Ok(o) => o,
+            Err(e) => {
+                let _ = send(&mut writer, &Response::Error { message: e.clone() });
+                return Err(WireError::Protocol(e));
+            }
+        };
+        let finish = match &shard_meta {
+            Some((shard_index, _, _)) => Response::ShardDone {
+                shard_index: *shard_index,
+                report_digest: outcome.report.digest(),
+                hits: outcome.cache.hits,
+                misses: outcome.cache.misses,
+            },
+            None => Response::Done {
+                report_digest: outcome.report.digest(),
+                hits: outcome.cache.hits,
+                misses: outcome.cache.misses,
+            },
+        };
+        send_srv(&mut writer, &finish, fault)?;
+        summary.submits += 1;
+        summary.hits += outcome.cache.hits;
+        summary.misses += outcome.cache.misses;
+        served.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Options for the concurrent [`serve`] accept loop.
+#[derive(Debug, Clone)]
+pub struct AcceptOptions {
+    /// Ceiling on simultaneously served connections; further connections
+    /// queue in the OS accept backlog until a slot frees, so a cache-hit
+    /// submission never waits behind a cold sweep as long as a slot is
+    /// open.
+    pub max_inflight: usize,
+    /// Stop after this many *successfully served submissions* (`None` =
+    /// serve forever).  Connections that fail the handshake or never
+    /// complete a sweep don't count.
+    pub max_submissions: Option<u64>,
+    /// Graceful-shutdown flag (e.g. set by a SIGINT handler): when it goes
+    /// true the loop stops accepting, in-flight connections drain, and
+    /// [`serve`] returns.
+    pub shutdown: Option<Arc<AtomicBool>>,
+}
+
+impl Default for AcceptOptions {
+    fn default() -> Self {
+        AcceptOptions {
+            max_inflight: 4,
+            max_submissions: None,
+            shutdown: None,
+        }
+    }
+}
+
+/// What [`serve`] did before returning.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ServeSummary {
+    /// Connections accepted and handed to a handler thread.
+    pub connections: u64,
+    /// Successfully served submissions across all of them.
+    pub submissions: u64,
+    /// Connections that ended in a typed error (failed handshakes, hostile
+    /// frames, stalled peers, injected faults).
+    pub failed: u64,
+}
+
+/// The concurrent accept loop: thread-per-connection over one shared
+/// executor and result cache, bounded by [`AcceptOptions::max_inflight`].
+///
+/// Each accepted stream gets [`ServeOptions::io_timeout`] deadlines and its
+/// own [`handle_conn`] thread; the loop itself never blocks on a
+/// conversation, so a quick cache-hit submission runs beside a cold sweep.
+/// The loop exits when [`AcceptOptions::max_submissions`] submissions have
+/// been served or [`AcceptOptions::shutdown`] goes true, then *drains*:
+/// every in-flight connection finishes (in-flight cells complete and land
+/// in the cache) before [`serve`] returns.  A blocked `accept` is woken by
+/// a loopback self-connection, so neither exit condition waits for a new
+/// client.
+///
+/// `on_event` receives one human-readable line per lifecycle event (from
+/// handler threads too, hence `Sync`).
+pub fn serve(
+    listener: TcpListener,
+    opts: ServeOptions,
+    accept: AcceptOptions,
+    on_event: impl Fn(String) + Send + Sync,
+) -> ServeSummary {
+    // Open the cache once; every connection shares it.
+    let cache = opts.cache_dir.as_ref().and_then(|dir| {
+        match ResultCache::open(dir) {
+            // Arm the cache-write fault seam on the shared store.
+            Ok(c) => Some(match &opts.fault {
+                Some(plan) => c.with_fault(Arc::clone(plan)),
+                None => c,
+            }),
+            Err(e) => {
+                on_event(format!("result cache unavailable, serving uncached: {e}"));
+                None
+            }
+        }
+    });
+    let served = AtomicU64::new(0);
+
+    let connections = AtomicU64::new(0);
+    let failed = AtomicU64::new(0);
+    let inflight = Mutex::new(0usize);
+    let slot_freed = Condvar::new();
+    let local = listener.local_addr().ok();
+    let stop_waker = AtomicBool::new(false);
+
+    let done = || {
+        accept
+            .shutdown
+            .as_ref()
+            .is_some_and(|s| s.load(Ordering::Relaxed))
+            || accept
+                .max_submissions
+                .is_some_and(|n| served.load(Ordering::Relaxed) >= n)
+    };
+    // Wakes a blocked `accept` by self-connecting; the dummy connection is
+    // recognized and dropped by the `done()` re-check after accept.
+    let wake = || {
+        if let Some(addr) = local {
+            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+        }
+    };
+
+    std::thread::scope(|scope| {
+        // The shutdown watcher: `accept` cannot observe a flag flipped by a
+        // signal handler (glibc installs SA_RESTART semantics), so poll the
+        // exit conditions and break the accept loop with a self-connection.
+        if accept.shutdown.is_some() {
+            scope.spawn(|| loop {
+                if stop_waker.load(Ordering::Relaxed) {
+                    return;
+                }
+                if done() {
+                    wake();
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(25));
+            });
+        }
+        loop {
+            if done() {
+                break;
+            }
+            {
+                let mut n = inflight.lock().expect("inflight lock");
+                while *n >= accept.max_inflight.max(1) {
+                    n = slot_freed.wait(n).expect("inflight lock");
+                }
+            }
+            if done() {
+                break;
+            }
+            let (stream, peer) = match listener.accept() {
+                Ok(x) => x,
+                Err(e) => {
+                    on_event(format!("accept failed: {e}"));
+                    continue;
+                }
+            };
+            if done() {
+                // The waker's (or a late client's) connection arriving after
+                // an exit condition: drop it and stop accepting.
+                drop(stream);
+                break;
+            }
+            connections.fetch_add(1, Ordering::Relaxed);
+            *inflight.lock().expect("inflight lock") += 1;
+            on_event(format!("connection from {peer}"));
+            scope.spawn(|| {
+                match handle_conn(stream, &opts, cache.as_ref(), &served) {
+                    Ok(summary) => on_event(format!(
+                        "connection closed ({} sweeps, {} cache hits, {} computed)",
+                        summary.submits, summary.hits, summary.misses
+                    )),
+                    Err(e) => {
+                        failed.fetch_add(1, Ordering::Relaxed);
+                        on_event(format!("connection failed: {e}"));
+                    }
+                }
+                *inflight.lock().expect("inflight lock") -= 1;
+                slot_freed.notify_one();
+                // This connection may have pushed the served count to the
+                // ceiling while the accept loop is blocked: wake it.
+                if done() {
+                    wake();
+                }
+            });
+        }
+        stop_waker.store(true, Ordering::Relaxed);
+        // Leaving the scope joins every handler thread: the drain.
+    });
+
+    ServeSummary {
+        connections: connections.load(Ordering::Relaxed),
+        submissions: served.load(Ordering::Relaxed),
+        failed: failed.load(Ordering::Relaxed),
+    }
+}
