@@ -299,35 +299,19 @@ fn bench_hierarchy_hit_loop() {
     report("hierarchy/l1_hit_load", ns);
 }
 
-fn bench_batched_vs_per_step_engine() {
-    // Rung 2 of the raw-speed ladder: one `step_block` call over the whole
-    // arena versus one virtual `step` call per instruction, back-to-back on
-    // the same trace and model so the dispatch overhead is read directly.
+fn bench_engine_advance() {
+    // The one engine path: a whole 5k-instruction iCFP run through the
+    // registry (`advance` to completion inside `finish`).
     use icfp_core::CoreModel;
     let trace = icfp_workloads::dcache_thrash(5_000, 256 * 1024, 1);
     let cur = icfp_isa::TraceCursor::from_trace(&trace);
     let cfg = CoreModel::Icfp.default_config();
-    let batched = time_ns_per_iter(
-        || {
-            let mut e = CoreModel::Icfp.engine(&cfg);
-            let s = cur.arena_slice().expect("arena");
-            while e.step_block(&cur, s, 0, u64::MAX) {}
-            assert!(e.drain(&cur).stats.cycles > 0);
-        },
+    let ns = time_ns_per_iter(
+        || assert!(CoreModel::Icfp.engine(&cfg).finish(&cur).stats.cycles > 0),
         20,
         3,
     );
-    let per_step = time_ns_per_iter(
-        || {
-            let mut e = CoreModel::Icfp.engine(&cfg);
-            while e.step(&cur) {}
-            assert!(e.drain(&cur).stats.cycles > 0);
-        },
-        20,
-        3,
-    );
-    report("engine/icfp_5k_step_block(whole-arena)", batched);
-    report("engine/icfp_5k_step(per-inst)", per_step);
+    report("engine/icfp_5k_advance", ns);
 }
 
 fn bench_trace_decode_v1_vs_v2() {
@@ -452,7 +436,7 @@ fn main() {
     bench_mshr_request_retire();
     bench_prefetch_demand_miss();
     bench_hierarchy_hit_loop();
-    bench_batched_vs_per_step_engine();
+    bench_engine_advance();
     bench_trace_decode_v1_vs_v2();
     bench_async_vs_sync_prefetch();
     bench_functional_ff_vs_timed();

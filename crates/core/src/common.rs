@@ -184,8 +184,7 @@ impl Engine {
 
 /// Seeds `eng` from a functional fast-forward state, if one was supplied,
 /// and returns the trace index the timed run starts at (0 when cold).  The
-/// shared prologue of every whole-trace model's
-/// [`crate::Core::run_cursor_from`].
+/// shared prologue of every whole-trace model.
 pub fn seed_start(eng: &mut Engine, warm: Option<&exec::ArchState>, len: usize) -> usize {
     warm.map_or(0, |w| {
         eng.seed_arch(w);

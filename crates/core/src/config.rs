@@ -166,6 +166,39 @@ pub struct CoreConfig {
 }
 
 impl CoreConfig {
+    /// Ceiling on every structure size [`CoreConfig::validate`] checks — far
+    /// above anything the paper sweeps (Table 1 tops out at 512), far below
+    /// what an allocation could not survive.
+    pub const MAX_STRUCTURE_ENTRIES: usize = 1 << 16;
+
+    /// The one definition of a configuration the models can be built from:
+    /// every structure size the models allocate up front — slice buffer,
+    /// store buffer, chain table, MSHRs — lies in
+    /// `1..=`[`CoreConfig::MAX_STRUCTURE_ENTRIES`].  A zero panics
+    /// `SliceBuffer::new` or retries a miss forever; an oversized value
+    /// aborts the process in the allocator.  Everything that builds a model
+    /// from outside input (a sweep spec, a checkpoint) calls this first.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending field and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        for (field, n) in [
+            ("slice_buffer_entries", self.slice_buffer_entries),
+            ("store_buffer_entries", self.store_buffer_entries),
+            ("chain_table_entries", self.chain_table_entries),
+            ("mem.max_outstanding_misses", self.mem.max_outstanding_misses),
+        ] {
+            if !(1..=Self::MAX_STRUCTURE_ENTRIES).contains(&n) {
+                return Err(format!(
+                    "{field} = {n} (must be in 1..={})",
+                    Self::MAX_STRUCTURE_ENTRIES
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// The paper's Table 1 configuration with iCFP defaults (advance under
     /// all misses, full feature set).
     pub fn paper_default() -> Self {
@@ -303,6 +336,35 @@ mod tests {
         assert!(steps[2].1.nonblocking_rallies);
         assert_eq!(steps[3].1.poison_vector_width, 8);
         assert!(steps[4].1.multithreaded_rally);
+    }
+
+    #[test]
+    fn validate_bounds_every_structure_size_and_names_the_field() {
+        for c in [
+            CoreConfig::paper_default(),
+            CoreConfig::tiny_for_tests(),
+            CoreConfig::sltp_default(),
+        ] {
+            assert_eq!(c.validate(), Ok(()));
+        }
+        type Set = fn(&mut CoreConfig, usize);
+        let fields: [(&str, Set); 4] = [
+            ("slice_buffer_entries", |c, n| c.slice_buffer_entries = n),
+            ("store_buffer_entries", |c, n| c.store_buffer_entries = n),
+            ("chain_table_entries", |c, n| c.chain_table_entries = n),
+            ("mem.max_outstanding_misses", |c, n| c.mem.max_outstanding_misses = n),
+        ];
+        for (field, set) in fields {
+            for bad in [0, CoreConfig::MAX_STRUCTURE_ENTRIES + 1, usize::MAX / 2] {
+                let mut c = CoreConfig::paper_default();
+                set(&mut c, bad);
+                let err = c.validate().unwrap_err();
+                assert!(err.contains(field) && err.contains(&bad.to_string()), "{err}");
+            }
+            let mut c = CoreConfig::paper_default();
+            set(&mut c, CoreConfig::MAX_STRUCTURE_ENTRIES);
+            assert_eq!(c.validate(), Ok(()), "the ceiling itself is legal");
+        }
     }
 
     #[test]

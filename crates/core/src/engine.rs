@@ -1,26 +1,25 @@
-//! The unified core-engine abstraction and model registry.
+//! The core-engine seam and model registry.
 //!
 //! Every driver in the workspace — the simulator (`icfp-sim`), the benchmark
-//! harness (`icfp-bench`), the sweep executor (`icfp-sweep`) — used to carry
-//! its own five-way `match` over the core models.  [`CoreModel::engine`] is
-//! now the single dispatch point: it returns an object-safe [`CoreEngine`]
-//! that any driver steps, drains and digests uniformly.
+//! harness (`icfp-bench`), the sweep executor (`icfp-sweep`) — runs a model
+//! through one object-safe trait: [`CoreModel::engine`] is the single
+//! dispatch point, and the [`CoreEngine`] it returns has one stepping method,
+//! [`CoreEngine::advance`], bounded by a cycle budget and an instruction
+//! limit.  [`CoreEngine::finish`] consumes the engine, so a finished engine
+//! cannot be stepped, saved or finished again.
 //!
-//! The iCFP model steps incrementally (one instruction or rally pass per
-//! [`CoreEngine::step`]); the four whole-trace comparison models are adapted
-//! by [`WholeTraceEngine`], which simulates to completion on the first step.
-//! Either way the trait contract is the same: call `step` until it returns
-//! `false`, then `drain` exactly once for the [`RunResult`].
+//! The iCFP model ([`IcfpMachine`]) implements the trait itself and stops at
+//! any instruction or rally pass; the four whole-trace comparison models are
+//! plain functions held by one private adapter, whose first `advance` with
+//! budget left simulates the trace to completion.  [`run_model`] /
+//! [`run_model_cursor`] are the workspace's only "run to completion" entry
+//! points.
 
 use crate::config::CoreConfig;
 use crate::icfp::IcfpMachine;
-use crate::inorder::InOrderCore;
-use crate::multipass::MultipassCore;
-use crate::runahead::RunaheadCore;
-use crate::sltp::SltpCore;
-use crate::Core;
-use icfp_isa::{exec::ArchState, Cycle, DynInst, Trace, TraceCursor};
-use icfp_pipeline::{RunResult, RunStats};
+use crate::{inorder, multipass, runahead, sltp};
+use icfp_isa::{exec::ArchState, Cycle, Trace, TraceCursor};
+use icfp_pipeline::RunResult;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -35,7 +34,7 @@ pub enum CoreModel {
     Multipass,
     /// SLTP.
     Sltp,
-    /// iCFP (the paper's mechanism; supports incremental stepping).
+    /// iCFP (the paper's mechanism; the one model that stops mid-trace).
     Icfp,
 }
 
@@ -88,25 +87,20 @@ impl CoreModel {
     /// Builds an engine for this model — the workspace's single model
     /// dispatch point (the registry).
     pub fn engine(self, cfg: &CoreConfig) -> Box<dyn CoreEngine> {
-        match self {
-            CoreModel::Icfp => Box::new(IcfpEngine::new(cfg)),
-            CoreModel::InOrder => {
-                WholeTraceEngine::boxed(self, Box::new(InOrderCore::new(cfg.clone())))
-            }
-            CoreModel::Runahead => {
-                WholeTraceEngine::boxed(self, Box::new(RunaheadCore::new(cfg.clone())))
-            }
-            CoreModel::Multipass => {
-                WholeTraceEngine::boxed(self, Box::new(MultipassCore::new(cfg.clone())))
-            }
-            CoreModel::Sltp => WholeTraceEngine::boxed(self, Box::new(SltpCore::new(cfg.clone()))),
-        }
-    }
-
-    /// True if the model supports genuinely incremental stepping (others run
-    /// whole-trace on the first [`CoreEngine::step`] call).
-    pub fn steps_incrementally(self) -> bool {
-        matches!(self, CoreModel::Icfp)
+        let run = match self {
+            CoreModel::Icfp => return Box::new(IcfpMachine::new(cfg)),
+            CoreModel::InOrder => inorder::run,
+            CoreModel::Runahead => runahead::run,
+            CoreModel::Multipass => multipass::run,
+            CoreModel::Sltp => sltp::run,
+        };
+        Box::new(WholeTraceEngine {
+            model: self,
+            cfg: cfg.clone(),
+            run,
+            result: None,
+            seed: None,
+        })
     }
 
     /// True if the model's timing depends on the slice-buffer configuration
@@ -131,11 +125,11 @@ impl fmt::Display for CoreModel {
 /// [`CoreEngine::restore`].
 ///
 /// `bytes` is the model-specific state in the vendored-serde binary format
-/// (for the incremental iCFP model, the whole [`IcfpMachine`] including its
-/// register file, poison planes, slice/store buffers, caches, MSHRs, bus and
-/// prefetcher; for the whole-trace comparison models, the not-yet-drained run
-/// result, if any).  `cycle` and `processed` are duplicated outside the blob
-/// so drivers can label checkpoints without decoding them.
+/// (for the iCFP model, the whole [`IcfpMachine`] including its register
+/// file, poison planes, slice/store buffers, caches, MSHRs, bus and
+/// prefetcher; for the whole-trace comparison models, the run result and
+/// fast-forward seed, if any).  `cycle` and `processed` are duplicated
+/// outside the blob so drivers can label checkpoints without decoding them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineSnapshot {
     /// Model that produced the snapshot.
@@ -151,114 +145,60 @@ pub struct EngineSnapshot {
 /// An object-safe, `Send` core engine: the uniform surface every driver
 /// (simulator, bench harness, sweep pool) programs against.
 ///
-/// Lifecycle: [`CoreEngine::step`] until it returns `false`, then
-/// [`CoreEngine::drain`] exactly once.
+/// Lifecycle: [`CoreEngine::advance`] as often as the driver likes, then
+/// [`CoreEngine::finish`], which consumes the engine.
 pub trait CoreEngine: Send {
     /// Which model this engine runs.
     fn model(&self) -> CoreModel;
 
-    /// Advances the engine by one unit of work (an instruction or a rally
-    /// pass for incremental models; the whole trace for the others).
-    /// Returns `false` once the trace is fully retired.
+    /// Simulates until the cycle budget `until` is reached, `inst_limit`
+    /// dynamic instructions have had their first pass, or the trace is fully
+    /// retired — whichever comes first.  Returns `false` once the trace is
+    /// fully retired, `true` if a budget stopped it.
     ///
-    /// The trace arrives as a [`TraceCursor`], so the engine serves arena
-    /// and block-streamed sources through the identical code path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`CoreEngine::drain`].
-    fn step(&mut self, trace: &TraceCursor<'_>) -> bool;
-
-    /// Advances the engine through a prefetched block of instructions:
-    /// `insts[k]` is the dynamic instruction at trace position `first + k`,
-    /// and the slice must start at (or before) the engine's next unprocessed
-    /// instruction.  An empty slice is valid once the first pass has moved
-    /// past `first` — the engine then drains pending work one unit at a time.
-    ///
-    /// Steps until the slice is consumed, the cycle budget `until` is
-    /// reached, or the run completes; returns `false` once the trace is
-    /// fully retired (same contract as [`CoreEngine::step`]).
-    ///
-    /// The default implementation loops [`CoreEngine::step`]; incremental
-    /// models override it to skip the per-instruction virtual call and
-    /// cursor dispatch — the batched-stepping fast path `icfp-sim` drives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`CoreEngine::drain`].
-    fn step_block(
-        &mut self,
-        trace: &TraceCursor<'_>,
-        insts: &[DynInst],
-        first: usize,
-        until: Cycle,
-    ) -> bool {
-        let end = first + insts.len();
-        while self.cycle() < until {
-            if !self.step(trace) {
-                return false;
-            }
-            if self.processed() >= end {
-                break;
-            }
-        }
-        true
-    }
+    /// The engine reads the trace through the [`TraceCursor`] block by block
+    /// (the whole arena for in-memory sources), so arena and block-streamed
+    /// sources take the identical code path.  Granularity is the model's: the
+    /// iCFP model stops at any instruction or rally pass, the whole-trace
+    /// models run to completion on the first call that has budget left.
+    fn advance(&mut self, trace: &TraceCursor<'_>, until: Cycle, inst_limit: usize) -> bool;
 
     /// Installs the outcome of a functional fast-forward into a *fresh*
     /// engine: architectural registers and memory as of trace position
     /// `warm.instructions`, every timing structure cold, the timed run
-    /// starting there.  The final architectural state (and therefore
-    /// [`CoreEngine::digest`]) of the seeded run equals the cold full run's;
-    /// cycle counts cover only the timed region — that is the point.
+    /// starting there.  The final architectural state of the seeded run
+    /// equals the cold full run's — architectural execution is
+    /// timing-independent; cycle counts cover only the timed region — that
+    /// is the point.
     ///
     /// # Errors
     ///
-    /// Fails if the engine has already stepped, been drained, or been
-    /// seeded/restored — a seed replaces the initial state only.
+    /// Fails if the engine has already advanced or been seeded/restored — a
+    /// seed replaces the initial state only.
     fn seed(&mut self, warm: &ArchState) -> Result<(), String>;
 
-    /// The current simulated cycle (final cycle count once finished).
+    /// The current simulated cycle.
     fn cycle(&self) -> Cycle;
 
     /// Dynamic instructions whose first pass has been processed.
     fn processed(&self) -> usize;
 
-    /// Live statistics, if the model exposes them before completion
-    /// (whole-trace models report `None` until they have run).
-    fn stats(&self) -> Option<&RunStats>;
-
-    /// Finalises the run (completing it first if necessary) and returns the
-    /// result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice.
-    fn drain(&mut self, trace: &TraceCursor<'_>) -> RunResult;
-
-    /// Digest of a result's final architectural state — identical across
-    /// models and drivers so sweeps can compare cells cheaply.
-    fn digest(&self, result: &RunResult) -> u64 {
-        result.state_digest()
-    }
+    /// Completes the run if [`CoreEngine::advance`] has not already, and
+    /// returns the result.
+    fn finish(self: Box<Self>, trace: &TraceCursor<'_>) -> RunResult;
 
     /// Serializes the engine's complete simulation state.  Restoring the
     /// snapshot into a fresh engine of the same model and continuing the run
     /// is bit-identical (cycles, statistics, architectural state) to never
     /// having paused.
-    ///
-    /// # Errors
-    ///
-    /// Fails after [`CoreEngine::drain`] — a drained engine no longer holds
-    /// resumable state.
-    fn save(&self) -> Result<EngineSnapshot, String>;
+    fn save(&self) -> EngineSnapshot;
 
     /// Replaces this engine's state with a snapshot from [`CoreEngine::save`].
     ///
     /// The engine must have been built for the same model *and
     /// configuration* as the one that produced the snapshot (the snapshot
     /// carries its own configuration; restoring onto a mismatched engine
-    /// replaces the configuration wholesale for the incremental models).
+    /// replaces the configuration wholesale for the iCFP model).
     ///
     /// # Errors
     ///
@@ -266,146 +206,30 @@ pub trait CoreEngine: Send {
     fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), String>;
 }
 
-/// [`CoreEngine`] adapter for the incremental [`IcfpMachine`].
-struct IcfpEngine {
-    machine: Option<IcfpMachine>,
-    /// Cycle/instruction counts cached at drain time so the accessors stay
-    /// valid afterwards.
-    final_cycle: Cycle,
-    final_processed: usize,
-}
-
-impl IcfpEngine {
-    fn new(cfg: &CoreConfig) -> Self {
-        IcfpEngine {
-            machine: Some(IcfpMachine::new(cfg)),
-            final_cycle: 0,
-            final_processed: 0,
-        }
-    }
-}
-
-impl CoreEngine for IcfpEngine {
-    fn model(&self) -> CoreModel {
-        CoreModel::Icfp
-    }
-
-    fn step(&mut self, trace: &TraceCursor<'_>) -> bool {
-        self.machine
-            .as_mut()
-            .expect("CoreEngine::step after drain")
-            .step(trace)
-    }
-
-    fn step_block(
-        &mut self,
-        trace: &TraceCursor<'_>,
-        insts: &[DynInst],
-        first: usize,
-        until: Cycle,
-    ) -> bool {
-        self.machine
-            .as_mut()
-            .expect("CoreEngine::step_block after drain")
-            .step_slice(trace, insts, first, until)
-    }
-
-    fn seed(&mut self, warm: &ArchState) -> Result<(), String> {
-        self.machine
-            .as_mut()
-            .ok_or("cannot seed a drained engine")?
-            .seed(warm)
-    }
-
-    fn cycle(&self) -> Cycle {
-        self.machine
-            .as_ref()
-            .map_or(self.final_cycle, |m| m.cycle())
-    }
-
-    fn processed(&self) -> usize {
-        self.machine
-            .as_ref()
-            .map_or(self.final_processed, |m| m.processed())
-    }
-
-    fn stats(&self) -> Option<&RunStats> {
-        self.machine.as_ref().map(|m| &m.engine().stats)
-    }
-
-    fn drain(&mut self, trace: &TraceCursor<'_>) -> RunResult {
-        let mut machine = self.machine.take().expect("CoreEngine::drain called twice");
-        while machine.step(trace) {}
-        self.final_cycle = machine.cycle();
-        self.final_processed = machine.processed();
-        let result = machine.finish(trace);
-        self.final_cycle = self.final_cycle.max(result.stats.cycles);
-        result
-    }
-
-    fn save(&self) -> Result<EngineSnapshot, String> {
-        let machine = self
-            .machine
-            .as_ref()
-            .ok_or("cannot save a drained engine")?;
-        Ok(EngineSnapshot {
-            model: CoreModel::Icfp,
-            cycle: machine.cycle(),
-            processed: machine.processed() as u64,
-            bytes: serde::to_bytes(machine),
-        })
-    }
-
-    fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), String> {
-        if snapshot.model != CoreModel::Icfp {
-            return Err(format!(
-                "snapshot is for model {}, engine runs icfp",
-                snapshot.model
-            ));
-        }
-        let machine: IcfpMachine = serde::from_bytes(&snapshot.bytes)
-            .map_err(|e| format!("decoding icfp snapshot: {e}"))?;
-        self.machine = Some(machine);
-        self.final_cycle = 0;
-        self.final_processed = 0;
+/// Refuses a snapshot taken by a different model.
+pub(crate) fn check_model(snapshot: &EngineSnapshot, model: CoreModel) -> Result<(), String> {
+    if snapshot.model == model {
         Ok(())
+    } else {
+        Err(format!(
+            "snapshot is for model {}, engine runs {model}",
+            snapshot.model
+        ))
     }
 }
 
 /// [`CoreEngine`] adapter for the whole-trace comparison models: the first
-/// [`CoreEngine::step`] simulates the trace to completion.
+/// [`CoreEngine::advance`] with budget left simulates the trace to
+/// completion.
 struct WholeTraceEngine {
     model: CoreModel,
-    core: Box<dyn Core + Send>,
+    cfg: CoreConfig,
+    /// The model: simulates the trace behind the cursor to completion,
+    /// starting from the functional fast-forward state if one is given.
+    run: fn(&CoreConfig, &TraceCursor<'_>, Option<&ArchState>) -> RunResult,
     result: Option<RunResult>,
-    /// Functional fast-forward state installed before the run, if any; the
-    /// run's first step hands it to [`Core::run_cursor_from`].
+    /// Functional fast-forward state installed before the run, if any.
     seed: Option<ArchState>,
-    drained: bool,
-    /// Cycle/instruction counts cached at drain time so the accessors stay
-    /// valid afterwards (same contract as `IcfpEngine`).
-    final_cycle: Cycle,
-    final_processed: usize,
-}
-
-impl WholeTraceEngine {
-    fn boxed(model: CoreModel, core: Box<dyn Core + Send>) -> Box<dyn CoreEngine> {
-        Box::new(WholeTraceEngine {
-            model,
-            core,
-            result: None,
-            seed: None,
-            drained: false,
-            final_cycle: 0,
-            final_processed: 0,
-        })
-    }
-
-    fn run_once(&mut self, trace: &TraceCursor<'_>) {
-        if self.result.is_none() {
-            self.result = Some(self.core.run_cursor_from(trace, self.seed.as_ref()));
-        }
-    }
 }
 
 impl CoreEngine for WholeTraceEngine {
@@ -413,14 +237,19 @@ impl CoreEngine for WholeTraceEngine {
         self.model
     }
 
-    fn step(&mut self, trace: &TraceCursor<'_>) -> bool {
-        assert!(!self.drained, "CoreEngine::step after drain");
-        self.run_once(trace);
+    fn advance(&mut self, trace: &TraceCursor<'_>, until: Cycle, inst_limit: usize) -> bool {
+        if self.result.is_some() {
+            return false;
+        }
+        if self.cycle() >= until || self.processed() >= inst_limit {
+            return true;
+        }
+        self.result = Some((self.run)(&self.cfg, trace, self.seed.as_ref()));
         false
     }
 
     fn seed(&mut self, warm: &ArchState) -> Result<(), String> {
-        if self.drained || self.result.is_some() || self.seed.is_some() {
+        if self.result.is_some() || self.seed.is_some() {
             return Err("functional fast-forward requires a fresh engine".into());
         }
         self.seed = Some(warm.clone());
@@ -428,70 +257,41 @@ impl CoreEngine for WholeTraceEngine {
     }
 
     fn cycle(&self) -> Cycle {
-        self.result
-            .as_ref()
-            .map_or(self.final_cycle, |r| r.stats.cycles)
+        self.result.as_ref().map_or(0, |r| r.stats.cycles)
     }
 
     fn processed(&self) -> usize {
-        if let Some(r) = &self.result {
-            return r.stats.instructions as usize;
+        match (&self.result, &self.seed) {
+            (Some(r), _) => r.stats.instructions as usize,
+            // Seeded but not yet run: the first pass stands at the seed's
+            // trace position (checkpoints taken here resume there).
+            (None, Some(s)) => s.instructions as usize,
+            (None, None) => 0,
         }
-        if self.drained {
-            return self.final_processed;
-        }
-        // Seeded but not yet run: the first pass stands at the seed's trace
-        // position (checkpoints taken here resume there).
-        self.seed
-            .as_ref()
-            .map_or(self.final_processed, |s| s.instructions as usize)
     }
 
-    fn stats(&self) -> Option<&RunStats> {
-        self.result.as_ref().map(|r| &r.stats)
+    fn finish(mut self: Box<Self>, trace: &TraceCursor<'_>) -> RunResult {
+        self.advance(trace, Cycle::MAX, usize::MAX);
+        self.result.expect("an unbounded advance completes the run")
     }
 
-    fn drain(&mut self, trace: &TraceCursor<'_>) -> RunResult {
-        assert!(!self.drained, "CoreEngine::drain called twice");
-        self.run_once(trace);
-        self.drained = true;
-        let result = self.result.take().expect("result just computed");
-        self.final_cycle = result.stats.cycles;
-        self.final_processed = result.stats.instructions as usize;
-        result
-    }
-
-    fn save(&self) -> Result<EngineSnapshot, String> {
-        if self.drained {
-            return Err("cannot save a drained engine".into());
-        }
-        // Whole-trace models have exactly three resumable states: not
-        // started (the core itself is stateless until `run`), seeded by a
-        // functional fast-forward but not yet run, and finished-but-not-
-        // drained.  All are captured by the optional result + optional seed.
-        Ok(EngineSnapshot {
+    fn save(&self) -> EngineSnapshot {
+        // Whole-trace models have exactly three states: not started (the
+        // model is stateless until it runs), seeded by a functional
+        // fast-forward but not yet run, and finished.  All are captured by
+        // the optional result + optional seed.
+        EngineSnapshot {
             model: self.model,
             cycle: self.cycle(),
             processed: self.processed() as u64,
             bytes: serde::to_bytes(&(self.result.clone(), self.seed.clone())),
-        })
+        }
     }
 
     fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), String> {
-        if snapshot.model != self.model {
-            return Err(format!(
-                "snapshot is for model {}, engine runs {}",
-                snapshot.model, self.model
-            ));
-        }
-        let (result, seed): (Option<RunResult>, Option<ArchState>) =
-            serde::from_bytes(&snapshot.bytes)
-                .map_err(|e| format!("decoding {} snapshot: {e}", self.model))?;
-        self.result = result;
-        self.seed = seed;
-        self.drained = false;
-        self.final_cycle = 0;
-        self.final_processed = 0;
+        check_model(snapshot, self.model)?;
+        (self.result, self.seed) = serde::from_bytes(&snapshot.bytes)
+            .map_err(|e| format!("decoding {} snapshot: {e}", self.model))?;
         Ok(())
     }
 }
@@ -500,9 +300,7 @@ impl CoreEngine for WholeTraceEngine {
 /// through the registry — the uniform entry point for any backing (arena or
 /// streamed).
 pub fn run_model_cursor(model: CoreModel, cfg: &CoreConfig, trace: &TraceCursor<'_>) -> RunResult {
-    let mut engine = model.engine(cfg);
-    while engine.step(trace) {}
-    engine.drain(trace)
+    model.engine(cfg).finish(trace)
 }
 
 /// [`run_model_cursor`] over an in-memory trace — the convenience entry
@@ -514,7 +312,8 @@ pub fn run_model(model: CoreModel, cfg: &CoreConfig, trace: &Trace) -> RunResult
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icfp_isa::{DynInst, Op, Reg, TraceBuilder};
+    use icfp_isa::{ArenaSource, DynInst, Op, Reg, TraceBlock, TraceBuilder, TraceSource};
+    use std::sync::Arc;
 
     fn cur(t: &Trace) -> TraceCursor<'_> {
         TraceCursor::from_trace(t)
@@ -531,43 +330,24 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_every_model_and_matches_direct_runs() {
-        let t = trace();
-        for m in CoreModel::ALL {
-            let cfg = m.default_config();
-            let via_registry = run_model(m, &cfg, &t);
-            let direct: RunResult = match m {
-                CoreModel::InOrder => InOrderCore::new(cfg.clone()).run(&t),
-                CoreModel::Runahead => RunaheadCore::new(cfg.clone()).run(&t),
-                CoreModel::Multipass => MultipassCore::new(cfg.clone()).run(&t),
-                CoreModel::Sltp => SltpCore::new(cfg.clone()).run(&t),
-                CoreModel::Icfp => crate::icfp::IcfpCore::new(cfg.clone()).run(&t),
-            };
-            assert_eq!(via_registry.core, m.name());
-            assert_eq!(via_registry.stats.cycles, direct.stats.cycles, "{m}");
-            assert_eq!(via_registry.final_regs, direct.final_regs, "{m}");
-            assert_eq!(via_registry.final_mem, direct.final_mem, "{m}");
-        }
-    }
-
-    #[test]
     fn icfp_engine_steps_incrementally_and_exposes_live_stats() {
         let t = trace();
         let cfg = CoreModel::Icfp.default_config();
         let mut e = CoreModel::Icfp.engine(&cfg);
-        assert!(CoreModel::Icfp.steps_incrementally());
         let mut steps = 0usize;
         let c = cur(&t);
-        while e.step(&c) {
+        let (mut cycle, mut processed) = (e.cycle(), e.processed());
+        while e.advance(&c, e.cycle() + 1, usize::MAX) {
             steps += 1;
             assert!(steps < 1_000_000, "engine did not terminate");
+            assert!(e.cycle() > cycle && e.processed() >= processed, "live counters advance");
+            (cycle, processed) = (e.cycle(), e.processed());
         }
         assert!(steps > 1, "icfp must take many steps");
-        assert!(e.stats().is_some(), "live stats before drain");
-        let r = e.drain(&c);
-        assert_eq!(r.stats.instructions, t.len() as u64);
-        assert_eq!(e.cycle(), r.stats.cycles, "cycle cached after drain");
         assert_eq!(e.processed(), t.len());
+        let r = e.finish(&c);
+        assert_eq!(r.stats.instructions, t.len() as u64);
+        assert!(r.stats.cycles >= cycle, "finish never rewinds the clock");
     }
 
     #[test]
@@ -575,49 +355,36 @@ mod tests {
         let t = trace();
         let cfg = CoreModel::InOrder.default_config();
         let mut e = CoreModel::InOrder.engine(&cfg);
-        assert!(!CoreModel::InOrder.steps_incrementally());
         let c = cur(&t);
-        assert_eq!(e.cycle(), 0, "no work before the first step");
-        assert!(!e.step(&c), "whole-trace models complete on the first step");
-        assert!(e.cycle() > 0);
-        assert!(e.stats().is_some());
-        let r = e.drain(&c);
+        assert_eq!(e.cycle(), 0, "no work before the first advance");
+        assert!(e.advance(&c, 0, usize::MAX), "an exhausted budget runs nothing");
+        assert_eq!(e.cycle(), 0);
+        assert!(!e.advance(&c, 1, 1), "whole-trace models complete on the first advance");
+        let (cycle, processed) = (e.cycle(), e.processed());
+        assert!(cycle > 0);
+        let r = e.finish(&c);
         assert_eq!(r.core, "in-order");
-        assert_eq!(e.cycle(), r.stats.cycles, "cycle cached after drain");
-        assert_eq!(e.processed(), r.stats.instructions as usize);
+        assert_eq!(cycle, r.stats.cycles);
+        assert_eq!(processed, r.stats.instructions as usize);
     }
 
     #[test]
     fn drain_without_step_runs_the_trace() {
         let t = trace();
         for m in CoreModel::ALL {
-            let cfg = m.default_config();
-            let mut e = m.engine(&cfg);
-            let r = e.drain(&cur(&t));
+            let r = m.engine(&m.default_config()).finish(&cur(&t));
+            assert_eq!(r.core, m.name());
             assert_eq!(r.stats.instructions, t.len() as u64, "{m}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "drain called twice")]
-    fn double_drain_panics() {
-        let t = trace();
-        let cfg = CoreModel::InOrder.default_config();
-        let mut e = CoreModel::InOrder.engine(&cfg);
-        let _ = e.drain(&cur(&t));
-        let _ = e.drain(&cur(&t));
-    }
-
-    #[test]
     fn digest_is_stable_across_models() {
         let t = trace();
-        let mut digests = Vec::new();
-        for m in CoreModel::ALL {
-            let cfg = m.default_config();
-            let mut e = m.engine(&cfg);
-            let r = e.drain(&cur(&t));
-            digests.push(e.digest(&r));
-        }
+        let digests: Vec<u64> = CoreModel::ALL
+            .into_iter()
+            .map(|m| run_model(m, &m.default_config(), &t).state_digest())
+            .collect();
         assert!(
             digests.windows(2).all(|w| w[0] == w[1]),
             "all models must agree on final state: {digests:?}"
@@ -645,16 +412,12 @@ mod tests {
             // Uninterrupted reference run.
             let reference = run_model(m, &cfg, &t);
 
-            // Interrupted run: step some work, snapshot, restore into a
+            // Interrupted run: do some work, snapshot, restore into a
             // *fresh* engine, and finish there.
             let c = cur(&t);
             let mut first = m.engine(&cfg);
-            for _ in 0..25 {
-                if !first.step(&c) {
-                    break;
-                }
-            }
-            let snap = first.save().expect("save before drain");
+            first.advance(&c, Cycle::MAX, 25);
+            let snap = first.save();
             assert_eq!(snap.model, m);
             assert_eq!(snap.cycle, first.cycle());
 
@@ -662,7 +425,7 @@ mod tests {
             second.restore(&snap).expect("restore");
             assert_eq!(second.cycle(), first.cycle(), "{m}");
             assert_eq!(second.processed(), first.processed(), "{m}");
-            let resumed = second.drain(&c);
+            let resumed = second.finish(&c);
 
             assert_eq!(resumed.stats, reference.stats, "{m} stats diverged");
             assert_eq!(resumed.final_regs, reference.final_regs, "{m}");
@@ -684,102 +447,176 @@ mod tests {
         let reference = run_model(CoreModel::Icfp, &cfg, &t);
 
         let c = cur(&t);
-        let mut machine = crate::icfp::IcfpMachine::new(&cfg);
-        let mut snapped: Option<Vec<u8>> = None;
-        while machine.step(&c) {
-            if snapped.is_none() && machine.in_episode() {
-                // A few more steps so slice entries exist beyond the trigger.
-                for _ in 0..5 {
-                    if !machine.step(&c) {
-                        break;
-                    }
-                }
-                assert!(machine.in_episode(), "still mid-episode");
-                snapped = Some(serde::to_bytes(&machine));
-            }
+        let mut machine = IcfpMachine::new(&cfg);
+        while !machine.in_episode() {
+            assert!(
+                machine.advance(&c, Cycle::MAX, machine.processed() + 1),
+                "the trace must enter an episode"
+            );
         }
-        let bytes = snapped.expect("the trace must enter an episode");
-        let resumed_machine: crate::icfp::IcfpMachine =
+        // A few more instructions so slice entries exist beyond the trigger.
+        machine.advance(&c, Cycle::MAX, machine.processed() + 5);
+        assert!(machine.in_episode(), "still mid-episode");
+        let bytes = serde::to_bytes(&machine);
+        let resumed_machine: IcfpMachine =
             serde::from_bytes(&bytes).expect("decode mid-episode snapshot");
-        let mut m2 = resumed_machine;
-        while m2.step(&c) {}
-        let resumed = m2.finish(&c);
+        let resumed = Box::new(resumed_machine).finish(&c);
         assert_eq!(resumed.stats, reference.stats);
         assert_eq!(resumed.final_regs, reference.final_regs);
         assert_eq!(resumed.final_mem, reference.final_mem);
     }
 
-    #[test]
-    fn step_block_matches_per_step_stepping_for_every_model() {
-        // Feed deliberately tiny (7-inst) slices so batched runs cross slice
-        // boundaries mid-episode; results must be bit-identical to the
-        // per-step reference for all models (whole-trace models ignore the
-        // slice and finish on the first call).
-        let t = missy_trace();
-        for m in CoreModel::ALL {
-            let cfg = m.default_config();
-            let reference = run_model(m, &cfg, &t);
-            let c = cur(&t);
-            let s = c.arena_slice().expect("arena-backed cursor");
-            let mut e = m.engine(&cfg);
-            loop {
-                let i = e.processed();
-                let end = (i + 7).min(s.len());
-                let alive = if i >= s.len() {
-                    e.step_block(&c, &[], i, Cycle::MAX)
-                } else {
-                    e.step_block(&c, &s[i..end], i, Cycle::MAX)
-                };
-                if !alive {
-                    break;
-                }
-            }
-            let r = e.drain(&c);
-            assert_eq!(r.stats, reference.stats, "{m} stats diverged");
-            assert_eq!(
-                r.state_digest(),
-                reference.state_digest(),
-                "{m} digest diverged"
-            );
+    /// An [`ArenaSource`] that hides its arena, so cursors over it take the
+    /// streamed (block-pinning) path.
+    struct BlocksOnly(ArenaSource);
+
+    impl TraceSource for BlocksOnly {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn digest(&self) -> u64 {
+            self.0.digest()
+        }
+        fn block_size(&self) -> usize {
+            self.0.block_size()
+        }
+        fn block(&self, index: usize) -> Result<Arc<TraceBlock>, icfp_isa::TraceSourceError> {
+            self.0.block(index)
+        }
+        fn block_digest(&self, index: usize) -> Result<u64, icfp_isa::TraceSourceError> {
+            self.0.block_digest(index)
         }
     }
 
+    /// Runs `m` over `c` in chunks — `budget` maps the engine to the next
+    /// `(until, inst_limit)` — and, at the first chunk boundary that falls
+    /// mid-run (for iCFP: mid-episode), moves the run into a fresh engine
+    /// through `save` → `restore`.
+    fn chunked(
+        m: CoreModel,
+        c: &TraceCursor<'_>,
+        warm: Option<&ArchState>,
+        budget: impl Fn(&dyn CoreEngine) -> (Cycle, usize),
+    ) -> RunResult {
+        let cfg = m.default_config();
+        let mut e = m.engine(&cfg);
+        if let Some(w) = warm {
+            e.seed(w).expect("a fresh engine accepts a seed");
+        }
+        let mut moved = false;
+        let mut chunks = 0usize;
+        loop {
+            let (until, inst_limit) = budget(&*e);
+            if !e.advance(c, until, inst_limit) {
+                break;
+            }
+            chunks += 1;
+            assert!(chunks < 1_000_000, "{m} did not terminate");
+            let snap = e.save();
+            let mid_episode = m != CoreModel::Icfp
+                || serde::from_bytes::<IcfpMachine>(&snap.bytes)
+                    .expect("an icfp snapshot decodes")
+                    .in_episode();
+            if !moved && mid_episode {
+                e = m.engine(&cfg);
+                e.restore(&snap).expect("restore");
+                moved = true;
+            }
+        }
+        if m == CoreModel::Icfp {
+            assert!(chunks > 1, "icfp must stop at chunk boundaries");
+            assert!(moved, "no chunk boundary fell mid-episode");
+        }
+        e.finish(c)
+    }
+
+    #[test]
+    fn chunked_advance_equals_one_unbounded_advance_for_every_model() {
+        let t = missy_trace();
+        let blocks = BlocksOnly(ArenaSource::with_block_size(t.clone(), 16));
+        let arena = cur(&t);
+        let streamed = TraceCursor::new(&blocks);
+        assert!(streamed.arena_slice().is_none(), "must take the block path");
+        let mut warm = ArchState::new();
+        for inst in &t.as_slice()[..37] {
+            warm.exec(inst);
+        }
+        let by_insts = |e: &dyn CoreEngine| (Cycle::MAX, e.processed() + 7);
+        let by_cycles = |e: &dyn CoreEngine| (e.cycle() + 50, usize::MAX);
+
+        for m in CoreModel::ALL {
+            for (what, warm) in [("cold", None), ("seeded", Some(&warm))] {
+                let mut whole = m.engine(&m.default_config());
+                if let Some(w) = warm {
+                    whole.seed(w).expect("a fresh engine accepts a seed");
+                }
+                assert!(!whole.advance(&arena, Cycle::MAX, usize::MAX));
+                let reference = whole.finish(&arena);
+                if warm.is_none() {
+                    assert_eq!(reference.stats, run_model(m, &m.default_config(), &t).stats);
+                }
+
+                for (how, r) in [
+                    ("inst_limit += 7", chunked(m, &arena, warm, by_insts)),
+                    ("until += 50", chunked(m, &arena, warm, by_cycles)),
+                    ("16-inst blocks, inst_limit += 7", chunked(m, &streamed, warm, by_insts)),
+                    ("16-inst blocks, until += 50", chunked(m, &streamed, warm, by_cycles)),
+                ] {
+                    assert_eq!(r.stats, reference.stats, "{m} {what} {how}: stats diverged");
+                    assert_eq!(
+                        r.state_digest(),
+                        reference.state_digest(),
+                        "{m} {what} {how}: digest diverged"
+                    );
+                }
+            }
+        }
+    }
+
+    // (Named for the method `advance` replaced: the test floor tracks names.)
     #[test]
     fn step_block_honours_the_cycle_budget() {
         let t = missy_trace();
         let cfg = CoreModel::Icfp.default_config();
         let c = cur(&t);
-        let s = c.arena_slice().expect("arena-backed cursor");
         let mut e = CoreModel::Icfp.engine(&cfg);
-        let alive = e.step_block(&c, s, 0, 50);
+        let alive = e.advance(&c, 50, usize::MAX);
         assert!(alive, "a 50-cycle budget cannot finish this trace");
         assert!(e.cycle() >= 50, "budget reached");
-        assert!(e.processed() < s.len(), "run must be mid-trace");
+        assert!(e.processed() < t.len(), "run must be mid-trace");
         // Lifting the budget finishes the run.
-        while e.step_block(&c, &s[e.processed().min(s.len())..], e.processed(), Cycle::MAX) {}
-        let r = e.drain(&c);
+        assert!(!e.advance(&c, Cycle::MAX, usize::MAX));
+        let r = e.finish(&c);
         assert_eq!(r.stats.instructions, t.len() as u64);
     }
 
     #[test]
     fn save_after_drain_and_model_mismatch_are_errors() {
+        // `finish` consumes the engine, so saving a finished engine no longer
+        // compiles; what is left to refuse at run time is a foreign snapshot.
         let t = trace();
         let cfg = CoreModel::Icfp.default_config();
-        let mut e = CoreModel::Icfp.engine(&cfg);
-        let snap = e.save().expect("fresh engine saves");
-        let _ = e.drain(&cur(&t));
-        assert!(e.save().is_err(), "drained engine must not save");
+        let e = CoreModel::Icfp.engine(&cfg);
+        let snap = e.save();
+        let _ = e.finish(&cur(&t));
 
-        let mut other = CoreModel::InOrder.engine(&CoreModel::InOrder.default_config());
-        let err = other.restore(&snap).unwrap_err();
-        assert!(err.contains("icfp"), "{err}");
+        for m in CoreModel::ALL.into_iter().filter(|&m| m != CoreModel::Icfp) {
+            let mut other = m.engine(&m.default_config());
+            let err = other.restore(&snap).unwrap_err();
+            assert!(err.contains("icfp") && err.contains(m.name()), "{err}");
+            let err = CoreModel::Icfp.engine(&cfg).restore(&other.save()).unwrap_err();
+            assert!(err.contains("icfp") && err.contains(m.name()), "{err}");
+        }
     }
 
     #[test]
     fn corrupt_snapshot_bytes_are_rejected() {
         let cfg = CoreModel::Icfp.default_config();
         let e = CoreModel::Icfp.engine(&cfg);
-        let mut snap = e.save().unwrap();
+        let mut snap = e.save();
         snap.bytes.truncate(snap.bytes.len() / 2);
         let mut e2 = CoreModel::Icfp.engine(&cfg);
         assert!(e2.restore(&snap).is_err());

@@ -12,61 +12,29 @@
 //! returning miss rallies only the entries that depend on it.
 //!
 //! The model is written as an explicit state machine ([`IcfpMachine`]) that
-//! advances one dynamic instruction (or one rally pass) per [`IcfpMachine::step`]
-//! call.  This is what `icfp-sim` builds its batched `step_n(cycles)` API on;
-//! [`IcfpCore::run`] simply steps the machine to completion.  The hot loop
-//! reuses its storage: rally slot lists, drain buffers, the register
-//! checkpoint and the slice-value table keep their capacity across cycles and
-//! episodes, so after the first tenth of a trace a run makes fewer than 2
-//! heap-allocation calls per 1000 instructions (what is left is the
-//! occasional growth of a hash table or a stream buffer) — the bound
-//! `crates/sim/tests/steady_state_allocs.rs` enforces.
+//! implements [`CoreEngine`] itself: [`CoreEngine::advance`] processes one
+//! dynamic instruction or one rally pass per iteration and can stop between
+//! any two, which is what `icfp-sim` builds `step_n(cycles)` and mid-episode
+//! checkpoints on.  The hot loop reuses its storage: rally slot lists, drain
+//! buffers, the register checkpoint and the slice-value table keep their
+//! capacity across cycles and episodes, so after the first tenth of a trace a
+//! run makes fewer than 2 heap-allocation calls per 1000 instructions (what
+//! is left is the occasional growth of a hash table or a stream buffer) — the
+//! bound `crates/sim/tests/steady_state_allocs.rs` enforces.
 
 use crate::common::Engine;
 use crate::config::CoreConfig;
+use crate::engine::{check_model, CoreEngine, CoreModel, EngineSnapshot};
 use crate::fxmap::FxHashMap;
 use crate::slicebuf::{Producer, SliceBuffer, SliceEntry};
 use crate::storebuf::ChainedStoreBuffer;
-use crate::Core;
-use icfp_isa::{exec, exec::ArchState, Cycle, DynInst, InstSeq, OpClass, TraceCursor, Value};
+use icfp_isa::{
+    exec, exec::ArchState, Cycle, DynInst, InstSeq, OpClass, TraceBlock, TraceCursor, Value,
+};
 use icfp_mem::MshrId;
 use icfp_pipeline::{PoisonAllocator, PoisonMask, RunResult};
 use serde::{Deserialize, Serialize};
-
-/// The iCFP core: a thin [`Core`] wrapper around [`IcfpMachine`].
-#[derive(Debug)]
-pub struct IcfpCore {
-    cfg: CoreConfig,
-}
-
-impl IcfpCore {
-    /// Creates an iCFP core.  [`CoreConfig::paper_default`] gives the paper's
-    /// configuration (advance under all misses, full feature set).
-    pub fn new(cfg: CoreConfig) -> Self {
-        IcfpCore { cfg }
-    }
-}
-
-impl Core for IcfpCore {
-    fn name(&self) -> &'static str {
-        "icfp"
-    }
-
-    fn run_cursor_from(&mut self, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
-        let mut m = IcfpMachine::new(&self.cfg);
-        if let Some(w) = warm {
-            m.seed(w).expect("a just-created machine accepts a seed");
-        }
-        // Batched first pass: one `step_slice` call per block (arena sources
-        // are a single call).  The trailing step loop is a safety net for
-        // empty traces and any rallies the last block left pending.
-        trace.for_each_block_from(m.processed().min(trace.len()), |first, insts| {
-            m.step_slice(trace, insts, first, Cycle::MAX)
-        });
-        while m.step(trace) {}
-        m.finish(trace)
-    }
-}
+use std::sync::Arc;
 
 /// A miss whose return will trigger a rally pass.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -113,11 +81,11 @@ impl SliceValues {
     }
 }
 
-/// The incremental iCFP pipeline model.
+/// The iCFP pipeline model.
 ///
-/// Create one per run, call [`IcfpMachine::step`] until it returns `false`,
-/// then [`IcfpMachine::finish`].  [`IcfpMachine::cycle`] exposes the current
-/// simulated cycle for budget-bounded stepping.
+/// Create one per run ([`CoreConfig::paper_default`] gives the paper's
+/// configuration: advance under all misses, full feature set) and drive it
+/// through [`CoreEngine`].
 #[derive(Debug)]
 pub struct IcfpMachine {
     eng: Engine,
@@ -172,133 +140,11 @@ impl IcfpMachine {
         }
     }
 
-    /// Installs a functional fast-forward state: architectural registers and
-    /// memory as of trace position `warm.instructions`, timing state cold,
-    /// the first pass resuming there.  Checkpoints taken afterwards carry
-    /// the seed (the machine serializes whole), so FF runs mint ordinary
-    /// `icfp-ckpt/v2` checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the machine has already processed work — a seed replaces the
-    /// *initial* architectural state, not a mid-run one.
-    pub fn seed(&mut self, warm: &ArchState) -> Result<(), String> {
-        if self.i != 0 || self.eng.frontier != 0 || self.in_episode || self.done {
-            return Err("functional fast-forward requires a fresh machine".into());
-        }
-        self.eng.seed_arch(warm);
-        self.i = warm.instructions as usize;
-        Ok(())
-    }
-
-    /// The current simulated cycle (the in-order issue frontier).
-    pub fn cycle(&self) -> Cycle {
-        self.eng.frontier
-    }
-
     /// True while the machine is inside an advance episode (misses pending or
     /// slice entries active) — checkpoints taken here capture mid-episode
     /// speculative state.
     pub fn in_episode(&self) -> bool {
         self.in_episode
-    }
-
-    /// Number of dynamic instructions whose first pass has been processed.
-    pub fn processed(&self) -> usize {
-        self.i
-    }
-
-    /// Read access to the engine (statistics, memory hierarchy).
-    pub fn engine(&self) -> &Engine {
-        &self.eng
-    }
-
-    /// Peak slice-buffer occupancy so far.
-    pub fn slice_peak(&self) -> usize {
-        self.slice.peak()
-    }
-
-    /// Advances the machine by one unit of work: either one rally pass (if a
-    /// miss has returned) or one dynamic instruction.  Returns `false` once
-    /// the trace is fully retired (no instruction left, no pending rally).
-    pub fn step(&mut self, trace: &TraceCursor<'_>) -> bool {
-        if self.done {
-            return false;
-        }
-        // 1. Fire any rally whose miss has returned by the current frontier.
-        if let Some(k) = self.due_rally() {
-            let r = self.take_rally(k);
-            self.run_rally(trace, r);
-            return true;
-        }
-        // 2. Out of instructions: drain remaining rallies in return order.
-        if self.i >= trace.len() {
-            if let Some(k) = self.earliest {
-                let r = self.take_rally(k);
-                self.eng.frontier = self.eng.frontier.max(r.returns_at);
-                self.run_rally(trace, r);
-                return true;
-            }
-            self.retire_all_stores();
-            self.done = true;
-            return false;
-        }
-        // 3. Process the next dynamic instruction.
-        let inst = trace.get(self.i);
-        self.step_inst(trace, &inst);
-        true
-    }
-
-    /// Batched stepping: advances through `insts` — the dynamic instructions
-    /// at trace positions `first..first + insts.len()` — without
-    /// per-instruction cursor dispatch.  Rally passes still reach older
-    /// instructions through `trace` (random access).  Stops when the fed
-    /// slice is consumed (the caller fetches the next block), the cycle
-    /// budget `until` is reached, or the run completes; returns `false` once
-    /// the trace is fully retired, like [`IcfpMachine::step`].
-    ///
-    /// An empty slice is valid once the first pass has passed `first`: the
-    /// machine then drains pending rallies one unit at a time.
-    pub fn step_slice(
-        &mut self,
-        trace: &TraceCursor<'_>,
-        insts: &[DynInst],
-        first: usize,
-        until: Cycle,
-    ) -> bool {
-        let end = first + insts.len();
-        let len = trace.len();
-        loop {
-            if self.done {
-                return false;
-            }
-            if self.eng.frontier >= until {
-                return true;
-            }
-            if let Some(k) = self.due_rally() {
-                let r = self.take_rally(k);
-                self.run_rally(trace, r);
-                continue;
-            }
-            if self.i >= len {
-                if let Some(k) = self.earliest {
-                    let r = self.take_rally(k);
-                    self.eng.frontier = self.eng.frontier.max(r.returns_at);
-                    self.run_rally(trace, r);
-                    continue;
-                }
-                self.retire_all_stores();
-                self.done = true;
-                return false;
-            }
-            if self.i < first || self.i >= end {
-                // Next instruction lies outside the fed slice: hand control
-                // back so the caller can fetch the block that contains it.
-                return true;
-            }
-            let inst = insts[self.i - first];
-            self.step_inst(trace, &inst);
-        }
     }
 
     /// The earliest pending rally, if its miss has returned by the current
@@ -493,8 +339,8 @@ impl IcfpMachine {
     }
 
     /// Processes one dynamic instruction (first pass).  `inst` must be the
-    /// instruction at trace position `self.i` — the caller fetches it (from
-    /// the cursor, or from a batched block slice).
+    /// instruction at trace position `self.i` — [`CoreEngine::advance`]
+    /// fetches it (from the arena slice or its pinned block).
     fn step_inst(&mut self, trace: &TraceCursor<'_>, inst: &DynInst) {
         let i = self.i;
         let seq = i as InstSeq;
@@ -915,21 +761,114 @@ impl IcfpMachine {
             self.eng.frontier = self.eng.frontier.max(start + drain_cycles);
         }
     }
+}
 
-    /// Finalises the run.
-    pub fn finish(mut self, trace: &TraceCursor<'_>) -> RunResult {
-        self.retire_all_stores();
+impl CoreEngine for IcfpMachine {
+    fn model(&self) -> CoreModel {
+        CoreModel::Icfp
+    }
+
+    /// One unit of work per iteration: a rally pass if a miss has returned,
+    /// otherwise the next dynamic instruction.  The first pass reads the
+    /// arena slice, or — for a streamed source — a block pinned here, since
+    /// rally passes fault older blocks in through the same cursor.
+    fn advance(&mut self, trace: &TraceCursor<'_>, until: Cycle, inst_limit: usize) -> bool {
+        let len = trace.len();
+        let arena = trace.arena_slice();
+        let mut pinned: Option<Arc<TraceBlock>> = None;
+        loop {
+            if self.done {
+                return false;
+            }
+            if self.eng.frontier >= until {
+                return true;
+            }
+            // 1. Fire any rally whose miss has returned by the current frontier.
+            if let Some(k) = self.due_rally() {
+                let r = self.take_rally(k);
+                self.run_rally(trace, r);
+                continue;
+            }
+            // 2. Out of instructions: drain remaining rallies in return order.
+            if self.i >= len {
+                if let Some(k) = self.earliest {
+                    let r = self.take_rally(k);
+                    self.eng.frontier = self.eng.frontier.max(r.returns_at);
+                    self.run_rally(trace, r);
+                    continue;
+                }
+                self.retire_all_stores();
+                self.done = true;
+                return false;
+            }
+            if self.i >= inst_limit {
+                return true;
+            }
+            // 3. Process the next dynamic instruction.
+            let inst = match arena {
+                Some(s) => s[self.i],
+                None => {
+                    let b = match &pinned {
+                        Some(b) if self.i < b.end() => b,
+                        _ => pinned.insert(trace.pin_block(self.i)),
+                    };
+                    b.insts()[self.i - b.first]
+                }
+            };
+            self.step_inst(trace, &inst);
+        }
+    }
+
+    /// Checkpoints taken afterwards carry the seed (the machine serializes
+    /// whole), so fast-forwarded runs mint ordinary `icfp-ckpt/v2`
+    /// checkpoints.
+    fn seed(&mut self, warm: &ArchState) -> Result<(), String> {
+        if self.i != 0 || self.eng.frontier != 0 || self.in_episode || self.done {
+            return Err("functional fast-forward requires a fresh machine".into());
+        }
+        self.eng.seed_arch(warm);
+        self.i = warm.instructions as usize;
+        Ok(())
+    }
+
+    /// The in-order issue frontier.
+    fn cycle(&self) -> Cycle {
+        self.eng.frontier
+    }
+
+    fn processed(&self) -> usize {
+        self.i
+    }
+
+    fn finish(mut self: Box<Self>, trace: &TraceCursor<'_>) -> RunResult {
+        self.advance(trace, Cycle::MAX, usize::MAX);
         self.eng.stats.slice_peak = self.eng.stats.slice_peak.max(self.slice.peak() as u64);
         self.eng.stats.chain_hops = self.eng.stats.chain_hops.max(self.sbuf.total_excess_hops());
-        self.eng.finish("icfp", trace)
+        self.eng.finish(CoreModel::Icfp.name(), trace)
+    }
+
+    fn save(&self) -> EngineSnapshot {
+        EngineSnapshot {
+            model: CoreModel::Icfp,
+            cycle: self.cycle(),
+            processed: self.i as u64,
+            bytes: serde::to_bytes(self),
+        }
+    }
+
+    fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), String> {
+        check_model(snapshot, CoreModel::Icfp)?;
+        *self = serde::from_bytes(&snapshot.bytes)
+            .map_err(|e| format!("decoding icfp snapshot: {e}"))?;
+        Ok(())
     }
 }
 
 /// Checkpoint codec for the machine: every *persistent* field is written in
 /// declaration order; the rally/drain scratch buffers are pure per-step
-/// staging (always drained before `step` returns) and are rebuilt empty, with
-/// their configured capacities, on restore, and the derived `earliest` index
-/// and the slice buffer's recorded results are recomputed.
+/// staging (always drained before `advance` returns) and are rebuilt empty,
+/// with their configured capacities, on restore, and the derived `earliest`
+/// index and the slice buffer's recorded results are recomputed.
 impl Serialize for IcfpMachine {
     fn serialize(&self, out: &mut Vec<u8>) {
         self.eng.serialize(out);
@@ -947,6 +886,10 @@ impl Serialize for IcfpMachine {
 impl Deserialize for IcfpMachine {
     fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
         let eng: Engine = Deserialize::deserialize(r)?;
+        // The scratch capacities below come from this configuration.
+        if eng.cfg.validate().is_err() {
+            return Err(serde::Error::invalid("core configuration", r.position()));
+        }
         let (slice_cap, store_cap) = (
             eng.cfg.slice_buffer_entries,
             eng.cfg.store_buffer_entries,
@@ -979,12 +922,11 @@ mod tests {
     use super::*;
     use crate::common::golden_final_state;
     use crate::config::StoreBufferKind;
-    use crate::inorder::InOrderCore;
-    use crate::runahead::RunaheadCore;
+    use crate::engine::run_model;
     use icfp_isa::{DynInst, Op, Reg, Trace, TraceBuilder};
 
     fn run_icfp(t: &Trace) -> RunResult {
-        IcfpCore::new(CoreConfig::paper_default()).run(t)
+        run_model(CoreModel::Icfp, &CoreConfig::paper_default(), t)
     }
 
     fn assert_golden(t: &Trace, r: &RunResult) {
@@ -1048,7 +990,7 @@ mod tests {
             "only the load and its dependent should slice, got {}",
             r.stats.sliced_instructions
         );
-        let base = InOrderCore::new(CoreConfig::paper_default()).run(&t);
+        let base = run_model(CoreModel::InOrder, &CoreConfig::paper_default(), &t);
         assert!(
             r.stats.cycles < base.stats.cycles,
             "icfp {} should beat in-order {} on a lone miss",
@@ -1062,8 +1004,8 @@ mod tests {
         let t = independent_miss_trace(10);
         let r = run_icfp(&t);
         assert_golden(&t, &r);
-        let base = InOrderCore::new(CoreConfig::paper_default()).run(&t);
-        let ra = RunaheadCore::new(CoreConfig::runahead_default()).run(&t);
+        let base = run_model(CoreModel::InOrder, &CoreConfig::paper_default(), &t);
+        let ra = run_model(CoreModel::Runahead, &CoreConfig::runahead_default(), &t);
         assert!(r.stats.cycles < base.stats.cycles);
         assert!(
             r.stats.cycles <= ra.stats.cycles,
@@ -1133,7 +1075,7 @@ mod tests {
             StoreBufferKind::IndexedLimited,
         ] {
             let cfg = CoreConfig::paper_default().with_store_buffer_kind(kind);
-            let r = IcfpCore::new(cfg).run(&t);
+            let r = run_model(CoreModel::Icfp, &cfg, &t);
             assert_golden(&t, &r);
         }
     }
@@ -1143,7 +1085,7 @@ mod tests {
         let t = independent_miss_trace(6);
         for (name, features) in crate::config::IcfpFeatures::build_steps() {
             let cfg = CoreConfig::paper_default().with_features(features);
-            let r = IcfpCore::new(cfg).run(&t);
+            let r = run_model(CoreModel::Icfp, &cfg, &t);
             let (regs, mem) = golden_final_state(&t);
             assert_eq!(r.final_regs, regs, "register state diverged for {name}");
             assert_eq!(r.final_mem, mem, "memory state diverged for {name}");
@@ -1156,12 +1098,13 @@ mod tests {
         let whole = run_icfp(&t);
         let cfg = CoreConfig::paper_default();
         let cur = TraceCursor::from_trace(&t);
-        let mut m = IcfpMachine::new(&cfg);
+        let mut m = Box::new(IcfpMachine::new(&cfg));
         let mut steps = 0usize;
-        while m.step(&cur) {
+        while m.advance(&cur, m.cycle() + 1, usize::MAX) {
             steps += 1;
             assert!(steps < 1_000_000, "machine did not terminate");
         }
+        assert!(steps > 1, "a one-cycle budget must stop the machine mid-trace");
         let stepped = m.finish(&cur);
         assert_eq!(stepped.stats.cycles, whole.stats.cycles);
         assert_eq!(stepped.final_regs, whole.final_regs);
@@ -1181,9 +1124,19 @@ mod tests {
             b.push(DynInst::alu(Op::Xor, Reg::int(3), Reg::int(2), Reg::int(3)));
         }
         let t = b.build();
-        let r = IcfpCore::new(cfg).run(&t);
+        let r = run_model(CoreModel::Icfp, &cfg, &t);
         assert_golden(&t, &r);
         assert!(r.stats.simple_runahead_entries > 0);
+    }
+
+    #[test]
+    fn a_snapshot_with_unbuildable_sizes_is_a_decode_error_not_a_panic() {
+        for bad in [0, usize::MAX / 2] {
+            let mut m = IcfpMachine::new(&CoreConfig::paper_default());
+            m.eng.cfg.slice_buffer_entries = bad;
+            let err = serde::from_bytes::<IcfpMachine>(&serde::to_bytes(&m)).unwrap_err();
+            assert!(err.to_string().contains("core configuration"), "{err}");
+        }
     }
 
     #[test]

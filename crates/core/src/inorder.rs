@@ -7,43 +7,27 @@
 
 use crate::common::{seed_start, Engine};
 use crate::config::CoreConfig;
-use crate::Core;
+use crate::engine::CoreModel;
 use icfp_isa::{exec::ArchState, Cycle, OpClass, TraceCursor};
 use icfp_pipeline::RunResult;
 use std::collections::VecDeque;
 
-/// The vanilla in-order core.
-#[derive(Debug)]
-pub struct InOrderCore {
-    cfg: CoreConfig,
-}
+/// Simulates the trace to completion on the vanilla in-order core, starting
+/// from the functional fast-forward state `warm` if one is given.
+pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
+    let mut eng = Engine::new(cfg);
+    let start = seed_start(&mut eng, warm, trace.len());
+    // Outstanding (not yet drained) stores: (drain completion, word addr).
+    let mut store_q: VecDeque<(Cycle, u64)> = VecDeque::new();
+    let sb_capacity = cfg.pipeline.baseline_store_buffer;
+    let l1_lat = cfg.mem.l1_hit_latency;
 
-impl InOrderCore {
-    /// Creates a baseline core with the given configuration.
-    pub fn new(cfg: CoreConfig) -> Self {
-        InOrderCore { cfg }
-    }
-}
-
-impl Core for InOrderCore {
-    fn name(&self) -> &'static str {
-        "in-order"
-    }
-
-    fn run_cursor_from(&mut self, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
-        let mut eng = Engine::new(&self.cfg);
-        let start = seed_start(&mut eng, warm, trace.len());
-        // Outstanding (not yet drained) stores: (drain completion, word addr).
-        let mut store_q: VecDeque<(Cycle, u64)> = VecDeque::new();
-        let sb_capacity = self.cfg.pipeline.baseline_store_buffer;
-        let l1_lat = self.cfg.mem.l1_hit_latency;
-
-        // Walk the trace block by block: the per-instruction work reads a
-        // plain slice, so streamed sources pay the cursor's RefCell dispatch
-        // once per block instead of once per instruction.
-        trace.for_each_block_from(start, |first, insts| {
-            for (off, inst) in insts.iter().enumerate() {
-                let idx = first + off;
+    // Walk the trace block by block: the per-instruction work reads a
+    // plain slice, so streamed sources pay the cursor's RefCell dispatch
+    // once per block instead of once per instruction.
+    trace.for_each_block_from(start, |first, insts| {
+        for (off, inst) in insts.iter().enumerate() {
+            let idx = first + off;
             let seq = idx as u64;
             let fetch_ready = eng.fetch.next_issue_ready();
             let mut earliest = fetch_ready.max(eng.src_ready(inst));
@@ -110,21 +94,21 @@ impl Core for InOrderCore {
                     eng.note_completion(completes);
                 }
             }
-            }
-            true
-        });
-        eng.finish(self.name(), trace)
-    }
+        }
+        true
+    });
+    eng.finish(CoreModel::InOrder.name(), trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::golden_final_state;
+    use crate::engine::run_model;
     use icfp_isa::{DynInst, Op, Reg, Trace, TraceBuilder};
 
     fn run(trace: &Trace) -> RunResult {
-        InOrderCore::new(CoreConfig::paper_default()).run(trace)
+        run_model(CoreModel::InOrder, &CoreConfig::paper_default(), trace)
     }
 
     #[test]

@@ -9,41 +9,23 @@
 //! ([`crate::AdvancePolicy::L2AndPrimaryDcache`]).
 
 use crate::config::CoreConfig;
+use crate::engine::CoreModel;
 use crate::runahead::runahead_like_run;
-use crate::Core;
 use icfp_isa::{exec::ArchState, TraceCursor};
 use icfp_pipeline::RunResult;
 
-/// The Multipass core.
-#[derive(Debug)]
-pub struct MultipassCore {
-    cfg: CoreConfig,
-}
-
-impl MultipassCore {
-    /// Creates a Multipass core.  Use [`CoreConfig::multipass_default`] for
-    /// the paper's advance policy.
-    pub fn new(cfg: CoreConfig) -> Self {
-        MultipassCore { cfg }
-    }
-}
-
-impl Core for MultipassCore {
-    fn name(&self) -> &'static str {
-        "multipass"
-    }
-
-    fn run_cursor_from(&mut self, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
-        runahead_like_run(&self.cfg, trace, self.name(), true, warm)
-    }
+/// Simulates the trace to completion on the Multipass core, starting from the
+/// functional fast-forward state `warm` if one is given.  Use
+/// [`CoreConfig::multipass_default`] for the paper's advance policy.
+pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
+    runahead_like_run(cfg, trace, CoreModel::Multipass, warm)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::golden_final_state;
-    use crate::inorder::InOrderCore;
-    use crate::runahead::RunaheadCore;
+    use crate::engine::run_model;
     use icfp_isa::{DynInst, Op, Reg, Trace, TraceBuilder};
 
     /// Independent L2 misses each followed by a short dependence chain of ALU
@@ -67,7 +49,7 @@ mod tests {
     #[test]
     fn multipass_matches_golden_state() {
         let t = chained_work_trace(6);
-        let r = MultipassCore::new(CoreConfig::multipass_default()).run(&t);
+        let r = run_model(CoreModel::Multipass, &CoreConfig::multipass_default(), &t);
         let (regs, mem) = golden_final_state(&t);
         assert_eq!(r.final_regs, regs);
         assert_eq!(r.final_mem, mem);
@@ -76,8 +58,8 @@ mod tests {
     #[test]
     fn multipass_beats_in_order_on_independent_misses() {
         let t = chained_work_trace(8);
-        let base = InOrderCore::new(CoreConfig::paper_default()).run(&t);
-        let mp = MultipassCore::new(CoreConfig::multipass_default()).run(&t);
+        let base = run_model(CoreModel::InOrder, &CoreConfig::paper_default(), &t);
+        let mp = run_model(CoreModel::Multipass, &CoreConfig::multipass_default(), &t);
         assert!(
             mp.stats.cycles < base.stats.cycles,
             "multipass {} vs in-order {}",
@@ -91,8 +73,8 @@ mod tests {
         // With the same advance policy, saved results can only help.
         let t = chained_work_trace(8);
         let cfg = CoreConfig::multipass_default();
-        let ra = RunaheadCore::new(cfg.clone()).run(&t);
-        let mp = MultipassCore::new(cfg).run(&t);
+        let ra = run_model(CoreModel::Runahead, &cfg, &t);
+        let mp = run_model(CoreModel::Multipass, &cfg, &t);
         assert!(
             mp.stats.cycles <= ra.stats.cycles + 4,
             "multipass {} should not be slower than runahead {}",
@@ -114,7 +96,7 @@ mod tests {
             b.push(DynInst::alu(Op::Xor, Reg::int(7), Reg::int(6), Reg::int(7)));
         }
         let t = b.build();
-        let r = MultipassCore::new(CoreConfig::multipass_default()).run(&t);
+        let r = run_model(CoreModel::Multipass, &CoreConfig::multipass_default(), &t);
         let (regs, mem) = golden_final_state(&t);
         assert_eq!(r.final_regs, regs);
         assert_eq!(r.final_mem, mem);

@@ -13,35 +13,18 @@
 
 use crate::common::{seed_start, Engine};
 use crate::config::CoreConfig;
+use crate::engine::CoreModel;
 use crate::storebuf::RunaheadCache;
-use crate::Core;
 use icfp_isa::{exec::ArchState, Cycle, OpClass, TraceCursor};
 use icfp_pipeline::{PoisonMask, RunResult};
 use std::collections::{HashMap, VecDeque};
 
-/// The Runahead core.
-#[derive(Debug)]
-pub struct RunaheadCore {
-    cfg: CoreConfig,
-}
-
-impl RunaheadCore {
-    /// Creates a Runahead core.  The paper's default advance policy for
-    /// Runahead is [`crate::AdvancePolicy::L2Only`]; use
-    /// [`CoreConfig::runahead_default`] for that.
-    pub fn new(cfg: CoreConfig) -> Self {
-        RunaheadCore { cfg }
-    }
-}
-
-impl Core for RunaheadCore {
-    fn name(&self) -> &'static str {
-        "runahead"
-    }
-
-    fn run_cursor_from(&mut self, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
-        runahead_like_run(&self.cfg, trace, self.name(), false, warm)
-    }
+/// Simulates the trace to completion on the Runahead core, starting from the
+/// functional fast-forward state `warm` if one is given.  The paper's default
+/// advance policy for Runahead is [`crate::AdvancePolicy::L2Only`]
+/// ([`CoreConfig::runahead_default`]).
+pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
+    runahead_like_run(cfg, trace, CoreModel::Runahead, warm)
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -52,17 +35,18 @@ struct AdvanceEpisode {
     trigger_return: Cycle,
 }
 
-/// Shared Runahead/Multipass execution.  When `save_results` is true, results
-/// of miss-independent advance instructions are kept in a bounded result
-/// buffer and used to accelerate the post-squash re-execution (Multipass's
-/// dependence-breaking), otherwise they are discarded (plain Runahead).
+/// Shared Runahead/Multipass execution.  For [`CoreModel::Multipass`],
+/// results of miss-independent advance instructions are kept in a bounded
+/// result buffer and used to accelerate the post-squash re-execution
+/// (Multipass's dependence-breaking), otherwise they are discarded (plain
+/// Runahead).
 pub(crate) fn runahead_like_run(
     cfg: &CoreConfig,
     trace: &TraceCursor<'_>,
-    name: &'static str,
-    save_results: bool,
+    model: CoreModel,
     warm: Option<&ArchState>,
 ) -> RunResult {
+    let save_results = model == CoreModel::Multipass;
     let mut eng = Engine::new(cfg);
     let start = seed_start(&mut eng, warm, trace.len());
     let mut store_q: VecDeque<(Cycle, u64)> = VecDeque::new();
@@ -295,7 +279,7 @@ pub(crate) fn runahead_like_run(
         i += 1;
     }
 
-    eng.finish(name, trace)
+    eng.finish(model.name(), trace)
 }
 
 /// Ends an advance episode: restores the checkpoint, redirects the front end
@@ -325,7 +309,7 @@ mod tests {
     use super::*;
     use crate::common::golden_final_state;
     use crate::config::AdvancePolicy;
-    use crate::inorder::InOrderCore;
+    use crate::engine::run_model;
     use icfp_isa::{DynInst, Op, Reg, Trace, TraceBuilder};
 
     fn independent_miss_trace(n: usize) -> Trace {
@@ -346,7 +330,7 @@ mod tests {
     #[test]
     fn runahead_matches_golden_state() {
         let t = independent_miss_trace(8);
-        let r = RunaheadCore::new(CoreConfig::runahead_default()).run(&t);
+        let r = run_model(CoreModel::Runahead, &CoreConfig::runahead_default(), &t);
         let (regs, mem) = golden_final_state(&t);
         assert_eq!(r.final_regs, regs);
         assert_eq!(r.final_mem, mem);
@@ -355,8 +339,8 @@ mod tests {
     #[test]
     fn runahead_overlaps_independent_l2_misses() {
         let t = independent_miss_trace(10);
-        let base = InOrderCore::new(CoreConfig::paper_default()).run(&t);
-        let ra = RunaheadCore::new(CoreConfig::runahead_default()).run(&t);
+        let base = run_model(CoreModel::InOrder, &CoreConfig::paper_default(), &t);
+        let ra = run_model(CoreModel::Runahead, &CoreConfig::runahead_default(), &t);
         assert!(
             ra.stats.cycles < base.stats.cycles,
             "runahead {} should beat in-order {}",
@@ -378,8 +362,8 @@ mod tests {
             b.push(DynInst::alu_imm(Op::Add, Reg::int(4), Reg::int(5), j));
         }
         let t = b.build();
-        let base = InOrderCore::new(CoreConfig::paper_default()).run(&t);
-        let ra = RunaheadCore::new(CoreConfig::runahead_default()).run(&t);
+        let base = run_model(CoreModel::InOrder, &CoreConfig::paper_default(), &t);
+        let ra = run_model(CoreModel::Runahead, &CoreConfig::runahead_default(), &t);
         assert!(
             ra.stats.cycles + 5 >= base.stats.cycles,
             "runahead ({}) should not beat in-order ({}) on a lone miss",
@@ -400,7 +384,7 @@ mod tests {
         b.push(DynInst::store(Reg::int(3), Reg::int(5), 0x300)); // dependent store
         b.push(DynInst::load(Reg::int(6), Reg::int(5), 0x200)); // reads the store
         let t = b.build();
-        let r = RunaheadCore::new(CoreConfig::runahead_default()).run(&t);
+        let r = run_model(CoreModel::Runahead, &CoreConfig::runahead_default(), &t);
         let (regs, mem) = golden_final_state(&t);
         assert_eq!(r.final_regs, regs);
         assert_eq!(r.final_mem, mem);
@@ -437,8 +421,8 @@ mod tests {
             }
         }
         let t = b.build();
-        let r_l2 = RunaheadCore::new(cfg_l2).run(&t);
-        let r_all = RunaheadCore::new(cfg_all).run(&t);
+        let r_l2 = run_model(CoreModel::Runahead, &cfg_l2, &t);
+        let r_all = run_model(CoreModel::Runahead, &cfg_all, &t);
         assert!(
             r_all.stats.advance_episodes > r_l2.stats.advance_episodes,
             "all-miss policy ({}) should enter more episodes than L2-only ({})",

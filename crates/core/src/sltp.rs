@@ -19,239 +19,222 @@
 
 use crate::common::{seed_start, Engine};
 use crate::config::CoreConfig;
+use crate::engine::CoreModel;
 use crate::slicebuf::{SliceBuffer, SliceEntry};
 use crate::storebuf::StoreRedoLog;
-use crate::Core;
 use icfp_isa::{exec, exec::ArchState, Cycle, OpClass, TraceCursor, Value};
 use icfp_pipeline::{PoisonMask, RunResult};
 use std::collections::HashMap;
-
-/// The SLTP core.
-#[derive(Debug)]
-pub struct SltpCore {
-    cfg: CoreConfig,
-}
-
-impl SltpCore {
-    /// Creates an SLTP core.  Use [`CoreConfig::sltp_default`] for the paper's
-    /// advance policy (L2 misses only).
-    pub fn new(cfg: CoreConfig) -> Self {
-        SltpCore { cfg }
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 struct Episode {
     trigger_return: Cycle,
 }
 
-impl Core for SltpCore {
-    fn name(&self) -> &'static str {
-        "sltp"
-    }
+/// Simulates the trace to completion on the SLTP core, starting from the
+/// functional fast-forward state `warm` if one is given.  Use
+/// [`CoreConfig::sltp_default`] for the paper's advance policy (L2 misses
+/// only).
+pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
+    let mut eng = Engine::new(cfg);
+    let start = seed_start(&mut eng, warm, trace.len());
+    let l1_lat = cfg.mem.l1_hit_latency;
+    let policy = cfg.advance_policy;
+    let mut slice = SliceBuffer::new(cfg.slice_buffer_entries);
+    let mut srl = StoreRedoLog::new(cfg.srl_entries);
+    let mut episode: Option<Episode> = None;
+    // Word address -> drain completion of the most recent committed store,
+    // used for store-to-load forwarding outside advance mode.
+    let mut recent_stores: HashMap<u64, Cycle> = HashMap::new();
 
-    fn run_cursor_from(&mut self, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
-        let cfg = &self.cfg;
-        let mut eng = Engine::new(cfg);
-        let start = seed_start(&mut eng, warm, trace.len());
-        let l1_lat = cfg.mem.l1_hit_latency;
-        let policy = cfg.advance_policy;
-        let mut slice = SliceBuffer::new(cfg.slice_buffer_entries);
-        let mut srl = StoreRedoLog::new(cfg.srl_entries);
-        let mut episode: Option<Episode> = None;
-        // Word address -> drain completion of the most recent committed store,
-        // used for store-to-load forwarding outside advance mode.
-        let mut recent_stores: HashMap<u64, Cycle> = HashMap::new();
+    let mut i = start;
+    while i < trace.len() || episode.is_some() {
+        // A pending rally fires once execution time reaches the trigger's
+        // return, or when the trace has run out.
+        if let Some(ep) = episode {
+            if eng.frontier >= ep.trigger_return || i >= trace.len() {
+                let rally_start = ep.trigger_return;
+                let rally_end = run_blocking_rally(
+                    &mut eng,
+                    trace,
+                    &mut slice,
+                    &mut srl,
+                    rally_start,
+                    l1_lat,
+                );
+                episode = None;
+                eng.frontier = eng.frontier.max(rally_end);
+                eng.fetch.stall_until(rally_end);
+                eng.rf.clear_speculative_state();
+                continue;
+            }
+        }
+        if i >= trace.len() {
+            break;
+        }
 
-        let mut i = start;
-        while i < trace.len() || episode.is_some() {
-            // A pending rally fires once execution time reaches the trigger's
-            // return, or when the trace has run out.
-            if let Some(ep) = episode {
-                if eng.frontier >= ep.trigger_return || i >= trace.len() {
-                    let rally_start = ep.trigger_return;
-                    let rally_end = run_blocking_rally(
-                        &mut eng,
-                        trace,
-                        &mut slice,
-                        &mut srl,
-                        rally_start,
-                        l1_lat,
-                    );
-                    episode = None;
-                    eng.frontier = eng.frontier.max(rally_end);
-                    eng.fetch.stall_until(rally_end);
-                    eng.rf.clear_speculative_state();
-                    continue;
+        let inst = trace.get(i);
+        let inst = &inst;
+        let seq = i as u64;
+        let in_advance = episode.is_some();
+
+        // Structural stalls: a full slice buffer or SRL freezes advance
+        // execution until the rally (SLTP has no other recourse).
+        if in_advance && (slice.is_full() || srl.is_full()) {
+            let ep = episode.expect("in advance");
+            eng.stats.simple_runahead_entries += 1;
+            eng.stats.resource_stall_cycles +=
+                ep.trigger_return.saturating_sub(eng.frontier);
+            eng.frontier = eng.frontier.max(ep.trigger_return);
+            continue;
+        }
+
+        let fetch_ready = eng.fetch.next_issue_ready();
+        let src_poison = if in_advance {
+            eng.src_poison(inst)
+        } else {
+            PoisonMask::CLEAN
+        };
+        let earliest = fetch_ready.max(if src_poison.is_poisoned() {
+            fetch_ready
+        } else {
+            eng.src_ready(inst)
+        });
+        let issue = eng.issue_at(inst.class(), earliest);
+        if in_advance {
+            eng.stats.advance_instructions += 1;
+        }
+
+        // Miss-dependent instructions drain into the slice buffer.
+        if src_poison.is_poisoned() {
+            push_slice(&mut eng, &mut slice, &mut srl, trace, i, issue);
+            i += 1;
+            continue;
+        }
+
+        match inst.class() {
+            OpClass::Load => {
+                let addr = inst.addr.expect("load without address");
+                if !in_advance {
+                    eng.stats.demand_loads += 1;
                 }
-            }
-            if i >= trace.len() {
-                break;
-            }
-
-            let inst = trace.get(i);
-            let inst = &inst;
-            let seq = i as u64;
-            let in_advance = episode.is_some();
-
-            // Structural stalls: a full slice buffer or SRL freezes advance
-            // execution until the rally (SLTP has no other recourse).
-            if in_advance && (slice.is_full() || srl.is_full()) {
-                let ep = episode.expect("in advance");
-                eng.stats.simple_runahead_entries += 1;
-                eng.stats.resource_stall_cycles +=
-                    ep.trigger_return.saturating_sub(eng.frontier);
-                eng.frontier = eng.frontier.max(ep.trigger_return);
-                continue;
-            }
-
-            let fetch_ready = eng.fetch.next_issue_ready();
-            let src_poison = if in_advance {
-                eng.src_poison(inst)
-            } else {
-                PoisonMask::CLEAN
-            };
-            let earliest = fetch_ready.max(if src_poison.is_poisoned() {
-                fetch_ready
-            } else {
-                eng.src_ready(inst)
-            });
-            let issue = eng.issue_at(inst.class(), earliest);
-            if in_advance {
-                eng.stats.advance_instructions += 1;
-            }
-
-            // Miss-dependent instructions drain into the slice buffer.
-            if src_poison.is_poisoned() {
-                push_slice(&mut eng, &mut slice, &mut srl, trace, i, issue);
-                i += 1;
-                continue;
-            }
-
-            match inst.class() {
-                OpClass::Load => {
-                    let addr = inst.addr.expect("load without address");
-                    if !in_advance {
-                        eng.stats.demand_loads += 1;
-                    }
-                    // Idealised memory dependence handling (Table 1): a load
-                    // that would forward from a still-poisoned SRL store is
-                    // itself miss-dependent.
-                    let srl_hit = srl
-                        .iter()
-                        .rev()
-                        .find(|(sseq, a, _, _)| *sseq < seq && (*a & !7) == (addr & !7))
-                        .copied();
-                    if let Some((_, _, v, p)) = srl_hit {
-                        if p.is_poisoned() {
-                            if let Some(dst) = inst.dst {
-                                eng.rf.poison_write(dst, p, seq);
-                            }
-                            push_slice(&mut eng, &mut slice, &mut srl, trace, i, issue);
-                            i += 1;
-                            continue;
-                        }
-                        eng.stats.store_forwards += 1;
+                // Idealised memory dependence handling (Table 1): a load
+                // that would forward from a still-poisoned SRL store is
+                // itself miss-dependent.
+                let srl_hit = srl
+                    .iter()
+                    .rev()
+                    .find(|(sseq, a, _, _)| *sseq < seq && (*a & !7) == (addr & !7))
+                    .copied();
+                if let Some((_, _, v, p)) = srl_hit {
+                    if p.is_poisoned() {
                         if let Some(dst) = inst.dst {
-                            eng.rf.write(dst, v, issue + l1_lat, seq);
+                            eng.rf.poison_write(dst, p, seq);
                         }
-                        eng.note_completion(issue + l1_lat);
+                        push_slice(&mut eng, &mut slice, &mut srl, trace, i, issue);
                         i += 1;
                         continue;
                     }
-                    // Forward from a recent committed store still draining.
-                    if !in_advance {
-                        if let Some(&done) = recent_stores.get(&(addr & !7)) {
-                            if done > issue {
-                                eng.stats.store_forwards += 1;
-                                if let Some(dst) = inst.dst {
-                                    eng.rf.write(dst, eng.arch_mem.read(addr), issue + l1_lat, seq);
-                                }
-                                eng.note_completion(issue + l1_lat);
-                                i += 1;
-                                continue;
+                    eng.stats.store_forwards += 1;
+                    if let Some(dst) = inst.dst {
+                        eng.rf.write(dst, v, issue + l1_lat, seq);
+                    }
+                    eng.note_completion(issue + l1_lat);
+                    i += 1;
+                    continue;
+                }
+                // Forward from a recent committed store still draining.
+                if !in_advance {
+                    if let Some(&done) = recent_stores.get(&(addr & !7)) {
+                        if done > issue {
+                            eng.stats.store_forwards += 1;
+                            if let Some(dst) = inst.dst {
+                                eng.rf.write(dst, eng.arch_mem.read(addr), issue + l1_lat, seq);
                             }
+                            eng.note_completion(issue + l1_lat);
+                            i += 1;
+                            continue;
                         }
                     }
-                    let (completes, outcome, _) = eng.demand_load(addr, issue);
-                    let value = eng.arch_mem.read(addr);
-                    let is_miss = outcome.is_l1_miss() && completes > issue + l1_lat;
-                    let is_l2_miss = outcome.is_l2_miss();
-                    if !in_advance {
-                        if is_miss && policy.triggers_on(is_l2_miss) {
-                            // Enter advance mode; the missing load is the first
-                            // slice entry.
-                            eng.stats.advance_episodes += 1;
-                            eng.rf.checkpoint(issue, seq);
-                            episode = Some(Episode {
-                                trigger_return: completes,
-                            });
-                            if let Some(dst) = inst.dst {
-                                eng.rf.poison_write(dst, PoisonMask::bit(0), seq);
-                            }
-                            push_slice(&mut eng, &mut slice, &mut srl, trace, i, issue);
-                        } else {
-                            if let Some(dst) = inst.dst {
-                                eng.rf.write(dst, value, completes, seq);
-                            }
-                            eng.note_completion(completes);
+                }
+                let (completes, outcome, _) = eng.demand_load(addr, issue);
+                let value = eng.arch_mem.read(addr);
+                let is_miss = outcome.is_l1_miss() && completes > issue + l1_lat;
+                let is_l2_miss = outcome.is_l2_miss();
+                if !in_advance {
+                    if is_miss && policy.triggers_on(is_l2_miss) {
+                        // Enter advance mode; the missing load is the first
+                        // slice entry.
+                        eng.stats.advance_episodes += 1;
+                        eng.rf.checkpoint(issue, seq);
+                        episode = Some(Episode {
+                            trigger_return: completes,
+                        });
+                        if let Some(dst) = inst.dst {
+                            eng.rf.poison_write(dst, PoisonMask::bit(0), seq);
                         }
+                        push_slice(&mut eng, &mut slice, &mut srl, trace, i, issue);
                     } else {
-                        // Secondary miss during advance.
-                        let tolerate = if is_l2_miss {
-                            true
-                        } else {
-                            policy.poisons_secondary_dcache()
-                        };
-                        if is_miss && tolerate {
-                            if let Some(dst) = inst.dst {
-                                eng.rf.poison_write(dst, PoisonMask::bit(0), seq);
-                            }
-                            push_slice(&mut eng, &mut slice, &mut srl, trace, i, issue);
-                        } else {
-                            // Hit, or a data-cache miss SLTP blocks on.
-                            if let Some(dst) = inst.dst {
-                                eng.rf.write(dst, value, completes, seq);
-                            }
-                            eng.note_completion(completes);
+                        if let Some(dst) = inst.dst {
+                            eng.rf.write(dst, value, completes, seq);
                         }
+                        eng.note_completion(completes);
                     }
-                }
-                OpClass::Store => {
-                    let addr = inst.addr.expect("store without address");
-                    let data = inst.store_data_reg().map(|r| eng.rf.value(r)).unwrap_or(0);
-                    if in_advance {
-                        // Miss-independent advance store: logged in the SRL and
-                        // speculatively written to the data cache.
-                        if srl.push(seq, addr, data, PoisonMask::CLEAN).is_err() {
-                            eng.stats.simple_runahead_entries += 1;
-                        }
-                        let _ = eng.demand_store(addr, issue + 1);
-                        eng.note_completion(issue + 1);
+                } else {
+                    // Secondary miss during advance.
+                    let tolerate = if is_l2_miss {
+                        true
                     } else {
-                        eng.arch_mem.write(addr, data);
-                        let done = eng.demand_store(addr, issue + 1);
-                        recent_stores.insert(addr & !7, done);
-                        eng.note_completion(issue + 1);
+                        policy.poisons_secondary_dcache()
+                    };
+                    if is_miss && tolerate {
+                        if let Some(dst) = inst.dst {
+                            eng.rf.poison_write(dst, PoisonMask::bit(0), seq);
+                        }
+                        push_slice(&mut eng, &mut slice, &mut srl, trace, i, issue);
+                    } else {
+                        // Hit, or a data-cache miss SLTP blocks on.
+                        if let Some(dst) = inst.dst {
+                            eng.rf.write(dst, value, completes, seq);
+                        }
+                        eng.note_completion(completes);
                     }
-                }
-                OpClass::Branch => {
-                    let resolve = issue + inst.latency();
-                    eng.exec_branch(inst, resolve);
-                    eng.note_completion(resolve);
-                }
-                _ => {
-                    let completes = issue + inst.latency();
-                    if let (Some(dst), Some(v)) = (inst.dst, eng.compute(inst)) {
-                        eng.rf.write(dst, v, completes, seq);
-                    }
-                    eng.note_completion(completes);
                 }
             }
-            i += 1;
+            OpClass::Store => {
+                let addr = inst.addr.expect("store without address");
+                let data = inst.store_data_reg().map(|r| eng.rf.value(r)).unwrap_or(0);
+                if in_advance {
+                    // Miss-independent advance store: logged in the SRL and
+                    // speculatively written to the data cache.
+                    if srl.push(seq, addr, data, PoisonMask::CLEAN).is_err() {
+                        eng.stats.simple_runahead_entries += 1;
+                    }
+                    let _ = eng.demand_store(addr, issue + 1);
+                    eng.note_completion(issue + 1);
+                } else {
+                    eng.arch_mem.write(addr, data);
+                    let done = eng.demand_store(addr, issue + 1);
+                    recent_stores.insert(addr & !7, done);
+                    eng.note_completion(issue + 1);
+                }
+            }
+            OpClass::Branch => {
+                let resolve = issue + inst.latency();
+                eng.exec_branch(inst, resolve);
+                eng.note_completion(resolve);
+            }
+            _ => {
+                let completes = issue + inst.latency();
+                if let (Some(dst), Some(v)) = (inst.dst, eng.compute(inst)) {
+                    eng.rf.write(dst, v, completes, seq);
+                }
+                eng.note_completion(completes);
+            }
         }
-        eng.finish(self.name(), trace)
+        i += 1;
     }
+    eng.finish(CoreModel::Sltp.name(), trace)
 }
 
 /// Diverts instruction `i` into the slice buffer, capturing its currently
@@ -436,8 +419,7 @@ mod tests {
     use super::*;
     use crate::common::golden_final_state;
     use crate::config::AdvancePolicy;
-    use crate::inorder::InOrderCore;
-    use crate::runahead::RunaheadCore;
+    use crate::engine::run_model;
     use icfp_isa::{DynInst, Op, Reg, Trace, TraceBuilder};
 
     fn lone_miss_trace() -> Trace {
@@ -455,7 +437,7 @@ mod tests {
     #[test]
     fn sltp_matches_golden_state() {
         let t = lone_miss_trace();
-        let r = SltpCore::new(CoreConfig::sltp_default()).run(&t);
+        let r = run_model(CoreModel::Sltp, &CoreConfig::sltp_default(), &t);
         let (regs, mem) = golden_final_state(&t);
         assert_eq!(r.final_regs, regs);
         assert_eq!(r.final_mem, mem);
@@ -464,9 +446,9 @@ mod tests {
     #[test]
     fn sltp_beats_in_order_and_runahead_on_a_lone_miss() {
         let t = lone_miss_trace();
-        let base = InOrderCore::new(CoreConfig::paper_default()).run(&t);
-        let ra = RunaheadCore::new(CoreConfig::runahead_default()).run(&t);
-        let sltp = SltpCore::new(CoreConfig::sltp_default()).run(&t);
+        let base = run_model(CoreModel::InOrder, &CoreConfig::paper_default(), &t);
+        let ra = run_model(CoreModel::Runahead, &CoreConfig::runahead_default(), &t);
+        let sltp = run_model(CoreModel::Sltp, &CoreConfig::sltp_default(), &t);
         assert!(
             sltp.stats.cycles < base.stats.cycles,
             "sltp {} vs in-order {}",
@@ -484,7 +466,7 @@ mod tests {
     #[test]
     fn sltp_commits_independent_work_and_only_replays_the_slice() {
         let t = lone_miss_trace();
-        let sltp = SltpCore::new(CoreConfig::sltp_default()).run(&t);
+        let sltp = run_model(CoreModel::Sltp, &CoreConfig::sltp_default(), &t);
         // Only the load and its single dependent should be replayed, not the
         // 40 independent multiplies.
         assert!(sltp.stats.rally_instructions <= 4, "rally = {}", sltp.stats.rally_instructions);
@@ -504,7 +486,7 @@ mod tests {
         b.push(DynInst::load(Reg::int(6), Reg::int(5), 0x500)); // forwards from SRL
         b.push(DynInst::load(Reg::int(7), Reg::int(5), 0x400)); // must see the *younger* store
         let t = b.build();
-        let r = SltpCore::new(CoreConfig::sltp_default()).run(&t);
+        let r = run_model(CoreModel::Sltp, &CoreConfig::sltp_default(), &t);
         let (regs, mem) = golden_final_state(&t);
         assert_eq!(r.final_regs, regs, "register state diverged");
         assert_eq!(r.final_mem, mem, "memory state diverged");
@@ -525,7 +507,7 @@ mod tests {
             b.push(DynInst::alu_imm(Op::Add, Reg::int(5), Reg::int(5), j));
         }
         let t = b.build();
-        let r = SltpCore::new(CoreConfig::sltp_default()).run(&t);
+        let r = run_model(CoreModel::Sltp, &CoreConfig::sltp_default(), &t);
         assert!(
             r.stats.cycles > 800,
             "dependent misses must serialize under SLTP, got {}",
@@ -546,7 +528,7 @@ mod tests {
             }
         }
         let t = b.build();
-        let r = SltpCore::new(cfg).run(&t);
+        let r = run_model(CoreModel::Sltp, &cfg, &t);
         assert!(r.stats.advance_episodes > 0);
         let (regs, mem) = golden_final_state(&t);
         assert_eq!(r.final_regs, regs);

@@ -3,7 +3,7 @@
 //! Several subsystems digest deterministic figures — final architectural
 //! state (`RunResult::state_digest`), sweep reports, trace identities,
 //! checkpoint containers.  They must all hash identically forever (digests
-//! are persisted in `BENCH_baseline.json` and `icfp-ckpt/v1` files), so the
+//! are persisted in `BENCH_baseline.json` and `icfp-ckpt/v2` files), so the
 //! primitive lives here, in the crate every other crate already depends on,
 //! instead of being re-implemented per subsystem where one typo could
 //! silently fork a digest domain.

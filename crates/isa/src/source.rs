@@ -494,7 +494,7 @@ impl<'a> TraceCursor<'a> {
     }
 
     /// A cursor borrowing an in-memory trace directly (no source involved);
-    /// the compatibility path for `Core::run(&Trace)` and the test suites.
+    /// what `icfp_core::run_model` and the test suites use.
     pub fn from_trace(trace: &'a Trace) -> Self {
         TraceCursor {
             source: None,
@@ -570,18 +570,18 @@ impl<'a> TraceCursor<'a> {
     }
 
     /// The whole trace as one contiguous slice, if this cursor reads an
-    /// in-memory arena.  Batched drivers use it to hand an engine the entire
-    /// remaining trace as a single [`icfp_isa::DynInst`] slice; streamed
-    /// cursors return `None` and serve [`TraceCursor::pin_block`] instead.
+    /// in-memory arena.  An engine's first pass reads it as a single
+    /// [`DynInst`] slice; streamed cursors return `None` and serve
+    /// [`TraceCursor::pin_block`] instead.
     pub fn arena_slice(&self) -> Option<&'a [DynInst]> {
         self.arena.map(|t| t.as_slice())
     }
 
     /// Fetches (and pins as the cursor's current block) the block containing
     /// dynamic position `idx`, returning a shared handle the caller may hold
-    /// across further cursor use — batched drivers slice it and feed the
-    /// engine block-sized instruction runs without per-instruction cursor
-    /// dispatch.
+    /// across further cursor use — an engine's first pass walks it without
+    /// per-instruction cursor dispatch while rally passes fault older blocks
+    /// in through the same cursor.
     ///
     /// # Panics
     ///

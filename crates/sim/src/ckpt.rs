@@ -71,9 +71,13 @@ pub struct SimCheckpoint {
 pub enum CkptError {
     /// `checkpoint()` was called on a simulator with no loaded trace.
     NotLoaded,
-    /// The engine refused to save/restore (e.g. already drained, model
+    /// The engine refused to seed/restore (e.g. already advanced, model
     /// mismatch, undecodable snapshot bytes).
     Engine(String),
+    /// The checkpoint's core configuration is not one the models can be
+    /// built from (a structure size of zero or past the ceiling; see
+    /// `CoreConfig::validate`).
+    Config(String),
     /// The container does not start with [`CKPT_MAGIC`] (wrong file or a
     /// future format version).
     BadMagic,
@@ -120,9 +124,12 @@ impl fmt::Display for CkptError {
         match self {
             CkptError::NotLoaded => write!(f, "no trace loaded; nothing to checkpoint"),
             CkptError::Engine(e) => write!(f, "engine snapshot: {e}"),
-            CkptError::BadMagic => {
-                write!(f, "not an icfp-ckpt/v1 container (bad magic)")
-            }
+            CkptError::Config(e) => write!(f, "checkpoint configuration: {e}"),
+            CkptError::BadMagic => write!(
+                f,
+                "not an {} container (bad magic)",
+                String::from_utf8_lossy(CKPT_MAGIC)
+            ),
             CkptError::Truncated => write!(f, "checkpoint container is truncated"),
             CkptError::DigestMismatch { expected, found } => write!(
                 f,
@@ -152,7 +159,7 @@ impl std::error::Error for CkptError {}
 use icfp_isa::fnv1a;
 
 impl SimCheckpoint {
-    /// Encodes the checkpoint as an `icfp-ckpt/v1` container.
+    /// Encodes the checkpoint as an `icfp-ckpt/v2` container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let payload = serde::to_bytes(self);
         let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 16 + payload.len());
@@ -164,7 +171,7 @@ impl SimCheckpoint {
         out
     }
 
-    /// Decodes an `icfp-ckpt/v1` container, validating magic, length and
+    /// Decodes an `icfp-ckpt/v2` container, validating magic, length and
     /// payload digest.
     ///
     /// # Errors
@@ -262,6 +269,8 @@ mod tests {
         bytes[0] ^= 0xFF;
         assert_eq!(SimCheckpoint::from_bytes(&bytes), Err(CkptError::BadMagic));
         assert_eq!(SimCheckpoint::from_bytes(b"xx"), Err(CkptError::BadMagic));
+        let message = CkptError::BadMagic.to_string();
+        assert!(message.contains(std::str::from_utf8(CKPT_MAGIC).unwrap()), "{message}");
     }
 
     #[test]
@@ -314,6 +323,23 @@ mod tests {
         let back = SimCheckpoint::read_file(&path).expect("read");
         assert_eq!(back, ck);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resume_refuses_unbuildable_structure_sizes_instead_of_panicking() {
+        // Digest-valid containers whose configuration would panic
+        // `SliceBuffer::new` (zero, or capacity overflow) or abort in the
+        // allocator: a typed error, before any engine is built.
+        // (`CoreConfig::validate`'s own test covers every field.)
+        for bad in [0, 1 << 40, usize::MAX / 2] {
+            let (mut ck, t) = checkpoint_mid_run();
+            ck.config.cfg.slice_buffer_entries = bad;
+            let ck = SimCheckpoint::from_bytes(&ck.to_bytes()).expect("digest-valid");
+            match Simulator::resume(&ck, t) {
+                Err(CkptError::Config(e)) => assert!(e.contains("slice_buffer_entries"), "{e}"),
+                other => panic!("{bad}: expected a config error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //! [`Simulator`] is the top-level driver the rest of the workspace (the
 //! benchmark harness, the sweep executor, the quickstart example) talks to.
 //! It owns a [`icfp_core::CoreEngine`] obtained from the model registry
-//! ([`CoreModel::engine`]) — there is no per-model dispatch here — and
-//! exposes two ways to run a trace:
+//! ([`CoreModel::engine`]) — there is no per-model dispatch here, and every
+//! method below is a [`CoreEngine::advance`] call with a different budget:
 //!
 //! * [`Simulator::run`] — simulate a whole trace, returning a [`SimReport`]
 //!   with timing statistics *and* simulation-throughput figures (host
 //!   seconds, simulated MIPS);
 //! * [`Simulator::load`] + [`Simulator::step_n`] — batched stepping with a
 //!   cycle budget, for interleaving simulation with other work (progress
-//!   reporting, multi-config round-robin, cancellation).
+//!   reporting, multi-config round-robin, cancellation);
+//!   [`Simulator::advance_to_inst`] is the same with an instruction limit.
 //!
 //! ## Throughput
 //!
@@ -257,52 +258,6 @@ pub enum StepStatus {
     NotLoaded,
 }
 
-/// Feeds `engine` block-sized instruction slices — the whole remaining arena
-/// for in-memory sources — until the cycle budget `until` is reached,
-/// `inst_limit` first-pass instructions have been processed, or the run
-/// completes.  This is the batched-stepping driver behind every run mode:
-/// one [`CoreEngine::step_block`] call per block replaces one virtual call
-/// plus one cursor fetch per instruction.
-///
-/// The block handle is held here (an `Arc`, not a borrow through the
-/// cursor's interior state), so engines remain free to fault older blocks
-/// through the same cursor mid-slice (iCFP rally passes do).
-///
-/// Returns `true` while the engine still has work.
-fn drive_blocks(
-    engine: &mut Box<dyn CoreEngine>,
-    trace: &TraceCursor<'_>,
-    until: Cycle,
-    inst_limit: usize,
-) -> bool {
-    let len = trace.len();
-    // Whole-trace models walk the cursor themselves and ignore a fed slice;
-    // pinning blocks for them would only raise streamed-source residency.
-    let batched = engine.model().steps_incrementally();
-    loop {
-        if engine.cycle() >= until {
-            return true;
-        }
-        let i = engine.processed();
-        if i >= inst_limit {
-            return true;
-        }
-        let alive = if !batched || i >= len {
-            // First pass complete (or not batchable): one unit at a time.
-            engine.step_block(trace, &[], i, until)
-        } else if let Some(s) = trace.arena_slice() {
-            engine.step_block(trace, &s[i..inst_limit.min(len)], i, until)
-        } else {
-            let b = trace.pin_block(i);
-            let end = inst_limit.min(b.end());
-            engine.step_block(trace, &b.insts()[i - b.first..end - b.first], i, until)
-        };
-        if !alive {
-            return false;
-        }
-    }
-}
-
 enum Backend {
     Idle,
     /// An engine from the registry plus the loaded trace source and
@@ -378,14 +333,12 @@ impl Simulator {
                 .seed(&warm)
                 .expect("a just-built engine accepts a seed");
         }
-        let alive = drive_blocks(&mut engine, trace, Cycle::MAX, usize::MAX);
-        debug_assert!(!alive, "an unbounded drive must finish the trace");
-        let result = engine.drain(trace);
+        let result = engine.finish(trace);
         SimReport::from_result(result, t0.elapsed().as_secs_f64())
     }
 
-    /// Loads a trace for batched stepping.  The iCFP model steps
-    /// incrementally; the other models — whole-trace designs — simulate to
+    /// Loads a trace for batched stepping.  The iCFP model stops at any
+    /// budget; the other models — whole-trace designs — simulate to
     /// completion on the first [`Simulator::step_n`] call.
     ///
     /// Accepts anything convertible to a shared [`TraceSource`]: an owned
@@ -452,7 +405,7 @@ impl Simulator {
         let trace = TraceCursor::new(&**source);
         let t0 = Instant::now();
         let target = engine.cycle().saturating_add(cycles);
-        let alive = drive_blocks(engine, &trace, target, usize::MAX);
+        let alive = engine.advance(&trace, target, usize::MAX);
         *host_seconds += t0.elapsed().as_secs_f64();
         if alive {
             return StepStatus::Running {
@@ -462,7 +415,7 @@ impl Simulator {
         }
         drop(trace);
         let Backend::Loaded {
-            mut engine,
+            engine,
             source,
             mut host_seconds,
         } = std::mem::replace(&mut self.backend, Backend::Idle)
@@ -471,7 +424,7 @@ impl Simulator {
         };
         let trace = TraceCursor::new(&*source);
         let t1 = Instant::now();
-        let result = engine.drain(&trace);
+        let result = engine.finish(&trace);
         host_seconds += t1.elapsed().as_secs_f64();
         StepStatus::Done(Box::new(SimReport::from_result(result, host_seconds)))
     }
@@ -479,10 +432,10 @@ impl Simulator {
     /// Advances the loaded run until at least `target` dynamic instructions
     /// have been processed (first pass), or the engine has fully stepped the
     /// trace, whichever comes first.  Unlike [`Simulator::step_n`] this never
-    /// drains the engine, so a [`Simulator::checkpoint`] can follow.
+    /// finishes the engine, so a [`Simulator::checkpoint`] can follow.
     ///
     /// Returns `Ok(true)` while the engine still has work (more instructions
-    /// or pending rallies), `Ok(false)` once fully stepped (still undrained).
+    /// or pending rallies), `Ok(false)` once fully stepped (still loaded).
     ///
     /// # Errors
     ///
@@ -499,7 +452,7 @@ impl Simulator {
         };
         let trace = TraceCursor::new(&**source);
         let t0 = Instant::now();
-        let alive = drive_blocks(engine, &trace, Cycle::MAX, target);
+        let alive = engine.advance(&trace, Cycle::MAX, target);
         *host_seconds += t0.elapsed().as_secs_f64();
         Ok(alive)
     }
@@ -514,13 +467,13 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Fails if no trace is loaded, the engine cannot serialize (already
-    /// drained), or the source cannot produce the resume block's digest.
+    /// Fails if no trace is loaded or the source cannot produce the resume
+    /// block's digest.
     pub fn checkpoint(&self) -> Result<SimCheckpoint, CkptError> {
         let Backend::Loaded { engine, source, .. } = &self.backend else {
             return Err(CkptError::NotLoaded);
         };
-        let snapshot = engine.save().map_err(CkptError::Engine)?;
+        let snapshot = engine.save();
         let block_size = source.block_size().max(1) as u64;
         let (resume_block, resume_block_digest) = if source.is_empty() {
             (0, 0)
@@ -558,12 +511,16 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Fails if the trace's identity or resume-block digest do not match
-    /// what the checkpoint recorded, or if the snapshot cannot be restored.
+    /// Fails if the checkpoint's configuration is not one the models can be
+    /// built from ([`CoreConfig::validate`]), the trace's identity or
+    /// resume-block digest do not match what the checkpoint recorded, or the
+    /// snapshot cannot be restored.
     pub fn resume(
         ckpt: &SimCheckpoint,
         source: impl Into<Arc<dyn TraceSource>>,
     ) -> Result<Simulator, CkptError> {
+        // A checkpoint is outside input: its sizes reach the allocator.
+        ckpt.config.cfg.validate().map_err(CkptError::Config)?;
         let source: Arc<dyn TraceSource> = source.into();
         if source.name() != ckpt.workload
             || source.len() as u64 != ckpt.trace_len

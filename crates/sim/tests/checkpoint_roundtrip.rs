@@ -2,7 +2,7 @@
 //! model and every standard synthetic workload, save → restore → run must be
 //! bit-identical (cycle counts, statistics, state digests) to an
 //! uninterrupted run — including checkpoints taken through the on-disk
-//! `icfp-ckpt/v1` encoding, and checkpoints taken mid-episode while the iCFP
+//! `icfp-ckpt/v2` encoding, and checkpoints taken mid-episode while the iCFP
 //! machine has live speculative state.
 
 use icfp_sim::{CoreModel, SimCheckpoint, SimConfig, SimReport, Simulator};
@@ -25,7 +25,7 @@ fn interrupted_run(
     sim.load(trace.clone());
     sim.advance_to_inst(fork_at).expect("loaded");
     let ck = sim.checkpoint().expect("checkpoint mid-run");
-    // Round-trip the container encoding so the test covers the v1 format,
+    // Round-trip the container encoding so the test covers the v2 format,
     // not just the in-memory snapshot.
     let ck = SimCheckpoint::from_bytes(&ck.to_bytes()).expect("container round-trip");
     let mut resumed = Simulator::resume(&ck, trace.clone()).expect("resume");

@@ -2,7 +2,7 @@
 //! workloads, expanded into deterministic job lists.
 
 use crate::job::SweepJob;
-use icfp_core::CoreModel;
+use icfp_core::{CoreConfig, CoreModel};
 use serde::{Deserialize, Serialize};
 
 /// One splitmix64 scramble step (for deriving per-workload trace seeds).
@@ -148,15 +148,18 @@ impl SweepSpec {
                 if cells == usize::MAX { "at least " } else { "" }
             ));
         }
-        // A zero here would reach the models: `SliceBuffer::new(0)` panics in
-        // every cell, and a hierarchy without MSHRs retries a miss forever.
-        for (axis, values) in [
-            ("slice_buffer_entries", &self.slice_buffer_entries),
-            ("mshr_counts", &self.mshr_counts),
-        ] {
-            if values.contains(&0) {
-                return Err(format!("sweep axis {axis} contains 0 (must be at least 1)"));
-            }
+        // The size axes reach the models, which allocate them up front: put
+        // each value through the models' own definition of a legal size.
+        let mut cfg = CoreConfig::paper_default();
+        for &n in &self.slice_buffer_entries {
+            cfg.slice_buffer_entries = n;
+            cfg.validate()
+                .map_err(|e| format!("sweep axis slice_buffer_entries: {e}"))?;
+        }
+        for &n in &self.mshr_counts {
+            cfg.mem.max_outstanding_misses = n;
+            cfg.validate()
+                .map_err(|e| format!("sweep axis mshr_counts: {e}"))?;
         }
         if self.insts == 0 {
             return Err("sweep spec has a zero instruction budget".into());
@@ -271,6 +274,25 @@ mod tests {
         let mut s = tiny_spec();
         s.l2_hit_latencies = vec![0];
         assert!(s.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_names_the_axis_that_holds_an_oversized_structure() {
+        // `--sweep-slice 1099511627776` used to abort the process (and the
+        // daemon) inside the allocator.
+        let mut s = tiny_spec();
+        s.slice_buffer_entries = vec![64, 1 << 40];
+        let err = s.validate_axes().unwrap_err();
+        assert!(err.contains("slice_buffer_entries") && err.contains("1099511627776"), "{err}");
+        let mut s = tiny_spec();
+        s.mshr_counts = vec![CoreConfig::MAX_STRUCTURE_ENTRIES + 1];
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("mshr_counts") && err.contains("65537"), "{err}");
+        assert!(run_sweep(&s, 1).is_err());
+        let mut s = tiny_spec();
+        s.slice_buffer_entries = vec![CoreConfig::MAX_STRUCTURE_ENTRIES];
+        s.mshr_counts = vec![CoreConfig::MAX_STRUCTURE_ENTRIES];
+        assert!(s.validate().is_ok(), "the ceiling itself is a legal size");
     }
 
     #[test]
