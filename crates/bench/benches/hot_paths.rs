@@ -6,9 +6,10 @@
 use icfp_bench::time_ns_per_iter;
 use icfp_core::slicebuf::Producer;
 use icfp_core::{ChainedStoreBuffer, SliceBuffer, SliceEntry, StoreBufferKind};
-use icfp_isa::Reg;
+use icfp_isa::{DynInst, Op, Reg};
 use icfp_mem::{MemConfig, MemoryHierarchy, MshrFile, MshrRequest, StreamPrefetcher};
 use icfp_pipeline::{PoisonMask, TimedRegFile};
+use std::hint::black_box;
 
 fn report(name: &str, ns: f64) {
     println!("{name:<44} {ns:>10.1} ns/iter");
@@ -300,18 +301,57 @@ fn bench_hierarchy_hit_loop() {
 }
 
 fn bench_engine_advance() {
-    // The one engine path: a whole 5k-instruction iCFP run through the
-    // registry (`advance` to completion inside `finish`).
+    // The one engine path: a whole run through the registry (`advance` to
+    // completion inside `finish`).  Runahead and Multipass re-walk every
+    // advance episode, ~167 visits per committed pointer-chase instruction.
     use icfp_core::CoreModel;
-    let trace = icfp_workloads::dcache_thrash(5_000, 256 * 1024, 1);
-    let cur = icfp_isa::TraceCursor::from_trace(&trace);
-    let cfg = CoreModel::Icfp.default_config();
-    let ns = time_ns_per_iter(
-        || assert!(CoreModel::Icfp.engine(&cfg).finish(&cur).stats.cycles > 0),
-        20,
-        3,
+    let pchase = || icfp_workloads::by_name("pointer-chase", 30_000, 1).expect("standard workload");
+    for (label, model, trace) in [
+        ("icfp_5k_advance", CoreModel::Icfp, icfp_workloads::dcache_thrash(5_000, 256 * 1024, 1)),
+        ("runahead_pchase_30k", CoreModel::Runahead, pchase()),
+        ("multipass_pchase_30k", CoreModel::Multipass, pchase()),
+    ] {
+        let cur = icfp_isa::TraceCursor::from_trace(&trace);
+        let cfg = model.default_config();
+        let iters = (100_000 / trace.len()) as u32 + 2;
+        let ns = time_ns_per_iter(|| assert!(model.engine(&cfg).finish(&cur).stats.cycles > 0), iters, 3);
+        report(&format!("engine/{label}"), ns);
+    }
+}
+
+fn bench_visit_operand_read() {
+    // The operand read at the top of every first-pass visit: the iterator
+    // chain over `Option<Reg>` sources the models used to fold and max over,
+    // against the two direct reads `Engine::src_operands` makes.
+    let mut eng = icfp_core::Engine::new(&icfp_core::CoreConfig::paper_default());
+    let insts: Vec<DynInst> = (0..64usize)
+        .map(|k| DynInst::alu(Op::Add, Reg::int(k % 8), Reg::int((k + 1) % 8), Reg::int((k + 3) % 8)))
+        .collect();
+    for k in 0..8 {
+        eng.rf.write(Reg::int(k), 1, 10 * k as u64, 0);
+    }
+    eng.rf.poison_write(Reg::int(5), PoisonMask::bit(2), 1);
+    let chain = time_ns_per_iter(
+        || {
+            for i in black_box(&insts) {
+                let p = i.sources().map(|r| eng.rf.poison(r)).fold(PoisonMask::CLEAN, PoisonMask::union);
+                black_box((i.sources().map(|r| eng.rf.ready_at(r)).max().unwrap_or(0), p));
+            }
+        },
+        20_000,
+        5,
     );
-    report("engine/icfp_5k_advance", ns);
+    let direct = time_ns_per_iter(
+        || {
+            for i in black_box(&insts) {
+                black_box(eng.src_operands(i));
+            }
+        },
+        20_000,
+        5,
+    );
+    report("visit/two_operand_chain (x64)", chain);
+    report("visit/two_operand_direct (x64)", direct);
 }
 
 fn bench_trace_decode_v1_vs_v2() {
@@ -437,6 +477,7 @@ fn main() {
     bench_prefetch_demand_miss();
     bench_hierarchy_hit_loop();
     bench_engine_advance();
+    bench_visit_operand_read();
     bench_trace_decode_v1_vs_v2();
     bench_async_vs_sync_prefetch();
     bench_functional_ff_vs_timed();

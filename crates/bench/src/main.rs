@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! icfp-bench [--smoke] [--insts N] [--reps N] [--seed N]
-//!            [--core NAME[,NAME...]] [--workload NAME[,NAME...]]
+//!            [--core NAME[,NAME...] (default: all five)] [--workload NAME[,NAME...]]
 //!            [--trace-file PATH[,PATH...]] [--fast-forward N]
 //!            [--out PATH] [--baseline PATH] [--max-regress-pct P]
 //!            [--sweep] [--sweep-slice N[,N...]]
@@ -133,7 +133,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         insts: 0,
         reps: 0,
         seed: 0xC0DE,
-        cores: vec![CoreModel::Icfp, CoreModel::InOrder],
+        cores: CoreModel::ALL.to_vec(),
         workloads: icfp_workloads::STANDARD_NAMES
             .iter()
             .map(|s| s.to_string())
@@ -262,7 +262,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: icfp-bench [--smoke] [--insts N] [--reps N] [--seed N] \
-                     [--core NAMES] [--workload NAMES|none] [--trace-file PATHS] \
+                     [--core NAMES (default: all five)] [--workload NAMES|none] [--trace-file PATHS] \
                      [--fast-forward N] \
                      [--out PATH] [--baseline PATH] [--max-regress-pct P] \
                      [--sweep] [--sweep-slice NS] [--sweep-mshr NS] \

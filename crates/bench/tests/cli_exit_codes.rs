@@ -96,7 +96,7 @@ fn an_invalid_spec_exits_2_without_connecting() {
 fn a_zero_valued_sweep_axis_exits_2_naming_the_axis() {
     // A zero slice buffer used to panic inside every cell (rendered `fail`,
     // exit 0), zero MSHRs never terminated, and a grid over the cell limit
-    // (2 models x 300 x 300 configs x 4 workloads) died allocating its jobs,
+    // (5 models x 300 x 300 configs x 4 workloads) died allocating its jobs,
     // and a 2^40-entry slice buffer or MSHR file aborted in the allocator;
     // all are invalid specs, for the local runner and for `sweep submit`
     // (which must not connect).
@@ -107,7 +107,7 @@ fn a_zero_valued_sweep_axis_exits_2_naming_the_axis() {
         (&["--sweep-mshr", "0"][..], "mshr_counts"),
         (&["--sweep-slice", "1099511627776"][..], "slice_buffer_entries"),
         (&["--sweep-mshr", "1099511627776"][..], "mshr_counts"),
-        (&["--sweep-slice", &long, "--sweep-mshr", &long][..], "720000 cells"),
+        (&["--sweep-slice", &long, "--sweep-mshr", &long][..], "1800000 cells"),
     ] {
         let started = std::time::Instant::now();
         let out = Command::new(BIN)

@@ -42,6 +42,19 @@ pub struct Engine {
     pub completion: Cycle,
 }
 
+/// Whether a visit's issue waits for its source operands' scoreboard entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OperandWait {
+    /// Always (in-order; Runahead and Multipass, whose poisoned registers
+    /// read ready at cycle 0).
+    Always,
+    /// Unless a source is poisoned: a miss-dependent instruction flows to
+    /// the slice buffer at fetch rate (SLTP, iCFP).
+    UnlessPoisoned,
+    /// Never: the result is already known (a Multipass saved result).
+    Never,
+}
+
 impl Engine {
     /// Creates an engine for one run under the given configuration.
     pub fn new(cfg: &CoreConfig) -> Self {
@@ -62,16 +75,51 @@ impl Engine {
         }
     }
 
-    /// Latest readiness cycle over the instruction's source registers.
-    pub fn src_ready(&self, inst: &DynInst) -> Cycle {
-        inst.sources().map(|r| self.rf.ready_at(r)).max().unwrap_or(0)
+    /// Latest readiness cycle over, and union of the poison masks of, the
+    /// instruction's source registers: two direct scoreboard and poison-plane
+    /// reads, no iterator.
+    #[inline]
+    pub fn src_operands(&self, inst: &DynInst) -> (Cycle, PoisonMask) {
+        let (mut ready, mut poison) = (0, PoisonMask::CLEAN);
+        if let Some(r) = inst.src1 {
+            ready = self.rf.ready_at(r);
+            poison = self.rf.poison(r);
+        }
+        if let Some(r) = inst.src2 {
+            ready = ready.max(self.rf.ready_at(r));
+            poison = poison.union(self.rf.poison(r));
+        }
+        (ready, poison)
     }
 
     /// Union of the poison masks of the instruction's source registers.
+    #[inline]
     pub fn src_poison(&self, inst: &DynInst) -> PoisonMask {
-        inst.sources()
-            .map(|r| self.rf.poison(r))
-            .fold(PoisonMask::CLEAN, PoisonMask::union)
+        self.src_operands(inst).1
+    }
+
+    /// One first-pass instruction visit, the kernel every model's walk runs
+    /// per dynamic instruction: reads the source operands, takes the next
+    /// fetch slot and an issue slot, and returns `(issue cycle, source
+    /// poison)`.  `hold` is a structural hazard (a full store buffer) that
+    /// delays issue; the delay is counted as resource-stall cycles.
+    #[inline(always)]
+    pub fn visit(&mut self, inst: &DynInst, wait: OperandWait, hold: Cycle) -> (Cycle, PoisonMask) {
+        let (src_ready, poison) = self.src_operands(inst);
+        let mut earliest = self.fetch.next_issue_ready();
+        let waits = match wait {
+            OperandWait::Always => true,
+            OperandWait::UnlessPoisoned => poison.is_clean(),
+            OperandWait::Never => false,
+        };
+        if waits {
+            earliest = earliest.max(src_ready);
+        }
+        if hold > earliest {
+            self.stats.resource_stall_cycles += hold - earliest;
+            earliest = hold;
+        }
+        (self.issue_at(inst.class(), earliest), poison)
     }
 
     /// Current architectural values of the instruction's two source operands.
@@ -105,6 +153,7 @@ impl Engine {
 
     /// Allocates an issue slot at or after `earliest`, maintaining in-order
     /// issue, and returns the issue cycle.
+    #[inline]
     pub fn issue_at(&mut self, class: OpClass, earliest: Cycle) -> Cycle {
         let cycle = self.issue.issue(earliest.max(self.frontier), class);
         self.frontier = cycle;
@@ -113,6 +162,7 @@ impl Engine {
     }
 
     /// Records a completion cycle (the run finishes when the last one passes).
+    #[inline]
     pub fn note_completion(&mut self, cycle: Cycle) {
         self.completion = self.completion.max(cycle);
     }
@@ -226,8 +276,72 @@ mod tests {
         e.rf.write(Reg::int(1), 5, 100, 0);
         e.rf.poison_write(Reg::int(2), PoisonMask::bit(1), 1);
         let i = DynInst::alu(Op::Add, Reg::int(3), Reg::int(1), Reg::int(2));
-        assert_eq!(e.src_ready(&i), 100);
+        assert_eq!(e.src_operands(&i).0, 100);
         assert!(e.src_poison(&i).intersects(PoisonMask::bit(1)));
+    }
+
+    /// The operand walk and issue sequence every model's first pass spelled
+    /// out before [`Engine::visit`], kept as its reference: iterator-chain
+    /// poison union and readiness max, one stall step per drained store.
+    fn visit_reference(e: &mut Engine, inst: &DynInst, wait: OperandWait, drained: &[Cycle]) -> (Cycle, PoisonMask) {
+        let fetch_ready = e.fetch.next_issue_ready();
+        let poison = inst.sources().map(|r| e.rf.poison(r)).fold(PoisonMask::CLEAN, PoisonMask::union);
+        let src_ready = inst.sources().map(|r| e.rf.ready_at(r)).max().unwrap_or(0);
+        let waits = match wait {
+            OperandWait::Always => true,
+            OperandWait::UnlessPoisoned => poison.is_clean(),
+            OperandWait::Never => false,
+        };
+        let mut earliest = if waits { fetch_ready.max(src_ready) } else { fetch_ready };
+        for &done in drained {
+            if done > earliest {
+                e.stats.resource_stall_cycles += done - earliest;
+                earliest = done;
+            }
+        }
+        (e.issue_at(inst.class(), earliest), poison)
+    }
+
+    #[test]
+    fn visit_equals_the_sequence_it_replaced_on_random_instructions() {
+        for seed in [1u64, 2, 3] {
+            let mut state = seed;
+            let (mut a, mut b) = (Engine::new(&cfg()), Engine::new(&cfg()));
+            for k in 0..2_500u64 {
+                // splitmix64
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                let r = z ^ (z >> 31);
+                // Six registers, so producers and consumers keep meeting.
+                let reg = |shift: u32| Reg::int((r >> shift) as usize % 6);
+                let inst = match r % 5 {
+                    0 => DynInst::nop(),
+                    1 => DynInst::alu_imm(Op::Mul, reg(8), reg(16), 1),
+                    2 => DynInst::alu(Op::Add, reg(8), reg(16), reg(24)),
+                    3 => DynInst::load(reg(8), reg(16), 0x1000),
+                    _ => DynInst::store(reg(16), reg(24), 0x1000),
+                };
+                let wait = [OperandWait::Always, OperandWait::UnlessPoisoned, OperandWait::Never][(r >> 32) as usize % 3];
+                let drained: Vec<Cycle> = (0..(r >> 36) % 3).map(|j| a.frontier + (r >> (40 + 4 * j)) % 12).collect();
+                let got = a.visit(&inst, wait, drained.iter().copied().max().unwrap_or(0));
+                assert_eq!(got, visit_reference(&mut b, &inst, wait, &drained), "seed {seed} inst {k}");
+                assert_eq!(
+                    (a.frontier, a.completion, a.stats.resource_stall_cycles),
+                    (b.frontier, b.completion, b.stats.resource_stall_cycles),
+                    "seed {seed} inst {k}"
+                );
+                if let Some(dst) = inst.dst {
+                    for e in [&mut a, &mut b] {
+                        if (r >> 52) % 3 == 0 {
+                            e.rf.poison_write(dst, PoisonMask::bit((r >> 56) as u8 % 8), k);
+                        } else {
+                            e.rf.write(dst, k, got.0 + (r >> 56) % 40, k);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

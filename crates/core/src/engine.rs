@@ -576,6 +576,40 @@ mod tests {
         }
     }
 
+    #[test]
+    fn runahead_squashes_rewind_across_pinned_blocks() {
+        // A pointer chase: every load's address comes from the previous
+        // load, so each L2 miss poisons everything after it and an advance
+        // episode walks hundreds of instructions before the squash rewinds
+        // to the checkpoint — dozens of 16-instruction blocks back.
+        let mut b = TraceBuilder::new("chase");
+        for k in 0..600u64 {
+            b.push(DynInst::load(Reg::int(1), Reg::int(1), 0x100000 + k * 0x4000));
+            b.push(DynInst::alu_imm(Op::Add, Reg::int(2), Reg::int(1), 1));
+            b.push(DynInst::alu_imm(Op::Add, Reg::int(4), Reg::int(5), k));
+            b.push(DynInst::store(Reg::int(4), Reg::int(3), 0x8000 + (k % 64) * 8));
+            b.push(DynInst::load(Reg::int(5), Reg::int(3), 0x8000 + (k % 64) * 8));
+        }
+        let t = b.build();
+        let blocks = BlocksOnly(ArenaSource::with_block_size(t.clone(), 16));
+        let streamed = TraceCursor::new(&blocks);
+        assert!(streamed.arena_slice().is_none(), "must take the block path");
+        for m in [CoreModel::Runahead, CoreModel::Multipass] {
+            let cfg = m.default_config();
+            let arena = run_model(m, &cfg, &t);
+            let s = &arena.stats;
+            assert!(
+                s.advance_instructions > 200 * s.advance_episodes && s.advance_episodes > 100,
+                "{m}: {} advance instructions over {} episodes",
+                s.advance_instructions,
+                s.advance_episodes
+            );
+            let blocked = run_model_cursor(m, &cfg, &streamed);
+            assert_eq!(blocked.stats, arena.stats, "{m}: stats diverged");
+            assert_eq!(blocked.state_digest(), arena.state_digest(), "{m}: digest diverged");
+        }
+    }
+
     // (Named for the method `advance` replaced: the test floor tracks names.)
     #[test]
     fn step_block_honours_the_cycle_budget() {

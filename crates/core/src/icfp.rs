@@ -22,19 +22,16 @@
 //! is left is the occasional growth of a hash table or a stream buffer) — the
 //! bound `crates/sim/tests/steady_state_allocs.rs` enforces.
 
-use crate::common::Engine;
+use crate::common::{Engine, OperandWait};
 use crate::config::CoreConfig;
 use crate::engine::{check_model, CoreEngine, CoreModel, EngineSnapshot};
 use crate::fxmap::FxHashMap;
 use crate::slicebuf::{Producer, SliceBuffer, SliceEntry};
 use crate::storebuf::ChainedStoreBuffer;
-use icfp_isa::{
-    exec, exec::ArchState, Cycle, DynInst, InstSeq, OpClass, TraceBlock, TraceCursor, Value,
-};
+use icfp_isa::{exec, exec::ArchState, Cycle, DynInst, InstSeq, OpClass, TraceCursor, Value};
 use icfp_mem::MshrId;
 use icfp_pipeline::{PoisonAllocator, PoisonMask, RunResult};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// A miss whose return will trigger a rally pass.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -348,16 +345,9 @@ impl IcfpMachine {
         let policy = self.eng.cfg.advance_policy;
         let in_advance = !self.rallies.is_empty() || !self.slice.no_active();
 
-        let fetch_ready = self.eng.fetch.next_issue_ready();
-        let src_poison = self.eng.src_poison(inst);
         // Poisoned operands do not stall issue: the instruction flows to the
         // slice buffer at fetch rate.
-        let earliest = if src_poison.is_poisoned() {
-            fetch_ready
-        } else {
-            fetch_ready.max(self.eng.src_ready(inst))
-        };
-        let issue = self.eng.issue_at(inst.class(), earliest);
+        let (issue, src_poison) = self.eng.visit(inst, OperandWait::UnlessPoisoned, 0);
         if in_advance {
             self.eng.stats.advance_instructions += 1;
         }
@@ -774,8 +764,7 @@ impl CoreEngine for IcfpMachine {
     /// rally passes fault older blocks in through the same cursor.
     fn advance(&mut self, trace: &TraceCursor<'_>, until: Cycle, inst_limit: usize) -> bool {
         let len = trace.len();
-        let arena = trace.arena_slice();
-        let mut pinned: Option<Arc<TraceBlock>> = None;
+        let mut insts = trace.reader();
         loop {
             if self.done {
                 return false;
@@ -805,17 +794,7 @@ impl CoreEngine for IcfpMachine {
                 return true;
             }
             // 3. Process the next dynamic instruction.
-            let inst = match arena {
-                Some(s) => s[self.i],
-                None => {
-                    let b = match &pinned {
-                        Some(b) if self.i < b.end() => b,
-                        _ => pinned.insert(trace.pin_block(self.i)),
-                    };
-                    b.insts()[self.i - b.first]
-                }
-            };
-            self.step_inst(trace, &inst);
+            self.step_inst(trace, insts.inst(self.i));
         }
     }
 

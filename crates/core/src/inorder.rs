@@ -5,7 +5,7 @@
 //! miss (not at the miss itself), exactly as the paper describes, because
 //! issue is in order: a stalled instruction blocks everything younger.
 
-use crate::common::{seed_start, Engine};
+use crate::common::{seed_start, Engine, OperandWait};
 use crate::config::CoreConfig;
 use crate::engine::CoreModel;
 use icfp_isa::{exec::ArchState, Cycle, OpClass, TraceCursor};
@@ -29,22 +29,15 @@ pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchS
         for (off, inst) in insts.iter().enumerate() {
             let idx = first + off;
             let seq = idx as u64;
-            let fetch_ready = eng.fetch.next_issue_ready();
-            let mut earliest = fetch_ready.max(eng.src_ready(inst));
-
             // A full store buffer stalls the pipeline until the oldest store
             // drains.
+            let mut hold = 0;
             if inst.is_store() {
                 while store_q.len() >= sb_capacity {
-                    let (done, _) = store_q.pop_front().expect("non-empty");
-                    if done > earliest {
-                        eng.stats.resource_stall_cycles += done - earliest;
-                        earliest = done;
-                    }
+                    hold = hold.max(store_q.pop_front().expect("non-empty").0);
                 }
             }
-
-            let issue = eng.issue_at(inst.class(), earliest);
+            let (issue, _) = eng.visit(inst, OperandWait::Always, hold);
 
             match inst.class() {
                 OpClass::Load => {

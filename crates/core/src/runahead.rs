@@ -11,13 +11,15 @@
 //! restarts at the checkpointed instruction.  That wholesale re-execution is
 //! the overhead iCFP and SLTP avoid.
 
-use crate::common::{seed_start, Engine};
+use crate::common::{seed_start, Engine, OperandWait};
 use crate::config::CoreConfig;
 use crate::engine::CoreModel;
+use crate::fxmap::FxHashMap;
 use crate::storebuf::RunaheadCache;
-use icfp_isa::{exec::ArchState, Cycle, OpClass, TraceCursor};
+use icfp_isa::{exec::ArchState, Addr, Cycle, DynInst, OpClass, TraceCursor};
+use icfp_mem::AccessOutcome;
 use icfp_pipeline::{PoisonMask, RunResult};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Simulates the trace to completion on the Runahead core, starting from the
 /// functional fast-forward state `warm` if one is given.  The paper's default
@@ -25,14 +27,6 @@ use std::collections::{HashMap, VecDeque};
 /// ([`CoreConfig::runahead_default`]).
 pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
     runahead_like_run(cfg, trace, CoreModel::Runahead, warm)
-}
-
-#[derive(Debug, Clone, Copy)]
-struct AdvanceEpisode {
-    /// Trace index to restart from when the episode ends.
-    ckpt_idx: usize,
-    /// Cycle at which the triggering miss returns.
-    trigger_return: Cycle,
 }
 
 /// Shared Runahead/Multipass execution.  For [`CoreModel::Multipass`],
@@ -46,214 +40,124 @@ pub(crate) fn runahead_like_run(
     model: CoreModel,
     warm: Option<&ArchState>,
 ) -> RunResult {
-    let save_results = model == CoreModel::Multipass;
-    let mut eng = Engine::new(cfg);
-    let start = seed_start(&mut eng, warm, trace.len());
-    let mut store_q: VecDeque<(Cycle, u64)> = VecDeque::new();
-    let sb_capacity = cfg.pipeline.baseline_store_buffer;
-    let l1_lat = cfg.mem.l1_hit_latency;
-    let policy = cfg.advance_policy;
-
-    let mut rcache = RunaheadCache::new(cfg.runahead_cache_entries);
-    // Multipass result buffer: trace index -> saved value (None = instruction
-    // executed but produced no register result).
-    let mut results: HashMap<usize, Option<u64>> = HashMap::new();
-    let mut episode: Option<AdvanceEpisode> = None;
-    // Set once any store has been processed in the current advance episode;
-    // results are no longer saved after that because advance loads may then
-    // observe stale memory (conservative memory-dependence handling for
-    // Multipass's result buffer).
-    let mut poisoned_store_seen = false;
-
-    let mut i = start;
-    while i < trace.len() || episode.is_some() {
-        // End the advance episode once execution time reaches the trigger's
-        // return (or the trace ran out while advancing): restore and
-        // re-execute from the checkpoint.
-        if let Some(ep) = episode {
-            if eng.frontier >= ep.trigger_return || i >= trace.len() {
-                finish_episode(&mut eng, &mut rcache, ep, &mut i, &mut poisoned_store_seen);
-                episode = None;
-                continue;
-            }
-        }
-        if i >= trace.len() {
-            break;
-        }
-
-        let inst = trace.get(i);
-        let inst = &inst;
-        let seq = i as u64;
-        let in_advance = episode.is_some();
-        let fetch_ready = eng.fetch.next_issue_ready();
-        let src_poison = if in_advance {
-            eng.src_poison(inst)
-        } else {
-            PoisonMask::CLEAN
-        };
-
-        // Multipass: a saved result breaks the dependence during re-execution.
-        let saved = if save_results && !in_advance {
-            results.get(&i).copied()
-        } else {
-            None
-        };
-
-        let mut earliest = if saved.is_some() {
-            fetch_ready
-        } else {
-            fetch_ready.max(eng.src_ready(inst))
-        };
-
-        if inst.is_store() && !in_advance {
-            while store_q.len() >= sb_capacity {
-                let (done, _) = store_q.pop_front().expect("non-empty");
-                if done > earliest {
-                    eng.stats.resource_stall_cycles += done - earliest;
-                    earliest = done;
-                }
-            }
-        }
-
-        let issue = eng.issue_at(inst.class(), earliest);
-        if in_advance {
-            eng.stats.advance_instructions += 1;
-        }
-
-        // Poisoned instructions just flow through the pipe.
-        if src_poison.is_poisoned() {
-            if let Some(dst) = inst.dst {
-                eng.rf.poison_write(dst, src_poison, seq);
-            }
-            if inst.is_store() {
-                poisoned_store_seen = true;
-                if let Some(addr) = inst.addr {
-                    rcache.write(addr, 0, src_poison);
-                }
-            }
-            if save_results {
-                results.remove(&i);
-            }
-            eng.note_completion(issue + 1);
+    let mut m = Machine {
+        eng: Engine::new(cfg),
+        store_q: VecDeque::new(),
+        rcache: RunaheadCache::new(cfg.runahead_cache_entries),
+        results: FxHashMap::default(),
+        result_capacity: if model == CoreModel::Multipass { cfg.result_buffer_entries } else { 0 },
+        saved_end: 0,
+        poisoned_store_seen: false,
+    };
+    let len = trace.len();
+    let mut insts = trace.reader();
+    let mut i = seed_start(&mut m.eng, warm, len);
+    while i < len {
+        let Some(trigger_return) = m.normal_visit(insts.inst(i), i) else {
             i += 1;
             continue;
+        };
+        // Advance until execution time reaches the trigger's return (or the
+        // trace runs out), then restore and re-execute from the checkpoint.
+        let mut j = i + 1;
+        while j < len && m.eng.frontier < trigger_return {
+            m.advance_visit(insts.inst(j), j);
+            j += 1;
         }
+        m.eng.stats.rally_instructions += (j - i) as u64;
+        m.eng.stats.rally_passes += 1;
+        m.eng.rf.restore(trigger_return);
+        m.rcache.clear();
+        // The front end restarts fetching the checkpointed instruction when
+        // the miss returns; the restart pays a pipeline-refill penalty.
+        m.eng.fetch.redirect(trigger_return);
+        m.eng.frontier = m.eng.frontier.max(trigger_return);
+    }
+    m.eng.finish(model.name(), trace)
+}
+
+struct Machine {
+    eng: Engine,
+    /// Outstanding (not yet drained) stores: (drain completion, word addr).
+    store_q: VecDeque<(Cycle, u64)>,
+    rcache: RunaheadCache,
+    /// Multipass result buffer: trace index -> saved value (None = instruction
+    /// executed but produced no register result).
+    results: FxHashMap<usize, Option<u64>>,
+    /// Entries the result buffer may hold; zero for plain Runahead, which
+    /// therefore never saves one.
+    result_capacity: usize,
+    /// One past the highest trace index ever saved: visits at or beyond it
+    /// (nearly all, once the buffer has filled with stale entries) skip the
+    /// map probe.
+    saved_end: usize,
+    /// Set once any store has been processed in the current advance episode;
+    /// results are no longer saved after that because advance loads may then
+    /// observe stale memory (conservative memory-dependence handling for
+    /// Multipass's result buffer).
+    poisoned_store_seen: bool,
+}
+
+impl Machine {
+    /// Executes instruction `i` outside an advance episode.  Returns the
+    /// cycle the miss returns at if it is a load that starts one (checkpoint
+    /// taken here, destination poisoned).
+    fn normal_visit(&mut self, inst: &DynInst, i: usize) -> Option<Cycle> {
+        let eng = &mut self.eng;
+        let seq = i as u64;
+        let l1_lat = eng.cfg.mem.l1_hit_latency;
+        // Multipass: a saved result breaks the dependence during re-execution.
+        let saved = if i < self.saved_end { self.results.get(&i).copied() } else { None };
+        // A full store buffer stalls the pipeline until the oldest store drains.
+        let mut hold = 0;
+        if inst.is_store() {
+            while self.store_q.len() >= eng.cfg.pipeline.baseline_store_buffer {
+                hold = hold.max(self.store_q.pop_front().expect("non-empty").0);
+            }
+        }
+        let wait = if saved.is_some() { OperandWait::Never } else { OperandWait::Always };
+        let (issue, poison) = eng.visit(inst, wait, hold);
+        debug_assert!(poison.is_clean(), "every episode ends by restoring a clean register file");
 
         match inst.class() {
             OpClass::Load => {
                 let addr = inst.addr.expect("load without address");
-                if !in_advance {
-                    eng.stats.demand_loads += 1;
-                }
+                eng.stats.demand_loads += 1;
                 if let Some(v) = saved {
                     // Multipass rally acceleration: the result is already known.
-                    let completes = issue + 1;
                     if let (Some(dst), Some(v)) = (inst.dst, v) {
-                        eng.rf.write(dst, v, completes, seq);
+                        eng.rf.write(dst, v, issue + 1, seq);
                     }
-                    eng.note_completion(completes);
-                    i += 1;
-                    continue;
+                    eng.note_completion(issue + 1);
+                    return None;
                 }
-                // Advance-mode forwarding via the runahead cache.
-                let rc_hit = if in_advance { rcache.read(addr) } else { None };
-                if let Some((v, p)) = rc_hit {
-                    if p.is_poisoned() {
-                        if let Some(dst) = inst.dst {
-                            eng.rf.poison_write(dst, p, seq);
-                        }
-                        eng.note_completion(issue + 1);
-                        i += 1;
-                        continue;
-                    }
+                let (completes, outcome) = self.load_access(addr, issue);
+                let eng = &mut self.eng;
+                let triggers = eng.cfg.advance_policy.triggers_on(outcome.is_l2_miss());
+                if outcome.is_l1_miss() && triggers && completes > issue + l1_lat {
+                    // Enter advance mode: checkpoint here, poison the dest.
+                    eng.rf.checkpoint(issue, seq);
+                    eng.stats.advance_episodes += 1;
+                    self.poisoned_store_seen = false;
                     if let Some(dst) = inst.dst {
-                        eng.rf.write(dst, v, issue + l1_lat, seq);
+                        eng.rf.poison_write(dst, PoisonMask::bit(0), seq);
                     }
-                    eng.note_completion(issue + l1_lat);
-                    i += 1;
-                    continue;
+                    eng.note_completion(issue + 1);
+                    return Some(completes);
                 }
-                // Baseline forwarding from the conventional store buffer.
-                while matches!(store_q.front(), Some(&(done, _)) if done <= issue) {
-                    store_q.pop_front();
+                // Plain in-order behaviour.
+                if let Some(dst) = inst.dst {
+                    eng.rf.write(dst, eng.arch_mem.read(addr), completes, seq);
                 }
-                let forwarded = store_q.iter().rev().any(|&(_, a)| a == (addr & !7));
-                let (completes, outcome) = if forwarded {
-                    eng.stats.store_forwards += 1;
-                    (issue + l1_lat, icfp_mem::AccessOutcome::L1Hit)
-                } else {
-                    let (c, o, _) = eng.demand_load(addr, issue);
-                    (c, o)
-                };
-                let value = eng.arch_mem.read(addr);
-                let is_miss = outcome.is_l1_miss();
-                let is_l2_miss = outcome.is_l2_miss();
-
-                if !in_advance {
-                    if is_miss && policy.triggers_on(is_l2_miss) && completes > issue + l1_lat {
-                        // Enter advance mode: checkpoint here, poison the dest.
-                        eng.rf.checkpoint(issue, seq);
-                        eng.stats.advance_episodes += 1;
-                        episode = Some(AdvanceEpisode {
-                            ckpt_idx: i,
-                            trigger_return: completes,
-                        });
-                        poisoned_store_seen = false;
-                        if let Some(dst) = inst.dst {
-                            eng.rf.poison_write(dst, PoisonMask::bit(0), seq);
-                        }
-                        eng.note_completion(issue + 1);
-                        i += 1;
-                        continue;
-                    }
-                    // Plain in-order behaviour.
-                    if let Some(dst) = inst.dst {
-                        eng.rf.write(dst, value, completes, seq);
-                    }
-                    eng.note_completion(completes);
-                } else {
-                    // Secondary miss during advance.
-                    let poison_it = if is_l2_miss {
-                        true
-                    } else if is_miss {
-                        policy.poisons_secondary_dcache()
-                    } else {
-                        false
-                    };
-                    if poison_it && completes > issue + l1_lat {
-                        if let Some(dst) = inst.dst {
-                            eng.rf.poison_write(dst, PoisonMask::bit(0), seq);
-                        }
-                        eng.note_completion(issue + 1);
-                    } else {
-                        // Wait for it (D$-blocking) or it was a hit.
-                        if let Some(dst) = inst.dst {
-                            eng.rf.write(dst, value, completes, seq);
-                        }
-                        eng.note_completion(completes);
-                        if save_results && !poisoned_store_seen && results.len() < cfg.result_buffer_entries {
-                            results.insert(i, Some(value));
-                        }
-                    }
-                }
+                eng.note_completion(completes);
             }
             OpClass::Store => {
                 let addr = inst.addr.expect("store without address");
                 let data = inst.store_data_reg().map(|r| eng.rf.value(r)).unwrap_or(0);
-                if in_advance {
-                    // Advance stores write the runahead cache only (plus a
-                    // prefetch of the line).  Result saving stops here: later
-                    // advance loads may observe stale architectural memory.
-                    poisoned_store_seen = true;
-                    rcache.write(addr, data, PoisonMask::CLEAN);
-                    let _ = eng.demand_store(addr, issue + 1);
-                    eng.note_completion(issue + 1);
-                } else {
-                    eng.arch_mem.write(addr, data);
-                    let drain_done = eng.demand_store(addr, issue + 1);
-                    store_q.push_back((drain_done, addr & !7));
-                    eng.note_completion(issue + 1);
-                }
+                eng.arch_mem.write(addr, data);
+                let drain_done = eng.demand_store(addr, issue + 1);
+                self.store_q.push_back((drain_done, addr & !7));
+                eng.note_completion(issue + 1);
             }
             OpClass::Branch => {
                 let resolve = issue + inst.latency();
@@ -262,46 +166,131 @@ pub(crate) fn runahead_like_run(
             }
             _ => {
                 let completes = if saved.is_some() { issue + 1 } else { issue + inst.latency() };
-                let value = eng.compute(inst);
-                if let (Some(dst), Some(v)) = (inst.dst, value) {
+                if let (Some(dst), Some(v)) = (inst.dst, eng.compute(inst)) {
                     eng.rf.write(dst, v, completes, seq);
-                }
-                if in_advance
-                    && save_results
-                    && !poisoned_store_seen
-                    && results.len() < cfg.result_buffer_entries
-                {
-                    results.insert(i, value);
                 }
                 eng.note_completion(completes);
             }
         }
-        i += 1;
+        None
     }
 
-    eng.finish(model.name(), trace)
-}
+    /// Executes instruction `i` inside an advance episode.  The poisoned
+    /// case — most visits of a miss-bound walk — touches only the poison
+    /// plane, the scoreboard, the slot counters and the statistics.
+    fn advance_visit(&mut self, inst: &DynInst, i: usize) {
+        let eng = &mut self.eng;
+        let seq = i as u64;
+        let (issue, poison) = eng.visit(inst, OperandWait::Always, 0);
+        eng.stats.advance_instructions += 1;
 
-/// Ends an advance episode: restores the checkpoint, redirects the front end
-/// to the restart point and rolls the instruction pointer back.
-fn finish_episode(
-    eng: &mut Engine,
-    rcache: &mut RunaheadCache,
-    ep: AdvanceEpisode,
-    i: &mut usize,
-    poisoned_store_seen: &mut bool,
-) {
-    let advance_len = i.saturating_sub(ep.ckpt_idx) as u64;
-    eng.stats.rally_instructions += advance_len;
-    eng.stats.rally_passes += 1;
-    eng.rf.restore(ep.trigger_return);
-    rcache.clear();
-    *poisoned_store_seen = false;
-    // The front end restarts fetching the checkpointed instruction when the
-    // miss returns; the restart pays a pipeline-refill penalty.
-    eng.fetch.redirect(ep.trigger_return);
-    eng.frontier = eng.frontier.max(ep.trigger_return);
-    *i = ep.ckpt_idx;
+        // Poisoned instructions just flow through the pipe.
+        if poison.is_poisoned() {
+            if let Some(dst) = inst.dst {
+                eng.rf.poison_write(dst, poison, seq);
+            }
+            if inst.is_store() {
+                self.poisoned_store_seen = true;
+                if let Some(addr) = inst.addr {
+                    self.rcache.write(addr, 0, poison);
+                }
+            }
+            if i < self.saved_end {
+                self.results.remove(&i);
+            }
+            eng.note_completion(issue + 1);
+            return;
+        }
+
+        match inst.class() {
+            OpClass::Load => {
+                let addr = inst.addr.expect("load without address");
+                let l1_lat = eng.cfg.mem.l1_hit_latency;
+                // Advance-mode forwarding via the runahead cache.
+                if let Some((v, p)) = self.rcache.read(addr) {
+                    let completes = if p.is_poisoned() { issue + 1 } else { issue + l1_lat };
+                    if let Some(dst) = inst.dst {
+                        if p.is_poisoned() {
+                            eng.rf.poison_write(dst, p, seq);
+                        } else {
+                            eng.rf.write(dst, v, completes, seq);
+                        }
+                    }
+                    eng.note_completion(completes);
+                    return;
+                }
+                let (completes, outcome) = self.load_access(addr, issue);
+                let eng = &mut self.eng;
+                // Secondary miss during advance.
+                let poison_it = outcome.is_l2_miss()
+                    || (outcome.is_l1_miss() && eng.cfg.advance_policy.poisons_secondary_dcache());
+                if poison_it && completes > issue + l1_lat {
+                    if let Some(dst) = inst.dst {
+                        eng.rf.poison_write(dst, PoisonMask::bit(0), seq);
+                    }
+                    eng.note_completion(issue + 1);
+                } else {
+                    // Wait for it (D$-blocking) or it was a hit.
+                    let value = eng.arch_mem.read(addr);
+                    if let Some(dst) = inst.dst {
+                        eng.rf.write(dst, value, completes, seq);
+                    }
+                    eng.note_completion(completes);
+                    self.save_result(i, Some(value));
+                }
+            }
+            OpClass::Store => {
+                // Advance stores write the runahead cache only (plus a
+                // prefetch of the line).  Result saving stops here: later
+                // advance loads may observe stale architectural memory.
+                let addr = inst.addr.expect("store without address");
+                let data = inst.store_data_reg().map(|r| eng.rf.value(r)).unwrap_or(0);
+                self.poisoned_store_seen = true;
+                self.rcache.write(addr, data, PoisonMask::CLEAN);
+                let _ = eng.demand_store(addr, issue + 1);
+                eng.note_completion(issue + 1);
+            }
+            OpClass::Branch => {
+                let resolve = issue + inst.latency();
+                eng.exec_branch(inst, resolve);
+                eng.note_completion(resolve);
+            }
+            _ => {
+                let completes = issue + inst.latency();
+                let value = eng.compute(inst);
+                if let (Some(dst), Some(v)) = (inst.dst, value) {
+                    eng.rf.write(dst, v, completes, seq);
+                }
+                eng.note_completion(completes);
+                self.save_result(i, value);
+            }
+        }
+    }
+
+    /// A clean load's memory access at `issue`: forwarded from the
+    /// conventional store buffer if an outstanding store matches, otherwise
+    /// a demand access.  Returns `(completes_at, outcome)`.
+    fn load_access(&mut self, addr: Addr, issue: Cycle) -> (Cycle, AccessOutcome) {
+        while matches!(self.store_q.front(), Some(&(done, _)) if done <= issue) {
+            self.store_q.pop_front();
+        }
+        if self.store_q.iter().rev().any(|&(_, a)| a == (addr & !7)) {
+            self.eng.stats.store_forwards += 1;
+            (issue + self.eng.cfg.mem.l1_hit_latency, AccessOutcome::L1Hit)
+        } else {
+            let (c, o, _) = self.eng.demand_load(addr, issue);
+            (c, o)
+        }
+    }
+
+    /// Multipass: saves a miss-independent advance result, while no store
+    /// has been seen this episode and the buffer has room.
+    fn save_result(&mut self, i: usize, value: Option<u64>) {
+        if !self.poisoned_store_seen && self.results.len() < self.result_capacity {
+            self.results.insert(i, value);
+            self.saved_end = self.saved_end.max(i + 1);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,12 +17,12 @@
 //!    the whole slice must re-execute successfully in one pass, and a
 //!    dependent miss inside the slice stalls the rally until it returns.
 
-use crate::common::{seed_start, Engine};
+use crate::common::{seed_start, Engine, OperandWait};
 use crate::config::CoreConfig;
 use crate::engine::CoreModel;
 use crate::slicebuf::{SliceBuffer, SliceEntry};
 use crate::storebuf::StoreRedoLog;
-use icfp_isa::{exec, exec::ArchState, Cycle, OpClass, TraceCursor, Value};
+use icfp_isa::{exec, exec::ArchState, Cycle, OpClass, TraceCursor, Value, NUM_ARCH_REGS};
 use icfp_pipeline::{PoisonMask, RunResult};
 use std::collections::HashMap;
 
@@ -89,18 +89,8 @@ pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchS
             continue;
         }
 
-        let fetch_ready = eng.fetch.next_issue_ready();
-        let src_poison = if in_advance {
-            eng.src_poison(inst)
-        } else {
-            PoisonMask::CLEAN
-        };
-        let earliest = fetch_ready.max(if src_poison.is_poisoned() {
-            fetch_ready
-        } else {
-            eng.src_ready(inst)
-        });
-        let issue = eng.issue_at(inst.class(), earliest);
+        let (issue, src_poison) = eng.visit(inst, OperandWait::UnlessPoisoned, 0);
+        debug_assert!(in_advance || src_poison.is_clean(), "every rally ends with a clean register file");
         if in_advance {
             eng.stats.advance_instructions += 1;
         }
@@ -311,17 +301,18 @@ fn run_blocking_rally(
     eng.stats.rally_passes += 1;
     // Flush speculatively written lines (the SRL/SLTP penalty the paper
     // describes for galgel): they must be re-fetched on next use.
-    let spec_lines: Vec<u64> = srl.iter().map(|(_, a, _, _)| *a).collect();
-    for a in &spec_lines {
+    for (_, a, _, _) in srl.iter() {
         eng.mem.invalidate_l1(*a);
     }
 
-    // Scratch values produced by earlier slice instructions in this rally.
-    let mut scratch: HashMap<usize, (Value, Cycle)> = HashMap::new();
+    // Scratch register values produced by earlier slice instructions in this
+    // rally, by register index.
+    let mut scratch: [Option<(Value, Cycle)>; NUM_ARCH_REGS] = [None; NUM_ARCH_REGS];
     let mut rally_frontier = start;
     let mut slice_end = start;
-    let entries: Vec<SliceEntry> = slice.active_entries().copied().collect();
-    for e in &entries {
+    // The whole slice re-executes in this one pass and is squashed after it,
+    // so entries are read in place and never individually retired.
+    for e in slice.active_entries() {
         eng.stats.rally_instructions += 1;
         let inst = trace.get(e.trace_idx);
         let inst = &inst;
@@ -338,7 +329,7 @@ fn run_blocking_rally(
             }
             if let Some(v) = cap {
                 vals[k] = v;
-            } else if let Some(&(v, r)) = scratch.get(&src.unwrap().index()) {
+            } else if let Some((v, r)) = scratch[src.unwrap().index()] {
                 vals[k] = v;
                 ready = ready.max(r);
             }
@@ -367,11 +358,11 @@ fn run_blocking_rally(
             }
             OpClass::Store => {
                 let data_reg = inst.store_data_reg();
-                let v = match (data_reg, e.src2_value.or(e.src1_value)) {
-                    (Some(r), _) if scratch.contains_key(&r.index()) => scratch[&r.index()].0,
-                    (_, Some(cap)) => cap,
-                    _ => 0,
-                };
+                let v = data_reg
+                    .and_then(|r| scratch[r.index()])
+                    .map(|(v, _)| v)
+                    .or(e.src2_value.or(e.src1_value))
+                    .unwrap_or(0);
                 srl.resolve_value(seq, v);
                 (None, issue + 1)
             }
@@ -386,7 +377,7 @@ fn run_blocking_rally(
             }
         };
         if let (Some(dst), Some(v)) = (inst.dst, value) {
-            scratch.insert(dst.index(), (v, completes));
+            scratch[dst.index()] = Some((v, completes));
             eng.rf.rally_write(dst, v, completes, seq);
         }
         // Blocking rally: a missing load stalls the rally until it returns.
@@ -395,9 +386,7 @@ fn run_blocking_rally(
         }
         slice_end = slice_end.max(completes);
         eng.note_completion(completes);
-        slice.retire(e.trace_idx);
     }
-    slice.reclaim_head();
     slice.clear();
 
     // Drain the SRL in program order; tail execution waits for the drain.

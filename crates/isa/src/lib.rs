@@ -42,7 +42,7 @@ pub use exec::{ArchState, FunctionalMemory};
 pub use inst::{DynInst, MemWidth, Op, OpClass};
 pub use reg::{Reg, RegClass, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS};
 pub use source::{
-    block_digest_of, ArenaSource, Residency, TraceBlock, TraceCursor, TraceSource,
+    block_digest_of, ArenaSource, InstReader, Residency, TraceBlock, TraceCursor, TraceSource,
     TraceSourceError, DEFAULT_BLOCK_INSTS,
 };
 pub use trace::{Trace, TraceBuilder, TraceStats};

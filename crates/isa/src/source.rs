@@ -599,6 +599,12 @@ impl<'a> TraceCursor<'a> {
         b
     }
 
+    /// Borrowed instruction reads for an engine's first pass, see
+    /// [`InstReader`].
+    pub fn reader(&self) -> InstReader<'_, 'a> {
+        InstReader { cursor: self, arena: self.arena_slice(), pinned: None }
+    }
+
     /// Calls `f` once per block-sized instruction run covering positions
     /// `[start, len)`, in order: `f(first, insts)` receives the dynamic index
     /// of `insts[0]`.  Returns early (propagating `false`) if `f` does.
@@ -631,6 +637,35 @@ impl<'a> TraceCursor<'a> {
             at = b.end();
         }
         true
+    }
+}
+
+/// Reads instructions by reference: from the arena slice, or — for a
+/// streamed source — from a block pinned here, so a first pass that rewinds
+/// (a Runahead squash) or shares the cursor with random reads (rally passes
+/// faulting older blocks in) dispatches through it once per block crossed.
+pub struct InstReader<'c, 'a> {
+    cursor: &'c TraceCursor<'a>,
+    arena: Option<&'a [DynInst]>,
+    pinned: Option<Arc<TraceBlock>>,
+}
+
+impl InstReader<'_, '_> {
+    /// The instruction at dynamic position `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`TraceCursor::get`].
+    #[inline]
+    pub fn inst(&mut self, idx: usize) -> &DynInst {
+        if let Some(s) = self.arena {
+            return &s[idx];
+        }
+        if !matches!(&self.pinned, Some(b) if idx >= b.first && idx < b.end()) {
+            self.pinned = Some(self.cursor.pin_block(idx));
+        }
+        let b = self.pinned.as_ref().expect("pinned above");
+        &b.insts()[idx - b.first]
     }
 }
 

@@ -65,6 +65,7 @@ impl FetchEngine {
     /// Hands out the next fetch slot in program order and returns the earliest
     /// cycle at which that instruction can issue (fetch cycle plus front-end
     /// depth).
+    #[inline]
     pub fn next_issue_ready(&mut self) -> Cycle {
         if self.used >= self.width {
             self.current_cycle += 1;

@@ -72,38 +72,21 @@ impl IssueSchedule {
         &self.ring[(cycle % WINDOW as u64) as usize]
     }
 
-    #[inline]
-    fn has_room(&self, cycle: Cycle, class: OpClass) -> bool {
-        let u = self.slot(cycle);
-        if u.total >= self.width {
-            return false;
-        }
-        if class.uses_int_port() {
-            u.int < self.int_ports
-        } else {
-            u.mem_fp_br < self.mem_fp_br_ports
-        }
-    }
-
-    /// Slides the window forward so `cycle` is inside it, clearing the
-    /// counters of the cycles that enter the window.
-    #[inline]
-    fn cover(&mut self, cycle: Cycle) {
+    /// Slides the window forward so `cycle` (past its end) is inside it,
+    /// clearing the counters of the cycles that enter the window.
+    #[cold]
+    fn slide_to(&mut self, cycle: Cycle) {
         let end = self.base + WINDOW as u64;
-        if cycle < end {
-            return;
-        }
         if cycle - end >= WINDOW as u64 {
             // Far jump: every retained counter falls out of the window.
             self.ring.iter_mut().for_each(|u| *u = SlotUse::default());
-            self.base = cycle - (WINDOW as u64 - 1);
         } else {
             // Slide incrementally, vacating the slots that wrap around.
             for c in end..=cycle {
                 self.ring[(c % WINDOW as u64) as usize] = SlotUse::default();
             }
-            self.base = cycle - (WINDOW as u64 - 1);
         }
+        self.base = cycle - (WINDOW as u64 - 1);
     }
 
     /// Reserves an issue slot for an instruction of class `class` at the
@@ -112,21 +95,31 @@ impl IssueSchedule {
     /// In-order contract: `earliest` must be at or after the previously
     /// granted cycle (every core routes requests through a monotonic issue
     /// frontier).  Requests below the retained window are clamped to it.
+    #[inline]
     pub fn issue(&mut self, earliest: Cycle, class: OpClass) -> Cycle {
+        let int = class.uses_int_port();
         let mut cycle = earliest.max(self.base);
-        self.cover(cycle);
-        while !self.has_room(cycle, class) {
+        loop {
+            let ahead = cycle - self.base;
+            if ahead > WINDOW as u64 {
+                self.slide_to(cycle);
+            }
+            let u = &mut self.ring[(cycle % WINDOW as u64) as usize];
+            if ahead == WINDOW as u64 {
+                // A dense stream steps past the window's end one cycle at a
+                // time: vacate the one slot that wraps around.
+                *u = SlotUse::default();
+                self.base += 1;
+            }
+            let port = if int { &mut u.int } else { &mut u.mem_fp_br };
+            let ports = if int { self.int_ports } else { self.mem_fp_br_ports };
+            if u.total < self.width && *port < ports {
+                *port += 1;
+                u.total += 1;
+                return cycle;
+            }
             cycle += 1;
-            self.cover(cycle);
         }
-        let u = &mut self.ring[(cycle % WINDOW as u64) as usize];
-        u.total += 1;
-        if class.uses_int_port() {
-            u.int += 1;
-        } else {
-            u.mem_fp_br += 1;
-        }
-        cycle
     }
 
     /// Number of instructions issued at `cycle`, if it is still inside the
@@ -225,6 +218,45 @@ mod tests {
             frontier = s.issue(frontier, OpClass::IntAlu);
         }
         assert_eq!(frontier, 499);
+    }
+
+    #[test]
+    fn random_monotonic_requests_match_a_per_cycle_reference() {
+        // The reference keeps every cycle's counters for ever and probes
+        // cycle by cycle; requests obey the in-order contract (at or after
+        // the last grant), mostly dense, sometimes past the window (a
+        // single-step slide, an incremental one, a far jump).
+        const CLASSES: [OpClass; 6] =
+            [OpClass::IntAlu, OpClass::IntMul, OpClass::FpAdd, OpClass::Load, OpClass::Store, OpClass::Branch];
+        for (seed, (width, int_ports, mem_ports)) in [(1u64, (2u8, 2u8, 1u8)), (2, (1, 1, 1)), (3, (4, 2, 2))] {
+            let mut s = IssueSchedule::new(width as usize, int_ports as usize, mem_ports as usize);
+            let mut used: std::collections::HashMap<Cycle, SlotUse> = Default::default();
+            let (mut state, mut last) = (seed, 0u64);
+            for k in 0..20_000 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let r = state >> 33;
+                let class = CLASSES[(r % 6) as usize];
+                let earliest = last + match (r >> 8) % 64 {
+                    0 => 64 + (r >> 16) % 200,
+                    1..=8 => (r >> 16) % 4,
+                    _ => 0,
+                };
+                let mut want = earliest;
+                loop {
+                    let u = used.entry(want).or_default();
+                    let (port, ports) = if class.uses_int_port() { (&mut u.int, int_ports) } else { (&mut u.mem_fp_br, mem_ports) };
+                    if u.total < width && *port < ports {
+                        *port += 1;
+                        u.total += 1;
+                        break;
+                    }
+                    want += 1;
+                }
+                last = s.issue(earliest, class);
+                assert_eq!(last, want, "seed {seed} request {k}: {class:?} at {earliest}");
+                assert_eq!(s.issued_at(last), used[&last].total as usize);
+            }
+        }
     }
 
     #[test]

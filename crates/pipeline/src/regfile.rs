@@ -138,11 +138,13 @@ impl TimedRegFile {
     }
 
     /// The architectural value of `r`.
+    #[inline]
     pub fn value(&self, r: Reg) -> Value {
         self.regs[r.index()].value
     }
 
     /// The cycle at which `r`'s value is available.
+    #[inline]
     pub fn ready_at(&self, r: Reg) -> Cycle {
         self.regs[r.index()].ready_at
     }
@@ -175,6 +177,7 @@ impl TimedRegFile {
 
     /// Writes `r` as a normal (non-poisoned) result available at `ready_at`,
     /// stamping the last-writer sequence number.
+    #[inline]
     pub fn write(&mut self, r: Reg, value: Value, ready_at: Cycle, seq: InstSeq) {
         self.regs[r.index()] = RegEntry {
             value,
@@ -187,6 +190,7 @@ impl TimedRegFile {
     /// Poisons `r` with `mask`, stamping the last-writer sequence number.  The
     /// old value is retained (it is architecturally stale but harmless: any
     /// reader sees the poison).
+    #[inline]
     pub fn poison_write(&mut self, r: Reg, mask: PoisonMask, seq: InstSeq) {
         let e = &mut self.regs[r.index()];
         e.last_writer = Some(seq);

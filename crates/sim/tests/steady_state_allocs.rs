@@ -63,7 +63,7 @@ fn steady_state_simulation_stays_under_two_allocations_per_kinst() {
         let full = icfp_workloads::by_name(wl, INSTS, SEED).expect("standard workload");
         let warm_len = full.len() / 10;
         let prefix = Trace::new(full.name(), full.as_slice()[..warm_len].to_vec());
-        for model in [CoreModel::InOrder, CoreModel::Icfp] {
+        for model in CoreModel::ALL {
             let steady =
                 alloc_calls_of_run(model, &full).saturating_sub(alloc_calls_of_run(model, &prefix));
             let per_kinst = steady as f64 * 1000.0 / (full.len() - warm_len) as f64;
