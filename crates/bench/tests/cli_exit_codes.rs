@@ -1,10 +1,10 @@
-//! `icfp-bench sweep submit` exit codes, end to end through the real binary:
-//! each documented failure class (invalid spec, connect/transport failure,
+//! `icfp-bench` exit codes, end to end through the real binary: each
+//! documented sweep failure class (invalid spec, connect/transport failure,
 //! protocol violation, server-reported error) must map to its own distinct
 //! exit code so scripts can tell "fix the spec" from "retry later" from
 //! "incompatible peer" — and to the *same* code whether the grid went to one
 //! server (`--server`, a `Submit`) or to a worker pool (`--workers`, a
-//! `ShardSubmit`).
+//! `ShardSubmit`).  A standard run refuses input that leaves nothing to time.
 
 use icfp_sweep::wire::{base_features, Request, Response, WIRE_VERSION};
 use serde::frame::{read_frame, write_frame};
@@ -23,6 +23,16 @@ fn submit_status(extra: &[&str]) -> i32 {
         .output()
         .expect("spawn icfp-bench");
     out.status.code().expect("exit code, not a signal")
+}
+
+/// Runs the binary to completion: exit code, standard output, standard error.
+fn bench(args: &[&str]) -> (i32, String, String) {
+    let out = Command::new(BIN).args(args).output().expect("spawn icfp-bench");
+    (
+        out.status.code().expect("exit code, not a signal"),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
 }
 
 fn recv_req(r: &mut BufReader<TcpStream>) -> Request {
@@ -90,6 +100,67 @@ fn an_invalid_spec_exits_2_without_connecting() {
         let code = submit_status(&[front_end, "127.0.0.1:1", "--workload", "no-such-workload"]);
         assert_eq!(code, 2, "{front_end}");
     }
+    // A repeated axis value used to run, into a matrix with a dead second
+    // `branchy` column and half its rows: invalid on every sweep front end.
+    let repeated = ["--core", "icfp,icfp", "--workload", "branchy,branchy", "--insts", "200"];
+    for front_end in [
+        &["--sweep"][..],
+        &["sweep", "plan"],
+        &["sweep", "submit", "--server", "127.0.0.1:1", "--retries", "0"],
+        &["sweep", "submit", "--workers", "127.0.0.1:1", "--retries", "0"],
+    ] {
+        let (code, _, stderr) = bench(&[front_end, &repeated[..]].concat());
+        assert_eq!(code, 2, "{front_end:?}: {stderr}");
+        assert!(stderr.contains("models repeats icfp"), "{front_end:?}: {stderr}");
+    }
+}
+
+#[test]
+fn a_standard_run_with_nothing_to_time_exits_2() {
+    // Both used to exit 0: the first with a `0 cyc  ipc 0.00` row, the second
+    // with an empty document.
+    let out = std::env::temp_dir().join(format!("icfp-cli-{}.json", std::process::id()));
+    let trace = out.with_extension("trace");
+    let (out, trace) = (out.to_str().expect("utf-8"), trace.to_str().expect("utf-8"));
+    let small = ["--smoke", "--insts", "2000", "--core", "icfp", "--reps", "1", "--out", out];
+    let (code, _, stderr) =
+        bench(&[&small[..], &["--workload", "branchy", "--fast-forward", "5000"]].concat());
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("fast-forward (5000) must leave a timed region"), "{stderr}");
+
+    // A container is held to its own instruction count, not to `--insts`.
+    let bbp = format!("{trace}.bbp");
+    std::fs::write(&bbp, "loop 100\npc 0x2000\nadd r2, r1, #1\nend\n").expect("write profile");
+    assert_eq!(bench(&["trace", "convert", &bbp, trace]).0, 0);
+    let on_file = [&small[..], &["--workload", "none", "--trace-file", trace]].concat();
+    let (code, _, stderr) = bench(&[&on_file[..], &["--fast-forward", "100"]].concat());
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("(insts = 100)"), "{stderr}");
+    assert_eq!(bench(&[&on_file[..], &["--fast-forward", "99"]].concat()).0, 0);
+    for scratch in [out, trace, &bbp] {
+        let _ = std::fs::remove_file(scratch);
+    }
+
+    let (code, _, stderr) = bench(&[&small[..], &["--workload", "none"]].concat());
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stderr.contains("nothing to run"), "{stderr}");
+    assert!(!std::path::Path::new(out).exists(), "no document for an empty run");
+}
+
+#[test]
+fn a_seed_is_accepted_in_the_hex_form_the_banners_print() {
+    let digest_with = |seed: &str| {
+        let out = std::env::temp_dir().join(format!("icfp-cli-{}-{seed}.json", std::process::id()));
+        let out = out.to_str().expect("utf-8");
+        let grid = ["--core", "icfp,in-order", "--workload", "branchy", "--sweep-slice", "64"];
+        let (code, stdout, stderr) =
+            bench(&[&["--sweep", "--insts", "300", "--seed", seed, "--out", out], &grid[..]].concat());
+        let _ = std::fs::remove_file(out);
+        assert_eq!(code, 0, "--seed {seed}: {stderr}");
+        let (_, digest) = stdout.split_once("report digest ").expect("digest line");
+        digest[..18].to_string() // 0x + 16 hex digits
+    };
+    assert_eq!(digest_with("0xC0DE"), digest_with("49374"));
 }
 
 #[test]

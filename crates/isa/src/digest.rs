@@ -3,10 +3,10 @@
 //! Several subsystems digest deterministic figures — final architectural
 //! state (`RunResult::state_digest`), sweep reports, trace identities,
 //! checkpoint containers.  They must all hash identically forever (digests
-//! are persisted in `BENCH_baseline.json` and `icfp-ckpt/v2` files), so the
-//! primitive lives here, in the crate every other crate already depends on,
-//! instead of being re-implemented per subsystem where one typo could
-//! silently fork a digest domain.
+//! are persisted in `golden_figures.txt`, result caches and `icfp-ckpt/v2`
+//! files), so the primitive lives here, in the crate every other crate
+//! already depends on, instead of being re-implemented per subsystem where
+//! one typo could silently fork a digest domain.
 
 /// Incremental FNV-1a 64 hasher.
 #[derive(Debug, Clone)]

@@ -234,14 +234,6 @@ impl TraceBuilder {
         self
     }
 
-    /// Appends every instruction from an iterator.
-    pub fn push_all<I: IntoIterator<Item = DynInst>>(&mut self, insts: I) -> &mut Self {
-        for i in insts {
-            self.push(i);
-        }
-        self
-    }
-
     /// Overrides the PC that will be assigned to the next pushed instruction.
     /// Used by generators that model loops (re-visiting the same static PCs),
     /// which matters for the branch predictor and stream prefetcher models.

@@ -153,24 +153,6 @@ impl MemoryHierarchy {
         &self.stats
     }
 
-    /// Statistics of the L1 data cache.
-    pub fn l1d_stats(&self) -> &crate::cache::CacheStats {
-        self.l1d.stats()
-    }
-
-    /// Statistics of the L2 cache.
-    pub fn l2_stats(&self) -> &crate::cache::CacheStats {
-        self.l2.stats()
-    }
-
-    /// Number of misses currently outstanding.
-    pub fn outstanding_misses(&self, now: Cycle) -> usize {
-        self.mshrs
-            .iter_outstanding()
-            .filter(|&(_, c, _)| c > now)
-            .count()
-    }
-
     /// Issues a demand load for `addr` at cycle `now`.
     ///
     /// # Errors

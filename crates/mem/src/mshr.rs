@@ -302,14 +302,6 @@ impl MshrFile {
         e.completes_at = completes_at;
         self.next_completion = self.next_completion.min(completes_at);
     }
-
-    /// Iterates over `(line_addr, completes_at, id)` of outstanding misses.
-    pub fn iter_outstanding(&self) -> impl Iterator<Item = (Addr, Cycle, MshrId)> + '_ {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|e| (e.line_addr, e.completes_at, e.id))
-    }
 }
 
 #[cfg(test)]

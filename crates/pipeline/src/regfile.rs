@@ -132,11 +132,6 @@ impl TimedRegFile {
         &self.regs[r.index()]
     }
 
-    /// Mutable access to a register entry.
-    pub fn entry_mut(&mut self, r: Reg) -> &mut RegEntry {
-        &mut self.regs[r.index()]
-    }
-
     /// The architectural value of `r`.
     #[inline]
     pub fn value(&self, r: Reg) -> Value {
@@ -168,11 +163,6 @@ impl TimedRegFile {
     /// Union of every register's poison mask (word-level OR reduce).
     pub fn poison_union(&self) -> PoisonMask {
         self.poison.union_all()
-    }
-
-    /// Read access to the packed poison plane.
-    pub fn poison_plane(&self) -> &PoisonVec {
-        &self.poison
     }
 
     /// Writes `r` as a normal (non-poisoned) result available at `ready_at`,
@@ -244,11 +234,6 @@ impl TimedRegFile {
     /// True if a checkpoint exists.
     pub fn has_checkpoint(&self) -> bool {
         self.checkpoint.is_some()
-    }
-
-    /// The current checkpoint, if any.
-    pub fn checkpoint_info(&self) -> Option<&Checkpoint> {
-        self.checkpoint.as_ref()
     }
 
     /// Restores register values from the checkpoint, clearing poison,

@@ -25,8 +25,9 @@
 //! holds it to a number: after the first 10 % of a trace, in-order and iCFP
 //! on pointer-chase and dcache-thrash make fewer than 2 heap-allocation calls
 //! per 1000 simulated instructions.
-//! `BENCH_sim.json` (written by `icfp-bench`) tracks the resulting
-//! simulated-instructions-per-host-second so regressions are caught in CI.
+//! `icfp-ladder` (`benchmark/`) measures the resulting
+//! simulated-instructions-per-host-second (`sim_mips`, `core.*_mips`), and CI
+//! compares it against the checked-in baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -220,6 +221,22 @@ pub fn median_run(config: &SimConfig, source: &dyn TraceSource, ff: usize, reps:
     );
     reports.sort_by(|a, b| a.host_seconds.total_cmp(&b.host_seconds));
     reports.swap_remove(reports.len() / 2)
+}
+
+/// The condition every measured front end (a standard `icfp-bench` run, a
+/// sweep spec) puts on a fast-forward depth before handing it to
+/// [`median_run`]: it must leave a timed region.
+///
+/// # Errors
+///
+/// Describes the two figures when `ff` swallows all `insts` instructions.
+pub fn check_timed_region(ff: usize, insts: usize) -> Result<(), String> {
+    if ff >= insts {
+        return Err(format!(
+            "fast-forward ({ff}) must leave a timed region (insts = {insts})"
+        ));
+    }
+    Ok(())
 }
 
 /// Functionally executes the first `n` instructions of the trace behind the

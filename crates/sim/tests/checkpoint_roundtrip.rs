@@ -2,8 +2,9 @@
 //! model and every standard synthetic workload, save → restore → run must be
 //! bit-identical (cycle counts, statistics, state digests) to an
 //! uninterrupted run — including checkpoints taken through the on-disk
-//! `icfp-ckpt/v2` encoding, and checkpoints taken mid-episode while the iCFP
-//! machine has live speculative state.
+//! `icfp-ckpt/v2` encoding, checkpoints taken mid-episode while the iCFP
+//! machine has live speculative state, and checkpoints taken in the middle of
+//! the timed region of a functionally fast-forwarded run.
 
 use icfp_sim::{CoreModel, SimCheckpoint, SimConfig, SimReport, Simulator};
 
@@ -14,15 +15,20 @@ fn reference_run(config: &SimConfig, trace: &icfp_isa::Trace) -> SimReport {
     Simulator::new(config.clone()).run(trace)
 }
 
-/// Runs to `fork_at` instructions, checkpoints through the full byte-level
-/// container, resumes on a fresh simulator and finishes.
+/// Fast-forwards `ff` instructions functionally, runs to `fork_at`
+/// instructions, checkpoints through the full byte-level container, resumes
+/// on a fresh simulator and finishes.
 fn interrupted_run(
     config: &SimConfig,
     trace: &icfp_isa::Trace,
+    ff: usize,
     fork_at: usize,
 ) -> (SimCheckpoint, SimReport) {
     let mut sim = Simulator::new(config.clone());
     sim.load(trace.clone());
+    if ff > 0 {
+        sim.fast_forward(ff).expect("fresh loaded engine seeds");
+    }
     sim.advance_to_inst(fork_at).expect("loaded");
     let ck = sim.checkpoint().expect("checkpoint mid-run");
     // Round-trip the container encoding so the test covers the v2 format,
@@ -38,25 +44,31 @@ fn save_restore_run_is_bit_identical_for_every_model_and_workload() {
         let config = SimConfig::new(model);
         for wl in icfp_workloads::STANDARD_NAMES {
             let trace = icfp_workloads::by_name(wl, INSTS, SEED).expect("standard workload");
-            let reference = reference_run(&config, &trace);
-            for fork_at in [0, trace.len() / 3, trace.len() - 1] {
-                let (ck, resumed) = interrupted_run(&config, &trace, fork_at);
-                assert_eq!(ck.workload, *wl);
-                assert_eq!(
-                    resumed.cycles, reference.cycles,
-                    "{model} {wl} fork@{fork_at}: cycles diverged"
-                );
-                assert_eq!(
-                    resumed.state_digest, reference.state_digest,
-                    "{model} {wl} fork@{fork_at}: state digest diverged"
-                );
-                assert_eq!(
-                    resumed.instructions, reference.instructions,
-                    "{model} {wl} fork@{fork_at}"
-                );
-                assert_eq!(resumed.result.stats, reference.result.stats);
-                assert_eq!(resumed.result.final_regs, reference.result.final_regs);
-                assert_eq!(resumed.result.final_mem, reference.result.final_mem);
+            // Cold, and with the first quarter skipped functionally: the
+            // resume then carries both the seeded architectural state and
+            // live timing state from inside the timed region.
+            for ff in [0, trace.len() / 4] {
+                let reference = Simulator::new(config.clone()).run_ff(&trace, ff);
+                let timed = trace.len() - ff;
+                for fork_at in [ff, ff + timed / 3, trace.len() - 1] {
+                    let (ck, resumed) = interrupted_run(&config, &trace, ff, fork_at);
+                    assert_eq!(ck.workload, *wl);
+                    assert_eq!(
+                        resumed.cycles, reference.cycles,
+                        "{model} {wl} ff={ff} fork@{fork_at}: cycles diverged"
+                    );
+                    assert_eq!(
+                        resumed.state_digest, reference.state_digest,
+                        "{model} {wl} ff={ff} fork@{fork_at}: state digest diverged"
+                    );
+                    assert_eq!(
+                        resumed.instructions, reference.instructions,
+                        "{model} {wl} ff={ff} fork@{fork_at}"
+                    );
+                    assert_eq!(resumed.result.stats, reference.result.stats);
+                    assert_eq!(resumed.result.final_regs, reference.result.final_regs);
+                    assert_eq!(resumed.result.final_mem, reference.result.final_mem);
+                }
             }
         }
     }

@@ -552,8 +552,9 @@ mod tests {
 
     #[test]
     fn grouped_cells_equal_the_same_job_run_standalone() {
-        // Every multi-member group the executor can form: the inert slice
-        // axis (three whole-trace models) and a repeated iCFP configuration.
+        // Every multi-member group a valid spec can form: the inert slice
+        // axis (three whole-trace models, three members each); iCFP reads
+        // that axis, so its cells stand alone.
         let mut spec = tiny_spec();
         spec.models = vec![
             CoreModel::InOrder,
@@ -561,7 +562,7 @@ mod tests {
             CoreModel::Multipass,
             CoreModel::Icfp,
         ];
-        spec.slice_buffer_entries = vec![64, 128, 64];
+        spec.slice_buffer_entries = vec![64, 128, 256];
         spec.l2_hit_latencies = vec![20];
         spec.workloads.truncate(2);
         let jobs = spec.expand();

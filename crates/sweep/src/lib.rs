@@ -25,7 +25,7 @@
 //!   MPKI, MIPS, state digest) with a deterministic [`SweepReport::digest`]
 //!   and an aligned text matrix renderer;
 //! * [`schema`] — the one `BENCH_sweep.json` (`icfp-sweep/v2`) emitter and
-//!   parser, shared by the CLI, the server and the baseline gate;
+//!   parser, shared by the CLI, the server and the figure renderer;
 //! * [`wire`] — the capability-negotiated `icfp-wire/v2` protocol: submit a
 //!   spec (or one planned shard) to a running `icfp-sweepd`, stream cells
 //!   back as they finish, reassemble a report byte-identical to a local

@@ -165,8 +165,8 @@ impl SweepReport {
 
     /// Renders the report as the `BENCH_sweep.json` document (schema
     /// [`crate::schema::SCHEMA`]; hand-rolled writer, flat and stable).
-    /// Delegates to [`crate::schema::to_json`] — the one emitter the server,
-    /// the figure renderer and the baseline gate all share.
+    /// Delegates to [`crate::schema::to_json`] — the one emitter the CLI and
+    /// the server share.
     pub fn to_json(&self) -> String {
         crate::schema::to_json(self)
     }

@@ -1,8 +1,8 @@
 //! The one `BENCH_sweep.json` schema module (`icfp-sweep/v2`).
 //!
 //! Everything that emits or consumes a sweep document — the local CLI
-//! writer, the `icfp-sweepd` server, `icfp-bench --figures`, the baseline
-//! gate — goes through this module, so there is exactly one writer and one
+//! writer, the `icfp-sweepd` server, `icfp-bench --figures` —
+//! goes through this module, so there is exactly one writer and one
 //! parser to keep in agreement.  The format is hand-rolled flat JSON (the
 //! workspace carries no JSON dependency): one header, one cell object per
 //! line, and a recorded `report_digest` the parser recomputes and verifies.

@@ -141,6 +141,17 @@ impl SweepSpec {
         {
             return Err("sweep spec has an empty configuration axis".into());
         }
+        // A repeated value addresses the same matrix row or column twice.
+        fn unique<T: Eq + std::hash::Hash + std::fmt::Display>(
+            axis: &str,
+            xs: &[T],
+        ) -> Result<(), String> {
+            let mut seen = std::collections::HashSet::new();
+            match xs.iter().find(|x| !seen.insert(*x)) {
+                Some(x) => Err(format!("sweep axis {axis} repeats {x}")),
+                None => Ok(()),
+            }
+        }
         let cells = self.cell_count();
         if cells > MAX_GRID_CELLS {
             return Err(format!(
@@ -161,16 +172,15 @@ impl SweepSpec {
             cfg.validate()
                 .map_err(|e| format!("sweep axis mshr_counts: {e}"))?;
         }
+        unique("models", &self.models)?;
+        unique("workloads", &self.workloads)?;
+        unique("slice_buffer_entries", &self.slice_buffer_entries)?;
+        unique("mshr_counts", &self.mshr_counts)?;
+        unique("l2_hit_latencies", &self.l2_hit_latencies)?;
         if self.insts == 0 {
             return Err("sweep spec has a zero instruction budget".into());
         }
-        if self.fast_forward >= self.insts {
-            return Err(format!(
-                "fast-forward ({}) must leave a timed region (insts = {})",
-                self.fast_forward, self.insts
-            ));
-        }
-        Ok(())
+        icfp_sim::check_timed_region(self.fast_forward, self.insts)
     }
 
     /// The deterministic trace seed for a workload column: a pure function of
@@ -274,6 +284,30 @@ mod tests {
         let mut s = tiny_spec();
         s.l2_hit_latencies = vec![0];
         assert!(s.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_names_the_axis_that_repeats_a_value() {
+        // `--core icfp,icfp --workload branchy,branchy` used to run 8 cells
+        // into a 4-row matrix whose second `branchy` column read `-`.
+        let mut repeats = [(); 5].map(|()| tiny_spec());
+        repeats[0].models.push(CoreModel::Icfp);
+        repeats[1].workloads.push("branchy".into());
+        repeats[2].slice_buffer_entries.push(64);
+        repeats[3].mshr_counts = vec![64, 8, 64];
+        repeats[4].l2_hit_latencies.push(20);
+        let names = [
+            "models repeats icfp",
+            "workloads repeats branchy",
+            "slice_buffer_entries repeats 64",
+            "mshr_counts repeats 64",
+            "l2_hit_latencies repeats 20",
+        ];
+        for (s, names) in repeats.iter().zip(names) {
+            let err = s.validate_axes().unwrap_err();
+            assert!(err.contains(names), "{names}: {err}");
+            assert!(run_sweep(s, 1).is_err(), "{names}");
+        }
     }
 
     #[test]

@@ -203,8 +203,8 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
     // 4. An invalid submission fails the submission but not the
     //    connection — an unknown workload, a grid over the cell limit, a
     //    grid whose size overflows `usize`, a slice buffer no allocator could
-    //    serve, the latter three as a whole spec and as a shard — and a
-    //    corrected spec on the same connection still runs.
+    //    serve, a repeated axis value, the latter four as a whole spec and
+    //    as a shard — and a corrected spec on the same connection still runs.
     let (mut reader, mut writer) = handshaken(addr);
     let mut unknown = tiny_spec();
     unknown.workloads = vec!["no-such-workload".into()];
@@ -212,6 +212,8 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
     oversized.mshr_counts = (1..=MAX_GRID_CELLS / 8).collect();
     let mut unallocatable = tiny_spec();
     unallocatable.slice_buffer_entries = vec![1 << 40];
+    let mut repeated = tiny_spec();
+    repeated.workloads.push("branchy".into());
     let whole = |spec: SweepSpec| Request::Submit { spec, threads: 1 };
     let slice = |spec: SweepSpec| {
         let (index_map, columns) = (Vec::new(), Vec::new());
@@ -223,9 +225,11 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
         (whole(oversized.clone()), "limit"),
         (whole(overflowing_spec()), "limit"),
         (whole(unallocatable.clone()), "slice_buffer_entries"),
+        (whole(repeated.clone()), "workloads repeats branchy"),
         (slice(oversized), "limit"),
         (slice(overflowing_spec()), "limit"),
         (slice(unallocatable), "slice_buffer_entries"),
+        (slice(repeated), "workloads repeats branchy"),
     ];
     for (request, reason) in &refused {
         let asked = std::time::Instant::now();
