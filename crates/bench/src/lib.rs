@@ -1,121 +1,18 @@
-//! # icfp-bench — the run / sweep / trace / figures CLI
+//! # icfp-bench — the sweep / trace / figures CLI
 //!
-//! The library half of the `icfp-bench` binary: the standard run (every
-//! selected core model over the standard synthetic workloads or `--trace-file`
-//! containers, reported per cell and written as a flat `icfp-bench/v1`
-//! document) and the `--figures` renderer over a parsed `icfp-sweep/v2`
-//! report.  The simulated MIPS a run prints is a convenience figure, not a
-//! measurement: host speed is measured by `icfp-ladder` (`benchmark/`) and
-//! nothing else, and simulated figures are pinned by
-//! `crates/sim/tests/golden_figures.txt` and nothing else.
-//!
-//! The JSON writer is hand-rolled (the build environment is offline); the
-//! schema is flat and stable:
-//!
-//! ```json
-//! {
-//!   "schema": "icfp-bench/v1",
-//!   "mode": "smoke",
-//!   "runs": [ { "workload": "...", "core": "...", "instructions": 0,
-//!               "cycles": 0, "ipc": 0.0, "host_seconds": 0.0, "mips": 0.0,
-//!               "state_digest": "0x..." } ],
-//!   "aggregate_mips": 0.0
-//! }
-//! ```
+//! The library half of the `icfp-bench` binary: the `--figures` renderer over
+//! a parsed `icfp-sweep/v2` report.  Everything the binary simulates is a
+//! sweep (`icfp_sweep`), written as that one document.  The simulated MIPS a
+//! run prints is a convenience figure, not a measurement: host speed is
+//! measured by `icfp-ladder` (`benchmark/`) and nothing else, and simulated
+//! figures are pinned by `crates/sim/tests/golden_figures.txt` and nothing
+//! else.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use icfp_sim::{CoreModel, SimConfig, SimReport};
 use icfp_sweep::{SweepCell, SweepReport};
 use std::fmt::Write as _;
-
-/// One measured benchmark run.
-#[derive(Debug, Clone)]
-pub struct BenchRun {
-    /// The simulator's report (includes host seconds and MIPS).
-    pub report: SimReport,
-    /// Number of timed repetitions taken (the report is the one with the
-    /// median host time; a warmup rep runs untimed beforehand).
-    pub reps: u32,
-}
-
-/// Results of a full benchmark session.
-#[derive(Debug, Clone)]
-pub struct BenchSession {
-    /// Mode label (`"smoke"` or `"full"`).
-    pub mode: String,
-    /// Individual runs.
-    pub runs: Vec<BenchRun>,
-}
-
-impl BenchSession {
-    /// Aggregate throughput: total simulated instructions over total host
-    /// seconds, in millions per second.
-    pub fn aggregate_mips(&self) -> f64 {
-        let inst: u64 = self.runs.iter().map(|r| r.report.instructions).sum();
-        let secs: f64 = self.runs.iter().map(|r| r.report.host_seconds).sum();
-        if secs > 0.0 {
-            inst as f64 / secs / 1.0e6
-        } else {
-            0.0
-        }
-    }
-
-    /// Renders the session as the `BENCH_sim.json` document.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"icfp-bench/v1\",");
-        let _ = writeln!(s, "  \"mode\": {:?},", self.mode);
-        s.push_str("  \"runs\": [\n");
-        for (k, r) in self.runs.iter().enumerate() {
-            let p = &r.report;
-            let _ = write!(
-                s,
-                "    {{\"workload\": {:?}, \"core\": {:?}, \"instructions\": {}, \
-                 \"cycles\": {}, \"ipc\": {:.4}, \"l1d_mpki\": {:.3}, \"l2_mpki\": {:.3}, \
-                 \"host_seconds\": {:.6}, \"mips\": {:.3}, \"reps\": {}, \
-                 \"state_digest\": \"{:#018x}\"}}",
-                p.workload,
-                p.core,
-                p.instructions,
-                p.cycles,
-                p.ipc,
-                p.l1d_mpki,
-                p.l2_mpki,
-                p.host_seconds,
-                p.mips,
-                r.reps,
-                p.state_digest
-            );
-            s.push_str(if k + 1 == self.runs.len() { "\n" } else { ",\n" });
-        }
-        s.push_str("  ],\n");
-        let _ = writeln!(s, "  \"aggregate_mips\": {:.3}", self.aggregate_mips());
-        s.push_str("}\n");
-        s
-    }
-}
-
-/// Runs the trace behind `source` on `core` through the shared warmup +
-/// median-of-N timing protocol ([`icfp_sim::median_run`]): each repetition
-/// architecturally executes the first `ff` instructions without the timing
-/// model and times the rest from a cold microarchitectural state (0 = fully
-/// cold).  `--trace-file` containers and streamed generator workloads run
-/// with peak trace memory bounded by the source's resident blocks, not the
-/// trace length; an in-memory trace goes in as an [`icfp_isa::ArenaSource`].
-pub fn bench_source(
-    core: CoreModel,
-    source: &dyn icfp_isa::TraceSource,
-    ff: usize,
-    reps: u32,
-) -> BenchRun {
-    BenchRun {
-        report: icfp_sim::median_run(&SimConfig::new(core), source, ff, reps),
-        reps: reps.max(1),
-    }
-}
 
 /// Geometric mean (`exp` of the mean of `ln`); 0 for an empty set.
 fn geomean(xs: &[f64]) -> f64 {
@@ -262,26 +159,7 @@ pub fn render_figures(report: &SweepReport) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icfp_isa::ArenaSource;
-    use icfp_sim::Simulator;
-
-    #[test]
-    fn bench_session_json_is_well_formed() {
-        let trace = ArenaSource::new(icfp_workloads::branchy(300, 1));
-        let run = bench_source(CoreModel::InOrder, &trace, 0, 2);
-        let session = BenchSession {
-            mode: "smoke".into(),
-            runs: vec![run],
-        };
-        let json = session.to_json();
-        assert!(json.contains("\"schema\": \"icfp-bench/v1\""));
-        assert!(json.contains("\"workload\": \"branchy\""));
-        assert!(json.contains("\"mips\":"));
-        assert!(session.aggregate_mips() >= 0.0);
-        // Structural sanity: balanced braces/brackets.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
+    use icfp_sim::{CoreModel, SimConfig, Simulator};
 
     #[test]
     fn same_trace_and_seed_give_identical_reports() {
@@ -343,13 +221,5 @@ mod tests {
         );
         let err = icfp_sweep::schema::parse(&edited).unwrap_err().to_string();
         assert!(err.contains("digest mismatch"), "{err}");
-    }
-
-    #[test]
-    fn bench_trace_reports_requested_reps() {
-        let trace = ArenaSource::new(icfp_workloads::branchy(300, 1));
-        let run = bench_source(CoreModel::InOrder, &trace, 0, 3);
-        assert_eq!(run.reps, 3);
-        assert!(run.report.host_seconds >= 0.0);
     }
 }

@@ -1,54 +1,45 @@
-//! `icfp-bench` — the run / sweep / trace / figures CLI.  Every invocation is
-//! one row of [`USAGE`] (`--help` prints it); this is not where host speed is
+//! `icfp-bench` — the sweep / trace / figures CLI.  Every invocation is one
+//! row of [`USAGE`] (`--help` prints it); this is not where host speed is
 //! measured — that is `icfp-ladder` in `benchmark/`.
 //!
-//! A *standard run* simulates every selected core model over the standard
-//! synthetic workloads and writes `BENCH_sim.json`.  `--smoke` selects a
-//! small instruction budget (a few seconds); every cell reports the *median*
-//! host time over `--reps` repetitions (default 3) after one untimed warmup.
-//! `--trace-file` runs an on-disk `icfp-trace/v1` or `/v2` container
-//! alongside (or instead of, with `--workload none`) the synthetic workloads,
-//! streaming it block by block — trace length is bounded by disk, not RAM.
+//! There is one way to ask for a run: every invocation that simulates builds
+//! one `SweepSpec` — models × configuration points × columns — and executes it
+//! through an `ExecBackend` (spec → backend → cell stream → report); the
+//! leading words only pick the backend.  A plain `icfp-bench --smoke` is the
+//! one-point sweep (the Table-1 point: slice 128, MSHRs 64, L2 20) of every
+//! model over the standard workloads on this process's thread pool: it prints
+//! the IPC matrix and writes `BENCH_sweep.json` (`icfp-sweep/v2`).  Every cell
+//! reports the *median* host time over `--reps` repetitions after one untimed
+//! warmup; `--cache-dir DIR` adds a persistent `icfp-cache/v1` result store
+//! (repeated or overlapping grids are served from disk, byte-identically).
+//! `sweep submit --server ADDR` sends the same grid to a running `icfp-sweepd`
+//! over `icfp-wire/v2`; `sweep submit --workers A,B[,..]` shards it by column
+//! across `icfp-sweepd --worker` processes (a shard carries per-column trace
+//! *digests*, never trace bytes) and merges the streamed cells into a report
+//! digest-identical to a serial local run, even when a worker dies mid-shard
+//! and its shard is reassigned.  `sweep plan` prints the shard assignment
+//! without executing anything.
 //!
-//! `--fast-forward N` functionally executes the first N instructions of
-//! every trace (architectural registers + memory only, no timing model) and
-//! times the remainder from a cold microarchitectural state — the standard
-//! warmup-skipping methodology.  Final architectural state and state digests
-//! equal the cold full run's; cycle counts cover only the timed region, which
-//! must not be empty.  With `--sweep` the same flag applies per cell and is
+//! A column is named by a registry workload (`--workload`) or by the path of
+//! an `icfp-trace/v1|v2` container (`--trace-file`, alongside the synthetic
+//! workloads or, with `--workload none`, instead of them).  A container
+//! streams block by block, runs at its own length (`--insts` does not apply
+//! to it), is cached by its content digest like any column, and must be
+//! readable under the same path wherever the spec is validated, planned or
+//! executed.  `--fast-forward N` functionally executes the first N
+//! instructions of every column (registers + memory only) and times the rest
+//! from a cold microarchitectural state; it must leave a timed region, and is
 //! part of each cell's fork-group and result-cache identity.
-//!
-//! A sweep runs one way — spec → backend → cell stream → report — and the
-//! flags only pick the backend.  `--sweep` executes on this process's thread
-//! pool and writes `BENCH_sweep.json` plus an aligned IPC matrix;
-//! `--cache-dir DIR` gives it a persistent `icfp-cache/v1` result store:
-//! repeated or overlapping grids are served from disk, with reports
-//! byte-identical to cold runs.  `sweep submit --server ADDR` sends the same
-//! grid to a running `icfp-sweepd` over `icfp-wire/v2` instead, reassembling
-//! the streamed cells into the identical report.
-//!
-//! `sweep submit --workers A,B[,..]` distributes the grid: the
-//! shard planner splits it by workload column, each shard (a spec slice
-//! plus per-column trace *digests*, never trace bytes) goes to one
-//! `icfp-sweepd --worker`, and the streamed cells merge deterministically —
-//! the report is digest-identical to a serial local run, even when a worker
-//! dies mid-shard and its shard is reassigned.  `--shards N` overrides the
-//! one-shard-per-worker default; `--stream-columns` backs every workload
-//! column with a resumable streamed source instead of a materialized arena
-//! (columns past the executor's budget threshold stream automatically).
-//! `sweep plan` prints the shard assignment — cells per shard, per-column
-//! trace digests, inert-axis cache sharing — without executing anything.
 //!
 //! `trace convert` imports the `icfp-bbp/v1` basic-block-profile text format
 //! into a container, or re-containers an existing trace file (the input is
-//! sniffed); `--format` picks the block encoding, so `convert a.trace b.trace
-//! --format v1` rewrites a compressed v2 container as v1 and back.  `trace
-//! info` prints and verifies one.  `--figures` renders a `BENCH_sweep.json`
-//! into the paper's Figure 6/7-style speedup-over-baseline tables
-//! (per-workload-class geomeans over the in-order model).
+//! sniffed; `--format v1|v2` picks the block encoding).  `trace info` prints
+//! and verifies one.  `--figures` renders a `BENCH_sweep.json` into the
+//! paper's Figure 6/7-style speedup-over-in-order tables (per-workload-class
+//! geomeans; a container column is class `other`).
 
-use icfp_bench::{bench_source, render_figures, BenchSession};
-use icfp_isa::{ArenaSource, TraceFile, TraceFileWriter, TraceFormat, TraceSource};
+use icfp_bench::render_figures;
+use icfp_isa::{TraceFile, TraceFileWriter, TraceFormat};
 use icfp_sim::CoreModel;
 use icfp_sweep::{
     plan_shards, ExecBackend, LocalBackend, RemoteBackend, RetryPolicy, ServerBackend,
@@ -64,14 +55,15 @@ const USAGE: &str = "\
 usage: icfp-bench [--smoke] [--insts N] [--reps N] [--seed N|0xHEX]
                   [--core NAME[,NAME...] (default: all five)]
                   [--workload NAME[,NAME...]|none] [--trace-file PATH[,PATH...]]
-                  [--fast-forward N] [--out PATH]
-                  [--sweep] [--sweep-slice N[,N...]] [--sweep-mshr N[,N...]]
-                  [--sweep-l2 N[,N...]] [--threads N] [--cache-dir DIR]
-                  [--figures PATH]
+                  [--sweep-slice N[,N...] (default: 128)]
+                  [--sweep-mshr N[,N...] (default: 64)]
+                  [--sweep-l2 N[,N...] (default: 20)] [--fast-forward N]
+                  [--threads N] [--cache-dir DIR] [--out PATH]
+       icfp-bench --figures PATH
        icfp-bench sweep submit (--server ADDR | --workers A,B[,..]) [--shards N]
-                  [--stream-columns] [--retries N] [--retry-base-ms MS]
-                  [--io-timeout-ms MS] [sweep flags as above]
-       icfp-bench sweep plan [--shards N] [--workers A,B] [sweep flags as above]
+                  [--retries N] [--retry-base-ms MS] [--io-timeout-ms MS]
+                  [flags of the first form]
+       icfp-bench sweep plan [--shards N] [--workers A,B] [flags of the first form]
        icfp-bench trace convert <in.bbp|in.trace> <out.trace>
                   [--block-size N] [--name S] [--format v1|v2 (default: v2)]
        icfp-bench trace info <file.trace>
@@ -83,8 +75,8 @@ version / digest mismatch, 5 server-reported error";
 type Command = fn(&[String]) -> Result<(), CliError>;
 
 /// Every way the binary is invoked by leading words, with the entry point
-/// that takes the remaining arguments.  Anything else is a flag-selected
-/// mode of the plain command line: `--figures`, `--sweep`, or a standard run.
+/// that takes the remaining arguments.  Anything else is the plain command
+/// line: `--figures`, or the sweep on this process's thread pool.
 const SUBCOMMANDS: [(&[&str], Command); 4] = [
     (&["sweep", "submit"], sweep_submit),
     (&["sweep", "plan"], sweep_plan),
@@ -112,26 +104,18 @@ impl CliError {
 }
 
 struct Args {
-    smoke: bool,
-    insts: usize,
-    reps: u32,
-    seed: u64,
-    cores: Vec<CoreModel>,
-    workloads: Vec<String>,
-    trace_files: Vec<String>,
+    /// The grid every front end runs: the same command line describes the
+    /// identical spec (and so a digest-identical report) wherever it goes.
+    /// Its column axis is the `--workload` names, then the `--trace-file`
+    /// paths.
+    spec: SweepSpec,
     out: Option<String>,
-    sweep: bool,
-    fast_forward: usize,
     figures: Option<String>,
-    sweep_slice: Vec<usize>,
-    sweep_mshr: Vec<usize>,
-    sweep_l2: Vec<u64>,
     threads: usize,
     cache_dir: Option<String>,
     server: Option<String>,
     workers: Vec<String>,
     shards: usize,
-    stream_columns: bool,
     policy: RetryPolicy,
 }
 
@@ -176,55 +160,43 @@ fn core_model(s: &str) -> Result<CoreModel, String> {
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, CliError> {
+    let standard = icfp_workloads::STANDARD_NAMES.iter().map(|s| s.to_string());
     let mut a = Args {
-        smoke: false,
-        insts: 0,
-        reps: 0,
-        seed: 0xC0DE,
-        cores: CoreModel::ALL.to_vec(),
-        workloads: icfp_workloads::STANDARD_NAMES
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        trace_files: Vec::new(),
+        // Budget and repetitions: 0 until the defaults below fill them in.
+        spec: SweepSpec::new(CoreModel::ALL.to_vec(), standard.collect(), 0, 0xC0DE),
         out: None,
-        sweep: false,
-        fast_forward: 0,
         figures: None,
-        sweep_slice: vec![64, 128],
-        sweep_mshr: vec![64],
-        sweep_l2: vec![20],
         threads: 0,
         cache_dir: None,
         server: None,
         workers: Vec::new(),
         shards: 0,
-        stream_columns: false,
         policy: RetryPolicy::default(),
     };
+    a.spec.reps = 0;
+    let mut smoke = false;
+    let mut trace_files: Vec<String> = Vec::new();
     let it = &mut argv.iter();
     while let Some(arg) = it.next() {
         let flag = arg.as_str();
         match flag {
-            "--smoke" => a.smoke = true,
-            "--sweep" => a.sweep = true,
-            "--stream-columns" => a.stream_columns = true,
-            "--fast-forward" => a.fast_forward = value(it, flag, str::parse)?,
-            "--insts" => a.insts = value(it, flag, str::parse)?,
-            "--reps" => a.reps = value(it, flag, str::parse)?,
-            "--seed" => a.seed = value(it, flag, seed)?,
-            "--core" => a.cores = value(it, flag, list(core_model))?,
+            "--smoke" => smoke = true,
+            "--fast-forward" => a.spec.fast_forward = value(it, flag, str::parse)?,
+            "--insts" => a.spec.insts = value(it, flag, str::parse)?,
+            "--reps" => a.spec.reps = value(it, flag, str::parse)?,
+            "--seed" => a.spec.seed = value(it, flag, seed)?,
+            "--core" => a.spec.models = value(it, flag, list(core_model))?,
             // `--workload none` runs only --trace-file containers.
             "--workload" => {
-                a.workloads = value(it, flag, list(text))?;
-                a.workloads.retain(|w| w != "none");
+                a.spec.workloads = value(it, flag, list(text))?;
+                a.spec.workloads.retain(|w| w != "none");
             }
-            "--trace-file" => a.trace_files.extend(value(it, flag, list(text))?),
+            "--trace-file" => trace_files.extend(value(it, flag, list(text))?),
             "--figures" => a.figures = Some(value(it, flag, text)?),
             "--out" => a.out = Some(value(it, flag, text)?),
-            "--sweep-slice" => a.sweep_slice = value(it, flag, list(str::parse))?,
-            "--sweep-mshr" => a.sweep_mshr = value(it, flag, list(str::parse))?,
-            "--sweep-l2" => a.sweep_l2 = value(it, flag, list(str::parse))?,
+            "--sweep-slice" => a.spec.slice_buffer_entries = value(it, flag, list(str::parse))?,
+            "--sweep-mshr" => a.spec.mshr_counts = value(it, flag, list(str::parse))?,
+            "--sweep-l2" => a.spec.l2_hit_latencies = value(it, flag, list(str::parse))?,
             "--threads" => a.threads = value(it, flag, str::parse)?,
             "--cache-dir" => a.cache_dir = Some(value(it, flag, text)?),
             "--server" => a.server = Some(value(it, flag, text)?),
@@ -239,14 +211,20 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
             other => return Err(CliError::usage(format!("unknown argument {other:?}"))),
         }
     }
-    if a.insts == 0 {
-        a.insts = if a.smoke { 20_000 } else { 200_000 };
+    if a.spec.insts == 0 {
+        a.spec.insts = if smoke { 20_000 } else { 200_000 };
     }
-    if a.reps == 0 {
-        a.reps = 3;
+    if a.spec.reps == 0 {
+        a.spec.reps = 3;
     }
     if a.threads == 0 {
         a.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    }
+    a.spec.workloads.append(&mut trace_files);
+    if a.spec.workloads.is_empty() {
+        return Err(CliError::usage(
+            "nothing to run: --workload none needs a --trace-file",
+        ));
     }
     Ok(a)
 }
@@ -255,25 +233,6 @@ fn write_out(path: &str, doc: &str) -> Result<(), CliError> {
     std::fs::write(path, doc).map_err(|e| CliError::failed(format!("writing {path}: {e}")))?;
     println!("wrote {path}");
     Ok(())
-}
-
-/// The sweep spec described by the command line — shared by the local
-/// `--sweep` runner and the `sweep submit` client, so both describe the
-/// identical grid (and produce digest-identical reports).
-fn sweep_spec_of(args: &Args) -> SweepSpec {
-    let mut spec = SweepSpec::new(
-        args.cores.clone(),
-        args.workloads.clone(),
-        args.insts,
-        args.seed,
-    );
-    spec.slice_buffer_entries = args.sweep_slice.clone();
-    spec.mshr_counts = args.sweep_mshr.clone();
-    spec.l2_hit_latencies = args.sweep_l2.clone();
-    spec.reps = args.reps;
-    spec.fast_forward = args.fast_forward;
-    spec.streamed = args.stream_columns;
-    spec
 }
 
 /// `N cells (M models x C configs x W workloads)`, as every sweep banner
@@ -316,11 +275,11 @@ fn wire_exit_code(e: &SweepError) -> u8 {
 /// with a report digest-identical to a serial local run, wherever the cells
 /// ran.  Failures exit with [`wire_exit_code`]'s documented codes.
 fn run_sweep_on(args: &Args, backend: &dyn ExecBackend) -> Result<(), CliError> {
-    let spec = sweep_spec_of(args);
-    println!("sweep: {} -> {}", grid_shape(&spec), backend.label());
+    let spec = &args.spec;
+    println!("sweep: {} -> {}", grid_shape(spec), backend.label());
     let mut streamed = 0u64;
     let outcome = backend
-        .run_streamed(&spec, &mut |_| streamed += 1)
+        .run_streamed(spec, &mut |_| streamed += 1)
         .map_err(|e| CliError { code: wire_exit_code(&e), message: format!("sweep: {e}") })?;
     println!("streamed {streamed} cells; cache: {}", outcome.cache.summary());
     let report = &outcome.report;
@@ -359,24 +318,19 @@ fn sweep_submit(argv: &[String]) -> Result<(), CliError> {
 /// spec, exactly as `sweep submit` would before sending anything.
 fn sweep_plan(argv: &[String]) -> Result<(), CliError> {
     let args = parse_args(argv)?;
-    let spec = sweep_spec_of(&args);
+    let spec = &args.spec;
     let shard_count = match (args.shards, args.workers.len()) {
         (0, 0) => 1,
         (0, w) => w,
         (s, _) => s,
     };
-    let plan = plan_shards(&spec, shard_count)
+    let plan = plan_shards(spec, shard_count)
         .map_err(|e| CliError::usage(format!("sweep plan: {e}")))?;
     println!(
-        "plan: {} -> {} shard{}{}",
-        grid_shape(&spec),
+        "plan: {} -> {} shard{}",
+        grid_shape(spec),
         plan.len(),
         if plan.len() == 1 { "" } else { "s" },
-        if spec.streams_columns() {
-            " (streamed columns)"
-        } else {
-            ""
-        },
     );
     for shard in &plan {
         // Distinct cache keys per shard: cells whose configurations differ
@@ -413,108 +367,10 @@ fn sweep_plan(argv: &[String]) -> Result<(), CliError> {
             worker,
         );
         for col in &shard.columns {
-            println!(
-                "  column {:<14} trace digest {:#018x}  {}",
-                col.workload,
-                col.trace_digest,
-                match &col.local_path {
-                    Some(p) => format!("local container {p}"),
-                    None => "regenerated from registry".to_string(),
-                },
-            );
+            println!("  column {:<14} trace digest {:#018x}", col.workload, col.trace_digest);
         }
     }
     Ok(())
-}
-
-/// Runs one trace of a standard run on every selected core: refuses a
-/// fast-forward that leaves nothing to time, prints the functional
-/// fast-forward rate (how fast the execute-only warmup chews through the
-/// leading instructions), then one row per core.
-fn run_source(
-    args: &Args,
-    label: &str,
-    source: &dyn TraceSource,
-    session: &mut BenchSession,
-) -> Result<(), CliError> {
-    let ff = args.fast_forward;
-    icfp_sim::check_timed_region(ff, source.len())
-        .map_err(|e| CliError::usage(format!("{label}: {e}")))?;
-    if ff > 0 {
-        let t0 = std::time::Instant::now();
-        let warm = icfp_sim::functional_warmup(&icfp_isa::TraceCursor::new(source), ff);
-        let secs = t0.elapsed().as_secs_f64();
-        let mips = if secs > 0.0 {
-            warm.instructions as f64 / secs / 1.0e6
-        } else {
-            0.0
-        };
-        println!(
-            "  [fast-forward] {label}: {} insts functionally in {secs:.3}s ({mips:.1} MIPS)",
-            warm.instructions
-        );
-    }
-    for &core in &args.cores {
-        let run = bench_source(core, source, ff, args.reps);
-        println!("  {}", run.report.summary());
-        session.runs.push(run);
-    }
-    Ok(())
-}
-
-fn standard_run(args: &Args) -> Result<(), CliError> {
-    if args.workloads.is_empty() && args.trace_files.is_empty() {
-        return Err(CliError::usage(
-            "nothing to run: --workload none needs a --trace-file",
-        ));
-    }
-    let mode = if args.smoke { "smoke" } else { "full" };
-    println!(
-        "icfp-bench: mode={mode} insts={} reps={} seed={:#x}{}",
-        args.insts,
-        args.reps,
-        args.seed,
-        if args.fast_forward > 0 {
-            format!(" fast-forward={}", args.fast_forward)
-        } else {
-            String::new()
-        }
-    );
-
-    let mut session = BenchSession {
-        mode: mode.to_string(),
-        runs: Vec::new(),
-    };
-    for wl in &args.workloads {
-        let trace = icfp_workloads::by_name_or_err(wl, args.insts, args.seed)
-            .map_err(CliError::usage)?;
-        run_source(args, wl, &ArenaSource::new(trace), &mut session)?;
-    }
-    for path in &args.trace_files {
-        // Containers stream block by block: peak trace memory is the
-        // reader's bounded cache, regardless of trace length.
-        let file =
-            TraceFile::open(path).map_err(|e| CliError::usage(format!("{path}: {e}")))?;
-        println!("  [trace-file] {}", file.summary());
-        run_source(args, path, &file, &mut session)?;
-        // The streamed-trace memory story in one line: how many decoded
-        // blocks (and bytes) were ever simultaneously resident across every
-        // run above — the bound that holds however long the trace is.
-        if let Some(r) = file.residency() {
-            println!(
-                "  [residency] {path}: peak {} resident blocks, {:.1} KiB decoded high-water",
-                r.peak(),
-                r.peak_bytes() as f64 / 1024.0
-            );
-        }
-    }
-
-    println!(
-        "aggregate: {:.2} MIPS over {} runs",
-        session.aggregate_mips(),
-        session.runs.len()
-    );
-    write_out(args.out.as_deref().unwrap_or("BENCH_sim.json"), &session.to_json())
 }
 
 /// Adapter: the converter's [`TraceSink`] over the streaming container
@@ -666,17 +522,14 @@ fn run(argv: &[String]) -> Result<(), CliError> {
     }
     let args = parse_args(argv)?;
     if let Some(path) = &args.figures {
-        figures(path)
-    } else if args.sweep {
-        let backend = LocalBackend {
-            threads: args.threads,
-            cache_dir: args.cache_dir.as_deref().map(Into::into),
-            ..LocalBackend::default()
-        };
-        run_sweep_on(&args, &backend)
-    } else {
-        standard_run(&args)
+        return figures(path);
     }
+    let backend = LocalBackend {
+        threads: args.threads,
+        cache_dir: args.cache_dir.as_deref().map(Into::into),
+        ..LocalBackend::default()
+    };
+    run_sweep_on(&args, &backend)
 }
 
 fn main() -> ExitCode {

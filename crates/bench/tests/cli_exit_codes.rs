@@ -4,14 +4,19 @@
 //! exit code so scripts can tell "fix the spec" from "retry later" from
 //! "incompatible peer" — and to the *same* code whether the grid went to one
 //! server (`--server`, a `Submit`) or to a worker pool (`--workers`, a
-//! `ShardSubmit`).  A standard run refuses input that leaves nothing to time.
+//! `ShardSubmit`).  Every run is a sweep: the plain invocation, `--server`
+//! and `--workers` give one answer for one spec, registry and container
+//! columns alike, and refuse input that leaves nothing to time.
 
-use icfp_sweep::wire::{base_features, Request, Response, WIRE_VERSION};
+use icfp_sweep::wire::{base_features, Request, Response, ServeOptions, WIRE_VERSION};
+use icfp_sweep::AcceptOptions;
 use serde::frame::{read_frame, write_frame};
 use serde::{from_bytes, to_bytes, MAX_FRAME_LEN};
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 const BIN: &str = env!("CARGO_BIN_EXE_icfp-bench");
 
@@ -69,6 +74,46 @@ fn scripted_server(
     (addr, handle)
 }
 
+/// A scratch path unique to this process and `tag`.
+fn scratch(tag: &str) -> String {
+    let path = std::env::temp_dir().join(format!("icfp-cli-{}-{tag}", std::process::id()));
+    path.to_str().expect("utf-8").to_string()
+}
+
+/// Converts a `loops`-iteration three-instruction walk into a container at
+/// `path` (3 x `loops` instructions).
+fn write_container(path: &str, loops: usize) {
+    let bbp = format!("{path}.bbp");
+    let profile = format!(
+        "loop {loops}\npc 0x2000\nld r1, r1, 0x100000+64*i\nadd r2, r1, #1\nbr r2, t, 0x2000 0.95\nend\n"
+    );
+    std::fs::write(&bbp, profile).expect("write profile");
+    let (code, _, stderr) = bench(&["trace", "convert", &bbp, path, "--block-size", "128"]);
+    assert_eq!(code, 0, "{stderr}");
+    let _ = std::fs::remove_file(&bbp);
+}
+
+/// The `0x…` after `report digest ` in a sweep's standard output.
+fn report_digest(stdout: &str) -> String {
+    let (_, digest) = stdout.split_once("report digest ").expect("digest line");
+    digest[..18].to_string() // 0x + 16 hex digits
+}
+
+/// One loopback `serve` thread (what `icfp-sweepd [--worker]` runs): its
+/// address, and the call that shuts it down and joins it.
+fn spawn_serve(worker: bool) -> (String, impl FnOnce()) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let accept = AcceptOptions { shutdown: Some(Arc::clone(&shutdown)), ..AcceptOptions::default() };
+    let opts = ServeOptions { threads: 1, worker, ..ServeOptions::default() };
+    let handle = std::thread::spawn(move || icfp_sweep::serve(listener, opts, accept, |_| {}));
+    (addr, move || {
+        shutdown.store(true, Ordering::Relaxed);
+        handle.join().expect("serve thread");
+    })
+}
+
 /// The two remote front ends, by the flag that names their peer.
 const FRONT_ENDS: [&str; 2] = ["--server", "--workers"];
 
@@ -103,8 +148,10 @@ fn an_invalid_spec_exits_2_without_connecting() {
     // A repeated axis value used to run, into a matrix with a dead second
     // `branchy` column and half its rows: invalid on every sweep front end.
     let repeated = ["--core", "icfp,icfp", "--workload", "branchy,branchy", "--insts", "200"];
+    // A column name the report document (no escapes) cannot carry.
+    let unwritable = ["--trace-file", "a\"b.trace", "--insts", "200"];
     for front_end in [
-        &["--sweep"][..],
+        &[][..],
         &["sweep", "plan"],
         &["sweep", "submit", "--server", "127.0.0.1:1", "--retries", "0"],
         &["sweep", "submit", "--workers", "127.0.0.1:1", "--retries", "0"],
@@ -112,6 +159,98 @@ fn an_invalid_spec_exits_2_without_connecting() {
         let (code, _, stderr) = bench(&[front_end, &repeated[..]].concat());
         assert_eq!(code, 2, "{front_end:?}: {stderr}");
         assert!(stderr.contains("models repeats icfp"), "{front_end:?}: {stderr}");
+        let (code, _, stderr) = bench(&[front_end, &unwritable[..]].concat());
+        assert_eq!(code, 2, "{front_end:?}: {stderr}");
+        assert!(stderr.contains("the report document cannot carry"), "{front_end:?}: {stderr}");
+    }
+}
+
+#[test]
+fn one_spec_gives_one_report_on_every_backend_container_column_included() {
+    let trace = scratch("one.trace");
+    write_container(&trace, 100);
+    let (out, cache) = (scratch("one.json"), scratch("one-cache"));
+    let spec = [
+        "--insts", "600", "--reps", "1", "--seed", "7", "--core", "icfp,in-order", "--workload",
+        "branchy", "--trace-file", &trace, "--sweep-l2", "10,20", "--out", &out,
+    ];
+    let run = |front_end: &[&str]| {
+        let (code, stdout, stderr) = bench(&[front_end, &spec[..]].concat());
+        assert_eq!(code, 0, "{front_end:?}: {stderr}");
+        assert!(stdout.contains("sweep: 8 cells"), "{front_end:?}: {stdout}");
+        let doc = std::fs::read_to_string(&out).expect("document");
+        assert!(doc.contains(&format!("\"workload\": \"{trace}\"")), "{front_end:?}: {doc}");
+        (report_digest(&stdout), stdout, doc)
+    };
+
+    let (local, stdout, cold_doc) = run(&["--cache-dir", &cache]);
+    assert!(stdout.contains("0 hits, 8 misses"), "{stdout}");
+    let (server, stop_server) = spawn_serve(false);
+    assert_eq!(run(&["sweep", "submit", "--server", &server]).0, local);
+    stop_server();
+    let (w1, stop1) = spawn_serve(true);
+    let (w2, stop2) = spawn_serve(true);
+    let workers = format!("{w1},{w2}");
+    assert_eq!(run(&["sweep", "submit", "--workers", &workers, "--shards", "2"]).0, local);
+    stop1();
+    stop2();
+
+    // The container column is cached by its trace digest like any column.
+    let (again, stdout, warm_doc) = run(&["--cache-dir", &cache]);
+    assert!(stdout.contains("100% cache hits"), "{stdout}");
+    assert_eq!(again, local);
+    assert_eq!(warm_doc, cold_doc, "a cached rerun reproduces the document byte for byte");
+
+    let _ = std::fs::remove_dir_all(&cache);
+    for file in [&trace, &out] {
+        let _ = std::fs::remove_file(file);
+    }
+}
+
+#[test]
+fn the_sweep_flags_take_effect_on_a_plain_invocation() {
+    let (out, cache) = (scratch("plain.json"), scratch("plain-cache"));
+    let (code, stdout, stderr) = bench(&[
+        "--insts", "300", "--reps", "1", "--core", "icfp", "--workload", "branchy", "--threads",
+        "3", "--cache-dir", &cache, "--sweep-slice", "16", "--out", &out,
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("local (3 threads)"), "{stdout}");
+    assert!(stdout.contains("sb=16") && !stdout.contains("sb=128"), "{stdout}");
+    let entries = std::fs::read_dir(&cache).expect("cache directory").count();
+    assert!(entries > 0, "--cache-dir was not populated");
+    let doc = std::fs::read_to_string(&out).expect("document");
+    assert!(doc.contains("\"schema\": \"icfp-sweep/v2\""), "{doc}");
+    let _ = std::fs::remove_dir_all(&cache);
+    let _ = std::fs::remove_file(&out);
+}
+
+#[test]
+fn the_words_that_picked_a_run_path_or_a_backing_are_unknown_arguments() {
+    for gone in ["--sweep", "--stream-columns"] {
+        let (code, _, stderr) = bench(&[gone, "--insts", "300"]);
+        assert_eq!(code, 2, "{gone}: {stderr}");
+        assert!(stderr.contains("unknown argument"), "{gone}: {stderr}");
+    }
+}
+
+#[test]
+fn figures_render_a_document_holding_a_container_column() {
+    let (trace, out) = (scratch("fig.trace"), scratch("fig.json"));
+    write_container(&trace, 100);
+    let (code, stdout, stderr) = bench(&[
+        "--workload", "none", "--trace-file", &trace, "--core", "icfp,in-order", "--reps", "1",
+        "--sweep-l2", "10,20", "--out", &out,
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("sweep: 4 cells"), "{stdout}");
+    // A container column is class `other`, labelled by its path as typed.
+    let (code, table, stderr) = bench(&["--figures", &out]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(table.contains("gm(other)") && table.contains(&trace), "{table}");
+    assert_eq!(table.lines().count(), 3, "header + icfp at l2=10 and l2=20: {table}");
+    for file in [&trace, &out] {
+        let _ = std::fs::remove_file(file);
     }
 }
 
@@ -154,11 +293,10 @@ fn a_seed_is_accepted_in_the_hex_form_the_banners_print() {
         let out = out.to_str().expect("utf-8");
         let grid = ["--core", "icfp,in-order", "--workload", "branchy", "--sweep-slice", "64"];
         let (code, stdout, stderr) =
-            bench(&[&["--sweep", "--insts", "300", "--seed", seed, "--out", out], &grid[..]].concat());
+            bench(&[&["--insts", "300", "--seed", seed, "--out", out], &grid[..]].concat());
         let _ = std::fs::remove_file(out);
         assert_eq!(code, 0, "--seed {seed}: {stderr}");
-        let (_, digest) = stdout.split_once("report digest ").expect("digest line");
-        digest[..18].to_string() // 0x + 16 hex digits
+        report_digest(&stdout)
     };
     assert_eq!(digest_with("0xC0DE"), digest_with("49374"));
 }
@@ -182,7 +320,7 @@ fn a_zero_valued_sweep_axis_exits_2_naming_the_axis() {
     ] {
         let started = std::time::Instant::now();
         let out = Command::new(BIN)
-            .args(["--sweep", "--insts", "200"])
+            .args(["--insts", "200"])
             .args(axes)
             .output()
             .expect("spawn icfp-bench");

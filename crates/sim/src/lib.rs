@@ -204,8 +204,8 @@ impl SimReport {
 /// repetition architecturally executes the first `ff` instructions without
 /// the timing model and times the rest from a cold microarchitectural state
 /// (0 = fully cold; see [`Simulator::run_source_ff`]).  This is the one
-/// timing protocol shared by the bench harness and the sweep executor; an
-/// in-memory [`Trace`] goes in as an [`icfp_isa::ArenaSource`].
+/// timing protocol, run by every cell of the sweep executor; an in-memory
+/// [`Trace`] goes in as an [`icfp_isa::ArenaSource`].
 pub fn median_run(config: &SimConfig, source: &dyn TraceSource, ff: usize, reps: u32) -> SimReport {
     let one_run = || Simulator::new(config.clone()).run_source_ff(source, ff);
     let reps = reps.max(1);
@@ -223,9 +223,8 @@ pub fn median_run(config: &SimConfig, source: &dyn TraceSource, ff: usize, reps:
     reports.swap_remove(reports.len() / 2)
 }
 
-/// The condition every measured front end (a standard `icfp-bench` run, a
-/// sweep spec) puts on a fast-forward depth before handing it to
-/// [`median_run`]: it must leave a timed region.
+/// The condition a sweep puts on a fast-forward depth, column by column,
+/// before handing it to [`median_run`]: it must leave a timed region.
 ///
 /// # Errors
 ///

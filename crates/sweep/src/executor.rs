@@ -7,8 +7,9 @@ use crate::fault::FaultPlan;
 use crate::job::SweepJob;
 use crate::plan::merge_report;
 use crate::report::{SweepCell, SweepReport};
-use crate::spec::SweepSpec;
-use icfp_isa::{ArenaSource, TraceSource, DEFAULT_BLOCK_INSTS};
+use crate::spec::{SweepSpec, STREAM_COLUMN_THRESHOLD};
+use icfp_isa::{ArenaSource, TraceFile, TraceSource, DEFAULT_BLOCK_INSTS};
+use icfp_workloads::WorkloadSpec;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -40,9 +41,9 @@ pub struct ExecOptions<'a> {
     pub cancel: Option<&'a AtomicBool>,
     /// Pre-built trace sources, one per workload column, overriding the
     /// executor's own construction — the shard-execution path, where a
-    /// worker was handed digests (and possibly local containers) instead of
-    /// registry names.  When set, every workload in the spec must have an
-    /// entry, and workload names are exempt from registry validation.
+    /// worker resolved every column and checked it against the planner's
+    /// digest.  When set, every workload in the spec must have an entry,
+    /// and workload names are labels only.
     pub columns: Option<&'a HashMap<String, Arc<dyn TraceSource>>>,
 }
 
@@ -72,23 +73,62 @@ impl Default for ExecOptions<'_> {
     }
 }
 
-/// Builds one workload column's shared trace source the way the executor
-/// would: a materialized arena by default, a resumable streaming generator
-/// (bounded residency) when the spec streams columns
-/// ([`SweepSpec::streams_columns`]).  Deterministic outputs — the trace
-/// digest above all — are identical across backings, so the shard planner,
-/// the worker and the local executor all derive the same column identity
-/// from the same spec.  `None` for a workload name the registry doesn't
-/// know.
-pub fn column_source(spec: &SweepSpec, workload: &str) -> Option<Arc<dyn TraceSource>> {
+/// What a column name resolves to, before anything is built.
+pub(crate) enum Column {
+    /// A row of the workload registry.
+    Registry(&'static WorkloadSpec),
+    /// An `icfp-trace/v1|v2` container, structurally validated (header and
+    /// index read, no block decoded).
+    Container(TraceFile),
+}
+
+/// The resolution half of [`column_source`], which is all that
+/// [`SweepSpec::validate`] needs: nothing is generated or decoded.
+pub(crate) fn resolve_column(spec: &SweepSpec, workload: &str) -> Result<Column, String> {
+    let (column, len) = match icfp_workloads::spec_by_name(workload) {
+        Some(row) => (Column::Registry(row), spec.insts),
+        None => {
+            let file = TraceFile::open(workload).map_err(|e| {
+                format!(
+                    "unknown workload {workload:?}; valid workloads: {}, or the path of an \
+                     icfp-trace container ({e})",
+                    icfp_workloads::STANDARD_NAMES.join(", ")
+                )
+            })?;
+            let len = file.len();
+            (Column::Container(file), len)
+        }
+    };
+    icfp_sim::check_timed_region(spec.fast_forward, len).map_err(|e| format!("{workload}: {e}"))?;
+    Ok(column)
+}
+
+/// Resolves a column name — the one place it is done — and builds the
+/// column's shared trace source.  A name is a registry workload first,
+/// otherwise the path of an `icfp-trace/v1|v2` container, which must be
+/// readable under that path wherever the spec is validated, planned or
+/// executed.  A container streams block by block; a registry workload is
+/// generated at the spec's budget and per-column seed, as a materialized
+/// arena below [`STREAM_COLUMN_THRESHOLD`] instructions and a resumable
+/// streaming generator (bounded residency) from there up.  Deterministic
+/// outputs — the trace digest above all — are identical across backings, so
+/// the shard planner, the worker and the local executor all derive the same
+/// column identity from the same spec.
+///
+/// # Errors
+///
+/// The name is neither (the message lists the registry), or the spec's
+/// fast-forward leaves no timed region: a registry column is held to the
+/// instruction budget, a container to its own length.
+pub fn column_source(spec: &SweepSpec, workload: &str) -> Result<Arc<dyn TraceSource>, String> {
     let seed = spec.workload_seed(workload);
-    if spec.streams_columns() {
-        icfp_workloads::source_by_name(workload, spec.insts, seed, DEFAULT_BLOCK_INSTS)
-            .map(|s| Arc::new(s) as Arc<dyn TraceSource>)
-    } else {
-        icfp_workloads::by_name(workload, spec.insts, seed)
-            .map(|t| Arc::new(ArenaSource::new(t)) as Arc<dyn TraceSource>)
-    }
+    Ok(match resolve_column(spec, workload)? {
+        Column::Container(file) => Arc::new(file),
+        Column::Registry(row) if spec.insts >= STREAM_COLUMN_THRESHOLD => {
+            Arc::new(row.source(spec.insts, seed, DEFAULT_BLOCK_INSTS))
+        }
+        Column::Registry(row) => Arc::new(ArenaSource::new(row.trace(spec.insts, seed))),
+    })
 }
 
 /// Renders a `catch_unwind` payload as the panic message it carries.
@@ -302,27 +342,25 @@ pub fn run_sweep_streamed(
     opts: &ExecOptions<'_>,
     mut on_cell: impl FnMut(CellEvent<'_>),
 ) -> Result<SweepOutcome, String> {
-    // One trace source per workload column, shared by reference everywhere.
-    // Columns come pre-built on the shard path ([`ExecOptions::columns`],
-    // names exempt from registry validation there); otherwise they are
-    // built here — arenas by default, streamed sources past the budget
-    // threshold.  Cells are backing-independent either way.
+    // One trace source per workload column, shared by reference everywhere:
+    // pre-built on the shard path ([`ExecOptions::columns`], names are labels
+    // only there), otherwise resolved and built here, once
+    // ([`column_source`]).  Cells are backing-independent either way.
+    spec.validate_axes()?;
     let mut traces: HashMap<&str, Arc<dyn TraceSource>> = HashMap::new();
-    if let Some(columns) = opts.columns {
-        spec.validate_axes()?;
-        for w in &spec.workloads {
-            let src = columns
-                .get(w)
-                .ok_or_else(|| format!("no trace column supplied for workload {w:?}"))?;
-            traces.entry(w.as_str()).or_insert_with(|| Arc::clone(src));
-        }
-    } else {
-        spec.validate()?;
-        for w in &spec.workloads {
-            traces.entry(w.as_str()).or_insert_with(|| {
-                column_source(spec, w).expect("workload validated by SweepSpec::validate")
-            });
-        }
+    for w in &spec.workloads {
+        let source = match opts.columns {
+            None => column_source(spec, w)?,
+            Some(columns) => {
+                let source = columns
+                    .get(w)
+                    .ok_or_else(|| format!("no trace column supplied for workload {w:?}"))?;
+                icfp_sim::check_timed_region(spec.fast_forward, source.len())
+                    .map_err(|e| format!("{w}: {e}"))?;
+                Arc::clone(source)
+            }
+        };
+        traces.insert(w.as_str(), source);
     }
     let jobs = spec.expand();
     let n = jobs.len();
@@ -466,44 +504,39 @@ mod tests {
 
     #[test]
     fn streamed_columns_are_digest_identical_and_share_the_cache() {
-        // The streamed flag swaps every column's backing (materialized
-        // arena -> resumable streamed source) without touching what is
-        // simulated, so reports and cache keys must be identical.
-        let arena = tiny_spec();
-        let mut streamed = tiny_spec();
-        streamed.streamed = true;
-        assert!(streamed.streams_columns());
-        let a = run_sweep(&arena, 2).unwrap();
-        let s = run_sweep(&streamed, 2).unwrap();
-        assert_eq!(a.digest(), s.digest());
+        // Swapping every column's backing (materialized arena -> resumable
+        // streamed source) does not touch what is simulated, so reports and
+        // cache keys must be identical.
+        let spec = tiny_spec();
+        let columns: HashMap<String, Arc<dyn TraceSource>> = spec
+            .workloads
+            .iter()
+            .map(|w| {
+                let seed = spec.workload_seed(w);
+                let src = icfp_workloads::source_by_name(w, spec.insts, seed, DEFAULT_BLOCK_INSTS);
+                (w.clone(), Arc::new(src.unwrap()) as Arc<dyn TraceSource>)
+            })
+            .collect();
+        let opts = |threads, cache, columns| ExecOptions {
+            threads,
+            cache,
+            columns,
+            ..ExecOptions::default()
+        };
+        let a = run_sweep(&spec, 2).unwrap();
+        let s = run_sweep_streamed(&spec, &opts(2, None, Some(&columns)), |_| {}).unwrap();
+        assert_eq!(a.digest(), s.report.digest());
 
         // Cache interop: a streamed run against a cache an arena run wrote
         // is served entirely from disk (the trace digest, and therefore the
         // cache key, is backing-independent).
         let dir = tmp_cache("streamed");
         let cache = ResultCache::open(&dir).unwrap();
-        let cold = run_sweep_streamed(
-            &arena,
-            &ExecOptions {
-                threads: 1,
-                cache: Some(&cache),
-                ..ExecOptions::default()
-            },
-            |_| {},
-        )
-        .unwrap();
-        let warm = run_sweep_streamed(
-            &streamed,
-            &ExecOptions {
-                threads: 1,
-                cache: Some(&cache),
-                ..ExecOptions::default()
-            },
-            |_| {},
-        )
-        .unwrap();
+        let cold = run_sweep_streamed(&spec, &opts(1, Some(&cache), None), |_| {}).unwrap();
+        let warm =
+            run_sweep_streamed(&spec, &opts(1, Some(&cache), Some(&columns)), |_| {}).unwrap();
         assert_eq!(warm.cache.misses, 0);
-        assert_eq!(warm.cache.hits, arena.cell_count() as u64);
+        assert_eq!(warm.cache.hits, spec.cell_count() as u64);
         assert_eq!(warm.report.digest(), cold.report.digest());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -26,14 +26,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
-/// One splitmix64 scramble step (deriving fault points from a seed).
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// What to do with one outbound wire frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameAction {
@@ -102,9 +94,11 @@ impl FaultPlan {
     /// explicitly instead.
     pub fn from_seed(seed: u64, cells: usize, frames_per_run: u64) -> Self {
         let cells = cells.max(1) as u64;
-        let r0 = splitmix(seed);
-        let r1 = splitmix(r0);
-        let r2 = splitmix(r1);
+        // Each fault point is one splitmix64 scramble of the one before.
+        let scramble = |x| icfp_workloads::SplitMix64::new(x).next_u64();
+        let r0 = scramble(seed);
+        let r1 = scramble(r0);
+        let r2 = scramble(r1);
         FaultPlan::new()
             .with_cache_tear(CacheTear {
                 write_index: r0 % cells,

@@ -6,10 +6,12 @@
 //!
 //! * [`spec`] — [`SweepSpec`]: a cartesian grid over [`icfp_core::CoreConfig`]
 //!   axes (slice-buffer capacity, MSHR count, L2 hit latency) crossed with
-//!   core models and workloads, expanded ([`SweepSpec::expand`]) into an
-//!   ordered job list with *deterministic per-job seeds* (a pure function of
-//!   the spec seed and the workload name, so every cell of a workload column
-//!   simulates the identical trace and cells are comparable);
+//!   core models and columns — each column named by a registry workload or
+//!   by the path of an `icfp-trace/v1|v2` container, resolved in one place,
+//!   [`column_source`] — expanded ([`SweepSpec::expand`]) into an ordered
+//!   job list with *deterministic per-job seeds* (a pure function of the
+//!   spec seed and the column name, so every cell of a column simulates the
+//!   identical trace and cells are comparable);
 //! * [`job`] — [`SweepJob`]: one grid point, its one way to run, and its
 //!   identity keys (the fork key; the content-addressed cache key);
 //! * [`executor`] — [`run_sweep`] / [`run_sweep_streamed`]: a `std::thread`
@@ -32,8 +34,10 @@
 //!   run;
 //! * [`plan`] — [`SweepShard`] and [`plan_shards`]: split a grid by
 //!   workload column into shards that ship a spec slice plus per-column
-//!   trace *digests* (never trace bytes), and [`merge_report`], the
-//!   deterministic merge back into one report;
+//!   trace *digests* (never trace bytes; the worker resolves each column by
+//!   the same name — a container column is named by its path — and refuses
+//!   a digest mismatch), and [`merge_report`], the deterministic merge back
+//!   into one report;
 //! * [`backend`] — [`ExecBackend`]: one seam over *where* cells run —
 //!   [`LocalBackend`] (this process's pool), [`ServerBackend`] (one
 //!   `icfp-sweepd`) or [`RemoteBackend`] (a fleet of `icfp-sweepd --worker`
@@ -44,12 +48,14 @@
 //!
 //! ## Shared sources and fork groups
 //!
-//! Every cell of a workload column simulates the identical trace, so the
-//! executor builds each column's trace **once** as an
+//! Every cell of a column simulates the identical trace, so the executor
+//! builds each column's trace **once** ([`column_source`]) as an
 //! `Arc<dyn TraceSource>` shared by all of that column's jobs — large grids
-//! no longer pay per-job trace generation or hold per-job copies, and a
-//! column backed by a streamed source (an `icfp-trace/v1` file, a resumable
-//! generator) shares one bounded block cache across the whole pool.
+//! never pay per-job trace generation or hold per-job copies.  The backing
+//! follows from what the column is: a container streams block by block, a
+//! registry workload is an arena below [`STREAM_COLUMN_THRESHOLD`]
+//! instructions and a resumable generator from there up; a streamed column
+//! shares one bounded block cache across the whole pool.
 //!
 //! Jobs whose deterministic inputs are provably identical — same model,
 //! same workload trace, and configurations that differ only along axes the
@@ -58,9 +64,9 @@
 //! are found in the result cache) and every member replays the leader's
 //! figures under its own labels.
 //!
-//! `icfp-bench --sweep` is the local CLI front end; `icfp-sweepd` serves
-//! sweeps over TCP and `icfp-bench sweep submit --server ADDR` (or
-//! `--workers A,B`) is its client.
+//! `icfp-bench` is the local CLI front end (every run it makes is a sweep);
+//! `icfp-sweepd` serves sweeps over TCP and `icfp-bench sweep submit --server
+//! ADDR` (or `--workers A,B`) is its client.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

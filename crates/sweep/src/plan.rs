@@ -6,12 +6,13 @@
 //! whose workload axis is a contiguous slice of the full grid's, an index
 //! map translating the sub-spec's expand order back into full-grid
 //! positions, and — per column — the trace's content *digest*, never its
-//! bytes.  Workers regenerate the column from the registry (the per-column
+//! bytes.  Workers resolve each column by its name exactly as the planner did
+//! ([`column_source`]): a registry workload is regenerated (the per-column
 //! seed is a pure function of the spec seed and the workload name, so a
-//! sub-spec reproduces the full grid's traces exactly) or open a local
-//! `icfp-trace/v1|v2` container validated against the digest; either way a
-//! shard costs a few hundred bytes on the wire regardless of how many
-//! billions of instructions its columns carry.
+//! sub-spec reproduces the full grid's traces exactly), a container column
+//! is named by its path and opened there; either is checked against the
+//! digest, and a shard costs a few hundred bytes on the wire regardless of
+//! how many billions of instructions its columns carry.
 //!
 //! Splitting along the workload axis is deliberate: it is the innermost
 //! expand axis (so a shard's jobs are exactly the full grid's jobs at mapped
@@ -29,17 +30,13 @@ use serde::{Deserialize, Serialize};
 /// the worker must execute against.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ColumnSpec {
-    /// Workload name (a registry name, or a label for a local container).
+    /// The column's name in the spec: a registry workload, or the path of a
+    /// container on the *worker's* filesystem.
     pub workload: String,
     /// Content digest of the column's trace ([`icfp_isa::TraceSource::digest`]):
-    /// the worker's regenerated or locally opened trace must match it
-    /// exactly, or the shard is refused.
+    /// the worker's regenerated or opened trace must match it exactly, or
+    /// the shard is refused.
     pub trace_digest: u64,
-    /// Optional path to a local `icfp-trace/v1|v2` container on the
-    /// *worker's* filesystem.  When set the worker opens it (validated
-    /// against `trace_digest`) instead of regenerating from the registry —
-    /// the transport for columns that aren't registry workloads at all.
-    pub local_path: Option<String>,
 }
 
 /// One independently executable slice of a sweep grid.
@@ -96,19 +93,15 @@ impl SweepShard {
 ///
 /// The [`SweepSpec::validate`] error, without planning anything.
 pub fn plan_shards(spec: &SweepSpec, shards: usize) -> Result<Vec<SweepShard>, String> {
-    spec.validate()?;
+    spec.validate_axes()?;
     let w = spec.workloads.len();
     let outer = spec.cell_count() / w;
     let shards = shards.clamp(1, w);
-    let digests: Vec<u64> = spec
+    let digests = spec
         .workloads
         .iter()
-        .map(|name| {
-            column_source(spec, name)
-                .expect("workload validated by SweepSpec::validate")
-                .digest()
-        })
-        .collect();
+        .map(|name| column_source(spec, name).map(|source| source.digest()))
+        .collect::<Result<Vec<u64>, String>>()?;
     let mut out = Vec::with_capacity(shards);
     for k in 0..shards {
         let lo = k * w / shards;
@@ -128,7 +121,6 @@ pub fn plan_shards(spec: &SweepSpec, shards: usize) -> Result<Vec<SweepShard>, S
             .map(|c| ColumnSpec {
                 workload: spec.workloads[c].clone(),
                 trace_digest: digests[c],
-                local_path: None,
             })
             .collect();
         out.push(SweepShard {
@@ -226,16 +218,6 @@ mod tests {
             for col in &shard.columns {
                 let src = column_source(&spec, &col.workload).unwrap();
                 assert_eq!(col.trace_digest, src.digest(), "{}", col.workload);
-                assert!(col.local_path.is_none());
-            }
-        }
-        // Digests are backing-independent: a streamed planner agrees.
-        let mut streamed = spec.clone();
-        streamed.streamed = true;
-        let splan = plan_shards(&streamed, 4).unwrap();
-        for (a, b) in plan.iter().zip(&splan) {
-            for (ca, cb) in a.columns.iter().zip(&b.columns) {
-                assert_eq!(ca.trace_digest, cb.trace_digest);
             }
         }
     }

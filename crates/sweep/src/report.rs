@@ -74,17 +74,23 @@ impl SweepCell {
     }
 }
 
+/// The characters the flat schema writer must never emit inside a string
+/// (its parser extracts strings without un-escaping): quotes, backslashes
+/// and control characters.
+pub(crate) fn unwritable(c: char) -> bool {
+    matches!(c, '"' | '\\') || c.is_control()
+}
+
 /// Flattens a panic reason for embedding in reports and JSON documents:
-/// quotes, backslashes and control characters (all of which the flat schema
-/// writer must never emit inside a string) become plain substitutes.
+/// every [`unwritable`] character becomes a plain substitute.
 pub(crate) fn sanitize_reason(reason: &str) -> String {
     reason
         .chars()
         .map(|c| match c {
+            c if !unwritable(c) => c,
             '"' => '\'',
             '\\' => '/',
-            c if c.is_control() => ' ',
-            c => c,
+            _ => ' ',
         })
         .collect()
 }

@@ -192,7 +192,8 @@ fn hex_field(line: &str, key: &str) -> Option<u64> {
 fn str_array(line: &str, key: &str) -> Option<Vec<String>> {
     let pat = format!("\"{key}\": [");
     let at = line.find(&pat)? + pat.len();
-    let body = &line[at..line[at..].find(']')? + at];
+    // The array is the last thing on its line; a string may hold a `]`.
+    let body = line[at..].get(..line[at..].rfind(']')?)?;
     let mut out = Vec::new();
     let mut rest = body;
     while let Some(open) = rest.find('"') {
@@ -350,6 +351,24 @@ mod tests {
         // (figures are written at fixed precision, so parse ∘ emit is the
         // identity on documents the emitter wrote).
         assert_eq!(to_json(&back), json);
+    }
+
+    #[test]
+    fn a_path_named_column_round_trips() {
+        // Column names are paths too: everything but the three characters
+        // `SweepSpec::validate_axes` refuses must survive emit -> parse.
+        let mut r = run_sweep(&tiny_spec(), 1).unwrap();
+        let path = "/tmp/my traces/[v2], {x}: w.trace";
+        r.workloads[0] = path.to_string();
+        for c in r.cells.iter_mut().filter(|c| c.workload == "pointer-chase") {
+            c.workload = path.to_string();
+        }
+        let json = to_json(&r);
+        let back = parse(&json).expect("parse");
+        assert_eq!(back.workloads, r.workloads);
+        assert_eq!(back.digest(), r.digest());
+        assert_eq!(to_json(&back), json);
+        assert!(back.render_matrix().unwrap().contains(path));
     }
 
     #[test]

@@ -2,16 +2,10 @@
 //! workloads, expanded into deterministic job lists.
 
 use crate::job::SweepJob;
+use crate::report::unwritable;
 use icfp_core::{CoreConfig, CoreModel};
+use icfp_workloads::SplitMix64;
 use serde::{Deserialize, Serialize};
-
-/// One splitmix64 scramble step (for deriving per-workload trace seeds).
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A cartesian sweep specification: models × config axes × workloads.
 ///
@@ -28,9 +22,11 @@ pub struct SweepSpec {
     pub mshr_counts: Vec<usize>,
     /// L2 hit latencies to sweep (the Figure 6 axis; Table 1 default: 20).
     pub l2_hit_latencies: Vec<u64>,
-    /// Workload names (columns; resolved via [`icfp_workloads::by_name`]).
+    /// Columns: each a registry workload name or the path of an
+    /// `icfp-trace/v1|v2` container (resolved by [`crate::column_source`]).
     pub workloads: Vec<String>,
-    /// Dynamic instruction budget per workload trace.
+    /// Dynamic instruction budget per registry workload trace (a container
+    /// column runs at its own length).
     pub insts: usize,
     /// Base seed; per-workload trace seeds are derived from it.
     pub seed: u64,
@@ -44,21 +40,14 @@ pub struct SweepSpec {
     /// different fast-forward depths never share a computation or a cache
     /// entry.
     pub fast_forward: usize,
-    /// Stream workload columns instead of materializing them: each column is
-    /// backed by a resumable [`icfp_workloads::WorkloadSource`] generator
-    /// (bounded block residency) rather than a whole-trace arena, so columns
-    /// whose instruction budgets dwarf RAM still sweep.  Deterministic
-    /// outputs are backing-independent — digests, cache keys and fork keys
-    /// are identical either way.  Columns also stream automatically once
-    /// [`SweepSpec::insts`] reaches [`STREAM_COLUMN_THRESHOLD`]; see
-    /// [`SweepSpec::streams_columns`].
-    pub streamed: bool,
 }
 
-/// Instruction budget at which workload columns stream automatically even
-/// without [`SweepSpec::streamed`]: past this point a materialized arena's
-/// footprint (tens of bytes per instruction, one arena per column) stops
-/// being a sensible default.
+/// Instruction budget from which a registry column is backed by a resumable
+/// [`icfp_workloads::WorkloadSource`] generator (bounded block residency)
+/// instead of a materialized arena, whose footprint (tens of bytes per
+/// instruction, one arena per column) stops being sensible past this point.
+/// Deterministic outputs are backing-independent — digests, cache keys and
+/// fork keys are identical either way.
 pub const STREAM_COLUMN_THRESHOLD: usize = 2_000_000;
 
 /// Ceiling on [`SweepSpec::cell_count`]: [`SweepSpec::validate_axes`] refuses
@@ -81,16 +70,7 @@ impl SweepSpec {
             seed,
             reps: 1,
             fast_forward: 0,
-            streamed: false,
         }
-    }
-
-    /// Whether workload columns are backed by a streaming generator instead
-    /// of a materialized arena: explicitly via [`SweepSpec::streamed`], or
-    /// automatically once the instruction budget reaches
-    /// [`STREAM_COLUMN_THRESHOLD`].
-    pub fn streams_columns(&self) -> bool {
-        self.streamed || self.insts >= STREAM_COLUMN_THRESHOLD
     }
 
     /// Number of grid cells the spec expands to, saturating at `usize::MAX`
@@ -107,23 +87,25 @@ impl SweepSpec {
         .fold(1, usize::saturating_mul)
     }
 
-    /// Validates the spec: every axis non-empty, every workload known.
+    /// Validates the spec: [`SweepSpec::validate_axes`], and every column
+    /// resolves and leaves a timed region after the fast-forward — without
+    /// building any: a registry name is looked up, a container's header and
+    /// index are read, no block is generated or decoded.
     ///
     /// # Errors
     ///
     /// Returns a human-readable description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
         self.validate_axes()?;
-        for w in &self.workloads {
-            icfp_workloads::by_name_or_err(w, 1, 0)?;
-        }
-        Ok(())
+        self.workloads
+            .iter()
+            .try_for_each(|w| crate::executor::resolve_column(self, w).map(drop))
     }
 
-    /// Validates everything *except* workload-name resolution — the check a
-    /// shard executor with externally supplied trace columns (see
-    /// [`crate::plan::SweepShard`]) can still apply when its column names are
-    /// not in the registry.
+    /// Validates everything *except* column resolution — the check a shard
+    /// executor with externally supplied trace columns (see
+    /// [`crate::ExecOptions::columns`]) can still apply when its column names
+    /// resolve to nothing.
     ///
     /// # Errors
     ///
@@ -177,17 +159,25 @@ impl SweepSpec {
         unique("slice_buffer_entries", &self.slice_buffer_entries)?;
         unique("mshr_counts", &self.mshr_counts)?;
         unique("l2_hit_latencies", &self.l2_hit_latencies)?;
+        // A column's name is written into the report document, whose flat
+        // schema carries no escapes.
+        if let Some(w) = self.workloads.iter().find(|w| w.chars().any(unwritable)) {
+            return Err(format!(
+                "workload {w:?} holds a quote, a backslash or a control character, \
+                 which the report document cannot carry"
+            ));
+        }
         if self.insts == 0 {
             return Err("sweep spec has a zero instruction budget".into());
         }
-        icfp_sim::check_timed_region(self.fast_forward, self.insts)
+        Ok(())
     }
 
     /// The deterministic trace seed for a workload column: a pure function of
     /// the spec seed and the workload name, so every cell in the column
     /// simulates the identical trace regardless of job order or thread count.
     pub fn workload_seed(&self, workload: &str) -> u64 {
-        splitmix(self.seed ^ icfp_isa::fnv1a(workload.as_bytes()))
+        SplitMix64::new(self.seed ^ icfp_isa::fnv1a(workload.as_bytes())).next_u64()
     }
 
     /// Expands the grid into jobs, in deterministic row-major order
@@ -268,6 +258,43 @@ mod tests {
         let mut s = tiny_spec();
         s.insts = 0;
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validate_refuses_a_column_name_the_document_cannot_carry() {
+        // The report document carries no escapes, and paths are names now.
+        for name in ["a\"b.trace", "dir\\w.trace", "two\nlines.trace"] {
+            let mut s = tiny_spec();
+            s.workloads.push(name.into());
+            let err = s.validate_axes().unwrap_err();
+            assert!(err.contains("the report document cannot carry"), "{name:?}: {err}");
+            assert!(run_sweep(&s, 1).is_err(), "{name:?}");
+        }
+    }
+
+    #[test]
+    fn a_column_resolves_registry_first_then_as_a_container_held_to_its_own_length() {
+        let path = std::env::temp_dir().join(format!("icfp-spec-{}.trace", std::process::id()));
+        let trace = icfp_workloads::branchy(100, 1);
+        let len = trace.len();
+        icfp_isa::TraceFileWriter::write_trace(&path, &trace, 64).expect("write container");
+        let mut s = tiny_spec();
+        s.workloads = vec!["branchy".into(), path.display().to_string()];
+        // `insts` (600) is the registry column's length, not the container's.
+        s.fast_forward = len - 1;
+        assert_eq!(s.validate(), Ok(()));
+        s.fast_forward = len;
+        let err = s.validate().unwrap_err();
+        assert!(err.contains(&format!("(insts = {len})")), "{err}");
+        assert_eq!(s.validate_axes(), Ok(()), "axes alone never open a column");
+        std::fs::remove_file(&path).expect("remove container");
+
+        // Neither a registry name nor a readable container: one error that
+        // names both ways to spell a column.
+        s.fast_forward = 0;
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("valid workloads: pointer-chase"), "{err}");
+        assert!(err.contains("or the path of an icfp-trace container"), "{err}");
     }
 
     #[test]

@@ -42,9 +42,9 @@
 //! (`ShardSubmit` → `Accepted` → `ShardCell` × cells → `ShardDone`) — the
 //! distributed execution path ([`crate::backend::RemoteBackend`]).  A
 //! shard ships per-column trace *digests*, never trace bytes; the worker
-//! regenerates each column from the registry or opens a local container
-//! ([`icfp_isa::TraceFile::open_validated`]) and refuses the shard on any
-//! digest mismatch.  `ShardCell` indices are *full-grid* positions (the
+//! resolves each column by its name ([`crate::column_source`]: a registry
+//! workload is regenerated, a container column is named by its path and
+//! opened there) and refuses the shard on any digest mismatch.  `ShardCell` indices are *full-grid* positions (the
 //! worker translates through the shard's index map), so the coordinator
 //! merges streams from any number of workers without per-shard bookkeeping.
 //!

@@ -9,7 +9,7 @@ use crate::executor::{
 use crate::fault::{FaultPlan, FrameAction};
 use crate::plan::SweepShard;
 use crate::ResultCache;
-use icfp_isa::{TraceFile, TraceSource};
+use icfp_isa::TraceSource;
 use serde::frame::write_frame;
 use serde::Serialize;
 use std::collections::HashMap;
@@ -104,33 +104,21 @@ struct ConnSummary {
     misses: u64,
 }
 
-/// Resolves a shard's trace columns on the worker side: a column with a
-/// [`crate::plan::ColumnSpec::local_path`] opens that `icfp-trace/v1|v2`
-/// container; anything else regenerates from the workload registry exactly
-/// as a local executor would.  Every resolved source must match the
-/// planner's content digest — traces never travel on the wire, so the
-/// digest is the *only* thing binding the worker's trace to the
-/// coordinator's, and any mismatch (stale file, skewed registry, wrong
-/// seed) refuses the shard before a single cell runs.
+/// Resolves a shard's trace columns on the worker side, each by its name
+/// exactly as a local executor would ([`column_source`]: a registry workload
+/// is regenerated, a container is opened at the path that names it).  Every
+/// resolved source must match the planner's content digest — traces never
+/// travel on the wire, so the digest is the *only* thing binding the
+/// worker's trace to the coordinator's, and any mismatch (stale file, skewed
+/// registry, wrong seed) refuses the shard before a single cell runs.
 fn resolve_shard_columns(
     shard: &SweepShard,
 ) -> Result<HashMap<String, Arc<dyn TraceSource>>, String> {
     shard.validate()?;
     let mut columns: HashMap<String, Arc<dyn TraceSource>> = HashMap::new();
     for col in &shard.columns {
-        let source: Arc<dyn TraceSource> = match &col.local_path {
-            Some(path) => Arc::new(
-                TraceFile::open_validated(path, col.trace_digest).map_err(|e| {
-                    format!("shard column {:?}: container {path:?}: {e}", col.workload)
-                })?,
-            ),
-            None => column_source(&shard.spec, &col.workload).ok_or_else(|| {
-                format!(
-                    "shard column {:?} is not a registry workload and carries no local container",
-                    col.workload
-                )
-            })?,
-        };
+        let source = column_source(&shard.spec, &col.workload)
+            .map_err(|e| format!("shard column: {e}"))?;
         let found = source.digest();
         if found != col.trace_digest {
             return Err(format!(

@@ -259,13 +259,14 @@ fn a_worker_refuses_a_shard_whose_column_digest_it_cannot_reproduce() {
 
 #[test]
 fn a_local_container_column_is_opened_validated_and_simulated() {
-    // A column whose workload is NOT in the registry travels as a
-    // `local_path` container: the worker opens the file, validates it
-    // against the shipped digest, and simulates it — digests instead of
-    // trace bytes, but the trace itself never crosses the wire either way.
+    // A column whose workload is NOT in the registry is named by the path
+    // of its container: the worker opens the file, validates it against the
+    // shipped digest, and simulates it — digests instead of trace bytes, but
+    // the trace itself never crosses the wire either way.
     let dir = tmp_dir("container");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("custom.trace");
+    let column = path.display().to_string();
     let trace = icfp_workloads::by_name("pointer-chase", 600, 0xBEEF).expect("trace");
     let summary =
         icfp_isa::TraceFileWriter::write_trace(&path, &trace, 128).expect("write container");
@@ -273,7 +274,7 @@ fn a_local_container_column_is_opened_validated_and_simulated() {
 
     let mut spec = SweepSpec::new(
         vec![icfp_core::CoreModel::Icfp],
-        vec!["custom-column".to_string()],
+        vec![column.clone()],
         600,
         0xBEEF,
     );
@@ -284,11 +285,12 @@ fn a_local_container_column_is_opened_validated_and_simulated() {
         spec: spec.clone(),
         index_map: (0..n as u64).collect(),
         columns: vec![ColumnSpec {
-            workload: "custom-column".to_string(),
+            workload: column.clone(),
             trace_digest: summary.digest,
-            local_path: Some(path.display().to_string()),
         }],
     };
+    // The planner derives the same shard from the spec alone.
+    assert_eq!(plan_shards(&spec, 1).expect("plan"), vec![shard.clone()]);
 
     let worker = spawn_worker(None, None);
     let outcome = submit_shard(&worker.addr, &shard, 1, Some(Duration::from_secs(30)))
@@ -297,10 +299,7 @@ fn a_local_container_column_is_opened_validated_and_simulated() {
 
     // The served cells equal a local run over the same supplied column.
     let mut columns: HashMap<String, Arc<dyn icfp_isa::TraceSource>> = HashMap::new();
-    columns.insert(
-        "custom-column".to_string(),
-        Arc::new(icfp_isa::ArenaSource::new(trace)),
-    );
+    columns.insert(column, Arc::new(icfp_isa::ArenaSource::new(trace)));
     let local = icfp_sweep::run_sweep_streamed(
         &spec,
         &ExecOptions {
