@@ -527,7 +527,6 @@ fn run(argv: &[String]) -> Result<(), CliError> {
     let backend = LocalBackend {
         threads: args.threads,
         cache_dir: args.cache_dir.as_deref().map(Into::into),
-        ..LocalBackend::default()
     };
     run_sweep_on(&args, &backend)
 }

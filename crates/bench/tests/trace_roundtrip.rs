@@ -3,7 +3,7 @@
 //! and the results are bit-identical to simulating the same program
 //! materialized in memory — the real-workload frontend end to end.
 
-use icfp_isa::{TraceFile, TraceFileWriter, TraceSource};
+use icfp_isa::{TraceFile, TraceFileWriter, TraceFormat, TraceSource};
 use icfp_sim::{CoreModel, SimConfig, Simulator};
 use icfp_workloads::bbp;
 
@@ -38,7 +38,8 @@ fn convert_then_simulate_matches_in_memory_expansion() {
         "icfp-bbp-roundtrip-{}.trace",
         std::process::id()
     ));
-    let mut writer = TraceFileWriter::create(&path, "fixture-walk", 128).expect("create");
+    let mut writer =
+        TraceFileWriter::create_as(&path, "fixture-walk", 128, TraceFormat::V2).expect("create");
     struct Sink(TraceFileWriter);
     impl icfp_workloads::TraceSink for Sink {
         fn push(&mut self, inst: icfp_isa::DynInst) {

@@ -173,11 +173,13 @@ impl CoreConfig {
 
     /// The one definition of a configuration the models can be built from:
     /// every structure size the models allocate up front — slice buffer,
-    /// store buffer, chain table, MSHRs — lies in
+    /// store buffer, chain table, MSHRs, SLTP's store redo log, the runahead
+    /// cache, the baseline store queue — lies in
     /// `1..=`[`CoreConfig::MAX_STRUCTURE_ENTRIES`].  A zero panics
-    /// `SliceBuffer::new` or retries a miss forever; an oversized value
-    /// aborts the process in the allocator.  Everything that builds a model
-    /// from outside input (a sweep spec, a checkpoint) calls this first.
+    /// `SliceBuffer::new` or the first store of a baseline run, or retries a
+    /// miss forever; an oversized value aborts the process in the allocator.
+    /// Everything that builds a model from outside input (a sweep spec, a
+    /// checkpoint) calls this first.
     ///
     /// # Errors
     ///
@@ -188,6 +190,9 @@ impl CoreConfig {
             ("store_buffer_entries", self.store_buffer_entries),
             ("chain_table_entries", self.chain_table_entries),
             ("mem.max_outstanding_misses", self.mem.max_outstanding_misses),
+            ("srl_entries", self.srl_entries),
+            ("runahead_cache_entries", self.runahead_cache_entries),
+            ("pipeline.baseline_store_buffer", self.pipeline.baseline_store_buffer),
         ] {
             if !(1..=Self::MAX_STRUCTURE_ENTRIES).contains(&n) {
                 return Err(format!(
@@ -348,11 +353,14 @@ mod tests {
             assert_eq!(c.validate(), Ok(()));
         }
         type Set = fn(&mut CoreConfig, usize);
-        let fields: [(&str, Set); 4] = [
+        let fields: [(&str, Set); 7] = [
             ("slice_buffer_entries", |c, n| c.slice_buffer_entries = n),
             ("store_buffer_entries", |c, n| c.store_buffer_entries = n),
             ("chain_table_entries", |c, n| c.chain_table_entries = n),
             ("mem.max_outstanding_misses", |c, n| c.mem.max_outstanding_misses = n),
+            ("srl_entries", |c, n| c.srl_entries = n),
+            ("runahead_cache_entries", |c, n| c.runahead_cache_entries = n),
+            ("pipeline.baseline_store_buffer", |c, n| c.pipeline.baseline_store_buffer = n),
         ];
         for (field, set) in fields {
             for bad in [0, CoreConfig::MAX_STRUCTURE_ENTRIES + 1, usize::MAX / 2] {

@@ -177,22 +177,10 @@ pub struct TraceFileSummary {
 }
 
 impl TraceFileWriter {
-    /// Creates a version-1 container at `path` for a trace named `name`,
-    /// cutting blocks of `block_size` instructions
-    /// ([`crate::DEFAULT_BLOCK_INSTS`] is the conventional choice).
-    ///
-    /// # Errors
-    ///
-    /// Filesystem failures.
-    pub fn create(
-        path: impl AsRef<Path>,
-        name: impl Into<String>,
-        block_size: usize,
-    ) -> Result<Self, TraceSourceError> {
-        Self::create_as(path, name, block_size, TraceFormat::V1)
-    }
-
-    /// Creates a container with an explicit block encoding ([`TraceFormat`]).
+    /// Creates a container at `path` for a trace named `name`, cutting
+    /// blocks of `block_size` instructions ([`crate::DEFAULT_BLOCK_INSTS`] is
+    /// the conventional choice) in the given block encoding
+    /// ([`TraceFormat`]).
     ///
     /// # Errors
     ///
@@ -347,20 +335,8 @@ impl TraceFileWriter {
         })
     }
 
-    /// Writes an entire in-memory trace to `path` (content verbatim).
-    ///
-    /// # Errors
-    ///
-    /// Filesystem failures.
-    pub fn write_trace(
-        path: impl AsRef<Path>,
-        trace: &Trace,
-        block_size: usize,
-    ) -> Result<TraceFileSummary, TraceSourceError> {
-        Self::write_trace_as(path, trace, block_size, TraceFormat::V1)
-    }
-
-    /// [`TraceFileWriter::write_trace`] with an explicit block encoding.
+    /// Writes an entire in-memory trace to `path` (content verbatim) in the
+    /// given block encoding.
     ///
     /// # Errors
     ///
@@ -382,22 +358,8 @@ impl TraceFileWriter {
 
     /// Streams any [`TraceSource`] into a container at `path` (content
     /// verbatim, re-blocked to `block_size`), holding one input and one
-    /// output block in memory at a time.
-    ///
-    /// # Errors
-    ///
-    /// Source read failures and filesystem failures.
-    pub fn write_source(
-        path: impl AsRef<Path>,
-        source: &dyn TraceSource,
-        block_size: usize,
-    ) -> Result<TraceFileSummary, TraceSourceError> {
-        Self::write_source_as(path, source, block_size, TraceFormat::V1)
-    }
-
-    /// [`TraceFileWriter::write_source`] with an explicit block encoding —
-    /// this is the `trace convert` path for re-containering v1 as v2 and
-    /// back (content verbatim, so the digest is preserved either way).
+    /// output block in memory at a time — the `trace convert` path for
+    /// re-containering v1 as v2 and back (digest preserved either way).
     ///
     /// # Errors
     ///
@@ -857,7 +819,8 @@ mod tests {
     fn round_trips_content_blocks_and_digests() {
         let t = sample_trace(40); // 80 insts
         let path = tmp("roundtrip");
-        let summary = TraceFileWriter::write_trace(&path, &t, 16).expect("write");
+        let summary =
+            TraceFileWriter::write_trace_as(&path, &t, 16, TraceFormat::V2).expect("write");
         assert_eq!(summary.instructions, 80);
         assert_eq!(summary.blocks, 5);
         assert_eq!(summary.digest, t.digest());
@@ -882,7 +845,7 @@ mod tests {
     fn open_validated_binds_the_file_to_its_expected_digest() {
         let t = sample_trace(20);
         let path = tmp("validated");
-        TraceFileWriter::write_trace(&path, &t, 16).expect("write");
+        TraceFileWriter::write_trace_as(&path, &t, 16, TraceFormat::V2).expect("write");
         // The right digest opens; any other digest is refused with a typed
         // error naming both — the worker-side gate for digests-over-the-wire.
         let f = TraceFile::open_validated(&path, t.digest()).expect("matching digest");
@@ -901,7 +864,7 @@ mod tests {
     fn residency_stays_bounded_while_streaming() {
         let t = sample_trace(200); // 400 insts, 25 blocks of 16
         let path = tmp("residency");
-        TraceFileWriter::write_trace(&path, &t, 16).expect("write");
+        TraceFileWriter::write_trace_as(&path, &t, 16, TraceFormat::V2).expect("write");
         let f = TraceFile::open(&path).expect("open");
         let cur = TraceCursor::new(&f);
         for k in 0..f.len() {
@@ -920,7 +883,7 @@ mod tests {
     #[test]
     fn empty_trace_round_trips() {
         let path = tmp("empty");
-        let w = TraceFileWriter::create(&path, "empty", 16).expect("create");
+        let w = TraceFileWriter::create_as(&path, "empty", 16, TraceFormat::V2).expect("create");
         let s = w.finish().expect("finish");
         assert_eq!(s.instructions, 0);
         assert_eq!(s.blocks, 0);
@@ -935,7 +898,7 @@ mod tests {
     #[test]
     fn writer_assigns_pc_and_seq_like_trace_builder() {
         let path = tmp("pcassign");
-        let mut w = TraceFileWriter::create(&path, "pc", 4).expect("create");
+        let mut w = TraceFileWriter::create_as(&path, "pc", 4, TraceFormat::V2).expect("create");
         w.push(DynInst::nop()).unwrap();
         w.set_next_pc(0x1000);
         w.push(DynInst::nop()).unwrap();
@@ -956,7 +919,7 @@ mod tests {
     fn bad_magic_and_truncation_are_errors() {
         let t = sample_trace(10);
         let path = tmp("hostile");
-        TraceFileWriter::write_trace(&path, &t, 8).expect("write");
+        TraceFileWriter::write_trace_as(&path, &t, 8, TraceFormat::V1).expect("write");
         let bytes = std::fs::read(&path).expect("read back");
 
         // Wrong magic.
@@ -994,7 +957,7 @@ mod tests {
     fn flipped_block_byte_is_a_digest_mismatch_not_a_panic() {
         let t = sample_trace(20);
         let path = tmp("flip");
-        TraceFileWriter::write_trace(&path, &t, 8).expect("write");
+        TraceFileWriter::write_trace_as(&path, &t, 8, TraceFormat::V1).expect("write");
         let mut bytes = std::fs::read(&path).expect("read back");
         // Flip a byte inside the first block's instruction data (past its
         // 8-byte Vec length prefix).
@@ -1015,7 +978,7 @@ mod tests {
     fn hostile_index_offset_and_lengths_are_errors() {
         let t = sample_trace(10);
         let path = tmp("hostile-index");
-        TraceFileWriter::write_trace(&path, &t, 8).expect("write");
+        TraceFileWriter::write_trace_as(&path, &t, 8, TraceFormat::V1).expect("write");
         let bytes = std::fs::read(&path).expect("read back");
 
         // Index offset pointing past the end / to u64::MAX.
@@ -1039,7 +1002,7 @@ mod tests {
     fn async_and_sync_prefetch_serve_identical_content() {
         let t = sample_trace(120); // 240 insts, 15 blocks of 16
         let path = tmp("async-prefetch");
-        TraceFileWriter::write_trace(&path, &t, 16).expect("write");
+        TraceFileWriter::write_trace_as(&path, &t, 16, TraceFormat::V2).expect("write");
         let asy = TraceFile::open(&path).expect("open async");
         let syn = TraceFile::open_sync(&path).expect("open sync");
         assert!(asy.prefetches_async());
@@ -1130,7 +1093,7 @@ mod tests {
         let p1 = tmp("conv-v1");
         let p2 = tmp("conv-v2");
         let p3 = tmp("conv-back");
-        TraceFileWriter::write_trace(&p1, &t, 16).expect("v1");
+        TraceFileWriter::write_trace_as(&p1, &t, 16, TraceFormat::V1).expect("v1");
         let v1 = TraceFile::open(&p1).expect("open v1");
         // v1 -> v2 -> v1 through the write_source_as re-containering path.
         TraceFileWriter::write_source_as(&p2, &v1, 16, TraceFormat::V2).expect("to v2");
@@ -1184,7 +1147,7 @@ mod tests {
         let t = sample_trace(30); // 60 insts
         let src = crate::ArenaSource::with_block_size(t.clone(), 7);
         let path = tmp("reblock");
-        let s = TraceFileWriter::write_source(&path, &src, 16).expect("write");
+        let s = TraceFileWriter::write_source_as(&path, &src, 16, TraceFormat::V2).expect("write");
         assert_eq!(s.instructions, 60);
         assert_eq!(s.digest, t.digest());
         let f = TraceFile::open(&path).expect("open");

@@ -340,6 +340,26 @@ mod tests {
                 other => panic!("{bad}: expected a config error, got {other:?}"),
             }
         }
+        // Sizes only the other models allocate: SLTP's store redo log
+        // (`VecDeque::with_capacity` overflow) and the baseline store queue
+        // (a zero panics on the first store of an in-order run).
+        for (model, field) in [
+            (CoreModel::Sltp, "srl_entries"),
+            (CoreModel::InOrder, "pipeline.baseline_store_buffer"),
+        ] {
+            let mut sim = Simulator::new(SimConfig::new(model));
+            sim.load(trace());
+            let mut ck = sim.checkpoint().expect("checkpoint of a loaded run");
+            match model {
+                CoreModel::Sltp => ck.config.cfg.srl_entries = usize::MAX / 2,
+                _ => ck.config.cfg.pipeline.baseline_store_buffer = 0,
+            }
+            let ck = SimCheckpoint::from_bytes(&ck.to_bytes()).expect("digest-valid");
+            match Simulator::resume(&ck, trace()) {
+                Err(CkptError::Config(e)) => assert!(e.contains(field), "{e}"),
+                other => panic!("{field}: expected a config error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

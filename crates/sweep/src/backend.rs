@@ -111,26 +111,12 @@ pub trait ExecBackend {
 
 /// The in-process backend: the `std::thread` pool executor this crate has
 /// always had, now behind the seam.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LocalBackend {
     /// Worker threads (0 = 1).
     pub threads: usize,
     /// Persistent result cache directory, if caching is enabled.
     pub cache_dir: Option<PathBuf>,
-    /// Retries for a panicking cell before it is recorded as a typed failed
-    /// cell (see [`ExecOptions::panic_retries`]).
-    pub panic_retries: u32,
-}
-
-impl Default for LocalBackend {
-    /// Serial, no cache.
-    fn default() -> Self {
-        LocalBackend {
-            threads: 0,
-            cache_dir: None,
-            panic_retries: crate::executor::DEFAULT_PANIC_RETRIES,
-        }
-    }
 }
 
 impl ExecBackend for LocalBackend {
@@ -155,7 +141,6 @@ impl ExecBackend for LocalBackend {
             &ExecOptions {
                 threads: self.threads,
                 cache: cache.as_ref(),
-                panic_retries: self.panic_retries,
                 ..ExecOptions::default()
             },
             on_cell,

@@ -58,13 +58,14 @@ OPTIONS:
     --io-timeout-ms MS   per-stream read/write deadline; stalled peers are
                          reaped with a typed timeout (default 30000; 0 = no
                          deadline)
-    --panic-retries N    retries for a panicking cell before it is recorded
-                         as a typed failed cell in the report (default 2)
     --help               print this help
 
 SIGNALS:
     SIGINT/SIGTERM       graceful drain: stop accepting, finish in-flight
                          cells (cache flushed per cell), then exit
+
+A panicking cell is retried twice, then recorded as a typed failed cell in
+the report; the sweep and the daemon carry on.
 ";
 
 struct Args {
@@ -75,7 +76,6 @@ struct Args {
     max_conns: Option<u64>,
     conn_limit: usize,
     io_timeout_ms: u64,
-    panic_retries: u32,
     worker: bool,
 }
 
@@ -90,7 +90,6 @@ fn parse_args() -> Result<Args, String> {
         max_conns: None,
         conn_limit: 4,
         io_timeout_ms: 30_000,
-        panic_retries: icfp_sweep::executor::DEFAULT_PANIC_RETRIES,
         worker: false,
     };
     let mut it = std::env::args().skip(1);
@@ -124,11 +123,6 @@ fn parse_args() -> Result<Args, String> {
                 args.io_timeout_ms = value("--io-timeout-ms")?
                     .parse()
                     .map_err(|e| format!("--io-timeout-ms: {e}"))?
-            }
-            "--panic-retries" => {
-                args.panic_retries = value("--panic-retries")?
-                    .parse()
-                    .map_err(|e| format!("--panic-retries: {e}"))?
             }
             "--worker" => args.worker = true,
             "--help" | "-h" => {
@@ -224,7 +218,6 @@ fn main() -> ExitCode {
         threads: args.threads,
         cache_dir: args.cache_dir.clone(),
         io_timeout: (args.io_timeout_ms > 0).then(|| Duration::from_millis(args.io_timeout_ms)),
-        panic_retries: args.panic_retries,
         cancel: Some(Arc::clone(&shutdown)),
         worker: args.worker,
         ..ServeOptions::default()

@@ -1,6 +1,8 @@
-//! The sweep executor: a `std::thread` pool pulling fork groups from an
-//! atomic counter — each group computed once, optionally through a
-//! persistent result cache — streaming cells to a callback as they finish.
+//! The sweep executor: one preparation per sweep (columns, jobs, fork groups
+//! — the jobs of one column that share a cache key), then a `std::thread`
+//! pool pulling those groups from an atomic counter — each computed once,
+//! optionally through a persistent result cache — streaming cells to a
+//! callback as they finish.
 
 use crate::cache::ResultCache;
 use crate::fault::FaultPlan;
@@ -19,18 +21,15 @@ use std::sync::Arc;
 /// How many times a panicking cell is retried before being recorded as a
 /// typed failed cell (so one latent bug on one grid point costs that point,
 /// not the sweep).
-pub const DEFAULT_PANIC_RETRIES: u32 = 2;
+const PANIC_RETRIES: u32 = 2;
 
 /// Executor options beyond the spec itself.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 pub struct ExecOptions<'a> {
     /// Worker threads (0 = 1; the pool never outnumbers the fork groups).
     pub threads: usize,
     /// Persistent result cache to serve and populate, if any.
     pub cache: Option<&'a ResultCache>,
-    /// Retries for a panicking cell before it is recorded as failed
-    /// ([`DEFAULT_PANIC_RETRIES`] by default; 0 = fail on first panic).
-    pub panic_retries: u32,
     /// Deterministic fault-injection plan (tests only; `None` in
     /// production).
     pub fault: Option<&'a FaultPlan>,
@@ -52,24 +51,10 @@ impl std::fmt::Debug for ExecOptions<'_> {
         f.debug_struct("ExecOptions")
             .field("threads", &self.threads)
             .field("cache", &self.cache.is_some())
-            .field("panic_retries", &self.panic_retries)
             .field("fault", &self.fault.is_some())
             .field("cancel", &self.cancel.is_some())
             .field("columns", &self.columns.map(|c| c.len()))
             .finish()
-    }
-}
-
-impl Default for ExecOptions<'_> {
-    fn default() -> Self {
-        ExecOptions {
-            threads: 0,
-            cache: None,
-            panic_retries: DEFAULT_PANIC_RETRIES,
-            fault: None,
-            cancel: None,
-            columns: None,
-        }
     }
 }
 
@@ -200,36 +185,6 @@ pub struct CellEvent<'a> {
     pub cell: &'a SweepCell,
 }
 
-/// Groups jobs by [`SweepJob::fork_key`]: same model, same workload trace,
-/// and configurations that differ only along axes the model never reads
-/// (see [`icfp_core::CoreModel::reads_slice_buffer`]).  A *fork group* is a
-/// set of jobs with identical deterministic inputs, executed from one
-/// simulation, as expand indices with the leader first (ascending): the
-/// leader computes — or its figures are found in the result cache — and
-/// every member replays them.  Group order follows the leaders' expand
-/// order, so the plan — and therefore every deterministic output — is
-/// independent of thread count and scheduling.
-pub(crate) fn plan_groups(jobs: &[SweepJob]) -> Vec<Vec<usize>> {
-    let mut by_key: HashMap<Vec<u8>, usize> = HashMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for job in jobs {
-        let at = *by_key.entry(job.fork_key()).or_insert(groups.len());
-        if at == groups.len() {
-            groups.push(Vec::new());
-        }
-        groups[at].push(job.index);
-    }
-    groups
-}
-
-/// The worker count a sweep of `spec` actually runs on when `requested`
-/// threads are asked for: the pool never outnumbers the fork groups.  The
-/// report header records this figure, and the server's `Accepted` frame
-/// states it up front.
-pub(crate) fn pool_size(spec: &SweepSpec, requested: usize) -> usize {
-    requested.clamp(1, plan_groups(&spec.expand()).len().max(1))
-}
-
 /// Per-execution cache counters, shared across the worker pool.
 #[derive(Default)]
 struct Tallies {
@@ -250,61 +205,6 @@ impl Tallies {
     }
 }
 
-/// Executes one group: the leader's figures are looked up in `cache` (when
-/// there is one) or computed once under the cold median protocol, stored
-/// first-write-wins, and replayed into every cell of the group — members
-/// share the leader's fork key (identical deterministic inputs), so
-/// replaying is exact, and sharing the leader's host figures is what makes
-/// a later fully-cached rerun reproduce this report byte-for-byte.  A
-/// damaged entry is counted and treated as a miss.  Returns whether the
-/// group was served from the cache.
-fn run_group(
-    jobs: &[SweepJob],
-    group: &[usize],
-    trace: &dyn TraceSource,
-    cache: Option<&ResultCache>,
-    tallies: &Tallies,
-) -> (bool, Vec<(usize, SweepCell)>) {
-    let leader = &jobs[group[0]];
-    let members = group.len() as u64;
-    let keyed = cache.map(|c| (c, leader.cache_key(trace.digest())));
-    let found = keyed.and_then(|(cache, key)| match cache.load(key) {
-        Ok(found) => found,
-        Err(_) => {
-            // Damaged entry: count it, evict it so the recompute's store can
-            // land, and fall through to the miss path.
-            tallies.invalid.fetch_add(1, Ordering::Relaxed);
-            let _ = cache.remove(key);
-            None
-        }
-    });
-    let cached = found.is_some();
-    let figures = match found {
-        Some(figures) => {
-            tallies.hits.fetch_add(members, Ordering::Relaxed);
-            figures
-        }
-        None => {
-            let figures = leader.figures(trace);
-            // Tally the miss only after the compute succeeds: a panicking
-            // attempt unwinds past this point, so a retry never double-counts
-            // and the hits + misses pair always totals the cell count.
-            tallies.misses.fetch_add(members, Ordering::Relaxed);
-            if let Some((cache, key)) = keyed {
-                if let Ok(true) = cache.store(key, &figures) {
-                    tallies.stored.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            figures
-        }
-    };
-    let cells = group
-        .iter()
-        .map(|&j| (j, jobs[j].cell_from_figures(&figures)))
-        .collect();
-    (cached, cells)
-}
-
 /// Executes a sweep on a pool of `threads` worker threads (at least one;
 /// the calling thread collects).  Each workload column's trace is generated
 /// once and shared via `Arc` across every job, and cells with identical
@@ -315,15 +215,11 @@ fn run_group(
 ///
 /// Returns the [`SweepSpec::validate`] error without running anything.
 pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Result<SweepReport, String> {
-    run_sweep_streamed(
-        spec,
-        &ExecOptions {
-            threads,
-            ..ExecOptions::default()
-        },
-        |_| {},
-    )
-    .map(|outcome| outcome.report)
+    let opts = ExecOptions {
+        threads,
+        ..ExecOptions::default()
+    };
+    run_sweep_streamed(spec, &opts, |_| {}).map(|outcome| outcome.report)
 }
 
 /// Executes a sweep, streaming each finished cell to `on_cell` (invoked on
@@ -340,127 +236,235 @@ pub fn run_sweep(spec: &SweepSpec, threads: usize) -> Result<SweepReport, String
 pub fn run_sweep_streamed(
     spec: &SweepSpec,
     opts: &ExecOptions<'_>,
-    mut on_cell: impl FnMut(CellEvent<'_>),
+    on_cell: impl FnMut(CellEvent<'_>),
 ) -> Result<SweepOutcome, String> {
-    // One trace source per workload column, shared by reference everywhere:
-    // pre-built on the shard path ([`ExecOptions::columns`], names are labels
-    // only there), otherwise resolved and built here, once
-    // ([`column_source`]).  Cells are backing-independent either way.
-    spec.validate_axes()?;
-    let mut traces: HashMap<&str, Arc<dyn TraceSource>> = HashMap::new();
-    for w in &spec.workloads {
-        let source = match opts.columns {
-            None => column_source(spec, w)?,
-            Some(columns) => {
-                let source = columns
-                    .get(w)
-                    .ok_or_else(|| format!("no trace column supplied for workload {w:?}"))?;
-                icfp_sim::check_timed_region(spec.fast_forward, source.len())
-                    .map_err(|e| format!("{w}: {e}"))?;
-                Arc::clone(source)
+    Prepared::new(spec, opts)?.run(on_cell)
+}
+
+/// A sweep's execution state, built exactly once per sweep: the local
+/// executor prepares and runs in one call ([`run_sweep_streamed`]); the
+/// daemon prepares before its `Accepted` frame — which states
+/// [`Prepared::workers`] — and then runs the same value.
+pub(crate) struct Prepared<'a> {
+    spec: &'a SweepSpec,
+    opts: ExecOptions<'a>,
+    /// The grid in [`SweepSpec::expand`] order.
+    jobs: Vec<SweepJob>,
+    /// One shared trace source per workload column, in spec order.  Workload
+    /// is the innermost expand axis: job `i` runs on column `i % len`.
+    traces: Vec<Arc<dyn TraceSource>>,
+    /// The *fork groups*: the jobs of one column that share a cache key
+    /// ([`SweepJob::cache_key`] — the one identity a cell has), as expand
+    /// indices, leader first (ascending).  Members differ only along axes
+    /// their model never reads, so one simulation serves them all.  Group
+    /// order follows the leaders' expand order, so the plan — and every
+    /// deterministic output — is independent of thread count and scheduling.
+    groups: Vec<Vec<usize>>,
+}
+
+impl<'a> Prepared<'a> {
+    /// Validates the axes, takes one trace source per column — pre-built on
+    /// the shard path ([`ExecOptions::columns`]; names are labels only there),
+    /// otherwise resolved and built here ([`column_source`]) — then expands
+    /// and groups the grid.
+    ///
+    /// # Errors
+    ///
+    /// The [`SweepSpec::validate`] error, or a column nobody supplied.
+    pub(crate) fn new(spec: &'a SweepSpec, opts: &ExecOptions<'a>) -> Result<Self, String> {
+        spec.validate_axes()?;
+        let traces = spec
+            .workloads
+            .iter()
+            .map(|w| match opts.columns {
+                None => column_source(spec, w),
+                Some(columns) => {
+                    let source = columns
+                        .get(w)
+                        .ok_or_else(|| format!("no trace column supplied for workload {w:?}"))?;
+                    icfp_sim::check_timed_region(spec.fast_forward, source.len())
+                        .map_err(|e| format!("{w}: {e}"))?;
+                    Ok(Arc::clone(source))
+                }
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let jobs = spec.expand();
+        // Every key of a column folds in the same trace digest, so its jobs
+        // share `cache_key(digest)` exactly when they share `cache_key(0)`:
+        // the grid is partitioned without digesting a column — an arena's
+        // digest costs four times its generation, and the daemon prepares
+        // before `Accepted` — and a group's real key is derived by the worker
+        // that looks it up.
+        let mut by_key: HashMap<(usize, u64), usize> = HashMap::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        for job in &jobs {
+            let at = *by_key
+                .entry((job.index % traces.len(), job.cache_key(0)))
+                .or_insert(groups.len());
+            if at == groups.len() {
+                groups.push(Vec::new());
             }
-        };
-        traces.insert(w.as_str(), source);
+            groups[at].push(job.index);
+        }
+        Ok(Prepared {
+            spec,
+            opts: *opts,
+            jobs,
+            traces,
+            groups,
+        })
     }
-    let jobs = spec.expand();
-    let n = jobs.len();
 
-    let groups = plan_groups(&jobs);
-    let num_groups = groups.len();
-    let workers = opts.threads.clamp(1, num_groups.max(1));
-    let mut cells: Vec<Option<SweepCell>> = (0..n).map(|_| None).collect();
-    let tallies = Tallies::default();
+    /// The worker count this sweep runs on: [`ExecOptions::threads`], except
+    /// that the pool never outnumbers the fork groups (a validated spec has
+    /// at least one).  The report header records this figure.
+    pub(crate) fn workers(&self) -> usize {
+        self.opts.threads.clamp(1, self.groups.len())
+    }
 
-    let run_group_once = |k: usize| -> (bool, Vec<(usize, SweepCell)>) {
-        let group = &groups[k];
-        // Executor fault seam: an armed job panics here, inside the
-        // catch_unwind scope below — indistinguishable from a latent
-        // timing-model bug tripping on this grid point.
-        if let Some(plan) = opts.fault {
+    /// Executes group `k`: the figures under the leader's cache key are
+    /// looked up in the cache (when there is one) or computed once by the
+    /// leader under the cold median protocol, stored first-write-wins, and
+    /// replayed into every cell of the group — sharing the leader's host
+    /// figures is what makes a later fully-cached rerun reproduce this report
+    /// byte-for-byte.  A damaged entry is counted and treated as a miss.
+    /// Returns whether the group was served from the cache.
+    fn run_group(&self, k: usize, tallies: &Tallies) -> (bool, Vec<(usize, SweepCell)>) {
+        let group = &self.groups[k];
+        // Executor fault seam: an armed job panics here, inside the caller's
+        // catch_unwind scope — indistinguishable from a latent timing-model
+        // bug tripping on this grid point.
+        if let Some(plan) = self.opts.fault {
             for &j in group {
                 if let Some(msg) = plan.injected_panic(j) {
                     panic!("{msg}");
                 }
             }
         }
-        let trace = &*traces[jobs[group[0]].workload.as_str()];
-        run_group(&jobs, group, trace, opts.cache, &tallies)
-    };
-
-    // Crash-safe wrapper: a panicking group is retried up to
-    // `panic_retries` times, then recorded as typed *failed cells* — the
-    // sweep completes and reports the hole instead of unwinding a worker
-    // and poisoning the whole run.
-    let run_group_safely = |k: usize| -> (bool, Vec<(usize, SweepCell)>) {
-        let mut reason = String::new();
-        for _ in 0..=opts.panic_retries {
-            match catch_unwind(AssertUnwindSafe(|| run_group_once(k))) {
-                Ok(done) => return done,
-                Err(payload) => reason = panic_reason(payload),
+        let members = group.len() as u64;
+        let leader = &self.jobs[group[0]];
+        let trace = &*self.traces[group[0] % self.traces.len()];
+        let cache = self.opts.cache;
+        let keyed = cache.map(|c| (c, leader.cache_key(trace.digest())));
+        let found = keyed.and_then(|(cache, key)| match cache.load(key) {
+            Ok(found) => found,
+            Err(_) => {
+                // Damaged entry: count it, evict it so the recompute's store
+                // can land, and fall through to the miss path.
+                tallies.invalid.fetch_add(1, Ordering::Relaxed);
+                let _ = cache.remove(key);
+                None
             }
-        }
-        let group = &groups[k];
-        // Failed cells were still *computed attempts*, not cache hits.
-        tallies
-            .misses
-            .fetch_add(group.len() as u64, Ordering::Relaxed);
+        });
+        let cached = found.is_some();
+        let figures = match found {
+            Some(figures) => {
+                tallies.hits.fetch_add(members, Ordering::Relaxed);
+                figures
+            }
+            None => {
+                let figures = leader.figures(trace);
+                // Tally the miss only after the compute succeeds: a panicking
+                // attempt unwinds past this point, so a retry never
+                // double-counts and hits + misses always total the cell count.
+                tallies.misses.fetch_add(members, Ordering::Relaxed);
+                if let Some((cache, key)) = keyed {
+                    if let Ok(true) = cache.store(key, &figures) {
+                        tallies.stored.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                figures
+            }
+        };
         let cells = group
             .iter()
-            .map(|&j| (j, jobs[j].failed_cell(&reason)))
+            .map(|&j| (j, self.jobs[j].cell_from_figures(&figures)))
             .collect();
-        (false, cells)
-    };
-
-    let cancelled = || opts.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(bool, Vec<(usize, SweepCell)>)>();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let run_group_safely = &run_group_safely;
-            let cancelled = &cancelled;
-            scope.spawn(move || loop {
-                if cancelled() {
-                    break;
-                }
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= num_groups {
-                    break;
-                }
-                // A send only fails if the receiver is gone (sweep
-                // abandoned): stop pulling work.
-                if tx.send(run_group_safely(k)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (cached, batch) in rx {
-            for (idx, cell) in batch {
-                on_cell(CellEvent {
-                    index: idx,
-                    cached,
-                    cell: &cell,
-                });
-                cells[idx] = Some(cell);
-            }
-        }
-    });
-
-    // A cancelled sweep leaves holes: report the cancellation as a typed
-    // error instead of panicking on them.  (Absent cancellation every group
-    // posts exactly one batch, failed or not, so the report is complete.)
-    let done = cells.iter().filter(|c| c.is_some()).count();
-    if done < n {
-        return Err(format!("sweep cancelled after {done}/{n} cells"));
+        (cached, cells)
     }
 
-    Ok(SweepOutcome {
-        report: merge_report(spec, workers, cells)?,
-        cache: tallies.snapshot(),
-    })
+    /// Runs the prepared sweep; see [`run_sweep_streamed`].
+    ///
+    /// # Errors
+    ///
+    /// The sweep was cancelled ([`ExecOptions::cancel`]).
+    pub(crate) fn run(
+        self,
+        mut on_cell: impl FnMut(CellEvent<'_>),
+    ) -> Result<SweepOutcome, String> {
+        let n = self.jobs.len();
+        let workers = self.workers();
+        let mut cells: Vec<Option<SweepCell>> = vec![None; n];
+        let tallies = Tallies::default();
+
+        // Crash-safe wrapper: a panicking group is retried up to
+        // `PANIC_RETRIES` times, then recorded as typed *failed cells* — the
+        // sweep completes and reports the hole instead of unwinding a worker
+        // and poisoning the whole run.
+        let run_group_safely = |k: usize| -> (bool, Vec<(usize, SweepCell)>) {
+            let mut reason = String::new();
+            for _ in 0..=PANIC_RETRIES {
+                match catch_unwind(AssertUnwindSafe(|| self.run_group(k, &tallies))) {
+                    Ok(done) => return done,
+                    Err(payload) => reason = panic_reason(payload),
+                }
+            }
+            let group = &self.groups[k];
+            // Failed cells were still *computed attempts*, not cache hits.
+            tallies
+                .misses
+                .fetch_add(group.len() as u64, Ordering::Relaxed);
+            let cells = group
+                .iter()
+                .map(|&j| (j, self.jobs[j].failed_cell(&reason)))
+                .collect();
+            (false, cells)
+        };
+
+        let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel::<(bool, Vec<(usize, SweepCell)>)>();
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                let (tx, next, this, run_safely) = (tx.clone(), &next, &self, &run_group_safely);
+                scope.spawn(move || loop {
+                    if this.opts.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                        break;
+                    }
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    // A send only fails if the receiver is gone (sweep
+                    // abandoned): stop pulling work.
+                    if k >= this.groups.len() || tx.send(run_safely(k)).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(tx);
+            for (cached, batch) in rx {
+                for (index, cell) in batch {
+                    on_cell(CellEvent {
+                        index,
+                        cached,
+                        cell: &cell,
+                    });
+                    cells[index] = Some(cell);
+                }
+            }
+        });
+
+        // A cancelled sweep leaves holes: report the cancellation as a typed
+        // error instead of panicking on them.  (Absent cancellation every
+        // group posts exactly one batch, failed or not, so the report is
+        // complete.)
+        let done = cells.iter().filter(|c| c.is_some()).count();
+        if done < n {
+            return Err(format!("sweep cancelled after {done}/{n} cells"));
+        }
+
+        Ok(SweepOutcome {
+            report: merge_report(self.spec, workers, cells)?,
+            cache: tallies.snapshot(),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -563,8 +567,8 @@ mod tests {
 
     #[test]
     fn fork_groups_collect_cells_along_inert_axes_only() {
-        let jobs = tiny_spec().expand();
-        let groups = plan_groups(&jobs);
+        let spec = tiny_spec();
+        let Prepared { jobs, groups, .. } = Prepared::new(&spec, &ExecOptions::default()).unwrap();
         // icfp reads the slice axis: its 4 configs × 4 workloads stay
         // singleton groups (16).  in-order ignores it: {sb 64, sb 128}
         // collapse per (l2 latency, workload) — 2 × 4 = 8 groups of two.
@@ -598,8 +602,8 @@ mod tests {
         spec.slice_buffer_entries = vec![64, 128, 256];
         spec.l2_hit_latencies = vec![20];
         spec.workloads.truncate(2);
-        let jobs = spec.expand();
-        assert!(plan_groups(&jobs).len() < jobs.len());
+        let Prepared { jobs, groups, .. } = Prepared::new(&spec, &ExecOptions::default()).unwrap();
+        assert!(groups.len() < jobs.len());
         let standalone = SweepReport {
             threads: 1,
             insts: spec.insts,
@@ -650,7 +654,6 @@ mod tests {
         // share a fork group or a result-cache entry.
         let j0 = base_spec.expand();
         let j1 = ff_spec.expand();
-        assert_ne!(j0[0].fork_key(), j1[0].fork_key());
         assert_ne!(j0[0].cache_key(0xD1CE), j1[0].cache_key(0xD1CE));
 
         // A fast-forward that leaves no timed region is rejected up front.
@@ -887,7 +890,6 @@ mod tests {
             &spec,
             &ExecOptions {
                 threads: 1,
-                panic_retries: 1,
                 fault: Some(&plan),
                 ..ExecOptions::default()
             },

@@ -1,6 +1,6 @@
-//! Sweep jobs: one grid point, ready to execute, plus the identity keys the
-//! executor derives from a job — the fork key (may two cells share one
-//! computation?) and the result-cache key (may a cell be served from disk?).
+//! Sweep jobs: one grid point, ready to execute, plus its one identity — the
+//! cache key, which answers both "may two cells of a column share one
+//! computation?" and "may a cell be served from disk?".
 
 use crate::report::SweepCell;
 use icfp_core::{CoreConfig, CoreModel};
@@ -81,10 +81,20 @@ impl SweepJob {
         }
     }
 
-    /// The job's configuration with axes this model never reads canonicalized
-    /// to zero, so configurations that run the identical simulation compare
-    /// (and hash) equal.  Shared by the fork key and the cache key.
-    fn normalized_config(&self) -> CoreConfig {
+    /// The job's content-addressed *cache key* for the `icfp-cache/v1` result
+    /// store: an FNV-1a digest (length-prefixed fields, see
+    /// [`Fnv1a::write_field`]) of everything the cell's deterministic outputs
+    /// depend on — container version, model, configuration bytes (axes this
+    /// model never reads canonicalized to zero, so configurations that run the
+    /// identical simulation hash equal), the trace's content digest, the
+    /// instruction budget and the fast-forward depth (which moves the
+    /// cold-start boundary and therefore every timing figure).  Labels that
+    /// don't feed the simulation (the workload *name*, the seed — both
+    /// already folded into the trace digest's content) are deliberately
+    /// excluded, so renamed-but-identical columns share entries; the replayed
+    /// cell's labels come from the job, not the cache.  The jobs of one
+    /// column that share a key are one fork group: there is no other identity.
+    pub fn cache_key(&self, trace_digest: u64) -> u64 {
         let mut cfg = self.config.clone();
         if !self.model.reads_slice_buffer() {
             // The slice-buffer axis is inert for this model: cells differing
@@ -92,40 +102,10 @@ impl SweepJob {
             cfg.slice_buffer_entries = 0;
             cfg.chain_table_entries = 0;
         }
-        cfg
-    }
-
-    /// The job's *fork key*: two jobs may share one computation iff
-    /// their keys are byte-identical — same model, workload, seed,
-    /// instruction budget and fast-forward depth, and configurations equal
-    /// after normalizing the axes this model never reads.  Keys are the
-    /// vendored-serde encoding of exactly those inputs, so equality is
-    /// equality of deterministic inputs.
-    pub(crate) fn fork_key(&self) -> Vec<u8> {
-        serde::to_bytes(&(
-            self.model.name().to_string(),
-            self.workload.clone(),
-            (self.seed, self.insts as u64, self.fast_forward as u64),
-            serde::to_bytes(&self.normalized_config()),
-        ))
-    }
-
-    /// The job's content-addressed *cache key* for the `icfp-cache/v1` result
-    /// store: an FNV-1a digest (length-prefixed fields, see
-    /// [`Fnv1a::write_field`]) of everything the cell's deterministic outputs
-    /// depend on — container version, model, normalized configuration bytes,
-    /// the trace's content digest, the instruction budget and the
-    /// fast-forward depth (which moves the cold-start boundary and therefore
-    /// every timing figure).  Labels that
-    /// don't feed the simulation (the workload *name*, the seed — both
-    /// already folded into the trace digest's content) are deliberately
-    /// excluded, so renamed-but-identical columns share entries; the replayed
-    /// cell's labels come from the job, not the cache.
-    pub fn cache_key(&self, trace_digest: u64) -> u64 {
         let mut h = Fnv1a::new();
         h.write_field(crate::cache::MAGIC);
         h.write_field(self.model.name().as_bytes());
-        h.write_field(&serde::to_bytes(&self.normalized_config()));
+        h.write_field(&serde::to_bytes(&cfg));
         h.write_u64(trace_digest);
         h.write_u64(self.insts as u64);
         h.write_u64(self.fast_forward as u64);
@@ -138,23 +118,26 @@ mod tests {
     use crate::testutil::tiny_spec;
 
     #[test]
+    fn cache_key_values_are_pinned() {
+        // Recorded on the commit before the fork key went: the cache key is the
+        // one identity a cell has, and a drift in it silently cools every
+        // `icfp-cache/v1` directory ever written.
+        let (jobs, mut ff) = (tiny_spec().expand(), tiny_spec());
+        ff.fast_forward = 300;
+        assert_eq!(
+            (jobs[0].model.name(), jobs[16].model.name()),
+            ("icfp", "in-order")
+        );
+        assert_eq!(jobs[0].cache_key(0xD1CE), 0x6c14_80fd_0939_61f5);
+        assert_eq!(jobs[16].cache_key(0xD1CE), 0xabbe_f3ae_6808_1a23);
+        assert_eq!(ff.expand()[0].cache_key(0xD1CE), 0x0206_02b8_410b_fbbe);
+    }
+
+    #[test]
     fn cache_keys_canonicalize_inert_axes_and_separate_live_ones() {
         let spec = tiny_spec();
         let jobs = spec.expand();
         let dig = 0xDEAD_BEEF_u64;
-        for a in &jobs {
-            for b in &jobs {
-                let same_key = a.cache_key(dig) == b.cache_key(dig);
-                let same_fork = a.fork_key() == b.fork_key();
-                // With one shared trace digest the cache key and fork key
-                // partition the grid identically (fork keys also carry the
-                // workload name + seed, but those are constants per column
-                // and the digest stands in for the column here).
-                if a.workload == b.workload {
-                    assert_eq!(same_key, same_fork, "jobs {} vs {}", a.index, b.index);
-                }
-            }
-        }
         // in-order ignores the slice axis: sb=64 and sb=128 cells of one
         // (l2, workload) point share a key.
         let inorder: Vec<_> = jobs

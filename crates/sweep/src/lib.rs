@@ -12,13 +12,14 @@
 //!   job list with *deterministic per-job seeds* (a pure function of the
 //!   spec seed and the column name, so every cell of a column simulates the
 //!   identical trace and cells are comparable);
-//! * [`job`] — [`SweepJob`]: one grid point, its one way to run, and its
-//!   identity keys (the fork key; the content-addressed cache key);
-//! * [`executor`] — [`run_sweep`] / [`run_sweep_streamed`]: a `std::thread`
-//!   pool pulling fork groups (cells with identical deterministic inputs,
-//!   simulated once) from an atomic counter and posting results back by job
-//!   index, so the assembled report is byte-identical regardless of thread
-//!   count or scheduling; cells stream to a callback as they finish;
+//! * [`job`] — [`SweepJob`]: one grid point, its one way to run, and its one
+//!   identity (the content-addressed cache key);
+//! * [`executor`] — [`run_sweep`] / [`run_sweep_streamed`]: one preparation
+//!   per sweep (columns, jobs, groups), then a `std::thread` pool pulling
+//!   fork groups (the jobs of one column that share a cache key, simulated
+//!   once) from an atomic counter and posting results back by job index, so
+//!   the assembled report is byte-identical regardless of thread count or
+//!   scheduling; cells stream to a callback as they finish;
 //! * [`cache`] — [`ResultCache`]: the persistent `icfp-cache/v1` store
 //!   between executor and report — each cell keyed by a digest of its
 //!   deterministic inputs, so repeated and overlapping grids are served from
@@ -60,9 +61,10 @@
 //! Jobs whose deterministic inputs are provably identical — same model,
 //! same workload trace, and configurations that differ only along axes the
 //! model never reads (see [`icfp_core::CoreModel::reads_slice_buffer`]) —
-//! run as one *fork group*: the group leader computes once (or its figures
-//! are found in the result cache) and every member replays the leader's
-//! figures under its own labels.
+//! have the same [`SweepJob::cache_key`], and the jobs of one column that
+//! share a key run as one *fork group*: the group leader computes once (or
+//! its figures are found in the result cache under that key) and every
+//! member replays the leader's figures under its own labels.
 //!
 //! `icfp-bench` is the local CLI front end (every run it makes is a sweep);
 //! `icfp-sweepd` serves sweeps over TCP and `icfp-bench sweep submit --server

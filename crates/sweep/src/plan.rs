@@ -17,9 +17,9 @@
 //! Splitting along the workload axis is deliberate: it is the innermost
 //! expand axis (so a shard's jobs are exactly the full grid's jobs at mapped
 //! indices), trace construction — the one expensive shared input — is
-//! per-column (so no column is ever built twice across shards), and the
-//! executor's fork groups never span columns (so sharding never breaks
-//! inert-axis sharing).
+//! per-column (so no column is ever built twice across shards), and a fork
+//! group is by definition the jobs of *one column* that share a cache key
+//! (so sharding never breaks inert-axis sharing).
 
 use crate::executor::column_source;
 use crate::report::{SweepCell, SweepReport};
@@ -204,7 +204,7 @@ mod tests {
                     assert_eq!(sub.model, full.model);
                     assert_eq!(sub.workload, full.workload);
                     assert_eq!(sub.seed, full.seed);
-                    assert_eq!(sub.fork_key(), full.fork_key());
+                    assert_eq!(sub.cache_key(0xD1CE), full.cache_key(0xD1CE));
                 }
             }
         }

@@ -36,9 +36,8 @@ pub struct SweepSpec {
     /// leading instructions without the timing model (registers + memory
     /// only) and times the remainder from a cold microarchitectural state
     /// (0 = fully cold).  Part of every cell's deterministic identity: it is
-    /// folded into both the fork key and the result-cache key, so cells with
-    /// different fast-forward depths never share a computation or a cache
-    /// entry.
+    /// folded into the cache key, so cells with different fast-forward
+    /// depths never share a computation or a cache entry.
     pub fast_forward: usize,
 }
 
@@ -46,8 +45,8 @@ pub struct SweepSpec {
 /// [`icfp_workloads::WorkloadSource`] generator (bounded block residency)
 /// instead of a materialized arena, whose footprint (tens of bytes per
 /// instruction, one arena per column) stops being sensible past this point.
-/// Deterministic outputs are backing-independent — digests, cache keys and
-/// fork keys are identical either way.
+/// Deterministic outputs are backing-independent — digests and cache keys
+/// are identical either way.
 pub const STREAM_COLUMN_THRESHOLD: usize = 2_000_000;
 
 /// Ceiling on [`SweepSpec::cell_count`]: [`SweepSpec::validate_axes`] refuses
@@ -277,7 +276,8 @@ mod tests {
         let path = std::env::temp_dir().join(format!("icfp-spec-{}.trace", std::process::id()));
         let trace = icfp_workloads::branchy(100, 1);
         let len = trace.len();
-        icfp_isa::TraceFileWriter::write_trace(&path, &trace, 64).expect("write container");
+        icfp_isa::TraceFileWriter::write_trace_as(&path, &trace, 64, icfp_isa::TraceFormat::V2)
+            .expect("write container");
         let mut s = tiny_spec();
         s.workloads = vec!["branchy".into(), path.display().to_string()];
         // `insts` (600) is the registry column's length, not the container's.

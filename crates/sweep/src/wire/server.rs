@@ -1,11 +1,12 @@
 //! The server side of `icfp-wire/v2`: [`serve`], a concurrent accept loop
 //! over one shared executor and result cache, and the per-connection
-//! conversation it runs on each accepted stream.
+//! conversation it runs on each accepted stream.  A submission of either
+//! kind is prepared exactly once (columns resolved, grid expanded, cells keyed
+//! and grouped) *before* its `Accepted` frame, which reads the pool size off
+//! that preparation; the same value then runs.
 
 use super::protocol::{base_features, recv, send, Request, Response, WireError, WIRE_VERSION};
-use crate::executor::{
-    column_source, pool_size, run_sweep_streamed, ExecOptions, DEFAULT_PANIC_RETRIES,
-};
+use crate::executor::{column_source, ExecOptions, Prepared};
 use crate::fault::{FaultPlan, FrameAction};
 use crate::plan::SweepShard;
 use crate::ResultCache;
@@ -50,7 +51,7 @@ fn send_srv<T: Serialize>(
 }
 
 /// Server-side options, shared by every connection [`serve`] accepts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
     /// Default worker threads for submissions that request 0.
     pub threads: usize,
@@ -62,9 +63,6 @@ pub struct ServeOptions {
     /// [`serde::frame::FrameError::TimedOut`] and its connection reaped — a
     /// slow-loris client can never hang a server thread.
     pub io_timeout: Option<Duration>,
-    /// Retries for a panicking cell before it is recorded as a typed failed
-    /// cell ([`crate::executor::ExecOptions::panic_retries`]).
-    pub panic_retries: u32,
     /// Deterministic fault-injection plan for the outbound-frame and
     /// executor seams (tests only; `None` in production).
     pub fault: Option<Arc<FaultPlan>>,
@@ -77,20 +75,6 @@ pub struct ServeOptions {
     /// capability in the handshake.  Advisory — the served message set is
     /// identical; coordinators use it to label their worker pools.
     pub worker: bool,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            threads: 0,
-            cache_dir: None,
-            io_timeout: None,
-            panic_retries: DEFAULT_PANIC_RETRIES,
-            fault: None,
-            cancel: None,
-            worker: false,
-        }
-    }
 }
 
 /// Per-connection summary returned by [`handle_conn`].
@@ -127,11 +111,6 @@ fn resolve_shard_columns(
             ));
         }
         columns.insert(col.workload.clone(), source);
-    }
-    for w in &shard.spec.workloads {
-        if !columns.contains_key(w) {
-            return Err(format!("shard carries no trace column for workload {w:?}"));
-        }
     }
     Ok(columns)
 }
@@ -229,28 +208,15 @@ fn handle_conn(
                 return Err(e);
             }
         };
-        let (spec, threads, shard_meta) = match req {
-            Request::Submit { spec, threads } => {
-                if let Err(e) = spec.validate() {
-                    // An invalid spec fails the submission, not the
-                    // connection.
-                    send(&mut writer, &Response::Error { message: e })?;
-                    continue;
-                }
-                (spec, threads, None)
-            }
+        let (spec, threads, shard_meta, columns) = match req {
+            Request::Submit { spec, threads } => (spec, threads, None, None),
             Request::ShardSubmit { shard, threads } => {
                 // A malformed shard — bad axes, unknown column, digest
-                // mismatch — likewise fails the submission only.
+                // mismatch — fails the submission, not the connection.
                 match resolve_shard_columns(&shard) {
                     Ok(columns) => {
-                        let SweepShard {
-                            shard_index,
-                            spec,
-                            index_map,
-                            ..
-                        } = shard;
-                        (spec, threads, Some((shard_index, index_map, columns)))
+                        let meta = (shard.shard_index, shard.index_map);
+                        (shard.spec, threads, Some(meta), Some(columns))
                     }
                     Err(e) => {
                         send(&mut writer, &Response::Error { message: e })?;
@@ -264,21 +230,35 @@ fn handle_conn(
                 return Err(WireError::Protocol(message));
             }
         };
-        let requested = if threads == 0 {
-            opts.threads.max(1)
-        } else {
-            threads as usize
+        // The one preparation of this submission: a shard's digest-checked
+        // columns go in as they are, a whole spec resolves its own.  A spec
+        // that cannot be prepared — bad axes, an unknown column, no timed
+        // region — likewise fails the submission only.
+        let exec = ExecOptions {
+            threads: match threads {
+                0 => opts.threads.max(1),
+                n => n as usize,
+            },
+            cache,
+            fault,
+            cancel: opts.cancel.as_deref(),
+            columns: columns.as_ref(),
         };
-        // Mirror the executor's thread clamp so the Accepted message (which
-        // the client copies into its reassembled report header) states the
-        // worker count the report will actually record.
-        let workers = pool_size(&spec, requested);
+        let prepared = match Prepared::new(&spec, &exec) {
+            Ok(prepared) => prepared,
+            Err(e) => {
+                send(&mut writer, &Response::Error { message: e })?;
+                continue;
+            }
+        };
 
+        // The Accepted message (which the client copies into its reassembled
+        // report header) states the worker count the report will record.
         send_srv(
             &mut writer,
             &Response::Accepted {
                 cells: spec.cell_count() as u64,
-                threads: workers as u64,
+                threads: prepared.workers() as u64,
             },
             fault,
         )?;
@@ -289,20 +269,12 @@ fn handle_conn(
         // sweep still completes into the cache, so the client's re-submit
         // after reconnecting is served as hits.
         let mut send_err: Option<WireError> = None;
-        let exec = ExecOptions {
-            threads: workers,
-            cache,
-            panic_retries: opts.panic_retries,
-            fault,
-            cancel: opts.cancel.as_deref(),
-            columns: shard_meta.as_ref().map(|(_, _, cols)| cols),
-        };
-        let outcome = run_sweep_streamed(&spec, &exec, |event| {
+        let outcome = prepared.run(|event| {
             if send_err.is_none() {
                 // Shard cells go out under their *full-grid* index, so the
                 // coordinator's merge needs no per-shard bookkeeping.
                 let resp = match &shard_meta {
-                    Some((_, index_map, _)) => Response::ShardCell {
+                    Some((_, index_map)) => Response::ShardCell {
                         index: index_map[event.index],
                         cached: event.cached,
                         cell: event.cell.clone(),
@@ -321,7 +293,7 @@ fn handle_conn(
         if let Some(e) = send_err {
             return Err(e);
         }
-        // validate() passed, so the only executor failure left is a
+        // The preparation succeeded, so the only executor failure left is a
         // graceful-drain cancellation: answer with a typed Error frame.
         let outcome = match outcome {
             Ok(o) => o,
@@ -331,7 +303,7 @@ fn handle_conn(
             }
         };
         let finish = match &shard_meta {
-            Some((shard_index, _, _)) => Response::ShardDone {
+            Some((shard_index, _)) => Response::ShardDone {
                 shard_index: *shard_index,
                 report_digest: outcome.report.digest(),
                 hits: outcome.cache.hits,

@@ -346,6 +346,40 @@ fn transcript(
     frames
 }
 
+#[test]
+fn one_preparation_refuses_before_accepted_or_states_the_pool_the_report_records() {
+    // One column of the acceptance grid: 4 iCFP cells stand alone, in-order's
+    // two slice sizes collapse per L2 latency — 6 fork groups for 8 cells.
+    let mut spec = tiny_spec();
+    spec.workloads.truncate(1);
+    let shard = plan_shards(&spec, 1).expect("plan").remove(0);
+    let server = spawn_server(ServeOptions::default(), None);
+    let (mut reader, mut writer) = handshaken(&server.addr);
+    // A spec the daemon cannot prepare is refused by the *first* reply frame
+    // (no Accepted precedes the Error), and the connection serves on.
+    let mut unknown = spec.clone();
+    unknown.workloads.push("no-such-workload".into());
+    send(&mut writer, &Request::Submit { spec: unknown, threads: 1 }).expect("submit");
+    match recv_expected::<Response>(&mut reader).expect("reply") {
+        Response::Error { message } => assert!(message.contains("no-such-workload"), "{message}"),
+        other => panic!("expected Error frame first, got {other:?}"),
+    }
+    for (requested, pool) in [(2, 2), (64, 6)] {
+        assert_eq!(run_sweep(&spec, requested).expect("local run").threads, pool);
+        for request in [
+            Request::Submit { spec: spec.clone(), threads: requested as u64 },
+            Request::ShardSubmit { shard: shard.clone(), threads: requested as u64 },
+        ] {
+            let frames = transcript(&mut reader, &mut writer, &request);
+            let accepted = Response::Accepted { cells: 8, threads: pool as u64 };
+            assert_eq!(frames[0], accepted, "{requested} threads requested");
+        }
+    }
+    drop((reader, writer));
+    let (summary, _) = server.stop();
+    assert_eq!((summary.submissions, summary.failed), (4, 0));
+}
+
 /// A small 2-cell spec for service-level tests.
 fn small_spec() -> SweepSpec {
     let mut spec = tiny_spec();

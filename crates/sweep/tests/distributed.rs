@@ -8,6 +8,7 @@
 //! trace bytes, with the worker refusing any column it cannot reproduce
 //! exactly.
 
+use icfp_isa::{TraceFileWriter, TraceFormat};
 use icfp_sweep::wire::{base_features, ServeOptions};
 use icfp_sweep::{
     plan_shards, run_sweep, serve, submit_shard, AcceptOptions, ColumnSpec, ExecBackend,
@@ -268,8 +269,8 @@ fn a_local_container_column_is_opened_validated_and_simulated() {
     let path = dir.join("custom.trace");
     let column = path.display().to_string();
     let trace = icfp_workloads::by_name("pointer-chase", 600, 0xBEEF).expect("trace");
-    let summary =
-        icfp_isa::TraceFileWriter::write_trace(&path, &trace, 128).expect("write container");
+    let summary = TraceFileWriter::write_trace_as(&path, &trace, 128, TraceFormat::V2)
+        .expect("write container");
     assert_eq!(summary.digest, trace.digest());
 
     let mut spec = SweepSpec::new(
@@ -319,7 +320,7 @@ fn a_local_container_column_is_opened_validated_and_simulated() {
     // A container that doesn't match the shipped digest is refused — the
     // worker provably opened and validated the file.
     let other = icfp_workloads::by_name("branchy", 600, 0xBEEF).expect("trace");
-    icfp_isa::TraceFileWriter::write_trace(&path, &other, 128).expect("overwrite");
+    TraceFileWriter::write_trace_as(&path, &other, 128, TraceFormat::V2).expect("overwrite");
     let err = submit_shard(&worker.addr, &shard, 1, Some(Duration::from_secs(30)))
         .expect_err("mismatched container must be refused");
     match err {
