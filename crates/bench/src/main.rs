@@ -13,7 +13,7 @@
 //! warmup; `--cache-dir DIR` adds a persistent `icfp-cache/v1` result store
 //! (repeated or overlapping grids are served from disk, byte-identically).
 //! `sweep submit --server ADDR` sends the same grid to a running `icfp-sweepd`
-//! over `icfp-wire/v2`; `sweep submit --workers A,B[,..]` shards it by column
+//! over `icfp-wire/v2`; `sweep submit --workers A,B[,..]` deals its fork groups
 //! across `icfp-sweepd --worker` processes (a shard carries per-column trace
 //! *digests*, never trace bytes) and merges the streamed cells into a report
 //! digest-identical to a serial local run, even when a worker dies mid-shard
@@ -312,10 +312,11 @@ fn sweep_submit(argv: &[String]) -> Result<(), CliError> {
 }
 
 /// `icfp-bench sweep plan`: dry-run the shard planner and print the
-/// assignment — cells per shard, each column's workload and trace digest,
-/// and how far inert-axis canonicalization shrinks the shard's distinct
-/// cache entries — without executing a single cell.  Exits 2 on an invalid
-/// spec, exactly as `sweep submit` would before sending anything.
+/// assignment — per shard its cells, its fork groups in all and per column
+/// (the balance, visible before a run) and how far inert-axis
+/// canonicalization shrinks its distinct cache entries, then each column's
+/// workload and trace digest — without executing a single cell.  Exits 2 on
+/// an invalid spec, exactly as `sweep submit` would before sending anything.
 fn sweep_plan(argv: &[String]) -> Result<(), CliError> {
     let args = parse_args(argv)?;
     let spec = &args.spec;
@@ -332,25 +333,27 @@ fn sweep_plan(argv: &[String]) -> Result<(), CliError> {
         plan.len(),
         if plan.len() == 1 { "" } else { "s" },
     );
+    let (jobs, w) = (spec.expand(), spec.workloads.len());
+    let planned = |name: &String| plan.iter().flat_map(|s| &s.columns).find(|c| c.workload == *name);
+    let digest = |name| planned(name).map_or(0, |column| column.trace_digest);
+    let digests: Vec<u64> = spec.workloads.iter().map(digest).collect();
     for shard in &plan {
-        // Distinct cache keys per shard: cells whose configurations differ
-        // only along axes their model never reads canonicalize to one entry.
-        let mut keys: Vec<u64> = shard
-            .spec
-            .expand()
+        // A fork group is the cells of one column that share a cache key;
+        // cells whose configurations differ only along axes their model never
+        // reads canonicalize to one key, and so to one entry.
+        let mut keys: Vec<(usize, u64)> = shard
+            .cells
             .iter()
-            .map(|job| {
-                let digest = shard
-                    .columns
-                    .iter()
-                    .find(|c| c.workload == job.workload)
-                    .map(|c| c.trace_digest)
-                    .unwrap_or(0);
-                job.cache_key(digest)
-            })
+            .map(|&j| (j as usize % w, jobs[j as usize].cache_key(digests[j as usize % w])))
             .collect();
         keys.sort_unstable();
         keys.dedup();
+        let per_column: Vec<String> = (0..w)
+            .map(|c| keys.iter().filter(|key| key.0 == c).count().to_string())
+            .collect();
+        let groups = keys.len();
+        keys.sort_unstable_by_key(|key| key.1);
+        keys.dedup_by_key(|key| key.1);
         let worker = if args.workers.is_empty() {
             String::new()
         } else {
@@ -360,15 +363,16 @@ fn sweep_plan(argv: &[String]) -> Result<(), CliError> {
             )
         };
         println!(
-            "shard {}: {} cells, {} distinct cache entries (inert-axis sharing){}",
+            "shard {}: {} cells in {groups} groups ({} per column), {} distinct cache entries \
+             (inert-axis sharing){worker}",
             shard.shard_index,
             shard.cell_count(),
+            per_column.join("+"),
             keys.len(),
-            worker,
         );
-        for col in &shard.columns {
-            println!("  column {:<14} trace digest {:#018x}", col.workload, col.trace_digest);
-        }
+    }
+    for (name, digest) in spec.workloads.iter().zip(digests) {
+        println!("  column {name:<14} trace digest {digest:#018x}");
     }
     Ok(())
 }

@@ -10,10 +10,11 @@
 //! executor's thread-count invariance, lifted to N processes.
 //!
 //! The remote backend composes the rest of this crate: the shard planner
-//! ([`crate::plan::plan_shards`]) splits the grid by workload column, each
-//! shard travels as a spec slice plus per-column trace *digests* (never
-//! trace bytes; see [`crate::plan`]), workers stream cells back under
-//! full-grid indices, and a deterministic merge
+//! ([`crate::plan::plan_shards`]) deals the grid's fork groups — the unit of
+//! distribution — evenly across the shards, each shard travels as the spec,
+//! its cells and per-column trace *digests* (never trace bytes; see
+//! [`crate::plan`]), workers stream cells back under full-grid indices, and
+//! a deterministic merge
 //! ([`crate::plan::merge_report`]) reassembles them in expand order — so
 //! shard count, worker count and completion order are all invisible in the
 //! result.  A worker that dies mid-shard (disconnect, missed deadline) has
@@ -189,17 +190,17 @@ impl ExecBackend for ServerBackend {
     }
 }
 
-/// The distributed backend: a pool of `icfp-sweepd --worker` addresses, a
-/// shard per slice of the workload axis, deterministic merge, reassignment
-/// on worker death.
+/// The distributed backend: a pool of `icfp-sweepd --worker` addresses, an
+/// equal share of every column's fork groups per shard, deterministic merge,
+/// reassignment on worker death.
 #[derive(Debug, Clone)]
 pub struct RemoteBackend {
     /// Worker addresses (`host:port`), e.g. two `icfp-sweepd --worker`
     /// processes on loopback.  Shard `k` is first offered to worker
     /// `k % workers`; each reassignment rotates to the next address.
     pub workers: Vec<String>,
-    /// Shards to plan (0 = one per worker; always clamped to the workload
-    /// count — columns are the unit of distribution).
+    /// Shards to plan (0 = one per worker; always clamped to the fork-group
+    /// count — groups are the unit of distribution).
     pub shards: usize,
     /// Requested worker-side threads per shard (0 = worker default).
     pub threads: usize,

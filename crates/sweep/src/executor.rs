@@ -1,13 +1,15 @@
-//! The sweep executor: one preparation per sweep (columns, jobs, fork groups
-//! — the jobs of one column that share a cache key), then a `std::thread`
-//! pool pulling those groups from an atomic counter — each computed once,
-//! optionally through a persistent result cache — streaming cells to a
-//! callback as they finish.
+//! The sweep executor: one preparation per sweep (columns resolved, jobs,
+//! fork groups — the jobs of one column that share a cache key — in
+//! column-major order), then a `std::thread` pool pulling those groups from an
+//! atomic counter — each computed once, optionally through a persistent
+//! result cache — streaming cells to a callback as they finish.  A column's
+//! trace is built when its first group starts and released when its last has
+//! finished, so a pool of T threads holds at most T columns.
 
 use crate::cache::ResultCache;
 use crate::fault::FaultPlan;
 use crate::job::SweepJob;
-use crate::plan::merge_report;
+use crate::plan::{merge_cells, SweepShard};
 use crate::report::{SweepCell, SweepReport};
 use crate::spec::{SweepSpec, STREAM_COLUMN_THRESHOLD};
 use icfp_isa::{ArenaSource, TraceFile, TraceSource, DEFAULT_BLOCK_INSTS};
@@ -15,8 +17,7 @@ use icfp_workloads::WorkloadSpec;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 
 /// How many times a panicking cell is retried before being recorded as a
 /// typed failed cell (so one latent bug on one grid point costs that point,
@@ -38,12 +39,6 @@ pub struct ExecOptions<'a> {
     /// by the server's graceful-drain path; in-flight cells still finish
     /// (and land in the cache).
     pub cancel: Option<&'a AtomicBool>,
-    /// Pre-built trace sources, one per workload column, overriding the
-    /// executor's own construction — the shard-execution path, where a
-    /// worker resolved every column and checked it against the planner's
-    /// digest.  When set, every workload in the spec must have an entry,
-    /// and workload names are labels only.
-    pub columns: Option<&'a HashMap<String, Arc<dyn TraceSource>>>,
 }
 
 impl std::fmt::Debug for ExecOptions<'_> {
@@ -53,18 +48,17 @@ impl std::fmt::Debug for ExecOptions<'_> {
             .field("cache", &self.cache.is_some())
             .field("fault", &self.fault.is_some())
             .field("cancel", &self.cancel.is_some())
-            .field("columns", &self.columns.map(|c| c.len()))
             .finish()
     }
 }
 
 /// What a column name resolves to, before anything is built.
 pub(crate) enum Column {
-    /// A row of the workload registry.
+    /// A row of the workload registry, generated when the column is built.
     Registry(&'static WorkloadSpec),
     /// An `icfp-trace/v1|v2` container, structurally validated (header and
     /// index read, no block decoded).
-    Container(TraceFile),
+    Container(Arc<dyn TraceSource>),
 }
 
 /// The resolution half of [`column_source`], which is all that
@@ -81,7 +75,7 @@ pub(crate) fn resolve_column(spec: &SweepSpec, workload: &str) -> Result<Column,
                 )
             })?;
             let len = file.len();
-            (Column::Container(file), len)
+            (Column::Container(Arc::new(file)), len)
         }
     };
     icfp_sim::check_timed_region(spec.fast_forward, len).map_err(|e| format!("{workload}: {e}"))?;
@@ -106,14 +100,20 @@ pub(crate) fn resolve_column(spec: &SweepSpec, workload: &str) -> Result<Column,
 /// fast-forward leaves no timed region: a registry column is held to the
 /// instruction budget, a container to its own length.
 pub fn column_source(spec: &SweepSpec, workload: &str) -> Result<Arc<dyn TraceSource>, String> {
+    Ok(build_column(spec, workload, &resolve_column(spec, workload)?))
+}
+
+/// The build half of [`column_source`]: the only place a registry column is
+/// generated.
+fn build_column(spec: &SweepSpec, workload: &str, column: &Column) -> Arc<dyn TraceSource> {
     let seed = spec.workload_seed(workload);
-    Ok(match resolve_column(spec, workload)? {
-        Column::Container(file) => Arc::new(file),
+    match column {
+        Column::Container(file) => Arc::clone(file),
         Column::Registry(row) if spec.insts >= STREAM_COLUMN_THRESHOLD => {
             Arc::new(row.source(spec.insts, seed, DEFAULT_BLOCK_INSTS))
         }
         Column::Registry(row) => Arc::new(ArenaSource::new(row.trace(spec.insts, seed))),
-    })
+    }
 }
 
 /// Renders a `catch_unwind` payload as the panic message it carries.
@@ -238,88 +238,163 @@ pub fn run_sweep_streamed(
     opts: &ExecOptions<'_>,
     on_cell: impl FnMut(CellEvent<'_>),
 ) -> Result<SweepOutcome, String> {
-    Prepared::new(spec, opts)?.run(on_cell)
+    Prepared::new(spec, opts, None)?.run(on_cell)
 }
+
+/// Partitions an expanded grid into its *fork groups*: the jobs of one column
+/// (workload is the innermost expand axis: job `i` runs on column
+/// `i % columns`) that share a cache key ([`SweepJob::cache_key`] — the one
+/// identity a cell has), as expand indices, leader first (ascending).  Members
+/// differ only along axes their model never reads, so one simulation serves
+/// them all.  The order is column-major — column 0's groups in leader order,
+/// then column 1's — and a pure function of the grid: the executor runs them
+/// in it (a column's groups are consecutive, which bounds the columns alive at
+/// once) and the shard planner deals them in it ([`crate::plan_shards`]).
+///
+/// Every key of a column folds in the same trace digest, so its jobs share
+/// `cache_key(digest)` exactly when they share `cache_key(0)`: no column is
+/// digested to group (an arena's digest costs four times its generation), and
+/// a group's real key is derived by the worker that looks it up.
+pub(crate) fn fork_groups(jobs: &[SweepJob], columns: usize) -> Vec<Vec<usize>> {
+    let mut by_key: HashMap<(usize, u64), usize> = HashMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for job in jobs {
+        let at = *by_key
+            .entry((job.index % columns, job.cache_key(0)))
+            .or_insert(groups.len());
+        if at == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[at].push(job.index);
+    }
+    groups.sort_by_key(|g| g[0] % columns);
+    groups
+}
+
+/// Where a column's trace is in its life.
+enum ColumnState {
+    /// Resolved; nothing generated or decoded yet.
+    Resolved(Column),
+    /// Built and, on the shard path, digest-checked: some group needs it yet.
+    Live(Arc<dyn TraceSource>),
+    /// Every group of the column has finished or failed, or none runs here.
+    Released,
+}
+
+/// One workload column of a prepared sweep.
+struct ColumnSlot {
+    state: Mutex<ColumnState>,
+    /// Groups yet to finish or fail; the last one out releases the trace.
+    remaining: AtomicUsize,
+    /// The shard planner's content digest, which the built trace must match.
+    expect: Option<u64>,
+}
+
+/// One finished group: served from the cache?, and its cells by expand index.
+type Batch = (bool, Vec<(usize, SweepCell)>);
 
 /// A sweep's execution state, built exactly once per sweep: the local
 /// executor prepares and runs in one call ([`run_sweep_streamed`]); the
 /// daemon prepares before its `Accepted` frame — which states
-/// [`Prepared::workers`] — and then runs the same value.
+/// [`Prepared::cells`] and [`Prepared::workers`] — and then runs the same
+/// value.  Preparing resolves every column and builds none.
 pub(crate) struct Prepared<'a> {
     spec: &'a SweepSpec,
     opts: ExecOptions<'a>,
     /// The grid in [`SweepSpec::expand`] order.
     jobs: Vec<SweepJob>,
-    /// One shared trace source per workload column, in spec order.  Workload
-    /// is the innermost expand axis: job `i` runs on column `i % len`.
-    traces: Vec<Arc<dyn TraceSource>>,
-    /// The *fork groups*: the jobs of one column that share a cache key
-    /// ([`SweepJob::cache_key`] — the one identity a cell has), as expand
-    /// indices, leader first (ascending).  Members differ only along axes
-    /// their model never reads, so one simulation serves them all.  Group
-    /// order follows the leaders' expand order, so the plan — and every
-    /// deterministic output — is independent of thread count and scheduling.
+    /// One slot per workload column, in spec order.
+    columns: Vec<ColumnSlot>,
+    /// The groups this sweep runs, in [`fork_groups`] order: the whole grid's,
+    /// or a shard's.  The plan — and every deterministic output — is
+    /// independent of thread count and scheduling.
     groups: Vec<Vec<usize>>,
 }
 
 impl<'a> Prepared<'a> {
-    /// Validates the axes, takes one trace source per column — pre-built on
-    /// the shard path ([`ExecOptions::columns`]; names are labels only there),
-    /// otherwise resolved and built here ([`column_source`]) — then expands
-    /// and groups the grid.
+    /// Prepares the whole grid of `spec` or — given the shard `spec` came in
+    /// — that shard's cells, its columns held to the planner's digests.
+    /// Validates the axes, expands and groups the grid, and resolves each
+    /// column some group runs on ([`resolve_column`]): an unknown column is
+    /// refused here, nothing is generated.
     ///
     /// # Errors
     ///
-    /// The [`SweepSpec::validate`] error, or a column nobody supplied.
-    pub(crate) fn new(spec: &'a SweepSpec, opts: &ExecOptions<'a>) -> Result<Self, String> {
+    /// The [`SweepSpec::validate`] or [`SweepShard::validate`] error.
+    pub(crate) fn new(
+        spec: &'a SweepSpec,
+        opts: &ExecOptions<'a>,
+        shard: Option<&SweepShard>,
+    ) -> Result<Self, String> {
         spec.validate_axes()?;
-        let traces = spec
-            .workloads
-            .iter()
-            .map(|w| match opts.columns {
-                None => column_source(spec, w),
-                Some(columns) => {
-                    let source = columns
-                        .get(w)
-                        .ok_or_else(|| format!("no trace column supplied for workload {w:?}"))?;
-                    icfp_sim::check_timed_region(spec.fast_forward, source.len())
-                        .map_err(|e| format!("{w}: {e}"))?;
-                    Ok(Arc::clone(source))
-                }
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         let jobs = spec.expand();
-        // Every key of a column folds in the same trace digest, so its jobs
-        // share `cache_key(digest)` exactly when they share `cache_key(0)`:
-        // the grid is partitioned without digesting a column — an arena's
-        // digest costs four times its generation, and the daemon prepares
-        // before `Accepted` — and a group's real key is derived by the worker
-        // that looks it up.
-        let mut by_key: HashMap<(usize, u64), usize> = HashMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for job in &jobs {
-            let at = *by_key
-                .entry((job.index % traces.len(), job.cache_key(0)))
-                .or_insert(groups.len());
-            if at == groups.len() {
-                groups.push(Vec::new());
-            }
-            groups[at].push(job.index);
-        }
-        Ok(Prepared {
-            spec,
-            opts: *opts,
-            jobs,
-            traces,
-            groups,
-        })
+        let w = spec.workloads.len();
+        let groups = match shard {
+            Some(shard) => shard.groups(&jobs)?,
+            None => fork_groups(&jobs, w),
+        };
+        let slot = |(c, name): (usize, &String)| {
+            let remaining = groups.iter().filter(|g| g[0] % w == c).count();
+            let state = match remaining {
+                0 => ColumnState::Released,
+                _ => ColumnState::Resolved(resolve_column(spec, name)?),
+            };
+            let planned = shard.and_then(|s| s.columns.iter().find(|col| col.workload == *name));
+            Ok(ColumnSlot {
+                state: Mutex::new(state),
+                remaining: AtomicUsize::new(remaining),
+                expect: planned.map(|col| col.trace_digest),
+            })
+        };
+        let columns = spec.workloads.iter().enumerate().map(slot).collect::<Result<_, String>>()?;
+        Ok(Prepared { spec, opts: *opts, jobs, columns, groups })
+    }
+
+    /// How many cells this sweep produces: the grid's, or the shard's.
+    pub(crate) fn cells(&self) -> usize {
+        self.groups.iter().map(Vec::len).sum()
     }
 
     /// The worker count this sweep runs on: [`ExecOptions::threads`], except
-    /// that the pool never outnumbers the fork groups (a validated spec has
-    /// at least one).  The report header records this figure.
+    /// that the pool never outnumbers the fork groups (a validated spec or
+    /// shard has at least one).  The report header records this figure.
     pub(crate) fn workers(&self) -> usize {
         self.opts.threads.clamp(1, self.groups.len())
+    }
+
+    /// Column `c`'s trace, built by whichever of its groups asks first (the
+    /// others wait on the slot) and — on the shard path — held to the
+    /// planner's digest before any cell of the column is computed, cached or
+    /// streamed: a mismatch drops the trace again and ends the sweep.
+    fn column(&self, c: usize) -> Result<Arc<dyn TraceSource>, String> {
+        let (slot, workload) = (&self.columns[c], &self.spec.workloads[c]);
+        // Every update of the state is one assignment made once a source
+        // exists, so a generator that panicked under the lock left it valid.
+        let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let source = match &*state {
+            ColumnState::Live(source) => return Ok(Arc::clone(source)),
+            ColumnState::Resolved(column) => build_column(self.spec, workload, column),
+            ColumnState::Released => return Err(format!("column {workload:?} is not held")),
+        };
+        if let Some(planned) = slot.expect.filter(|&planned| planned != source.digest()) {
+            *state = ColumnState::Released;
+            return Err(format!(
+                "shard column {workload:?}: trace digest {:#018x} does not match the planner's \
+                 {planned:#018x}",
+                source.digest()
+            ));
+        }
+        *state = ColumnState::Live(Arc::clone(&source));
+        Ok(source)
+    }
+
+    /// Counts one group of column `c` as finished or failed; the column's
+    /// last group releases its trace.
+    fn group_done(&self, c: usize) {
+        let slot = &self.columns[c];
+        if slot.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            *slot.state.lock().unwrap_or_else(PoisonError::into_inner) = ColumnState::Released;
+        }
     }
 
     /// Executes group `k`: the figures under the leader's cache key are
@@ -328,8 +403,11 @@ impl<'a> Prepared<'a> {
     /// replayed into every cell of the group — sharing the leader's host
     /// figures is what makes a later fully-cached rerun reproduce this report
     /// byte-for-byte.  A damaged entry is counted and treated as a miss.
-    /// Returns whether the group was served from the cache.
-    fn run_group(&self, k: usize, tallies: &Tallies) -> (bool, Vec<(usize, SweepCell)>) {
+    ///
+    /// # Errors
+    ///
+    /// The group's column was refused ([`Prepared::column`]).
+    fn run_group(&self, k: usize, tallies: &Tallies) -> Result<Batch, String> {
         let group = &self.groups[k];
         // Executor fault seam: an armed job panics here, inside the caller's
         // catch_unwind scope — indistinguishable from a latent timing-model
@@ -343,7 +421,7 @@ impl<'a> Prepared<'a> {
         }
         let members = group.len() as u64;
         let leader = &self.jobs[group[0]];
-        let trace = &*self.traces[group[0] % self.traces.len()];
+        let trace = self.column(group[0] % self.columns.len())?;
         let cache = self.opts.cache;
         let keyed = cache.map(|c| (c, leader.cache_key(trace.digest())));
         let found = keyed.and_then(|(cache, key)| match cache.load(key) {
@@ -363,7 +441,7 @@ impl<'a> Prepared<'a> {
                 figures
             }
             None => {
-                let figures = leader.figures(trace);
+                let figures = leader.figures(&*trace);
                 // Tally the miss only after the compute succeeds: a panicking
                 // attempt unwinds past this point, so a retry never
                 // double-counts and hits + misses always total the cell count.
@@ -380,28 +458,29 @@ impl<'a> Prepared<'a> {
             .iter()
             .map(|&j| (j, self.jobs[j].cell_from_figures(&figures)))
             .collect();
-        (cached, cells)
+        Ok((cached, cells))
     }
 
-    /// Runs the prepared sweep; see [`run_sweep_streamed`].
+    /// Runs the prepared sweep; see [`run_sweep_streamed`].  A shard's report
+    /// holds its own cells only, in expand order.
     ///
     /// # Errors
     ///
-    /// The sweep was cancelled ([`ExecOptions::cancel`]).
-    pub(crate) fn run(
-        self,
-        mut on_cell: impl FnMut(CellEvent<'_>),
-    ) -> Result<SweepOutcome, String> {
-        let n = self.jobs.len();
+    /// A column was refused ([`Prepared::column`]), or the sweep was cancelled
+    /// ([`ExecOptions::cancel`]).
+    pub(crate) fn run(&self, mut on_cell: impl FnMut(CellEvent<'_>)) -> Result<SweepOutcome, String> {
+        let want = self.cells();
         let workers = self.workers();
-        let mut cells: Vec<Option<SweepCell>> = vec![None; n];
+        let mut cells: Vec<Option<SweepCell>> = vec![None; self.jobs.len()];
         let tallies = Tallies::default();
+        // The first refused column: the workers stop, the sweep returns it.
+        let refused: OnceLock<String> = OnceLock::new();
 
         // Crash-safe wrapper: a panicking group is retried up to
         // `PANIC_RETRIES` times, then recorded as typed *failed cells* — the
         // sweep completes and reports the hole instead of unwinding a worker
         // and poisoning the whole run.
-        let run_group_safely = |k: usize| -> (bool, Vec<(usize, SweepCell)>) {
+        let run_group_safely = |k: usize| -> Result<Batch, String> {
             let mut reason = String::new();
             for _ in 0..=PANIC_RETRIES {
                 match catch_unwind(AssertUnwindSafe(|| self.run_group(k, &tallies))) {
@@ -418,23 +497,34 @@ impl<'a> Prepared<'a> {
                 .iter()
                 .map(|&j| (j, self.jobs[j].failed_cell(&reason)))
                 .collect();
-            (false, cells)
+            Ok((false, cells))
         };
 
         let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(bool, Vec<(usize, SweepCell)>)>();
+        let (tx, rx) = mpsc::channel::<Batch>();
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                let (tx, next, this, run_safely) = (tx.clone(), &next, &self, &run_group_safely);
+                let (tx, next, this, run_safely) = (tx.clone(), &next, self, &run_group_safely);
+                let refused = &refused;
                 scope.spawn(move || loop {
-                    if this.opts.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                    let cancelled = this.opts.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
+                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    if cancelled || refused.get().is_some() || k >= this.groups.len() {
                         break;
                     }
-                    let k = next.fetch_add(1, Ordering::Relaxed);
+                    // The column is released before the group's cells are
+                    // posted: whoever sees a column's last cell sees it gone.
+                    let done = run_safely(k);
+                    this.group_done(this.groups[k][0] % this.columns.len());
                     // A send only fails if the receiver is gone (sweep
                     // abandoned): stop pulling work.
-                    if k >= this.groups.len() || tx.send(run_safely(k)).is_err() {
-                        break;
+                    match done.map(|batch| tx.send(batch)) {
+                        Ok(Ok(())) => {}
+                        Ok(Err(_)) => break,
+                        Err(e) => {
+                            let _ = refused.set(e);
+                            break;
+                        }
                     }
                 });
             }
@@ -450,18 +540,21 @@ impl<'a> Prepared<'a> {
                 }
             }
         });
+        if let Some(e) = refused.into_inner() {
+            return Err(e);
+        }
 
         // A cancelled sweep leaves holes: report the cancellation as a typed
         // error instead of panicking on them.  (Absent cancellation every
         // group posts exactly one batch, failed or not, so the report is
         // complete.)
-        let done = cells.iter().filter(|c| c.is_some()).count();
-        if done < n {
-            return Err(format!("sweep cancelled after {done}/{n} cells"));
+        let done: Vec<Option<SweepCell>> = cells.into_iter().filter(Option::is_some).collect();
+        if done.len() < want {
+            return Err(format!("sweep cancelled after {}/{want} cells", done.len()));
         }
 
         Ok(SweepOutcome {
-            report: merge_report(self.spec, workers, cells)?,
+            report: merge_cells(self.spec, workers, done)?,
             cache: tallies.snapshot(),
         })
     }
@@ -512,33 +605,27 @@ mod tests {
         // streamed source) does not touch what is simulated, so reports and
         // cache keys must be identical.
         let spec = tiny_spec();
-        let columns: HashMap<String, Arc<dyn TraceSource>> = spec
-            .workloads
-            .iter()
-            .map(|w| {
+        let opts = |threads, cache| ExecOptions { threads, cache, ..ExecOptions::default() };
+        let run_streamed = |opts: &ExecOptions<'_>| {
+            let prepared = Prepared::new(&spec, opts, None).unwrap();
+            for (slot, w) in prepared.columns.iter().zip(&spec.workloads) {
                 let seed = spec.workload_seed(w);
                 let src = icfp_workloads::source_by_name(w, spec.insts, seed, DEFAULT_BLOCK_INSTS);
-                (w.clone(), Arc::new(src.unwrap()) as Arc<dyn TraceSource>)
-            })
-            .collect();
-        let opts = |threads, cache, columns| ExecOptions {
-            threads,
-            cache,
-            columns,
-            ..ExecOptions::default()
+                let streamed = Column::Container(Arc::new(src.unwrap()));
+                *slot.state.lock().unwrap() = ColumnState::Resolved(streamed);
+            }
+            prepared.run(|_| {}).unwrap()
         };
         let a = run_sweep(&spec, 2).unwrap();
-        let s = run_sweep_streamed(&spec, &opts(2, None, Some(&columns)), |_| {}).unwrap();
-        assert_eq!(a.digest(), s.report.digest());
+        assert_eq!(a.digest(), run_streamed(&opts(2, None)).report.digest());
 
         // Cache interop: a streamed run against a cache an arena run wrote
         // is served entirely from disk (the trace digest, and therefore the
         // cache key, is backing-independent).
         let dir = tmp_cache("streamed");
         let cache = ResultCache::open(&dir).unwrap();
-        let cold = run_sweep_streamed(&spec, &opts(1, Some(&cache), None), |_| {}).unwrap();
-        let warm =
-            run_sweep_streamed(&spec, &opts(1, Some(&cache), Some(&columns)), |_| {}).unwrap();
+        let cold = run_sweep_streamed(&spec, &opts(1, Some(&cache)), |_| {}).unwrap();
+        let warm = run_streamed(&opts(1, Some(&cache)));
         assert_eq!(warm.cache.misses, 0);
         assert_eq!(warm.cache.hits, spec.cell_count() as u64);
         assert_eq!(warm.report.digest(), cold.report.digest());
@@ -568,7 +655,7 @@ mod tests {
     #[test]
     fn fork_groups_collect_cells_along_inert_axes_only() {
         let spec = tiny_spec();
-        let Prepared { jobs, groups, .. } = Prepared::new(&spec, &ExecOptions::default()).unwrap();
+        let Prepared { jobs, groups, .. } = Prepared::new(&spec, &ExecOptions::default(), None).unwrap();
         // icfp reads the slice axis: its 4 configs × 4 workloads stay
         // singleton groups (16).  in-order ignores it: {sb 64, sb 128}
         // collapse per (l2 latency, workload) — 2 × 4 = 8 groups of two.
@@ -602,7 +689,7 @@ mod tests {
         spec.slice_buffer_entries = vec![64, 128, 256];
         spec.l2_hit_latencies = vec![20];
         spec.workloads.truncate(2);
-        let Prepared { jobs, groups, .. } = Prepared::new(&spec, &ExecOptions::default()).unwrap();
+        let Prepared { jobs, groups, .. } = Prepared::new(&spec, &ExecOptions::default(), None).unwrap();
         assert!(groups.len() < jobs.len());
         let standalone = SweepReport {
             threads: 1,
@@ -920,6 +1007,40 @@ mod tests {
             outcome.cache.hits + outcome.cache.misses,
             outcome.report.cells.len() as u64
         );
+    }
+
+    #[test]
+    fn a_pool_of_t_threads_holds_at_most_t_columns_from_first_group_to_last() {
+        // Cells 20 and 28 are in-order's inert-slice pair on column 0 and that
+        // column's last group: it fails on every attempt, and must release
+        // the column all the same.
+        let (job_index, attempts) = (28, u32::MAX);
+        let plan = FaultPlan::new().with_panic_job(PanicJob { job_index, attempts });
+        let mut spec = tiny_spec();
+        spec.insts = 5_000;
+        for threads in [1, 2] {
+            let opts = ExecOptions { threads, fault: Some(&plan), ..ExecOptions::default() };
+            let prepared = Prepared::new(&spec, &opts, None).unwrap();
+            let is = |c: usize, want: fn(&ColumnState) -> bool| {
+                want(&prepared.columns[c].state.lock().unwrap())
+            };
+            let alive = || (0..4).filter(|&c| is(c, |s| matches!(s, ColumnState::Live(_)))).count();
+            assert_eq!(alive(), 0, "preparing builds nothing");
+            let mut events = 0usize;
+            let outcome = prepared.run(|_| {
+                // The serial pool has three columns' groups to run before it
+                // touches the last one.
+                let last_unbuilt = is(3, |s| matches!(s, ColumnState::Resolved(_)));
+                assert!(last_unbuilt || (threads, events) != (1, 0), "first cell comes first");
+                events += 1;
+                assert!(alive() <= threads, "{threads} threads hold {} columns", alive());
+            });
+            assert_eq!(events, spec.cell_count());
+            let failed: Vec<bool> = outcome.unwrap().report.cells.iter().map(|c| c.failed.is_some()).collect();
+            assert_eq!(failed.iter().filter(|&&f| f).count(), 2);
+            assert!(failed[20] && failed[28]);
+            assert!((0..4).all(|c| is(c, |s| matches!(s, ColumnState::Released))));
+        }
     }
 
     #[test]

@@ -62,7 +62,8 @@ pub struct FrameFault {
 /// its first `attempts` executions, then runs cleanly.
 #[derive(Debug, Clone, Copy)]
 pub struct PanicJob {
-    /// Expand index of the job to break.
+    /// Expand index of the job to break, in the *full* grid: a shard's jobs
+    /// keep their full-grid indices.
     pub job_index: usize,
     /// How many consecutive attempts panic before the job succeeds
     /// (`u32::MAX` = never succeeds).

@@ -15,11 +15,12 @@
 //! * [`job`] — [`SweepJob`]: one grid point, its one way to run, and its one
 //!   identity (the content-addressed cache key);
 //! * [`executor`] — [`run_sweep`] / [`run_sweep_streamed`]: one preparation
-//!   per sweep (columns, jobs, groups), then a `std::thread` pool pulling
-//!   fork groups (the jobs of one column that share a cache key, simulated
-//!   once) from an atomic counter and posting results back by job index, so
-//!   the assembled report is byte-identical regardless of thread count or
-//!   scheduling; cells stream to a callback as they finish;
+//!   per sweep (columns resolved, jobs, groups), then a `std::thread` pool
+//!   pulling fork groups (the jobs of one column that share a cache key,
+//!   simulated once) column by column from an atomic counter and posting
+//!   results back by job index, so the assembled report is byte-identical
+//!   regardless of thread count or scheduling; cells stream to a callback as
+//!   they finish;
 //! * [`cache`] — [`ResultCache`]: the persistent `icfp-cache/v1` store
 //!   between executor and report — each cell keyed by a digest of its
 //!   deterministic inputs, so repeated and overlapping grids are served from
@@ -33,8 +34,8 @@
 //!   spec (or one planned shard) to a running `icfp-sweepd`, stream cells
 //!   back as they finish, reassemble a report byte-identical to a local
 //!   run;
-//! * [`plan`] — [`SweepShard`] and [`plan_shards`]: split a grid by
-//!   workload column into shards that ship a spec slice plus per-column
+//! * [`plan`] — [`SweepShard`] and [`plan_shards`]: deal a grid's fork
+//!   groups evenly to shards that ship the spec, their cells and per-column
 //!   trace *digests* (never trace bytes; the worker resolves each column by
 //!   the same name — a container column is named by its path — and refuses
 //!   a digest mismatch), and [`merge_report`], the deterministic merge back

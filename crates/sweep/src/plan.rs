@@ -1,27 +1,29 @@
-//! The shard planner: splitting a cartesian sweep grid by workload column
-//! into independently executable shards, and the deterministic merge that
-//! reassembles their streamed cells into one report.
+//! The shard planner: dealing a sweep grid's fork groups to independently
+//! executable shards, and the deterministic merge that reassembles their
+//! streamed cells into one report.
 //!
-//! A [`SweepShard`] is a self-contained work description: a [`SweepSpec`]
-//! whose workload axis is a contiguous slice of the full grid's, an index
-//! map translating the sub-spec's expand order back into full-grid
-//! positions, and — per column — the trace's content *digest*, never its
-//! bytes.  Workers resolve each column by its name exactly as the planner did
+//! A [`SweepShard`] is a self-contained work description: the full
+//! [`SweepSpec`], the full-grid expand indices of the cells the shard runs —
+//! whole fork groups, so no cell is computed on two workers — and, per column
+//! those cells touch, the trace's content *digest*, never its bytes.  Workers
+//! resolve each column by its name exactly as the planner did
 //! ([`column_source`]): a registry workload is regenerated (the per-column
-//! seed is a pure function of the spec seed and the workload name, so a
-//! sub-spec reproduces the full grid's traces exactly), a container column
-//! is named by its path and opened there; either is checked against the
-//! digest, and a shard costs a few hundred bytes on the wire regardless of
-//! how many billions of instructions its columns carry.
+//! seed is a pure function of the spec seed and the workload name), a
+//! container column is named by its path and opened there; either is checked
+//! against the digest when the worker builds it, and a shard costs a few
+//! hundred bytes on the wire regardless of how many billions of instructions
+//! its columns carry.
 //!
-//! Splitting along the workload axis is deliberate: it is the innermost
-//! expand axis (so a shard's jobs are exactly the full grid's jobs at mapped
-//! indices), trace construction — the one expensive shared input — is
-//! per-column (so no column is ever built twice across shards), and a fork
-//! group is by definition the jobs of *one column* that share a cache key
-//! (so sharding never breaks inert-axis sharing).
+//! The fork group is the unit of distribution because a column is far too
+//! coarse a one: two of the four stock columns carry nine tenths of a grid's
+//! host time.  Each column's groups are dealt round-robin, so every shard gets
+//! an equal share (to within one group) of every column, heavy or light, with
+//! no cost model and no timing feedback — the plan stays a pure function of
+//! the spec.  The price is that a worker builds every column its groups touch;
+//! its executor holds each only while that column's groups run.
 
-use crate::executor::column_source;
+use crate::executor::{column_source, fork_groups};
+use crate::job::SweepJob;
 use crate::report::{SweepCell, SweepReport};
 use crate::spec::SweepSpec;
 use serde::{Deserialize, Serialize};
@@ -39,52 +41,79 @@ pub struct ColumnSpec {
     pub trace_digest: u64,
 }
 
-/// One independently executable slice of a sweep grid.
+/// One independently executable part of a sweep grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepShard {
     /// Position of this shard in the plan (0-based).
     pub shard_index: u64,
-    /// The full spec with the workload axis narrowed to this shard's
-    /// columns.  Every other field — seed above all — is unchanged, so the
-    /// sub-spec expands to jobs identical to the full grid's at the mapped
-    /// indices.
+    /// The full spec: a shard's cells are addressed, streamed and merged
+    /// under its expand indices.
     pub spec: SweepSpec,
-    /// `index_map[i]` = full-grid expand index of the sub-spec's job `i`.
-    pub index_map: Vec<u64>,
-    /// One entry per workload in [`SweepShard::spec`], same order.
+    /// The [`SweepSpec::expand`] indices of the cells this shard runs,
+    /// ascending; whole fork groups only.
+    pub cells: Vec<u64>,
+    /// One entry per workload those cells touch, in spec order.
     pub columns: Vec<ColumnSpec>,
 }
 
 impl SweepShard {
     /// Number of cells this shard executes.
     pub fn cell_count(&self) -> usize {
-        self.spec.cell_count()
+        self.cells.len()
     }
 
-    /// What both ends of the wire check before a shard runs: the sub-spec's
-    /// axes ([`SweepSpec::validate_axes`] — column names are the worker's to
-    /// resolve) and one index-map entry per cell.
+    /// What both ends of the wire check before a shard runs: the spec's axes
+    /// ([`SweepSpec::validate_axes`] — column names are the worker's to
+    /// resolve) and the cell list (`SweepShard::groups`).
     ///
     /// # Errors
     ///
     /// A human-readable description of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
         self.spec.validate_axes()?;
-        if self.index_map.len() != self.cell_count() {
-            return Err(format!(
-                "shard index map has {} entries for a {}-cell sub-spec",
-                self.index_map.len(),
-                self.cell_count()
-            ));
+        self.groups(&self.spec.expand()).map(drop)
+    }
+
+    /// The shard's fork groups among `jobs`, its spec's expansion, in
+    /// [`fork_groups`] order.
+    ///
+    /// # Errors
+    ///
+    /// The cell list is empty, does not strictly ascend (unsorted, or an
+    /// index repeated), names an index past the grid, splits a fork group, or
+    /// touches a workload the shard carries no [`ColumnSpec`] for.
+    pub(crate) fn groups(&self, jobs: &[SweepJob]) -> Result<Vec<Vec<usize>>, String> {
+        let n = jobs.len();
+        let last = *self.cells.last().ok_or("shard names no cells")?;
+        if let Some(at) = self.cells.windows(2).find(|at| at[0] >= at[1]) {
+            return Err(format!("shard cells do not ascend: {} before {}", at[0], at[1]));
         }
-        Ok(())
+        if last >= n as u64 {
+            return Err(format!("shard names cell {last} of a {n}-cell grid"));
+        }
+        let mut mine = vec![false; n];
+        self.cells.iter().for_each(|&i| mine[i as usize] = true);
+        let mut groups = fork_groups(jobs, self.spec.workloads.len());
+        groups.retain(|group| group.iter().any(|&j| mine[j]));
+        for group in &groups {
+            let workload = &jobs[group[0]].workload;
+            if !group.iter().all(|&j| mine[j]) {
+                return Err(format!("shard splits a fork group: it names only some of {group:?}"));
+            }
+            if !self.columns.iter().any(|col| col.workload == *workload) {
+                return Err(format!("shard carries no trace digest for workload {workload:?}"));
+            }
+        }
+        Ok(groups)
     }
 }
 
-/// Splits `spec` into (at most) `shards` shards along the workload axis —
-/// contiguous, near-equal column ranges, every column in exactly one shard.
-/// `shards` is clamped to `[1, workloads]`: columns are the unit of
-/// distribution, so more shards than columns cannot help.
+/// Deals `spec`'s fork groups (`fork_groups`: the executor's own partition,
+/// column-major) to (at most) `shards` shards, round-robin — the counter runs
+/// on across columns, so any two shards' shares of a column differ by at most
+/// one group and no shard is left empty.  `shards` is clamped to
+/// `[1, groups]`: groups are the unit of distribution, so more shards than
+/// groups cannot help.  The plan is a pure function of the spec.
 ///
 /// Each column's trace is built once here (exactly as the executor would
 /// build it) to compute the digest that ships in place of the trace bytes.
@@ -94,43 +123,27 @@ impl SweepShard {
 /// The [`SweepSpec::validate`] error, without planning anything.
 pub fn plan_shards(spec: &SweepSpec, shards: usize) -> Result<Vec<SweepShard>, String> {
     spec.validate_axes()?;
-    let w = spec.workloads.len();
-    let outer = spec.cell_count() / w;
-    let shards = shards.clamp(1, w);
     let digests = spec
         .workloads
         .iter()
         .map(|name| column_source(spec, name).map(|source| source.digest()))
         .collect::<Result<Vec<u64>, String>>()?;
-    let mut out = Vec::with_capacity(shards);
-    for k in 0..shards {
-        let lo = k * w / shards;
-        let hi = (k + 1) * w / shards;
-        let mut sub = spec.clone();
-        sub.workloads = spec.workloads[lo..hi].to_vec();
-        // Workload is the innermost expand axis: sub-job i decomposes as
-        // i = outer_index * (hi - lo) + column_offset, and the same outer
-        // point in the full grid sits at outer_index * w + (lo + offset).
-        let mut index_map = Vec::with_capacity(outer * (hi - lo));
-        for o in 0..outer {
-            for c in lo..hi {
-                index_map.push((o * w + c) as u64);
-            }
-        }
-        let columns = (lo..hi)
-            .map(|c| ColumnSpec {
-                workload: spec.workloads[c].clone(),
-                trace_digest: digests[c],
-            })
-            .collect();
-        out.push(SweepShard {
-            shard_index: k as u64,
-            spec: sub,
-            index_map,
-            columns,
-        });
+    let w = spec.workloads.len();
+    let groups = fork_groups(&spec.expand(), w);
+    let shards = shards.clamp(1, groups.len());
+    let mut cells: Vec<Vec<u64>> = vec![Vec::new(); shards];
+    for (k, group) in groups.iter().enumerate() {
+        cells[k % shards].extend(group.iter().map(|&j| j as u64));
     }
-    Ok(out)
+    let shard = |(k, mut cells): (usize, Vec<u64>)| {
+        cells.sort_unstable();
+        let columns = (0..w)
+            .filter(|&c| cells.iter().any(|&j| j as usize % w == c))
+            .map(|c| ColumnSpec { workload: spec.workloads[c].clone(), trace_digest: digests[c] })
+            .collect();
+        SweepShard { shard_index: k as u64, spec: spec.clone(), cells, columns }
+    };
+    Ok(cells.into_iter().enumerate().map(shard).collect())
 }
 
 /// Reassembles per-cell results (indexed by full-grid expand position) into
@@ -156,17 +169,30 @@ pub fn merge_report(
             cells.len()
         ));
     }
-    let mut assembled = Vec::with_capacity(n);
-    for (k, c) in cells.into_iter().enumerate() {
-        assembled.push(c.ok_or_else(|| format!("nothing produced cell {k} of {n}"))?);
-    }
+    merge_cells(spec, threads, cells)
+}
+
+/// [`merge_report`] over the slots of any ascending subset of the grid — the
+/// whole of it, or one shard's cells: `spec`'s header over exactly these
+/// cells.
+pub(crate) fn merge_cells(
+    spec: &SweepSpec,
+    threads: usize,
+    cells: Vec<Option<SweepCell>>,
+) -> Result<SweepReport, String> {
+    let n = cells.len();
+    let cells = cells
+        .into_iter()
+        .enumerate()
+        .map(|(k, c)| c.ok_or_else(|| format!("nothing produced cell {k} of {n}")))
+        .collect::<Result<Vec<_>, String>>()?;
     Ok(SweepReport {
         threads,
         insts: spec.insts,
         seed: spec.seed,
         reps: spec.reps.max(1),
         workloads: spec.workloads.clone(),
-        cells: assembled,
+        cells,
     })
 }
 
@@ -177,34 +203,39 @@ mod tests {
 
     #[test]
     fn shard_plans_partition_the_grid_exactly() {
-        let spec = tiny_spec();
-        let n = spec.cell_count();
-        let jobs = spec.expand();
-        for shards in [1, 2, 3, 4, 16] {
-            let plan = plan_shards(&spec, shards).unwrap();
-            assert_eq!(plan.len(), shards.min(spec.workloads.len()));
-            // Every full-grid index appears exactly once across shards.
-            let mut seen = vec![false; n];
-            for (k, shard) in plan.iter().enumerate() {
-                assert_eq!(shard.shard_index, k as u64);
-                assert_eq!(shard.index_map.len(), shard.cell_count());
-                assert_eq!(shard.columns.len(), shard.spec.workloads.len());
-                for &full in &shard.index_map {
-                    assert!(!seen[full as usize], "index {full} planned twice");
-                    seen[full as usize] = true;
+        // The acceptance grid and the ladder's 80-cell grid (all five models).
+        let mut all_models = tiny_spec();
+        all_models.models = icfp_core::CoreModel::ALL.to_vec();
+        for spec in [tiny_spec(), all_models] {
+            let (n, w, jobs) = (spec.cell_count(), spec.workloads.len(), spec.expand());
+            let groups = fork_groups(&jobs, w).len();
+            for shards in [1, 2, 3, 4, 7, groups, groups + 5] {
+                let plan = plan_shards(&spec, shards).unwrap();
+                assert_eq!(plan, plan_shards(&spec, shards).unwrap(), "a pure function");
+                assert_eq!(plan.len(), shards.min(groups));
+                // Every full-grid index is in exactly one shard, and all
+                // members of one (column, `cache_key(0)`) class share it.
+                let mut owner = vec![None; n];
+                let mut class_owner = std::collections::HashMap::new();
+                for (k, shard) in plan.iter().enumerate() {
+                    assert_eq!((shard.shard_index, &shard.spec), (k as u64, &spec));
+                    assert_eq!(shard.validate(), Ok(()));
+                    for &cell in &shard.cells {
+                        assert_eq!(owner[cell as usize].replace(k), None, "cell {cell} twice");
+                        let class = (cell as usize % w, jobs[cell as usize].cache_key(0));
+                        assert_eq!(*class_owner.entry(class).or_insert(k), k, "group split");
+                    }
+                    let touches = |&j: &u64| jobs[j as usize].workload.as_str();
+                    let touched = |c: &ColumnSpec| shard.cells.iter().any(|j| touches(j) == c.workload);
+                    assert!(shard.columns.iter().all(touched), "a digest nothing needs");
                 }
-            }
-            assert!(seen.iter().all(|&s| s), "plan must cover the whole grid");
-            // A shard's expanded jobs are the full grid's jobs at the mapped
-            // indices: same model, workload, config and — critically — the
-            // same per-column trace seed.
-            for shard in &plan {
-                for (i, sub) in shard.spec.expand().iter().enumerate() {
-                    let full = &jobs[shard.index_map[i] as usize];
-                    assert_eq!(sub.model, full.model);
-                    assert_eq!(sub.workload, full.workload);
-                    assert_eq!(sub.seed, full.seed);
-                    assert_eq!(sub.cache_key(0xD1CE), full.cache_key(0xD1CE));
+                assert!(owner.iter().all(Option::is_some), "plan must cover the grid");
+                // Any two shards' shares of a column differ by at most a group.
+                for c in 0..w {
+                    let share = |k| class_owner.iter().filter(|&e| (e.0 .0, *e.1) == (c, k)).count();
+                    let shares: Vec<usize> = (0..plan.len()).map(share).collect();
+                    let (lo, hi) = (shares.iter().min().unwrap(), shares.iter().max().unwrap());
+                    assert!(hi - lo <= 1, "{shards} shards, column {c}: {shares:?}");
                 }
             }
         }

@@ -101,10 +101,9 @@ impl SweepSpec {
             .try_for_each(|w| crate::executor::resolve_column(self, w).map(drop))
     }
 
-    /// Validates everything *except* column resolution — the check a shard
-    /// executor with externally supplied trace columns (see
-    /// [`crate::ExecOptions::columns`]) can still apply when its column names
-    /// resolve to nothing.
+    /// Validates everything *except* column resolution — the check both ends
+    /// of the wire apply to a shard, whose column names are the worker's to
+    /// resolve.
     ///
     /// # Errors
     ///

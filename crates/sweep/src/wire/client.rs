@@ -1,16 +1,16 @@
 //! The client side of `icfp-wire/v2`: one conversation loop, two ways to
 //! start it — a whole spec ([`submit_with`]) or one planned shard
-//! ([`submit_shard`]).  The two requests stay two because a whole-spec client
-//! has no use for the per-column trace digests a shard must carry, and
-//! computing them means building every trace column first.
+//! ([`submit_shard`]).  A whole spec is the shard that holds every cell; the
+//! two requests stay two because a whole-spec client has no use for the
+//! per-column trace digests a shard must carry, and computing them means
+//! building every trace column first.
 
 use super::protocol::{
-    base_features, recv_expected, send, Request, Response, WireError, WIRE_VERSION,
+    base_features, recv_expected, send, Request, Response, WireError, SHARD_FEATURE, WIRE_VERSION,
 };
-use crate::plan::{merge_report, SweepShard};
+use crate::plan::{merge_cells, SweepShard};
 use crate::report::{SweepCell, SweepReport};
 use crate::spec::SweepSpec;
-use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -134,10 +134,10 @@ pub fn submit_with(
         spec: spec.clone(),
         threads: threads as u64,
     };
-    let identity: Vec<u64> = (0..spec.cell_count() as u64).collect();
+    let every_cell: Vec<u64> = (0..spec.cell_count() as u64).collect();
     with_retries(policy, |_| {
         let timeout = policy.io_timeout();
-        converse(addr, timeout, &request, spec, &identity, None, &mut on_cell)
+        converse(addr, timeout, &request, spec, &every_cell, None, &mut on_cell)
     })
 }
 
@@ -191,34 +191,33 @@ pub(super) fn client_handshake(
 
 /// One conversation over one fresh connection, the same for both request
 /// kinds: handshake → `request` → `Accepted` (count check) → the cell stream
-/// (every index in `index_map`, exactly once) → the closing frame →
-/// reassembly in `spec`'s expand order → digest verification.
+/// (every index in `cells`, exactly once) → the closing frame → reassembly
+/// in expand order → digest verification.
 ///
-/// `index_map[i]` is the index the peer streams `spec`'s `i`-th cell under:
-/// the identity for a whole spec, the shard's full-grid positions for a
-/// shard.  `shard` is the submitted shard index — `Some` makes the stream
-/// `ShardCell … ShardDone` (with the index echoed) instead of `Cell … Done`
-/// and requires the peer's `"shard"` capability.  `on_cell` sees each cell
-/// under its streamed index as it arrives.
+/// `cells` are the ascending `spec` expand indices the peer must stream:
+/// all of them for a whole spec, the shard's own for a shard.  `shard` is the
+/// submitted shard index — `Some` makes the stream `ShardCell … ShardDone`
+/// (with the index echoed) instead of `Cell … Done` and requires the peer's
+/// [`SHARD_FEATURE`] capability.  `on_cell` sees each cell as it arrives.
 fn converse(
     addr: &str,
     io_timeout: Option<Duration>,
     request: &Request,
     spec: &SweepSpec,
-    index_map: &[u64],
+    cells: &[u64],
     shard: Option<u64>,
     on_cell: &mut dyn FnMut(usize, bool, &SweepCell),
 ) -> Result<SubmitOutcome, WireError> {
     let (mut reader, mut writer) = connect_framed(addr, io_timeout)?;
     let features = client_handshake(&mut reader, &mut writer)?;
-    if shard.is_some() && !features.iter().any(|f| f == "shard") {
+    if shard.is_some() && !features.iter().any(|f| f == SHARD_FEATURE) {
         return Err(WireError::Protocol(format!(
-            "peer granted no \"shard\" capability (features: {features:?})"
+            "peer granted no {SHARD_FEATURE:?} capability (features: {features:?})"
         )));
     }
 
     send(&mut writer, request)?;
-    let n = index_map.len();
+    let n = cells.len();
     let threads = match recv_expected::<Response>(&mut reader)? {
         Response::Accepted { cells, threads } if cells == n as u64 => threads as usize,
         Response::Accepted { cells, .. } => {
@@ -234,18 +233,12 @@ fn converse(
         }
     };
 
-    // Invert the map to validate membership and detect duplicates.
-    let position: HashMap<u64, usize> = index_map
-        .iter()
-        .enumerate()
-        .map(|(at, &streamed)| (streamed, at))
-        .collect();
     let mut slots: Vec<Option<SweepCell>> = vec![None; n];
     loop {
         match (recv_expected::<Response>(&mut reader)?, shard) {
             (Response::Cell { index, cached, cell }, None)
             | (Response::ShardCell { index, cached, cell }, Some(_)) => {
-                let &at = position.get(&index).ok_or_else(|| {
+                let at = cells.binary_search(&index).map_err(|_| {
                     WireError::Protocol(format!("cell index {index} is not in this submission"))
                 })?;
                 if slots[at].is_some() {
@@ -265,7 +258,7 @@ fn converse(
             | (Response::ShardDone { report_digest, hits, misses, .. }, Some(_)) => {
                 // A cell the peer never streamed is the merge's error; the
                 // header thread count is the one the peer said it would use.
-                let report = merge_report(spec, threads, slots).map_err(WireError::Protocol)?;
+                let report = merge_cells(spec, threads, slots).map_err(WireError::Protocol)?;
                 let digest = report.digest();
                 if digest != report_digest {
                     return Err(WireError::Protocol(format!(
@@ -303,9 +296,9 @@ pub struct ShardOutcome {
 /// Submits one planned shard to a worker at `addr`, collecting its streamed
 /// cells.  `threads` is the requested worker-side thread count (0 = worker
 /// default).  The returned cells carry *full-grid* indices and are verified
-/// two ways before return: every streamed index must belong to the shard's
-/// index map (exactly once), and the reassembled sub-report's digest must
-/// equal the worker's `ShardDone` digest.
+/// two ways before return: every streamed index must be one of the shard's
+/// cells (exactly once), and the digest of the reassembled cells must equal
+/// the worker's `ShardDone` digest.
 ///
 /// # Errors
 ///
@@ -329,7 +322,7 @@ pub fn submit_shard(
         io_timeout,
         &request,
         &shard.spec,
-        &shard.index_map,
+        &shard.cells,
         Some(shard.shard_index),
         &mut |index, cached, cell| cells.push((index, cached, cell.clone())),
     )?;

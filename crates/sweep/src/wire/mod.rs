@@ -37,16 +37,18 @@
 //! with an `Error` frame naming both versions; a v2 client recognizes a v1
 //! server's `Hello`/`Error` reply the same way.
 //!
-//! Besides whole-spec submissions, a v2 peer with the `"shard"` capability
-//! accepts [`crate::plan::SweepShard`] slices of a grid
-//! (`ShardSubmit` → `Accepted` → `ShardCell` × cells → `ShardDone`) — the
-//! distributed execution path ([`crate::backend::RemoteBackend`]).  A
-//! shard ships per-column trace *digests*, never trace bytes; the worker
-//! resolves each column by its name ([`crate::column_source`]: a registry
-//! workload is regenerated, a container column is named by its path and
-//! opened there) and refuses the shard on any digest mismatch.  `ShardCell` indices are *full-grid* positions (the
-//! worker translates through the shard's index map), so the coordinator
-//! merges streams from any number of workers without per-shard bookkeeping.
+//! Besides whole-spec submissions, a v2 peer with the [`SHARD_FEATURE`]
+//! capability accepts [`crate::plan::SweepShard`]s — the full spec plus the
+//! cells of whole fork groups (`ShardSubmit` → `Accepted` → `ShardCell` ×
+//! the shard's cells → `ShardDone`) — the distributed execution path
+//! ([`crate::backend::RemoteBackend`]).  A shard ships per-column trace
+//! *digests*, never trace bytes; the worker resolves each column by its name
+//! ([`crate::column_source`]: a registry workload is regenerated, a container
+//! column is named by its path and opened there) and, as it builds one,
+//! refuses the shard on a digest mismatch before any cell of that column is
+//! computed, cached or streamed.  Every cell of either request kind travels
+//! under its index in the full grid, so the coordinator merges streams from
+//! any number of workers without per-shard bookkeeping.
 //!
 //! Anything unexpected — an undecodable frame, a version mismatch, an
 //! invalid or oversized spec — is answered with an `Error` frame where
@@ -67,7 +69,8 @@ pub use client::{
     backoff_delay, submit_shard, submit_with, RetryPolicy, ShardOutcome, SubmitOutcome,
 };
 pub use protocol::{
-    base_features, Request, Response, WireError, MAX_WIRE_FRAME, WIRE_VERSION, WIRE_VERSION_V1,
+    base_features, Request, Response, WireError, MAX_WIRE_FRAME, SHARD_FEATURE, WIRE_VERSION,
+    WIRE_VERSION_V1,
 };
 pub use server::{serve, AcceptOptions, ServeOptions, ServeSummary};
 

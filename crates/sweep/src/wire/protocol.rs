@@ -16,12 +16,20 @@ pub const WIRE_VERSION: &str = "icfp-wire/v2";
 /// with a typed error) rather than mis-decoded.
 pub const WIRE_VERSION_V1: &str = "icfp-wire/v1";
 
+/// The capability a shard submission requires of its peer.  It names the
+/// shard *payload* — the full spec plus the cells of whole fork groups — and
+/// changed when the payload did (a spec slice plus an index map travelled
+/// under `"shard"`), so a peer built for the other payload is refused by
+/// name, not mis-decoded.
+pub const SHARD_FEATURE: &str = "group-shard";
+
 /// The capability set a client advertises and a plain server grants:
-/// whole-spec submissions (`"sweep"`) and shard submissions (`"shard"`).
-/// Worker-mode servers ([`super::ServeOptions::worker`]) additionally advertise
-/// `"worker"` — an advisory label; the message set is identical.
+/// whole-spec submissions (`"sweep"`) and shard submissions
+/// ([`SHARD_FEATURE`]).  Worker-mode servers
+/// ([`super::ServeOptions::worker`]) additionally advertise `"worker"` — an
+/// advisory label; the message set is identical.
 pub fn base_features() -> Vec<String> {
-    vec!["sweep".to_string(), "shard".to_string()]
+    vec!["sweep".to_string(), SHARD_FEATURE.to_string()]
 }
 
 /// Frame ceiling for this protocol (the transport default).
@@ -56,9 +64,9 @@ pub enum Request {
         features: Vec<String>,
     },
     /// Run one planned shard of a grid and stream its cells back
-    /// (full-grid indices).  Requires the `"shard"` capability.
+    /// (full-grid indices).  Requires the [`SHARD_FEATURE`] capability.
     ShardSubmit {
-        /// The shard: sub-spec, index map, per-column trace digests.
+        /// The shard: full spec, the cells to run, per-column trace digests.
         shard: SweepShard,
         /// Requested worker threads (0 = server default).
         threads: u64,
@@ -73,9 +81,9 @@ pub enum Response {
         /// The server's [`WIRE_VERSION`].
         version: String,
     },
-    /// The submitted spec validated; cells will stream next.
+    /// The submission was prepared; cells will stream next.
     Accepted {
-        /// Number of cells the spec expands to.
+        /// Number of cells that will stream: the spec's, or the shard's.
         cells: u64,
         /// Worker threads the server will actually use.
         threads: u64,
@@ -112,8 +120,7 @@ pub enum Response {
         features: Vec<String>,
     },
     /// One finished cell of a shard submission, streamed in completion
-    /// order and addressed by *full-grid* index (the server translates
-    /// through the shard's index map).
+    /// order and addressed, like every cell, by its index in the full grid.
     ShardCell {
         /// The cell's position in the **full** grid's expand order.
         index: u64,
@@ -126,9 +133,9 @@ pub enum Response {
     ShardDone {
         /// Echo of the submitted [`crate::plan::SweepShard::shard_index`].
         shard_index: u64,
-        /// Digest of the shard's own sub-report ([`crate::SweepReport::digest`]
-        /// over the sub-spec), so the client can verify the slice before
-        /// the coordinator commits it to the merge.
+        /// Digest of the shard's own report ([`crate::SweepReport::digest`]
+        /// over its cells alone, in expand order), so the client can verify
+        /// them before the coordinator commits them to the merge.
         report_digest: u64,
         /// Cells served from the worker's result cache.
         hits: u64,

@@ -1,19 +1,18 @@
 //! The server side of `icfp-wire/v2`: [`serve`], a concurrent accept loop
 //! over one shared executor and result cache, and the per-connection
 //! conversation it runs on each accepted stream.  A submission of either
-//! kind is prepared exactly once (columns resolved, grid expanded, cells keyed
-//! and grouped) *before* its `Accepted` frame, which reads the pool size off
-//! that preparation; the same value then runs.
+//! kind is prepared exactly once (grid expanded and grouped, a shard's cell
+//! list checked, columns resolved — none built) *before* its `Accepted` frame,
+//! which reads the cell count and the pool size off that preparation; the
+//! same value then runs, building each column as its first group starts and
+//! holding a shard's to the planner's digest there.
 
 use super::protocol::{base_features, recv, send, Request, Response, WireError, WIRE_VERSION};
-use crate::executor::{column_source, ExecOptions, Prepared};
+use crate::executor::{ExecOptions, Prepared};
 use crate::fault::{FaultPlan, FrameAction};
-use crate::plan::SweepShard;
 use crate::ResultCache;
-use icfp_isa::TraceSource;
 use serde::frame::write_frame;
 use serde::Serialize;
-use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -86,33 +85,6 @@ struct ConnSummary {
     hits: u64,
     /// Total cells computed across them.
     misses: u64,
-}
-
-/// Resolves a shard's trace columns on the worker side, each by its name
-/// exactly as a local executor would ([`column_source`]: a registry workload
-/// is regenerated, a container is opened at the path that names it).  Every
-/// resolved source must match the planner's content digest — traces never
-/// travel on the wire, so the digest is the *only* thing binding the
-/// worker's trace to the coordinator's, and any mismatch (stale file, skewed
-/// registry, wrong seed) refuses the shard before a single cell runs.
-fn resolve_shard_columns(
-    shard: &SweepShard,
-) -> Result<HashMap<String, Arc<dyn TraceSource>>, String> {
-    shard.validate()?;
-    let mut columns: HashMap<String, Arc<dyn TraceSource>> = HashMap::new();
-    for col in &shard.columns {
-        let source = column_source(&shard.spec, &col.workload)
-            .map_err(|e| format!("shard column: {e}"))?;
-        let found = source.digest();
-        if found != col.trace_digest {
-            return Err(format!(
-                "shard column {:?}: trace digest {found:#018x} does not match the planner's {:#018x}",
-                col.workload, col.trace_digest
-            ));
-        }
-        columns.insert(col.workload.clone(), source);
-    }
-    Ok(columns)
 }
 
 /// Serves one client connection: handshake, then any number of submissions,
@@ -190,10 +162,10 @@ fn handle_conn(
         fault,
     )?;
 
-    // Submission loop: whole specs (`Submit`) and grid slices
+    // Submission loop: whole specs (`Submit`) and planned shards
     // (`ShardSubmit`) share the executor, the cache and the streaming
-    // machinery; shards additionally carry pre-resolved trace columns and
-    // translate cell indices back to full-grid positions.
+    // machinery; a shard runs a subset of its spec's cells, under the same
+    // full-grid indices, against columns held to the planner's digests.
     loop {
         let req = match recv::<Request>(&mut reader) {
             Ok(Some(req)) => req,
@@ -208,32 +180,18 @@ fn handle_conn(
                 return Err(e);
             }
         };
-        let (spec, threads, shard_meta, columns) = match req {
-            Request::Submit { spec, threads } => (spec, threads, None, None),
-            Request::ShardSubmit { shard, threads } => {
-                // A malformed shard — bad axes, unknown column, digest
-                // mismatch — fails the submission, not the connection.
-                match resolve_shard_columns(&shard) {
-                    Ok(columns) => {
-                        let meta = (shard.shard_index, shard.index_map);
-                        (shard.spec, threads, Some(meta), Some(columns))
-                    }
-                    Err(e) => {
-                        send(&mut writer, &Response::Error { message: e })?;
-                        continue;
-                    }
-                }
-            }
+        let (spec, threads, shard) = match &req {
+            Request::Submit { spec, threads } => (spec, *threads, None),
+            Request::ShardSubmit { shard, threads } => (&shard.spec, *threads, Some(shard)),
             other => {
                 let message = format!("expected Submit or ShardSubmit, got {other:?}");
                 let _ = send(&mut writer, &Response::Error { message: message.clone() });
                 return Err(WireError::Protocol(message));
             }
         };
-        // The one preparation of this submission: a shard's digest-checked
-        // columns go in as they are, a whole spec resolves its own.  A spec
-        // that cannot be prepared — bad axes, an unknown column, no timed
-        // region — likewise fails the submission only.
+        // The one preparation of this submission.  One that cannot be
+        // prepared — bad axes, a malformed cell list, an unknown column, no
+        // timed region — fails the submission, not the connection.
         let exec = ExecOptions {
             threads: match threads {
                 0 => opts.threads.max(1),
@@ -242,9 +200,8 @@ fn handle_conn(
             cache,
             fault,
             cancel: opts.cancel.as_deref(),
-            columns: columns.as_ref(),
         };
-        let prepared = match Prepared::new(&spec, &exec) {
+        let prepared = match Prepared::new(spec, &exec, shard) {
             Ok(prepared) => prepared,
             Err(e) => {
                 send(&mut writer, &Response::Error { message: e })?;
@@ -252,12 +209,13 @@ fn handle_conn(
             }
         };
 
-        // The Accepted message (which the client copies into its reassembled
-        // report header) states the worker count the report will record.
+        // The Accepted message states the cells this submission will stream
+        // and the worker count the report will record (the client copies it
+        // into its reassembled report header).
         send_srv(
             &mut writer,
             &Response::Accepted {
-                cells: spec.cell_count() as u64,
+                cells: prepared.cells() as u64,
                 threads: prepared.workers() as u64,
             },
             fault,
@@ -271,19 +229,10 @@ fn handle_conn(
         let mut send_err: Option<WireError> = None;
         let outcome = prepared.run(|event| {
             if send_err.is_none() {
-                // Shard cells go out under their *full-grid* index, so the
-                // coordinator's merge needs no per-shard bookkeeping.
-                let resp = match &shard_meta {
-                    Some((_, index_map)) => Response::ShardCell {
-                        index: index_map[event.index],
-                        cached: event.cached,
-                        cell: event.cell.clone(),
-                    },
-                    None => Response::Cell {
-                        index: event.index as u64,
-                        cached: event.cached,
-                        cell: event.cell.clone(),
-                    },
+                let (index, cached, cell) = (event.index as u64, event.cached, event.cell.clone());
+                let resp = match shard {
+                    Some(_) => Response::ShardCell { index, cached, cell },
+                    None => Response::Cell { index, cached, cell },
                 };
                 if let Err(e) = send_srv(&mut writer, &resp, fault) {
                     send_err = Some(e);
@@ -293,18 +242,23 @@ fn handle_conn(
         if let Some(e) = send_err {
             return Err(e);
         }
-        // The preparation succeeded, so the only executor failure left is a
-        // graceful-drain cancellation: answer with a typed Error frame.
+        // The executor failures left after a preparation: a shard column that
+        // does not reproduce the planner's digest fails the submission with a
+        // typed Error frame; a graceful-drain cancellation also ends the
+        // connection.
         let outcome = match outcome {
             Ok(o) => o,
             Err(e) => {
-                let _ = send(&mut writer, &Response::Error { message: e.clone() });
-                return Err(WireError::Protocol(e));
+                send(&mut writer, &Response::Error { message: e.clone() })?;
+                if exec.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                    return Err(WireError::Protocol(e));
+                }
+                continue;
             }
         };
-        let finish = match &shard_meta {
-            Some((shard_index, _)) => Response::ShardDone {
-                shard_index: *shard_index,
+        let finish = match shard {
+            Some(shard) => Response::ShardDone {
+                shard_index: shard.shard_index,
                 report_digest: outcome.report.digest(),
                 hits: outcome.cache.hits,
                 misses: outcome.cache.misses,

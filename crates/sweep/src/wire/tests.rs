@@ -204,7 +204,10 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
     //    connection — an unknown workload, a grid over the cell limit, a
     //    grid whose size overflows `usize`, a slice buffer no allocator could
     //    serve, a repeated axis value, the latter four as a whole spec and
-    //    as a shard — and a corrected spec on the same connection still runs.
+    //    as a shard, and six hostile cell lists (column 0 of the acceptance
+    //    grid: iCFP's cells 0, 4, 8, 12 stand alone, {16, 24} and {20, 28} are
+    //    in-order's inert-slice pairs) — and a corrected shard and spec on the
+    //    same connection still run.
     let (mut reader, mut writer) = handshaken(addr);
     let mut unknown = tiny_spec();
     unknown.workloads = vec!["no-such-workload".into()];
@@ -216,8 +219,14 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
     repeated.workloads.push("branchy".into());
     let whole = |spec: SweepSpec| Request::Submit { spec, threads: 1 };
     let slice = |spec: SweepSpec| {
-        let (index_map, columns) = (Vec::new(), Vec::new());
-        let shard = crate::plan::SweepShard { shard_index: 0, spec, index_map, columns };
+        let (cells, columns) = (Vec::new(), Vec::new());
+        let shard = crate::plan::SweepShard { shard_index: 0, spec, cells, columns };
+        Request::ShardSubmit { shard, threads: 1 }
+    };
+    let planned = plan_shards(&tiny_spec(), 1).expect("plan").remove(0);
+    let cells = |cells: &[u64], columns: usize| {
+        let mut shard = crate::plan::SweepShard { cells: cells.to_vec(), ..planned.clone() };
+        shard.columns.truncate(columns);
         Request::ShardSubmit { shard, threads: 1 }
     };
     let refused = [
@@ -230,6 +239,12 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
         (slice(overflowing_spec()), "limit"),
         (slice(unallocatable), "slice_buffer_entries"),
         (slice(repeated), "workloads repeats branchy"),
+        (cells(&[], 4), "names no cells"),
+        (cells(&[4, 0], 4), "do not ascend: 4 before 0"),
+        (cells(&[0, 0], 4), "do not ascend: 0 before 0"),
+        (cells(&[0, 32], 4), "cell 32 of a 32-cell grid"),
+        (cells(&[0, 16], 4), "splits a fork group"),
+        (cells(&[0, 1], 1), "no trace digest"),
     ];
     for (request, reason) in &refused {
         let asked = std::time::Instant::now();
@@ -243,6 +258,10 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
             "refusal must be immediate"
         );
     }
+    // `Accepted` states the shard's cell count, not the grid's.
+    let frames = transcript(&mut reader, &mut writer, &cells(&[0, 16, 24], 1));
+    assert!(matches!(frames[0], Response::Accepted { cells: 3, .. }), "{frames:?}");
+    assert_eq!(frames.len(), 5, "{frames:?}");
     let good = small_spec();
     let frames = transcript(&mut reader, &mut writer, &whole(good.clone()));
     let digest = run_sweep(&good, 1).unwrap().digest();
@@ -257,7 +276,7 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
     let (summary, events) = server.stop();
     assert_eq!(
         (summary.connections, summary.submissions, summary.failed),
-        (4, 1, 3)
+        (4, 2, 3)
     );
     let failed_with = |what: &str| {
         events
@@ -270,7 +289,7 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
         "hostile length is a framing error: {events:?}"
     );
     assert!(failed_with("unsupported protocol version"), "{events:?}");
-    assert!(events.iter().any(|e| e.contains("(1 sweeps")), "{events:?}");
+    assert!(events.iter().any(|e| e.contains("(2 sweeps")), "{events:?}");
 
     // 5. Client-side: submitting an invalid spec never touches the
     //    network.
@@ -635,13 +654,13 @@ fn other_kind(frame: &Response) -> Response {
 
 #[test]
 fn both_request_kinds_refuse_the_same_hostile_replies_as_protocol_errors() {
-    // A 2-column, 4-cell grid; the shard under test is the *second* column,
-    // so its index map ([1, 3]) is not the identity and index 0 is a real
-    // cell of somebody else's shard.
+    // A 2-column, 4-cell grid; the shard under test is the *second* of two,
+    // so its cells ([2, 3]) do not start the grid and index 0 is a real cell
+    // of somebody else's shard.
     let mut spec = small_spec();
     spec.workloads = vec!["branchy".into(), "streaming".into()];
     let shard = plan_shards(&spec, 2).expect("plan").remove(1);
-    assert_eq!(shard.index_map, vec![1, 3]);
+    assert_eq!(shard.cells, vec![2, 3]);
     let hello = Response::Hello2 {
         version: WIRE_VERSION.into(),
         features: base_features(),

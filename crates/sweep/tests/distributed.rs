@@ -6,17 +6,20 @@
 //! worker count, completion order, or a worker dying mid-shard and its
 //! shard being reassigned — and a shard ships column trace *digests*, never
 //! trace bytes, with the worker refusing any column it cannot reproduce
-//! exactly.
+//! exactly.  The unit of distribution is the fork group, so a plan may hold
+//! more shards than the grid has columns, and no group runs on two workers.
 
 use icfp_isa::{TraceFileWriter, TraceFormat};
-use icfp_sweep::wire::{base_features, ServeOptions};
+use icfp_sweep::wire::{
+    base_features, Request, Response, ServeOptions, MAX_WIRE_FRAME, SHARD_FEATURE, WIRE_VERSION,
+};
 use icfp_sweep::{
     plan_shards, run_sweep, serve, submit_shard, AcceptOptions, ColumnSpec, ExecBackend,
-    ExecOptions, FaultPlan, FrameAction, FrameFault, RemoteBackend, RetryPolicy, SweepShard,
+    FaultPlan, FrameAction, FrameFault, RemoteBackend, ResultCache, RetryPolicy, SweepShard,
     SweepSpec, WireError,
 };
-use std::collections::HashMap;
-use std::net::TcpListener;
+use serde::frame::{read_frame, write_frame};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -108,7 +111,8 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 fn sharded_runs_are_digest_identical_to_serial_at_every_shard_count() {
     let spec = acceptance_spec();
     let serial = run_sweep(&spec, 1).expect("serial local run");
-    for shards in [1, 2, 4] {
+    // Five shards outnumber the grid's four columns.
+    for shards in [1, 2, 3, 5] {
         let workers: Vec<Worker> = (0..2).map(|_| spawn_worker(None, None)).collect();
         let backend = RemoteBackend {
             workers: workers.iter().map(|w| w.addr.clone()).collect(),
@@ -204,7 +208,11 @@ fn a_restarted_workers_cache_makes_reassignment_cheap_and_identical() {
     };
     let cold = backend.run(&spec).expect("cold distributed run");
     assert_eq!(cold.report.digest(), serial.digest());
-    assert_eq!(cold.cache.hits + cold.cache.misses, spec.cell_count() as u64);
+    assert_eq!((cold.cache.hits, cold.cache.misses), (0, spec.cell_count() as u64));
+    // No fork group ran on two workers: together the two directories hold
+    // the 24 entries (6 groups a column) a local cold run stores.
+    let entries = |dir| ResultCache::open(dir).expect("open").entry_count().expect("count");
+    assert_eq!(entries(&dir_a) + entries(&dir_b), 24);
 
     // Same pool, same grid again: every cell is a cache hit on its worker,
     // and the report is still digest-identical.
@@ -222,40 +230,55 @@ fn a_restarted_workers_cache_makes_reassignment_cheap_and_identical() {
 #[test]
 fn a_worker_refuses_a_shard_whose_column_digest_it_cannot_reproduce() {
     let spec = acceptance_spec();
-    let worker = spawn_worker(None, None);
+    let dir = tmp_dir("tamper");
+    let worker = spawn_worker(Some(dir.clone()), None);
 
-    // Tamper one column digest: the worker regenerates the column, sees the
-    // mismatch, and refuses the *submission* with a typed error — the
-    // connection (and the worker) stay healthy, and the refusal is not
-    // retriable-forever transport noise.
-    let mut shards = plan_shards(&spec, 2).expect("plan");
-    shards[0].columns[0].trace_digest ^= 1;
-    let err = submit_shard(
-        &worker.addr,
-        &shards[0],
-        1,
-        Some(Duration::from_secs(30)),
-    )
-    .expect_err("tampered digest must be refused");
-    match &err {
-        WireError::Server(message) => {
-            assert!(message.contains("digest"), "{message}");
-        }
-        other => panic!("expected a typed server refusal, got {other:?}"),
-    }
+    // Tamper the digest of the shard's *second* column.  The worker runs
+    // column by column: the first column's cells stream, then it builds the
+    // second, sees the mismatch, and refuses the *submission* with a typed
+    // error — the connection (and the worker) stay healthy, and the refusal
+    // is not retriable-forever transport noise.
+    let good = plan_shards(&spec, 2).expect("plan").remove(0);
+    let mut bad = good.clone();
+    bad.columns[1].trace_digest ^= 1;
+    let err = submit_shard(&worker.addr, &bad, 1, Some(Duration::from_secs(30)))
+        .expect_err("tampered digest must be refused");
+    assert!(matches!(&err, WireError::Server(message) if message.contains("digest")), "{err:?}");
     assert!(!err.is_retriable(), "a digest mismatch never heals by retrying");
+    // Nothing of the refused column was cached: the directory holds the
+    // shard's three groups of the first column (half of its six).
+    let cache = ResultCache::open(&dir).expect("open cache");
+    assert_eq!(cache.entry_count().expect("count"), 3);
 
-    // The untampered shard still runs on the same worker afterwards.
-    let good = plan_shards(&spec, 2).expect("plan");
-    let outcome = submit_shard(
-        &worker.addr,
-        &good[0],
-        1,
-        Some(Duration::from_secs(30)),
-    )
-    .expect("clean shard served after the refusal");
-    assert_eq!(outcome.cells.len(), good[0].cell_count());
+    // The same refusal frame by frame: no cell of the refused column streams,
+    // and the untampered shard still runs on the same connection.
+    let mut stream = TcpStream::connect(&worker.addr).expect("connect");
+    let mut converse = |request: Request| -> Vec<Response> {
+        write_frame(&mut stream, &serde::to_bytes(&request)).expect("request");
+        let mut frames: Vec<Response> = Vec::new();
+        loop {
+            let frame = read_frame(&mut stream, MAX_WIRE_FRAME).expect("frame").expect("open");
+            frames.push(serde::from_bytes(&frame).expect("decode"));
+            if !matches!(frames.last(), Some(Response::Accepted { .. } | Response::ShardCell { .. })) {
+                return frames;
+            }
+        }
+    };
+    converse(Request::Hello2 { version: WIRE_VERSION.into(), features: base_features() });
+    let frames = converse(Request::ShardSubmit { shard: bad, threads: 1 });
+    let streamed = |f: &Response| match f {
+        Response::ShardCell { cell, .. } => Some(cell.workload.clone()),
+        _ => None,
+    };
+    let cells: Vec<String> = frames.iter().filter_map(streamed).collect();
+    assert_eq!(cells, vec![spec.workloads[0].clone(); 4], "{frames:?}");
+    assert!(matches!(frames.last(), Some(Response::Error { .. })), "{frames:?}");
+    let frames = converse(Request::ShardSubmit { shard: good.clone(), threads: 1 });
+    assert_eq!(frames.len(), 1 + good.cell_count() + 1, "{frames:?}");
+    assert!(matches!(frames.last(), Some(Response::ShardDone { .. })), "{frames:?}");
+    drop(stream);
     worker.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -284,7 +307,7 @@ fn a_local_container_column_is_opened_validated_and_simulated() {
     let shard = SweepShard {
         shard_index: 0,
         spec: spec.clone(),
-        index_map: (0..n as u64).collect(),
+        cells: (0..n as u64).collect(),
         columns: vec![ColumnSpec {
             workload: column.clone(),
             trace_digest: summary.digest,
@@ -298,21 +321,10 @@ fn a_local_container_column_is_opened_validated_and_simulated() {
         .expect("local-container shard served");
     assert_eq!(outcome.cells.len(), n);
 
-    // The served cells equal a local run over the same supplied column.
-    let mut columns: HashMap<String, Arc<dyn icfp_isa::TraceSource>> = HashMap::new();
-    columns.insert(column, Arc::new(icfp_isa::ArenaSource::new(trace)));
-    let local = icfp_sweep::run_sweep_streamed(
-        &spec,
-        &ExecOptions {
-            threads: 1,
-            columns: Some(&columns),
-            ..ExecOptions::default()
-        },
-        |_| {},
-    )
-    .expect("local run over the supplied column");
+    // The served cells equal a local run of the same spec (and file).
+    let local = run_sweep(&spec, 1).expect("local run over the same container");
     for (index, _cached, cell) in &outcome.cells {
-        let reference = &local.report.cells[*index];
+        let reference = &local.cells[*index];
         assert_eq!(cell.cycles, reference.cycles);
         assert_eq!(cell.state_digest, reference.state_digest);
     }
@@ -344,6 +356,6 @@ fn workers_advertise_the_worker_capability() {
         .remove(0);
     submit_shard(&worker.addr, &shard, 1, Some(Duration::from_secs(30)))
         .expect("a worker accepts shard submissions");
-    assert!(base_features().iter().any(|f| f == "shard"));
+    assert!(base_features().iter().any(|f| f == SHARD_FEATURE));
     worker.stop();
 }

@@ -39,6 +39,7 @@ fn seeded_fault_plans_end_in_typed_errors_and_identical_reports() {
     let baseline = run_sweep(&spec, 1).expect("fault-free baseline");
 
     for seed in 0..6u64 {
+        // The armed job is an index into the full grid (`cells` of them).
         let plan = Arc::new(FaultPlan::from_seed(seed, cells, frames_per_run));
         let dir = tmp_dir(&format!("seed{seed}"));
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
