@@ -37,7 +37,7 @@ pub mod trace;
 pub mod trace_file;
 mod trace_v2;
 
-pub use digest::{fnv1a, Fnv1a};
+pub use digest::{fnv1a, inst_mix, Fnv1a, InstDigest};
 pub use exec::{ArchState, FunctionalMemory};
 pub use inst::{DynInst, MemWidth, Op, OpClass};
 pub use reg::{Reg, RegClass, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS};

@@ -9,8 +9,8 @@
 //! * [`ArenaSource`] (here) — adapts today's in-memory [`Trace`]; the cursor
 //!   takes a zero-cost slice fast path through it, so arena-backed runs are
 //!   bit-identical *and* pay no per-instruction indirection;
-//! * `TraceFile` (`icfp_isa::trace_file`) — the on-disk `icfp-trace/v1`
-//!   container, decoded lazily block by block with next-block prefetch;
+//! * `TraceFile` (`icfp_isa::trace_file`) — the on-disk `icfp-trace/v1|v2`
+//!   container, decoded lazily block by block, a worker two blocks ahead;
 //! * `WorkloadSource` (`icfp-workloads`) — synthetic generators replayed as
 //!   resumable block producers, so a 100M-instruction pointer-chase never
 //!   fully materializes.
@@ -23,8 +23,7 @@
 //! peak trace memory bounded by a constant number of blocks.
 
 use crate::trace::Trace;
-use crate::{DynInst, Fnv1a};
-use serde::Serialize;
+use crate::{DynInst, InstDigest};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
@@ -37,19 +36,16 @@ use std::sync::{Arc, Mutex};
 /// handful of resident blocks stay far under any real trace's footprint.
 pub const DEFAULT_BLOCK_INSTS: usize = 4096;
 
-/// Digest of one block's content: FNV-1a over each instruction's serialized
-/// bytes, in order.  Every [`TraceSource`] implementation must use this exact
-/// definition so block digests agree across arena, generator and file
-/// backings (checkpoint resume validates the resume block against it).
+/// Digest of one block's content: [`InstDigest`] over its instructions, in
+/// order, their count last.  Every [`TraceSource`] implementation must use
+/// this exact definition so block digests agree across arena, generator and
+/// file backings (checkpoint resume validates the resume block against it).
 pub fn block_digest_of(insts: &[DynInst]) -> u64 {
-    let mut h = Fnv1a::new();
-    let mut buf = Vec::with_capacity(64);
+    let mut d = InstDigest::new();
     for inst in insts {
-        buf.clear();
-        Serialize::serialize(inst, &mut buf);
-        h.write(&buf);
+        d.push(inst);
     }
-    h.finish()
+    d.finish()
 }
 
 /// Errors from block-based trace access (shared by every [`TraceSource`]
@@ -250,9 +246,9 @@ pub trait TraceSource: Send + Sync {
     }
 
     /// Whole-trace content digest, identical to [`Trace::digest`] of the
-    /// materialized trace: FNV-1a over the name, every instruction's
-    /// serialized bytes, then the length.  Checkpoints and sweep columns use
-    /// it as the trace's identity.
+    /// materialized trace: an [`InstDigest`] seeded with the name, over every
+    /// instruction, the length last.  Checkpoints and sweep columns use it as
+    /// the trace's identity.
     fn digest(&self) -> u64;
 
     /// Instructions per block (the last block may be shorter).  Must be
@@ -273,8 +269,8 @@ pub trait TraceSource: Send + Sync {
     /// Fetches (decoding if necessary) block `index`.
     ///
     /// Streaming implementations serve this from a bounded cache and may
-    /// prefetch the following block; either way repeated sequential fetches
-    /// decode each block at most once.
+    /// read ahead; either way repeated sequential fetches decode each block
+    /// at most once.
     ///
     /// # Errors
     ///
@@ -303,16 +299,25 @@ pub trait TraceSource: Send + Sync {
     }
 }
 
+/// One cached block: empty while its first caller is still filling it.
+type Slot = Arc<Mutex<Option<Arc<TraceBlock>>>>;
+
 /// Bounded most-recently-used cache of decoded blocks — the one cache
-/// implementation every streaming source shares (the `icfp-trace/v1` reader,
+/// implementation every streaming source shares (the `icfp-trace` reader,
 /// generator-backed sources).  Its capacity *is* the "peak trace memory is a
 /// constant number of blocks" guarantee, together with whatever single block
 /// each cursor pins.
+///
+/// Two locks, never nested map-then-slot: the map lock covers only finding
+/// or reserving a block's slot, and the slot's own lock is held while the
+/// block is produced.  So a lookup of a resident block never waits for
+/// another block's decode, and only callers of the *same* block wait for its
+/// fill.
 #[derive(Debug)]
 pub struct BlockCache {
     cap: usize,
     /// Front = most recently used.
-    entries: Mutex<VecDeque<(usize, Arc<TraceBlock>)>>,
+    slots: Mutex<VecDeque<(usize, Slot)>>,
 }
 
 impl BlockCache {
@@ -320,14 +325,16 @@ impl BlockCache {
     pub fn new(cap: usize) -> Self {
         BlockCache {
             cap: cap.max(1),
-            entries: Mutex::new(VecDeque::with_capacity(cap.max(1))),
+            slots: Mutex::new(VecDeque::with_capacity(cap.max(1) + 1)),
         }
     }
 
-    /// Returns block `index`, promoting it to most-recent; on a miss, `fill`
-    /// produces it and the least-recently-used entry past capacity is
-    /// evicted.  `fill` runs under the cache lock, so concurrent consumers
-    /// decode each block at most once.
+    /// Returns block `index`, promoting it to most-recent; on a miss a slot
+    /// is reserved (evicting the least-recently-used one past capacity) and
+    /// `fill` produces the block outside the map lock.  Concurrent callers of
+    /// one block wait for the first caller's `fill`, so a block is produced
+    /// at most once while it is resident.  A failed `fill` leaves no slot
+    /// behind: the next caller runs its own.
     ///
     /// # Errors
     ///
@@ -337,18 +344,31 @@ impl BlockCache {
         index: usize,
         fill: impl FnOnce() -> Result<Arc<TraceBlock>, TraceSourceError>,
     ) -> Result<Arc<TraceBlock>, TraceSourceError> {
-        let mut entries = self.entries.lock().expect("block cache lock");
-        if let Some(pos) = entries.iter().position(|(k, _)| *k == index) {
-            let entry = entries.remove(pos).expect("position just found");
-            entries.push_front(entry.clone());
-            return Ok(entry.1);
+        let slot = {
+            let mut slots = self.slots.lock().expect("block cache lock");
+            let slot = match slots.iter().position(|(k, _)| *k == index) {
+                Some(pos) => slots.remove(pos).expect("position just found").1,
+                None => Slot::default(),
+            };
+            slots.push_front((index, Arc::clone(&slot)));
+            slots.truncate(self.cap);
+            slot
+        };
+        let mut filled = slot.lock().expect("block slot lock");
+        if let Some(block) = filled.as_ref() {
+            return Ok(Arc::clone(block));
         }
-        let block = fill()?;
-        entries.push_front((index, Arc::clone(&block)));
-        while entries.len() > self.cap {
-            entries.pop_back();
+        match fill() {
+            Ok(block) => {
+                *filled = Some(Arc::clone(&block));
+                Ok(block)
+            }
+            Err(e) => {
+                let mut slots = self.slots.lock().expect("block cache lock");
+                slots.retain(|(_, s)| !Arc::ptr_eq(s, &slot));
+                Err(e)
+            }
         }
-        Ok(block)
     }
 }
 
@@ -777,5 +797,96 @@ mod tests {
         assert_eq!(from_owned.digest(), digest);
         assert_eq!(from_arc.digest(), digest);
         assert_eq!(from_owned.block_size(), DEFAULT_BLOCK_INSTS);
+    }
+
+    fn empty_block(index: usize) -> Result<Arc<TraceBlock>, TraceSourceError> {
+        Ok(Arc::new(TraceBlock::uncounted(index, vec![])))
+    }
+
+    #[test]
+    fn a_resident_block_is_served_while_another_block_fills() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let cache = BlockCache::new(4);
+        cache.get_or_insert(0, || empty_block(0)).expect("block A");
+        let (started_tx, started_rx) = channel();
+        let (release_tx, release_rx) = channel::<()>();
+        let (served_tx, served_rx) = channel();
+        let cache = &cache;
+        std::thread::scope(|s| {
+            // B's fill parks until released ...
+            s.spawn(move || {
+                cache.get_or_insert(1, || {
+                    started_tx.send(()).expect("test alive");
+                    release_rx.recv().expect("test alive");
+                    empty_block(1)
+                })
+            });
+            started_rx.recv().expect("fill of B started");
+            // ... and A, resident, must be served meanwhile.
+            s.spawn(move || {
+                let hit = cache.get_or_insert(0, || panic!("A is resident"));
+                served_tx.send(hit.map(|b| b.first)).expect("test alive");
+            });
+            let served = served_rx.recv_timeout(Duration::from_secs(20));
+            release_tx.send(()).expect("filler alive");
+            assert_eq!(served, Ok(Ok(0)), "lookup of A waited for the fill of B");
+        });
+    }
+
+    #[test]
+    fn concurrent_lookups_fill_each_resident_block_once() {
+        const BLOCKS: usize = 8;
+        let cache = BlockCache::new(BLOCKS); // nothing is ever evicted
+        let fills: Vec<AtomicUsize> = (0..BLOCKS).map(|_| AtomicUsize::new(0)).collect();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (cache, fills, start) = (&cache, &fills, &start);
+                s.spawn(move || {
+                    let mut x = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(t + 1);
+                    start.wait();
+                    for _ in 0..2_000 {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        let index = (x >> 33) as usize % BLOCKS;
+                        let block = cache
+                            .get_or_insert(index, || {
+                                fills[index].fetch_add(1, Ordering::Relaxed);
+                                empty_block(index)
+                            })
+                            .expect("fill succeeds");
+                        assert_eq!(block.first, index);
+                    }
+                });
+            }
+        });
+        for (index, n) in fills.iter().enumerate() {
+            assert_eq!(n.load(Ordering::Relaxed), 1, "block {index}");
+        }
+    }
+
+    #[test]
+    fn failed_fills_leave_no_slot_and_the_least_recently_used_block_is_evicted() {
+        let cache = BlockCache::new(2);
+        let resident = |k: usize| cache.get_or_insert(k, || panic!("{k} is resident")).map(|b| b.first);
+        let fills = |k: usize| {
+            let mut ran = false;
+            let got = cache.get_or_insert(k, || {
+                ran = true;
+                empty_block(k)
+            });
+            got.is_ok() && ran
+        };
+        assert!(fills(0));
+        let failed = cache.get_or_insert(1, || Err(TraceSourceError::Truncated));
+        assert_eq!(failed.map(|b| b.first), Err(TraceSourceError::Truncated));
+        // The next caller runs its own fill; nothing sits in the failed
+        // fill's place, so both blocks fit.
+        assert!(fills(1));
+        assert_eq!((resident(1), resident(0)), (Ok(1), Ok(0)));
+        // Past capacity the least recently used goes: that is 1, not 0.
+        assert!(fills(2));
+        assert_eq!(resident(0), Ok(0));
+        assert!(fills(1));
     }
 }

@@ -90,13 +90,14 @@ impl Trace {
         &self.insts
     }
 
-    /// FNV-1a digest of the trace's full content (name, every instruction's
-    /// serialized fields, then the length).  Checkpoints record it so a
-    /// resume against the wrong trace — or a differently seeded regeneration
-    /// of the "same" workload — is rejected instead of silently diverging.
+    /// Content digest of the whole trace: a [`crate::InstDigest`] seeded with
+    /// the name, over every instruction's field values, the length last.
+    /// Checkpoints record it so a resume against the wrong trace — or a
+    /// differently seeded regeneration of the "same" workload — is rejected
+    /// instead of silently diverging.
     ///
     /// The length is folded in *last* so streaming producers (the
-    /// `icfp-trace/v1` writer, block generators) can compute the identical
+    /// `icfp-trace` writer, block generators) can compute the identical
     /// digest in one pass without knowing the final length up front; every
     /// [`crate::TraceSource`] implementation reports this same digest for the
     /// same content.
@@ -106,16 +107,11 @@ impl Trace {
     /// trace) are O(1) after the first.
     pub fn digest(&self) -> u64 {
         *self.digest.get_or_init(|| {
-            let mut h = crate::Fnv1a::new();
-            h.write(self.name.as_bytes());
-            let mut buf = Vec::with_capacity(64);
+            let mut d = crate::InstDigest::named(&self.name);
             for inst in &self.insts {
-                buf.clear();
-                Serialize::serialize(inst, &mut buf);
-                h.write(&buf);
+                d.push(inst);
             }
-            h.write_u64(self.insts.len() as u64);
-            h.finish()
+            d.finish()
         })
     }
 

@@ -3,7 +3,7 @@
 //! A versioned, digest-validated file format for dynamic instruction traces,
 //! designed so that traces far larger than host RAM can be simulated: the
 //! reader ([`TraceFile`]) implements [`TraceSource`] by decoding blocks
-//! *lazily* through a small bounded cache with next-block prefetch, and the
+//! *lazily* through a small bounded cache with two-block read-ahead, and the
 //! writer ([`TraceFileWriter`]) streams instructions out block by block
 //! without ever materializing the whole trace.
 //!
@@ -34,16 +34,21 @@
 //! damaged inputs fail loudly at `open`/`block` time.
 //!
 //! The whole-trace digest recorded in the index uses the exact
-//! [`Trace::digest`] definition (name, per-instruction serialized bytes,
-//! length last), so a file written from any [`TraceSource`] carries the same
-//! identity as the equivalent in-memory arena — checkpoints taken against
-//! one resume against the other.
+//! [`Trace::digest`] definition (an [`InstDigest`] seeded with the name, over
+//! every instruction's field values, length last), so a file written from
+//! any [`TraceSource`] carries the same identity as the equivalent in-memory
+//! arena — checkpoints taken against one resume against the other.  Both
+//! digests are functions of the instructions, not of the bytes on disk: a
+//! container whose index carries digests of any other definition (one
+//! written before [`InstDigest`] existed) is refused block by block with
+//! [`TraceSourceError::BlockDigestMismatch`] and by `verify` /
+//! `open_validated` with [`TraceSourceError::Corrupt`].
 
 use crate::source::{
     block_digest_of, BlockCache, Residency, TraceBlock, TraceSource, TraceSourceError,
 };
 use crate::trace::Trace;
-use crate::{DynInst, Fnv1a, InstSeq};
+use crate::{inst_mix, DynInst, InstDigest, InstSeq};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -100,8 +105,9 @@ impl std::fmt::Display for TraceFormat {
 }
 
 /// Decoded blocks kept resident per open file: the current block, one block
-/// of random-access lookback (rally replay), and the prefetched next block.
-/// This constant is the whole story of "peak trace memory while streaming".
+/// of random-access lookback (rally replay), and the two blocks the decode
+/// worker keeps ahead of the consumer.  This constant is the whole story of
+/// "peak trace memory while streaming".
 const RESIDENT_BLOCKS: usize = 4;
 
 /// Per-block entry of the container index.
@@ -157,8 +163,9 @@ pub struct TraceFileWriter {
     total: u64,
     /// Whole-trace digest accumulator (name already folded; length folded at
     /// finish — see [`Trace::digest`]).
-    whole: Fnv1a,
-    scratch: Vec<u8>,
+    whole: InstDigest,
+    /// Digest of the block being buffered, fed the same per-instruction mix.
+    block: InstDigest,
     next_pc: u64,
 }
 
@@ -198,8 +205,7 @@ impl TraceFileWriter {
             .and_then(|()| file.write_all(&0u64.to_le_bytes()))
             .map_err(|e| io_err(&path, e))?;
         let name = name.into();
-        let mut whole = Fnv1a::new();
-        whole.write(name.as_bytes());
+        let whole = InstDigest::named(&name);
         Ok(TraceFileWriter {
             file,
             path,
@@ -211,7 +217,7 @@ impl TraceFileWriter {
             offset: DATA_START,
             total: 0,
             whole,
-            scratch: Vec::with_capacity(64),
+            block: InstDigest::new(),
             next_pc: 0x1000,
         })
     }
@@ -255,9 +261,9 @@ impl TraceFileWriter {
     /// Filesystem failures while flushing a completed block.
     pub fn push_raw(&mut self, mut inst: DynInst) -> Result<(), TraceSourceError> {
         inst.seq = self.total as InstSeq;
-        self.scratch.clear();
-        Serialize::serialize(&inst, &mut self.scratch);
-        self.whole.write(&self.scratch);
+        let mix = inst_mix(&inst);
+        self.whole.push_mix(mix);
+        self.block.push_mix(mix);
         self.buf.push(inst);
         self.total += 1;
         if self.buf.len() >= self.block_size {
@@ -282,7 +288,7 @@ impl TraceFileWriter {
             offset: self.offset,
             byte_len: bytes.len() as u64,
             inst_count: self.buf.len() as u64,
-            digest: block_digest_of(&self.buf),
+            digest: std::mem::take(&mut self.block).finish(),
         });
         self.file
             .write_all(&bytes)
@@ -300,9 +306,7 @@ impl TraceFileWriter {
     /// Filesystem failures.
     pub fn finish(mut self) -> Result<TraceFileSummary, TraceSourceError> {
         self.flush_block()?;
-        let mut whole = self.whole.clone();
-        whole.write_u64(self.total);
-        let digest = whole.finish();
+        let digest = self.whole.finish();
         let index = TraceIndex {
             name: self.name.clone(),
             total_insts: self.total,
@@ -389,11 +393,13 @@ impl TraceFileWriter {
 ///
 /// `open` validates the container's structure (magic, index digest, block
 /// geometry, offsets) without reading any block data; blocks decode on first
-/// access through a bounded MRU cache, and each access hands the *following*
-/// block to a background decode thread, so decode of block `k+1` overlaps
-/// simulation of block `k` and sequential consumers never wait at a
-/// boundary.  [`TraceFile::open_sync`] keeps everything on the calling
-/// thread (the prefetch then happens inline, as a plain demand fetch).
+/// access through a bounded MRU cache, and each access hands the *two
+/// following* blocks to a background decode thread, so the worker decodes
+/// `k+1` and `k+2` while the consumer works through block `k` and never
+/// sleeps between hints; the cache never decodes under its map lock, so the
+/// consumer's lookup of a resident block does not wait for the worker.
+/// [`TraceFile::open_sync`] keeps everything on the calling thread (the
+/// next block is then fetched inline, as a plain demand fetch).
 /// Thread-safe: the sweep executor shares one open file across its pool.
 #[derive(Debug)]
 pub struct TraceFile {
@@ -415,6 +421,9 @@ struct TraceFileInner {
     /// pins) is the entire decoded footprint of a streamed run.
     cache: BlockCache,
     residency: Arc<Residency>,
+    /// The last decode's encoded-bytes buffer, taken for the duration of a
+    /// decode and put back after (a concurrent decode starts from empty).
+    spare: Mutex<Vec<u8>>,
 }
 
 /// Background block-decode worker: a bounded request channel feeding one
@@ -621,6 +630,7 @@ impl TraceFile {
             file: Mutex::new(file),
             cache: BlockCache::new(RESIDENT_BLOCKS),
             residency: Arc::new(Residency::default()),
+            spare: Mutex::default(),
         });
         let prefetcher = (prefetch && inner.index.blocks.len() > 1)
             .then(|| PrefetchWorker::spawn(Arc::clone(&inner)))
@@ -650,18 +660,12 @@ impl TraceFile {
     ///
     /// The first corruption found.
     pub fn verify(&self) -> Result<(), TraceSourceError> {
-        let mut whole = Fnv1a::new();
-        whole.write(self.inner.index.name.as_bytes());
-        let mut buf = Vec::with_capacity(64);
+        let mut whole = InstDigest::named(&self.inner.index.name);
         for k in 0..self.block_count() {
-            let block = self.block(k)?;
-            for inst in block.insts() {
-                buf.clear();
-                Serialize::serialize(inst, &mut buf);
-                whole.write(&buf);
+            for inst in self.block(k)?.insts() {
+                whole.push(inst);
             }
         }
-        whole.write_u64(self.inner.index.total_insts);
         let found = whole.finish();
         if found != self.inner.index.whole_digest {
             return Err(TraceSourceError::Corrupt(format!(
@@ -699,19 +703,37 @@ impl TraceFileInner {
         let Some(meta) = self.index.blocks.get(index) else {
             return Err(TraceSourceError::BlockOutOfRange { index, count });
         };
-        let mut bytes = vec![0u8; meta.byte_len as usize];
+        let mut bytes = std::mem::take(&mut *self.spare.lock().expect("spare buffer lock"));
+        bytes.resize(meta.byte_len as usize, 0);
         {
             let mut file = self.file.lock().expect("trace file lock");
             file.seek(SeekFrom::Start(meta.offset))
                 .and_then(|_| file.read_exact(&mut bytes))
                 .map_err(|e| io_err(&self.path, e))?;
         }
+        let decoded = self.decode_bytes(index, meta, &bytes);
+        *self.spare.lock().expect("spare buffer lock") = bytes;
+        let insts = decoded?;
+        Ok(Arc::new(TraceBlock::counted(
+            index * self.index.block_size as usize,
+            insts,
+            &self.residency,
+        )))
+    }
+
+    /// Decodes one block's bytes and checks its count and content digest.
+    fn decode_bytes(
+        &self,
+        index: usize,
+        meta: &BlockMeta,
+        bytes: &[u8],
+    ) -> Result<Vec<DynInst>, TraceSourceError> {
         let insts: Vec<DynInst> = match self.format {
-            TraceFormat::V1 => serde::from_bytes(&bytes).map_err(|e| {
+            TraceFormat::V1 => serde::from_bytes(bytes).map_err(|e| {
                 TraceSourceError::Corrupt(format!("block {index} does not decode: {e}"))
             })?,
             TraceFormat::V2 => crate::trace_v2::decode_block(
-                &bytes,
+                bytes,
                 index as u64 * self.index.block_size,
                 meta.inst_count as usize,
             )
@@ -734,11 +756,7 @@ impl TraceFileInner {
                 found,
             });
         }
-        Ok(Arc::new(TraceBlock::counted(
-            index * self.index.block_size as usize,
-            insts,
-            &self.residency,
-        )))
+        Ok(insts)
     }
 }
 
@@ -761,18 +779,15 @@ impl TraceSource for TraceFile {
 
     fn block(&self, index: usize) -> Result<Arc<TraceBlock>, TraceSourceError> {
         let block = self.inner.fetch(index)?;
-        // Prefetch: bring the next block in while the consumer works through
-        // this one, so sequential streaming never stalls at a boundary — on
-        // the background thread when one is running, inline otherwise.  A
-        // prefetch failure is deliberately ignored here — if the consumer
-        // really reaches that block, the demand fetch will surface the error.
-        if index + 1 < self.inner.index.blocks.len() {
-            match &self.prefetcher {
-                Some(p) => p.request(index + 1),
-                None => {
-                    let _ = self.inner.fetch(index + 1);
-                }
-            }
+        // Read-ahead: keep the worker two blocks in front of the consumer
+        // (current + look-back + these two = RESIDENT_BLOCKS), or without a
+        // worker fetch the next block inline.  A read-ahead failure is
+        // deliberately ignored here — if the consumer really reaches that
+        // block, the demand fetch will surface the error.
+        let blocks = self.inner.index.blocks.len();
+        match &self.prefetcher {
+            Some(p) => (index + 1..blocks.min(index + 3)).for_each(|k| p.request(k)),
+            None => (index + 1..blocks.min(index + 2)).for_each(|k| drop(self.inner.fetch(k))),
         }
         Ok(block)
     }
@@ -996,6 +1011,87 @@ mod tests {
             );
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Rewrites a container's index in place (index digest recomputed) —
+    /// what an attacker who knows the format can do, since that digest is
+    /// plain FNV-1a over the index bytes.
+    fn rewrite_index(path: &Path, edit: impl FnOnce(&mut TraceIndex)) {
+        let mut bytes = std::fs::read(path).expect("read back");
+        let header = &bytes[TRACE_MAGIC.len()..DATA_START as usize];
+        let index_offset = u64::from_le_bytes(header.try_into().expect("8 bytes")) as usize;
+        let mut index: TraceIndex =
+            serde::from_bytes(&bytes[index_offset..bytes.len() - 8]).expect("index decodes");
+        edit(&mut index);
+        let index_bytes = serde::to_bytes(&index);
+        bytes.truncate(index_offset);
+        bytes.extend_from_slice(&index_bytes);
+        bytes.extend_from_slice(&crate::fnv1a(&index_bytes).to_le_bytes());
+        std::fs::write(path, &bytes).expect("write back");
+    }
+
+    #[test]
+    fn hostile_index_instruction_count_is_an_error_not_an_allocation() {
+        // One four-byte v2 record, and an index that claims 2^60 of them in
+        // geometry `open` accepts (one block, counts that sum).
+        let path = tmp("hostile-count");
+        let mut w = TraceFileWriter::create_as(&path, "one", 16, TraceFormat::V2).expect("create");
+        w.push_raw(DynInst::nop()).unwrap();
+        w.finish().unwrap();
+        rewrite_index(&path, |index| {
+            index.total_insts = 1 << 60;
+            index.block_size = 1 << 60;
+            index.blocks[0].inst_count = 1 << 60;
+        });
+        let f = TraceFile::open(&path).expect("the geometry is self-consistent");
+        match f.block(0) {
+            Err(TraceSourceError::Corrupt(msg)) => assert!(msg.contains("instructions"), "{msg}"),
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn containers_carrying_the_old_digest_definition_are_refused() {
+        // What builds before `InstDigest` recorded: FNV-1a over each
+        // instruction's serde image (whole: name first, length last).
+        fn old_digest(name: Option<&str>, insts: &[DynInst]) -> u64 {
+            let mut h = crate::Fnv1a::new();
+            if let Some(name) = name {
+                h.write(name.as_bytes());
+            }
+            for inst in insts {
+                h.write(&serde::to_bytes(inst));
+            }
+            if name.is_some() {
+                h.write_u64(insts.len() as u64);
+            }
+            h.finish()
+        }
+        let t = sample_trace(20); // 40 insts, 5 blocks of 8
+        for format in [TraceFormat::V1, TraceFormat::V2] {
+            let path = tmp(&format!("old-digests-{format}"));
+            TraceFileWriter::write_trace_as(&path, &t, 8, format).expect("write");
+            rewrite_index(&path, |index| {
+                index.whole_digest = old_digest(Some(t.name()), t.as_slice());
+                for (meta, insts) in index.blocks.iter_mut().zip(t.as_slice().chunks(8)) {
+                    meta.digest = old_digest(None, insts);
+                }
+            });
+            // The structure is intact, so it opens — and then every way of
+            // trusting its content refuses, with the existing typed errors.
+            let f = TraceFile::open(&path).expect("structure is valid");
+            for k in 0..f.block_count() {
+                assert!(
+                    matches!(f.block(k), Err(TraceSourceError::BlockDigestMismatch { index, .. }) if index == k),
+                    "{format} block {k}"
+                );
+            }
+            assert!(matches!(f.verify(), Err(TraceSourceError::BlockDigestMismatch { .. })));
+            let refused = TraceFile::open_validated(&path, t.digest()).expect_err("old identity");
+            assert!(matches!(refused, TraceSourceError::Corrupt(_)), "{format}: {refused}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

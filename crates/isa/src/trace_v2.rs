@@ -128,6 +128,9 @@ const FLAG_ADDR: u8 = 1 << 3;
 const FLAG_BRANCH: u8 = 1 << 4;
 const FLAG_TAKEN: u8 = 1 << 5;
 
+/// Shortest record: flags, opcode, one-byte `pc` and `imm` varints.
+const MIN_RECORD_BYTES: usize = 4;
+
 /// Encodes a block of instructions into `out` (appending).
 pub(crate) fn encode_block(insts: &[DynInst], out: &mut Vec<u8>) {
     let mut prev_pc: u64 = 0;
@@ -160,6 +163,14 @@ pub(crate) fn encode_block(insts: &[DynInst], out: &mut Vec<u8>) {
     }
 }
 
+/// Why a record did not decode; [`decode_block`] adds the byte position.
+enum Malformed {
+    Truncated,
+    Opcode(u8),
+    Register(u8),
+    VarintOverflow,
+}
+
 /// Bounds-checked byte reader over a block's encoded bytes.
 struct Reader<'a> {
     bytes: &'a [u8],
@@ -167,46 +178,43 @@ struct Reader<'a> {
 }
 
 impl Reader<'_> {
-    fn u8(&mut self) -> Result<u8, String> {
-        let b = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| format!("truncated at byte {}", self.pos))?;
+    fn u8(&mut self) -> Result<u8, Malformed> {
+        let b = *self.bytes.get(self.pos).ok_or(Malformed::Truncated)?;
         self.pos += 1;
         Ok(b)
     }
 
-    fn varint(&mut self) -> Result<u64, String> {
+    fn varint(&mut self) -> Result<u64, Malformed> {
         let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
+        for shift in (0..63).step_by(7) {
             let b = self.u8()?;
-            // The 10th byte can only contribute the top bit of a u64.
-            if shift == 63 && b > 1 {
-                return Err(format!("varint overflows u64 at byte {}", self.pos - 1));
-            }
             v |= u64::from(b & 0x7F) << shift;
             if b & 0x80 == 0 {
                 return Ok(v);
             }
         }
-        Err(format!("varint longer than 10 bytes at byte {}", self.pos))
+        // The 10th byte can only contribute the top bit of a u64, and ends it.
+        match self.u8()? {
+            b @ 0..=1 => Ok(v | u64::from(b) << 63),
+            _ => Err(Malformed::VarintOverflow),
+        }
     }
 
-    fn f32(&mut self) -> Result<f32, String> {
+    fn f32(&mut self) -> Result<f32, Malformed> {
         let at = self.pos;
         let bytes: [u8; 4] = self
             .bytes
             .get(at..at + 4)
             .and_then(|s| s.try_into().ok())
-            .ok_or_else(|| format!("truncated at byte {at}"))?;
+            .ok_or(Malformed::Truncated)?;
         self.pos += 4;
         Ok(f32::from_le_bytes(bytes))
     }
 
-    fn reg(&mut self) -> Result<Reg, String> {
+    fn reg(&mut self) -> Result<Reg, Malformed> {
         let r = self.u8()?;
         if usize::from(r) >= NUM_ARCH_REGS {
-            return Err(format!("register index {r} out of range"));
+            return Err(Malformed::Register(r));
         }
         Ok(Reg::from_index(usize::from(r)))
     }
@@ -224,16 +232,42 @@ pub(crate) fn decode_block(
     first_seq: u64,
     count: usize,
 ) -> Result<Vec<DynInst>, String> {
+    // `count` comes from the container index: bound it by what the bytes can
+    // hold (a record is at least flags, opcode, pc and imm) before reserving.
+    if count > bytes.len() / MIN_RECORD_BYTES {
+        return Err(format!(
+            "{} bytes cannot hold {count} instructions",
+            bytes.len()
+        ));
+    }
     let mut r = Reader { bytes, pos: 0 };
+    let insts = decode_records(&mut r, first_seq, count).map_err(|e| match e {
+        Malformed::Truncated => format!("truncated at byte {}", r.pos),
+        Malformed::Opcode(op) => format!("opcode ordinal {op} out of range"),
+        Malformed::Register(reg) => format!("register index {reg} out of range"),
+        Malformed::VarintOverflow => format!("varint overflows u64 at byte {}", r.pos - 1),
+    })?;
+    if r.pos != bytes.len() {
+        return Err(format!(
+            "{} trailing bytes after {count} instructions",
+            bytes.len() - r.pos
+        ));
+    }
+    Ok(insts)
+}
+
+fn decode_records(
+    r: &mut Reader<'_>,
+    first_seq: u64,
+    count: usize,
+) -> Result<Vec<DynInst>, Malformed> {
     let mut insts = Vec::with_capacity(count);
     let mut prev_pc: u64 = 0;
     let mut prev_addr: u64 = 0;
-    for k in 0..count {
+    for seq in first_seq..first_seq + count as InstSeq {
         let flags = r.u8()?;
         let op_byte = r.u8()?;
-        let op = *OPS
-            .get(usize::from(op_byte))
-            .ok_or_else(|| format!("opcode ordinal {op_byte} out of range"))?;
+        let op = *OPS.get(usize::from(op_byte)).ok_or(Malformed::Opcode(op_byte))?;
         let dst = (flags & FLAG_DST != 0).then(|| r.reg()).transpose()?;
         let src1 = (flags & FLAG_SRC1 != 0).then(|| r.reg()).transpose()?;
         let src2 = (flags & FLAG_SRC2 != 0).then(|| r.reg()).transpose()?;
@@ -258,7 +292,7 @@ pub(crate) fn decode_block(
             None
         };
         insts.push(DynInst {
-            seq: first_seq + k as InstSeq,
+            seq,
             pc,
             op,
             dst,
@@ -269,12 +303,6 @@ pub(crate) fn decode_block(
             width: width_of(flags >> 6),
             branch,
         });
-    }
-    if r.pos != bytes.len() {
-        return Err(format!(
-            "{} trailing bytes after {count} instructions",
-            bytes.len() - r.pos
-        ));
     }
     Ok(insts)
 }
@@ -308,8 +336,11 @@ mod tests {
             i.width = w;
             v.push(i.with_seq(v.len() as u64).with_pc(0x2000));
         }
-        let imm = DynInst::alu_imm(Op::Xor, Reg::int(9), Reg::int(9), u64::MAX - 5);
-        v.push(imm.with_seq(v.len() as u64).with_pc(0x3000));
+        // ... and the two immediates whose zigzag needs all ten varint bytes.
+        for imm in [u64::MAX - 5, 1 << 62, 1 << 63] {
+            let imm = DynInst::alu_imm(Op::Xor, Reg::int(9), Reg::int(9), imm);
+            v.push(imm.with_seq(v.len() as u64).with_pc(0x3000));
+        }
         let back = DynInst::branch(Reg::int(1), true, 0x10, 0.0).with_pc(0xFFFF_0000);
         v.push(back.with_seq(v.len() as u64));
         v
@@ -359,24 +390,24 @@ mod tests {
     fn hostile_ordinals_are_errors() {
         // Opcode ordinal 16 does not exist (OPS covers 0..16).
         let bytes = [0u8, 16, 0, 0];
-        assert!(decode_block(&bytes, 0, 1).unwrap_err().contains("opcode"));
+        assert!(decode_block(&bytes, 0, 1).unwrap_err().contains("opcode ordinal 16"));
         // Register index 64 is out of range.
         let bytes = [FLAG_DST, 15, 64, 0, 0];
-        assert!(decode_block(&bytes, 0, 1).unwrap_err().contains("register"));
+        assert!(decode_block(&bytes, 0, 1).unwrap_err().contains("register index 64"));
     }
 
     #[test]
     fn hostile_varints_are_errors() {
-        // Eleven continuation bytes: longer than any u64 varint.
+        // A 10th byte that continues: longer than any u64 varint.
         let mut bytes = vec![0u8, 15];
         bytes.extend_from_slice(&[0x80; 10]);
         bytes.push(0x01);
-        assert!(decode_block(&bytes, 0, 1).unwrap_err().contains("varint"));
+        assert_eq!(decode_block(&bytes, 0, 1).unwrap_err(), "varint overflows u64 at byte 11");
         // A 10-byte varint whose final byte overflows the top bit.
         let mut bytes = vec![0u8, 15];
         bytes.extend_from_slice(&[0x80; 9]);
         bytes.push(0x7F);
-        assert!(decode_block(&bytes, 0, 1).unwrap_err().contains("varint"));
+        assert_eq!(decode_block(&bytes, 0, 1).unwrap_err(), "varint overflows u64 at byte 11");
     }
 
     #[test]

@@ -19,8 +19,7 @@ use crate::SplitMix64;
 use icfp_isa::source::{
     block_digest_of, BlockCache, Residency, TraceBlock, TraceSource, TraceSourceError,
 };
-use icfp_isa::{DynInst, Fnv1a, InstSeq, Op, Reg, Trace, TraceBuilder};
-use serde::Serialize;
+use icfp_isa::{inst_mix, DynInst, InstDigest, InstSeq, Op, Reg, Trace, TraceBuilder};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -327,35 +326,29 @@ impl WorkloadSource {
         let mut emit = EmitState::new(gen);
         let mut boundaries = Vec::new();
         let mut block_digests = Vec::new();
-        let mut whole = Fnv1a::new();
-        whole.write(name.as_bytes());
-        let mut buf: Vec<u8> = Vec::with_capacity(64);
-        let mut block: Vec<DynInst> = Vec::with_capacity(block_size);
+        let mut whole = InstDigest::named(name);
         loop {
             boundaries.push(emit.clone());
-            block.clear();
-            while block.len() < block_size {
-                match emit.next(insts) {
-                    Some(i) => block.push(i),
-                    None => break,
-                }
+            // One mix per instruction, folded into both chains.
+            let mut block = InstDigest::new();
+            let mut len = 0;
+            while len < block_size {
+                let Some(inst) = emit.next(insts) else { break };
+                let mix = inst_mix(&inst);
+                whole.push_mix(mix);
+                block.push_mix(mix);
+                len += 1;
             }
-            if block.is_empty() {
+            if len == 0 {
                 boundaries.pop();
                 break;
             }
-            for inst in &block {
-                buf.clear();
-                Serialize::serialize(inst, &mut buf);
-                whole.write(&buf);
-            }
-            block_digests.push(block_digest_of(&block));
-            if block.len() < block_size {
+            block_digests.push(block.finish());
+            if len < block_size {
                 break;
             }
         }
         let total = emit.next_seq as usize;
-        whole.write_u64(total as u64);
         WorkloadSource {
             name: name.to_string(),
             target: insts,
@@ -403,11 +396,13 @@ impl TraceSource for WorkloadSource {
                     None => break,
                 }
             }
-            debug_assert_eq!(
-                block_digest_of(&insts),
-                self.block_digests[index],
-                "regenerated block diverged from the scan"
-            );
+            // The scan's digest is what consumers were promised (checkpoint
+            // resume validates against it), so a regeneration that diverges
+            // from it is refused, in every profile.
+            let (expected, found) = (self.block_digests[index], block_digest_of(&insts));
+            if found != expected {
+                return Err(TraceSourceError::BlockDigestMismatch { index, expected, found });
+            }
             Ok(Arc::new(TraceBlock::counted(
                 index * self.block_size,
                 insts,
@@ -434,5 +429,27 @@ impl TraceSource for WorkloadSource {
 impl From<WorkloadSource> for Arc<dyn TraceSource> {
     fn from(src: WorkloadSource) -> Self {
         Arc::new(src)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_regeneration_that_diverges_from_the_scan_is_a_typed_error() {
+        let gen = Gen::Chase(PointerChaseGen::new(1 << 20, 7));
+        let mut src = WorkloadSource::new("pointer-chase", gen, 300, 64);
+        // Damage one stored boundary: block 1 now regenerates at other PCs.
+        src.boundaries[1].next_pc += 4;
+        src.block(0).expect("block 0 resumes from an intact boundary");
+        let expected = src.block_digests[1];
+        match src.block(1) {
+            Err(TraceSourceError::BlockDigestMismatch { index: 1, expected: e, found }) => {
+                assert_eq!(e, expected);
+                assert_ne!(found, expected);
+            }
+            other => panic!("expected a digest mismatch, got {other:?}"),
+        }
     }
 }

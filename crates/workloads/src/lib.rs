@@ -236,7 +236,7 @@ pub fn by_name_or_err(name: &str, insts: usize, seed: u64) -> Result<Trace, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icfp_isa::{Reg, TraceSource};
+    use icfp_isa::{Reg, TraceFile, TraceFileWriter, TraceFormat, TraceSource};
 
     #[test]
     fn generators_are_deterministic() {
@@ -319,6 +319,28 @@ mod tests {
                 });
             }
             assert_eq!(at, arena.len());
+            // One identity across every backing: arena, generator, and a v1
+            // and a v2 container, block by block (the last one short).
+            assert_ne!(arena.len() % 64, 0, "{}: the last block must be partial", spec.name);
+            let blocks = icfp_isa::ArenaSource::with_block_size(arena.clone(), 64);
+            for format in [TraceFormat::V1, TraceFormat::V2] {
+                let path = std::env::temp_dir().join(format!(
+                    "icfp-workloads-test-{}-{}-{format}",
+                    std::process::id(),
+                    spec.name
+                ));
+                let written = TraceFileWriter::write_source_as(&path, &src, 64, format).unwrap();
+                assert_eq!(written.digest, arena.digest(), "{} {format}", spec.name);
+                let file = TraceFile::open_validated(&path, src.digest()).unwrap();
+                file.verify().unwrap();
+                assert_eq!(file.block_count(), src.block_count());
+                for k in 0..src.block_count() {
+                    let want = blocks.block_digest(k).unwrap();
+                    assert_eq!(src.block_digest(k).unwrap(), want, "{} block {k}", spec.name);
+                    assert_eq!(file.block_digest(k).unwrap(), want, "{} {format} {k}", spec.name);
+                }
+                let _ = std::fs::remove_file(&path);
+            }
             // Random re-access regenerates identically (snapshot resume).
             let again = src.block(0).unwrap();
             assert_eq!(again.insts()[0], *arena.get(0).unwrap());
