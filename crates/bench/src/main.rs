@@ -13,7 +13,7 @@
 //! warmup; `--cache-dir DIR` adds a persistent `icfp-cache/v1` result store
 //! (repeated or overlapping grids are served from disk, byte-identically).
 //! `sweep submit --server ADDR` sends the same grid to a running `icfp-sweepd`
-//! over `icfp-wire/v2`; `sweep submit --workers A,B[,..]` deals its fork groups
+//! over `icfp-wire/v3`; `sweep submit --workers A,B[,..]` deals its fork groups
 //! across `icfp-sweepd --worker` processes (a shard carries per-column trace
 //! *digests*, never trace bytes) and merges the streamed cells into a report
 //! digest-identical to a serial local run, even when a worker dies mid-shard
@@ -337,7 +337,7 @@ fn sweep_plan(argv: &[String]) -> Result<(), CliError> {
     let planned = |name: &String| plan.iter().flat_map(|s| &s.columns).find(|c| c.workload == *name);
     let digest = |name| planned(name).map_or(0, |column| column.trace_digest);
     let digests: Vec<u64> = spec.workloads.iter().map(digest).collect();
-    for shard in &plan {
+    for (k, shard) in plan.iter().enumerate() {
         // A fork group is the cells of one column that share a cache key;
         // cells whose configurations differ only along axes their model never
         // reads canonicalize to one key, and so to one entry.
@@ -357,15 +357,11 @@ fn sweep_plan(argv: &[String]) -> Result<(), CliError> {
         let worker = if args.workers.is_empty() {
             String::new()
         } else {
-            format!(
-                "  -> {}",
-                args.workers[shard.shard_index as usize % args.workers.len()]
-            )
+            format!("  -> {}", args.workers[k % args.workers.len()])
         };
         println!(
-            "shard {}: {} cells in {groups} groups ({} per column), {} distinct cache entries \
+            "shard {k}: {} cells in {groups} groups ({} per column), {} distinct cache entries \
              (inert-axis sharing){worker}",
-            shard.shard_index,
             shard.cell_count(),
             per_column.join("+"),
             keys.len(),

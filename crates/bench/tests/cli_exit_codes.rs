@@ -3,8 +3,8 @@
 //! protocol violation, server-reported error) must map to its own distinct
 //! exit code so scripts can tell "fix the spec" from "retry later" from
 //! "incompatible peer" — and to the *same* code whether the grid went to one
-//! server (`--server`, a `Submit`) or to a worker pool (`--workers`, a
-//! `ShardSubmit`).  Every run is a sweep: the plain invocation, `--server`
+//! server (`--server`, the whole grid in one `Submit`) or to a worker pool
+//! (`--workers`, a `Submit` per planned shard).  Every run is a sweep: the plain invocation, `--server`
 //! and `--workers` give one answer for one spec, registry and container
 //! columns alike, and refuse input that leaves nothing to time.
 
@@ -117,16 +117,18 @@ fn spawn_serve(worker: bool) -> (String, impl FnOnce()) {
 /// The two remote front ends, by the flag that names their peer.
 const FRONT_ENDS: [&str; 2] = ["--server", "--workers"];
 
-/// Consumes the submission `front_end` sends: a `Submit` from `--server`,
-/// a `ShardSubmit` from `--workers`.
+/// Consumes the submission `front_end` sends: a `Submit` either way — the
+/// whole grid without digests from `--server`, a planned shard with its
+/// digests from `--workers`.
 fn recv_submission(r: &mut BufReader<TcpStream>, front_end: &str) {
     match (recv_req(r), front_end) {
-        (Request::Submit { .. }, "--server") | (Request::ShardSubmit { .. }, "--workers") => {}
+        (Request::Submit { work, .. }, "--server") if work.columns.is_empty() => {}
+        (Request::Submit { work, .. }, "--workers") if !work.columns.is_empty() => {}
         (other, _) => panic!("{front_end} sent {other:?}"),
     }
 }
 
-/// The scripted server's side of a successful v2 handshake.
+/// The scripted server's side of a successful handshake.
 fn send_hello2(w: &mut BufWriter<TcpStream>) {
     send_resp(
         w,

@@ -161,7 +161,10 @@ pub struct CoreConfig {
     /// (the first probe is free because it proceeds in parallel with the
     /// data-cache access, Section 3.2).
     pub chain_hop_penalty: u64,
-    /// Signature size in bits for multiprocessor safety (Section 3.3).
+    /// Signature size in bits for multiprocessor safety (Section 3.3).  No
+    /// model builds a signature — uniprocessor traces carry no external
+    /// stores to probe one — but the field is part of the serialized
+    /// configuration, so it stays until cache keys are next re-recorded.
     pub signature_bits: usize,
 }
 

@@ -5,92 +5,30 @@
 //! miss (not at the miss itself), exactly as the paper describes, because
 //! issue is in order: a stalled instruction blocks everything younger.
 
-use crate::common::{seed_start, Engine, OperandWait};
+use crate::common::seed_start;
 use crate::config::CoreConfig;
 use crate::engine::CoreModel;
-use icfp_isa::{exec::ArchState, Cycle, OpClass, TraceCursor};
+use crate::runahead::Machine;
+use icfp_isa::{exec::ArchState, TraceCursor};
 use icfp_pipeline::RunResult;
-use std::collections::VecDeque;
 
 /// Simulates the trace to completion on the vanilla in-order core, starting
-/// from the functional fast-forward state `warm` if one is given.
+/// from the functional fast-forward state `warm` if one is given: the
+/// latency-tolerant machine's normal mode, with advance compiled out.
 pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
-    let mut eng = Engine::new(cfg);
-    let start = seed_start(&mut eng, warm, trace.len());
-    // Outstanding (not yet drained) stores: (drain completion, word addr).
-    let mut store_q: VecDeque<(Cycle, u64)> = VecDeque::new();
-    let sb_capacity = cfg.pipeline.baseline_store_buffer;
-    let l1_lat = cfg.mem.l1_hit_latency;
-
+    let mut m = Machine::new(cfg, 0);
+    let start = seed_start(&mut m.eng, warm, trace.len());
     // Walk the trace block by block: the per-instruction work reads a
     // plain slice, so streamed sources pay the cursor's RefCell dispatch
     // once per block instead of once per instruction.
     trace.for_each_block_from(start, |first, insts| {
         for (off, inst) in insts.iter().enumerate() {
-            let idx = first + off;
-            let seq = idx as u64;
-            // A full store buffer stalls the pipeline until the oldest store
-            // drains.
-            let mut hold = 0;
-            if inst.is_store() {
-                while store_q.len() >= sb_capacity {
-                    hold = hold.max(store_q.pop_front().expect("non-empty").0);
-                }
-            }
-            let (issue, _) = eng.visit(inst, OperandWait::Always, hold);
-
-            match inst.class() {
-                OpClass::Load => {
-                    eng.stats.demand_loads += 1;
-                    let addr = inst.addr.expect("load without address");
-                    // Retire drained stores.
-                    while matches!(store_q.front(), Some(&(done, _)) if done <= issue) {
-                        store_q.pop_front();
-                    }
-                    // Forward from an outstanding store if one matches.
-                    let forwarded = store_q.iter().rev().any(|&(_, a)| a == (addr & !7));
-                    let completes = if forwarded {
-                        eng.stats.store_forwards += 1;
-                        issue + l1_lat
-                    } else {
-                        let (completes, _outcome, _) = eng.demand_load(addr, issue);
-                        completes
-                    };
-                    let value = eng.arch_mem.read(addr);
-                    if let Some(dst) = inst.dst {
-                        eng.rf.write(dst, value, completes, seq);
-                    }
-                    eng.note_completion(completes);
-                }
-                OpClass::Store => {
-                    let addr = inst.addr.expect("store without address");
-                    let data = inst
-                        .store_data_reg()
-                        .map(|r| eng.rf.value(r))
-                        .unwrap_or(0);
-                    eng.arch_mem.write(addr, data);
-                    let drain_done = eng.demand_store(addr, issue + 1);
-                    store_q.push_back((drain_done, addr & !7));
-                    eng.note_completion(issue + 1);
-                }
-                OpClass::Branch => {
-                    let resolve = issue + inst.latency();
-                    eng.exec_branch(inst, resolve);
-                    eng.note_completion(resolve);
-                }
-                _ => {
-                    let value = eng.compute(inst);
-                    let completes = issue + inst.latency();
-                    if let (Some(dst), Some(v)) = (inst.dst, value) {
-                        eng.rf.write(dst, v, completes, seq);
-                    }
-                    eng.note_completion(completes);
-                }
-            }
+            let episode = m.normal_visit::<false>(inst, first + off);
+            debug_assert!(episode.is_none(), "advance is compiled out");
         }
         true
     });
-    eng.finish(CoreModel::InOrder.name(), trace)
+    m.eng.finish(CoreModel::InOrder.name(), trace)
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 //!
 //! Supporting structures that the paper introduces or relies on are their own
 //! modules: the address-hash-chained store buffer ([`storebuf`]), the slice
-//! buffer ([`slicebuf`]), the store redo log and runahead cache (also in
-//! [`storebuf`]), and the multiprocessor-safety signature ([`signature`]).
+//! buffer ([`slicebuf`]), and the store redo log and runahead cache (also in
+//! [`storebuf`]).
 //!
 //! Every model reads a trace through an [`icfp_isa::TraceCursor`] — so the
 //! same code path serves in-memory arenas (the cursor's zero-cost fast path)
@@ -54,7 +54,6 @@ pub mod icfp;
 pub mod inorder;
 pub mod multipass;
 pub mod runahead;
-pub mod signature;
 pub mod slicebuf;
 pub mod sltp;
 pub mod storebuf;
@@ -63,6 +62,5 @@ pub use common::Engine;
 pub use config::{AdvancePolicy, CoreConfig, IcfpFeatures, StoreBufferKind};
 pub use engine::{run_model, CoreEngine, CoreModel, EngineSnapshot};
 pub use icfp::IcfpMachine;
-pub use signature::Signature;
 pub use slicebuf::{SliceBuffer, SliceEntry};
-pub use storebuf::{AssocStoreBuffer, ChainedStoreBuffer, LimitedStoreBuffer, RunaheadCache, StoreRedoLog};
+pub use storebuf::{ChainedStoreBuffer, RunaheadCache, StoreRedoLog};

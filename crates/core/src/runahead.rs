@@ -40,20 +40,13 @@ pub(crate) fn runahead_like_run(
     model: CoreModel,
     warm: Option<&ArchState>,
 ) -> RunResult {
-    let mut m = Machine {
-        eng: Engine::new(cfg),
-        store_q: VecDeque::new(),
-        rcache: RunaheadCache::new(cfg.runahead_cache_entries),
-        results: FxHashMap::default(),
-        result_capacity: if model == CoreModel::Multipass { cfg.result_buffer_entries } else { 0 },
-        saved_end: 0,
-        poisoned_store_seen: false,
-    };
+    let result_capacity = if model == CoreModel::Multipass { cfg.result_buffer_entries } else { 0 };
+    let mut m = Machine::new(cfg, result_capacity);
     let len = trace.len();
     let mut insts = trace.reader();
     let mut i = seed_start(&mut m.eng, warm, len);
     while i < len {
-        let Some(trigger_return) = m.normal_visit(insts.inst(i), i) else {
+        let Some(trigger_return) = m.normal_visit::<true>(insts.inst(i), i) else {
             i += 1;
             continue;
         };
@@ -76,8 +69,11 @@ pub(crate) fn runahead_like_run(
     m.eng.finish(model.name(), trace)
 }
 
-struct Machine {
-    eng: Engine,
+/// The pipeline outside advance mode — which *is* the in-order core
+/// ([`crate::inorder`] runs it with advance compiled out) — plus what an
+/// advance episode adds to it.
+pub(crate) struct Machine {
+    pub(crate) eng: Engine,
     /// Outstanding (not yet drained) stores: (drain completion, word addr).
     store_q: VecDeque<(Cycle, u64)>,
     rcache: RunaheadCache,
@@ -99,15 +95,32 @@ struct Machine {
 }
 
 impl Machine {
+    /// A machine whose result buffer holds `result_capacity` entries.
+    pub(crate) fn new(cfg: &CoreConfig, result_capacity: usize) -> Self {
+        Machine {
+            eng: Engine::new(cfg),
+            store_q: VecDeque::new(),
+            rcache: RunaheadCache::new(cfg.runahead_cache_entries),
+            results: FxHashMap::default(),
+            result_capacity,
+            saved_end: 0,
+            poisoned_store_seen: false,
+        }
+    }
+
     /// Executes instruction `i` outside an advance episode.  Returns the
     /// cycle the miss returns at if it is a load that starts one (checkpoint
-    /// taken here, destination poisoned).
-    fn normal_visit(&mut self, inst: &DynInst, i: usize) -> Option<Cycle> {
+    /// taken here, destination poisoned) — never, when `ADVANCES` is false:
+    /// the saved-result probe and the trigger fold away, and what is left is
+    /// the in-order pipeline.
+    #[inline(always)]
+    pub(crate) fn normal_visit<const ADVANCES: bool>(&mut self, inst: &DynInst, i: usize) -> Option<Cycle> {
         let eng = &mut self.eng;
         let seq = i as u64;
         let l1_lat = eng.cfg.mem.l1_hit_latency;
         // Multipass: a saved result breaks the dependence during re-execution.
-        let saved = if i < self.saved_end { self.results.get(&i).copied() } else { None };
+        let probe = ADVANCES && i < self.saved_end;
+        let saved = if probe { self.results.get(&i).copied() } else { None };
         // A full store buffer stalls the pipeline until the oldest store drains.
         let mut hold = 0;
         if inst.is_store() {
@@ -133,8 +146,8 @@ impl Machine {
                 }
                 let (completes, outcome) = self.load_access(addr, issue);
                 let eng = &mut self.eng;
-                let triggers = eng.cfg.advance_policy.triggers_on(outcome.is_l2_miss());
-                if outcome.is_l1_miss() && triggers && completes > issue + l1_lat {
+                let triggers = ADVANCES && eng.cfg.advance_policy.triggers_on(outcome.is_l2_miss());
+                if triggers && outcome.is_l1_miss() && completes > issue + l1_lat {
                     // Enter advance mode: checkpoint here, poison the dest.
                     eng.rf.checkpoint(issue, seq);
                     eng.stats.advance_episodes += 1;
@@ -270,6 +283,7 @@ impl Machine {
     /// A clean load's memory access at `issue`: forwarded from the
     /// conventional store buffer if an outstanding store matches, otherwise
     /// a demand access.  Returns `(completes_at, outcome)`.
+    #[inline(always)]
     fn load_access(&mut self, addr: Addr, issue: Cycle) -> (Cycle, AccessOutcome) {
         while matches!(self.store_q.front(), Some(&(done, _)) if done <= issue) {
             self.store_q.pop_front();

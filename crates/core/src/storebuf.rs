@@ -491,12 +491,6 @@ impl StoreRedoLog {
     }
 }
 
-/// Idealised fully-associative store buffer (Figure 8 comparison point).
-pub type AssocStoreBuffer = ChainedStoreBuffer;
-
-/// Indexed store buffer with limited forwarding (Figure 8 comparison point).
-pub type LimitedStoreBuffer = ChainedStoreBuffer;
-
 #[cfg(test)]
 mod tests {
     use super::*;

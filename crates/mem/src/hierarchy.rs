@@ -197,14 +197,6 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Invalidates `addr` from both cache levels (external store / coherence
-    /// action).  Returns true if any level held the line.
-    pub fn external_invalidate(&mut self, addr: Addr) -> bool {
-        let a = self.l1d.invalidate(addr);
-        let b = self.l2.invalidate(addr);
-        a || b
-    }
-
     /// Invalidates `addr` from the L1 only (used by SLTP's speculative-line
     /// flush before a rally).
     pub fn invalidate_l1(&mut self, addr: Addr) -> bool {
@@ -477,15 +469,6 @@ mod tests {
             outcomes.contains(&AccessOutcome::PrefetchHit),
             "expected some prefetch hits on a sequential stream: {outcomes:?}"
         );
-    }
-
-    #[test]
-    fn external_invalidate_forces_remiss() {
-        let mut m = hier();
-        let a = m.load(0x4000, 0).unwrap();
-        assert!(m.external_invalidate(0x4000));
-        let r = m.load(0x4000, a.completes_at + 10).unwrap();
-        assert!(r.outcome.is_l1_miss());
     }
 
     #[test]

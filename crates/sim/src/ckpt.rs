@@ -81,7 +81,8 @@ pub enum CkptError {
     /// The container does not start with [`CKPT_MAGIC`] (wrong file or a
     /// future format version).
     BadMagic,
-    /// The container is shorter than its header/length field promises.
+    /// The container is not the size its header/length field promises:
+    /// shorter, or followed by bytes that are not part of it.
     Truncated,
     /// The payload digest does not match — the bytes were corrupted.
     DigestMismatch {
@@ -198,7 +199,12 @@ impl SimCheckpoint {
         }
         let payload_len = payload_len as usize;
         let (payload, tail) = rest.split_at(payload_len);
-        let expected = u64::from_le_bytes(tail[..8].try_into().expect("8 bytes"));
+        if tail.len() != 8 {
+            // Bytes after the digest (two containers concatenated, a longer
+            // file partly overwritten) are as suspect as truncation.
+            return Err(CkptError::Truncated);
+        }
+        let expected = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
         let found = fnv1a(payload);
         if found != expected {
             return Err(CkptError::DigestMismatch { expected, found });
@@ -295,6 +301,12 @@ mod tests {
                 Err(CkptError::Truncated),
                 "cut at {cut}"
             );
+        }
+        // Bytes after the digest — a stray one, a second container — are the
+        // same error: the container is not the size its length field says.
+        for trailing in [&[0u8][..], &bytes[..]] {
+            let longer = [&bytes[..], trailing].concat();
+            assert_eq!(SimCheckpoint::from_bytes(&longer), Err(CkptError::Truncated));
         }
     }
 

@@ -13,7 +13,8 @@
 //! ([`crate::plan::plan_shards`]) deals the grid's fork groups — the unit of
 //! distribution — evenly across the shards, each shard travels as the spec,
 //! its cells and per-column trace *digests* (never trace bytes; see
-//! [`crate::plan`]), workers stream cells back under full-grid indices, and
+//! [`crate::plan`]) in the same request and conversation a whole spec does
+//! ([`submit_shard`]), workers stream cells back under full-grid indices, and
 //! a deterministic merge
 //! ([`crate::plan::merge_report`]) reassembles them in expand order — so
 //! shard count, worker count and completion order are all invisible in the
@@ -44,8 +45,9 @@ pub enum SweepError {
     /// spec the client refused ([`WireError::Spec`]) — retriable failures
     /// ([`WireError::is_retriable`]) only after every retry.
     Wire(WireError),
-    /// These shards failed on every worker they were offered to; ascending
-    /// shard index, never empty.
+    /// These shards failed on every worker they were offered to: each with
+    /// its position in the plan (what `sweep plan` prints), ascending, never
+    /// empty.
     Shards(Vec<(u64, WireError)>),
 }
 
@@ -237,34 +239,40 @@ impl ExecBackend for RemoteBackend {
         let mut failed: Vec<(u64, WireError)> = Vec::new();
 
         // One driver thread per shard; the calling thread runs the merge
-        // loop (and the caller's stream callback).  Cells cross the channel
-        // only after submit_shard verified the worker's digest, so a worker
-        // that died mid-stream — whose attempt is being retried elsewhere —
-        // never contributes half a shard.
+        // loop (and the caller's stream callback).  An attempt's cells are
+        // collected as they stream and cross the channel only after
+        // submit_shard verified the worker's digest, so a worker that died
+        // mid-stream — whose attempt is being retried elsewhere — never
+        // contributes half a shard.
         std::thread::scope(|scope| {
             let (tx, rx) = mpsc::channel();
-            for shard in &shards {
+            for (home, shard) in shards.iter().enumerate() {
                 let tx = tx.clone();
                 scope.spawn(move || {
                     // Rotate through the pool: the first attempt lands on
                     // this shard's home worker, each retry moves to the next
                     // — that rotation *is* reassignment when a worker is
                     // gone.
-                    let home = shard.shard_index as usize;
                     let result = with_retries(&self.policy, |attempt| {
                         let addr = &self.workers[(home + attempt as usize) % self.workers.len()];
-                        submit_shard(addr, shard, self.threads, self.policy.io_timeout())
+                        let mut cells = Vec::with_capacity(shard.cell_count());
+                        let mut collect = |index, cached, cell: &SweepCell| {
+                            cells.push((index, cached, cell.clone()));
+                        };
+                        let timeout = self.policy.io_timeout();
+                        submit_shard(addr, shard, self.threads, timeout, &mut collect)
+                            .map(|done| (cells, done.hits, done.misses))
                     });
-                    let _ = tx.send((shard.shard_index, result));
+                    let _ = tx.send((home as u64, result));
                 });
             }
             drop(tx);
-            for (shard_index, result) in rx {
+            for (shard, result) in rx {
                 match result {
-                    Ok(outcome) => {
-                        stats.hits += outcome.hits;
-                        stats.misses += outcome.misses;
-                        for (index, cached, cell) in outcome.cells {
+                    Ok((cells, hits, misses)) => {
+                        stats.hits += hits;
+                        stats.misses += misses;
+                        for (index, cached, cell) in cells {
                             // Shards partition the grid and each commits
                             // once, so every slot fills exactly once.
                             debug_assert!(slots[index].is_none());
@@ -276,13 +284,13 @@ impl ExecBackend for RemoteBackend {
                             slots[index] = Some(cell);
                         }
                     }
-                    Err(e) => failed.push((shard_index, e)),
+                    Err(e) => failed.push((shard, e)),
                 }
             }
         });
 
         if !failed.is_empty() {
-            failed.sort_by_key(|(shard_index, _)| *shard_index);
+            failed.sort_by_key(|(shard, _)| *shard);
             return Err(SweepError::Shards(failed));
         }
         let report = merge_report(spec, self.workers.len(), slots)

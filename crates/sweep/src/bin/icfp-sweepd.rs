@@ -1,6 +1,6 @@
 //! `icfp-sweepd` — the persistent sweep service.
 //!
-//! Listens on a TCP address, accepts `icfp-wire/v2` connections
+//! Listens on a TCP address, accepts `icfp-wire/v3` connections
 //! (`icfp-bench sweep submit --server ADDR` is the client), executes each
 //! submitted sweep through the shared executor, and streams cells back as
 //! they finish.  With `--cache-dir` the server keeps a persistent
@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str = "icfp-sweepd — persistent sweep service (icfp-wire/v2)
+const USAGE: &str = "icfp-sweepd — persistent sweep service (icfp-wire/v3)
 
 USAGE:
     icfp-sweepd [OPTIONS]

@@ -20,8 +20,14 @@
 //! 29+n    8     FNV-1a 64 digest of the payload, u64 LE
 //! ```
 //!
-//! Entries are written first-write-wins via a temp file + atomic rename, so
-//! concurrent sweeps over one cache directory never observe a torn entry.
+//! Entries are written first-write-wins: the finished bytes go to a temp file
+//! and are published under the entry's name with `hard_link`, which creates
+//! the name only if it is absent — atomically, so of any number of writers
+//! racing on one key (two submissions to one daemon, two processes over one
+//! directory, two identical-content columns on one pool) exactly one
+//! publishes, the others are told they lost, and no reader ever observes a
+//! torn entry.  (`rename` replaces silently — last write wins — and would
+//! leave the first writer's report holding figures its cache no longer has.)
 //! Every load failure — wrong magic, truncation, key or digest mismatch,
 //! undecodable payload — is a typed [`CacheError`], never a panic; the
 //! executor treats a damaged entry as a miss and recomputes.
@@ -206,9 +212,10 @@ impl ResultCache {
         Self::decode_entry(key, &bytes).map(Some)
     }
 
-    /// Stores an entry, first-write-wins: an existing entry is left alone
-    /// (returns `Ok(false)`), otherwise the entry is written to a temp file
-    /// and atomically renamed in (returns `Ok(true)`).
+    /// Stores an entry, first-write-wins (see the module docs): `Ok(true)`
+    /// for the one writer that published it, `Ok(false)` when an entry
+    /// exists — before the write or by the time of the link — and is left
+    /// alone.
     ///
     /// # Errors
     ///
@@ -225,13 +232,18 @@ impl ResultCache {
         ));
         let mut bytes = Self::encode_entry(key, figures);
         if let Some(plan) = &self.fault {
-            // The injection harness tears the write *before* the atomic
-            // rename, reproducing what only a mid-write crash could leave.
+            // The injection harness tears the write *before* it is
+            // published, reproducing what only a mid-write crash could leave.
             plan.corrupt_cache_write(&mut bytes);
         }
         fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, &path)?;
-        Ok(true)
+        let published = fs::hard_link(&tmp, &path);
+        let _ = fs::remove_file(&tmp);
+        match published {
+            Ok(()) => Ok(true),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => Ok(false),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Removes the entry for `key` (used by the executor to evict a damaged
@@ -305,6 +317,36 @@ mod tests {
         assert!(!cache.store(key, &other).unwrap());
         assert_eq!(cache.load(key).unwrap().unwrap(), figures());
         assert_eq!(cache.entry_count().unwrap(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn racing_writers_of_one_key_publish_exactly_one_entry() {
+        // Two writers released together onto each key, with different
+        // figures: one must be told it won and the other that it lost, and
+        // the entry must hold the winner's figures.
+        const KEYS: usize = 256;
+        let dir = tmp_dir("race");
+        let cache = ResultCache::open(&dir).unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let writer = |who: u64| {
+            let mine = CellFigures { cycles: who, ..figures() };
+            let store = |key| {
+                barrier.wait();
+                cache.store(key as u64, &mine).expect("store")
+            };
+            (0..KEYS).map(store).collect::<Vec<bool>>()
+        };
+        let (first, second) = std::thread::scope(|s| {
+            let (first, second) = (s.spawn(|| writer(1)), s.spawn(|| writer(2)));
+            (first.join().expect("writer 1"), second.join().expect("writer 2"))
+        });
+        for key in 0..KEYS {
+            assert_ne!(first[key], second[key], "key {key}: exactly one writer publishes");
+            let winner = if first[key] { 1 } else { 2 };
+            assert_eq!(cache.load(key as u64).unwrap().unwrap().cycles, winner, "key {key}");
+        }
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), KEYS, "no temp file outlives its store");
         let _ = fs::remove_dir_all(&dir);
     }
 

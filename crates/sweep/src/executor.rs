@@ -238,7 +238,9 @@ pub fn run_sweep_streamed(
     opts: &ExecOptions<'_>,
     on_cell: impl FnMut(CellEvent<'_>),
 ) -> Result<SweepOutcome, String> {
-    Prepared::new(spec, opts, None)?.run(on_cell)
+    // `whole` names every cell, so the count must be bounded first.
+    spec.validate_axes()?;
+    Prepared::new(&SweepShard::whole(spec), opts)?.run(on_cell)
 }
 
 /// Partitions an expanded grid into its *fork groups*: the jobs of one column
@@ -275,7 +277,7 @@ pub(crate) fn fork_groups(jobs: &[SweepJob], columns: usize) -> Vec<Vec<usize>> 
 enum ColumnState {
     /// Resolved; nothing generated or decoded yet.
     Resolved(Column),
-    /// Built and, on the shard path, digest-checked: some group needs it yet.
+    /// Built and, where a digest was supplied, checked: some group needs it yet.
     Live(Arc<dyn TraceSource>),
     /// Every group of the column has finished or failed, or none runs here.
     Released,
@@ -286,7 +288,7 @@ struct ColumnSlot {
     state: Mutex<ColumnState>,
     /// Groups yet to finish or fail; the last one out releases the trace.
     remaining: AtomicUsize,
-    /// The shard planner's content digest, which the built trace must match.
+    /// The submission's content digest, which the built trace must match.
     expect: Option<u64>,
 }
 
@@ -312,34 +314,29 @@ pub(crate) struct Prepared<'a> {
 }
 
 impl<'a> Prepared<'a> {
-    /// Prepares the whole grid of `spec` or — given the shard `spec` came in
-    /// — that shard's cells, its columns held to the planner's digests.
-    /// Validates the axes, expands and groups the grid, and resolves each
-    /// column some group runs on ([`resolve_column`]): an unknown column is
-    /// refused here, nothing is generated.
+    /// Prepares the cells `work` names — the whole grid
+    /// ([`SweepShard::whole`]) or one shard of it — its columns held to
+    /// whatever digests it carries.  Validates the axes, expands the grid,
+    /// checks the cell list into fork groups, and resolves each column some
+    /// group runs on ([`resolve_column`]): an unknown column is refused here,
+    /// nothing is generated.
     ///
     /// # Errors
     ///
     /// The [`SweepSpec::validate`] or [`SweepShard::validate`] error.
-    pub(crate) fn new(
-        spec: &'a SweepSpec,
-        opts: &ExecOptions<'a>,
-        shard: Option<&SweepShard>,
-    ) -> Result<Self, String> {
+    pub(crate) fn new(work: &'a SweepShard, opts: &ExecOptions<'a>) -> Result<Self, String> {
+        let spec = &work.spec;
         spec.validate_axes()?;
         let jobs = spec.expand();
         let w = spec.workloads.len();
-        let groups = match shard {
-            Some(shard) => shard.groups(&jobs)?,
-            None => fork_groups(&jobs, w),
-        };
+        let groups = work.groups(&jobs)?;
         let slot = |(c, name): (usize, &String)| {
             let remaining = groups.iter().filter(|g| g[0] % w == c).count();
             let state = match remaining {
                 0 => ColumnState::Released,
                 _ => ColumnState::Resolved(resolve_column(spec, name)?),
             };
-            let planned = shard.and_then(|s| s.columns.iter().find(|col| col.workload == *name));
+            let planned = work.columns.iter().find(|col| col.workload == *name);
             Ok(ColumnSlot {
                 state: Mutex::new(state),
                 remaining: AtomicUsize::new(remaining),
@@ -363,8 +360,8 @@ impl<'a> Prepared<'a> {
     }
 
     /// Column `c`'s trace, built by whichever of its groups asks first (the
-    /// others wait on the slot) and — on the shard path — held to the
-    /// planner's digest before any cell of the column is computed, cached or
+    /// others wait on the slot) and — where the submission supplied one —
+    /// held to its digest before any cell of the column is computed, cached or
     /// streamed: a mismatch drops the trace again and ends the sweep.
     fn column(&self, c: usize) -> Result<Arc<dyn TraceSource>, String> {
         let (slot, workload) = (&self.columns[c], &self.spec.workloads[c]);
@@ -607,7 +604,8 @@ mod tests {
         let spec = tiny_spec();
         let opts = |threads, cache| ExecOptions { threads, cache, ..ExecOptions::default() };
         let run_streamed = |opts: &ExecOptions<'_>| {
-            let prepared = Prepared::new(&spec, opts, None).unwrap();
+            let work = SweepShard::whole(&spec);
+            let prepared = Prepared::new(&work, opts).unwrap();
             for (slot, w) in prepared.columns.iter().zip(&spec.workloads) {
                 let seed = spec.workload_seed(w);
                 let src = icfp_workloads::source_by_name(w, spec.insts, seed, DEFAULT_BLOCK_INSTS);
@@ -655,7 +653,8 @@ mod tests {
     #[test]
     fn fork_groups_collect_cells_along_inert_axes_only() {
         let spec = tiny_spec();
-        let Prepared { jobs, groups, .. } = Prepared::new(&spec, &ExecOptions::default(), None).unwrap();
+        let work = SweepShard::whole(&spec);
+        let Prepared { jobs, groups, .. } = Prepared::new(&work, &ExecOptions::default()).unwrap();
         // icfp reads the slice axis: its 4 configs × 4 workloads stay
         // singleton groups (16).  in-order ignores it: {sb 64, sb 128}
         // collapse per (l2 latency, workload) — 2 × 4 = 8 groups of two.
@@ -689,7 +688,8 @@ mod tests {
         spec.slice_buffer_entries = vec![64, 128, 256];
         spec.l2_hit_latencies = vec![20];
         spec.workloads.truncate(2);
-        let Prepared { jobs, groups, .. } = Prepared::new(&spec, &ExecOptions::default(), None).unwrap();
+        let work = SweepShard::whole(&spec);
+        let Prepared { jobs, groups, .. } = Prepared::new(&work, &ExecOptions::default()).unwrap();
         assert!(groups.len() < jobs.len());
         let standalone = SweepReport {
             threads: 1,
@@ -1020,7 +1020,8 @@ mod tests {
         spec.insts = 5_000;
         for threads in [1, 2] {
             let opts = ExecOptions { threads, fault: Some(&plan), ..ExecOptions::default() };
-            let prepared = Prepared::new(&spec, &opts, None).unwrap();
+            let work = SweepShard::whole(&spec);
+            let prepared = Prepared::new(&work, &opts).unwrap();
             let is = |c: usize, want: fn(&ColumnState) -> bool| {
                 want(&prepared.columns[c].state.lock().unwrap())
             };

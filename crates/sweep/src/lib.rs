@@ -30,16 +30,16 @@
 //!   and an aligned text matrix renderer;
 //! * [`schema`] — the one `BENCH_sweep.json` (`icfp-sweep/v2`) emitter and
 //!   parser, shared by the CLI, the server and the figure renderer;
-//! * [`wire`] — the capability-negotiated `icfp-wire/v2` protocol: submit a
-//!   spec (or one planned shard) to a running `icfp-sweepd`, stream cells
-//!   back as they finish, reassemble a report byte-identical to a local
-//!   run;
-//! * [`plan`] — [`SweepShard`] and [`plan_shards`]: deal a grid's fork
-//!   groups evenly to shards that ship the spec, their cells and per-column
-//!   trace *digests* (never trace bytes; the worker resolves each column by
-//!   the same name — a container column is named by its path — and refuses
-//!   a digest mismatch), and [`merge_report`], the deterministic merge back
-//!   into one report;
+//! * [`wire`] — the `icfp-wire/v3` protocol: submit a [`SweepShard`] — a
+//!   whole grid, or one planned shard of it, the same request — to a running
+//!   `icfp-sweepd`, stream cells back as they finish, reassemble a report
+//!   byte-identical to a local run;
+//! * [`plan`] — [`SweepShard`], the one work description (the spec, the cells
+//!   to run, and per-column trace *digests* — never trace bytes, and none or
+//!   all: the worker resolves each column by the same name, a container
+//!   column by its path, and refuses a digest mismatch), [`plan_shards`],
+//!   which deals a grid's fork groups evenly to shards, and [`merge_report`],
+//!   the deterministic merge back into one report;
 //! * [`backend`] — [`ExecBackend`]: one seam over *where* cells run —
 //!   [`LocalBackend`] (this process's pool), [`ServerBackend`] (one
 //!   `icfp-sweepd`) or [`RemoteBackend`] (a fleet of `icfp-sweepd --worker`
@@ -99,7 +99,7 @@ pub use schema::SchemaError;
 pub use spec::{SweepSpec, MAX_GRID_CELLS, STREAM_COLUMN_THRESHOLD};
 pub use wire::{
     backoff_delay, serve, submit_shard, submit_with, AcceptOptions, RetryPolicy, ServeOptions,
-    ServeSummary, ShardOutcome, SubmitOutcome, WireError,
+    ServeSummary, SubmitOutcome, WireError,
 };
 
 #[cfg(test)]

@@ -1,26 +1,30 @@
-//! The shard planner: dealing a sweep grid's fork groups to independently
-//! executable shards, and the deterministic merge that reassembles their
-//! streamed cells into one report.
+//! The one work description a sweep travels as, the planner that deals a
+//! grid's fork groups to independently executable shards, and the
+//! deterministic merge that reassembles their streamed cells into one report.
 //!
-//! A [`SweepShard`] is a self-contained work description: the full
-//! [`SweepSpec`], the full-grid expand indices of the cells the shard runs —
-//! whole fork groups, so no cell is computed on two workers — and, per column
-//! those cells touch, the trace's content *digest*, never its bytes.  Workers
-//! resolve each column by its name exactly as the planner did
-//! ([`column_source`]): a registry workload is regenerated (the per-column
-//! seed is a pure function of the spec seed and the workload name), a
-//! container column is named by its path and opened there; either is checked
-//! against the digest when the worker builds it, and a shard costs a few
-//! hundred bytes on the wire regardless of how many billions of instructions
-//! its columns carry.
+//! A [`SweepShard`] is self-contained: the full [`SweepSpec`], the full-grid
+//! expand indices of the cells to run — whole fork groups, so no cell is
+//! computed on two workers — and per-column trace *digests*, never trace
+//! bytes: **none, or one for every column those cells touch**.  A whole grid
+//! is the shard that names every cell and carries no digest
+//! ([`SweepShard::whole`]: its sender has built no column and asks for no
+//! check); a planned shard carries all of its digests, and a list that covers
+//! only some touched columns is refused.  Workers resolve each column by its
+//! name exactly as the planner did ([`column_source`]): a registry workload is
+//! regenerated (the per-column seed is a pure function of the spec seed and
+//! the workload name), a container column is named by its path and opened
+//! there; either is checked against a supplied digest when the worker builds
+//! it, and a shard costs a few hundred bytes on the wire regardless of how
+//! many billions of instructions its columns carry.
 //!
 //! The fork group is the unit of distribution because a column is far too
 //! coarse a one: two of the four stock columns carry nine tenths of a grid's
 //! host time.  Each column's groups are dealt round-robin, so every shard gets
 //! an equal share (to within one group) of every column, heavy or light, with
 //! no cost model and no timing feedback — the plan stays a pure function of
-//! the spec.  The price is that a worker builds every column its groups touch;
-//! its executor holds each only while that column's groups run.
+//! the spec, and a shard's number is its position in it.  The price is that a
+//! worker builds every column its groups touch; its executor holds each only
+//! while that column's groups run.
 
 use crate::executor::{column_source, fork_groups};
 use crate::job::SweepJob;
@@ -28,8 +32,8 @@ use crate::report::{SweepCell, SweepReport};
 use crate::spec::SweepSpec;
 use serde::{Deserialize, Serialize};
 
-/// One workload column of a shard: the name plus the identity of the trace
-/// the worker must execute against.
+/// One workload column of a submission: the name plus the identity of the
+/// trace the worker must execute against.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ColumnSpec {
     /// The column's name in the spec: a registry workload, or the path of a
@@ -37,26 +41,32 @@ pub struct ColumnSpec {
     pub workload: String,
     /// Content digest of the column's trace ([`icfp_isa::TraceSource::digest`]):
     /// the worker's regenerated or opened trace must match it exactly, or
-    /// the shard is refused.
+    /// the submission is refused.
     pub trace_digest: u64,
 }
 
-/// One independently executable part of a sweep grid.
+/// One independently executable part of a sweep grid — or all of it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepShard {
-    /// Position of this shard in the plan (0-based).
-    pub shard_index: u64,
     /// The full spec: a shard's cells are addressed, streamed and merged
     /// under its expand indices.
     pub spec: SweepSpec,
     /// The [`SweepSpec::expand`] indices of the cells this shard runs,
     /// ascending; whole fork groups only.
     pub cells: Vec<u64>,
-    /// One entry per workload those cells touch, in spec order.
+    /// Empty, or one entry per workload those cells touch, in spec order.
     pub columns: Vec<ColumnSpec>,
 }
 
 impl SweepShard {
+    /// The shard that holds every cell of `spec` and no digest — nothing is
+    /// resolved or built to make it.  `spec` must have passed
+    /// [`SweepSpec::validate_axes`], which bounds the cell count.
+    pub fn whole(spec: &SweepSpec) -> Self {
+        let cells = (0..spec.cell_count() as u64).collect();
+        SweepShard { spec: spec.clone(), cells, columns: Vec::new() }
+    }
+
     /// Number of cells this shard executes.
     pub fn cell_count(&self) -> usize {
         self.cells.len()
@@ -81,7 +91,8 @@ impl SweepShard {
     ///
     /// The cell list is empty, does not strictly ascend (unsorted, or an
     /// index repeated), names an index past the grid, splits a fork group, or
-    /// touches a workload the shard carries no [`ColumnSpec`] for.
+    /// the shard carries a [`ColumnSpec`] for some workloads its cells touch
+    /// and not for others.
     pub(crate) fn groups(&self, jobs: &[SweepJob]) -> Result<Vec<Vec<usize>>, String> {
         let n = jobs.len();
         let last = *self.cells.last().ok_or("shard names no cells")?;
@@ -100,7 +111,8 @@ impl SweepShard {
             if !group.iter().all(|&j| mine[j]) {
                 return Err(format!("shard splits a fork group: it names only some of {group:?}"));
             }
-            if !self.columns.iter().any(|col| col.workload == *workload) {
+            let digested = |col: &ColumnSpec| col.workload == *workload;
+            if !self.columns.is_empty() && !self.columns.iter().any(digested) {
                 return Err(format!("shard carries no trace digest for workload {workload:?}"));
             }
         }
@@ -135,15 +147,15 @@ pub fn plan_shards(spec: &SweepSpec, shards: usize) -> Result<Vec<SweepShard>, S
     for (k, group) in groups.iter().enumerate() {
         cells[k % shards].extend(group.iter().map(|&j| j as u64));
     }
-    let shard = |(k, mut cells): (usize, Vec<u64>)| {
+    let shard = |mut cells: Vec<u64>| {
         cells.sort_unstable();
         let columns = (0..w)
             .filter(|&c| cells.iter().any(|&j| j as usize % w == c))
             .map(|c| ColumnSpec { workload: spec.workloads[c].clone(), trace_digest: digests[c] })
             .collect();
-        SweepShard { shard_index: k as u64, spec: spec.clone(), cells, columns }
+        SweepShard { spec: spec.clone(), cells, columns }
     };
-    Ok(cells.into_iter().enumerate().map(shard).collect())
+    Ok(cells.into_iter().map(shard).collect())
 }
 
 /// Reassembles per-cell results (indexed by full-grid expand position) into
@@ -208,6 +220,11 @@ mod tests {
         all_models.models = icfp_core::CoreModel::ALL.to_vec();
         for spec in [tiny_spec(), all_models] {
             let (n, w, jobs) = (spec.cell_count(), spec.workloads.len(), spec.expand());
+            // The whole grid is the shard that holds every cell: the executor's
+            // own partition, and what a one-shard plan deals (plus digests).
+            let whole = SweepShard::whole(&spec);
+            assert_eq!(whole.groups(&jobs), Ok(fork_groups(&jobs, w)));
+            assert_eq!(plan_shards(&spec, 1).unwrap()[0].cells, whole.cells);
             let groups = fork_groups(&jobs, w).len();
             for shards in [1, 2, 3, 4, 7, groups, groups + 5] {
                 let plan = plan_shards(&spec, shards).unwrap();
@@ -218,7 +235,7 @@ mod tests {
                 let mut owner = vec![None; n];
                 let mut class_owner = std::collections::HashMap::new();
                 for (k, shard) in plan.iter().enumerate() {
-                    assert_eq!((shard.shard_index, &shard.spec), (k as u64, &spec));
+                    assert_eq!(shard.spec, spec);
                     assert_eq!(shard.validate(), Ok(()));
                     for &cell in &shard.cells {
                         assert_eq!(owner[cell as usize].replace(k), None, "cell {cell} twice");

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 /// One completed grid cell of a [`SweepReport`].
 ///
 /// Serializable (vendored-serde) so cells stream individually over the
-/// `icfp-wire/v2` protocol as they finish.
+/// `icfp-wire/v3` protocol as they finish.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepCell {
     /// Core model name.

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// A cartesian sweep specification: models × config axes × workloads.
 ///
 /// Serializable (vendored-serde) so a spec travels whole over the
-/// `icfp-wire/v2` protocol — the server expands and validates the identical
+/// `icfp-wire/v3` protocol — the server expands and validates the identical
 /// grid the client described.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepSpec {

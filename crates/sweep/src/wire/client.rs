@@ -1,12 +1,12 @@
-//! The client side of `icfp-wire/v2`: one conversation loop, two ways to
-//! start it — a whole spec ([`submit_with`]) or one planned shard
-//! ([`submit_shard`]).  A whole spec is the shard that holds every cell; the
-//! two requests stay two because a whole-spec client has no use for the
-//! per-column trace digests a shard must carry, and computing them means
-//! building every trace column first.
+//! The client side of `icfp-wire/v3`: one conversation, which
+//! [`submit_shard`] makes one attempt at for one [`SweepShard`] and
+//! [`submit_with`] retries for a whole spec.  A whole spec is the shard that
+//! holds every cell and carries no digest ([`SweepShard::whole`]): its client
+//! has built no trace column, so it has none to ship and asks for no check; a
+//! planner, which has built them all, ships them all.
 
 use super::protocol::{
-    base_features, recv_expected, send, Request, Response, WireError, SHARD_FEATURE, WIRE_VERSION,
+    base_features, recv_expected, send, Request, Response, WireError, WIRE_VERSION,
 };
 use crate::plan::{merge_cells, SweepShard};
 use crate::report::{SweepCell, SweepReport};
@@ -92,7 +92,8 @@ pub(crate) fn with_retries<T>(
 /// The result of one client submission.
 #[derive(Debug, Clone)]
 pub struct SubmitOutcome {
-    /// The reassembled report — byte-identical to a local run of the spec.
+    /// The reassembled report of the submitted cells, in expand order — for
+    /// a whole spec, byte-identical to a local run of it.
     pub report: SweepReport,
     /// Cells the server served from its result cache.
     pub hits: u64,
@@ -118,9 +119,9 @@ pub struct SubmitOutcome {
 /// # Errors
 ///
 /// Any [`WireError`]: the last retriable one once `policy.retries` is
-/// exhausted, or the first non-retriable one.  The returned report's digest
-/// is verified against the server's `Done` digest, so a successful return
-/// is a report identical to the server's — and, by the executor's
+/// exhausted, or the first non-retriable one.  The reassembled report's
+/// digest is verified against the server's `Done` digest, so a successful
+/// return is a report identical to the server's — and, by the executor's
 /// determinism, to a local run.
 pub fn submit_with(
     addr: &str,
@@ -130,15 +131,9 @@ pub fn submit_with(
     mut on_cell: impl FnMut(usize, bool, &SweepCell),
 ) -> Result<SubmitOutcome, WireError> {
     spec.validate().map_err(WireError::Spec)?;
-    let request = Request::Submit {
-        spec: spec.clone(),
-        threads: threads as u64,
-    };
-    let every_cell: Vec<u64> = (0..spec.cell_count() as u64).collect();
-    with_retries(policy, |_| {
-        let timeout = policy.io_timeout();
-        converse(addr, timeout, &request, spec, &every_cell, None, &mut on_cell)
-    })
+    // Every cell of a validated spec: a cell list that is valid as built.
+    let work = SweepShard::whole(spec);
+    with_retries(policy, |_| converse(addr, &work, threads, policy.io_timeout(), &mut on_cell))
 }
 
 /// Opens a framed connection to `addr` under the given I/O deadline.
@@ -153,14 +148,15 @@ pub(super) fn connect_framed(
     Ok((reader, BufWriter::new(stream)))
 }
 
-/// Performs the client side of the v2 handshake, returning the capability
-/// set the server granted.  A pre-v2 server — which answers the unknown
-/// `Hello2` variant with an `Error` frame or a v1 `Hello` — is a typed
+/// Performs the client side of the handshake (the capabilities a server
+/// grants are labels; nothing is conditional on them).  A server of another
+/// version — which answers with its own version in a `Hello2`, with a v1
+/// `Hello`, or with an `Error` frame naming both versions — is a typed
 /// [`WireError::UnsupportedVersion`], never a decode failure.
 pub(super) fn client_handshake(
     reader: &mut BufReader<TcpStream>,
     writer: &mut BufWriter<TcpStream>,
-) -> Result<Vec<String>, WireError> {
+) -> Result<(), WireError> {
     send(
         writer,
         &Request::Hello2 {
@@ -169,19 +165,19 @@ pub(super) fn client_handshake(
         },
     )?;
     match recv_expected::<Response>(reader)? {
-        Response::Hello2 { version, features } if version == WIRE_VERSION => Ok(features),
+        Response::Hello2 { version, .. } if version == WIRE_VERSION => Ok(()),
         Response::Hello2 { version, .. } | Response::Hello { version } => {
             Err(WireError::UnsupportedVersion {
                 ours: WIRE_VERSION.to_string(),
                 theirs: version,
             })
         }
-        // A peer that refuses the handshake outright is a version (or
-        // capability) mismatch by definition — its Error text is the best
-        // version description it gave us.
+        // A peer that refuses the handshake outright is a version mismatch
+        // by definition — its Error text (which names both versions) is the
+        // best version description it gave us.
         Response::Error { message } => Err(WireError::UnsupportedVersion {
             ours: WIRE_VERSION.to_string(),
-            theirs: format!("pre-v2 peer ({message})"),
+            theirs: format!("unstated ({message})"),
         }),
         other => Err(WireError::Protocol(format!(
             "expected Hello2, got {other:?}"
@@ -189,35 +185,49 @@ pub(super) fn client_handshake(
     }
 }
 
-/// One conversation over one fresh connection, the same for both request
-/// kinds: handshake → `request` → `Accepted` (count check) → the cell stream
-/// (every index in `cells`, exactly once) → the closing frame → reassembly
-/// in expand order → digest verification.
+/// One attempt at one planned shard — or any [`SweepShard`]: the one
+/// conversation [`submit_with`] retries around, after the check both ends
+/// make of a cell list.  `threads` is the requested server-side thread count
+/// (0 = server default); `on_cell` sees each cell, under its *full-grid*
+/// index, as it arrives.  The returned report holds the shard's own cells,
+/// in expand order, and is returned only once its digest equals the peer's —
+/// a caller that must not act on a half-streamed or corrupted attempt
+/// collects in `on_cell` and commits on `Ok`.
 ///
-/// `cells` are the ascending `spec` expand indices the peer must stream:
-/// all of them for a whole spec, the shard's own for a shard.  `shard` is the
-/// submitted shard index — `Some` makes the stream `ShardCell … ShardDone`
-/// (with the index echoed) instead of `Cell … Done` and requires the peer's
-/// [`SHARD_FEATURE`] capability.  `on_cell` sees each cell as it arrives.
+/// # Errors
+///
+/// [`WireError::Spec`] for a shard that fails [`SweepShard::validate`], before
+/// anything is sent; otherwise any [`WireError`].  Transport-level failures
+/// (including a worker that died mid-shard) are retriable
+/// ([`WireError::is_retriable`]) — a coordinator's cue to reassign the shard
+/// to another worker.
+pub fn submit_shard(
+    addr: &str,
+    shard: &SweepShard,
+    threads: usize,
+    io_timeout: Option<Duration>,
+    on_cell: &mut dyn FnMut(usize, bool, &SweepCell),
+) -> Result<SubmitOutcome, WireError> {
+    shard.validate().map_err(WireError::Spec)?;
+    converse(addr, shard, threads, io_timeout, on_cell)
+}
+
+/// One conversation over one fresh connection: handshake → `Submit` →
+/// `Accepted` (count check) → the cell stream (every index in `shard.cells`,
+/// exactly once) → `Done` → reassembly in expand order → digest verification.
 fn converse(
     addr: &str,
+    shard: &SweepShard,
+    threads: usize,
     io_timeout: Option<Duration>,
-    request: &Request,
-    spec: &SweepSpec,
-    cells: &[u64],
-    shard: Option<u64>,
     on_cell: &mut dyn FnMut(usize, bool, &SweepCell),
 ) -> Result<SubmitOutcome, WireError> {
     let (mut reader, mut writer) = connect_framed(addr, io_timeout)?;
-    let features = client_handshake(&mut reader, &mut writer)?;
-    if shard.is_some() && !features.iter().any(|f| f == SHARD_FEATURE) {
-        return Err(WireError::Protocol(format!(
-            "peer granted no {SHARD_FEATURE:?} capability (features: {features:?})"
-        )));
-    }
+    client_handshake(&mut reader, &mut writer)?;
 
-    send(&mut writer, request)?;
-    let n = cells.len();
+    let request = Request::Submit { work: shard.clone(), threads: threads as u64 };
+    send(&mut writer, &request)?;
+    let n = shard.cell_count();
     let threads = match recv_expected::<Response>(&mut reader)? {
         Response::Accepted { cells, threads } if cells == n as u64 => threads as usize,
         Response::Accepted { cells, .. } => {
@@ -235,10 +245,9 @@ fn converse(
 
     let mut slots: Vec<Option<SweepCell>> = vec![None; n];
     loop {
-        match (recv_expected::<Response>(&mut reader)?, shard) {
-            (Response::Cell { index, cached, cell }, None)
-            | (Response::ShardCell { index, cached, cell }, Some(_)) => {
-                let at = cells.binary_search(&index).map_err(|_| {
+        match recv_expected::<Response>(&mut reader)? {
+            Response::Cell { index, cached, cell } => {
+                let at = shard.cells.binary_search(&index).map_err(|_| {
                     WireError::Protocol(format!("cell index {index} is not in this submission"))
                 })?;
                 if slots[at].is_some() {
@@ -247,18 +256,11 @@ fn converse(
                 on_cell(index as usize, cached, &cell);
                 slots[at] = Some(cell);
             }
-            (Response::ShardDone { shard_index, .. }, Some(submitted))
-                if shard_index != submitted =>
-            {
-                return Err(WireError::Protocol(format!(
-                    "worker finished shard {shard_index}, we submitted {submitted}"
-                )));
-            }
-            (Response::Done { report_digest, hits, misses }, None)
-            | (Response::ShardDone { report_digest, hits, misses, .. }, Some(_)) => {
+            Response::Done { report_digest, hits, misses } => {
                 // A cell the peer never streamed is the merge's error; the
                 // header thread count is the one the peer said it would use.
-                let report = merge_cells(spec, threads, slots).map_err(WireError::Protocol)?;
+                let report =
+                    merge_cells(&shard.spec, threads, slots).map_err(WireError::Protocol)?;
                 let digest = report.digest();
                 if digest != report_digest {
                     return Err(WireError::Protocol(format!(
@@ -268,67 +270,12 @@ fn converse(
                 }
                 return Ok(SubmitOutcome { report, hits, misses });
             }
-            (Response::Error { message }, _) => return Err(WireError::Server(message)),
-            (other, _) => {
+            Response::Error { message } => return Err(WireError::Server(message)),
+            other => {
                 return Err(WireError::Protocol(format!(
-                    "expected a cell or the closing frame of this submission, got {other:?}"
+                    "expected a cell or Done, got {other:?}"
                 )))
             }
         }
     }
-}
-
-/// The result of one shard submission: the verified cells (full-grid
-/// indices, completion order) plus the worker's cache counters.
-#[derive(Debug, Clone)]
-pub struct ShardOutcome {
-    /// `(full_grid_index, cached, cell)` for every cell of the shard, in
-    /// the order the worker streamed them.  Only returned once the worker's
-    /// `ShardDone` digest has been verified against the reassembled slice —
-    /// a partially streamed or corrupted shard never leaks cells.
-    pub cells: Vec<(usize, bool, SweepCell)>,
-    /// Cells served from the worker's result cache.
-    pub hits: u64,
-    /// Cells the worker computed.
-    pub misses: u64,
-}
-
-/// Submits one planned shard to a worker at `addr`, collecting its streamed
-/// cells.  `threads` is the requested worker-side thread count (0 = worker
-/// default).  The returned cells carry *full-grid* indices and are verified
-/// two ways before return: every streamed index must be one of the shard's
-/// cells (exactly once), and the digest of the reassembled cells must equal
-/// the worker's `ShardDone` digest.
-///
-/// # Errors
-///
-/// Any [`WireError`].  Transport-level failures (including a worker that
-/// died mid-shard) are retriable ([`WireError::is_retriable`]) — the
-/// coordinator's cue to reassign the shard to another worker.
-pub fn submit_shard(
-    addr: &str,
-    shard: &SweepShard,
-    threads: usize,
-    io_timeout: Option<Duration>,
-) -> Result<ShardOutcome, WireError> {
-    shard.validate().map_err(WireError::Spec)?;
-    let request = Request::ShardSubmit {
-        shard: shard.clone(),
-        threads: threads as u64,
-    };
-    let mut cells = Vec::with_capacity(shard.cell_count());
-    let done = converse(
-        addr,
-        io_timeout,
-        &request,
-        &shard.spec,
-        &shard.cells,
-        Some(shard.shard_index),
-        &mut |index, cached, cell| cells.push((index, cached, cell.clone())),
-    )?;
-    Ok(ShardOutcome {
-        cells,
-        hits: done.hits,
-        misses: done.misses,
-    })
 }

@@ -1,35 +1,26 @@
-//! The `icfp-wire/v2` messages, the typed errors of both sides, and the
+//! The `icfp-wire/v3` messages, the typed errors of both sides, and the
 //! framed send/receive every conversation goes through.
 
 use crate::plan::SweepShard;
 use crate::report::SweepCell;
-use crate::spec::SweepSpec;
 use serde::frame::{read_frame, write_frame, FrameError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The protocol version string exchanged in the handshake.
-pub const WIRE_VERSION: &str = "icfp-wire/v2";
+pub const WIRE_VERSION: &str = "icfp-wire/v3";
 
-/// The previous protocol version: whole-spec submissions only, no feature
-/// negotiation.  Retained so skewed peers are *recognized* (and refused
-/// with a typed error) rather than mis-decoded.
+/// The first protocol version: a bare `Hello`, no feature negotiation.
+/// Retained so skewed peers are *recognized* (and refused with a typed
+/// error) rather than mis-decoded.
 pub const WIRE_VERSION_V1: &str = "icfp-wire/v1";
 
-/// The capability a shard submission requires of its peer.  It names the
-/// shard *payload* — the full spec plus the cells of whole fork groups — and
-/// changed when the payload did (a spec slice plus an index map travelled
-/// under `"shard"`), so a peer built for the other payload is refused by
-/// name, not mis-decoded.
-pub const SHARD_FEATURE: &str = "group-shard";
-
 /// The capability set a client advertises and a plain server grants:
-/// whole-spec submissions (`"sweep"`) and shard submissions
-/// ([`SHARD_FEATURE`]).  Worker-mode servers
+/// `"sweep"`, the one submission there is.  Worker-mode servers
 /// ([`super::ServeOptions::worker`]) additionally advertise `"worker"` — an
 /// advisory label; the message set is identical.
 pub fn base_features() -> Vec<String> {
-    vec!["sweep".to_string(), SHARD_FEATURE.to_string()]
+    vec!["sweep".to_string()]
 }
 
 /// Frame ceiling for this protocol (the transport default).
@@ -37,39 +28,33 @@ pub const MAX_WIRE_FRAME: usize = serde::MAX_FRAME_LEN;
 
 /// Client → server messages.
 ///
-/// Variant order is the wire encoding (vendored serde is positional):
-/// **append only**, so frames from older peers keep decoding into the
-/// variants they meant — version skew must surface as a typed refusal, not
-/// a decode failure.
+/// Variant order is the wire encoding (vendored serde is positional): the
+/// two handshakes never move, so an older peer's opening frame keeps decoding
+/// into the variant it meant — version skew must surface as a typed refusal,
+/// not a decode failure.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
-    /// The v1 handshake.  A v2 server decodes it and answers with a typed
+    /// The v1 handshake.  This server decodes it and answers with a typed
     /// "unsupported version" `Error` frame naming both versions.
     Hello {
         /// The client's version string.
         version: String,
     },
-    /// Run this sweep and stream the cells back.
+    /// Run these cells of a grid — all of them ([`SweepShard::whole`]) or
+    /// one planned shard's — and stream them back under full-grid indices.
     Submit {
-        /// The full grid to execute.
-        spec: SweepSpec,
+        /// The full spec, the cells to run, and per-column trace digests:
+        /// none, or one for every column those cells touch.
+        work: SweepShard,
         /// Requested worker threads (0 = server default).
         threads: u64,
     },
-    /// The v2 handshake; must be the first message on a connection.
+    /// The handshake since v2; must be the first message on a connection.
     Hello2 {
         /// The client's [`WIRE_VERSION`].
         version: String,
         /// Capabilities the client intends to use ([`base_features`]).
         features: Vec<String>,
-    },
-    /// Run one planned shard of a grid and stream its cells back
-    /// (full-grid indices).  Requires the [`SHARD_FEATURE`] capability.
-    ShardSubmit {
-        /// The shard: full spec, the cells to run, per-column trace digests.
-        shard: SweepShard,
-        /// Requested worker threads (0 = server default).
-        threads: u64,
     },
 }
 
@@ -83,23 +68,26 @@ pub enum Response {
     },
     /// The submission was prepared; cells will stream next.
     Accepted {
-        /// Number of cells that will stream: the spec's, or the shard's.
+        /// Number of cells that will stream: the submission's own.
         cells: u64,
         /// Worker threads the server will actually use.
         threads: u64,
     },
     /// One finished cell (streamed in completion order).
     Cell {
-        /// The cell's position in [`SweepSpec::expand`] order.
+        /// The cell's position in the **full** grid's
+        /// [`crate::SweepSpec::expand`] order, whatever part was submitted.
         index: u64,
         /// Whether it was served from the server's result cache.
         cached: bool,
         /// The cell itself.
         cell: SweepCell,
     },
-    /// The sweep finished; no more cells follow for this submission.
+    /// The submission finished; no more cells follow for it.
     Done {
-        /// Digest of the assembled report ([`crate::SweepReport::digest`]).
+        /// Digest of the submission's own report ([`crate::SweepReport::digest`]
+        /// over its cells alone, in expand order), so the client can verify
+        /// them before anything is committed to a merge.
         report_digest: u64,
         /// Cells served from the server's result cache.
         hits: u64,
@@ -111,36 +99,13 @@ pub enum Response {
         /// Human-readable reason.
         message: String,
     },
-    /// The v2 handshake reply.
+    /// The reply to a [`Request::Hello2`].
     Hello2 {
         /// The server's [`WIRE_VERSION`].
         version: String,
         /// Capabilities this server grants ([`base_features`], plus
         /// `"worker"` in worker mode).
         features: Vec<String>,
-    },
-    /// One finished cell of a shard submission, streamed in completion
-    /// order and addressed, like every cell, by its index in the full grid.
-    ShardCell {
-        /// The cell's position in the **full** grid's expand order.
-        index: u64,
-        /// Whether it was served from the worker's result cache.
-        cached: bool,
-        /// The cell itself.
-        cell: SweepCell,
-    },
-    /// The shard finished; no more cells follow for this submission.
-    ShardDone {
-        /// Echo of the submitted [`crate::plan::SweepShard::shard_index`].
-        shard_index: u64,
-        /// Digest of the shard's own report ([`crate::SweepReport::digest`]
-        /// over its cells alone, in expand order), so the client can verify
-        /// them before the coordinator commits them to the merge.
-        report_digest: u64,
-        /// Cells served from the worker's result cache.
-        hits: u64,
-        /// Cells the worker computed.
-        misses: u64,
     },
 }
 
@@ -171,8 +136,8 @@ pub enum WireError {
     UnsupportedVersion {
         /// The version this side speaks.
         ours: String,
-        /// The version the peer announced (best-effort for pre-v2 peers,
-        /// whose refusals carry no structured version field).
+        /// The version the peer announced (best-effort for a peer that
+        /// refused the handshake: its `Error` text, which names both).
         theirs: String,
     },
 }

@@ -1,11 +1,12 @@
-//! The server side of `icfp-wire/v2`: [`serve`], a concurrent accept loop
+//! The server side of `icfp-wire/v3`: [`serve`], a concurrent accept loop
 //! over one shared executor and result cache, and the per-connection
-//! conversation it runs on each accepted stream.  A submission of either
-//! kind is prepared exactly once (grid expanded and grouped, a shard's cell
-//! list checked, columns resolved — none built) *before* its `Accepted` frame,
-//! which reads the cell count and the pool size off that preparation; the
-//! same value then runs, building each column as its first group starts and
-//! holding a shard's to the planner's digest there.
+//! conversation it runs on each accepted stream.  A submission — a whole grid
+//! or one shard of it, the same request — is prepared exactly once (grid
+//! expanded and grouped, the cell list checked, columns resolved — none
+//! built) *before* its `Accepted` frame, which reads the cell count and the
+//! pool size off that preparation; the same value then runs, building each
+//! column as its first group starts and holding it there to the digest the
+//! submission carries for it, if it carries any.
 
 use super::protocol::{base_features, recv, send, Request, Response, WireError, WIRE_VERSION};
 use crate::executor::{ExecOptions, Prepared};
@@ -131,9 +132,9 @@ fn handle_conn(
     };
     match hello {
         Request::Hello2 { ref version, .. } if version == WIRE_VERSION => {}
-        // Version skew — a v1 `Hello`, or a future `Hello2` with a version
-        // we don't speak — gets a typed refusal naming both versions, never
-        // a decode failure or a confusing protocol error.
+        // Version skew — a v1 `Hello`, or a `Hello2` with a version we don't
+        // speak, older or newer — gets a typed refusal naming both versions,
+        // never a decode failure or a confusing protocol error.
         Request::Hello { version } | Request::Hello2 { version, .. } => {
             let message =
                 format!("server speaks {WIRE_VERSION:?}, client sent {version:?}");
@@ -162,10 +163,9 @@ fn handle_conn(
         fault,
     )?;
 
-    // Submission loop: whole specs (`Submit`) and planned shards
-    // (`ShardSubmit`) share the executor, the cache and the streaming
-    // machinery; a shard runs a subset of its spec's cells, under the same
-    // full-grid indices, against columns held to the planner's digests.
+    // Submission loop: a whole grid is the shard that names every cell, so
+    // there is one request; its cells run and stream under full-grid indices,
+    // against columns held to whatever digests it carries.
     loop {
         let req = match recv::<Request>(&mut reader) {
             Ok(Some(req)) => req,
@@ -180,20 +180,16 @@ fn handle_conn(
                 return Err(e);
             }
         };
-        let (spec, threads, shard) = match &req {
-            Request::Submit { spec, threads } => (spec, *threads, None),
-            Request::ShardSubmit { shard, threads } => (&shard.spec, *threads, Some(shard)),
-            other => {
-                let message = format!("expected Submit or ShardSubmit, got {other:?}");
-                let _ = send(&mut writer, &Response::Error { message: message.clone() });
-                return Err(WireError::Protocol(message));
-            }
+        let Request::Submit { work, threads } = &req else {
+            let message = format!("expected Submit, got {req:?}");
+            let _ = send(&mut writer, &Response::Error { message: message.clone() });
+            return Err(WireError::Protocol(message));
         };
         // The one preparation of this submission.  One that cannot be
         // prepared — bad axes, a malformed cell list, an unknown column, no
         // timed region — fails the submission, not the connection.
         let exec = ExecOptions {
-            threads: match threads {
+            threads: match *threads {
                 0 => opts.threads.max(1),
                 n => n as usize,
             },
@@ -201,7 +197,7 @@ fn handle_conn(
             fault,
             cancel: opts.cancel.as_deref(),
         };
-        let prepared = match Prepared::new(spec, &exec, shard) {
+        let prepared = match Prepared::new(work, &exec) {
             Ok(prepared) => prepared,
             Err(e) => {
                 send(&mut writer, &Response::Error { message: e })?;
@@ -229,10 +225,10 @@ fn handle_conn(
         let mut send_err: Option<WireError> = None;
         let outcome = prepared.run(|event| {
             if send_err.is_none() {
-                let (index, cached, cell) = (event.index as u64, event.cached, event.cell.clone());
-                let resp = match shard {
-                    Some(_) => Response::ShardCell { index, cached, cell },
-                    None => Response::Cell { index, cached, cell },
+                let resp = Response::Cell {
+                    index: event.index as u64,
+                    cached: event.cached,
+                    cell: event.cell.clone(),
                 };
                 if let Err(e) = send_srv(&mut writer, &resp, fault) {
                     send_err = Some(e);
@@ -242,9 +238,9 @@ fn handle_conn(
         if let Some(e) = send_err {
             return Err(e);
         }
-        // The executor failures left after a preparation: a shard column that
-        // does not reproduce the planner's digest fails the submission with a
-        // typed Error frame; a graceful-drain cancellation also ends the
+        // The executor failures left after a preparation: a column that does
+        // not reproduce the digest supplied for it fails the submission with
+        // a typed Error frame; a graceful-drain cancellation also ends the
         // connection.
         let outcome = match outcome {
             Ok(o) => o,
@@ -256,18 +252,10 @@ fn handle_conn(
                 continue;
             }
         };
-        let finish = match shard {
-            Some(shard) => Response::ShardDone {
-                shard_index: shard.shard_index,
-                report_digest: outcome.report.digest(),
-                hits: outcome.cache.hits,
-                misses: outcome.cache.misses,
-            },
-            None => Response::Done {
-                report_digest: outcome.report.digest(),
-                hits: outcome.cache.hits,
-                misses: outcome.cache.misses,
-            },
+        let finish = Response::Done {
+            report_digest: outcome.report.digest(),
+            hits: outcome.cache.hits,
+            misses: outcome.cache.misses,
         };
         send_srv(&mut writer, &finish, fault)?;
         summary.submits += 1;

@@ -2,7 +2,7 @@ use super::client::{client_handshake, connect_framed};
 use super::protocol::{recv, recv_expected, send};
 use super::*;
 use crate::fault::{FaultPlan, FrameAction, FrameFault};
-use crate::plan::plan_shards;
+use crate::plan::{plan_shards, SweepShard};
 use crate::report::SweepCell;
 use crate::testutil::{overflowing_spec, tiny_spec};
 use crate::{run_sweep, SweepSpec, MAX_GRID_CELLS};
@@ -72,7 +72,7 @@ fn submit(
     submit_with(addr, spec, threads, &policy, on_cell)
 }
 
-/// Opens a raw client connection and completes the v2 handshake.
+/// Opens a raw client connection and completes the handshake.
 fn handshaken(addr: &str) -> (BufReader<TcpStream>, BufWriter<TcpStream>) {
     let (mut reader, mut writer) = connect_framed(addr, None).expect("connect");
     client_handshake(&mut reader, &mut writer).expect("handshake");
@@ -203,11 +203,12 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
     // 4. An invalid submission fails the submission but not the
     //    connection — an unknown workload, a grid over the cell limit, a
     //    grid whose size overflows `usize`, a slice buffer no allocator could
-    //    serve, a repeated axis value, the latter four as a whole spec and
-    //    as a shard, and six hostile cell lists (column 0 of the acceptance
-    //    grid: iCFP's cells 0, 4, 8, 12 stand alone, {16, 24} and {20, 28} are
-    //    in-order's inert-slice pairs) — and a corrected shard and spec on the
-    //    same connection still run.
+    //    serve, a repeated axis value (the axes are refused before the cell
+    //    list is looked at, so those four name no cells), and six hostile cell
+    //    lists (column 0 of the acceptance grid: iCFP's cells 0, 4, 8, 12
+    //    stand alone, {16, 24} and {20, 28} are in-order's inert-slice pairs),
+    //    the last of them a digest list that covers one of the two columns
+    //    touched — and corrected submissions on the same connection still run.
     let (mut reader, mut writer) = handshaken(addr);
     let mut unknown = tiny_spec();
     unknown.workloads = vec!["no-such-workload".into()];
@@ -217,34 +218,26 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
     unallocatable.slice_buffer_entries = vec![1 << 40];
     let mut repeated = tiny_spec();
     repeated.workloads.push("branchy".into());
-    let whole = |spec: SweepSpec| Request::Submit { spec, threads: 1 };
-    let slice = |spec: SweepSpec| {
-        let (cells, columns) = (Vec::new(), Vec::new());
-        let shard = crate::plan::SweepShard { shard_index: 0, spec, cells, columns };
-        Request::ShardSubmit { shard, threads: 1 }
-    };
+    let submit_work = |work: SweepShard| Request::Submit { work, threads: 1 };
+    let axes = |spec: SweepSpec| submit_work(SweepShard { spec, cells: Vec::new(), columns: Vec::new() });
     let planned = plan_shards(&tiny_spec(), 1).expect("plan").remove(0);
     let cells = |cells: &[u64], columns: usize| {
-        let mut shard = crate::plan::SweepShard { cells: cells.to_vec(), ..planned.clone() };
-        shard.columns.truncate(columns);
-        Request::ShardSubmit { shard, threads: 1 }
+        let mut work = SweepShard { cells: cells.to_vec(), ..planned.clone() };
+        work.columns.truncate(columns);
+        submit_work(work)
     };
     let refused = [
-        (whole(unknown), "no-such-workload"),
-        (whole(oversized.clone()), "limit"),
-        (whole(overflowing_spec()), "limit"),
-        (whole(unallocatable.clone()), "slice_buffer_entries"),
-        (whole(repeated.clone()), "workloads repeats branchy"),
-        (slice(oversized), "limit"),
-        (slice(overflowing_spec()), "limit"),
-        (slice(unallocatable), "slice_buffer_entries"),
-        (slice(repeated), "workloads repeats branchy"),
+        (submit_work(SweepShard::whole(&unknown)), "no-such-workload"),
+        (axes(oversized), "limit"),
+        (axes(overflowing_spec()), "limit"),
+        (axes(unallocatable), "slice_buffer_entries"),
+        (axes(repeated), "workloads repeats branchy"),
         (cells(&[], 4), "names no cells"),
         (cells(&[4, 0], 4), "do not ascend: 4 before 0"),
         (cells(&[0, 0], 4), "do not ascend: 0 before 0"),
         (cells(&[0, 32], 4), "cell 32 of a 32-cell grid"),
         (cells(&[0, 16], 4), "splits a fork group"),
-        (cells(&[0, 1], 1), "no trace digest"),
+        (cells(&[0, 1], 1), "carries no trace digest for workload"),
     ];
     for (request, reason) in &refused {
         let asked = std::time::Instant::now();
@@ -258,12 +251,15 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
             "refusal must be immediate"
         );
     }
-    // `Accepted` states the shard's cell count, not the grid's.
-    let frames = transcript(&mut reader, &mut writer, &cells(&[0, 16, 24], 1));
-    assert!(matches!(frames[0], Response::Accepted { cells: 3, .. }), "{frames:?}");
-    assert_eq!(frames.len(), 5, "{frames:?}");
+    // `Accepted` states the submission's cell count, not the grid's — with
+    // the complete digest list (one column touched) and with none.
+    for columns in [1, 0] {
+        let frames = transcript(&mut reader, &mut writer, &cells(&[0, 16, 24], columns));
+        assert!(matches!(frames[0], Response::Accepted { cells: 3, .. }), "{frames:?}");
+        assert_eq!(frames.len(), 5, "{frames:?}");
+    }
     let good = small_spec();
-    let frames = transcript(&mut reader, &mut writer, &whole(good.clone()));
+    let frames = transcript(&mut reader, &mut writer, &submit_work(SweepShard::whole(&good)));
     let digest = run_sweep(&good, 1).unwrap().digest();
     assert!(matches!(frames[0], Response::Accepted { cells: 2, .. }), "{frames:?}");
     assert!(matches!(frames[1..3], [Response::Cell { .. }, Response::Cell { .. }]), "{frames:?}");
@@ -276,7 +272,7 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
     let (summary, events) = server.stop();
     assert_eq!(
         (summary.connections, summary.submissions, summary.failed),
-        (4, 2, 3)
+        (4, 3, 3)
     );
     let failed_with = |what: &str| {
         events
@@ -289,7 +285,7 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
         "hostile length is a framing error: {events:?}"
     );
     assert!(failed_with("unsupported protocol version"), "{events:?}");
-    assert!(events.iter().any(|e| e.contains("(2 sweeps")), "{events:?}");
+    assert!(events.iter().any(|e| e.contains("(3 sweeps")), "{events:?}");
 
     // 5. Client-side: submitting an invalid spec never touches the
     //    network.
@@ -301,57 +297,69 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
     }
 }
 
+/// The version this protocol replaced, as its peers announce it.
+const WIRE_VERSION_V2: &str = "icfp-wire/v2";
+
 #[test]
 fn version_skew_is_a_typed_refusal_in_both_directions() {
-    // A v1 client against this (v2) server: the old Hello variant still
-    // decodes (append-only enum encoding) and is answered with an Error
+    // An older client against this server: the v1 `Hello` and the v2 `Hello2`
+    // (with a capability this build has never heard of) still decode — the
+    // handshake variants never moved — and each is answered with an Error
     // frame naming both versions, and a typed error server-side.
     let server = spawn_server(ServeOptions::default(), None);
-    let mut stream = TcpStream::connect(&server.addr).expect("connect");
-    send(
-        &mut stream,
-        &Request::Hello {
-            version: WIRE_VERSION_V1.into(),
-        },
-    )
-    .expect("send v1 hello");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    match recv::<Response>(&mut reader).expect("reply") {
-        Some(Response::Error { message }) => {
-            assert!(message.contains(WIRE_VERSION_V1), "{message}");
-            assert!(message.contains(WIRE_VERSION), "{message}");
+    let v2_features = vec!["sweep".to_string(), "a-retired-capability".to_string()];
+    let old_hellos = [
+        (Request::Hello { version: WIRE_VERSION_V1.into() }, WIRE_VERSION_V1),
+        (Request::Hello2 { version: WIRE_VERSION_V2.into(), features: v2_features }, WIRE_VERSION_V2),
+    ];
+    for (hello, theirs) in &old_hellos {
+        let mut stream = TcpStream::connect(&server.addr).expect("connect");
+        send(&mut stream, hello).expect("send old hello");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        match recv::<Response>(&mut reader).expect("reply") {
+            Some(Response::Error { message }) => {
+                assert!(message.contains(theirs), "{message}");
+                assert!(message.contains(WIRE_VERSION), "{message}");
+            }
+            other => panic!("expected Error frame, got {other:?}"),
         }
-        other => panic!("expected Error frame, got {other:?}"),
     }
-    let (_, events) = server.stop();
-    assert!(
-        events
-            .iter()
-            .any(|e| e.contains("unsupported protocol version")),
-        "{events:?}"
-    );
+    let (summary, events) = server.stop();
+    let skewed = |e: &&String| e.contains("unsupported protocol version");
+    assert_eq!((summary.failed, events.iter().filter(skewed).count()), (2, 2), "{events:?}");
 
-    // A v2 client against a v1-style server (answers the handshake with
-    // the old Hello): typed UnsupportedVersion, not retriable, never a
-    // decode failure.
-    let v1_hello = Response::Hello {
-        version: WIRE_VERSION_V1.into(),
-    };
-    let (addr, v1_server) = scripted_peer(v1_hello, Vec::new());
-    let err = submit(&addr, &small_spec(), 1, |_, _, _| {}).expect_err("skewed peer refused");
-    assert!(!err.is_retriable(), "version skew retries cannot succeed");
-    match err {
-        WireError::UnsupportedVersion { ours, theirs } => {
-            assert_eq!(ours, WIRE_VERSION);
-            assert_eq!(theirs, WIRE_VERSION_V1);
+    // This client against an older server — one that answers the handshake
+    // with the v1 Hello, with its own version in a Hello2, or (what a v2
+    // daemon does with a version it does not speak) with an Error frame
+    // naming both: typed UnsupportedVersion naming the peer's version, not
+    // retriable, never a decode failure.
+    let refusal = format!("server speaks {WIRE_VERSION_V2:?}, client sent {WIRE_VERSION:?}");
+    let old_replies = [
+        (Response::Hello { version: WIRE_VERSION_V1.into() }, WIRE_VERSION_V1),
+        (Response::Hello2 { version: WIRE_VERSION_V2.into(), features: Vec::new() }, WIRE_VERSION_V2),
+        (Response::Error { message: refusal }, WIRE_VERSION_V2),
+    ];
+    for (reply, their_version) in old_replies {
+        let exact = !matches!(reply, Response::Error { .. });
+        let (addr, old_server) = scripted_peer(reply, Vec::new());
+        let err = submit(&addr, &small_spec(), 1, |_, _, _| {}).expect_err("skewed peer refused");
+        assert!(!err.is_retriable(), "version skew retries cannot succeed");
+        assert!(err.to_string().contains(WIRE_VERSION), "{err}");
+        match err {
+            WireError::UnsupportedVersion { ours, theirs } => {
+                assert_eq!(ours, WIRE_VERSION);
+                assert!(theirs.contains(their_version), "{theirs}");
+                assert!(!exact || theirs == their_version, "{theirs}");
+                assert!(!theirs.contains("pre-v2"), "{theirs}");
+            }
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
+        old_server.join().expect("old server thread");
     }
-    v1_server.join().expect("v1 server thread");
 }
 
 /// Sends `request` on a handshaken connection and collects the reply up to
-/// and including its closing frame.
+/// and including the frame that ends it: `Done`, or a refusal.
 fn transcript(
     reader: &mut BufReader<TcpStream>,
     writer: &mut BufWriter<TcpStream>,
@@ -359,7 +367,7 @@ fn transcript(
 ) -> Vec<Response> {
     send(writer, request).expect("request");
     let mut frames: Vec<Response> = Vec::new();
-    while !matches!(frames.last(), Some(Response::Done { .. } | Response::ShardDone { .. })) {
+    while !matches!(frames.last(), Some(Response::Done { .. } | Response::Error { .. })) {
         frames.push(recv_expected(reader).expect("frame"));
     }
     frames
@@ -368,35 +376,76 @@ fn transcript(
 #[test]
 fn one_preparation_refuses_before_accepted_or_states_the_pool_the_report_records() {
     // One column of the acceptance grid: 4 iCFP cells stand alone, in-order's
-    // two slice sizes collapse per L2 latency — 6 fork groups for 8 cells.
+    // two slice sizes collapse per L2 latency — 6 fork groups for 8 cells; the
+    // first of two shards holds 3 of them, 4 cells.
     let mut spec = tiny_spec();
     spec.workloads.truncate(1);
-    let shard = plan_shards(&spec, 1).expect("plan").remove(0);
+    let half = plan_shards(&spec, 2).expect("plan").remove(0);
+    assert_eq!(half.cells, vec![0, 2, 4, 6]);
     let server = spawn_server(ServeOptions::default(), None);
     let (mut reader, mut writer) = handshaken(&server.addr);
     // A spec the daemon cannot prepare is refused by the *first* reply frame
     // (no Accepted precedes the Error), and the connection serves on.
     let mut unknown = spec.clone();
     unknown.workloads.push("no-such-workload".into());
-    send(&mut writer, &Request::Submit { spec: unknown, threads: 1 }).expect("submit");
+    let work = SweepShard::whole(&unknown);
+    send(&mut writer, &Request::Submit { work, threads: 1 }).expect("submit");
     match recv_expected::<Response>(&mut reader).expect("reply") {
         Response::Error { message } => assert!(message.contains("no-such-workload"), "{message}"),
         other => panic!("expected Error frame first, got {other:?}"),
     }
-    for (requested, pool) in [(2, 2), (64, 6)] {
+    for (requested, pool, half_pool) in [(2, 2, 2), (64, 6, 3)] {
         assert_eq!(run_sweep(&spec, requested).expect("local run").threads, pool);
-        for request in [
-            Request::Submit { spec: spec.clone(), threads: requested as u64 },
-            Request::ShardSubmit { shard: shard.clone(), threads: requested as u64 },
-        ] {
+        for (work, cells, pool) in [(SweepShard::whole(&spec), 8, pool), (half.clone(), 4, half_pool)] {
+            let request = Request::Submit { work, threads: requested as u64 };
             let frames = transcript(&mut reader, &mut writer, &request);
-            let accepted = Response::Accepted { cells: 8, threads: pool as u64 };
+            let accepted = Response::Accepted { cells, threads: pool as u64 };
             assert_eq!(frames[0], accepted, "{requested} threads requested");
         }
     }
     drop((reader, writer));
     let (summary, _) = server.stop();
     assert_eq!((summary.submissions, summary.failed), (4, 0));
+}
+
+#[test]
+fn a_whole_grid_that_carries_every_digest_is_held_to_them() {
+    // The one-shard plan is the whole grid *with* a complete digest list: the
+    // same request a digest-less whole spec is, checked where the other is not.
+    let mut spec = small_spec();
+    spec.workloads = vec!["branchy".into(), "streaming".into()];
+    let whole = plan_shards(&spec, 1).expect("plan").remove(0);
+    assert_eq!((&whole.cells, whole.columns.len()), (&SweepShard::whole(&spec).cells, 2));
+    let server = spawn_server(ServeOptions::default(), None);
+    // A wrong digest for the second column is refused when that column is
+    // built: the first column's cells have streamed, none of the second's.
+    let mut tampered = whole.clone();
+    tampered.columns[1].trace_digest ^= 1;
+    let (mut reader, mut writer) = handshaken(&server.addr);
+    let frames = transcript(&mut reader, &mut writer, &Request::Submit { work: tampered, threads: 1 });
+    assert_eq!(frames[0], Response::Accepted { cells: 4, threads: 1 });
+    let streamed: Vec<&str> = frames[1..frames.len() - 1]
+        .iter()
+        .map(|f| match f {
+            Response::Cell { cell, .. } => cell.workload.as_str(),
+            other => panic!("expected a cell, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(streamed, ["branchy", "branchy"]);
+    match frames.last() {
+        Some(Response::Error { message }) => {
+            assert!(message.contains("\"streaming\"") && message.contains("digest"), "{message}")
+        }
+        other => panic!("expected the refusal, got {other:?}"),
+    }
+    // The true digests pass, on the same connection, and the report is the
+    // digest-less submission's.
+    let frames = transcript(&mut reader, &mut writer, &Request::Submit { work: whole, threads: 1 });
+    let digest = run_sweep(&spec, 1).expect("local run").digest();
+    assert!(matches!(frames[5], Response::Done { report_digest, .. } if report_digest == digest));
+    drop((reader, writer));
+    let (summary, _) = server.stop();
+    assert_eq!((summary.submissions, summary.failed), (1, 0));
 }
 
 /// A small 2-cell spec for service-level tests.
@@ -637,94 +686,53 @@ fn scripted_peer(hello: Response, replies: Vec<Response>) -> (String, std::threa
     (addr, peer)
 }
 
-/// The same frame in the other request kind's variant.
-fn other_kind(frame: &Response) -> Response {
-    match frame.clone() {
-        Response::Cell { index, cached, cell } => Response::ShardCell { index, cached, cell },
-        Response::ShardCell { index, cached, cell } => Response::Cell { index, cached, cell },
-        Response::Done { report_digest, hits, misses } => {
-            Response::ShardDone { shard_index: 0, report_digest, hits, misses }
-        }
-        Response::ShardDone { report_digest, hits, misses, .. } => {
-            Response::Done { report_digest, hits, misses }
-        }
-        other => other,
-    }
-}
-
 #[test]
-fn both_request_kinds_refuse_the_same_hostile_replies_as_protocol_errors() {
-    // A 2-column, 4-cell grid; the shard under test is the *second* of two,
-    // so its cells ([2, 3]) do not start the grid and index 0 is a real cell
-    // of somebody else's shard.
+fn every_submission_size_refuses_the_same_hostile_replies_as_protocol_errors() {
+    // A 2-column, 4-cell grid, submitted whole and as the *second* of two
+    // shards — two fork groups whose cells ([2, 3]) do not start the grid, so
+    // index 0 is a real cell of somebody else's shard.
     let mut spec = small_spec();
     spec.workloads = vec!["branchy".into(), "streaming".into()];
-    let shard = plan_shards(&spec, 2).expect("plan").remove(1);
-    assert_eq!(shard.cells, vec![2, 3]);
+    let part = plan_shards(&spec, 2).expect("plan").remove(1);
+    assert_eq!(part.cells, vec![2, 3]);
     let hello = Response::Hello2 {
         version: WIRE_VERSION.into(),
         features: base_features(),
     };
-    let policy = RetryPolicy {
-        retries: 0,
-        ..RetryPolicy::default()
-    };
     let server = spawn_server(ServeOptions::default(), None);
-    for sharded in [false, true] {
+    for (work, foreign_index) in [(SweepShard::whole(&spec), 4), (part, 0)] {
         // The honest transcript, recorded from a real server: Accepted, the
-        // cells, the closing frame.
-        let request = if sharded {
-            Request::ShardSubmit { shard: shard.clone(), threads: 1 }
-        } else {
-            Request::Submit { spec: spec.clone(), threads: 1 }
-        };
+        // cells, Done.
         let (mut reader, mut writer) = handshaken(&server.addr);
+        let request = Request::Submit { work: work.clone(), threads: 1 };
         let honest = transcript(&mut reader, &mut writer, &request);
-        let (first, last) = (honest[1].clone(), honest[honest.len() - 1].clone());
-        let closing = |tamper: fn(&mut u64, &mut u64)| match last.clone() {
-            Response::ShardDone { mut shard_index, mut report_digest, hits, misses } => {
-                tamper(&mut shard_index, &mut report_digest);
-                Response::ShardDone { shard_index, report_digest, hits, misses }
-            }
-            Response::Done { mut report_digest, hits, misses } => {
-                tamper(&mut 0, &mut report_digest);
-                Response::Done { report_digest, hits, misses }
-            }
-            other => other,
-        };
-        let mut foreign = first.clone();
-        if let Response::Cell { index, .. } | Response::ShardCell { index, .. } = &mut foreign {
-            *index = if sharded { 0 } else { 4 };
+        let (accepted, body, done) = (&honest[..1], &honest[1..honest.len() - 1], &honest[honest.len() - 1]);
+        assert_eq!(body.len(), work.cell_count());
+        let first = body[0].clone();
+        let (mut foreign, mut wrong_digest) = (first.clone(), done.clone());
+        if let Response::Cell { index, .. } = &mut foreign {
+            *index = foreign_index;
         }
-        let (body, end) = (&honest[1..honest.len() - 1], &honest[honest.len() - 1..]);
-        let wrong_digest = closing(|_, digest| *digest ^= 1);
-        let mut hostile = vec![
+        if let Response::Done { report_digest, .. } = &mut wrong_digest {
+            *report_digest ^= 1;
+        }
+        let hostile = [
             ("wrong Accepted count", vec![Response::Accepted { cells: 9, threads: 1 }]),
-            ("index out of range / another shard's cell", vec![honest[0].clone(), foreign]),
-            ("a cell streamed twice", vec![honest[0].clone(), first.clone(), first.clone()]),
-            ("closing frame before the last cell", [&honest[..2], end].concat()),
-            ("a digest that does not match", [&honest[..1], body, &[wrong_digest]].concat()),
-            ("the other kind's cell frame", vec![honest[0].clone(), other_kind(&first)]),
-            ("the other kind's closing frame", [&honest[..1], body, &[other_kind(&last)]].concat()),
+            ("an index outside the submission", [accepted, &[foreign]].concat()),
+            ("an index twice", [accepted, &[first.clone(), first]].concat()),
+            ("Done before every cell", [accepted, &body[..1], std::slice::from_ref(done)].concat()),
+            ("a digest that does not match", [accepted, body, &[wrong_digest]].concat()),
+            ("an unexpected frame", [accepted, &body[..1], std::slice::from_ref(&hello)].concat()),
+            // The honest transcript replays clean, so each case above fails
+            // for the reason it names.
+            ("", honest.clone()),
         ];
-        if sharded {
-            let skewed = closing(|echo, _| *echo += 1);
-            hostile.push(("wrong shard-index echo", [&honest[..1], body, &[skewed]].concat()));
-        }
-        // The honest transcript replays clean, so each case below fails for
-        // the reason it names.
-        hostile.push(("", honest.clone()));
         for (what, replies) in hostile {
             let (addr, peer) = scripted_peer(hello.clone(), replies);
-            let outcome = if sharded {
-                submit_shard(&addr, &shard, 1, policy.io_timeout()).map(|done| done.cells.len())
-            } else {
-                submit_with(&addr, &spec, 1, &policy, |_, _, _| {}).map(|d| d.report.cells.len())
-            };
-            match outcome {
-                Ok(cells) => assert_eq!((what, cells), ("", honest.len() - 2)),
+            match submit_shard(&addr, &work, 1, None, &mut |_, _, _| {}) {
+                Ok(done) => assert_eq!((what, done.report.cells.len()), ("", work.cell_count())),
                 Err(WireError::Protocol(_)) => assert_ne!(what, "", "honest replay refused"),
-                Err(other) => panic!("{what} (sharded: {sharded}): {other:?}"),
+                Err(other) => panic!("{what} ({} cells): {other:?}", work.cell_count()),
             }
             peer.join().expect("scripted peer");
         }

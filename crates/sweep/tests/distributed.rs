@@ -11,12 +11,12 @@
 
 use icfp_isa::{TraceFileWriter, TraceFormat};
 use icfp_sweep::wire::{
-    base_features, Request, Response, ServeOptions, MAX_WIRE_FRAME, SHARD_FEATURE, WIRE_VERSION,
+    base_features, Request, Response, ServeOptions, MAX_WIRE_FRAME, WIRE_VERSION,
 };
 use icfp_sweep::{
     plan_shards, run_sweep, serve, submit_shard, AcceptOptions, ColumnSpec, ExecBackend,
-    FaultPlan, FrameAction, FrameFault, RemoteBackend, ResultCache, RetryPolicy, SweepShard,
-    SweepSpec, WireError,
+    FaultPlan, FrameAction, FrameFault, RemoteBackend, ResultCache, RetryPolicy, SweepCell,
+    SweepShard, SweepSpec, SubmitOutcome, WireError,
 };
 use serde::frame::{read_frame, write_frame};
 use std::net::{TcpListener, TcpStream};
@@ -99,6 +99,15 @@ impl Worker {
         self.shutdown.store(true, Ordering::SeqCst);
         self.handle.join().expect("worker thread must not panic")
     }
+}
+
+/// One attempt at one shard, its streamed cells collected as a coordinator
+/// would collect them.
+fn submit(addr: &str, shard: &SweepShard) -> Result<(SubmitOutcome, Vec<(usize, SweepCell)>), WireError> {
+    let mut cells = Vec::new();
+    let mut collect = |index, _cached, cell: &SweepCell| cells.push((index, cell.clone()));
+    let done = submit_shard(addr, shard, 1, Some(Duration::from_secs(30)), &mut collect)?;
+    Ok((done, cells))
 }
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -241,8 +250,7 @@ fn a_worker_refuses_a_shard_whose_column_digest_it_cannot_reproduce() {
     let good = plan_shards(&spec, 2).expect("plan").remove(0);
     let mut bad = good.clone();
     bad.columns[1].trace_digest ^= 1;
-    let err = submit_shard(&worker.addr, &bad, 1, Some(Duration::from_secs(30)))
-        .expect_err("tampered digest must be refused");
+    let err = submit(&worker.addr, &bad).expect_err("tampered digest must be refused");
     assert!(matches!(&err, WireError::Server(message) if message.contains("digest")), "{err:?}");
     assert!(!err.is_retriable(), "a digest mismatch never heals by retrying");
     // Nothing of the refused column was cached: the directory holds the
@@ -259,23 +267,23 @@ fn a_worker_refuses_a_shard_whose_column_digest_it_cannot_reproduce() {
         loop {
             let frame = read_frame(&mut stream, MAX_WIRE_FRAME).expect("frame").expect("open");
             frames.push(serde::from_bytes(&frame).expect("decode"));
-            if !matches!(frames.last(), Some(Response::Accepted { .. } | Response::ShardCell { .. })) {
+            if !matches!(frames.last(), Some(Response::Accepted { .. } | Response::Cell { .. })) {
                 return frames;
             }
         }
     };
     converse(Request::Hello2 { version: WIRE_VERSION.into(), features: base_features() });
-    let frames = converse(Request::ShardSubmit { shard: bad, threads: 1 });
+    let frames = converse(Request::Submit { work: bad, threads: 1 });
     let streamed = |f: &Response| match f {
-        Response::ShardCell { cell, .. } => Some(cell.workload.clone()),
+        Response::Cell { cell, .. } => Some(cell.workload.clone()),
         _ => None,
     };
     let cells: Vec<String> = frames.iter().filter_map(streamed).collect();
     assert_eq!(cells, vec![spec.workloads[0].clone(); 4], "{frames:?}");
     assert!(matches!(frames.last(), Some(Response::Error { .. })), "{frames:?}");
-    let frames = converse(Request::ShardSubmit { shard: good.clone(), threads: 1 });
+    let frames = converse(Request::Submit { work: good.clone(), threads: 1 });
     assert_eq!(frames.len(), 1 + good.cell_count() + 1, "{frames:?}");
-    assert!(matches!(frames.last(), Some(Response::ShardDone { .. })), "{frames:?}");
+    assert!(matches!(frames.last(), Some(Response::Done { .. })), "{frames:?}");
     drop(stream);
     worker.stop();
     let _ = std::fs::remove_dir_all(&dir);
@@ -305,7 +313,6 @@ fn a_local_container_column_is_opened_validated_and_simulated() {
     spec.slice_buffer_entries = vec![64, 128];
     let n = spec.cell_count();
     let shard = SweepShard {
-        shard_index: 0,
         spec: spec.clone(),
         cells: (0..n as u64).collect(),
         columns: vec![ColumnSpec {
@@ -317,13 +324,14 @@ fn a_local_container_column_is_opened_validated_and_simulated() {
     assert_eq!(plan_shards(&spec, 1).expect("plan"), vec![shard.clone()]);
 
     let worker = spawn_worker(None, None);
-    let outcome = submit_shard(&worker.addr, &shard, 1, Some(Duration::from_secs(30)))
-        .expect("local-container shard served");
-    assert_eq!(outcome.cells.len(), n);
+    let (outcome, cells) = submit(&worker.addr, &shard).expect("local-container shard served");
+    assert_eq!(cells.len(), n);
 
-    // The served cells equal a local run of the same spec (and file).
+    // The served cells equal a local run of the same spec (and file), as
+    // streamed and as reassembled.
     let local = run_sweep(&spec, 1).expect("local run over the same container");
-    for (index, _cached, cell) in &outcome.cells {
+    assert_eq!(outcome.report.digest(), local.digest());
+    for (index, cell) in &cells {
         let reference = &local.cells[*index];
         assert_eq!(cell.cycles, reference.cycles);
         assert_eq!(cell.state_digest, reference.state_digest);
@@ -333,8 +341,7 @@ fn a_local_container_column_is_opened_validated_and_simulated() {
     // worker provably opened and validated the file.
     let other = icfp_workloads::by_name("branchy", 600, 0xBEEF).expect("trace");
     TraceFileWriter::write_trace_as(&path, &other, 128, TraceFormat::V2).expect("overwrite");
-    let err = submit_shard(&worker.addr, &shard, 1, Some(Duration::from_secs(30)))
-        .expect_err("mismatched container must be refused");
+    let err = submit(&worker.addr, &shard).expect_err("mismatched container must be refused");
     match err {
         WireError::Server(message) => assert!(message.contains("digest"), "{message}"),
         other => panic!("expected a typed server refusal, got {other:?}"),
@@ -347,15 +354,20 @@ fn a_local_container_column_is_opened_validated_and_simulated() {
 #[test]
 fn workers_advertise_the_worker_capability() {
     let worker = spawn_worker(None, None);
-    // The client-visible handshake: submit a whole spec (allowed on
-    // workers too) and observe the negotiated features via submit_shard's
-    // requirement being satisfied — plus the raw capability list.
+    // The label is advisory: a worker serves the one submission there is —
+    // here a planned shard — and grants `"worker"` beside the base set.
     let spec = acceptance_spec();
     let shard = plan_shards(&spec, spec.workloads.len())
         .expect("plan")
         .remove(0);
-    submit_shard(&worker.addr, &shard, 1, Some(Duration::from_secs(30)))
-        .expect("a worker accepts shard submissions");
-    assert!(base_features().iter().any(|f| f == SHARD_FEATURE));
+    submit(&worker.addr, &shard).expect("a worker accepts submissions");
+    let mut stream = TcpStream::connect(&worker.addr).expect("connect");
+    let hello = Request::Hello2 { version: WIRE_VERSION.into(), features: base_features() };
+    write_frame(&mut stream, &serde::to_bytes(&hello)).expect("hello");
+    let reply = read_frame(&mut stream, MAX_WIRE_FRAME).expect("frame").expect("open");
+    let granted = [base_features(), vec!["worker".to_string()]].concat();
+    let expected = Response::Hello2 { version: WIRE_VERSION.into(), features: granted };
+    assert_eq!(serde::from_bytes::<Response>(&reply).expect("decode"), expected);
+    drop(stream);
     worker.stop();
 }
