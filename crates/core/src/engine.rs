@@ -22,6 +22,7 @@ use icfp_isa::{exec::ArchState, Cycle, Trace, TraceCursor};
 use icfp_pipeline::RunResult;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Which core model a driver runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -169,13 +170,15 @@ pub trait CoreEngine: Send {
     /// starting there.  The final architectural state of the seeded run
     /// equals the cold full run's — architectural execution is
     /// timing-independent; cycle counts cover only the timed region — that
-    /// is the point.
+    /// is the point.  The state is shared (every run over a source seeds
+    /// from the same one): the memory image is copied exactly once, into
+    /// the engine that will mutate it.
     ///
     /// # Errors
     ///
     /// Fails if the engine has already advanced or been seeded/restored — a
     /// seed replaces the initial state only.
-    fn seed(&mut self, warm: &ArchState) -> Result<(), String>;
+    fn seed(&mut self, warm: &Arc<ArchState>) -> Result<(), String>;
 
     /// The current simulated cycle.
     fn cycle(&self) -> Cycle;
@@ -228,8 +231,9 @@ struct WholeTraceEngine {
     /// starting from the functional fast-forward state if one is given.
     run: fn(&CoreConfig, &TraceCursor<'_>, Option<&ArchState>) -> RunResult,
     result: Option<RunResult>,
-    /// Functional fast-forward state installed before the run, if any.
-    seed: Option<ArchState>,
+    /// Functional fast-forward state installed before the run, if any: the
+    /// shared state itself — the run copies its image into the model.
+    seed: Option<Arc<ArchState>>,
 }
 
 impl CoreEngine for WholeTraceEngine {
@@ -244,15 +248,15 @@ impl CoreEngine for WholeTraceEngine {
         if self.cycle() >= until || self.processed() >= inst_limit {
             return true;
         }
-        self.result = Some((self.run)(&self.cfg, trace, self.seed.as_ref()));
+        self.result = Some((self.run)(&self.cfg, trace, self.seed.as_deref()));
         false
     }
 
-    fn seed(&mut self, warm: &ArchState) -> Result<(), String> {
+    fn seed(&mut self, warm: &Arc<ArchState>) -> Result<(), String> {
         if self.result.is_some() || self.seed.is_some() {
             return Err("functional fast-forward requires a fresh engine".into());
         }
-        self.seed = Some(warm.clone());
+        self.seed = Some(Arc::clone(warm));
         Ok(())
     }
 
@@ -284,14 +288,15 @@ impl CoreEngine for WholeTraceEngine {
             model: self.model,
             cycle: self.cycle(),
             processed: self.processed() as u64,
-            bytes: serde::to_bytes(&(self.result.clone(), self.seed.clone())),
+            bytes: serde::to_bytes(&(self.result.clone(), self.seed.as_deref().cloned())),
         }
     }
 
     fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), String> {
         check_model(snapshot, self.model)?;
-        (self.result, self.seed) = serde::from_bytes(&snapshot.bytes)
+        let (result, seed): (_, Option<ArchState>) = serde::from_bytes(&snapshot.bytes)
             .map_err(|e| format!("decoding {} snapshot: {e}", self.model))?;
+        (self.result, self.seed) = (result, seed.map(Arc::new));
         Ok(())
     }
 }
@@ -313,7 +318,6 @@ pub fn run_model(model: CoreModel, cfg: &CoreConfig, trace: &Trace) -> RunResult
 mod tests {
     use super::*;
     use icfp_isa::{ArenaSource, DynInst, Op, Reg, TraceBlock, TraceBuilder, TraceSource};
-    use std::sync::Arc;
 
     fn cur(t: &Trace) -> TraceCursor<'_> {
         TraceCursor::from_trace(t)
@@ -498,7 +502,7 @@ mod tests {
     fn chunked(
         m: CoreModel,
         c: &TraceCursor<'_>,
-        warm: Option<&ArchState>,
+        warm: Option<&Arc<ArchState>>,
         budget: impl Fn(&dyn CoreEngine) -> (Cycle, usize),
     ) -> RunResult {
         let cfg = m.default_config();
@@ -544,6 +548,7 @@ mod tests {
         for inst in &t.as_slice()[..37] {
             warm.exec(inst);
         }
+        let warm = Arc::new(warm);
         let by_insts = |e: &dyn CoreEngine| (Cycle::MAX, e.processed() + 7);
         let by_cycles = |e: &dyn CoreEngine| (e.cycle() + 50, usize::MAX);
 

@@ -32,6 +32,7 @@ use icfp_isa::{exec, exec::ArchState, Cycle, DynInst, InstSeq, OpClass, TraceCur
 use icfp_mem::MshrId;
 use icfp_pipeline::{PoisonAllocator, PoisonMask, RunResult};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A miss whose return will trigger a rally pass.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -801,7 +802,7 @@ impl CoreEngine for IcfpMachine {
     /// Checkpoints taken afterwards carry the seed (the machine serializes
     /// whole), so fast-forwarded runs mint ordinary `icfp-ckpt/v2`
     /// checkpoints.
-    fn seed(&mut self, warm: &ArchState) -> Result<(), String> {
+    fn seed(&mut self, warm: &Arc<ArchState>) -> Result<(), String> {
         if self.i != 0 || self.eng.frontier != 0 || self.in_episode || self.done {
             return Err("functional fast-forward requires a fresh machine".into());
         }

@@ -20,15 +20,18 @@
 //! instruction, while random access (rally replay, runahead restarts) faults
 //! the owning block in through the source's bounded cache.  Resident-block
 //! accounting ([`Residency`]) lets tests assert that streaming a trace keeps
-//! peak trace memory bounded by a constant number of blocks.
+//! peak trace memory bounded by a constant number of blocks.  Each of the
+//! three sources also carries a [`WarmStore`]: the functional fast-forward
+//! state last walked over it, shared by every run that asks for that depth.
 
+use crate::exec::ArchState;
 use crate::trace::Trace;
 use crate::{DynInst, InstDigest};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default number of instructions per block (the `icfp-trace/v1` writer's
 /// default, and the block granularity [`ArenaSource`] reports).  4096 insts
@@ -169,6 +172,51 @@ impl Drop for ResidencyGuard {
     }
 }
 
+/// The functional fast-forward state of one source: at most **one**
+/// [`ArchState`] — the last one a walk over the source produced — shared by
+/// every model, repetition and sweep cell that asks for its depth.  A state is
+/// a pure function of the source's content and the depth, so sharing it moves
+/// host time only; it enters the store only after its walk completed.
+#[derive(Debug, Default)]
+pub struct WarmStore {
+    /// Locked for the whole of a walk: that is the single flight.
+    held: Mutex<Option<Arc<ArchState>>>,
+    walks: AtomicUsize,
+}
+
+impl WarmStore {
+    /// The state after the source's first `n` instructions (`n` at most its
+    /// length).  An exact match shares the held state; otherwise `walk`
+    /// executes up to `n` starting from the state it is given — the held one
+    /// when that is shallower (a resume, copied only if some run still holds
+    /// it), a fresh one when it is deeper or absent — and its result replaces
+    /// what was held.  Concurrent callers wait for the walk in flight, so
+    /// callers of one depth share one walk.  A `walk` that panics (the
+    /// cursor's mid-run source failure) leaves the store empty: the next
+    /// caller runs its own.
+    pub fn state_at(&self, n: usize, walk: impl FnOnce(ArchState) -> ArchState) -> Arc<ArchState> {
+        // The slot is emptied before a walk starts, so a walk that panicked
+        // under the lock left it valid.
+        let mut held = self.held.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(st) = held.as_ref().filter(|st| st.instructions == n as u64) {
+            return Arc::clone(st);
+        }
+        let from = match held.take() {
+            Some(st) if st.instructions < n as u64 => Arc::unwrap_or_clone(st),
+            _ => ArchState::new(),
+        };
+        self.walks.fetch_add(1, Ordering::Relaxed);
+        let st = Arc::new(walk(from));
+        *held = Some(Arc::clone(&st));
+        st
+    }
+
+    /// Walks performed so far (exact matches share and do not count).
+    pub fn walks(&self) -> usize {
+        self.walks.load(Ordering::Relaxed)
+    }
+}
+
 /// One decoded block of a trace: a contiguous run of [`DynInst`]s starting at
 /// dynamic position `first`.
 #[derive(Debug)]
@@ -297,6 +345,13 @@ pub trait TraceSource: Send + Sync {
     fn residency(&self) -> Option<&Residency> {
         None
     }
+
+    /// The source's functional fast-forward state store, if it keeps one.
+    /// The three backings above do; a wrapper that does not forward it is
+    /// fast-forwarded by a plain walk on every run.
+    fn warm(&self) -> Option<&WarmStore> {
+        None
+    }
 }
 
 /// One cached block: empty while its first caller is still filling it.
@@ -375,19 +430,17 @@ impl BlockCache {
 /// [`TraceSource`] adapter over an in-memory [`Trace`] arena: blocks are
 /// views of the decoded instruction vector, so nothing is ever re-decoded
 /// and the cursor fast path reads the arena directly.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ArenaSource {
     trace: Arc<Trace>,
     block_size: usize,
+    warm: WarmStore,
 }
 
 impl ArenaSource {
     /// Wraps a trace, reporting [`DEFAULT_BLOCK_INSTS`]-instruction blocks.
     pub fn new(trace: impl Into<Arc<Trace>>) -> Self {
-        ArenaSource {
-            trace: trace.into(),
-            block_size: DEFAULT_BLOCK_INSTS,
-        }
+        Self::with_block_size(trace, DEFAULT_BLOCK_INSTS)
     }
 
     /// Wraps a trace with an explicit block size (tests use tiny blocks to
@@ -396,6 +449,7 @@ impl ArenaSource {
         ArenaSource {
             trace: trace.into(),
             block_size: block_size.max(1),
+            warm: WarmStore::default(),
         }
     }
 
@@ -449,6 +503,10 @@ impl TraceSource for ArenaSource {
 
     fn as_arena(&self) -> Option<&Trace> {
         Some(&self.trace)
+    }
+
+    fn warm(&self) -> Option<&WarmStore> {
+        Some(&self.warm)
     }
 }
 
@@ -544,6 +602,12 @@ impl<'a> TraceCursor<'a> {
     /// True if the trace holds no instructions.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The source's [`WarmStore`], if the cursor reads a source that keeps
+    /// one (a cursor borrowing a bare [`Trace`] has none).
+    pub fn warm(&self) -> Option<&'a WarmStore> {
+        self.source.and_then(|s| s.warm())
     }
 
     /// The instruction at dynamic position `idx`, by value.

@@ -45,7 +45,7 @@
 //! `open_validated` with [`TraceSourceError::Corrupt`].
 
 use crate::source::{
-    block_digest_of, BlockCache, Residency, TraceBlock, TraceSource, TraceSourceError,
+    block_digest_of, BlockCache, Residency, TraceBlock, TraceSource, TraceSourceError, WarmStore,
 };
 use crate::trace::Trace;
 use crate::{inst_mix, DynInst, InstDigest, InstSeq};
@@ -408,6 +408,7 @@ pub struct TraceFile {
     /// consumer; `None` under [`TraceFile::open_sync`] or when the file has
     /// at most one block.
     prefetcher: Option<PrefetchWorker>,
+    warm: WarmStore,
 }
 
 /// The state a [`TraceFile`] shares with its prefetch worker.
@@ -635,7 +636,7 @@ impl TraceFile {
         let prefetcher = (prefetch && inner.index.blocks.len() > 1)
             .then(|| PrefetchWorker::spawn(Arc::clone(&inner)))
             .flatten();
-        Ok(TraceFile { inner, prefetcher })
+        Ok(TraceFile { inner, prefetcher, warm: WarmStore::default() })
     }
 
     /// The file the container was opened from.
@@ -803,6 +804,10 @@ impl TraceSource for TraceFile {
 
     fn residency(&self) -> Option<&Residency> {
         Some(&self.inner.residency)
+    }
+
+    fn warm(&self) -> Option<&WarmStore> {
+        Some(&self.warm)
     }
 }
 

@@ -132,7 +132,9 @@ pub struct CellFigures {
     pub l1d_mpki: f64,
     /// L2 misses per 1000 instructions.
     pub l2_mpki: f64,
-    /// Host wall-clock seconds of the run that produced the figures.
+    /// Host wall-clock seconds of the run that produced the figures.  Of a
+    /// fast-forwarded cell they cover the functional walk only in the run
+    /// that performed it: the source keeps the state for every later one.
     pub host_seconds: f64,
     /// Simulated MIPS of that run.
     pub mips: f64,
@@ -201,9 +203,11 @@ impl SimReport {
 /// caches, branch history, allocator), then `reps` timed repetitions,
 /// returning the run with the *median* host time.  Median-of-N is robust to
 /// one-sided host noise in both directions, unlike best-of-N.  Each
-/// repetition architecturally executes the first `ff` instructions without
-/// the timing model and times the rest from a cold microarchitectural state
-/// (0 = fully cold; see [`Simulator::run_source_ff`]).  This is the one
+/// repetition starts from the architectural state after the first `ff`
+/// instructions — walked without the timing model once per source, by
+/// whichever run over it asks first — and times the rest from a cold
+/// microarchitectural state (0 = fully cold; see
+/// [`Simulator::run_source_ff`]).  This is the one
 /// timing protocol, run by every cell of the sweep executor; an in-memory
 /// [`Trace`] goes in as an [`icfp_isa::ArenaSource`].
 pub fn median_run(config: &SimConfig, source: &dyn TraceSource, ff: usize, reps: u32) -> SimReport {
@@ -243,11 +247,16 @@ pub fn check_timed_region(ff: usize, insts: usize) -> Result<(), String> {
 /// returns the warmed [`ArchState`].  This is pure computation over decoded
 /// blocks (no caches, predictors or issue scheduling), so it proceeds at
 /// functional-simulation speed: two orders of magnitude above timed
-/// simulation.  The warm-up primitive behind [`Simulator::fast_forward`].
+/// simulation.  A pure, uncached walk from instruction 0 on every call; the
+/// simulator's fast-forwards share one through the source's
+/// [`icfp_isa::WarmStore`], whose only producer this walk is.
 pub fn functional_warmup(trace: &TraceCursor<'_>, n: usize) -> ArchState {
-    let n = n.min(trace.len());
-    let mut st = ArchState::new();
-    trace.for_each_block_from(0, |first, insts| {
+    walk_to(trace, ArchState::new(), n.min(trace.len()))
+}
+
+/// Executes instructions `[st.instructions, n)` of the trace on `st`.
+fn walk_to(trace: &TraceCursor<'_>, mut st: ArchState, n: usize) -> ArchState {
+    trace.for_each_block_from(st.instructions as usize, |first, insts| {
         let take = (n - first).min(insts.len());
         for inst in &insts[..take] {
             st.exec(inst);
@@ -255,6 +264,18 @@ pub fn functional_warmup(trace: &TraceCursor<'_>, n: usize) -> ArchState {
         first + take < n
     });
     st
+}
+
+/// The one way the simulator fast-forwards: the state after the first `n`
+/// instructions, from the source's [`icfp_isa::WarmStore`] — walked once per
+/// source and depth, single-flight, resumed from a shallower held state —
+/// or, for a cursor over a bare [`Trace`] (no source, no store), walked here.
+fn warm_state(trace: &TraceCursor<'_>, n: usize) -> Arc<ArchState> {
+    let n = n.min(trace.len());
+    match trace.warm() {
+        Some(store) => store.state_at(n, |from| walk_to(trace, from, n)),
+        None => Arc::new(functional_warmup(trace, n)),
+    }
 }
 
 /// Progress of a batched [`Simulator::step_n`] call.
@@ -335,7 +356,9 @@ impl Simulator {
     /// from a cold microarchitectural state.  The report's final
     /// architectural state and `state_digest` equal the cold full run's by
     /// construction; `cycles` covers only the timed region — that asymmetry
-    /// is the fast-forward methodology, not an accident.
+    /// is the fast-forward methodology, not an accident.  The prefix is
+    /// walked once per source ([`icfp_isa::WarmStore`]): `host_seconds`
+    /// covers the walk only in the run that performed it.
     pub fn run_source_ff(&mut self, source: &dyn TraceSource, ff: usize) -> SimReport {
         self.run_cursor_ff(&TraceCursor::new(source), ff)
     }
@@ -344,9 +367,8 @@ impl Simulator {
         let t0 = Instant::now();
         let mut engine = self.config.core.engine(&self.config.cfg);
         if ff > 0 {
-            let warm = functional_warmup(trace, ff);
             engine
-                .seed(&warm)
+                .seed(&warm_state(trace, ff))
                 .expect("a just-built engine accepts a seed");
         }
         let result = engine.finish(trace);
@@ -397,7 +419,7 @@ impl Simulator {
         };
         let trace = TraceCursor::new(&**source);
         let t0 = Instant::now();
-        let warm = functional_warmup(&trace, n);
+        let warm = warm_state(&trace, n);
         engine.seed(&warm).map_err(CkptError::Engine)?;
         *host_seconds += t0.elapsed().as_secs_f64();
         Ok(warm.instructions)

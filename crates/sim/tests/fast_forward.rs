@@ -6,7 +6,7 @@
 //! another simulator.  Cycle counts legitimately differ: they cover only the
 //! timed region, which is the fast-forward methodology.
 
-use icfp_isa::TraceCursor;
+use icfp_isa::{TraceCursor, TraceFile, TraceFileWriter, TraceFormat, TraceSource};
 use icfp_sim::{functional_warmup, CkptError, CoreModel, SimCheckpoint, SimConfig, Simulator};
 
 const INSTS: usize = 3_000;
@@ -36,11 +36,23 @@ fn functional_warmup_clamps_and_counts() {
 fn fast_forwarded_runs_match_cold_runs_on_final_architectural_state() {
     for wl in ["pointer-chase", "streaming"] {
         let t = trace_for(wl);
+        // The same matrix once more through the two streamed backings, whose
+        // warm-state stores are shared by all five models and all four
+        // depths (exact matches, resumes and restarts in one loop).
+        let path = std::env::temp_dir().join(format!("icfp-ff-{}-{wl}.trace", std::process::id()));
+        TraceFileWriter::write_trace_as(&path, &t, 128, TraceFormat::V2).expect("write");
+        let file = TraceFile::open(&path).expect("open");
+        let generator = icfp_workloads::source_by_name(wl, INSTS, SEED, 128).expect("standard");
+        let streamed: [&dyn TraceSource; 2] = [&file, &generator];
         for model in CoreModel::ALL {
             let config = SimConfig::new(model);
             let cold = Simulator::new(config.clone()).run(&t);
             for ff in [1, t.len() / 3, t.len() / 2 + 17, t.len()] {
                 let warm = Simulator::new(config.clone()).run_ff(&t, ff);
+                for source in streamed {
+                    let s = Simulator::new(config.clone()).run_source_ff(source, ff);
+                    assert_eq!(s.result, warm.result, "{model:?}/{wl} ff={ff}: backings diverged");
+                }
                 assert_eq!(
                     warm.state_digest, cold.state_digest,
                     "{model:?}/{wl} ff={ff}: architectural execution is \
@@ -61,6 +73,7 @@ fn fast_forwarded_runs_match_cold_runs_on_final_architectural_state() {
                 );
             }
         }
+        let _ = std::fs::remove_file(&path);
     }
 }
 

@@ -8,38 +8,15 @@
 //! last nine tenths made (runs are deterministic, so the prefix run repeats
 //! exactly what the full run did up to that point, plus one result assembly).
 //!
-//! One `#[test]` only: the counter is process-wide, and a second test thread
-//! would allocate into it.
+//! One `#[test]` only: see `common/alloc.rs`.
 
+#[path = "common/alloc.rs"]
+mod alloc;
+
+use alloc::{CountingAlloc, ALLOC_CALLS};
 use icfp_isa::Trace;
 use icfp_sim::{CoreModel, SimConfig, Simulator};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter never touches the returned memory.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are passed through to `System`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are passed through to `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use std::sync::atomic::Ordering;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;

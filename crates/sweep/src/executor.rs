@@ -749,6 +749,69 @@ mod tests {
         assert!(bad.validate().unwrap_err().contains("timed region"));
     }
 
+    /// Runs `work` holding every column it touches past the sweep's end, and
+    /// returns the outcome with each held column's functional-walk count.
+    fn run_counting_walks(work: &SweepShard, opts: &ExecOptions<'_>) -> (SweepOutcome, Vec<usize>) {
+        let prepared = Prepared::new(work, opts).unwrap();
+        let held: Vec<_> = (0..work.spec.workloads.len())
+            .filter_map(|c| prepared.column(c).ok())
+            .collect();
+        let outcome = prepared.run(|_| {}).unwrap();
+        let walks = held.iter().map(|s| s.warm().expect("columns keep a store").walks());
+        (outcome, walks.collect())
+    }
+
+    #[test]
+    fn a_fast_forwarded_column_is_walked_once_per_sweep() {
+        let path = tmp_cache("ff-walks.trace");
+        let chase = icfp_workloads::by_name("pointer-chase", 600, 7).unwrap();
+        icfp_isa::TraceFileWriter::write_trace_as(&path, &chase, 64, icfp_isa::TraceFormat::V2)
+            .unwrap();
+        let registry = {
+            let columns = vec!["dcache-thrash".to_string(), "streaming".to_string()];
+            let mut s = SweepSpec::new(CoreModel::ALL.to_vec(), columns, 600, 0xC0DE);
+            s.slice_buffer_entries = vec![64, 128];
+            s.fast_forward = 300;
+            s.reps = 3;
+            s
+        };
+        let mut with_container = registry.clone();
+        with_container.workloads.push(path.to_str().unwrap().to_string());
+        // What the build before the warm-state store prints for `registry`
+        // (`--insts 600 --seed 0xC0DE --workload dcache-thrash,streaming
+        // --sweep-slice 64,128 --fast-forward 300 --reps 3`); a container's
+        // path is part of its cells, so that grid is held to itself.
+        let pinned = [(&registry, Some(0xce6a2d5d7995a9c3)), (&with_container, None)];
+        fn opts(threads: usize, cache: Option<&ResultCache>) -> ExecOptions<'_> {
+            ExecOptions { threads, cache, ..ExecOptions::default() }
+        }
+        for (spec, parent_digest) in pinned {
+            let whole = SweepShard::whole(spec);
+            let dir = tmp_cache("ff-walks");
+            let cache = ResultCache::open(&dir).unwrap();
+            let once = vec![1; spec.workloads.len()];
+            // 5 models x (warm-up + 3 repetitions) per column: one walk,
+            // on any pool, with or without a cache to fill ...
+            let (serial, walks) = run_counting_walks(&whole, &opts(1, None));
+            assert_eq!(walks, once);
+            let (pooled, walks) = run_counting_walks(&whole, &opts(4, Some(&cache)));
+            assert_eq!(walks, once);
+            // ... none when every cell is a hit ...
+            let (warm, walks) = run_counting_walks(&whole, &opts(1, Some(&cache)));
+            assert_eq!((warm.cache.misses, walks), (0, vec![0; spec.workloads.len()]));
+            // ... and one per worker under `RemoteBackend`: a worker runs a
+            // shard, and both shards hold groups of every column.
+            for shard in crate::plan_shards(spec, 2).unwrap() {
+                assert_eq!(run_counting_walks(&shard, &opts(1, None)).1, once);
+            }
+            let digest = serial.report.digest();
+            assert_eq!((pooled.report.digest(), warm.report.digest()), (digest, digest));
+            assert_eq!(digest, parent_digest.unwrap_or(digest));
+            let _ = fs::remove_dir_all(&dir);
+        }
+        let _ = fs::remove_file(&path);
+    }
+
     #[test]
     fn l2_latency_axis_moves_cycles_monotonically() {
         let mut spec = tiny_spec();

@@ -34,7 +34,9 @@ pub struct SweepCell {
     pub l1d_mpki: f64,
     /// L2 misses per 1000 instructions.
     pub l2_mpki: f64,
-    /// Median host seconds over the cell's repetitions.
+    /// Median host seconds over the cell's repetitions; of a fast-forwarded
+    /// cell they cover the functional walk only in the run that performed it
+    /// (the column's source keeps the state: `icfp_isa::WarmStore`).
     pub host_seconds: f64,
     /// Simulated MIPS of the median rep.
     pub mips: f64,

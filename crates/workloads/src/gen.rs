@@ -17,7 +17,7 @@
 
 use crate::SplitMix64;
 use icfp_isa::source::{
-    block_digest_of, BlockCache, Residency, TraceBlock, TraceSource, TraceSourceError,
+    block_digest_of, BlockCache, Residency, TraceBlock, TraceSource, TraceSourceError, WarmStore,
 };
 use icfp_isa::{inst_mix, DynInst, InstDigest, InstSeq, Op, Reg, Trace, TraceBuilder};
 use std::collections::VecDeque;
@@ -315,6 +315,7 @@ pub struct WorkloadSource {
     /// Bounded MRU cache of regenerated blocks: regeneration is cheap,
     /// residency is what matters.
     cache: BlockCache,
+    warm: WarmStore,
 }
 
 /// Regenerated blocks kept resident per source (current + lookback).
@@ -359,6 +360,7 @@ impl WorkloadSource {
             boundaries,
             residency: Arc::new(Residency::default()),
             cache: BlockCache::new(GEN_RESIDENT_BLOCKS),
+            warm: WarmStore::default(),
         }
     }
 }
@@ -423,6 +425,10 @@ impl TraceSource for WorkloadSource {
 
     fn residency(&self) -> Option<&Residency> {
         Some(&self.residency)
+    }
+
+    fn warm(&self) -> Option<&WarmStore> {
+        Some(&self.warm)
     }
 }
 
