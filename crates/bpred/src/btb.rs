@@ -1,7 +1,7 @@
 //! Branch target buffer.
 
 use icfp_isa::Addr;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 struct BtbEntry {
@@ -11,12 +11,14 @@ struct BtbEntry {
     lru: u64,
 }
 
-/// A set-associative branch target buffer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A set-associative branch target buffer: one flat array of entries,
+/// indexed `set * assoc + way`.
+#[derive(Debug, Clone, Serialize)]
 pub struct Btb {
-    sets: Vec<Vec<BtbEntry>>,
+    assoc: usize,
     num_sets: usize,
     tick: u64,
+    entries: Vec<BtbEntry>,
 }
 
 impl Btb {
@@ -33,20 +35,23 @@ impl Btb {
         );
         let num_sets = (entries / assoc).next_power_of_two();
         Btb {
-            sets: vec![vec![BtbEntry::default(); assoc]; num_sets],
+            assoc,
             num_sets,
             tick: 0,
+            entries: vec![BtbEntry::default(); num_sets * assoc],
         }
     }
 
-    fn set_index(&self, pc: Addr) -> usize {
-        ((pc >> 2) as usize) & (self.num_sets - 1)
+    /// The entries of the set `pc` maps to.
+    fn set(&self, pc: Addr) -> std::ops::Range<usize> {
+        let base = (((pc >> 2) as usize) & (self.num_sets - 1)) * self.assoc;
+        base..base + self.assoc
     }
 
     /// Looks up the predicted target for the branch at `pc`.
     pub fn lookup(&self, pc: Addr) -> Option<Addr> {
-        let set = &self.sets[self.set_index(pc)];
-        set.iter()
+        self.entries[self.set(pc)]
+            .iter()
             .find(|e| e.valid && e.tag == pc)
             .map(|e| e.target)
     }
@@ -55,8 +60,8 @@ impl Btb {
     pub fn insert(&mut self, pc: Addr, target: Addr) {
         self.tick += 1;
         let tick = self.tick;
-        let idx = self.set_index(pc);
-        let set = &mut self.sets[idx];
+        let set = self.set(pc);
+        let set = &mut self.entries[set];
         if let Some(e) = set.iter_mut().find(|e| e.valid && e.tag == pc) {
             e.target = target;
             e.lru = tick;
@@ -76,10 +81,24 @@ impl Btb {
 
     /// Number of valid entries currently stored.
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|e| e.valid).count())
-            .sum()
+        self.entries.iter().filter(|e| e.valid).count()
+    }
+}
+
+/// Refuses a geometry [`Btb::new`] cannot produce and a table that is not
+/// sets × associativity entries.
+impl Deserialize for Btb {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let assoc: usize = Deserialize::deserialize(r)?;
+        let num_sets: usize = Deserialize::deserialize(r)?;
+        let size = num_sets.checked_mul(assoc).filter(|_| assoc > 0 && num_sets.is_power_of_two());
+        let size = size.ok_or(serde::Error::invalid("btb geometry", r.position()))?;
+        Ok(Btb {
+            assoc,
+            num_sets,
+            tick: Deserialize::deserialize(r)?,
+            entries: serde::vec_of_len(r, size, "btb table size")?,
+        })
     }
 }
 

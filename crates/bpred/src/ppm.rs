@@ -8,7 +8,7 @@
 //! table and allocates into a longer-history table on a mis-prediction.
 
 use icfp_isa::Addr;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 
 /// Configuration of the PPM predictor.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,12 +63,14 @@ struct TaggedEntry {
 }
 
 /// The PPM-like direction predictor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PpmPredictor {
     config: PpmConfig,
     /// 2-bit counters, taken if >= 2.
     base: Vec<u8>,
-    tagged: Vec<Vec<TaggedEntry>>,
+    /// The tagged tables back to back: table `t`'s entry `i` is at
+    /// `t << tagged_bits | i`.
+    tagged: Vec<TaggedEntry>,
     /// Global history register (most recent outcome in bit 0).
     history: u64,
 }
@@ -124,7 +126,8 @@ pub const MAX_TABLES: usize = 16;
 /// training and mis-prediction allocation.
 struct Lookup {
     tables: usize,
-    idx: [u32; MAX_TABLES],
+    /// Each table's entry, as an index into the flat tagged array.
+    idx: [usize; MAX_TABLES],
     tag: [u16; MAX_TABLES],
     /// Longest-history table whose entry tag-matches, if any.
     provider: Option<usize>,
@@ -155,11 +158,7 @@ impl PpmPredictor {
             panic!("invalid PPM configuration: {e}");
         }
         let base = vec![1u8; 1 << config.base_bits];
-        let tagged = config
-            .history_lengths
-            .iter()
-            .map(|_| vec![TaggedEntry::default(); 1 << config.tagged_bits])
-            .collect();
+        let tagged = vec![TaggedEntry::default(); config.history_lengths.len() << config.tagged_bits];
         PpmPredictor {
             config,
             base,
@@ -183,11 +182,12 @@ impl PpmPredictor {
         folded
     }
 
+    /// The flat index of `pc`'s entry in tagged table `table`.
     fn tagged_index(&self, pc: Addr, table: usize) -> usize {
         let bits = self.config.tagged_bits;
         let hist = self.fold_history(self.config.history_lengths[table], bits);
         let idx = (pc >> 2) ^ hist ^ ((pc >> 2) >> bits) ^ (table as u64).wrapping_mul(0x9E3779B1);
-        (idx as usize) & ((1 << bits) - 1)
+        (table << bits) | ((idx as usize) & ((1 << bits) - 1))
     }
 
     fn tag_of(&self, pc: Addr, table: usize) -> u16 {
@@ -204,7 +204,7 @@ impl PpmPredictor {
     /// and finds the providing table: the longest-history tagged table whose
     /// entry tag-matches.
     fn lookup(&self, pc: Addr) -> Lookup {
-        let tables = self.tagged.len();
+        let tables = self.num_tables();
         let mut lk = Lookup {
             tables,
             idx: [0; MAX_TABLES],
@@ -214,9 +214,9 @@ impl PpmPredictor {
         for t in 0..tables {
             let idx = self.tagged_index(pc, t);
             let tag = self.tag_of(pc, t);
-            lk.idx[t] = idx as u32;
+            lk.idx[t] = idx;
             lk.tag[t] = tag;
-            let e = &self.tagged[t][idx];
+            let e = &self.tagged[idx];
             if e.valid && e.tag == tag {
                 // Tables are walked shortest-history first; the last match is
                 // the longest-history provider.
@@ -229,7 +229,7 @@ impl PpmPredictor {
     /// Reads the prediction out of an already-computed [`Lookup`].
     fn predict_from(&self, lk: &Lookup, pc: Addr) -> bool {
         match lk.provider {
-            Some(t) => self.tagged[t][lk.idx[t] as usize].counter >= 4,
+            Some(t) => self.tagged[lk.idx[t]].counter >= 4,
             None => self.base[self.base_index(pc)] >= 2,
         }
     }
@@ -250,7 +250,7 @@ impl PpmPredictor {
 
         match lk.provider {
             Some(t) => {
-                let e = &mut self.tagged[t][lk.idx[t] as usize];
+                let e = &mut self.tagged[lk.idx[t]];
                 e.counter = bump3(e.counter, taken);
                 e.useful = predicted == taken;
             }
@@ -265,7 +265,7 @@ impl PpmPredictor {
         if predicted != taken {
             let start = lk.provider.map(|t| t + 1).unwrap_or(0);
             for t in start..lk.tables {
-                let e = &mut self.tagged[t][lk.idx[t] as usize];
+                let e = &mut self.tagged[lk.idx[t]];
                 if !e.valid || !e.useful {
                     *e = TaggedEntry {
                         tag: lk.tag[t],
@@ -284,15 +284,36 @@ impl PpmPredictor {
 
     /// Number of tagged tables.
     pub fn num_tables(&self) -> usize {
-        self.tagged.len()
+        self.config.history_lengths.len()
     }
 
     /// Approximate storage budget of the predictor in bytes.
     pub fn storage_bytes(&self) -> usize {
         let base_bits = self.base.len() * 2;
         let per_entry = 3 + 1 + self.config.tag_bits as usize;
-        let tagged_bits: usize = self.tagged.iter().map(|t| t.len() * per_entry).sum();
+        let tagged_bits = self.tagged.len() * per_entry;
         (base_bits + tagged_bits) / 8
+    }
+}
+
+/// Refuses a configuration [`PpmPredictor::new`] would refuse and tables
+/// whose sizes disagree with it.
+impl Deserialize for PpmPredictor {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let config: PpmConfig = Deserialize::deserialize(r)?;
+        if config.validate().is_err() {
+            return Err(serde::Error::invalid("ppm configuration", r.position()));
+        }
+        Ok(PpmPredictor {
+            base: serde::vec_of_len(r, 1 << config.base_bits, "ppm base table size")?,
+            tagged: serde::vec_of_len(
+                r,
+                config.history_lengths.len() << config.tagged_bits,
+                "ppm tagged table size",
+            )?,
+            config,
+            history: Deserialize::deserialize(r)?,
+        })
     }
 }
 

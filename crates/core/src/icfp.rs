@@ -800,7 +800,7 @@ impl CoreEngine for IcfpMachine {
     }
 
     /// Checkpoints taken afterwards carry the seed (the machine serializes
-    /// whole), so fast-forwarded runs mint ordinary `icfp-ckpt/v2`
+    /// whole), so fast-forwarded runs mint ordinary `icfp-ckpt/v3`
     /// checkpoints.
     fn seed(&mut self, warm: &Arc<ArchState>) -> Result<(), String> {
         if self.i != 0 || self.eng.frontier != 0 || self.in_episode || self.done {
@@ -1116,6 +1116,33 @@ mod tests {
             m.eng.cfg.slice_buffer_entries = bad;
             let err = serde::from_bytes::<IcfpMachine>(&serde::to_bytes(&m)).unwrap_err();
             assert!(err.to_string().contains("core configuration"), "{err}");
+        }
+        // Flat tables whose own geometry disagrees with their length: the
+        // machine's bytes with one structure's geometry rewritten (its last
+        // encoding; the configuration copies come first).
+        let bytes = serde::to_bytes(&IcfpMachine::new(&CoreConfig::paper_default()));
+        let words = |w: &[u64]| w.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+        let halves = |w: &[u32]| w.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+        for (what, from, to) in [
+            // The L1 (32 KB, 4-way, 64 B lines) as 48 KB: 192 sets.
+            ("cache set count", words(&[32768, 4, 64]), words(&[49152, 4, 64])),
+            // ... as 64 KB: 256 sets, but the arrays hold 128 x 4 ways.
+            ("cache key array length", words(&[32768, 4, 64]), words(&[65536, 4, 64])),
+            // Stream depth 8 -> 7 (then block bytes and the buffer count):
+            // each buffer holds eight slots, one more than its depth.
+            ("stream table length", words(&[8, 128, 8]), words(&[7, 128, 8])),
+            // The BTB's 4 ways x 512 sets as 256 sets, or as 500.
+            ("btb table size", words(&[4, 512]), words(&[4, 256])),
+            ("btb geometry", words(&[4, 512]), words(&[4, 500])),
+            // The PPM's 2^13 base / 2^12 tagged entries, one bit narrower.
+            ("ppm base table size", halves(&[13, 12]), halves(&[12, 12])),
+            ("ppm tagged table size", halves(&[13, 12]), halves(&[13, 11])),
+        ] {
+            let at = bytes.windows(from.len()).rposition(|w| w == from).expect(what);
+            let mut hostile = bytes.clone();
+            hostile[at..at + to.len()].copy_from_slice(&to);
+            let err = serde::from_bytes::<IcfpMachine>(&hostile).unwrap_err();
+            assert!(err.to_string().contains(what), "{what}: {err}");
         }
     }
 

@@ -4,7 +4,7 @@
 //! (`RunResult::state_digest`), sweep reports, result-cache keys and entries,
 //! checkpoint containers, the trace container's *index* digest and the wire all
 //! hash byte strings with FNV-1a 64.  Those values are persisted in
-//! `golden_figures.txt`, `icfp-cache/v1` directories, `icfp-ckpt/v2` files and
+//! `golden_figures.txt`, `icfp-cache/v1` directories, `icfp-ckpt` files and
 //! `icfp-trace` index trailers, so [`Fnv1a`] must hash identically forever.
 //!
 //! **[`InstDigest`] — instruction content.**  The identity of a trace
@@ -12,7 +12,7 @@
 //! its blocks ([`crate::block_digest_of`]) is a function of the [`DynInst`]
 //! *field values*, not of any encoding of them.  It is persisted in the
 //! per-block and whole-trace digests of `icfp-trace/v1|v2` indexes, in the
-//! trace identity an `icfp-ckpt/v2` file resumes against, and (through the
+//! trace identity an `icfp-ckpt` file resumes against, and (through the
 //! cache key) in `icfp-cache/v1` entry names; changing [`inst_mix`] or the
 //! chain makes every such file refuse to open, resume or hit, with the typed
 //! errors those readers already have.

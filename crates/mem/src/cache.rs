@@ -7,7 +7,7 @@
 //! the fill does), which is how MSHR merging becomes visible to the pipeline.
 
 use icfp_isa::{Addr, Cycle};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 
 /// Geometry of a single cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,27 +37,23 @@ impl CacheConfig {
     pub fn set_index(&self, addr: Addr) -> usize {
         ((addr >> self.line_bytes.trailing_zeros()) as usize) & (self.num_sets() - 1)
     }
-}
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct Line {
-    tag: Addr, // line-aligned address
-    valid: bool,
-    dirty: bool,
-    last_use: Cycle,
-    /// Cycle at which the fill that brought this line in completes.
-    ready_at: Cycle,
-}
-
-impl Line {
-    fn invalid() -> Self {
-        Line {
-            tag: 0,
-            valid: false,
-            dirty: false,
-            last_use: 0,
-            ready_at: 0,
+    /// The number of ways (sets × associativity) of a buildable geometry: a
+    /// power-of-two line of at least two bytes (bit 0 of a line address is
+    /// the valid bit), at least one way per set, and a power-of-two set
+    /// count.  Otherwise names what is wrong.
+    fn ways(&self) -> Result<usize, &'static str> {
+        if !self.line_bytes.is_power_of_two() || self.line_bytes < 2 {
+            return Err("cache line size (a power of two of at least 2)");
         }
+        if self.assoc == 0 || self.line_bytes.checked_mul(self.assoc as u64).is_none() {
+            return Err("cache associativity");
+        }
+        let sets = self.num_sets();
+        if !sets.is_power_of_two() {
+            return Err("cache set count (not a power of two)");
+        }
+        Ok(sets * self.assoc)
     }
 }
 
@@ -171,11 +167,25 @@ impl VictimBuffer {
     }
 }
 
+/// Bit 0 of a way's key: the way holds a valid line.  Line addresses are at
+/// least two-byte aligned, so the bit is free.
+const VALID: Addr = 1;
+
 /// A set-associative, LRU-replacement cache tag array with a victim buffer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// One flat array per field, indexed `set * assoc + way`: a probe scans one
+/// contiguous run of keys.
+#[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Line-aligned address, [`VALID`] set while the way holds the line.
+    keys: Vec<Addr>,
+    dirty: Vec<bool>,
+    last_use: Vec<Cycle>,
+    /// Cycle at which the fill that brought the line in completes.
+    ready_at: Vec<Cycle>,
+    /// Set count − 1 (the set count is a power of two).
+    set_mask: usize,
     victim: VictimBuffer,
     stats: CacheStats,
 }
@@ -185,15 +195,18 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the line size is not a power of two or the associativity is 0.
+    /// Panics if the line size is not a power of two of at least 2 bytes,
+    /// the associativity is 0, or the set count is not a power of two.
     pub fn new(config: CacheConfig) -> Self {
-        assert!(config.line_bytes.is_power_of_two(), "line size must be a power of two");
-        assert!(config.assoc > 0, "associativity must be at least 1");
-        let sets = vec![vec![Line::invalid(); config.assoc]; config.num_sets()];
+        let ways = config.ways().unwrap_or_else(|what| panic!("invalid {what}"));
         Cache {
             victim: VictimBuffer::new(config.victim_entries),
+            keys: vec![0; ways],
+            dirty: vec![false; ways],
+            last_use: vec![0; ways],
+            ready_at: vec![0; ways],
+            set_mask: config.num_sets() - 1,
             config,
-            sets,
             stats: CacheStats::default(),
         }
     }
@@ -214,10 +227,24 @@ impl Cache {
     }
 
     /// [`CacheConfig::set_index`] without recomputing the set count (two
-    /// divisions) on every access: the set array's length *is* the set count.
+    /// divisions) on every access.
     #[inline]
     fn set_of(&self, addr: Addr) -> usize {
-        ((addr >> self.config.line_bytes.trailing_zeros()) as usize) & (self.sets.len() - 1)
+        ((addr >> self.config.line_bytes.trailing_zeros()) as usize) & self.set_mask
+    }
+
+    /// The index range of `addr`'s set in the flat arrays.
+    #[inline]
+    fn ways_of(&self, addr: Addr) -> std::ops::Range<usize> {
+        let base = self.set_of(addr) * self.config.assoc;
+        base..base + self.config.assoc
+    }
+
+    /// The flat index of the way holding `line_addr`'s line, if resident.
+    #[inline]
+    fn find(&self, line_addr: Addr) -> Option<usize> {
+        let ways = self.ways_of(line_addr);
+        self.keys[ways.clone()].iter().position(|&k| k == line_addr | VALID).map(|w| ways.start + w)
     }
 
     /// Probes for `addr` as a demand access at cycle `now`, updating LRU state
@@ -226,17 +253,11 @@ impl Cache {
     pub fn access(&mut self, addr: Addr, now: Cycle, is_write: bool) -> ProbeResult {
         self.stats.accesses += 1;
         let line_addr = self.config.line_addr(addr);
-        let set = self.set_of(addr);
-        if let Some(line) = self.sets[set]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == line_addr)
-        {
-            line.last_use = now;
-            if is_write {
-                line.dirty = true;
-            }
+        if let Some(i) = self.find(line_addr) {
+            self.last_use[i] = now;
+            self.dirty[i] |= is_write;
             return ProbeResult::Hit {
-                ready_at: line.ready_at.max(now),
+                ready_at: self.ready_at[i].max(now),
             };
         }
         // Victim buffer probe: hit moves the line back into the array.  The
@@ -255,9 +276,7 @@ impl Cache {
     /// Probes without updating statistics or LRU (used by prefetchers and by
     /// external-store snoops).
     pub fn peek(&self, addr: Addr) -> bool {
-        let line_addr = self.config.line_addr(addr);
-        let set = self.set_of(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == line_addr)
+        self.find(self.config.line_addr(addr)).is_some()
     }
 
     /// Fills `addr`'s line, marking its data ready at `ready_at`.  Returns the
@@ -268,78 +287,85 @@ impl Cache {
         self.fill_internal(self.config.line_addr(addr), now, ready_at, dirty)
     }
 
-    fn fill_internal(
-        &mut self,
-        line_addr: Addr,
-        now: Cycle,
-        ready_at: Cycle,
-        dirty: bool,
-    ) -> Option<Evicted> {
-        let set = self.set_of(line_addr);
+    fn fill_internal(&mut self, line_addr: Addr, now: Cycle, ready_at: Cycle, dirty: bool) -> Option<Evicted> {
         // Already present (e.g. prefetch raced a demand fill): refresh.
-        if let Some(line) = self.sets[set]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == line_addr)
-        {
-            line.last_use = now;
-            line.ready_at = line.ready_at.min(ready_at);
-            line.dirty |= dirty;
+        if let Some(i) = self.find(line_addr) {
+            self.last_use[i] = now;
+            self.ready_at[i] = self.ready_at[i].min(ready_at);
+            self.dirty[i] |= dirty;
             return None;
         }
-        let way = self.choose_victim(set);
-        let old = self.sets[set][way];
-        self.sets[set][way] = Line {
-            tag: line_addr,
-            valid: true,
-            dirty,
-            last_use: now,
-            ready_at,
-        };
-        if old.valid {
-            if old.dirty {
+        let i = self.choose_victim(line_addr);
+        let (old_key, old_dirty, old_ready) = (self.keys[i], self.dirty[i], self.ready_at[i]);
+        self.keys[i] = line_addr | VALID;
+        self.dirty[i] = dirty;
+        self.last_use[i] = now;
+        self.ready_at[i] = ready_at;
+        if old_key & VALID != 0 {
+            if old_dirty {
                 self.stats.writebacks += 1;
             }
             // Displaced lines go to the victim buffer; whatever the victim
             // buffer displaces in turn is reported to the caller.
-            return self.victim.insert(old.tag, old.dirty, old.ready_at);
+            return self.victim.insert(old_key & !VALID, old_dirty, old_ready);
         }
         None
     }
 
-    fn choose_victim(&self, set: usize) -> usize {
-        // Invalid way first, else LRU.
-        if let Some(idx) = self.sets[set].iter().position(|l| !l.valid) {
-            return idx;
+    /// The flat index of the way a fill of `line_addr` replaces: the set's
+    /// first invalid way, else its first least-recently-used way.
+    fn choose_victim(&self, line_addr: Addr) -> usize {
+        let ways = self.ways_of(line_addr);
+        let first = ways.start;
+        match ways.clone().find(|&i| self.keys[i] & VALID == 0) {
+            Some(invalid) => invalid,
+            None => ways.min_by_key(|&i| self.last_use[i]).unwrap_or(first),
         }
-        self.sets[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.last_use)
-            .map(|(i, _)| i)
-            .expect("associativity is at least 1")
     }
 
     /// Invalidates `addr`'s line if present (used by SLTP's speculative-line
     /// flush and by external invalidations).  Returns true if a line was
     /// invalidated.
     pub fn invalidate(&mut self, addr: Addr) -> bool {
-        let line_addr = self.config.line_addr(addr);
-        let set = self.set_of(addr);
-        for line in &mut self.sets[set] {
-            if line.valid && line.tag == line_addr {
-                line.valid = false;
-                return true;
-            }
-        }
-        false
+        let found = self.find(self.config.line_addr(addr));
+        found.map(|i| self.keys[i] &= !VALID).is_some()
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|l| l.valid).count())
-            .sum()
+        self.keys.iter().filter(|&&k| k & VALID != 0).count()
+    }
+}
+
+/// Checkpoint codec: the geometry, then each flat array.
+impl Serialize for Cache {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        self.config.serialize(out);
+        self.keys.serialize(out);
+        self.dirty.serialize(out);
+        self.last_use.serialize(out);
+        self.ready_at.serialize(out);
+        self.victim.serialize(out);
+        self.stats.serialize(out);
+    }
+}
+
+/// Refuses a geometry [`Cache::new`] would refuse and any array whose length
+/// is not its sets × associativity.
+impl Deserialize for Cache {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let config: CacheConfig = Deserialize::deserialize(r)?;
+        let ways = config.ways().map_err(|what| serde::Error::invalid(what, r.position()))?;
+        Ok(Cache {
+            keys: serde::vec_of_len(r, ways, "cache key array length")?,
+            dirty: serde::vec_of_len(r, ways, "cache dirty array length")?,
+            last_use: serde::vec_of_len(r, ways, "cache last-use array length")?,
+            ready_at: serde::vec_of_len(r, ways, "cache ready-time array length")?,
+            set_mask: config.num_sets() - 1,
+            config,
+            victim: Deserialize::deserialize(r)?,
+            stats: Deserialize::deserialize(r)?,
+        })
     }
 }
 
@@ -466,6 +492,30 @@ mod tests {
         assert_eq!(c.stats().accesses, 2);
         assert_eq!(c.stats().misses, 1);
         assert!((c.stats().miss_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn snapshots_round_trip_and_refuse_arrays_that_disagree_with_the_geometry() {
+        let mut c = tiny();
+        c.fill(0x1000, 0, 7, true);
+        c.access(0x1040, 1, false);
+        let back: Cache = serde::from_bytes(&serde::to_bytes(&c)).expect("decode");
+        assert_eq!(serde::to_bytes(&back), serde::to_bytes(&c));
+        assert_eq!(back.set_mask, c.set_mask);
+        for (mutate, what) in [
+            ((|c: &mut Cache| c.keys.truncate(1)) as fn(&mut Cache), "cache key array length"),
+            (|c| c.dirty.push(true), "cache dirty array length"),
+            (|c| c.last_use.truncate(1), "cache last-use array length"),
+            (|c| c.ready_at.clear(), "cache ready-time array length"),
+            (|c| c.config.size_bytes = 768, "cache set count"),
+            (|c| c.config.line_bytes = 1, "cache line size"),
+            (|c| c.config.assoc = 0, "cache associativity"),
+        ] {
+            let mut hostile = c.clone();
+            mutate(&mut hostile);
+            let err = serde::from_bytes::<Cache>(&serde::to_bytes(&hostile)).unwrap_err();
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! block.
 
 use icfp_isa::{Addr, Cycle};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 
 /// A prefetch request the hierarchy should issue on behalf of the prefetcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,49 +32,48 @@ pub struct PrefetchStats {
     pub allocations: u64,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct StreamBuffer {
-    /// Blocks currently held / in flight: (block address, ready cycle).
-    blocks: Vec<(Addr, Cycle)>,
-    /// Block address the stream was trained on (its low end).
-    stream_base: Addr,
-    /// Next block address this stream will prefetch.
-    next_block: Addr,
-    /// Cycle of last use, for round-robin-with-LRU allocation.
-    last_use: Cycle,
-    /// Whether this buffer holds an active stream.
-    active: bool,
-}
-
-impl StreamBuffer {
-    fn empty() -> Self {
-        StreamBuffer {
-            blocks: Vec::new(),
-            stream_base: 0,
-            next_block: 0,
-            last_use: 0,
-            active: false,
-        }
-    }
-}
+/// An empty slot of the block table, and the next block of a buffer that
+/// holds no stream.  Blocks are aligned to the (at least two-byte) block
+/// size, so no block address is odd.
+const EMPTY: Addr = 1;
 
 /// The stream-buffer prefetch engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// One flat `buffers × depth` block table: buffer `b` owns slots
+/// `b * depth .. (b + 1) * depth`, its blocks packed at the front in arrival
+/// order and the rest empty (an odd sentinel), so a probe is one pass over
+/// the table.
+#[derive(Debug, Clone, Serialize)]
 pub struct StreamPrefetcher {
-    buffers: Vec<StreamBuffer>,
     depth: usize,
     block_bytes: u64,
+    /// Per buffer: the next block the stream will prefetch; [`EMPTY`] while
+    /// the buffer holds no stream.
+    next_block: Vec<Addr>,
+    /// Per buffer: the block address the stream was trained on (its low end).
+    stream_base: Vec<Addr>,
+    /// Per buffer: cycle of last use, for round-robin-with-LRU allocation.
+    last_use: Vec<Cycle>,
+    /// Block address held / in flight in each slot.
+    blocks: Vec<Addr>,
+    /// Arrival cycle of each slot's block.
+    ready: Vec<Cycle>,
     stats: PrefetchStats,
 }
 
 impl StreamPrefetcher {
     /// Creates a prefetcher with `num_buffers` stream buffers, each holding up
-    /// to `depth` blocks of `block_bytes` bytes.
+    /// to `depth` blocks of `block_bytes` bytes (a power of two of at least
+    /// 2).
     pub fn new(num_buffers: usize, depth: usize, block_bytes: u64) -> Self {
         StreamPrefetcher {
-            buffers: (0..num_buffers).map(|_| StreamBuffer::empty()).collect(),
             depth,
             block_bytes,
+            next_block: vec![EMPTY; num_buffers],
+            stream_base: vec![0; num_buffers],
+            last_use: vec![0; num_buffers],
+            blocks: vec![EMPTY; num_buffers * depth],
+            ready: vec![0; num_buffers * depth],
             stats: PrefetchStats::default(),
         }
     }
@@ -98,30 +97,29 @@ impl StreamPrefetcher {
         now: Cycle,
     ) -> (Option<Cycle>, Option<PrefetchRequest>) {
         let block = self.block_addr(addr);
-        for (bi, buf) in self.buffers.iter_mut().enumerate() {
-            if !buf.active {
-                continue;
-            }
-            if let Some(pos) = buf.blocks.iter().position(|&(a, _)| a == block) {
-                let (_, ready) = buf.blocks.remove(pos);
-                buf.last_use = now;
-                self.stats.hits += 1;
-                // Keep the stream running ahead.
-                let req = if buf.blocks.len() < self.depth {
-                    let next = buf.next_block;
-                    buf.next_block = next.wrapping_add(self.block_bytes);
-                    self.stats.issued += 1;
-                    Some(PrefetchRequest {
-                        block_addr: next,
-                        buffer: bi,
-                    })
-                } else {
-                    None
-                };
-                return (Some(ready.max(now)), req);
-            }
-        }
-        (None, None)
+        let Some(slot) = self.blocks.iter().position(|&a| a == block) else {
+            return (None, None);
+        };
+        let ready = self.ready[slot];
+        // Remove the block, keeping the order of the rest of its buffer.
+        let buffer = slot / self.depth;
+        let end = (buffer + 1) * self.depth;
+        self.blocks.copy_within(slot + 1..end, slot);
+        self.ready.copy_within(slot + 1..end, slot);
+        self.blocks[end - 1] = EMPTY;
+        self.last_use[buffer] = now;
+        self.stats.hits += 1;
+        // Keep the stream running ahead (the buffer now has room).
+        let next = self.next_block[buffer];
+        self.next_block[buffer] = next.wrapping_add(self.block_bytes);
+        self.stats.issued += 1;
+        (
+            Some(ready.max(now)),
+            Some(PrefetchRequest {
+                block_addr: next,
+                buffer,
+            }),
+        )
     }
 
     /// Notifies the prefetcher of a demand miss that no stream buffer covered.
@@ -145,37 +143,33 @@ impl StreamPrefetcher {
     /// for its initial burst: `(first block, buffer, blocks)`, or `None` when
     /// there is no buffer or an active stream already covers the miss.
     fn allocate_stream(&mut self, addr: Addr, now: Cycle) -> Option<(Addr, usize, usize)> {
-        if self.buffers.is_empty() {
-            return None;
-        }
         let block = self.block_addr(addr);
         let next = block.wrapping_add(self.block_bytes);
-        // One walk over the buffers both checks coverage and picks the
+        // Don't steal a buffer that is already streaming over this address:
+        // some active stream holds the missing block's successor (one pass
+        // over the table — inactive buffers hold no blocks) or its span
+        // covers the miss.
+        if self.next_block.is_empty() || self.blocks.contains(&next) {
+            return None;
+        }
+        // One walk over the buffers both checks span coverage and picks the
         // victim: the least-recently-used buffer, inactive buffers first, the
         // first such on a tie.
         let (mut victim, mut victim_key) = (0, (true, Cycle::MAX));
-        for (i, b) in self.buffers.iter().enumerate() {
-            // Don't steal a buffer that is already streaming over this
-            // address: the missing block lies within the span some active
-            // stream covers.
-            if b.active
-                && (b.next_block == next
-                    || (block >= b.stream_base && next <= b.next_block)
-                    || b.blocks.iter().any(|&(a, _)| a == next))
-            {
+        for (b, &last_use) in self.last_use.iter().enumerate() {
+            let (base, high) = (self.stream_base[b], self.next_block[b]);
+            let active = high != EMPTY;
+            if active && (high == next || (block >= base && next <= high)) {
                 return None;
             }
-            let key = (b.active, b.last_use);
-            if i == 0 || key < victim_key {
-                (victim, victim_key) = (i, key);
+            if b == 0 || (active, last_use) < victim_key {
+                (victim, victim_key) = (b, (active, last_use));
             }
         }
-        let buf = &mut self.buffers[victim];
-        buf.active = true;
-        buf.blocks.clear();
-        buf.last_use = now;
-        buf.stream_base = block;
-        buf.next_block = next.wrapping_add(self.block_bytes.wrapping_mul(self.depth as u64));
+        self.blocks[victim * self.depth..(victim + 1) * self.depth].fill(EMPTY);
+        self.last_use[victim] = now;
+        self.stream_base[victim] = block;
+        self.next_block[victim] = next.wrapping_add(self.block_bytes.wrapping_mul(self.depth as u64));
         self.stats.allocations += 1;
         self.stats.issued += self.depth as u64;
         Some((next, victim, self.depth))
@@ -184,9 +178,12 @@ impl StreamPrefetcher {
     /// Records that a previously requested prefetch block will arrive at
     /// `ready_at`.  Blocks beyond the buffer's depth are dropped.
     pub fn record_arrival(&mut self, req: PrefetchRequest, ready_at: Cycle) {
-        if let Some(buf) = self.buffers.get_mut(req.buffer) {
-            if buf.active && buf.blocks.len() < self.depth {
-                buf.blocks.push((req.block_addr, ready_at));
+        if self.next_block.get(req.buffer).is_some_and(|&n| n != EMPTY) {
+            let start = req.buffer * self.depth;
+            let slots = &self.blocks[start..start + self.depth];
+            if let Some(k) = slots.iter().position(|&a| a == EMPTY) {
+                self.blocks[start + k] = req.block_addr;
+                self.ready[start + k] = ready_at;
             }
         }
     }
@@ -196,16 +193,41 @@ impl StreamPrefetcher {
     /// dropped block so a later extension re-requests it, instead of leaving
     /// a permanent hole the stream believes it has covered.
     pub fn record_drop(&mut self, req: PrefetchRequest) {
-        if let Some(buf) = self.buffers.get_mut(req.buffer) {
-            if buf.active {
-                buf.next_block = buf.next_block.min(req.block_addr);
-            }
+        if let Some(next) = self.next_block.get_mut(req.buffer).filter(|n| **n != EMPTY) {
+            *next = (*next).min(req.block_addr);
         }
     }
 
     /// Number of blocks currently held or in flight across all buffers.
     pub fn blocks_in_flight(&self) -> usize {
-        self.buffers.iter().map(|b| b.blocks.len()).sum()
+        self.blocks.iter().filter(|&&a| a != EMPTY).count()
+    }
+}
+
+/// Refuses a block size with no free low bit, per-buffer arrays of unequal
+/// length, and a block table that is not buffers × depth slots.
+impl Deserialize for StreamPrefetcher {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let depth: usize = Deserialize::deserialize(r)?;
+        let block_bytes: u64 = Deserialize::deserialize(r)?;
+        if !block_bytes.is_power_of_two() || block_bytes < 2 {
+            return Err(serde::Error::invalid("stream block size", r.position()));
+        }
+        let next_block: Vec<Addr> = Deserialize::deserialize(r)?;
+        let buffers = next_block.len();
+        let slots = buffers
+            .checked_mul(depth)
+            .ok_or(serde::Error::invalid("stream buffer depth", r.position()))?;
+        Ok(StreamPrefetcher {
+            depth,
+            block_bytes,
+            next_block,
+            stream_base: serde::vec_of_len(r, buffers, "stream base array length")?,
+            last_use: serde::vec_of_len(r, buffers, "stream last-use array length")?,
+            blocks: serde::vec_of_len(r, slots, "stream table length")?,
+            ready: serde::vec_of_len(r, slots, "stream ready-time array length")?,
+            stats: Deserialize::deserialize(r)?,
+        })
     }
 }
 
@@ -285,6 +307,29 @@ mod tests {
         let reqs = p.on_demand_miss(0x1000, 1);
         assert_eq!(reqs.len(), 0);
         assert_eq!(p.stats().allocations, 1);
+    }
+
+    #[test]
+    fn snapshots_round_trip_and_refuse_tables_that_disagree_with_the_geometry() {
+        let mut p = pf();
+        for r in p.on_demand_miss(0x1000, 0) {
+            p.record_arrival(r, 500);
+        }
+        let back: StreamPrefetcher = serde::from_bytes(&serde::to_bytes(&p)).expect("decode");
+        assert_eq!(serde::to_bytes(&back), serde::to_bytes(&p));
+        for (mutate, what) in [
+            ((|p: &mut StreamPrefetcher| p.depth = 3) as fn(&mut StreamPrefetcher), "stream table length"),
+            (|p| p.ready.push(0), "stream ready-time array length"),
+            (|p| p.stream_base.truncate(1), "stream base array length"),
+            (|p| p.last_use.push(0), "stream last-use array length"),
+            (|p| p.depth = usize::MAX, "stream buffer depth"),
+            (|p| p.block_bytes = 1, "stream block size"),
+        ] {
+            let mut hostile = p.clone();
+            mutate(&mut hostile);
+            let err = serde::from_bytes::<StreamPrefetcher>(&serde::to_bytes(&hostile)).unwrap_err();
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
     }
 
     #[test]

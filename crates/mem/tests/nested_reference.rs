@@ -1,0 +1,291 @@
+//! The nested-table [`Cache`] and [`StreamPrefetcher`] the flat ones
+//! replaced — a `Vec` of lines per set, a `Vec` of blocks per stream buffer —
+//! kept as test references: seeded random operation streams must get the same
+//! answers, statistics and occupancy from both.
+
+use icfp_isa::{Addr, Cycle};
+use icfp_mem::cache::{CacheStats, Evicted, ProbeResult};
+use icfp_mem::prefetch::{PrefetchRequest, PrefetchStats};
+use icfp_mem::{Cache, CacheConfig, MemConfig, StreamPrefetcher, VictimBuffer};
+
+#[derive(Clone, Copy)]
+struct Line {
+    tag: Addr,
+    valid: bool,
+    dirty: bool,
+    last_use: Cycle,
+    ready_at: Cycle,
+}
+
+struct NestedCache {
+    config: CacheConfig,
+    sets: Vec<Vec<Line>>,
+    victim: VictimBuffer,
+    stats: CacheStats,
+}
+
+impl NestedCache {
+    fn new(config: CacheConfig) -> Self {
+        let invalid = Line { tag: 0, valid: false, dirty: false, last_use: 0, ready_at: 0 };
+        NestedCache {
+            sets: vec![vec![invalid; config.assoc]; config.num_sets()],
+            victim: VictimBuffer::new(config.victim_entries),
+            config,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn line(&mut self, line_addr: Addr) -> Option<&mut Line> {
+        let set = self.config.set_index(line_addr);
+        self.sets[set].iter_mut().find(|l| l.valid && l.tag == line_addr)
+    }
+
+    fn access(&mut self, addr: Addr, now: Cycle, is_write: bool) -> ProbeResult {
+        self.stats.accesses += 1;
+        let line_addr = self.config.line_addr(addr);
+        if let Some(line) = self.line(line_addr) {
+            line.last_use = now;
+            line.dirty |= is_write;
+            return ProbeResult::Hit { ready_at: line.ready_at.max(now) };
+        }
+        if let Some((dirty, ready_at)) = self.victim.take(line_addr) {
+            self.stats.victim_hits += 1;
+            let ready_at = ready_at.max(now);
+            self.fill_internal(line_addr, now, ready_at, dirty || is_write);
+            return ProbeResult::Hit { ready_at };
+        }
+        self.stats.misses += 1;
+        ProbeResult::Miss
+    }
+
+    fn peek(&mut self, addr: Addr) -> bool {
+        let line_addr = self.config.line_addr(addr);
+        self.line(line_addr).is_some()
+    }
+
+    fn fill(&mut self, addr: Addr, now: Cycle, ready_at: Cycle, dirty: bool) -> Option<Evicted> {
+        self.stats.fills += 1;
+        self.fill_internal(self.config.line_addr(addr), now, ready_at, dirty)
+    }
+
+    fn fill_internal(&mut self, line_addr: Addr, now: Cycle, ready_at: Cycle, dirty: bool) -> Option<Evicted> {
+        if let Some(line) = self.line(line_addr) {
+            line.last_use = now;
+            line.ready_at = line.ready_at.min(ready_at);
+            line.dirty |= dirty;
+            return None;
+        }
+        let set = &mut self.sets[self.config.set_index(line_addr)];
+        let way = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
+            let oldest = set.iter().enumerate().min_by_key(|(_, l)| l.last_use);
+            oldest.map(|(i, _)| i).expect("associativity is at least 1")
+        });
+        let old = std::mem::replace(&mut set[way], Line { tag: line_addr, valid: true, dirty, last_use: now, ready_at });
+        if !old.valid {
+            return None;
+        }
+        self.stats.writebacks += u64::from(old.dirty);
+        self.victim.insert(old.tag, old.dirty, old.ready_at)
+    }
+
+    fn invalidate(&mut self, addr: Addr) -> bool {
+        let line_addr = self.config.line_addr(addr);
+        self.line(line_addr).map(|l| l.valid = false).is_some()
+    }
+
+    fn resident_lines(&self) -> usize {
+        self.sets.iter().flatten().filter(|l| l.valid).count()
+    }
+}
+
+struct StreamBuffer {
+    blocks: Vec<(Addr, Cycle)>,
+    stream_base: Addr,
+    next_block: Addr,
+    last_use: Cycle,
+    active: bool,
+}
+
+struct NestedPrefetcher {
+    buffers: Vec<StreamBuffer>,
+    depth: usize,
+    block_bytes: u64,
+    stats: PrefetchStats,
+}
+
+impl NestedPrefetcher {
+    fn new(num_buffers: usize, depth: usize, block_bytes: u64) -> Self {
+        let empty = || StreamBuffer { blocks: Vec::new(), stream_base: 0, next_block: 0, last_use: 0, active: false };
+        NestedPrefetcher {
+            buffers: (0..num_buffers).map(|_| empty()).collect(),
+            depth,
+            block_bytes,
+            stats: PrefetchStats::default(),
+        }
+    }
+
+    fn probe(&mut self, addr: Addr, now: Cycle) -> (Option<Cycle>, Option<PrefetchRequest>) {
+        let block = addr & !(self.block_bytes - 1);
+        for (bi, buf) in self.buffers.iter_mut().enumerate().filter(|(_, b)| b.active) {
+            if let Some(pos) = buf.blocks.iter().position(|&(a, _)| a == block) {
+                let (_, ready) = buf.blocks.remove(pos);
+                buf.last_use = now;
+                self.stats.hits += 1;
+                let req = (buf.blocks.len() < self.depth).then(|| {
+                    let next = buf.next_block;
+                    buf.next_block = next.wrapping_add(self.block_bytes);
+                    self.stats.issued += 1;
+                    PrefetchRequest { block_addr: next, buffer: bi }
+                });
+                return (Some(ready.max(now)), req);
+            }
+        }
+        (None, None)
+    }
+
+    fn on_demand_miss(&mut self, addr: Addr, now: Cycle) -> Vec<PrefetchRequest> {
+        if self.buffers.is_empty() {
+            return Vec::new();
+        }
+        let block = addr & !(self.block_bytes - 1);
+        let next = block.wrapping_add(self.block_bytes);
+        let (mut victim, mut victim_key) = (0, (true, Cycle::MAX));
+        for (i, b) in self.buffers.iter().enumerate() {
+            if b.active
+                && (b.next_block == next
+                    || (block >= b.stream_base && next <= b.next_block)
+                    || b.blocks.iter().any(|&(a, _)| a == next))
+            {
+                return Vec::new();
+            }
+            if i == 0 || (b.active, b.last_use) < victim_key {
+                (victim, victim_key) = (i, (b.active, b.last_use));
+            }
+        }
+        let buf = &mut self.buffers[victim];
+        buf.active = true;
+        buf.blocks.clear();
+        buf.last_use = now;
+        buf.stream_base = block;
+        buf.next_block = next.wrapping_add(self.block_bytes.wrapping_mul(self.depth as u64));
+        self.stats.allocations += 1;
+        self.stats.issued += self.depth as u64;
+        (0..self.depth as u64)
+            .map(|k| PrefetchRequest { block_addr: next.wrapping_add(self.block_bytes.wrapping_mul(k)), buffer: victim })
+            .collect()
+    }
+
+    fn record_arrival(&mut self, req: PrefetchRequest, ready_at: Cycle) {
+        if let Some(buf) = self.buffers.get_mut(req.buffer).filter(|b| b.active && b.blocks.len() < self.depth) {
+            buf.blocks.push((req.block_addr, ready_at));
+        }
+    }
+
+    fn record_drop(&mut self, req: PrefetchRequest) {
+        if let Some(buf) = self.buffers.get_mut(req.buffer).filter(|b| b.active) {
+            buf.next_block = buf.next_block.min(req.block_addr);
+        }
+    }
+
+    fn blocks_in_flight(&self) -> usize {
+        self.buffers.iter().map(|b| b.blocks.len()).sum()
+    }
+}
+
+/// splitmix64: the operation streams' seeded generator.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (*state ^ (*state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn flat_caches_match_the_nested_reference_on_random_operations() {
+    let (paper, tiny) = (MemConfig::paper_default(), MemConfig::tiny_for_tests());
+    let direct = CacheConfig { size_bytes: 2048, assoc: 1, line_bytes: 32, victim_entries: 0 };
+    for (seed, config) in [paper.l1d, paper.l2, tiny.l1d, tiny.l2, direct].into_iter().enumerate() {
+        let (mut flat, mut nested) = (Cache::new(config), NestedCache::new(config));
+        // Three lines per way, so sets fill, evict and hit the victim buffer.
+        let lines = (config.num_sets() * config.assoc * 3) as u64;
+        let (mut state, mut now) = (seed as u64, 0u64);
+        for k in 0..30_000 {
+            let r = next(&mut state);
+            now += (r >> 60) % 3;
+            let addr = (r % lines) * config.line_bytes + (r >> 20) % config.line_bytes;
+            match (r >> 32) % 8 {
+                0..=3 => {
+                    let write = (r >> 40).is_multiple_of(4);
+                    assert_eq!(flat.access(addr, now, write), nested.access(addr, now, write), "{config:?} op {k}");
+                }
+                4 | 5 => {
+                    let (ready, dirty) = (now + (r >> 44) % 500, (r >> 40).is_multiple_of(3));
+                    assert_eq!(flat.fill(addr, now, ready, dirty), nested.fill(addr, now, ready, dirty), "{config:?} op {k}");
+                }
+                6 => assert_eq!(flat.peek(addr), nested.peek(addr), "{config:?} op {k}"),
+                _ => assert_eq!(flat.invalidate(addr), nested.invalidate(addr), "{config:?} op {k}"),
+            }
+            assert_eq!(flat.stats(), &nested.stats, "{config:?} op {k}");
+            if k % 64 == 0 {
+                assert_eq!(flat.resident_lines(), nested.resident_lines(), "{config:?} op {k}");
+            }
+        }
+        let s = flat.stats();
+        let hits = s.accesses - s.misses;
+        assert!(hits > 1000 && s.misses > 1000 && s.writebacks > 0, "{config:?}: {s:?}");
+        assert!(config.victim_entries == 0 || s.victim_hits > 0, "{config:?}: {s:?}");
+    }
+}
+
+#[test]
+fn flat_stream_buffers_match_the_nested_reference_on_random_operations() {
+    let (paper, tiny) = (MemConfig::paper_default(), MemConfig::tiny_for_tests());
+    let geometries = [
+        (paper.stream_buffers, paper.stream_buffer_blocks, paper.l2.line_bytes),
+        (tiny.stream_buffers, tiny.stream_buffer_blocks, tiny.l2.line_bytes),
+        (3, 5, 64),
+        (0, 4, 128),
+    ];
+    for (seed, (buffers, depth, block)) in geometries.into_iter().enumerate() {
+        let mut flat = StreamPrefetcher::new(buffers, depth, block);
+        let mut nested = NestedPrefetcher::new(buffers, depth, block);
+        // Requests the prefetcher made and the hierarchy has not answered.
+        let mut pending: Vec<PrefetchRequest> = Vec::new();
+        let (mut state, mut now) = (seed as u64 + 100, 0u64);
+        for k in 0..30_000 {
+            let r = next(&mut state);
+            now += (r >> 60) % 4;
+            let addr = 0x10_0000 + ((r % 96) * block + (r >> 20) % block);
+            match (r >> 32) % 8 {
+                0..=2 => {
+                    let got = flat.probe(addr, now);
+                    assert_eq!(got, nested.probe(addr, now), "{buffers}x{depth}x{block} op {k}");
+                    pending.extend(got.1);
+                }
+                3 => {
+                    let got: Vec<_> = flat.on_demand_miss(addr, now).collect();
+                    assert_eq!(got, nested.on_demand_miss(addr, now), "{buffers}x{depth}x{block} op {k}");
+                    pending.extend(got);
+                }
+                4..=6 if !pending.is_empty() => {
+                    let mut req = pending.swap_remove((r >> 40) as usize % pending.len());
+                    if (r >> 50).is_multiple_of(16) {
+                        req.buffer = (r >> 54) as usize % (buffers + 2); // out of range too
+                    }
+                    if (r >> 36).is_multiple_of(4) {
+                        flat.record_drop(req);
+                        nested.record_drop(req);
+                    } else {
+                        let ready = now + (r >> 44) % 600;
+                        flat.record_arrival(req, ready);
+                        nested.record_arrival(req, ready);
+                    }
+                }
+                _ => {}
+            }
+            assert_eq!(flat.stats(), &nested.stats, "{buffers}x{depth}x{block} op {k}");
+            assert_eq!(flat.blocks_in_flight(), nested.blocks_in_flight(), "{buffers}x{depth}x{block} op {k}");
+        }
+        assert!(buffers == 0 || flat.stats().hits > 100, "{buffers}x{depth}: the stream never hit");
+    }
+}

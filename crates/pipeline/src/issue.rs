@@ -1,18 +1,16 @@
 //! Issue-slot and port scheduling for the 2-way in-order pipeline.
 //!
-//! In-order issue means issue cycles are non-decreasing in program order, so
-//! only a small window of per-cycle counters needs to be retained.  The
-//! schedule enforces:
+//! The schedule enforces:
 //!
 //! * total issue width per cycle (2),
 //! * integer-port occupancy (2 integer ALU/multiply slots),
 //! * the shared fp/load/store/branch port (1 slot).
 //!
-//! Storage is a fixed ring of per-cycle slot counters sliding forward with
-//! the requests (every caller asks for a cycle at or after the last one
-//! granted, see [`IssueSchedule::issue`]), so allocation is O(1) per
-//! instruction — this sits on the per-instruction hot path of every core
-//! model and used to be a `BTreeMap` probe per issued instruction.
+//! Issue is in order: every caller asks for a cycle at or after the last one
+//! granted (see [`IssueSchedule::issue`]), so only the last granted cycle can
+//! hold taken slots and the whole schedule is that cycle and its three
+//! counters — O(1) per instruction with nothing to slide or clear, on the
+//! per-instruction hot path of every core model.
 
 use icfp_isa::{Cycle, OpClass};
 use serde::{Deserialize, Serialize};
@@ -24,25 +22,18 @@ struct SlotUse {
     mem_fp_br: u8,
 }
 
-/// Number of per-cycle counters retained.  Only cycles at or after the last
-/// granted cycle can be probed again (issue is in order), so the window just
-/// has to cover one grant's worth of forward probing — the ring slides as the
-/// probe advances, and 64 cycles of lookbehind is far more than the zero the
-/// contract requires.
-const WINDOW: usize = 64;
-
-/// Tracks issue-slot usage per cycle and finds the earliest legal issue cycle
-/// for each instruction.
+/// Tracks issue-slot usage and finds the earliest legal issue cycle for each
+/// instruction.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IssueSchedule {
     width: u8,
     int_ports: u8,
     mem_fp_br_ports: u8,
-    /// Per-cycle counters for cycles `[base, base + WINDOW)`; slot
-    /// `cycle % WINDOW`.  Cycles before `base` are frozen: in-order issue
-    /// guarantees they are never probed again.
-    ring: Vec<SlotUse>,
-    base: Cycle,
+    /// The last cycle granted a slot (0 before the first grant).  Every later
+    /// cycle is empty.
+    cycle: Cycle,
+    /// Slots taken at `cycle`.
+    used: SlotUse,
 }
 
 impl IssueSchedule {
@@ -57,8 +48,8 @@ impl IssueSchedule {
             width: width as u8,
             int_ports: int_ports as u8,
             mem_fp_br_ports: mem_fp_br_ports as u8,
-            ring: vec![SlotUse::default(); WINDOW],
-            base: 0,
+            cycle: 0,
+            used: SlotUse::default(),
         }
     }
 
@@ -67,75 +58,40 @@ impl IssueSchedule {
         Self::new(2, 2, 1)
     }
 
-    #[inline]
-    fn slot(&self, cycle: Cycle) -> &SlotUse {
-        &self.ring[(cycle % WINDOW as u64) as usize]
-    }
-
-    /// Slides the window forward so `cycle` (past its end) is inside it,
-    /// clearing the counters of the cycles that enter the window.
-    #[cold]
-    fn slide_to(&mut self, cycle: Cycle) {
-        let end = self.base + WINDOW as u64;
-        if cycle - end >= WINDOW as u64 {
-            // Far jump: every retained counter falls out of the window.
-            self.ring.iter_mut().for_each(|u| *u = SlotUse::default());
-        } else {
-            // Slide incrementally, vacating the slots that wrap around.
-            for c in end..=cycle {
-                self.ring[(c % WINDOW as u64) as usize] = SlotUse::default();
-            }
-        }
-        self.base = cycle - (WINDOW as u64 - 1);
-    }
-
     /// Reserves an issue slot for an instruction of class `class` at the
-    /// earliest cycle `>= earliest` with room, and returns that cycle.
+    /// earliest cycle `>= earliest` with room, and returns that cycle: the
+    /// requested cycle if it is past the last grant or the last granted cycle
+    /// still has a slot for `class`, else a fresh cycle one later.
     ///
     /// In-order contract: `earliest` must be at or after the previously
     /// granted cycle (every core routes requests through a monotonic issue
-    /// frontier).  Requests below the retained window are clamped to it.
+    /// frontier).
     #[inline]
     pub fn issue(&mut self, earliest: Cycle, class: OpClass) -> Cycle {
+        debug_assert!(
+            earliest >= self.cycle,
+            "in-order issue: a request for cycle {earliest} after a grant at {}",
+            self.cycle
+        );
+        if earliest > self.cycle {
+            (self.cycle, self.used) = (earliest, SlotUse::default());
+        }
         let int = class.uses_int_port();
-        let mut cycle = earliest.max(self.base);
-        loop {
-            let ahead = cycle - self.base;
-            if ahead > WINDOW as u64 {
-                self.slide_to(cycle);
-            }
-            let u = &mut self.ring[(cycle % WINDOW as u64) as usize];
-            if ahead == WINDOW as u64 {
-                // A dense stream steps past the window's end one cycle at a
-                // time: vacate the one slot that wraps around.
-                *u = SlotUse::default();
-                self.base += 1;
-            }
-            let port = if int { &mut u.int } else { &mut u.mem_fp_br };
-            let ports = if int { self.int_ports } else { self.mem_fp_br_ports };
-            if u.total < self.width && *port < ports {
-                *port += 1;
-                u.total += 1;
-                return cycle;
-            }
-            cycle += 1;
-        }
-    }
-
-    /// Number of instructions issued at `cycle`, if it is still inside the
-    /// retained window (cycles that slid out report zero).
-    pub fn issued_at(&self, cycle: Cycle) -> usize {
-        if cycle >= self.base && cycle < self.base + WINDOW as u64 {
-            self.slot(cycle).total as usize
+        let port_full = if int {
+            self.used.int >= self.int_ports
         } else {
-            0
+            self.used.mem_fp_br >= self.mem_fp_br_ports
+        };
+        if port_full || self.used.total >= self.width {
+            (self.cycle, self.used) = (self.cycle + 1, SlotUse::default());
         }
-    }
-
-    /// Resets the schedule (between runs).
-    pub fn reset(&mut self) {
-        self.ring.iter_mut().for_each(|u| *u = SlotUse::default());
-        self.base = 0;
+        self.used.total += 1;
+        if int {
+            self.used.int += 1;
+        } else {
+            self.used.mem_fp_br += 1;
+        }
+        self.cycle
     }
 }
 
@@ -157,8 +113,8 @@ mod tests {
         let mut s = IssueSchedule::paper_default();
         assert_eq!(s.issue(0, OpClass::Load), 0);
         assert_eq!(s.issue(0, OpClass::Load), 1);
-        assert_eq!(s.issue(0, OpClass::Store), 2);
-        assert_eq!(s.issue(0, OpClass::Branch), 3);
+        assert_eq!(s.issue(1, OpClass::Store), 2);
+        assert_eq!(s.issue(2, OpClass::Branch), 3);
     }
 
     #[test]
@@ -174,8 +130,7 @@ mod tests {
     fn earliest_constraint_is_respected() {
         let mut s = IssueSchedule::paper_default();
         assert_eq!(s.issue(10, OpClass::IntAlu), 10);
-        assert_eq!(s.issued_at(10), 1);
-        assert_eq!(s.issued_at(9), 0);
+        assert_eq!((s.cycle, s.used.total), (10, 1));
     }
 
     #[test]
@@ -183,7 +138,7 @@ mod tests {
         let mut s = IssueSchedule::new(1, 1, 1);
         assert_eq!(s.issue(0, OpClass::IntAlu), 0);
         assert_eq!(s.issue(0, OpClass::Load), 1);
-        assert_eq!(s.issue(0, OpClass::IntAlu), 2);
+        assert_eq!(s.issue(1, OpClass::IntAlu), 2);
     }
 
     #[test]
@@ -192,7 +147,7 @@ mod tests {
         for i in 0..10_000u64 {
             s.issue(i, OpClass::IntAlu);
         }
-        // Still works after the window has slid many times over.
+        // Still works after ten thousand fresh cycles.
         let c = s.issue(10_000, OpClass::IntAlu);
         assert!(c >= 10_000);
     }
@@ -201,8 +156,7 @@ mod tests {
     fn far_jumps_land_in_a_clean_window() {
         let mut s = IssueSchedule::paper_default();
         assert_eq!(s.issue(0, OpClass::IntAlu), 0);
-        // Jump far past the window (several multiples of it): the target
-        // cycle's counters must be vacated, not stale from a previous lap.
+        // Jump far past the last grant: the target cycle starts empty.
         assert_eq!(s.issue(1_000_003, OpClass::IntAlu), 1_000_003);
         assert_eq!(s.issue(1_000_003, OpClass::IntAlu), 1_000_003);
         assert_eq!(s.issue(1_000_003, OpClass::IntAlu), 1_000_004);
@@ -211,7 +165,7 @@ mod tests {
     #[test]
     fn monotonic_dense_stream_matches_width() {
         // 2-wide: 1000 int ops from a monotonic frontier occupy exactly 500
-        // cycles regardless of where the window slides.
+        // cycles.
         let mut s = IssueSchedule::paper_default();
         let mut frontier = 0;
         for _ in 0..1000 {
@@ -224,8 +178,8 @@ mod tests {
     fn random_monotonic_requests_match_a_per_cycle_reference() {
         // The reference keeps every cycle's counters for ever and probes
         // cycle by cycle; requests obey the in-order contract (at or after
-        // the last grant), mostly dense, sometimes past the window (a
-        // single-step slide, an incremental one, a far jump).
+        // the last grant), mostly dense, sometimes a few cycles past it,
+        // sometimes far past it.
         const CLASSES: [OpClass; 6] =
             [OpClass::IntAlu, OpClass::IntMul, OpClass::FpAdd, OpClass::Load, OpClass::Store, OpClass::Branch];
         for (seed, (width, int_ports, mem_ports)) in [(1u64, (2u8, 2u8, 1u8)), (2, (1, 1, 1)), (3, (4, 2, 2))] {
@@ -254,17 +208,9 @@ mod tests {
                 }
                 last = s.issue(earliest, class);
                 assert_eq!(last, want, "seed {seed} request {k}: {class:?} at {earliest}");
-                assert_eq!(s.issued_at(last), used[&last].total as usize);
+                assert_eq!(s.used, used[&last], "seed {seed} request {k}");
             }
         }
-    }
-
-    #[test]
-    fn reset_clears_usage() {
-        let mut s = IssueSchedule::paper_default();
-        s.issue(0, OpClass::IntAlu);
-        s.reset();
-        assert_eq!(s.issued_at(0), 0);
     }
 
     #[test]

@@ -117,28 +117,6 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Speedup of this run over a baseline run of the same workload
-    /// (baseline cycles / this run's cycles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two results are for different workloads.
-    pub fn speedup_over(&self, baseline: &RunResult) -> f64 {
-        assert_eq!(
-            self.workload, baseline.workload,
-            "speedup comparison across different workloads"
-        );
-        if self.stats.cycles == 0 {
-            return 0.0;
-        }
-        baseline.stats.cycles as f64 / self.stats.cycles as f64
-    }
-
-    /// Percent speedup over a baseline (the unit of Figures 5–8).
-    pub fn percent_speedup_over(&self, baseline: &RunResult) -> f64 {
-        (self.speedup_over(baseline) - 1.0) * 100.0
-    }
-
     /// True if the final architectural state (registers + memory) matches
     /// another run's — the cross-model correctness check.
     pub fn state_matches(&self, other: &RunResult) -> bool {
@@ -211,23 +189,6 @@ mod tests {
         assert_eq!(s.ipc(), 0.0);
         assert_eq!(s.rally_per_ki(), 0.0);
         assert_eq!(s.hops_per_load(), 0.0);
-    }
-
-    #[test]
-    fn speedup_over_baseline() {
-        let base = result(200, 100);
-        let fast = result(100, 100);
-        assert!((fast.speedup_over(&base) - 2.0).abs() < 1e-12);
-        assert!((fast.percent_speedup_over(&base) - 100.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "different workloads")]
-    fn speedup_across_workloads_panics() {
-        let mut a = result(10, 10);
-        a.workload = "other".into();
-        let b = result(10, 10);
-        let _ = a.speedup_over(&b);
     }
 
     #[test]

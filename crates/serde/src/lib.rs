@@ -1,7 +1,7 @@
 //! Minimal vendored `serde`: a compact little-endian binary codec.
 //!
 //! This build environment has no access to crates.io, and the checkpoint
-//! subsystem (`icfp-ckpt/v2`) needs real serialization, so this crate is a
+//! subsystem (`icfp-ckpt/v3`) needs real serialization, so this crate is a
 //! self-contained stand-in: [`Serialize`] / [`Deserialize`] traits over a
 //! flat binary format, with derive macros (`crates/serde_derive`) generating
 //! field-by-field impls in declaration order.  If the real `serde` becomes
@@ -20,7 +20,7 @@
 //!   a `u32` variant tag (see `serde_derive`).
 //!
 //! The format is not self-describing: readers must know the type, which is
-//! exactly the checkpoint use case (the `icfp-ckpt/v2` container carries the
+//! exactly the checkpoint use case (the `icfp-ckpt/v3` container carries the
 //! versioning and digest validation).
 
 #![forbid(unsafe_code)]
@@ -70,6 +70,23 @@ pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, Error> {
         return Err(Error::invalid("trailing bytes after value", r.position()));
     }
     Ok(v)
+}
+
+/// Decodes a `Vec<T>` that must hold exactly `len` elements — a flat table
+/// whose length its geometry fixes.
+///
+/// # Errors
+///
+/// [`Error::Invalid`] naming `what` if the decoded length differs, or any
+/// error decoding the elements.
+pub fn vec_of_len<T: Deserialize>(r: &mut Reader<'_>, len: usize, what: &'static str) -> Result<Vec<T>, Error> {
+    let at = r.position();
+    let v = Vec::<T>::deserialize(r)?;
+    if v.len() == len {
+        Ok(v)
+    } else {
+        Err(Error::invalid(what, at))
+    }
 }
 
 /// Decode errors.

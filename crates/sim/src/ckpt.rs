@@ -1,4 +1,4 @@
-//! The `icfp-ckpt/v2` checkpoint format.
+//! The `icfp-ckpt/v3` checkpoint format.
 //!
 //! A [`SimCheckpoint`] captures a running [`Simulator`](crate::Simulator) —
 //! the core engine's complete serialized state (register file and poison
@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       12    magic: the ASCII bytes "icfp-ckpt/v2"
+//! 0       12    magic: the ASCII bytes "icfp-ckpt/v3"
 //! 12      8     payload length (u64 LE)
 //! 20      n     payload: SimCheckpoint in the vendored-serde binary format
 //! 20+n    8     FNV-1a digest of the payload (u64 LE)
@@ -27,8 +27,14 @@
 //! point's *block coordinates* — block size, resume block index and that
 //! block's content digest — so resuming against a block-based source
 //! ([`icfp_isa::TraceSource`]) validates and seeks directly to the resume
-//! block instead of re-reading the trace from the start.  v1 containers
-//! (which predate block geometry) are rejected by magic.
+//! block instead of re-reading the trace from the start.
+//!
+//! v3 (the flat-table release) changes only the engine bytes: the issue
+//! schedule is one live cycle instead of a 64-slot ring, and every cache,
+//! stream-buffer, BTB and PPM table is one flat array per field, each
+//! decoded against its geometry (a length that disagrees is a decode error,
+//! never a panic).  Older containers are refused by magic, with an error
+//! naming both versions.
 
 use crate::SimConfig;
 use icfp_core::EngineSnapshot;
@@ -37,7 +43,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Magic prefix of the on-disk container (also the format version).
-pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v2";
+pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v3";
 
 /// A captured simulation: engine snapshot plus trace identity.  Produced by
 /// [`Simulator::checkpoint`](crate::Simulator::checkpoint), consumed by
@@ -78,9 +84,12 @@ pub enum CkptError {
     /// built from (a structure size of zero or past the ceiling; see
     /// `CoreConfig::validate`).
     Config(String),
-    /// The container does not start with [`CKPT_MAGIC`] (wrong file or a
-    /// future format version).
-    BadMagic,
+    /// The container does not start with [`CKPT_MAGIC`]: another kind of
+    /// file, or a checkpoint of another format version.
+    BadMagic {
+        /// The leading bytes found where the magic belongs (lossy UTF-8).
+        found: String,
+    },
     /// The container is not the size its header/length field promises:
     /// shorter, or followed by bytes that are not part of it.
     Truncated,
@@ -126,9 +135,9 @@ impl fmt::Display for CkptError {
             CkptError::NotLoaded => write!(f, "no trace loaded; nothing to checkpoint"),
             CkptError::Engine(e) => write!(f, "engine snapshot: {e}"),
             CkptError::Config(e) => write!(f, "checkpoint configuration: {e}"),
-            CkptError::BadMagic => write!(
+            CkptError::BadMagic { found } => write!(
                 f,
-                "not an {} container (bad magic)",
+                "not an {} container: found {found:?} (bad magic)",
                 String::from_utf8_lossy(CKPT_MAGIC)
             ),
             CkptError::Truncated => write!(f, "checkpoint container is truncated"),
@@ -160,7 +169,7 @@ impl std::error::Error for CkptError {}
 use icfp_isa::fnv1a;
 
 impl SimCheckpoint {
-    /// Encodes the checkpoint as an `icfp-ckpt/v2` container.
+    /// Encodes the checkpoint as an `icfp-ckpt/v3` container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let payload = serde::to_bytes(self);
         let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 16 + payload.len());
@@ -172,24 +181,22 @@ impl SimCheckpoint {
         out
     }
 
-    /// Decodes an `icfp-ckpt/v2` container, validating magic, length and
+    /// Decodes an `icfp-ckpt/v3` container, validating magic, length and
     /// payload digest.
     ///
     /// # Errors
     ///
     /// See [`CkptError`] — every malformation is distinguished.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CkptError> {
+        let magic = &bytes[..bytes.len().min(CKPT_MAGIC.len())];
+        if !CKPT_MAGIC.starts_with(magic) {
+            let found = String::from_utf8_lossy(magic).into_owned();
+            return Err(CkptError::BadMagic { found });
+        }
         if bytes.len() < CKPT_MAGIC.len() + 8 {
-            return if bytes.starts_with(&CKPT_MAGIC[..bytes.len().min(CKPT_MAGIC.len())]) {
-                Err(CkptError::Truncated)
-            } else {
-                Err(CkptError::BadMagic)
-            };
+            return Err(CkptError::Truncated);
         }
-        let (magic, rest) = bytes.split_at(CKPT_MAGIC.len());
-        if magic != CKPT_MAGIC {
-            return Err(CkptError::BadMagic);
-        }
+        let rest = &bytes[CKPT_MAGIC.len()..];
         let (len_bytes, rest) = rest.split_at(8);
         let payload_len = u64::from_le_bytes(len_bytes.try_into().expect("8 bytes"));
         // Compare in u64 without adding to the (possibly hostile, near-MAX)
@@ -273,10 +280,17 @@ mod tests {
         let (ck, _) = checkpoint_mid_run();
         let mut bytes = ck.to_bytes();
         bytes[0] ^= 0xFF;
-        assert_eq!(SimCheckpoint::from_bytes(&bytes), Err(CkptError::BadMagic));
-        assert_eq!(SimCheckpoint::from_bytes(b"xx"), Err(CkptError::BadMagic));
-        let message = CkptError::BadMagic.to_string();
-        assert!(message.contains(std::str::from_utf8(CKPT_MAGIC).unwrap()), "{message}");
+        assert!(matches!(SimCheckpoint::from_bytes(&bytes), Err(CkptError::BadMagic { .. })));
+        let found = String::from("xx");
+        assert_eq!(SimCheckpoint::from_bytes(b"xx"), Err(CkptError::BadMagic { found }));
+        // A container of the previous version is refused by name, not
+        // decoded into the flat layout: the error names both versions.
+        bytes[..CKPT_MAGIC.len()].copy_from_slice(b"icfp-ckpt/v2");
+        let err = SimCheckpoint::from_bytes(&bytes).unwrap_err();
+        let found = String::from("icfp-ckpt/v2");
+        assert_eq!(err, CkptError::BadMagic { found });
+        let message = err.to_string();
+        assert!(message.contains("icfp-ckpt/v2") && message.contains("icfp-ckpt/v3"), "{message}");
     }
 
     #[test]
