@@ -89,7 +89,7 @@ fn checkpoint_taken_on_v1_resumes_against_v2() {
 
     let v2: Arc<dyn TraceSource> = TraceFile::open(&p2).expect("open v2").into();
     let mut resumed = Simulator::resume(&ckpt, v2).expect("identity is content, not encoding");
-    let report = resumed.finish_loaded();
+    let report = resumed.finish_loaded().expect("resumed run is loaded");
     assert_eq!(report.cycles, reference.cycles);
     assert_eq!(report.state_digest, reference.state_digest);
     let _ = std::fs::remove_file(&p1);

@@ -283,12 +283,6 @@ impl CoreConfig {
         self.mem.l2_hit_latency = latency;
         self
     }
-
-    /// Builder-style override of the chain-table size (Section 5.2 sweep).
-    pub fn with_chain_table_entries(mut self, entries: usize) -> Self {
-        self.chain_table_entries = entries;
-        self
-    }
 }
 
 impl Default for CoreConfig {
@@ -382,10 +376,8 @@ mod tests {
     fn builder_overrides() {
         let c = CoreConfig::paper_default()
             .with_l2_hit_latency(40)
-            .with_chain_table_entries(64)
             .with_store_buffer_kind(StoreBufferKind::FullyAssociative);
         assert_eq!(c.mem.l2_hit_latency, 40);
-        assert_eq!(c.chain_table_entries, 64);
         assert_eq!(c.store_buffer_kind, StoreBufferKind::FullyAssociative);
     }
 }

@@ -4,14 +4,14 @@
 //! harness (`icfp-bench`), the sweep executor (`icfp-sweep`) — runs a model
 //! through one object-safe trait: [`CoreModel::engine`] is the single
 //! dispatch point, and the [`CoreEngine`] it returns has one stepping method,
-//! [`CoreEngine::advance`], bounded by a cycle budget and an instruction
-//! limit.  [`CoreEngine::finish`] consumes the engine, so a finished engine
-//! cannot be stepped, saved or finished again.
+//! [`CoreEngine::advance`], bounded by one budget: an instruction position.
+//! [`CoreEngine::finish`] consumes the engine, so a finished engine cannot be
+//! stepped, saved or finished again.
 //!
 //! The iCFP model ([`IcfpMachine`]) implements the trait itself and stops at
-//! any instruction or rally pass; the four whole-trace comparison models are
-//! plain functions held by one private adapter, whose first `advance` with
-//! budget left simulates the trace to completion.  [`run_model`] /
+//! any instruction; the four whole-trace comparison models are plain
+//! functions held by one private adapter, whose first `advance` with budget
+//! left simulates the trace to completion.  [`run_model`] /
 //! [`run_model_cursor`] are the workspace's only "run to completion" entry
 //! points.
 
@@ -152,17 +152,18 @@ pub trait CoreEngine: Send {
     /// Which model this engine runs.
     fn model(&self) -> CoreModel;
 
-    /// Simulates until the cycle budget `until` is reached, `inst_limit`
-    /// dynamic instructions have had their first pass, or the trace is fully
-    /// retired — whichever comes first.  Returns `false` once the trace is
-    /// fully retired, `true` if a budget stopped it.
+    /// Simulates until `inst_limit` dynamic instructions have had their
+    /// first pass or the trace is fully retired, whichever comes first.
+    /// Returns `false` once the trace is fully retired, `true` if the limit
+    /// stopped it.
     ///
     /// The engine reads the trace through the [`TraceCursor`] block by block
     /// (the whole arena for in-memory sources), so arena and block-streamed
     /// sources take the identical code path.  Granularity is the model's: the
-    /// iCFP model stops at any instruction or rally pass, the whole-trace
-    /// models run to completion on the first call that has budget left.
-    fn advance(&mut self, trace: &TraceCursor<'_>, until: Cycle, inst_limit: usize) -> bool;
+    /// iCFP model stops at any instruction (after the rally passes due by
+    /// then), the whole-trace models run to completion on the first call
+    /// that has budget left.
+    fn advance(&mut self, trace: &TraceCursor<'_>, inst_limit: usize) -> bool;
 
     /// Installs the outcome of a functional fast-forward into a *fresh*
     /// engine: architectural registers and memory as of trace position
@@ -179,9 +180,6 @@ pub trait CoreEngine: Send {
     /// Fails if the engine has already advanced or been seeded/restored — a
     /// seed replaces the initial state only.
     fn seed(&mut self, warm: &Arc<ArchState>) -> Result<(), String>;
-
-    /// The current simulated cycle.
-    fn cycle(&self) -> Cycle;
 
     /// Dynamic instructions whose first pass has been processed.
     fn processed(&self) -> usize;
@@ -241,11 +239,11 @@ impl CoreEngine for WholeTraceEngine {
         self.model
     }
 
-    fn advance(&mut self, trace: &TraceCursor<'_>, until: Cycle, inst_limit: usize) -> bool {
+    fn advance(&mut self, trace: &TraceCursor<'_>, inst_limit: usize) -> bool {
         if self.result.is_some() {
             return false;
         }
-        if self.cycle() >= until || self.processed() >= inst_limit {
+        if self.processed() >= inst_limit {
             return true;
         }
         self.result = Some((self.run)(&self.cfg, trace, self.seed.as_deref()));
@@ -260,10 +258,6 @@ impl CoreEngine for WholeTraceEngine {
         Ok(())
     }
 
-    fn cycle(&self) -> Cycle {
-        self.result.as_ref().map_or(0, |r| r.stats.cycles)
-    }
-
     fn processed(&self) -> usize {
         match (&self.result, &self.seed) {
             (Some(r), _) => r.stats.instructions as usize,
@@ -275,7 +269,7 @@ impl CoreEngine for WholeTraceEngine {
     }
 
     fn finish(mut self: Box<Self>, trace: &TraceCursor<'_>) -> RunResult {
-        self.advance(trace, Cycle::MAX, usize::MAX);
+        self.advance(trace, usize::MAX);
         self.result.expect("an unbounded advance completes the run")
     }
 
@@ -286,7 +280,7 @@ impl CoreEngine for WholeTraceEngine {
         // the optional result + optional seed.
         EngineSnapshot {
             model: self.model,
-            cycle: self.cycle(),
+            cycle: self.result.as_ref().map_or(0, |r| r.stats.cycles),
             processed: self.processed() as u64,
             bytes: serde::to_bytes(&(self.result.clone(), self.seed.as_deref().cloned())),
         }
@@ -340,14 +334,15 @@ mod tests {
         let mut e = CoreModel::Icfp.engine(&cfg);
         let mut steps = 0usize;
         let c = cur(&t);
-        let (mut cycle, mut processed) = (e.cycle(), e.processed());
-        while e.advance(&c, e.cycle() + 1, usize::MAX) {
+        let mut cycle = 0;
+        while e.advance(&c, e.processed() + 1) {
             steps += 1;
-            assert!(steps < 1_000_000, "engine did not terminate");
-            assert!(e.cycle() > cycle && e.processed() >= processed, "live counters advance");
-            (cycle, processed) = (e.cycle(), e.processed());
+            assert_eq!(e.processed(), steps, "one instruction per step");
+            let snap = e.save();
+            assert!(snap.cycle >= cycle && snap.processed == steps as u64, "live counters advance");
+            cycle = snap.cycle;
         }
-        assert!(steps > 1, "icfp must take many steps");
+        assert_eq!(steps, t.len() - 1, "the last step retires the trace");
         assert_eq!(e.processed(), t.len());
         let r = e.finish(&c);
         assert_eq!(r.stats.instructions, t.len() as u64);
@@ -360,11 +355,10 @@ mod tests {
         let cfg = CoreModel::InOrder.default_config();
         let mut e = CoreModel::InOrder.engine(&cfg);
         let c = cur(&t);
-        assert_eq!(e.cycle(), 0, "no work before the first advance");
-        assert!(e.advance(&c, 0, usize::MAX), "an exhausted budget runs nothing");
-        assert_eq!(e.cycle(), 0);
-        assert!(!e.advance(&c, 1, 1), "whole-trace models complete on the first advance");
-        let (cycle, processed) = (e.cycle(), e.processed());
+        assert!(e.advance(&c, 0), "an exhausted budget runs nothing");
+        assert_eq!((e.processed(), e.save().cycle), (0, 0), "no work before the first advance");
+        assert!(!e.advance(&c, 1), "whole-trace models complete on the first advance");
+        let (cycle, processed) = (e.save().cycle, e.processed());
         assert!(cycle > 0);
         let r = e.finish(&c);
         assert_eq!(r.core, "in-order");
@@ -420,14 +414,13 @@ mod tests {
             // *fresh* engine, and finish there.
             let c = cur(&t);
             let mut first = m.engine(&cfg);
-            first.advance(&c, Cycle::MAX, 25);
+            first.advance(&c, 25);
             let snap = first.save();
             assert_eq!(snap.model, m);
-            assert_eq!(snap.cycle, first.cycle());
 
             let mut second = m.engine(&cfg);
             second.restore(&snap).expect("restore");
-            assert_eq!(second.cycle(), first.cycle(), "{m}");
+            assert_eq!(second.save().cycle, snap.cycle, "{m}");
             assert_eq!(second.processed(), first.processed(), "{m}");
             let resumed = second.finish(&c);
 
@@ -454,12 +447,12 @@ mod tests {
         let mut machine = IcfpMachine::new(&cfg);
         while !machine.in_episode() {
             assert!(
-                machine.advance(&c, Cycle::MAX, machine.processed() + 1),
+                machine.advance(&c, machine.processed() + 1),
                 "the trace must enter an episode"
             );
         }
         // A few more instructions so slice entries exist beyond the trigger.
-        machine.advance(&c, Cycle::MAX, machine.processed() + 5);
+        machine.advance(&c, machine.processed() + 5);
         assert!(machine.in_episode(), "still mid-episode");
         let bytes = serde::to_bytes(&machine);
         let resumed_machine: IcfpMachine =
@@ -495,16 +488,10 @@ mod tests {
         }
     }
 
-    /// Runs `m` over `c` in chunks — `budget` maps the engine to the next
-    /// `(until, inst_limit)` — and, at the first chunk boundary that falls
-    /// mid-run (for iCFP: mid-episode), moves the run into a fresh engine
-    /// through `save` → `restore`.
-    fn chunked(
-        m: CoreModel,
-        c: &TraceCursor<'_>,
-        warm: Option<&Arc<ArchState>>,
-        budget: impl Fn(&dyn CoreEngine) -> (Cycle, usize),
-    ) -> RunResult {
+    /// Runs `m` over `c` in chunks of 7 instructions and, at the first chunk
+    /// boundary that falls mid-run (for iCFP: mid-episode), moves the run
+    /// into a fresh engine through `save` → `restore`.
+    fn chunked(m: CoreModel, c: &TraceCursor<'_>, warm: Option<&Arc<ArchState>>) -> RunResult {
         let cfg = m.default_config();
         let mut e = m.engine(&cfg);
         if let Some(w) = warm {
@@ -512,13 +499,8 @@ mod tests {
         }
         let mut moved = false;
         let mut chunks = 0usize;
-        loop {
-            let (until, inst_limit) = budget(&*e);
-            if !e.advance(c, until, inst_limit) {
-                break;
-            }
+        while e.advance(c, e.processed() + 7) {
             chunks += 1;
-            assert!(chunks < 1_000_000, "{m} did not terminate");
             let snap = e.save();
             let mid_episode = m != CoreModel::Icfp
                 || serde::from_bytes::<IcfpMachine>(&snap.bytes)
@@ -549,8 +531,6 @@ mod tests {
             warm.exec(inst);
         }
         let warm = Arc::new(warm);
-        let by_insts = |e: &dyn CoreEngine| (Cycle::MAX, e.processed() + 7);
-        let by_cycles = |e: &dyn CoreEngine| (e.cycle() + 50, usize::MAX);
 
         for m in CoreModel::ALL {
             for (what, warm) in [("cold", None), ("seeded", Some(&warm))] {
@@ -558,17 +538,15 @@ mod tests {
                 if let Some(w) = warm {
                     whole.seed(w).expect("a fresh engine accepts a seed");
                 }
-                assert!(!whole.advance(&arena, Cycle::MAX, usize::MAX));
+                assert!(!whole.advance(&arena, usize::MAX));
                 let reference = whole.finish(&arena);
                 if warm.is_none() {
                     assert_eq!(reference.stats, run_model(m, &m.default_config(), &t).stats);
                 }
 
                 for (how, r) in [
-                    ("inst_limit += 7", chunked(m, &arena, warm, by_insts)),
-                    ("until += 50", chunked(m, &arena, warm, by_cycles)),
-                    ("16-inst blocks, inst_limit += 7", chunked(m, &streamed, warm, by_insts)),
-                    ("16-inst blocks, until += 50", chunked(m, &streamed, warm, by_cycles)),
+                    ("arena", chunked(m, &arena, warm)),
+                    ("16-inst blocks", chunked(m, &streamed, warm)),
                 ] {
                     assert_eq!(r.stats, reference.stats, "{m} {what} {how}: stats diverged");
                     assert_eq!(
@@ -613,23 +591,6 @@ mod tests {
             assert_eq!(blocked.stats, arena.stats, "{m}: stats diverged");
             assert_eq!(blocked.state_digest(), arena.state_digest(), "{m}: digest diverged");
         }
-    }
-
-    // (Named for the method `advance` replaced: the test floor tracks names.)
-    #[test]
-    fn step_block_honours_the_cycle_budget() {
-        let t = missy_trace();
-        let cfg = CoreModel::Icfp.default_config();
-        let c = cur(&t);
-        let mut e = CoreModel::Icfp.engine(&cfg);
-        let alive = e.advance(&c, 50, usize::MAX);
-        assert!(alive, "a 50-cycle budget cannot finish this trace");
-        assert!(e.cycle() >= 50, "budget reached");
-        assert!(e.processed() < t.len(), "run must be mid-trace");
-        // Lifting the budget finishes the run.
-        assert!(!e.advance(&c, Cycle::MAX, usize::MAX));
-        let r = e.finish(&c);
-        assert_eq!(r.stats.instructions, t.len() as u64);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!
 //! The model is written as an explicit state machine ([`IcfpMachine`]) that
 //! implements [`CoreEngine`] itself: [`CoreEngine::advance`] processes one
-//! dynamic instruction or one rally pass per iteration and can stop between
-//! any two, which is what `icfp-sim` builds `step_n(cycles)` and mid-episode
-//! checkpoints on.  The hot loop reuses its storage: rally slot lists, drain
+//! dynamic instruction or one rally pass per iteration and can stop after
+//! any instruction, which is what `icfp-sim` builds runs paused at an
+//! instruction position (`advance_to_inst`) and mid-episode checkpoints on.  The hot loop reuses its storage: rally slot lists, drain
 //! buffers, the register checkpoint and the slice-value table keep their
 //! capacity across cycles and episodes, so after the first tenth of a trace a
 //! run makes fewer than 2 heap-allocation calls per 1000 instructions (what
@@ -763,15 +763,12 @@ impl CoreEngine for IcfpMachine {
     /// otherwise the next dynamic instruction.  The first pass reads the
     /// arena slice, or — for a streamed source — a block pinned here, since
     /// rally passes fault older blocks in through the same cursor.
-    fn advance(&mut self, trace: &TraceCursor<'_>, until: Cycle, inst_limit: usize) -> bool {
+    fn advance(&mut self, trace: &TraceCursor<'_>, inst_limit: usize) -> bool {
         let len = trace.len();
         let mut insts = trace.reader();
         loop {
             if self.done {
                 return false;
-            }
-            if self.eng.frontier >= until {
-                return true;
             }
             // 1. Fire any rally whose miss has returned by the current frontier.
             if let Some(k) = self.due_rally() {
@@ -811,17 +808,12 @@ impl CoreEngine for IcfpMachine {
         Ok(())
     }
 
-    /// The in-order issue frontier.
-    fn cycle(&self) -> Cycle {
-        self.eng.frontier
-    }
-
     fn processed(&self) -> usize {
         self.i
     }
 
     fn finish(mut self: Box<Self>, trace: &TraceCursor<'_>) -> RunResult {
-        self.advance(trace, Cycle::MAX, usize::MAX);
+        self.advance(trace, usize::MAX);
         self.eng.stats.slice_peak = self.eng.stats.slice_peak.max(self.slice.peak() as u64);
         self.eng.stats.chain_hops = self.eng.stats.chain_hops.max(self.sbuf.total_excess_hops());
         self.eng.finish(CoreModel::Icfp.name(), trace)
@@ -830,7 +822,8 @@ impl CoreEngine for IcfpMachine {
     fn save(&self) -> EngineSnapshot {
         EngineSnapshot {
             model: CoreModel::Icfp,
-            cycle: self.cycle(),
+            // The in-order issue frontier.
+            cycle: self.eng.frontier,
             processed: self.i as u64,
             bytes: serde::to_bytes(self),
         }
@@ -1080,11 +1073,10 @@ mod tests {
         let cur = TraceCursor::from_trace(&t);
         let mut m = Box::new(IcfpMachine::new(&cfg));
         let mut steps = 0usize;
-        while m.advance(&cur, m.cycle() + 1, usize::MAX) {
+        while m.advance(&cur, m.processed() + 1) {
             steps += 1;
-            assert!(steps < 1_000_000, "machine did not terminate");
         }
-        assert!(steps > 1, "a one-cycle budget must stop the machine mid-trace");
+        assert_eq!(steps, t.len() - 1, "a one-instruction budget stops after every instruction");
         let stepped = m.finish(&cur);
         assert_eq!(stepped.stats.cycles, whole.stats.cycles);
         assert_eq!(stepped.final_regs, whole.final_regs);

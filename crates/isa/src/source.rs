@@ -550,9 +550,9 @@ struct CursorState {
 /// instruction stays valid while the caller mutates its own state or fetches
 /// further instructions, which is what the core models' control flow needs.
 ///
-/// The cursor is deliberately cheap to construct: drivers that interleave
-/// batched stepping build one per call and rely on the source's cache for
-/// cross-call reuse.
+/// The cursor is deliberately cheap to construct: drivers that pause a run
+/// at instruction positions build one per call and rely on the source's
+/// cache for cross-call reuse.
 pub struct TraceCursor<'a> {
     source: Option<&'a dyn TraceSource>,
     /// Arena fast path (from the source, or a borrowed trace).

@@ -66,10 +66,9 @@ pub const TRACE_MAGIC_V2: &[u8; 13] = b"icfp-trace/v2";
 const DATA_START: u64 = TRACE_MAGIC.len() as u64 + 8;
 
 /// On-disk block encoding of a trace container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
     /// `icfp-trace/v1`: vendored-serde `Vec<DynInst>` per block.
-    #[default]
     V1,
     /// `icfp-trace/v2`: varint + delta codec ([`crate::trace_v2`]), roughly
     /// a fifth of the v1 size on real instruction streams.

@@ -94,17 +94,6 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
-impl CacheStats {
-    /// Miss rate over demand accesses.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// A small fully-associative victim buffer.
 ///
 /// Holds recently evicted lines; a probe hit returns the line to the caller
@@ -491,7 +480,6 @@ mod tests {
         c.access(0x0, 1, false);
         assert_eq!(c.stats().accesses, 2);
         assert_eq!(c.stats().misses, 1);
-        assert!((c.stats().miss_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

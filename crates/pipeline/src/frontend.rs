@@ -9,7 +9,7 @@
 //! the same mechanism via [`FetchEngine::redirect`].
 
 use crate::config::PipelineConfig;
-use icfp_bpred::{BpredStats, BranchPredictor, PredictorConfig};
+use icfp_bpred::{BranchPredictor, PredictorConfig};
 use icfp_isa::{Cycle, DynInst};
 use serde::{Deserialize, Serialize};
 
@@ -55,11 +55,6 @@ impl FetchEngine {
     /// Fetch statistics.
     pub fn stats(&self) -> &FetchStats {
         &self.stats
-    }
-
-    /// Branch-prediction statistics.
-    pub fn bpred_stats(&self) -> &BpredStats {
-        self.predictor.stats()
     }
 
     /// Hands out the next fetch slot in program order and returns the earliest
@@ -177,6 +172,5 @@ mod tests {
         assert!(!f.resolve_branch(&br), "trained branch should predict correctly");
         let non_branch = DynInst::nop();
         assert!(!f.resolve_branch(&non_branch));
-        assert!(f.bpred_stats().predictions > 0);
     }
 }

@@ -278,31 +278,6 @@ impl PoisonVec {
         self.words.fill(0);
     }
 
-    /// Union of all lanes.  One OR per word plus a lane fold.
-    pub fn union_all(&self) -> PoisonMask {
-        let mut acc = 0u64;
-        for &w in &self.words {
-            acc |= w;
-        }
-        acc |= acc >> 32;
-        acc |= acc >> 16;
-        PoisonMask::from_bits((acc & LANE_ONES) as u16)
-    }
-
-    /// Number of poisoned (non-clean) lanes.
-    pub fn count_poisoned(&self) -> usize {
-        let mut n = 0usize;
-        for &w in &self.words {
-            if w == 0 {
-                continue;
-            }
-            for lane in 0..POISON_LANES_PER_WORD {
-                n += usize::from((w >> (lane * LANE_BITS)) & LANE_ONES != 0);
-            }
-        }
-        n
-    }
-
     /// The raw packed words (read-only), for external word-granular scans
     /// such as the slice buffer's rally selection.
     pub fn words(&self) -> &[u64] {
@@ -439,12 +414,6 @@ mod tests {
                 *e = e.without(m);
             }
         }
-        fn union_all(&self) -> PoisonMask {
-            self.0.iter().copied().fold(PoisonMask::CLEAN, PoisonMask::union)
-        }
-        fn count(&self) -> usize {
-            self.0.iter().filter(|m| m.is_poisoned()).count()
-        }
         fn intersecting(&self, m: PoisonMask) -> Vec<usize> {
             (0..self.0.len()).filter(|&i| self.0[i].intersects(m)).collect()
         }
@@ -478,8 +447,6 @@ mod tests {
             }
             // Whole-plane word ops must agree with the per-entry loop.
             assert_eq!(vec.any_poisoned(), naive.any(), "round {round}");
-            assert_eq!(vec.union_all(), naive.union_all(), "round {round}");
-            assert_eq!(vec.count_poisoned(), naive.count(), "round {round}");
             for i in 0..len {
                 assert_eq!(vec.get(i), naive.0[i], "round {round} lane {i}");
             }

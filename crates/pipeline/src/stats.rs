@@ -61,16 +61,6 @@ impl RunStats {
         }
     }
 
-    /// Rally instructions per 1000 committed instructions (paper Table 2,
-    /// "Rally/KI").
-    pub fn rally_per_ki(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.rally_instructions as f64 * 1000.0 / self.instructions as f64
-        }
-    }
-
     /// L1 data-cache misses per 1000 committed instructions.
     pub fn l1d_mpki(&self) -> f64 {
         if self.instructions == 0 {
@@ -86,15 +76,6 @@ impl RunStats {
             0.0
         } else {
             self.l2_misses as f64 * 1000.0 / self.instructions as f64
-        }
-    }
-
-    /// Excess store-buffer hops per demand load (paper Section 5.2).
-    pub fn hops_per_load(&self) -> f64 {
-        if self.demand_loads == 0 {
-            0.0
-        } else {
-            self.chain_hops as f64 / self.demand_loads as f64
         }
     }
 }
@@ -138,18 +119,6 @@ impl RunResult {
     }
 }
 
-/// Geometric mean of a slice of speedups (the paper reports geometric means
-/// over SPECfp, SPECint and all of SPEC2000).
-///
-/// Returns 1.0 for an empty slice.
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 1.0;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,26 +138,25 @@ mod tests {
     }
 
     #[test]
-    fn ipc_and_rally_per_ki() {
-        let mut s = RunStats {
+    fn ipc_and_mpki_divide_by_the_right_counts() {
+        let s = RunStats {
             cycles: 200,
             instructions: 100,
-            rally_instructions: 50,
+            l1d_misses: 5,
+            l2_misses: 2,
             ..RunStats::default()
         };
         assert!((s.ipc() - 0.5).abs() < 1e-12);
-        assert!((s.rally_per_ki() - 500.0).abs() < 1e-12);
-        s.demand_loads = 10;
-        s.chain_hops = 5;
-        assert!((s.hops_per_load() - 0.5).abs() < 1e-12);
+        assert!((s.l1d_mpki() - 50.0).abs() < 1e-12);
+        assert!((s.l2_mpki() - 20.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_do_not_divide_by_zero() {
         let s = RunStats::default();
         assert_eq!(s.ipc(), 0.0);
-        assert_eq!(s.rally_per_ki(), 0.0);
-        assert_eq!(s.hops_per_load(), 0.0);
+        assert_eq!(s.l1d_mpki(), 0.0);
+        assert_eq!(s.l2_mpki(), 0.0);
     }
 
     #[test]
@@ -202,12 +170,5 @@ mod tests {
         assert!(a.state_matches(&b));
         b.final_mem = vec![(8, 10)];
         assert!(!a.state_matches(&b));
-    }
-
-    #[test]
-    fn geometric_mean_basics() {
-        assert!((geometric_mean(&[]) - 1.0).abs() < 1e-12);
-        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geometric_mean(&[1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
     }
 }

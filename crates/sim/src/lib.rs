@@ -4,15 +4,17 @@
 //! benchmark harness, the sweep executor, the quickstart example) talks to.
 //! It owns a [`icfp_core::CoreEngine`] obtained from the model registry
 //! ([`CoreModel::engine`]) — there is no per-model dispatch here, and every
-//! method below is a [`CoreEngine::advance`] call with a different budget:
+//! method below is a [`CoreEngine::advance`] call with a different
+//! instruction limit:
 //!
 //! * [`Simulator::run`] — simulate a whole trace, returning a [`SimReport`]
 //!   with timing statistics *and* simulation-throughput figures (host
 //!   seconds, simulated MIPS);
-//! * [`Simulator::load`] + [`Simulator::step_n`] — batched stepping with a
-//!   cycle budget, for interleaving simulation with other work (progress
-//!   reporting, multi-config round-robin, cancellation);
-//!   [`Simulator::advance_to_inst`] is the same with an instruction limit.
+//! * [`Simulator::load`] + [`Simulator::advance_to_inst`] — a run paused at
+//!   instruction positions, for checkpoints ([`Simulator::checkpoint`]) and
+//!   for interleaving simulation with other work (progress reporting,
+//!   multi-config round-robin, cancellation); [`Simulator::finish_loaded`]
+//!   completes it.
 //!
 //! ## Throughput
 //!
@@ -38,7 +40,7 @@ pub use ckpt::{CkptError, SimCheckpoint};
 pub use icfp_core::{CoreEngine, CoreModel, EngineSnapshot};
 
 use icfp_core::CoreConfig;
-use icfp_isa::{exec::ArchState, Cycle, Trace, TraceCursor, TraceSource};
+use icfp_isa::{exec::ArchState, Trace, TraceCursor, TraceSource};
 use icfp_pipeline::RunResult;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -278,23 +280,6 @@ fn warm_state(trace: &TraceCursor<'_>, n: usize) -> Arc<ArchState> {
     }
 }
 
-/// Progress of a batched [`Simulator::step_n`] call.
-#[derive(Debug, Clone)]
-pub enum StepStatus {
-    /// The cycle budget was consumed; the run continues.
-    Running {
-        /// Current simulated cycle.
-        cycle: Cycle,
-        /// Dynamic instructions processed so far (first pass).
-        processed: usize,
-    },
-    /// The trace retired; the report is final.
-    Done(Box<SimReport>),
-    /// No trace is loaded: [`Simulator::load`] was never called, or a
-    /// previous [`StepStatus::Done`] already unloaded the backend.
-    NotLoaded,
-}
-
 enum Backend {
     Idle,
     /// An engine from the registry plus the loaded trace source and
@@ -302,7 +287,7 @@ enum Backend {
     /// sweep columns share one backing (decoded arena, open trace file,
     /// generator) across many concurrent simulators; per-call cursors read
     /// through it, and streamed backings keep their decoded-block caches
-    /// across batched-stepping calls.
+    /// across the calls of a paused run.
     Loaded {
         engine: Box<dyn CoreEngine>,
         source: Arc<dyn TraceSource>,
@@ -375,9 +360,12 @@ impl Simulator {
         SimReport::from_result(result, t0.elapsed().as_secs_f64())
     }
 
-    /// Loads a trace for batched stepping.  The iCFP model stops at any
-    /// budget; the other models — whole-trace designs — simulate to
-    /// completion on the first [`Simulator::step_n`] call.
+    /// Loads a trace for a run paused at instruction positions:
+    /// [`Simulator::advance_to_inst`] moves it forward,
+    /// [`Simulator::checkpoint`] captures it and [`Simulator::finish_loaded`]
+    /// completes it.  The iCFP model stops at any instruction; the other
+    /// models — whole-trace designs — simulate to completion on the first
+    /// advance that has budget left.
     ///
     /// Accepts anything convertible to a shared [`TraceSource`]: an owned
     /// [`Trace`] (wrapped in an arena source), an
@@ -425,52 +413,10 @@ impl Simulator {
         Ok(warm.instructions)
     }
 
-    /// Advances the loaded run by (at least) `cycles` simulated cycles, or to
-    /// completion, whichever comes first.  Granularity is one instruction /
-    /// rally pass, so the machine may overshoot the budget slightly.
-    ///
-    /// Returns [`StepStatus::NotLoaded`] if no trace is loaded (call
-    /// [`Simulator::load`] first) — never panics.
-    pub fn step_n(&mut self, cycles: Cycle) -> StepStatus {
-        let Backend::Loaded {
-            engine,
-            source,
-            host_seconds,
-        } = &mut self.backend
-        else {
-            return StepStatus::NotLoaded;
-        };
-        let trace = TraceCursor::new(&**source);
-        let t0 = Instant::now();
-        let target = engine.cycle().saturating_add(cycles);
-        let alive = engine.advance(&trace, target, usize::MAX);
-        *host_seconds += t0.elapsed().as_secs_f64();
-        if alive {
-            return StepStatus::Running {
-                cycle: engine.cycle(),
-                processed: engine.processed(),
-            };
-        }
-        drop(trace);
-        let Backend::Loaded {
-            engine,
-            source,
-            mut host_seconds,
-        } = std::mem::replace(&mut self.backend, Backend::Idle)
-        else {
-            unreachable!()
-        };
-        let trace = TraceCursor::new(&*source);
-        let t1 = Instant::now();
-        let result = engine.finish(&trace);
-        host_seconds += t1.elapsed().as_secs_f64();
-        StepStatus::Done(Box::new(SimReport::from_result(result, host_seconds)))
-    }
-
     /// Advances the loaded run until at least `target` dynamic instructions
     /// have been processed (first pass), or the engine has fully stepped the
-    /// trace, whichever comes first.  Unlike [`Simulator::step_n`] this never
-    /// finishes the engine, so a [`Simulator::checkpoint`] can follow.
+    /// trace, whichever comes first.  This never finishes the engine, so a
+    /// [`Simulator::checkpoint`] can follow.
     ///
     /// Returns `Ok(true)` while the engine still has work (more instructions
     /// or pending rallies), `Ok(false)` once fully stepped (still loaded).
@@ -490,7 +436,7 @@ impl Simulator {
         };
         let trace = TraceCursor::new(&**source);
         let t0 = Instant::now();
-        let alive = engine.advance(&trace, Cycle::MAX, target);
+        let alive = engine.advance(&trace, target);
         *host_seconds += t0.elapsed().as_secs_f64();
         Ok(alive)
     }
@@ -536,8 +482,8 @@ impl Simulator {
     }
 
     /// Reconstructs a loaded simulator from a checkpoint and the trace it was
-    /// taken against.  Continuing the run (via [`Simulator::step_n`] /
-    /// [`Simulator::advance_to_inst`]) produces cycle counts, statistics and
+    /// taken against.  Continuing the run (via [`Simulator::advance_to_inst`]
+    /// / [`Simulator::finish_loaded`]) produces cycle counts, statistics and
     /// state digests bit-identical to the uninterrupted run.
     ///
     /// Validation is two-level: the trace identity (name, length,
@@ -601,24 +547,30 @@ impl Simulator {
         })
     }
 
-    /// Runs the loaded trace to completion and returns the final report
-    /// (convenience wrapper over [`Simulator::step_n`] with an unbounded
-    /// budget — used after [`Simulator::resume`]).
+    /// Runs the loaded trace to completion, returns the final report and
+    /// leaves the simulator unloaded.  `host_seconds` covers every call of
+    /// the run since [`Simulator::load`] (or [`Simulator::resume`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if no trace is loaded.
-    pub fn finish_loaded(&mut self) -> SimReport {
-        match self.step_n(Cycle::MAX) {
-            StepStatus::Done(r) => *r,
-            StepStatus::Running { .. } => unreachable!("unbounded budget must finish"),
-            StepStatus::NotLoaded => {
-                panic!("finish_loaded without a loaded trace; call Simulator::load first")
-            }
-        }
+    /// Returns [`CkptError::NotLoaded`] if no trace is loaded:
+    /// [`Simulator::load`] was never called, or an earlier `finish_loaded`
+    /// already completed the run.
+    pub fn finish_loaded(&mut self) -> Result<SimReport, CkptError> {
+        let Backend::Loaded {
+            engine,
+            source,
+            host_seconds,
+        } = std::mem::replace(&mut self.backend, Backend::Idle)
+        else {
+            return Err(CkptError::NotLoaded);
+        };
+        let t0 = Instant::now();
+        let result = engine.finish(&TraceCursor::new(&*source));
+        Ok(SimReport::from_result(result, host_seconds + t0.elapsed().as_secs_f64()))
     }
 
-    /// True if a batched run is in progress.
+    /// True if a paused run is loaded.
     pub fn is_loaded(&self) -> bool {
         !matches!(self.backend, Backend::Idle)
     }
@@ -639,8 +591,13 @@ mod tests {
     use icfp_isa::{DynInst, Op, Reg, TraceBuilder};
 
     fn small_trace() -> Trace {
+        trace_of(20)
+    }
+
+    /// `iters` times: a miss, its dependant, a store and five independent adds.
+    fn trace_of(iters: u64) -> Trace {
         let mut b = TraceBuilder::new("sim-test");
-        for k in 0..20u64 {
+        for k in 0..iters {
             b.push(DynInst::load(Reg::int(1), Reg::int(2), 0x100000 + k * 0x4000));
             b.push(DynInst::alu_imm(Op::Add, Reg::int(3), Reg::int(1), 1));
             b.push(DynInst::store(Reg::int(3), Reg::int(4), 0x8000 + k * 8));
@@ -681,74 +638,61 @@ mod tests {
         }
     }
 
+    /// Steps a loaded run `n` instructions at a time with `advance_to_inst`
+    /// until the trace is exhausted, then finishes it. Returns the number
+    /// of pauses and the report.
+    fn step_n_then_finish(sim: &mut Simulator, n: usize) -> (usize, SimReport) {
+        let mut pauses = 0;
+        while sim.advance_to_inst(n * (pauses + 1)).expect("loaded") {
+            pauses += 1;
+        }
+        assert!(sim.is_loaded(), "a fully stepped run stays loaded until finished");
+        let report = sim.finish_loaded().expect("loaded");
+        assert!(!sim.is_loaded(), "finishing unloads the run");
+        (pauses, report)
+    }
+
     #[test]
     fn step_n_reaches_the_same_result_as_run() {
-        let t = small_trace();
-        let mut whole = Simulator::new(SimConfig::default());
-        let full = whole.run(&t);
-
-        let mut stepped = Simulator::new(SimConfig::default());
-        stepped.load(t);
-        let mut batches = 0;
-        let report = loop {
-            match stepped.step_n(100) {
-                StepStatus::Running { .. } => batches += 1,
-                StepStatus::Done(r) => break r,
-                StepStatus::NotLoaded => unreachable!("trace was just loaded"),
+        let t = trace_of(60);
+        for m in CoreModel::ALL {
+            let full = Simulator::new(SimConfig::new(m)).run(&t);
+            let mut sim = Simulator::new(SimConfig::new(m));
+            sim.load(t.clone());
+            let (pauses, report) = step_n_then_finish(&mut sim, 100);
+            if m == CoreModel::Icfp {
+                assert_eq!(pauses, 4, "100-instruction steps pause a 480-instruction run");
             }
-            assert!(batches < 10_000, "stepping did not terminate");
-        };
-        assert!(batches > 1, "budget of 100 cycles should take several batches");
-        assert_eq!(report.cycles, full.cycles);
-        assert_eq!(report.state_digest, full.state_digest);
-        assert!(!stepped.is_loaded());
+            assert_eq!(report.cycles, full.cycles, "{m}");
+            assert_eq!(report.state_digest, full.state_digest, "{m}");
+        }
+    }
+
+    #[test]
+    fn step_n_over_a_streamed_source_matches_the_arena_run() {
+        // Small blocks force the paused run across many block boundaries;
+        // the result must be bit-identical to the whole arena run.
+        let t = trace_of(60);
+        for m in CoreModel::ALL {
+            let full = Simulator::new(SimConfig::new(m)).run(&t);
+            let mut sim = Simulator::new(SimConfig::new(m));
+            sim.load(icfp_isa::ArenaSource::with_block_size(t.clone(), 16));
+            let (_, report) = step_n_then_finish(&mut sim, 100);
+            assert_eq!(report.cycles, full.cycles, "{m}");
+            assert_eq!(report.state_digest, full.state_digest, "{m}");
+        }
     }
 
     #[test]
     fn stepping_without_a_loaded_trace_is_a_typed_status_not_a_panic() {
         let mut sim = Simulator::new(SimConfig::default());
-        assert!(matches!(sim.step_n(100), StepStatus::NotLoaded));
-        assert!(matches!(
-            sim.advance_to_inst(10),
-            Err(CkptError::NotLoaded)
-        ));
-        // A completed run unloads the backend; further stepping reports it.
+        assert!(matches!(sim.finish_loaded(), Err(CkptError::NotLoaded)));
+        assert!(matches!(sim.advance_to_inst(10), Err(CkptError::NotLoaded)));
+        // A finished run unloads the simulator; a second finish reports it.
         sim.load(small_trace());
-        let StepStatus::Done(_) = sim.step_n(Cycle::MAX) else {
-            panic!("unbounded budget must finish");
-        };
-        assert!(matches!(sim.step_n(100), StepStatus::NotLoaded));
-    }
-
-    #[test]
-    fn step_n_over_a_streamed_source_matches_the_arena_run() {
-        // Small blocks force the batched driver across many block
-        // boundaries; the result must be bit-identical to the arena run.
-        let t = small_trace();
-        let full = Simulator::new(SimConfig::default()).run(&t);
-        let streamed = icfp_isa::ArenaSource::with_block_size(t, 16);
-        let mut sim = Simulator::new(SimConfig::default());
-        sim.load(streamed);
-        let report = loop {
-            match sim.step_n(200) {
-                StepStatus::Running { .. } => {}
-                StepStatus::Done(r) => break r,
-                StepStatus::NotLoaded => unreachable!("trace was just loaded"),
-            }
-        };
-        assert_eq!(report.cycles, full.cycles);
-        assert_eq!(report.state_digest, full.state_digest);
-    }
-
-    #[test]
-    fn non_steppable_models_finish_on_first_step() {
-        let t = small_trace();
-        let mut sim = Simulator::new(SimConfig::new(CoreModel::InOrder));
-        sim.load(t);
-        match sim.step_n(1) {
-            StepStatus::Done(r) => assert_eq!(r.core, "in-order"),
-            other => panic!("expected completion, got {other:?}"),
-        }
+        sim.finish_loaded().expect("a loaded run finishes");
+        assert!(matches!(sim.finish_loaded(), Err(CkptError::NotLoaded)));
+        assert!(matches!(sim.advance_to_inst(10), Err(CkptError::NotLoaded)));
     }
 
     #[test]

@@ -35,7 +35,7 @@ fn interrupted_run(
     // not just the in-memory snapshot.
     let ck = SimCheckpoint::from_bytes(&ck.to_bytes()).expect("container round-trip");
     let mut resumed = Simulator::resume(&ck, trace.clone()).expect("resume");
-    (ck, resumed.finish_loaded())
+    (ck, resumed.finish_loaded().expect("resumed run is loaded"))
 }
 
 #[test]
@@ -96,7 +96,7 @@ fn mid_episode_checkpoint_resumes_exactly() {
         // run after this point in *some* fork. Cheap proxy: count forks whose
         // snapshot differs in length from the quiescent first checkpoint.
         let mut resumed = Simulator::resume(&ck, trace.clone()).expect("resume");
-        let report = resumed.finish_loaded();
+        let report = resumed.finish_loaded().expect("resumed run is loaded");
         assert_eq!(report.cycles, reference.cycles, "fork@{fork_at}");
         assert_eq!(report.state_digest, reference.state_digest, "fork@{fork_at}");
         if report.rally_passes > 0 && ck.snapshot.cycle > 0 {

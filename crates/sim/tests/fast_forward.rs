@@ -108,8 +108,8 @@ fn checkpoints_minted_after_fast_forward_resume_into_the_cold_digest() {
         let ckpt = SimCheckpoint::from_bytes(&ckpt.to_bytes()).expect("container round-trip");
 
         let mut resumed = Simulator::resume(&ckpt, t.clone()).expect("resume own trace");
-        let resumed_report = resumed.finish_loaded();
-        let direct_report = sim.finish_loaded();
+        let resumed_report = resumed.finish_loaded().expect("resumed run is loaded");
+        let direct_report = sim.finish_loaded().expect("loaded");
 
         for (label, report) in [("resumed", &resumed_report), ("direct", &direct_report)] {
             assert_eq!(
@@ -139,7 +139,7 @@ fn fast_forward_requires_a_fresh_loaded_engine() {
             "{model:?}: seeding mid-run must be rejected"
         );
         // The refused seed left the run intact.
-        let report = sim.finish_loaded();
+        let report = sim.finish_loaded().expect("loaded");
         let cold = Simulator::new(SimConfig::new(model)).run(&t);
         assert_eq!(report.cycles, cold.cycles, "{model:?}");
         assert_eq!(report.state_digest, cold.state_digest);

@@ -12,7 +12,7 @@ mod alloc;
 mod tap;
 
 use alloc::{CountingAlloc, ALLOC_BYTES};
-use icfp_isa::{ArchState, ArenaSource, Cycle, DynInst, Op, Reg, TraceBuilder, TraceCursor};
+use icfp_isa::{ArchState, ArenaSource, DynInst, Op, Reg, TraceBuilder, TraceCursor};
 use icfp_sim::CoreModel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,7 +62,7 @@ fn seeding_copies_the_memory_image_once_in_every_model() {
             engine.seed(warm).expect("a fresh engine accepts a seed");
             warm.instructions as usize
         });
-        engine.advance(&cursor, Cycle::MAX, start + 1);
+        engine.advance(&cursor, start + 1);
         let at = at.load(Ordering::Relaxed);
         assert_ne!(at, u64::MAX, "{model}: the run fetched no block");
         at - before

@@ -37,7 +37,7 @@ fn streamed_and_arena_runs_are_bit_identical_for_all_models_and_workloads() {
         }
         // Streaming held only a bounded number of blocks resident even
         // though five models replayed the whole trace: the source's MRU
-        // cache plus the one block the batched driver pins as the active
+        // cache plus the one block the engine's first pass pins as the active
         // slice (rally faults can evict it from the cache while pinned).
         let peak = streamed.residency().expect("streamed source counts").peak();
         assert!(peak <= 5, "{}: peak resident blocks {peak}", spec.name);
@@ -67,7 +67,7 @@ fn mid_block_checkpoint_from_streamed_source_resumes_digest_identical() {
             let ckpt = SimCheckpoint::from_bytes(&ckpt.to_bytes()).expect("container");
             let fresh: Arc<dyn TraceSource> = spec.source(INSTS, SEED, BLOCK).into();
             let mut resumed = Simulator::resume(&ckpt, fresh).expect("resume streamed");
-            let report = resumed.finish_loaded();
+            let report = resumed.finish_loaded().expect("resumed run is loaded");
             assert_eq!(report.cycles, reference.cycles, "{model} {}", spec.name);
             assert_eq!(
                 report.state_digest, reference.state_digest,
@@ -79,7 +79,8 @@ fn mid_block_checkpoint_from_streamed_source_resumes_digest_identical() {
             // is content, not backing) when block geometry matches.
             let arena_src = ArenaSource::with_block_size(arena.clone(), BLOCK);
             let mut resumed = Simulator::resume(&ckpt, arena_src).expect("resume arena");
-            assert_eq!(resumed.finish_loaded().state_digest, reference.state_digest);
+            let report = resumed.finish_loaded().expect("resumed run is loaded");
+            assert_eq!(report.state_digest, reference.state_digest);
         }
     }
 }
@@ -111,13 +112,11 @@ fn batched_stepping_streams_through_block_boundaries() {
     let streamed: Arc<dyn TraceSource> = spec.source(INSTS, SEED, BLOCK).into();
     let mut sim = Simulator::new(SimConfig::new(CoreModel::Icfp));
     sim.load(streamed);
-    let report = loop {
-        match sim.step_n(250) {
-            icfp_sim::StepStatus::Running { .. } => {}
-            icfp_sim::StepStatus::Done(r) => break r,
-            icfp_sim::StepStatus::NotLoaded => unreachable!("trace was just loaded"),
-        }
-    };
+    let mut at = 250;
+    while sim.advance_to_inst(at).expect("loaded") {
+        at += 250;
+    }
+    let report = sim.finish_loaded().expect("loaded");
     assert_eq!(report.cycles, reference.cycles);
     assert_eq!(report.state_digest, reference.state_digest);
 }

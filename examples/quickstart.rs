@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use icfp::sim::{CoreModel, SimConfig, Simulator, StepStatus};
+use icfp::sim::{CoreModel, SimConfig, Simulator};
 use icfp::workloads;
 
 fn main() {
@@ -44,24 +44,24 @@ fn main() {
         "timing models must agree on final architectural state"
     );
 
-    // 3. The same run through the batched stepping API (cycle budgets let a
-    //    driver interleave many configurations or report progress).
+    // 3. The same run paused every 10,000 instructions (a driver can report
+    //    progress, checkpoint or switch to another configuration between
+    //    pauses), then finished: the pauses change nothing.
     let mut sim = Simulator::new(SimConfig::new(CoreModel::Icfp));
     sim.load(trace);
-    let mut batches = 0u32;
-    let stepped = loop {
-        match sim.step_n(50_000) {
-            StepStatus::Running { cycle, processed } => {
-                batches += 1;
-                println!("  ... batch {batches}: cycle {cycle}, {processed} insts processed");
-            }
-            StepStatus::Done(report) => break report,
-            StepStatus::NotLoaded => unreachable!("trace was just loaded"),
-        }
-    };
+    let mut at = 0;
+    while sim.advance_to_inst(at + 10_000).expect("trace was just loaded") {
+        at += 10_000;
+        let ckpt = sim.checkpoint().expect("a paused run checkpoints");
+        println!("  ... paused at instruction {at}, cycle {}", ckpt.snapshot.cycle);
+    }
+    let stepped = sim.finish_loaded().expect("trace was just loaded");
     println!(
-        "stepped run: {} cycles in {} batches (digest {:#x})",
-        stepped.cycles, batches + 1, stepped.state_digest
+        "paused run: {} cycles after {} pauses (digest {:#x})",
+        stepped.cycles,
+        at / 10_000,
+        stepped.state_digest
     );
+    assert_eq!(stepped.cycles, icfp.cycles);
     assert_eq!(stepped.state_digest, icfp.state_digest);
 }
