@@ -1,7 +1,7 @@
 //! # icfp-bench — the sweep / trace / figures CLI
 //!
 //! The library half of the `icfp-bench` binary: the `--figures` renderer over
-//! a parsed `icfp-sweep/v2` report.  Everything the binary simulates is a
+//! a parsed `icfp-sweep/v3` report.  Everything the binary simulates is a
 //! sweep (`icfp_sweep`), written as that one document.  The simulated MIPS a
 //! run prints is a convenience figure, not a measurement: host speed is
 //! measured by `icfp-ladder` (`benchmark/`) and nothing else, and simulated

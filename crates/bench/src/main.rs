@@ -8,12 +8,12 @@
 //! leading words only pick the backend.  A plain `icfp-bench --smoke` is the
 //! one-point sweep (the Table-1 point: slice 128, MSHRs 64, L2 20) of every
 //! model over the standard workloads on this process's thread pool: it prints
-//! the IPC matrix and writes `BENCH_sweep.json` (`icfp-sweep/v2`).  Every cell
-//! reports the *median* host time over `--reps` repetitions after one untimed
-//! warmup; `--cache-dir DIR` adds a persistent `icfp-cache/v1` result store
+//! the IPC matrix and writes `BENCH_sweep.json` (`icfp-sweep/v3`).  Every
+//! distinct cell is simulated once, and its host time is that one run's;
+//! `--cache-dir DIR` adds a persistent `icfp-cache/v1` result store
 //! (repeated or overlapping grids are served from disk, byte-identically).
 //! `sweep submit --server ADDR` sends the same grid to a running `icfp-sweepd`
-//! over `icfp-wire/v3`; `sweep submit --workers A,B[,..]` deals its fork groups
+//! over `icfp-wire/v4`; `sweep submit --workers A,B[,..]` deals its fork groups
 //! across `icfp-sweepd --worker` processes (a shard carries per-column trace
 //! *digests*, never trace bytes) and merges the streamed cells into a report
 //! digest-identical to a serial local run, even when a worker dies mid-shard
@@ -52,7 +52,7 @@ use std::process::ExitCode;
 /// The one copy of the usage text: `--help` prints it and a malformed
 /// subcommand is answered with it.
 const USAGE: &str = "\
-usage: icfp-bench [--smoke] [--insts N] [--reps N] [--seed N|0xHEX]
+usage: icfp-bench [--smoke] [--insts N] [--seed N|0xHEX]
                   [--core NAME[,NAME...] (default: all five)]
                   [--workload NAME[,NAME...]|none] [--trace-file PATH[,PATH...]]
                   [--sweep-slice N[,N...] (default: 128)]
@@ -162,7 +162,7 @@ fn core_model(s: &str) -> Result<CoreModel, String> {
 fn parse_args(argv: &[String]) -> Result<Args, CliError> {
     let standard = icfp_workloads::STANDARD_NAMES.iter().map(|s| s.to_string());
     let mut a = Args {
-        // Budget and repetitions: 0 until the defaults below fill them in.
+        // Budget: 0 until the default below fills it in.
         spec: SweepSpec::new(CoreModel::ALL.to_vec(), standard.collect(), 0, 0xC0DE),
         out: None,
         figures: None,
@@ -173,7 +173,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         shards: 0,
         policy: RetryPolicy::default(),
     };
-    a.spec.reps = 0;
     let mut smoke = false;
     let mut trace_files: Vec<String> = Vec::new();
     let it = &mut argv.iter();
@@ -183,7 +182,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
             "--smoke" => smoke = true,
             "--fast-forward" => a.spec.fast_forward = value(it, flag, str::parse)?,
             "--insts" => a.spec.insts = value(it, flag, str::parse)?,
-            "--reps" => a.spec.reps = value(it, flag, str::parse)?,
             "--seed" => a.spec.seed = value(it, flag, seed)?,
             "--core" => a.spec.models = value(it, flag, list(core_model))?,
             // `--workload none` runs only --trace-file containers.
@@ -213,9 +211,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
     }
     if a.spec.insts == 0 {
         a.spec.insts = if smoke { 20_000 } else { 200_000 };
-    }
-    if a.spec.reps == 0 {
-        a.spec.reps = 3;
     }
     if a.threads == 0 {
         a.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -491,7 +486,7 @@ fn trace_info(argv: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `--figures PATH`: render an `icfp-sweep/v2` document into speedup tables.
+/// `--figures PATH`: render an `icfp-sweep/v3` document into speedup tables.
 fn figures(path: &str) -> Result<(), CliError> {
     let doc = std::fs::read_to_string(path)
         .map_err(|e| CliError::failed(format!("reading {path}: {e}")))?;

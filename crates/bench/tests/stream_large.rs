@@ -1,15 +1,14 @@
 //! The streaming acceptance criterion: a workload of ≥ 10M instructions
-//! streams through the shared timing protocol ([`icfp_sim::median_run`], what
-//! every sweep cell runs) with peak trace memory bounded by a constant number
-//! of blocks — asserted via the source's block residency counter — while
-//! producing a real, non-degenerate simulation.
+//! streams through [`icfp_sim::Simulator::run_source`] with peak trace memory
+//! bounded by a constant number of blocks — asserted via the source's block
+//! residency counter — while producing a real, non-degenerate simulation.
 //!
 //! 10M instructions as a materialized arena would be ~10M × 96 B ≈ 1 GiB of
 //! decoded `DynInst`s; the streamed source keeps at most a handful of
 //! 16Ki-instruction blocks (plus the per-block resume snapshots) resident.
 
 use icfp_isa::TraceSource;
-use icfp_sim::{median_run, CoreModel, SimConfig};
+use icfp_sim::{CoreModel, SimConfig, Simulator};
 
 const TEN_MILLION: usize = 10_000_000;
 const BLOCK: usize = 16 * 1024;
@@ -24,7 +23,7 @@ fn ten_million_instructions_stream_with_bounded_block_residency() {
     let blocks = source.block_count();
     assert!(blocks >= TEN_MILLION / BLOCK, "{blocks} blocks");
 
-    let run = median_run(&SimConfig::new(CoreModel::InOrder), &source, 0, 1);
+    let run = Simulator::new(SimConfig::new(CoreModel::InOrder)).run_source(&source);
     assert_eq!(run.instructions, source.len() as u64);
     assert!(run.cycles > run.instructions / 2, "degenerate run");
 

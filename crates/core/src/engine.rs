@@ -311,7 +311,8 @@ pub fn run_model(model: CoreModel, cfg: &CoreConfig, trace: &Trace) -> RunResult
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icfp_isa::{ArenaSource, DynInst, Op, Reg, TraceBlock, TraceBuilder, TraceSource};
+    use crate::tap::Tap;
+    use icfp_isa::{ArenaSource, DynInst, Op, Reg, TraceBuilder};
 
     fn cur(t: &Trace) -> TraceCursor<'_> {
         TraceCursor::from_trace(t)
@@ -463,31 +464,6 @@ mod tests {
         assert_eq!(resumed.final_mem, reference.final_mem);
     }
 
-    /// An [`ArenaSource`] that hides its arena, so cursors over it take the
-    /// streamed (block-pinning) path.
-    struct BlocksOnly(ArenaSource);
-
-    impl TraceSource for BlocksOnly {
-        fn name(&self) -> &str {
-            self.0.name()
-        }
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn digest(&self) -> u64 {
-            self.0.digest()
-        }
-        fn block_size(&self) -> usize {
-            self.0.block_size()
-        }
-        fn block(&self, index: usize) -> Result<Arc<TraceBlock>, icfp_isa::TraceSourceError> {
-            self.0.block(index)
-        }
-        fn block_digest(&self, index: usize) -> Result<u64, icfp_isa::TraceSourceError> {
-            self.0.block_digest(index)
-        }
-    }
-
     /// Runs `m` over `c` in chunks of 7 instructions and, at the first chunk
     /// boundary that falls mid-run (for iCFP: mid-episode), moves the run
     /// into a fresh engine through `save` → `restore`.
@@ -522,7 +498,8 @@ mod tests {
     #[test]
     fn chunked_advance_equals_one_unbounded_advance_for_every_model() {
         let t = missy_trace();
-        let blocks = BlocksOnly(ArenaSource::with_block_size(t.clone(), 16));
+        let inner = ArenaSource::with_block_size(t.clone(), 16);
+        let blocks = Tap { inner, on_block: |_: usize| {} };
         let arena = cur(&t);
         let streamed = TraceCursor::new(&blocks);
         assert!(streamed.arena_slice().is_none(), "must take the block path");
@@ -574,7 +551,8 @@ mod tests {
             b.push(DynInst::load(Reg::int(5), Reg::int(3), 0x8000 + (k % 64) * 8));
         }
         let t = b.build();
-        let blocks = BlocksOnly(ArenaSource::with_block_size(t.clone(), 16));
+        let inner = ArenaSource::with_block_size(t.clone(), 16);
+        let blocks = Tap { inner, on_block: |_: usize| {} };
         let streamed = TraceCursor::new(&blocks);
         assert!(streamed.arena_slice().is_none(), "must take the block path");
         for m in [CoreModel::Runahead, CoreModel::Multipass] {

@@ -58,6 +58,11 @@ pub mod slicebuf;
 pub mod sltp;
 pub mod storebuf;
 
+/// The block-fetch counting source wrapper `icfp-sim`'s tests use.
+#[cfg(test)]
+#[path = "../../sim/tests/common/tap.rs"]
+mod tap;
+
 pub use common::Engine;
 pub use config::{AdvancePolicy, CoreConfig, IcfpFeatures, StoreBufferKind};
 pub use engine::{run_model, CoreEngine, CoreModel, EngineSnapshot};

@@ -101,11 +101,6 @@ impl FetchEngine {
             None => false,
         }
     }
-
-    /// The redirect penalty configured for this front end.
-    pub fn redirect_penalty(&self) -> u64 {
-        self.redirect_penalty
-    }
 }
 
 #[cfg(test)]

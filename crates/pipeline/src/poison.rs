@@ -144,11 +144,6 @@ impl PoisonAllocator {
         }
     }
 
-    /// The configured vector width.
-    pub fn width(&self) -> u8 {
-        self.width
-    }
-
     /// Returns the poison bit for a miss held by `mshr`, allocating one
     /// round-robin if this MSHR has not been seen before.
     pub fn bit_for(&mut self, mshr: MshrId) -> PoisonMask {

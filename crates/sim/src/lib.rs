@@ -201,36 +201,9 @@ impl SimReport {
     }
 }
 
-/// Runs the trace behind `source` under `config`: one untimed warmup (host
-/// caches, branch history, allocator), then `reps` timed repetitions,
-/// returning the run with the *median* host time.  Median-of-N is robust to
-/// one-sided host noise in both directions, unlike best-of-N.  Each
-/// repetition starts from the architectural state after the first `ff`
-/// instructions — walked without the timing model once per source, by
-/// whichever run over it asks first — and times the rest from a cold
-/// microarchitectural state (0 = fully cold; see
-/// [`Simulator::run_source_ff`]).  This is the one
-/// timing protocol, run by every cell of the sweep executor; an in-memory
-/// [`Trace`] goes in as an [`icfp_isa::ArenaSource`].
-pub fn median_run(config: &SimConfig, source: &dyn TraceSource, ff: usize, reps: u32) -> SimReport {
-    let one_run = || Simulator::new(config.clone()).run_source_ff(source, ff);
-    let reps = reps.max(1);
-    if reps > 1 {
-        let _ = one_run(); // untimed warmup
-    }
-    let mut reports: Vec<SimReport> = (0..reps).map(|_| one_run()).collect();
-    debug_assert!(
-        reports
-            .windows(2)
-            .all(|w| w[0].state_digest == w[1].state_digest),
-        "repetitions of a deterministic run diverged"
-    );
-    reports.sort_by(|a, b| a.host_seconds.total_cmp(&b.host_seconds));
-    reports.swap_remove(reports.len() / 2)
-}
-
 /// The condition a sweep puts on a fast-forward depth, column by column,
-/// before handing it to [`median_run`]: it must leave a timed region.
+/// before handing it to [`Simulator::run_source_ff`]: it must leave a timed
+/// region.
 ///
 /// # Errors
 ///
@@ -309,11 +282,6 @@ impl Simulator {
             config,
             backend: Backend::Idle,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 
     /// Simulates `trace` to completion and reports timing plus throughput.

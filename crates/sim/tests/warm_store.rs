@@ -11,7 +11,7 @@ use icfp_isa::{
     ArenaSource, Trace, TraceCursor, TraceFile, TraceFileWriter, TraceFormat, TraceSource,
     WarmStore,
 };
-use icfp_sim::{functional_warmup, median_run, CoreModel, SimConfig, SimReport, Simulator};
+use icfp_sim::{functional_warmup, CoreModel, SimConfig, SimReport, Simulator};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -59,14 +59,12 @@ fn two_models_and_a_median_protocol_share_one_walk_per_source() {
     let path = container("share");
     let ff = INSTS - 900;
     let pair = [CoreModel::InOrder, CoreModel::Icfp].map(SimConfig::new);
-    // Both models once, then the median protocol, each on `source()`.
+    // Both models once, then iCFP four more times, each on `source()`.
     let reports = |source: &dyn Fn() -> Arc<dyn TraceSource>| -> Vec<SimReport> {
-        let mut got: Vec<SimReport> = pair
-            .iter()
+        pair.iter()
+            .chain([&pair[1]; 4])
             .map(|c| Simulator::new(c.clone()).run_source_ff(&*source(), ff))
-            .collect();
-        got.push(median_run(&pair[1], &*source(), ff, 3));
-        got
+            .collect()
     };
     let check = |what: &str, open: &dyn Fn() -> Arc<dyn TraceSource>| {
         let shared = open();

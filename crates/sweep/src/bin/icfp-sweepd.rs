@@ -1,6 +1,6 @@
 //! `icfp-sweepd` — the persistent sweep service.
 //!
-//! Listens on a TCP address, accepts `icfp-wire/v3` connections
+//! Listens on a TCP address, accepts `icfp-wire/v4` connections
 //! (`icfp-bench sweep submit --server ADDR` is the client), executes each
 //! submitted sweep through the shared executor, and streams cells back as
 //! they finish.  With `--cache-dir` the server keeps a persistent
@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str = "icfp-sweepd — persistent sweep service (icfp-wire/v3)
+const USAGE: &str = "icfp-sweepd — persistent sweep service (icfp-wire/v4)
 
 USAGE:
     icfp-sweepd [OPTIONS]
@@ -64,8 +64,9 @@ SIGNALS:
     SIGINT/SIGTERM       graceful drain: stop accepting, finish in-flight
                          cells (cache flushed per cell), then exit
 
-A panicking cell is retried twice, then recorded as a typed failed cell in
-the report; the sweep and the daemon carry on.
+Every fork group a submission computes is simulated once (a cell's host
+time is that one run's). A panicking cell is retried twice, then recorded as
+a typed failed cell in the report; the sweep and the daemon carry on.
 ";
 
 struct Args {

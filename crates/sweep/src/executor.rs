@@ -395,11 +395,12 @@ impl<'a> Prepared<'a> {
     }
 
     /// Executes group `k`: the figures under the leader's cache key are
-    /// looked up in the cache (when there is one) or computed once by the
-    /// leader under the cold median protocol, stored first-write-wins, and
-    /// replayed into every cell of the group — sharing the leader's host
-    /// figures is what makes a later fully-cached rerun reproduce this report
-    /// byte-for-byte.  A damaged entry is counted and treated as a miss.
+    /// looked up in the cache (when there is one) or computed by one
+    /// simulation of the leader ([`SweepJob::figures`]), stored
+    /// first-write-wins, and replayed into every cell of the group — sharing
+    /// the leader's host figures is what makes a later fully-cached rerun
+    /// reproduce this report byte-for-byte.  A damaged entry is counted and
+    /// treated as a miss.
     ///
     /// # Errors
     ///
@@ -695,11 +696,11 @@ mod tests {
             threads: 1,
             insts: spec.insts,
             seed: spec.seed,
-            reps: spec.reps,
             workloads: spec.workloads.clone(),
             cells: jobs
                 .iter()
-                .map(|j| j.run(&*column_source(&spec, &j.workload).unwrap()))
+                .map(|j| (j, column_source(&spec, &j.workload).unwrap()))
+                .map(|(j, source)| j.cell_from_figures(&j.figures(&*source)))
                 .collect(),
         };
         let dir = tmp_cache("standalone");
@@ -772,15 +773,14 @@ mod tests {
             let mut s = SweepSpec::new(CoreModel::ALL.to_vec(), columns, 600, 0xC0DE);
             s.slice_buffer_entries = vec![64, 128];
             s.fast_forward = 300;
-            s.reps = 3;
             s
         };
         let mut with_container = registry.clone();
         with_container.workloads.push(path.to_str().unwrap().to_string());
         // What the build before the warm-state store prints for `registry`
         // (`--insts 600 --seed 0xC0DE --workload dcache-thrash,streaming
-        // --sweep-slice 64,128 --fast-forward 300 --reps 3`); a container's
-        // path is part of its cells, so that grid is held to itself.
+        // --sweep-slice 64,128 --fast-forward 300`); a container's path is
+        // part of its cells, so that grid is held to itself.
         let pinned = [(&registry, Some(0xce6a2d5d7995a9c3)), (&with_container, None)];
         fn opts(threads: usize, cache: Option<&ResultCache>) -> ExecOptions<'_> {
             ExecOptions { threads, cache, ..ExecOptions::default() }
@@ -790,8 +790,8 @@ mod tests {
             let dir = tmp_cache("ff-walks");
             let cache = ResultCache::open(&dir).unwrap();
             let once = vec![1; spec.workloads.len()];
-            // 5 models x (warm-up + 3 repetitions) per column: one walk,
-            // on any pool, with or without a cache to fill ...
+            // 5 models per column: one walk, on any pool, with or without a
+            // cache to fill ...
             let (serial, walks) = run_counting_walks(&whole, &opts(1, None));
             assert_eq!(walks, once);
             let (pooled, walks) = run_counting_walks(&whole, &opts(4, Some(&cache)));
@@ -810,6 +810,26 @@ mod tests {
             let _ = fs::remove_dir_all(&dir);
         }
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_computed_fork_group_runs_its_model_once() {
+        // in-order never reads the slice buffer: two slice sizes are two
+        // cells, one fork group, one simulation — one fetch of block 0.
+        let mut spec = SweepSpec::new(vec![CoreModel::InOrder], vec!["branchy".into()], 600, 0xC0DE);
+        spec.slice_buffer_entries = vec![64, 128];
+        let work = SweepShard::whole(&spec);
+        let prepared = Prepared::new(&work, &ExecOptions::default()).unwrap();
+        assert_eq!(prepared.groups.len(), 1);
+        let fetched = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&fetched);
+        let inner = ArenaSource::new(icfp_workloads::by_name("branchy", 600, 1).unwrap());
+        let on_block = move |k: usize| _ = count.fetch_add(usize::from(k == 0), Ordering::SeqCst);
+        *prepared.columns[0].state.lock().unwrap() =
+            ColumnState::Resolved(Column::Container(Arc::new(crate::tap::Tap { inner, on_block })));
+        let outcome = prepared.run(|_| {}).unwrap();
+        assert_eq!((outcome.cache.misses, outcome.report.cells.len()), (2, 2));
+        assert_eq!(fetched.load(Ordering::SeqCst), 1, "the model ran once");
     }
 
     #[test]

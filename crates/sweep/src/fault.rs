@@ -10,7 +10,7 @@
 //!   write (the atomic tmp+rename normally prevents torn entries, so the
 //!   hook recreates what only a dying kernel could leave behind);
 //! * **outbound frame** ([`FaultPlan::next_frame_action`]): the *n*-th
-//!   `icfp-wire/v3` frame the server sends is dropped entirely (peer sees a
+//!   `icfp-wire/v4` frame the server sends is dropped entirely (peer sees a
 //!   clean close mid-conversation) or truncated at byte *k* (peer sees a
 //!   torn frame) and the connection is severed — the shape of a server
 //!   crash or network partition mid-stream;

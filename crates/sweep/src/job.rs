@@ -5,7 +5,7 @@
 use crate::report::SweepCell;
 use icfp_core::{CoreConfig, CoreModel};
 use icfp_isa::{Fnv1a, TraceSource};
-use icfp_sim::{CellFigures, SimConfig};
+use icfp_sim::{CellFigures, SimConfig, Simulator};
 
 /// One grid point, ready to execute.
 #[derive(Debug, Clone)]
@@ -22,28 +22,21 @@ pub struct SweepJob {
     pub insts: usize,
     /// Deterministic trace seed (see [`crate::SweepSpec::workload_seed`]).
     pub seed: u64,
-    /// Timing repetitions (median is kept).
-    pub reps: u32,
     /// Functional fast-forward depth in instructions (0 = fully cold; see
     /// [`crate::SweepSpec::fast_forward`]).
     pub fast_forward: usize,
 }
 
 impl SweepJob {
-    /// Executes the job against its workload column's trace (the executor
-    /// shares one `Arc<dyn TraceSource>` per column across the pool; see
-    /// [`crate::column_source`]) through the shared warmup + median-of-N
-    /// timing protocol ([`icfp_sim::median_run`]).  Deterministic outputs
-    /// are independent of the backing.
-    pub fn run(&self, source: &dyn TraceSource) -> SweepCell {
-        self.cell_from_figures(&self.figures(source))
-    }
-
-    /// The figures [`SweepJob::run`] labels: what the executor computes once
-    /// per group, stores in the result cache and replays into every member.
+    /// The job's figures over its column's trace ([`crate::column_source`]):
+    /// one simulation ([`Simulator::run_source_ff`]), which the executor runs
+    /// once per fork group, stores in the result cache and replays into every
+    /// member.  Deterministic outputs are independent of the backing; the
+    /// host time is that one run's, fast-forward walk included if it did it.
     pub(crate) fn figures(&self, source: &dyn TraceSource) -> CellFigures {
-        let config = SimConfig::with_config(self.model, self.config.clone());
-        icfp_sim::median_run(&config, source, self.fast_forward, self.reps).figures()
+        Simulator::new(SimConfig::with_config(self.model, self.config.clone()))
+            .run_source_ff(source, self.fast_forward)
+            .figures()
     }
 
     /// Builds this job's cell from bare per-cell figures: a computed or

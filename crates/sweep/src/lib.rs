@@ -28,9 +28,9 @@
 //! * [`report`] — [`SweepReport`]: one [`SweepCell`] per grid point (IPC,
 //!   MPKI, MIPS, state digest) with a deterministic [`SweepReport::digest`]
 //!   and an aligned text matrix renderer;
-//! * [`schema`] — the one `BENCH_sweep.json` (`icfp-sweep/v2`) emitter and
+//! * [`schema`] — the one `BENCH_sweep.json` (`icfp-sweep/v3`) emitter and
 //!   parser, shared by the CLI, the server and the figure renderer;
-//! * [`wire`] — the `icfp-wire/v3` protocol: submit a [`SweepShard`] — a
+//! * [`wire`] — the `icfp-wire/v4` protocol: submit a [`SweepShard`] — a
 //!   whole grid, or one planned shard of it, the same request — to a running
 //!   `icfp-sweepd`, stream cells back as they finish, reassemble a report
 //!   byte-identical to a local run;
@@ -101,6 +101,11 @@ pub use wire::{
     backoff_delay, serve, submit_shard, submit_with, AcceptOptions, RetryPolicy, ServeOptions,
     ServeSummary, SubmitOutcome, WireError,
 };
+
+/// The block-fetch counting source wrapper `icfp-sim`'s tests use.
+#[cfg(test)]
+#[path = "../../sim/tests/common/tap.rs"]
+mod tap;
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -202,7 +202,6 @@ pub(crate) fn merge_cells(
         threads,
         insts: spec.insts,
         seed: spec.seed,
-        reps: spec.reps.max(1),
         workloads: spec.workloads.clone(),
         cells,
     })

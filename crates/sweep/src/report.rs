@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 /// One completed grid cell of a [`SweepReport`].
 ///
 /// Serializable (vendored-serde) so cells stream individually over the
-/// `icfp-wire/v3` protocol as they finish.
+/// `icfp-wire/v4` protocol as they finish.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepCell {
     /// Core model name.
@@ -34,11 +34,11 @@ pub struct SweepCell {
     pub l1d_mpki: f64,
     /// L2 misses per 1000 instructions.
     pub l2_mpki: f64,
-    /// Median host seconds over the cell's repetitions; of a fast-forwarded
-    /// cell they cover the functional walk only in the run that performed it
-    /// (the column's source keeps the state: `icfp_isa::WarmStore`).
+    /// Host seconds of the cell's one simulation; of a fast-forwarded cell
+    /// they cover the functional walk only in the run that performed it (the
+    /// column's source keeps the state: `icfp_isa::WarmStore`).
     pub host_seconds: f64,
-    /// Simulated MIPS of the median rep.
+    /// Simulated MIPS of that simulation.
     pub mips: f64,
     /// Digest of the final architectural state.
     pub state_digest: u64,
@@ -134,8 +134,6 @@ pub struct SweepReport {
     pub insts: usize,
     /// The spec's base seed.
     pub seed: u64,
-    /// Timing repetitions per cell.
-    pub reps: u32,
     /// The spec's workload columns, in matrix order.  Header metadata, like
     /// `threads` — excluded from the digest, which covers cells only.
     pub workloads: Vec<String>,

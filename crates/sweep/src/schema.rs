@@ -1,4 +1,4 @@
-//! The one `BENCH_sweep.json` schema module (`icfp-sweep/v2`).
+//! The one `BENCH_sweep.json` schema module (`icfp-sweep/v3`).
 //!
 //! Everything that emits or consumes a sweep document — the local CLI
 //! writer, the `icfp-sweepd` server, `icfp-bench --figures` —
@@ -12,8 +12,9 @@ use std::fmt;
 use std::fmt::Write as _;
 
 /// The document schema identifier.  `v2` added the `workloads` header array
-/// (the matrix column order, so rendering no longer infers it from cells).
-pub const SCHEMA: &str = "icfp-sweep/v2";
+/// (the matrix column order, so rendering no longer infers it from cells);
+/// `v3` dropped `reps` and `aggregate_mips`: a cell is one simulation.
+pub const SCHEMA: &str = "icfp-sweep/v3";
 
 /// Typed failures parsing a sweep document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,7 +79,6 @@ pub fn to_json(report: &SweepReport) -> String {
     let _ = writeln!(s, "  \"threads\": {},", report.threads);
     let _ = writeln!(s, "  \"insts\": {},", report.insts);
     let _ = writeln!(s, "  \"seed\": {},", report.seed);
-    let _ = writeln!(s, "  \"reps\": {},", report.reps);
     s.push_str("  \"workloads\": [");
     for (k, w) in report.workloads.iter().enumerate() {
         if k > 0 {
@@ -122,30 +122,7 @@ pub fn to_json(report: &SweepReport) -> String {
         }
         s.push_str(if k + 1 == report.cells.len() { "\n" } else { ",\n" });
     }
-    s.push_str("  ],\n");
-    // The aggregate is derived from the *rendered* per-cell host seconds
-    // (re-parsed from their 6-decimal form above), not the unrounded values,
-    // so the document is a fixed point of parse -> render: re-rendering a
-    // parsed report reproduces it byte for byte even when host_seconds
-    // rounding would nudge the unrounded aggregate across a 3-decimal
-    // boundary.
-    let inst: u64 = report.cells.iter().map(|c| c.instructions).sum();
-    let secs: f64 = report
-        .cells
-        .iter()
-        .map(|c| {
-            format!("{:.6}", c.host_seconds)
-                .parse::<f64>()
-                .expect("a {:.6}-formatted float always parses")
-        })
-        .sum();
-    let aggregate = if secs > 0.0 {
-        inst as f64 / secs / 1.0e6
-    } else {
-        0.0
-    };
-    let _ = writeln!(s, "  \"aggregate_mips\": {aggregate:.3}");
-    s.push_str("}\n");
+    s.push_str("  ]\n}\n");
     s
 }
 
@@ -230,7 +207,6 @@ pub fn parse(doc: &str) -> Result<SweepReport, SchemaError> {
     let mut threads = None;
     let mut insts = None;
     let mut seed = None;
-    let mut reps = None;
     let mut workloads = None;
     let mut recorded = None;
     let mut cells: Vec<SweepCell> = Vec::new();
@@ -260,8 +236,6 @@ pub fn parse(doc: &str) -> Result<SweepReport, SchemaError> {
             insts = Some(u64_field(line, "insts").ok_or(malformed("insts"))?);
         } else if line.contains("\"seed\":") {
             seed = Some(u64_field(line, "seed").ok_or(malformed("seed"))?);
-        } else if line.contains("\"reps\":") {
-            reps = Some(u64_field(line, "reps").ok_or(malformed("reps"))?);
         } else if line.contains("\"workloads\":") {
             workloads = Some(str_array(line, "workloads").ok_or(malformed("workloads"))?);
         } else if line.contains("\"report_digest\":") {
@@ -273,7 +247,6 @@ pub fn parse(doc: &str) -> Result<SweepReport, SchemaError> {
         threads: threads.ok_or(SchemaError::MissingField { field: "threads" })? as usize,
         insts: insts.ok_or(SchemaError::MissingField { field: "insts" })? as usize,
         seed: seed.ok_or(SchemaError::MissingField { field: "seed" })?,
-        reps: reps.ok_or(SchemaError::MissingField { field: "reps" })? as u32,
         workloads: workloads.ok_or(SchemaError::MissingField { field: "workloads" })?,
         cells,
     };
@@ -323,7 +296,7 @@ mod tests {
         spec.l2_hit_latencies = vec![20];
         let r = run_sweep(&spec, 2).unwrap();
         let json = r.to_json();
-        assert!(json.contains("\"schema\": \"icfp-sweep/v2\""));
+        assert!(json.contains("\"schema\": \"icfp-sweep/v3\""));
         assert!(json.contains("\"workloads\": [\"branchy\"],"));
         assert!(json.contains(&format!("{:#018x}", r.digest())));
         assert!(json.contains("\"workload\": \"branchy\""));
@@ -372,6 +345,21 @@ mod tests {
     }
 
     #[test]
+    fn a_v2_document_is_refused_by_the_version_it_names() {
+        // A v2 document (with `reps` and `aggregate_mips`) is not half-read.
+        let mut spec = tiny_spec();
+        spec.workloads = vec!["branchy".into()];
+        let json = to_json(&run_sweep(&spec, 1).unwrap());
+        let v2 = json
+            .replace(SCHEMA, "icfp-sweep/v2")
+            .replace("  \"workloads\":", "  \"reps\": 3,\n  \"workloads\":")
+            .replace("  ]\n}", "  ],\n  \"aggregate_mips\": 1.000\n}");
+        let err = parse(&v2).unwrap_err();
+        assert_eq!(err, SchemaError::NotASweepDoc { found: Some("icfp-sweep/v2".into()) });
+        assert!(err.to_string().contains("icfp-sweep/v2"), "{err}");
+    }
+
+    #[test]
     fn hostile_documents_are_typed_errors_not_panics() {
         let spec = {
             let mut s = tiny_spec();
@@ -384,7 +372,7 @@ mod tests {
         let json = to_json(&r);
 
         // Wrong schema.
-        let old = json.replace("icfp-sweep/v2", "icfp-sweep/v1");
+        let old = json.replace(SCHEMA, "icfp-sweep/v1");
         assert_eq!(
             parse(&old),
             Err(SchemaError::NotASweepDoc {

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// A cartesian sweep specification: models × config axes × workloads.
 ///
 /// Serializable (vendored-serde) so a spec travels whole over the
-/// `icfp-wire/v3` protocol — the server expands and validates the identical
+/// `icfp-wire/v4` protocol — the server expands and validates the identical
 /// grid the client described.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SweepSpec {
@@ -30,8 +30,6 @@ pub struct SweepSpec {
     pub insts: usize,
     /// Base seed; per-workload trace seeds are derived from it.
     pub seed: u64,
-    /// Timing repetitions per cell (the median host time is reported).
-    pub reps: u32,
     /// Functional fast-forward: every cell architecturally executes this many
     /// leading instructions without the timing model (registers + memory
     /// only) and times the remainder from a cold microarchitectural state
@@ -67,7 +65,6 @@ impl SweepSpec {
             workloads,
             insts,
             seed,
-            reps: 1,
             fast_forward: 0,
         }
     }
@@ -199,7 +196,6 @@ impl SweepSpec {
                                 workload: workload.clone(),
                                 insts: self.insts,
                                 seed: self.workload_seed(workload),
-                                reps: self.reps.max(1),
                                 fast_forward: self.fast_forward,
                             });
                         }
@@ -382,7 +378,7 @@ mod tests {
     #[test]
     fn specs_round_trip_through_the_wire_encoding() {
         let mut spec = tiny_spec();
-        spec.reps = 3;
+        spec.seed = 0xDEAD_BEEF;
         spec.fast_forward = 7;
         let bytes = serde::to_bytes(&spec);
         let back: SweepSpec = serde::from_bytes(&bytes).expect("decode");

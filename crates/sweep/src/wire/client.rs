@@ -1,4 +1,4 @@
-//! The client side of `icfp-wire/v3`: one conversation, which
+//! The client side of `icfp-wire/v4`: one conversation, which
 //! [`submit_shard`] makes one attempt at for one [`SweepShard`] and
 //! [`submit_with`] retries for a whole spec.  A whole spec is the shard that
 //! holds every cell and carries no digest ([`SweepShard::whole`]): its client

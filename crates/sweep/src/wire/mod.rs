@@ -1,4 +1,4 @@
-//! The sweep service wire protocol (`icfp-wire/v3`).
+//! The sweep service wire protocol (`icfp-wire/v4`).
 //!
 //! A client submits a [`crate::plan::SweepShard`] — the full
 //! [`crate::SweepSpec`] plus the cells to run, all of them

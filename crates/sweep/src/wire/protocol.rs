@@ -1,4 +1,4 @@
-//! The `icfp-wire/v3` messages, the typed errors of both sides, and the
+//! The `icfp-wire/v4` messages, the typed errors of both sides, and the
 //! framed send/receive every conversation goes through.
 
 use crate::plan::SweepShard;
@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The protocol version string exchanged in the handshake.
-pub const WIRE_VERSION: &str = "icfp-wire/v3";
+pub const WIRE_VERSION: &str = "icfp-wire/v4";
 
 /// The first protocol version: a bare `Hello`, no feature negotiation.
 /// Retained so skewed peers are *recognized* (and refused with a typed

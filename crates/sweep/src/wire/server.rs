@@ -1,4 +1,4 @@
-//! The server side of `icfp-wire/v3`: [`serve`], a concurrent accept loop
+//! The server side of `icfp-wire/v4`: [`serve`], a concurrent accept loop
 //! over one shared executor and result cache, and the per-connection
 //! conversation it runs on each accepted stream.  A submission — a whole grid
 //! or one shard of it, the same request — is prepared exactly once (grid

@@ -297,20 +297,22 @@ fn hostile_and_confused_clients_get_typed_errors_not_panics() {
     }
 }
 
-/// The version this protocol replaced, as its peers announce it.
+/// The versions this protocol replaced, as their peers announce them.
 const WIRE_VERSION_V2: &str = "icfp-wire/v2";
+const WIRE_VERSION_V3: &str = "icfp-wire/v3";
 
 #[test]
 fn version_skew_is_a_typed_refusal_in_both_directions() {
-    // An older client against this server: the v1 `Hello` and the v2 `Hello2`
-    // (with a capability this build has never heard of) still decode — the
-    // handshake variants never moved — and each is answered with an Error
-    // frame naming both versions, and a typed error server-side.
+    // An older client against this server: the v1 `Hello` and the v2 and v3
+    // `Hello2` (v2 with a capability this build has never heard of) still
+    // decode — the handshake variants never moved — and each is answered
+    // with an Error frame naming both versions, and a typed error server-side.
     let server = spawn_server(ServeOptions::default(), None);
     let v2_features = vec!["sweep".to_string(), "a-retired-capability".to_string()];
     let old_hellos = [
         (Request::Hello { version: WIRE_VERSION_V1.into() }, WIRE_VERSION_V1),
         (Request::Hello2 { version: WIRE_VERSION_V2.into(), features: v2_features }, WIRE_VERSION_V2),
+        (Request::Hello2 { version: WIRE_VERSION_V3.into(), features: base_features() }, WIRE_VERSION_V3),
     ];
     for (hello, theirs) in &old_hellos {
         let mut stream = TcpStream::connect(&server.addr).expect("connect");
@@ -326,18 +328,20 @@ fn version_skew_is_a_typed_refusal_in_both_directions() {
     }
     let (summary, events) = server.stop();
     let skewed = |e: &&String| e.contains("unsupported protocol version");
-    assert_eq!((summary.failed, events.iter().filter(skewed).count()), (2, 2), "{events:?}");
+    assert_eq!((summary.failed, events.iter().filter(skewed).count()), (3, 3), "{events:?}");
 
     // This client against an older server — one that answers the handshake
-    // with the v1 Hello, with its own version in a Hello2, or (what a v2
-    // daemon does with a version it does not speak) with an Error frame
+    // with the v1 Hello, with its own version in a Hello2, or (what a v2 or
+    // v3 daemon does with a version it does not speak) with an Error frame
     // naming both: typed UnsupportedVersion naming the peer's version, not
     // retriable, never a decode failure.
-    let refusal = format!("server speaks {WIRE_VERSION_V2:?}, client sent {WIRE_VERSION:?}");
+    let refusal = |theirs: &str| format!("server speaks {theirs:?}, client sent {WIRE_VERSION:?}");
     let old_replies = [
         (Response::Hello { version: WIRE_VERSION_V1.into() }, WIRE_VERSION_V1),
         (Response::Hello2 { version: WIRE_VERSION_V2.into(), features: Vec::new() }, WIRE_VERSION_V2),
-        (Response::Error { message: refusal }, WIRE_VERSION_V2),
+        (Response::Error { message: refusal(WIRE_VERSION_V2) }, WIRE_VERSION_V2),
+        (Response::Hello2 { version: WIRE_VERSION_V3.into(), features: base_features() }, WIRE_VERSION_V3),
+        (Response::Error { message: refusal(WIRE_VERSION_V3) }, WIRE_VERSION_V3),
     ];
     for (reply, their_version) in old_replies {
         let exact = !matches!(reply, Response::Error { .. });
