@@ -53,6 +53,7 @@ pub use icfp_isa::fxmap;
 pub mod icfp;
 pub mod inorder;
 pub mod multipass;
+pub mod replay;
 pub mod runahead;
 pub mod slicebuf;
 pub mod sltp;

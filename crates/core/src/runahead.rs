@@ -10,13 +10,23 @@
 //! discarded: the register file is restored from the checkpoint and execution
 //! restarts at the checkpointed instruction.  That wholesale re-execution is
 //! the overhead iCFP and SLTP avoid.
+//!
+//! The simulator pays it too — the next walk covers almost the same
+//! instructions — so the advance loop replays instead of re-walking where it
+//! provably can ([`crate::replay`]): a walk that reaches a grid position in
+//! exactly the walk state an earlier walk recorded there takes that walk's
+//! inert visits (poisoned, or clean arithmetic whose result can no longer be
+//! saved) shifted by the difference in time, and visits for real whatever
+//! else comes.  The replayed walk leaves every statistic, final state and
+//! engine byte the visited one would; `walk_replay_*` holds it to that.
 
 use crate::common::{seed_start, Engine, OperandWait};
 use crate::config::CoreConfig;
 use crate::engine::CoreModel;
 use crate::fxmap::FxHashMap;
+use crate::replay::{Inert, WalkRing, GRID};
 use crate::storebuf::RunaheadCache;
-use icfp_isa::{exec::ArchState, Addr, Cycle, DynInst, OpClass, TraceCursor};
+use icfp_isa::{exec::ArchState, Addr, Cycle, DynInst, InstReader, OpClass, TraceCursor};
 use icfp_mem::AccessOutcome;
 use icfp_pipeline::{PoisonMask, RunResult};
 use std::collections::VecDeque;
@@ -40,6 +50,20 @@ pub(crate) fn runahead_like_run(
     model: CoreModel,
     warm: Option<&ArchState>,
 ) -> RunResult {
+    run_machine(cfg, trace, model, warm, Some(&mut WalkRing::default())).eng.finish(model.name(), trace)
+}
+
+/// Runs the whole trace on the Runahead/Multipass machine and returns the
+/// machine unfinished.  Advance walks replay from `replay`'s recordings;
+/// without a ring they visit every instruction — the reference the replayed
+/// walk is tested against.
+pub(crate) fn run_machine(
+    cfg: &CoreConfig,
+    trace: &TraceCursor<'_>,
+    model: CoreModel,
+    warm: Option<&ArchState>,
+    mut replay: Option<&mut WalkRing>,
+) -> Machine {
     let result_capacity = if model == CoreModel::Multipass { cfg.result_buffer_entries } else { 0 };
     let mut m = Machine::new(cfg, result_capacity);
     let len = trace.len();
@@ -52,11 +76,7 @@ pub(crate) fn runahead_like_run(
         };
         // Advance until execution time reaches the trigger's return (or the
         // trace runs out), then restore and re-execute from the checkpoint.
-        let mut j = i + 1;
-        while j < len && m.eng.frontier < trigger_return {
-            m.advance_visit(insts.inst(j), j);
-            j += 1;
-        }
+        let j = m.advance(&mut insts, i, len, trigger_return, replay.as_deref_mut());
         m.eng.stats.rally_instructions += (j - i) as u64;
         m.eng.stats.rally_passes += 1;
         m.eng.rf.restore(trigger_return);
@@ -66,7 +86,7 @@ pub(crate) fn runahead_like_run(
         m.eng.fetch.redirect(trigger_return);
         m.eng.frontier = m.eng.frontier.max(trigger_return);
     }
-    m.eng.finish(model.name(), trace)
+    m
 }
 
 /// The pipeline outside advance mode — which *is* the in-order core
@@ -186,6 +206,59 @@ impl Machine {
             }
         }
         None
+    }
+
+    /// The advance walk after the trigger at `i`: visits until execution
+    /// time reaches `trigger_return` or the trace runs out, and returns the
+    /// position it stopped at.  With a ring, a stretch a recorded walk
+    /// provably repeats is replayed instead of visited.
+    fn advance(
+        &mut self,
+        insts: &mut InstReader<'_, '_>,
+        i: usize,
+        len: usize,
+        trigger_return: Cycle,
+        mut ring: Option<&mut WalkRing>,
+    ) -> usize {
+        if let Some(ring) = ring.as_deref_mut() {
+            ring.begin(i);
+        }
+        let mut j = i + 1;
+        while j < len && self.eng.frontier < trigger_return {
+            let Some(ring) = ring.as_deref_mut() else {
+                self.advance_visit(insts.inst(j), j);
+                j += 1;
+                continue;
+            };
+            if j.is_multiple_of(GRID) {
+                let inert = self.inert();
+                let to = ring.at_grid(&mut self.eng, inert, j, len, trigger_return);
+                if to != j {
+                    j = to;
+                    continue;
+                }
+            }
+            let inst = insts.inst(j);
+            let poisoned = self.eng.src_poison(inst).is_poisoned();
+            self.advance_visit(inst, j);
+            ring.record(&self.eng, j, inst, poisoned);
+            j += 1;
+        }
+        j
+    }
+
+    /// Where inert visits begin for the rest of the current episode (see
+    /// [`crate::replay`]): a poisoned visit must not drop a saved result,
+    /// and a clean one is inert once no result can be saved any more.
+    fn inert(&self) -> Inert {
+        let clean = if self.poisoned_store_seen {
+            0
+        } else if self.results.len() >= self.result_capacity {
+            self.saved_end
+        } else {
+            usize::MAX
+        };
+        Inert { poisoned: self.saved_end, clean }
     }
 
     /// Executes instruction `i` inside an advance episode.  The poisoned
@@ -391,6 +464,112 @@ mod tests {
         let (regs, mem) = golden_final_state(&t);
         assert_eq!(r.final_regs, regs);
         assert_eq!(r.final_mem, mem);
+    }
+
+    const ADVANCING: [CoreModel; 2] = [CoreModel::Runahead, CoreModel::Multipass];
+
+    /// Runs `model` with and without walk replay and requires equal run
+    /// statistics, state digests, result buffers and serialized final engine
+    /// bytes.  Returns the advance visits replayed and the advance visits.
+    fn walk_replay_is_exact(model: CoreModel, cfg: &CoreConfig, trace: &Trace, what: &str) -> (u64, u64) {
+        let cursor = TraceCursor::from_trace(trace);
+        let visited = run_machine(cfg, &cursor, model, None, None);
+        let mut ring = WalkRing::default();
+        let replayed = run_machine(cfg, &cursor, model, None, Some(&mut ring));
+        assert_eq!(replayed.results, visited.results, "{what}: result buffer");
+        assert!(serde::to_bytes(&replayed.eng) == serde::to_bytes(&visited.eng), "{what}: engine bytes differ");
+        let (r, v) = (replayed.eng.finish(model.name(), &cursor), visited.eng.finish(model.name(), &cursor));
+        assert_eq!(r.stats, v.stats, "{what}");
+        assert_eq!(r.state_digest(), v.state_digest(), "{what}");
+        (ring.replayed, v.stats.advance_instructions)
+    }
+
+    #[test]
+    fn walk_replay_is_exact_on_the_stock_workloads() {
+        // The full matrix in release builds (`cargo test --release -p
+        // icfp-core walk_replay`), one seed at a shorter horizon otherwise.
+        let (insts, seeds): (usize, &[u64]) =
+            if cfg!(debug_assertions) { (10_000, &[0xC0DE]) } else { (50_000, &[0xC0DE, 0x5EED, 0xFACE]) };
+        for model in ADVANCING {
+            let base = model.default_config();
+            let mut configs = vec![("default", base.clone())];
+            for l2 in [10, 40] {
+                let mut c = base.clone();
+                c.mem.l2_hit_latency = l2;
+                configs.push((if l2 == 10 { "l2=10" } else { "l2=40" }, c));
+            }
+            let mut c = base.clone();
+            c.mem.max_outstanding_misses = 4;
+            configs.push(("mshr=4", c));
+            configs.push(("all-misses", base.clone().with_advance_policy(AdvancePolicy::AllMisses)));
+            for wl in icfp_workloads::STANDARD_NAMES {
+                for &seed in seeds {
+                    let t = icfp_workloads::by_name(wl, insts, seed).expect("stock workload");
+                    for (name, cfg) in &configs {
+                        walk_replay_is_exact(model, cfg, &t, &format!("{model} {wl} {name} seed {seed:#x}"));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A seeded random trace over six registers: loads (a quarter of them to
+    /// lines spread over 16 MiB, so they miss), stores, branches and
+    /// single- and multi-cycle ALU ops.
+    fn random_trace(seed: u64, n: usize) -> Trace {
+        let mut b = TraceBuilder::new("random");
+        let mut state = seed;
+        for _ in 0..n {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let r = z ^ (z >> 31);
+            let reg = |shift: u32| Reg::int(1 + (r >> shift) as usize % 6);
+            let addr = if (r >> 40).is_multiple_of(4) { 0x100_0000 + (r >> 44) % 0x4_0000 * 64 } else { 0x1000 + (r >> 44) % 128 * 8 };
+            b.push(match r % 8 {
+                0 | 1 => DynInst::load(reg(8), reg(16), addr),
+                2 => DynInst::store(reg(8), reg(16), addr),
+                3 => DynInst::branch(reg(8), (r >> 24) & 1 == 0, 0x4000, 0.9).with_pc(0x100 + (r >> 28) % 16 * 4),
+                4 => DynInst::alu_imm(Op::Mul, reg(8), reg(16), 3),
+                _ => DynInst::alu(Op::Add, reg(8), reg(16), reg(24)),
+            });
+        }
+        b.build()
+    }
+
+    #[test]
+    fn walk_replay_is_exact_on_random_instructions() {
+        let mut replayed = 0;
+        for seed in 0..200u64 {
+            let t = random_trace(seed, 1_500);
+            for model in ADVANCING {
+                // Odd seeds shrink the result buffer and the runahead cache, so
+                // that Multipass fills its buffer mid-episode.  (The tiny
+                // caches of `tiny_for_tests` can evict a trigger's line before
+                // it is re-executed, which re-triggers forever.)
+                let mut cfg = model.default_config();
+                if seed % 2 == 1 {
+                    (cfg.result_buffer_entries, cfg.runahead_cache_entries) = (16, 16);
+                }
+                replayed += walk_replay_is_exact(model, &cfg, &t, &format!("{model} random seed {seed}")).0;
+            }
+        }
+        assert!(replayed > 0, "no random trace replayed a single visit");
+    }
+
+    #[test]
+    fn walk_replay_keeps_its_hit_rate_on_pointer_chase() {
+        // Shape crack (1) in ROADMAP.md — retiring Multipass results on
+        // consumption — will make clean visits save again, so they stop being
+        // inert: this pin makes that loss a deliberate edit.
+        let t = icfp_workloads::by_name("pointer-chase", 30_000, 0xC0DE).expect("stock workload");
+        for (model, floor) in [(CoreModel::Runahead, 0.80), (CoreModel::Multipass, 0.90)] {
+            let (replayed, visits) = walk_replay_is_exact(model, &model.default_config(), &t, "pointer-chase");
+            let share = replayed as f64 / visits as f64;
+            eprintln!("{model}: {share:.4}");
+            assert!(share >= floor, "{model}: {replayed} of {visits} advance visits replayed ({share:.3}), floor {floor}");
+        }
     }
 
     #[test]

@@ -22,6 +22,17 @@ pub struct FetchStats {
     pub redirects: u64,
 }
 
+/// Where the front end stands in its slot sequence (see
+/// [`FetchEngine::phase`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchPhase {
+    /// Issue-readiness of the fetch cycle whose slots are being handed out
+    /// (fetch cycle plus front-end depth): no later slot is ready earlier.
+    pub ready: Cycle,
+    /// Slots of that fetch cycle already handed out.
+    pub used: usize,
+}
+
 /// The front end: fetch bandwidth, front-end depth, branch prediction and
 /// redirect handling.
 #[derive(Debug, Serialize, Deserialize)]
@@ -69,6 +80,23 @@ impl FetchEngine {
         self.used += 1;
         self.stats.fetched += 1;
         self.current_cycle + self.frontend_depth
+    }
+
+    /// The front end's position in its slot sequence.
+    pub fn phase(&self) -> FetchPhase {
+        FetchPhase { ready: self.current_cycle + self.frontend_depth, used: self.used }
+    }
+
+    /// Hands out `slots` fetch slots at once: the phase and count
+    /// [`FetchEngine::next_issue_ready`] called `slots` times would leave.
+    pub fn skip(&mut self, slots: u64) {
+        if slots == 0 {
+            return;
+        }
+        let through = self.used as u64 + slots - 1;
+        self.current_cycle += through / self.width as u64;
+        self.used = (through % self.width as u64) as usize + 1;
+        self.stats.fetched += slots;
     }
 
     /// Applies a front-end redirect: no further instruction can issue before
@@ -122,6 +150,32 @@ mod tests {
         assert_eq!(f.next_issue_ready(), d + 1);
         assert_eq!(f.next_issue_ready(), d + 2);
         assert_eq!(f.stats().fetched, 5);
+    }
+
+    #[test]
+    fn skip_equals_handing_out_the_slots_one_by_one() {
+        for width in [1usize, 2, 3, 4] {
+            let cfg = PipelineConfig { width, ..PipelineConfig::paper_default() };
+            let fresh = || {
+                let mut f = FetchEngine::new(&cfg, PredictorConfig::paper_default());
+                f.redirect(10);
+                f
+            };
+            for start in 0..2 * width {
+                for slots in 0..3 * width as u64 {
+                    let (mut a, mut b) = (fresh(), fresh());
+                    for _ in 0..start {
+                        a.next_issue_ready();
+                        b.next_issue_ready();
+                    }
+                    a.skip(slots);
+                    for _ in 0..slots {
+                        b.next_issue_ready();
+                    }
+                    assert_eq!((a.phase(), a.stats), (b.phase(), b.stats), "width {width} start {start} skip {slots}");
+                }
+            }
+        }
     }
 
     #[test]

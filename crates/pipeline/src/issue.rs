@@ -15,11 +15,24 @@
 use icfp_isa::{Cycle, OpClass};
 use serde::{Deserialize, Serialize};
 
+/// Issue slots taken in one cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct SlotUse {
-    total: u8,
-    int: u8,
-    mem_fp_br: u8,
+pub struct SlotUse {
+    /// Slots of any kind.
+    pub total: u8,
+    /// Integer-port slots.
+    pub int: u8,
+    /// Shared fp/load/store/branch-port slots.
+    pub mem_fp_br: u8,
+}
+
+/// The schedule's whole state (see [`IssueSchedule::phase`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IssuePhase {
+    /// The last cycle granted a slot.
+    pub cycle: Cycle,
+    /// Slots taken at `cycle`.
+    pub used: SlotUse,
 }
 
 /// Tracks issue-slot usage and finds the earliest legal issue cycle for each
@@ -92,6 +105,16 @@ impl IssueSchedule {
             self.used.mem_fp_br += 1;
         }
         self.cycle
+    }
+
+    /// The live cycle and the slots taken in it.
+    pub fn phase(&self) -> IssuePhase {
+        IssuePhase { cycle: self.cycle, used: self.used }
+    }
+
+    /// Moves the schedule to `phase`, as if its last grant had left it there.
+    pub fn set_phase(&mut self, phase: IssuePhase) {
+        (self.cycle, self.used) = (phase.cycle, phase.used);
     }
 }
 

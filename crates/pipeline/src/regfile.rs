@@ -139,6 +139,11 @@ impl TimedRegFile {
         self.regs[r.index()].last_writer
     }
 
+    /// The packed poison plane, four registers per word in index order.
+    pub fn poison_words(&self) -> &[u64] {
+        self.poison.words()
+    }
+
     /// True if any register is poisoned.  One compare per packed word.
     pub fn any_poisoned(&self) -> bool {
         self.poison.any_poisoned()
