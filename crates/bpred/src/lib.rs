@@ -8,8 +8,11 @@
 //!   bimodal base table and multiple tagged history tables (the structure of
 //!   Michaud's PPM predictor, the ancestor of TAGE);
 //! * [`Btb`] — a set-associative branch target buffer;
-//! * [`ReturnAddressStack`] — a circular return-address stack;
 //! * [`BranchPredictor`] — the combined front-end predictor used by the cores.
+//!
+//! Table 1's return-address stack is not modelled: the simulated ISA has no
+//! call or return instruction (`icfp_isa::Op` has only conditional branches
+//! and jumps), so no trace could ever push or pop one.
 //!
 //! The simulator is trace-driven, so predictions are only used to decide
 //! whether a branch pays the mis-prediction redirect penalty; wrong-path
@@ -34,11 +37,9 @@
 
 pub mod btb;
 pub mod ppm;
-pub mod ras;
 
 pub use btb::Btb;
 pub use ppm::{PpmConfig, PpmPredictor};
-pub use ras::ReturnAddressStack;
 
 use icfp_isa::Addr;
 use serde::{Deserialize, Serialize};
@@ -61,8 +62,6 @@ pub struct PredictorConfig {
     pub btb_entries: usize,
     /// BTB associativity.
     pub btb_assoc: usize,
-    /// Return-address-stack depth.
-    pub ras_entries: usize,
 }
 
 impl PredictorConfig {
@@ -72,7 +71,6 @@ impl PredictorConfig {
             ppm: PpmConfig::paper_default(),
             btb_entries: 2048,
             btb_assoc: 4,
-            ras_entries: 32,
         }
     }
 }
@@ -90,8 +88,6 @@ pub struct BpredStats {
     pub predictions: u64,
     /// Direction mis-predictions.
     pub direction_mispredicts: u64,
-    /// Target mis-predictions (BTB miss or wrong target on a taken branch).
-    pub target_mispredicts: u64,
 }
 
 impl BpredStats {
@@ -105,13 +101,11 @@ impl BpredStats {
     }
 }
 
-/// The combined front-end branch predictor: PPM direction predictor + BTB +
-/// return address stack.
+/// The combined front-end branch predictor: PPM direction predictor + BTB.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BranchPredictor {
     ppm: PpmPredictor,
     btb: Btb,
-    ras: ReturnAddressStack,
     stats: BpredStats,
 }
 
@@ -121,7 +115,6 @@ impl BranchPredictor {
         BranchPredictor {
             ppm: PpmPredictor::new(config.ppm),
             btb: Btb::new(config.btb_entries, config.btb_assoc),
-            ras: ReturnAddressStack::new(config.ras_entries),
             stats: BpredStats::default(),
         }
     }
@@ -155,23 +148,10 @@ impl BranchPredictor {
             self.stats.direction_mispredicts += 1;
         }
         let target_wrong = taken && target_pred != Some(target);
-        if target_wrong && !dir_wrong {
-            self.stats.target_mispredicts += 1;
-        }
         if taken {
             self.btb.insert(pc, target);
         }
         dir_wrong || target_wrong
-    }
-
-    /// Pushes a return address (call instruction).
-    pub fn push_return(&mut self, return_addr: Addr) {
-        self.ras.push(return_addr);
-    }
-
-    /// Pops a predicted return address (return instruction).
-    pub fn pop_return(&mut self) -> Option<Addr> {
-        self.ras.pop()
     }
 }
 
@@ -238,12 +218,5 @@ mod tests {
         }
         assert_eq!(bp.stats().predictions, 10);
         assert!(bp.stats().mispredict_rate() <= 1.0);
-    }
-
-    #[test]
-    fn ras_round_trip() {
-        let mut bp = BranchPredictor::new(PredictorConfig::paper_default());
-        bp.push_return(0x1234);
-        assert_eq!(bp.pop_return(), Some(0x1234));
     }
 }

@@ -84,9 +84,13 @@ impl IcfpFeatures {
         }
     }
 
-    /// The SLTP-like starting point of the Figure 7 build: SRL memory system,
-    /// single blocking rallies, 1-bit poison, no multithreading.
-    pub fn sltp_like() -> Self {
+    /// The starting point of the Figure 7 build: SRL memory system, single
+    /// blocking rallies, 1-bit poison, no multithreading.  This is iCFP's
+    /// machine ([`crate::IcfpMachine`]) given SLTP's memory system and rally
+    /// discipline, not the SLTP model: its figures are not
+    /// [`CoreModel::Sltp`](crate::CoreModel::Sltp)'s, which runs `sltp.rs`
+    /// (speculative cache writes, a pre-rally L1 flush, a store redo log).
+    pub fn srl_blocking() -> Self {
         IcfpFeatures {
             chained_store_buffer: false,
             nonblocking_rallies: false,
@@ -97,7 +101,7 @@ impl IcfpFeatures {
 
     /// The named steps of the Figure 7 build, in order.
     pub fn build_steps() -> Vec<(&'static str, IcfpFeatures)> {
-        let b1 = Self::sltp_like();
+        let b1 = Self::srl_blocking();
         let b2 = IcfpFeatures {
             chained_store_buffer: true,
             ..b1
@@ -115,7 +119,7 @@ impl IcfpFeatures {
             ..b4
         };
         vec![
-            ("SRL memory system, single blocking rallies (SLTP)", b1),
+            ("SRL memory system, single blocking rallies, 1-bit poison", b1),
             ("+ Address-hash chaining", b2),
             ("+ Multiple non-blocking rallies", b3),
             ("+ 8-bit poison vectors", b4),
@@ -161,11 +165,6 @@ pub struct CoreConfig {
     /// (the first probe is free because it proceeds in parallel with the
     /// data-cache access, Section 3.2).
     pub chain_hop_penalty: u64,
-    /// Signature size in bits for multiprocessor safety (Section 3.3).  No
-    /// model builds a signature — uniprocessor traces carry no external
-    /// stores to probe one — but the field is part of the serialized
-    /// configuration, so it stays until cache keys are next re-recorded.
-    pub signature_bits: usize,
 }
 
 impl CoreConfig {
@@ -224,7 +223,6 @@ impl CoreConfig {
             store_buffer_kind: StoreBufferKind::Chained,
             features: IcfpFeatures::full(),
             chain_hop_penalty: 1,
-            signature_bits: 1024,
         }
     }
 
@@ -255,7 +253,6 @@ impl CoreConfig {
             runahead_cache_entries: 16,
             result_buffer_entries: 16,
             srl_entries: 16,
-            signature_bits: 64,
             ..Self::paper_default()
         }
     }
@@ -332,7 +329,7 @@ mod tests {
     fn figure7_build_steps_are_monotone() {
         let steps = IcfpFeatures::build_steps();
         assert_eq!(steps.len(), 5);
-        assert_eq!(steps[0].1, IcfpFeatures::sltp_like());
+        assert_eq!(steps[0].1, IcfpFeatures::srl_blocking());
         assert_eq!(steps[4].1, IcfpFeatures::full());
         assert!(!steps[1].1.nonblocking_rallies);
         assert!(steps[2].1.nonblocking_rallies);

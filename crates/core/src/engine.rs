@@ -18,7 +18,7 @@
 use crate::config::CoreConfig;
 use crate::icfp::IcfpMachine;
 use crate::{inorder, multipass, runahead, sltp};
-use icfp_isa::{exec::ArchState, Cycle, Trace, TraceCursor};
+use icfp_isa::{exec::ArchState, Trace, TraceCursor};
 use icfp_pipeline::RunResult;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -129,16 +129,13 @@ impl fmt::Display for CoreModel {
 /// (for the iCFP model, the whole [`IcfpMachine`] including its register
 /// file, poison planes, slice/store buffers, caches, MSHRs, bus and
 /// prefetcher; for the whole-trace comparison models, the run result and
-/// fast-forward seed, if any).  `cycle` and `processed` are duplicated
-/// outside the blob so drivers can label checkpoints without decoding them.
+/// fast-forward seed, if any).  Nothing is duplicated outside the blob: a
+/// driver that needs the run's position asks the engine
+/// ([`CoreEngine::processed`]) before saving.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EngineSnapshot {
     /// Model that produced the snapshot.
     pub model: CoreModel,
-    /// Simulated cycle at capture time.
-    pub cycle: Cycle,
-    /// Dynamic instructions whose first pass had been processed at capture.
-    pub processed: u64,
     /// Model-specific serialized state.
     pub bytes: Vec<u8>,
 }
@@ -188,10 +185,10 @@ pub trait CoreEngine: Send {
     /// returns the result.
     fn finish(self: Box<Self>, trace: &TraceCursor<'_>) -> RunResult;
 
-    /// Serializes the engine's complete simulation state.  Restoring the
-    /// snapshot into a fresh engine of the same model and continuing the run
-    /// is bit-identical (cycles, statistics, architectural state) to never
-    /// having paused.
+    /// Serializes the engine's complete simulation state: the model and one
+    /// opaque blob.  Restoring the snapshot into a fresh engine of the same
+    /// model and continuing the run is bit-identical (cycles, statistics,
+    /// architectural state) to never having paused.
     fn save(&self) -> EngineSnapshot;
 
     /// Replaces this engine's state with a snapshot from [`CoreEngine::save`].
@@ -280,8 +277,6 @@ impl CoreEngine for WholeTraceEngine {
         // the optional result + optional seed.
         EngineSnapshot {
             model: self.model,
-            cycle: self.result.as_ref().map_or(0, |r| r.stats.cycles),
-            processed: self.processed() as u64,
             bytes: serde::to_bytes(&(self.result.clone(), self.seed.as_deref().cloned())),
         }
     }
@@ -335,19 +330,14 @@ mod tests {
         let mut e = CoreModel::Icfp.engine(&cfg);
         let mut steps = 0usize;
         let c = cur(&t);
-        let mut cycle = 0;
         while e.advance(&c, e.processed() + 1) {
             steps += 1;
             assert_eq!(e.processed(), steps, "one instruction per step");
-            let snap = e.save();
-            assert!(snap.cycle >= cycle && snap.processed == steps as u64, "live counters advance");
-            cycle = snap.cycle;
         }
         assert_eq!(steps, t.len() - 1, "the last step retires the trace");
         assert_eq!(e.processed(), t.len());
         let r = e.finish(&c);
         assert_eq!(r.stats.instructions, t.len() as u64);
-        assert!(r.stats.cycles >= cycle, "finish never rewinds the clock");
     }
 
     #[test]
@@ -357,13 +347,11 @@ mod tests {
         let mut e = CoreModel::InOrder.engine(&cfg);
         let c = cur(&t);
         assert!(e.advance(&c, 0), "an exhausted budget runs nothing");
-        assert_eq!((e.processed(), e.save().cycle), (0, 0), "no work before the first advance");
+        assert_eq!(e.processed(), 0, "no work before the first advance");
         assert!(!e.advance(&c, 1), "whole-trace models complete on the first advance");
-        let (cycle, processed) = (e.save().cycle, e.processed());
-        assert!(cycle > 0);
+        let processed = e.processed();
         let r = e.finish(&c);
         assert_eq!(r.core, "in-order");
-        assert_eq!(cycle, r.stats.cycles);
         assert_eq!(processed, r.stats.instructions as usize);
     }
 
@@ -421,7 +409,6 @@ mod tests {
 
             let mut second = m.engine(&cfg);
             second.restore(&snap).expect("restore");
-            assert_eq!(second.save().cycle, snap.cycle, "{m}");
             assert_eq!(second.processed(), first.processed(), "{m}");
             let resumed = second.finish(&c);
 

@@ -15,12 +15,19 @@
 //! implements [`CoreEngine`] itself: [`CoreEngine::advance`] processes one
 //! dynamic instruction or one rally pass per iteration and can stop after
 //! any instruction, which is what `icfp-sim` builds runs paused at an
-//! instruction position (`advance_to_inst`) and mid-episode checkpoints on.  The hot loop reuses its storage: rally slot lists, drain
-//! buffers, the register checkpoint and the slice-value table keep their
-//! capacity across cycles and episodes, so after the first tenth of a trace a
-//! run makes fewer than 2 heap-allocation calls per 1000 instructions (what
-//! is left is the occasional growth of a hash table or a stream buffer) — the
-//! bound `crates/sim/tests/steady_state_allocs.rs` enforces.
+//! instruction position (`advance_to_inst`) and mid-episode checkpoints on.
+//!
+//! iCFP takes no register checkpoint: nothing in a uniprocessor trace ever
+//! rolls an episode back (the paper's checkpoint serves multiprocessor
+//! safety, Section 3.3), so the 64-register copy per episode would be state
+//! nothing reads.  Runahead and Multipass restore theirs and keep it.
+//!
+//! The hot loop reuses its storage: rally slot lists, drain buffers and the
+//! slice-value table keep their capacity across cycles and episodes, so
+//! after the first tenth of a trace a run makes fewer than 2 heap-allocation
+//! calls per 1000 instructions (what is left is the occasional growth of a
+//! hash table or a stream buffer) — the bound
+//! `crates/sim/tests/steady_state_allocs.rs` enforces.
 
 use crate::common::{Engine, OperandWait};
 use crate::config::CoreConfig;
@@ -175,9 +182,6 @@ impl IcfpMachine {
         if !self.in_episode {
             self.in_episode = true;
             self.eng.stats.advance_episodes += 1;
-            // iCFP checkpoints for multiprocessor safety; uniprocessor traces
-            // never restore it, but creating it models the occupancy.
-            self.eng.rf.checkpoint(returns_at, self.i as InstSeq);
         }
         bit
     }
@@ -333,7 +337,6 @@ impl IcfpMachine {
             self.eng.arch_mem.write(addr, value);
             let _ = self.eng.demand_store(addr, at);
         }
-        self.eng.rf.release_checkpoint();
     }
 
     /// Processes one dynamic instruction (first pass).  `inst` must be the
@@ -540,12 +543,9 @@ impl IcfpMachine {
         if self.rallies.is_empty() && self.slice.no_active() {
             // Episode over: speculative state retires.
             self.in_episode = false;
-            self.eng.stats.slice_peak =
-                self.eng.stats.slice_peak.max(self.slice.peak() as u64);
             self.slice.clear();
             self.slice_values.clear();
             self.palloc.clear();
-            self.eng.rf.release_checkpoint();
         }
     }
 
@@ -797,7 +797,7 @@ impl CoreEngine for IcfpMachine {
     }
 
     /// Checkpoints taken afterwards carry the seed (the machine serializes
-    /// whole), so fast-forwarded runs mint ordinary `icfp-ckpt/v3`
+    /// whole), so fast-forwarded runs mint ordinary `icfp-ckpt/v4`
     /// checkpoints.
     fn seed(&mut self, warm: &Arc<ArchState>) -> Result<(), String> {
         if self.i != 0 || self.eng.frontier != 0 || self.in_episode || self.done {
@@ -814,17 +814,13 @@ impl CoreEngine for IcfpMachine {
 
     fn finish(mut self: Box<Self>, trace: &TraceCursor<'_>) -> RunResult {
         self.advance(trace, usize::MAX);
-        self.eng.stats.slice_peak = self.eng.stats.slice_peak.max(self.slice.peak() as u64);
-        self.eng.stats.chain_hops = self.eng.stats.chain_hops.max(self.sbuf.total_excess_hops());
+        self.eng.stats.slice_peak = self.slice.peak() as u64;
         self.eng.finish(CoreModel::Icfp.name(), trace)
     }
 
     fn save(&self) -> EngineSnapshot {
         EngineSnapshot {
             model: CoreModel::Icfp,
-            // The in-order issue frontier.
-            cycle: self.eng.frontier,
-            processed: self.i as u64,
             bytes: serde::to_bytes(self),
         }
     }

@@ -169,7 +169,7 @@ impl Machine {
                 let triggers = ADVANCES && eng.cfg.advance_policy.triggers_on(outcome.is_l2_miss());
                 if triggers && outcome.is_l1_miss() && completes > issue + l1_lat {
                     // Enter advance mode: checkpoint here, poison the dest.
-                    eng.rf.checkpoint(issue, seq);
+                    eng.rf.checkpoint();
                     eng.stats.advance_episodes += 1;
                     self.poisoned_store_seen = false;
                     if let Some(dst) = inst.dst {

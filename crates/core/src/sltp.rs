@@ -156,7 +156,6 @@ pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchS
                         // Enter advance mode; the missing load is the first
                         // slice entry.
                         eng.stats.advance_episodes += 1;
-                        eng.rf.checkpoint(issue, seq);
                         episode = Some(Episode {
                             trigger_return: completes,
                         });

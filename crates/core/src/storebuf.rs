@@ -85,11 +85,6 @@ pub struct ChainedStoreBuffer {
     next_ssn: Ssn,
     /// Youngest SSN whose store has drained to the data cache (SSNcomplete).
     ssn_complete: Ssn,
-    /// Total excess hops taken by forwarding probes.
-    total_excess_hops: u64,
-    /// Number of forwarding probes (read by nothing, but part of the
-    /// checkpoint bytes).
-    probes: u64,
 }
 
 impl ChainedStoreBuffer {
@@ -108,8 +103,6 @@ impl ChainedStoreBuffer {
             chain_table: vec![0; chain_table_entries],
             next_ssn: 1,
             ssn_complete: 0,
-            total_excess_hops: 0,
-            probes: 0,
         }
     }
 
@@ -142,11 +135,6 @@ impl ChainedStoreBuffer {
     /// (`SSNcomplete`).
     pub fn ssn_complete(&self) -> Ssn {
         self.ssn_complete
-    }
-
-    /// Total excess hops accumulated by chained forwarding.
-    pub fn total_excess_hops(&self) -> u64 {
-        self.total_excess_hops
     }
 
     fn hash(&self, addr: Addr) -> usize {
@@ -203,8 +191,7 @@ impl ChainedStoreBuffer {
     /// `color` — the SSN of the youngest store older than the load in program
     /// order.  Stores younger than the colour are skipped (they are younger
     /// than the load; rallying loads simply walk past them, Section 3.2).
-    pub fn forward(&mut self, addr: Addr, color: Ssn) -> ForwardResult {
-        self.probes += 1;
+    pub fn forward(&self, addr: Addr, color: Ssn) -> ForwardResult {
         match self.kind {
             StoreBufferKind::FullyAssociative => {
                 let store = self
@@ -258,7 +245,6 @@ impl ChainedStoreBuffer {
                     }
                     ssn = e.ssn_link;
                 }
-                self.total_excess_hops += hops;
                 ForwardResult {
                     store: found,
                     excess_hops: hops,
@@ -534,7 +520,6 @@ mod tests {
         let f = sb.forward(0x40, sb.ssn_tail());
         assert_eq!(f.store.unwrap().value, 1);
         assert_eq!(f.excess_hops, 2);
-        assert_eq!(sb.total_excess_hops(), 2);
     }
 
     #[test]

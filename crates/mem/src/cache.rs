@@ -79,21 +79,6 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// Per-cache statistics counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Demand accesses (loads + stores probed against this level).
-    pub accesses: u64,
-    /// Demand misses.
-    pub misses: u64,
-    /// Hits supplied by the victim buffer.
-    pub victim_hits: u64,
-    /// Lines filled into the array.
-    pub fills: u64,
-    /// Dirty evictions (writebacks).
-    pub writebacks: u64,
-}
-
 /// A small fully-associative victim buffer.
 ///
 /// Holds recently evicted lines; a probe hit returns the line to the caller
@@ -176,7 +161,6 @@ pub struct Cache {
     /// Set count − 1 (the set count is a power of two).
     set_mask: usize,
     victim: VictimBuffer,
-    stats: CacheStats,
 }
 
 impl Cache {
@@ -196,18 +180,12 @@ impl Cache {
             ready_at: vec![0; ways],
             set_mask: config.num_sets() - 1,
             config,
-            stats: CacheStats::default(),
         }
     }
 
     /// The cache geometry.
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
     }
 
     /// Line-aligned address for this cache's line size.
@@ -236,11 +214,10 @@ impl Cache {
         self.keys[ways.clone()].iter().position(|&k| k == line_addr | VALID).map(|w| ways.start + w)
     }
 
-    /// Probes for `addr` as a demand access at cycle `now`, updating LRU state
-    /// and statistics.  A victim-buffer hit counts as a hit and moves the line
+    /// Probes for `addr` as a demand access at cycle `now`, updating LRU
+    /// state.  A victim-buffer hit counts as a hit and moves the line
     /// back into the main array.
     pub fn access(&mut self, addr: Addr, now: Cycle, is_write: bool) -> ProbeResult {
-        self.stats.accesses += 1;
         let line_addr = self.config.line_addr(addr);
         if let Some(i) = self.find(line_addr) {
             self.last_use[i] = now;
@@ -253,16 +230,14 @@ impl Cache {
         // line keeps its original fill time: a victim evicted mid-fill still
         // cannot supply data before the fill arrives.
         if let Some((dirty, ready_at)) = self.victim.take(line_addr) {
-            self.stats.victim_hits += 1;
             let ready_at = ready_at.max(now);
             self.fill_internal(line_addr, now, ready_at, dirty || is_write);
             return ProbeResult::Hit { ready_at };
         }
-        self.stats.misses += 1;
         ProbeResult::Miss
     }
 
-    /// Probes without updating statistics or LRU (used by prefetchers and by
+    /// Probes without updating LRU (used by prefetchers and by
     /// external-store snoops).
     pub fn peek(&self, addr: Addr) -> bool {
         self.find(self.config.line_addr(addr)).is_some()
@@ -272,7 +247,6 @@ impl Cache {
     /// evicted line if a valid line had to be displaced (after it has been
     /// pushed through the victim buffer).
     pub fn fill(&mut self, addr: Addr, now: Cycle, ready_at: Cycle, dirty: bool) -> Option<Evicted> {
-        self.stats.fills += 1;
         self.fill_internal(self.config.line_addr(addr), now, ready_at, dirty)
     }
 
@@ -291,9 +265,6 @@ impl Cache {
         self.last_use[i] = now;
         self.ready_at[i] = ready_at;
         if old_key & VALID != 0 {
-            if old_dirty {
-                self.stats.writebacks += 1;
-            }
             // Displaced lines go to the victim buffer; whatever the victim
             // buffer displaces in turn is reported to the caller.
             return self.victim.insert(old_key & !VALID, old_dirty, old_ready);
@@ -335,7 +306,6 @@ impl Serialize for Cache {
         self.last_use.serialize(out);
         self.ready_at.serialize(out);
         self.victim.serialize(out);
-        self.stats.serialize(out);
     }
 }
 
@@ -353,7 +323,6 @@ impl Deserialize for Cache {
             set_mask: config.num_sets() - 1,
             config,
             victim: Deserialize::deserialize(r)?,
-            stats: Deserialize::deserialize(r)?,
         })
     }
 }
@@ -415,7 +384,8 @@ mod tests {
         assert!(!c.peek(0x0100));
         // Access to 0x0100 hits via the victim buffer.
         assert!(matches!(c.access(0x0100, 4, false), ProbeResult::Hit { .. }));
-        assert_eq!(c.stats().victim_hits, 1);
+        // The hit moved it back into the array.
+        assert!(c.peek(0x0100));
     }
 
     #[test]
@@ -459,7 +429,11 @@ mod tests {
         c.access(0x0000, 1, true); // dirty it
         c.fill(0x0100, 2, 2, false);
         c.fill(0x0200, 3, 3, false); // evicts 0x0000 (dirty) to victim buffer
-        assert_eq!(c.stats().writebacks, 1);
+        assert_eq!(c.fill(0x0300, 4, 4, false), None); // 0x0100 joins it
+        // The third victim displaces the oldest: 0x0000, still dirty, is the
+        // line the caller must write back.
+        let written_back = c.fill(0x0400, 5, 5, false);
+        assert_eq!(written_back, Some(Evicted { line_addr: 0x0000, dirty: true }));
     }
 
     #[test]
@@ -475,11 +449,9 @@ mod tests {
     #[test]
     fn stats_miss_rate() {
         let mut c = tiny();
-        c.access(0x0, 0, false);
+        assert_eq!(c.access(0x0, 0, false), ProbeResult::Miss);
         c.fill(0x0, 0, 0, false);
-        c.access(0x0, 1, false);
-        assert_eq!(c.stats().accesses, 2);
-        assert_eq!(c.stats().misses, 1);
+        assert_eq!(c.access(0x0, 1, false), ProbeResult::Hit { ready_at: 1 });
     }
 
     #[test]

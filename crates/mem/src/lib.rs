@@ -46,4 +46,4 @@ pub use config::MemConfig;
 pub use hierarchy::{AccessOutcome, LoadResponse, MemError, MemoryHierarchy, StoreResponse};
 pub use mshr::{MshrFile, MshrId, MshrRequest};
 pub use prefetch::StreamPrefetcher;
-pub use stats::{MemStats, MlpTracker};
+pub use stats::MemStats;

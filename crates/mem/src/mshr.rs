@@ -42,23 +42,9 @@ impl MshrId {
 struct MshrEntry {
     id: MshrId,
     line_addr: Addr,
-    allocated_at: Cycle,
     completes_at: Cycle,
-    /// Number of references merged into this miss (primary + secondaries).
-    references: u32,
     /// Whether this miss was initiated by a prefetch rather than a demand access.
     prefetch: bool,
-}
-
-/// Statistics for the MSHR file.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MshrStats {
-    /// Primary (newly allocated) misses.
-    pub allocations: u64,
-    /// Secondary references merged into an existing MSHR.
-    pub merges: u64,
-    /// Occasions on which allocation failed because the file was full.
-    pub full_stalls: u64,
 }
 
 /// A finite file of MSHRs with merge-on-same-line semantics.
@@ -74,7 +60,6 @@ pub struct MshrFile {
     slots: Vec<Option<MshrEntry>>,
     outstanding: usize,
     next_gen: u64,
-    stats: MshrStats,
     /// No outstanding miss completes before this cycle, so
     /// [`MshrFile::retire_completed`] for an earlier `now` has nothing to do
     /// and returns without touching the slots.  Derived from `slots`: not in
@@ -87,7 +72,6 @@ impl Serialize for MshrFile {
         self.slots.serialize(out);
         self.outstanding.serialize(out);
         self.next_gen.serialize(out);
-        self.stats.serialize(out);
     }
 }
 
@@ -104,7 +88,6 @@ impl Deserialize for MshrFile {
             slots,
             outstanding,
             next_gen: Deserialize::deserialize(r)?,
-            stats: Deserialize::deserialize(r)?,
         })
     }
 }
@@ -161,14 +144,8 @@ impl MshrFile {
             slots: vec![None; capacity],
             outstanding: 0,
             next_gen: 0,
-            stats: MshrStats::default(),
             next_completion: Cycle::MAX,
         }
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &MshrStats {
-        &self.stats
     }
 
     /// Number of slots (the configured capacity).
@@ -251,19 +228,16 @@ impl MshrFile {
         let slot = match self.probe(line_addr) {
             SlotProbe::Covers(k) => {
                 let e = self.slots[k].as_mut().expect("probe found the slot occupied");
-                e.references += 1;
                 // A demand reference upgrades a prefetch-initiated miss.
                 if !prefetch {
                     e.prefetch = false;
                 }
-                self.stats.merges += 1;
                 return MshrRequest::Merged {
                     id: e.id,
                     completes_at: e.completes_at,
                 };
             }
             SlotProbe::Full => {
-                self.stats.full_stalls += 1;
                 let retry_at = if self.slots.is_empty() {
                     now + 1
                 } else {
@@ -275,13 +249,10 @@ impl MshrFile {
         };
         let id = MshrId((self.next_gen << MshrId::SLOT_BITS) | slot as u64);
         self.next_gen += 1;
-        self.stats.allocations += 1;
         self.slots[slot] = Some(MshrEntry {
             id,
             line_addr,
-            allocated_at: now,
             completes_at: Cycle::MAX,
-            references: 1,
             prefetch,
         });
         self.outstanding += 1;
@@ -326,8 +297,6 @@ mod tests {
         assert_eq!(f.outstanding(), 1);
         f.retire_completed(100);
         assert_eq!(f.outstanding(), 0);
-        assert_eq!(f.stats().allocations, 1);
-        assert_eq!(f.stats().merges, 1);
     }
 
     #[test]
@@ -342,7 +311,6 @@ mod tests {
             MshrRequest::Full { retry_at } => assert_eq!(retry_at, 50),
             other => panic!("expected full, got {other:?}"),
         }
-        assert_eq!(f.stats().full_stalls, 1);
         // After completion, allocation succeeds again.
         assert!(matches!(
             f.request(0x2000, 51, false),

@@ -21,17 +21,6 @@ pub struct PrefetchRequest {
     pub buffer: usize,
 }
 
-/// Statistics for the prefetcher.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PrefetchStats {
-    /// Prefetch requests issued.
-    pub issued: u64,
-    /// Demand misses that were serviced by a stream buffer.
-    pub hits: u64,
-    /// Streams (re)allocated.
-    pub allocations: u64,
-}
-
 /// An empty slot of the block table, and the next block of a buffer that
 /// holds no stream.  Blocks are aligned to the (at least two-byte) block
 /// size, so no block address is odd.
@@ -58,7 +47,6 @@ pub struct StreamPrefetcher {
     blocks: Vec<Addr>,
     /// Arrival cycle of each slot's block.
     ready: Vec<Cycle>,
-    stats: PrefetchStats,
 }
 
 impl StreamPrefetcher {
@@ -74,13 +62,7 @@ impl StreamPrefetcher {
             last_use: vec![0; num_buffers],
             blocks: vec![EMPTY; num_buffers * depth],
             ready: vec![0; num_buffers * depth],
-            stats: PrefetchStats::default(),
         }
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &PrefetchStats {
-        &self.stats
     }
 
     /// Block-aligned address for this prefetcher's block size.
@@ -108,11 +90,9 @@ impl StreamPrefetcher {
         self.ready.copy_within(slot + 1..end, slot);
         self.blocks[end - 1] = EMPTY;
         self.last_use[buffer] = now;
-        self.stats.hits += 1;
         // Keep the stream running ahead (the buffer now has room).
         let next = self.next_block[buffer];
         self.next_block[buffer] = next.wrapping_add(self.block_bytes);
-        self.stats.issued += 1;
         (
             Some(ready.max(now)),
             Some(PrefetchRequest {
@@ -170,8 +150,6 @@ impl StreamPrefetcher {
         self.last_use[victim] = now;
         self.stream_base[victim] = block;
         self.next_block[victim] = next.wrapping_add(self.block_bytes.wrapping_mul(self.depth as u64));
-        self.stats.allocations += 1;
-        self.stats.issued += self.depth as u64;
         Some((next, victim, self.depth))
     }
 
@@ -226,7 +204,6 @@ impl Deserialize for StreamPrefetcher {
             last_use: serde::vec_of_len(r, buffers, "stream last-use array length")?,
             blocks: serde::vec_of_len(r, slots, "stream table length")?,
             ready: serde::vec_of_len(r, slots, "stream ready-time array length")?,
-            stats: Deserialize::deserialize(r)?,
         })
     }
 }
@@ -246,8 +223,7 @@ mod tests {
         assert_eq!(reqs.len(), 4);
         assert_eq!(reqs[0].block_addr, 0x1080);
         assert_eq!(reqs[3].block_addr, 0x1200);
-        assert_eq!(p.stats().allocations, 1);
-        assert_eq!(p.stats().issued, 4);
+        assert!(reqs.iter().all(|r| r.buffer == reqs[0].buffer), "one stream, one buffer");
     }
 
     #[test]
@@ -262,7 +238,6 @@ mod tests {
         let ext = extend.expect("stream should extend");
         assert_eq!(ext.block_addr, 0x1280);
         assert_eq!(p.blocks_in_flight(), 3);
-        assert_eq!(p.stats().hits, 1);
     }
 
     #[test]
@@ -306,7 +281,6 @@ mod tests {
         // re-allocate a buffer.
         let reqs = p.on_demand_miss(0x1000, 1);
         assert_eq!(reqs.len(), 0);
-        assert_eq!(p.stats().allocations, 1);
     }
 
     #[test]

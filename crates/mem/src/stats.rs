@@ -1,77 +1,7 @@
-//! Memory-system statistics, including the MLP (memory-level parallelism)
-//! accounting the paper reports in Table 2.
+//! Memory-system statistics: the demand-access and miss counts the cores
+//! report.
 
-use icfp_isa::Cycle;
 use serde::{Deserialize, Serialize};
-
-/// Tracks memory-level parallelism as the average number of overlapping
-/// outstanding misses, measured only over cycles during which at least one
-/// miss is outstanding — the standard definition and the one Table 2 of the
-/// paper uses ("D$ MLP" / "L2 MLP").
-///
-/// Miss intervals must be reported in non-decreasing order of start cycle,
-/// which is naturally the case when misses are recorded as the simulation
-/// advances.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct MlpTracker {
-    /// Sum of the lengths of all miss intervals (miss-cycles).
-    miss_cycles: u64,
-    /// Number of cycles during which at least one miss was outstanding
-    /// (the union of the intervals).
-    busy_cycles: u64,
-    /// End of the union coverage so far.
-    covered_until: Cycle,
-    /// Number of misses recorded.
-    misses: u64,
-}
-
-impl MlpTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a miss outstanding over `[start, end)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `end < start`.
-    pub fn record(&mut self, start: Cycle, end: Cycle) {
-        debug_assert!(end >= start, "miss interval ends before it starts");
-        if end <= start {
-            return;
-        }
-        self.misses += 1;
-        self.miss_cycles += end - start;
-        if start >= self.covered_until {
-            self.busy_cycles += end - start;
-            self.covered_until = end;
-        } else if end > self.covered_until {
-            self.busy_cycles += end - self.covered_until;
-            self.covered_until = end;
-        }
-    }
-
-    /// Number of misses recorded.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Total cycles during which at least one miss was outstanding.
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// The measured MLP: average overlapping misses over busy cycles.
-    /// Returns 1.0 when no misses were recorded (so ratios stay meaningful).
-    pub fn mlp(&self) -> f64 {
-        if self.busy_cycles == 0 {
-            1.0
-        } else {
-            self.miss_cycles as f64 / self.busy_cycles as f64
-        }
-    }
-}
 
 /// Aggregate memory-hierarchy statistics for one simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -84,14 +14,6 @@ pub struct MemStats {
     pub l1d_misses: u64,
     /// Demand accesses that missed in the L2.
     pub l2_misses: u64,
-    /// Demand accesses serviced by a stream buffer.
-    pub prefetch_hits: u64,
-    /// Prefetch requests sent to memory.
-    pub prefetches_issued: u64,
-    /// MLP accounting for L1 data-cache misses.
-    pub l1d_mlp: MlpTracker,
-    /// MLP accounting for L2 misses.
-    pub l2_mlp: MlpTracker,
 }
 
 impl MemStats {
@@ -118,49 +40,6 @@ impl MemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn no_misses_reports_unit_mlp() {
-        let t = MlpTracker::new();
-        assert_eq!(t.mlp(), 1.0);
-        assert_eq!(t.misses(), 0);
-    }
-
-    #[test]
-    fn serial_misses_have_mlp_one() {
-        let mut t = MlpTracker::new();
-        t.record(0, 100);
-        t.record(100, 200);
-        t.record(300, 400);
-        assert!((t.mlp() - 1.0).abs() < 1e-12);
-        assert_eq!(t.busy_cycles(), 300);
-    }
-
-    #[test]
-    fn fully_overlapping_misses_add_up() {
-        let mut t = MlpTracker::new();
-        t.record(0, 100);
-        t.record(0, 100);
-        t.record(0, 100);
-        assert!((t.mlp() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn partial_overlap() {
-        let mut t = MlpTracker::new();
-        t.record(0, 100);
-        t.record(50, 150);
-        // miss cycles 200, busy 150 → 1.333…
-        assert!((t.mlp() - 200.0 / 150.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_length_interval_is_ignored() {
-        let mut t = MlpTracker::new();
-        t.record(10, 10);
-        assert_eq!(t.misses(), 0);
-        assert_eq!(t.mlp(), 1.0);
-    }
 
     #[test]
     fn mpki_helpers() {

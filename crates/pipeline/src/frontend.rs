@@ -13,15 +13,6 @@ use icfp_bpred::{BranchPredictor, PredictorConfig};
 use icfp_isa::{Cycle, DynInst};
 use serde::{Deserialize, Serialize};
 
-/// Statistics kept by the fetch engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FetchStats {
-    /// Fetch slots handed out.
-    pub fetched: u64,
-    /// Redirects applied (branch mis-predictions and mode restarts).
-    pub redirects: u64,
-}
-
 /// Where the front end stands in its slot sequence (see
 /// [`FetchEngine::phase`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +36,6 @@ pub struct FetchEngine {
     current_cycle: Cycle,
     /// Slots already handed out in `current_cycle`.
     used: usize,
-    stats: FetchStats,
 }
 
 impl FetchEngine {
@@ -59,13 +49,7 @@ impl FetchEngine {
             predictor: BranchPredictor::new(predictor),
             current_cycle: 0,
             used: 0,
-            stats: FetchStats::default(),
         }
-    }
-
-    /// Fetch statistics.
-    pub fn stats(&self) -> &FetchStats {
-        &self.stats
     }
 
     /// Hands out the next fetch slot in program order and returns the earliest
@@ -78,7 +62,6 @@ impl FetchEngine {
             self.used = 0;
         }
         self.used += 1;
-        self.stats.fetched += 1;
         self.current_cycle + self.frontend_depth
     }
 
@@ -87,7 +70,7 @@ impl FetchEngine {
         FetchPhase { ready: self.current_cycle + self.frontend_depth, used: self.used }
     }
 
-    /// Hands out `slots` fetch slots at once: the phase and count
+    /// Hands out `slots` fetch slots at once: the phase
     /// [`FetchEngine::next_issue_ready`] called `slots` times would leave.
     pub fn skip(&mut self, slots: u64) {
         if slots == 0 {
@@ -96,13 +79,11 @@ impl FetchEngine {
         let through = self.used as u64 + slots - 1;
         self.current_cycle += through / self.width as u64;
         self.used = (through % self.width as u64) as usize + 1;
-        self.stats.fetched += slots;
     }
 
     /// Applies a front-end redirect: no further instruction can issue before
     /// `resolve_cycle + branch_redirect_penalty`.
     pub fn redirect(&mut self, resolve_cycle: Cycle) {
-        self.stats.redirects += 1;
         let resume_fetch = resolve_cycle + self.redirect_penalty - self.frontend_depth.min(self.redirect_penalty);
         if resume_fetch > self.current_cycle {
             self.current_cycle = resume_fetch;
@@ -149,7 +130,6 @@ mod tests {
         assert_eq!(f.next_issue_ready(), d + 1);
         assert_eq!(f.next_issue_ready(), d + 1);
         assert_eq!(f.next_issue_ready(), d + 2);
-        assert_eq!(f.stats().fetched, 5);
     }
 
     #[test]
@@ -172,7 +152,7 @@ mod tests {
                     for _ in 0..slots {
                         b.next_issue_ready();
                     }
-                    assert_eq!((a.phase(), a.stats), (b.phase(), b.stats), "width {width} start {start} skip {slots}");
+                    assert_eq!(a.phase(), b.phase(), "width {width} start {start} skip {slots}");
                 }
             }
         }
@@ -188,7 +168,6 @@ mod tests {
             next,
             100 + PipelineConfig::paper_default().branch_redirect_penalty
         );
-        assert_eq!(f.stats().redirects, 1);
     }
 
     #[test]

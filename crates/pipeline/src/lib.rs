@@ -37,5 +37,5 @@ pub use config::PipelineConfig;
 pub use frontend::{FetchEngine, FetchPhase};
 pub use issue::{IssuePhase, IssueSchedule, SlotUse};
 pub use poison::{lane_range_mask, PoisonAllocator, PoisonMask, PoisonVec, POISON_LANES_PER_WORD};
-pub use regfile::{Checkpoint, RegEntry, TimedRegFile};
+pub use regfile::{RegEntry, TimedRegFile};
 pub use stats::{RunResult, RunStats};

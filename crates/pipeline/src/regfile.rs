@@ -44,17 +44,6 @@ impl RegEntry {
     }
 }
 
-/// A register-file checkpoint (shadow-bitcell model: one snapshot supporting
-/// create and restore, as both Runahead and iCFP require).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Checkpoint {
-    values: Vec<Value>,
-    /// Cycle at which the checkpoint was created.
-    pub created_at: Cycle,
-    /// Dynamic sequence number of the instruction at which it was created.
-    pub at_seq: InstSeq,
-}
-
 /// The value buffer of the last consumed checkpoint, parked so the next
 /// [`TimedRegFile::checkpoint`] (one per advance episode) reuses it instead
 /// of allocating.  Capacity, not state: it serializes to nothing, decodes
@@ -86,7 +75,10 @@ impl Deserialize for SpareValues {
 pub struct TimedRegFile {
     regs: Vec<RegEntry>,
     poison: PoisonVec,
-    checkpoint: Option<Checkpoint>,
+    /// The register values at the checkpoint (shadow-bitcell model: one
+    /// snapshot supporting create and restore, as Runahead and Multipass
+    /// require).
+    checkpoint: Option<Vec<Value>>,
     spare: SpareValues,
 }
 
@@ -204,15 +196,11 @@ impl TimedRegFile {
 
     /// Creates the checkpoint (there is only one, as in the paper's
     /// shadow-bitcell design).  Overwrites any previous checkpoint.
-    pub fn checkpoint(&mut self, now: Cycle, at_seq: InstSeq) {
+    pub fn checkpoint(&mut self) {
         self.release_checkpoint();
         let mut values = std::mem::take(&mut self.spare.0);
         values.extend(self.regs.iter().map(|e| e.value));
-        self.checkpoint = Some(Checkpoint {
-            values,
-            created_at: now,
-            at_seq,
-        });
+        self.checkpoint = Some(values);
     }
 
     /// Restores register values from the checkpoint, clearing poison,
@@ -226,7 +214,7 @@ impl TimedRegFile {
             .checkpoint
             .take()
             .expect("restore called without a checkpoint");
-        for (e, v) in self.regs.iter_mut().zip(ck.values.iter()) {
+        for (e, v) in self.regs.iter_mut().zip(ck.iter()) {
             *e = RegEntry {
                 value: *v,
                 ready_at: now,
@@ -238,9 +226,9 @@ impl TimedRegFile {
     }
 
     /// Keeps a consumed checkpoint's buffer for the next one.
-    fn park(&mut self, ck: Checkpoint) {
-        self.spare.0 = ck.values;
-        self.spare.0.clear();
+    fn park(&mut self, mut values: Vec<Value>) {
+        values.clear();
+        self.spare.0 = values;
     }
 
     /// Discards the checkpoint without restoring (successful completion of an
@@ -309,7 +297,7 @@ mod tests {
     fn checkpoint_restore_round_trips_values() {
         let mut rf = TimedRegFile::new();
         rf.write(Reg::int(1), 111, 5, 0);
-        rf.checkpoint(10, 0);
+        rf.checkpoint();
         rf.write(Reg::int(1), 222, 20, 1);
         rf.poison_write(Reg::int(2), PoisonMask::bit(0), 2);
         rf.restore(100);
@@ -329,7 +317,7 @@ mod tests {
     #[test]
     fn release_checkpoint_keeps_current_state() {
         let mut rf = TimedRegFile::new();
-        rf.checkpoint(0, 0);
+        rf.checkpoint();
         rf.write(Reg::int(1), 5, 1, 1);
         rf.release_checkpoint();
         assert_eq!(rf.value(Reg::int(1)), 5);

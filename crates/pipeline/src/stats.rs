@@ -33,9 +33,6 @@ pub struct RunStats {
     pub chain_hops: u64,
     /// Loads issued to the memory hierarchy (demand, from this core).
     pub demand_loads: u64,
-    /// Squashes caused by external-store signature hits (multiprocessor
-    /// safety, paper Section 3.3).
-    pub signature_squashes: u64,
     /// Cycles spent stalled because a structural resource (slice buffer,
     /// store buffer, MSHRs) was full.
     pub resource_stall_cycles: u64,

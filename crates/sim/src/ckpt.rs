@@ -1,4 +1,4 @@
-//! The `icfp-ckpt/v3` checkpoint format.
+//! The `icfp-ckpt/v4` checkpoint format.
 //!
 //! A [`SimCheckpoint`] captures a running [`Simulator`](crate::Simulator) —
 //! the core engine's complete serialized state (register file and poison
@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       12    magic: the ASCII bytes "icfp-ckpt/v3"
+//! 0       12    magic: the ASCII bytes "icfp-ckpt/v4"
 //! 12      8     payload length (u64 LE)
 //! 20      n     payload: SimCheckpoint in the vendored-serde binary format
 //! 20+n    8     FNV-1a digest of the payload (u64 LE)
@@ -33,8 +33,22 @@
 //! schedule is one live cycle instead of a 64-slot ring, and every cache,
 //! stream-buffer, BTB and PPM table is one flat array per field, each
 //! decoded against its geometry (a length that disagrees is a decode error,
-//! never a panic).  Older containers are refused by magic, with an error
-//! naming both versions.
+//! never a panic).
+//!
+//! v4 keeps only state something reads.  The per-structure counters that
+//! no model, report or digest read leave the engine bytes — cache, bus,
+//! prefetcher, MSHR and fetch counters, the memory hierarchy's MLP trackers,
+//! the store buffer's probe and hop totals, the predictor's
+//! target-mispredict count — with the return-address stack (the ISA has no
+//! call or return), the configuration's signature size and return-stack
+//! depth, the register checkpoint iCFP and SLTP created every episode and
+//! never restored, and the `cycle` / `processed` labels
+//! [`EngineSnapshot`] carried outside its blob.  The four golden mid-run
+//! iCFP checkpoints (20k-instruction stock runs, checkpointed halfway) shrink
+//! from 511,707 / 362,833 / 353,405 / 356,839 bytes (pointer-chase,
+//! dcache-thrash, branchy, streaming) to 510,543 / 361,609 / 352,789 /
+//! 356,223; no simulated figure moves.  Older containers are refused by
+//! magic, with an error naming both versions.
 
 use crate::SimConfig;
 use icfp_core::EngineSnapshot;
@@ -43,7 +57,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Magic prefix of the on-disk container (also the format version).
-pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v3";
+pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v4";
 
 /// A captured simulation: engine snapshot plus trace identity.  Produced by
 /// [`Simulator::checkpoint`](crate::Simulator::checkpoint), consumed by
@@ -169,7 +183,7 @@ impl std::error::Error for CkptError {}
 use icfp_isa::fnv1a;
 
 impl SimCheckpoint {
-    /// Encodes the checkpoint as an `icfp-ckpt/v3` container.
+    /// Encodes the checkpoint as an `icfp-ckpt/v4` container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let payload = serde::to_bytes(self);
         let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 16 + payload.len());
@@ -181,7 +195,7 @@ impl SimCheckpoint {
         out
     }
 
-    /// Decodes an `icfp-ckpt/v3` container, validating magic, length and
+    /// Decodes an `icfp-ckpt/v4` container, validating magic, length and
     /// payload digest.
     ///
     /// # Errors
@@ -283,14 +297,15 @@ mod tests {
         assert!(matches!(SimCheckpoint::from_bytes(&bytes), Err(CkptError::BadMagic { .. })));
         let found = String::from("xx");
         assert_eq!(SimCheckpoint::from_bytes(b"xx"), Err(CkptError::BadMagic { found }));
-        // A container of the previous version is refused by name, not
-        // decoded into the flat layout: the error names both versions.
-        bytes[..CKPT_MAGIC.len()].copy_from_slice(b"icfp-ckpt/v2");
-        let err = SimCheckpoint::from_bytes(&bytes).unwrap_err();
-        let found = String::from("icfp-ckpt/v2");
-        assert_eq!(err, CkptError::BadMagic { found });
-        let message = err.to_string();
-        assert!(message.contains("icfp-ckpt/v2") && message.contains("icfp-ckpt/v3"), "{message}");
+        // A container of an earlier version is refused by name, not decoded
+        // into the current layout: the error names both versions.
+        for old in ["icfp-ckpt/v2", "icfp-ckpt/v3"] {
+            bytes[..CKPT_MAGIC.len()].copy_from_slice(old.as_bytes());
+            let err = SimCheckpoint::from_bytes(&bytes).unwrap_err();
+            assert_eq!(err, CkptError::BadMagic { found: old.into() });
+            let message = err.to_string();
+            assert!(message.contains(old) && message.contains("icfp-ckpt/v4"), "{message}");
+        }
     }
 
     #[test]

@@ -112,18 +112,19 @@ mod tests {
 
     #[test]
     fn cache_key_values_are_pinned() {
-        // Recorded on the commit before the fork key went: the cache key is the
-        // one identity a cell has, and a drift in it silently cools every
-        // `icfp-cache/v1` directory ever written.
+        // Re-recorded when the configuration bytes lost the signature size
+        // and the return-stack depth: the cache key is the one identity a cell
+        // has, and a drift in it silently cools every `icfp-cache/v1`
+        // directory ever written.
         let (jobs, mut ff) = (tiny_spec().expand(), tiny_spec());
         ff.fast_forward = 300;
         assert_eq!(
             (jobs[0].model.name(), jobs[16].model.name()),
             ("icfp", "in-order")
         );
-        assert_eq!(jobs[0].cache_key(0xD1CE), 0x6c14_80fd_0939_61f5);
-        assert_eq!(jobs[16].cache_key(0xD1CE), 0xabbe_f3ae_6808_1a23);
-        assert_eq!(ff.expand()[0].cache_key(0xD1CE), 0x0206_02b8_410b_fbbe);
+        assert_eq!(jobs[0].cache_key(0xD1CE), 0x91bc_8822_a4cc_2931);
+        assert_eq!(jobs[16].cache_key(0xD1CE), 0x2506_0217_5f6d_4f67);
+        assert_eq!(ff.expand()[0].cache_key(0xD1CE), 0x1f84_4226_3419_1402);
     }
 
     #[test]

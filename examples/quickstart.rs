@@ -53,7 +53,7 @@ fn main() {
     while sim.advance_to_inst(at + 10_000).expect("trace was just loaded") {
         at += 10_000;
         let ckpt = sim.checkpoint().expect("a paused run checkpoints");
-        println!("  ... paused at instruction {at}, cycle {}", ckpt.snapshot.cycle);
+        println!("  ... paused at instruction {at}, checkpoint {} bytes", ckpt.to_bytes().len());
     }
     let stepped = sim.finish_loaded().expect("trace was just loaded");
     println!(
