@@ -4,8 +4,9 @@
 //! hierarchy, architectural memory image and statistics, and provides the
 //! operations every core performs identically (operand readiness / poison
 //! collection, issue-slot allocation, branch resolution, demand memory access
-//! with MSHR-full retry, and final result assembly).  The cores differ only in
-//! *what they do* around cache misses — which is exactly the paper's point.
+//! with MSHR-full retry, waits that move the issue frontier, and final result
+//! assembly).  The cores differ only in *what they do* around cache misses —
+//! which is exactly the paper's point.
 
 use crate::config::CoreConfig;
 use icfp_isa::{exec, Addr, Cycle, DynInst, FunctionalMemory, OpClass, Reg, Trace, TraceCursor, Value};
@@ -159,6 +160,18 @@ impl Engine {
         self.frontier = cycle;
         self.note_completion(cycle);
         cycle
+    }
+
+    /// Moves the issue frontier forward to `to` (never back): the one place
+    /// a model moves its frontier outside issuing.  A `structural` wait (a
+    /// full slice buffer, store buffer or SRL, an un-chainable store) counts
+    /// the cycles it skips as resource-stall cycles.
+    #[inline]
+    pub fn wait_until(&mut self, to: Cycle, structural: bool) {
+        if structural {
+            self.stats.resource_stall_cycles += to.saturating_sub(self.frontier);
+        }
+        self.frontier = self.frontier.max(to);
     }
 
     /// Records a completion cycle (the run finishes when the last one passes).
@@ -350,6 +363,16 @@ mod tests {
         let a = e.issue_at(OpClass::IntAlu, 10);
         let b = e.issue_at(OpClass::IntAlu, 0);
         assert!(b >= a, "in-order issue must not go backwards");
+    }
+
+    #[test]
+    fn wait_until_moves_forward_and_counts_only_structural_waits() {
+        let mut e = Engine::new(&cfg());
+        e.wait_until(40, false);
+        e.wait_until(10, true);
+        assert_eq!((e.frontier, e.stats.resource_stall_cycles), (40, 0));
+        e.wait_until(55, true);
+        assert_eq!((e.frontier, e.stats.resource_stall_cycles), (55, 15));
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! any instruction, which is what `icfp-sim` builds runs paused at an
 //! instruction position (`advance_to_inst`) and mid-episode checkpoints on.
 //!
+//! The advance episode is derived, not stored: it lasts while a miss is
+//! pending or a slice entry still waits for its rally (Section 3.4), which
+//! is what [`IcfpMachine::in_episode`] reads off the pending rallies and the
+//! slice buffer.  Every forward jump of the issue frontier — a stall for a
+//! full slice or store buffer, a wait for a rally's miss, a drain — goes
+//! through [`Engine::wait_until`].
+//!
 //! iCFP takes no register checkpoint: nothing in a uniprocessor trace ever
 //! rolls an episode back (the paper's checkpoint serves multiprocessor
 //! safety, Section 3.3), so the 64-register copy per episode would be state
@@ -99,7 +106,9 @@ pub struct IcfpMachine {
     palloc: PoisonAllocator,
     /// Misses awaiting their rally, unordered (bounded by MSHR count).
     /// Changed only through [`IcfpMachine::poison_for_miss`] and
-    /// [`IcfpMachine::take_rally`], which keep `earliest` current.
+    /// [`IcfpMachine::wait_and_rally`], which keep `earliest` current.  An
+    /// advance episode lasts while this is non-empty or the slice buffer
+    /// holds an active entry ([`IcfpMachine::in_episode`]).
     rallies: Vec<PendingRally>,
     /// Index into `rallies` of the miss that returns first (the first such on
     /// a tie) — what every step asks for, recomputed only when `rallies`
@@ -117,8 +126,6 @@ pub struct IcfpMachine {
     drain_scratch: Vec<(u64, Value)>,
     /// Next trace index to process.
     i: usize,
-    /// True while the trace index lies inside at least one advance episode.
-    in_episode: bool,
     done: bool,
 }
 
@@ -140,16 +147,15 @@ impl IcfpMachine {
             rally_scratch: Vec::with_capacity(cfg.slice_buffer_entries),
             drain_scratch: Vec::with_capacity(cfg.store_buffer_entries),
             i: 0,
-            in_episode: false,
             done: false,
         }
     }
 
-    /// True while the machine is inside an advance episode (misses pending or
-    /// slice entries active) — checkpoints taken here capture mid-episode
-    /// speculative state.
+    /// True while the machine is inside an advance episode: a rally is
+    /// pending or the slice buffer holds an active entry (Section 3.4).
+    /// Checkpoints taken here capture mid-episode speculative state.
     pub fn in_episode(&self) -> bool {
-        self.in_episode
+        !self.rallies.is_empty() || !self.slice.no_active()
     }
 
     /// The earliest pending rally, if its miss has returned by the current
@@ -159,15 +165,20 @@ impl IcfpMachine {
             .filter(|&k| self.rallies[k].returns_at <= self.eng.frontier)
     }
 
-    /// Removes pending rally `k` for running.
-    fn take_rally(&mut self, k: usize) -> PendingRally {
+    /// Removes pending rally `k`, moves the frontier to its miss's return
+    /// (a `structural` stall counts the wait) and runs it.
+    fn wait_and_rally(&mut self, trace: &TraceCursor<'_>, k: usize, structural: bool) {
         let r = self.rallies.swap_remove(k);
         self.earliest = earliest_of(&self.rallies);
-        r
+        self.eng.wait_until(r.returns_at, structural);
+        self.run_rally(trace, r);
     }
 
     /// Registers a miss for a future rally and returns its poison bit.
     fn poison_for_miss(&mut self, mshr: MshrId, returns_at: Cycle) -> PoisonMask {
+        if !self.in_episode() {
+            self.eng.stats.advance_episodes += 1;
+        }
         let bit = self.palloc.bit_for(mshr);
         if let Some(r) = self.rallies.iter_mut().find(|r| r.mshr == mshr) {
             r.returns_at = r.returns_at.max(returns_at);
@@ -179,10 +190,6 @@ impl IcfpMachine {
             });
         }
         self.earliest = earliest_of(&self.rallies);
-        if !self.in_episode {
-            self.in_episode = true;
-            self.eng.stats.advance_episodes += 1;
-        }
         bit
     }
 
@@ -234,11 +241,7 @@ impl IcfpMachine {
             let k = self
                 .earliest
                 .expect("slice buffer full of active entries with no pending miss");
-            let r = self.take_rally(k);
-            let at = r.returns_at;
-            self.eng.stats.resource_stall_cycles += at.saturating_sub(self.eng.frontier);
-            self.eng.frontier = self.eng.frontier.max(at);
-            self.run_rally(trace, r);
+            self.wait_and_rally(trace, k, true);
             return false;
         }
         let mut poison = self.eng.src_poison(inst).union(extra);
@@ -246,20 +249,11 @@ impl IcfpMachine {
             poison = PoisonMask::bit(0);
         }
         let (src1_producer, src2_producer) = self.producers_for(inst);
-        let capture = |r: Option<icfp_isa::Reg>| -> Option<Value> {
-            r.and_then(|r| {
-                if self.eng.rf.poison(r).is_clean() {
-                    Some(self.eng.rf.value(r))
-                } else {
-                    None
-                }
-            })
-        };
         let entry = SliceEntry {
             trace_idx: i,
             seq_from_ckpt: seq,
-            src1_value: capture(inst.src1),
-            src2_value: capture(inst.src2),
+            src1_value: self.eng.rf.clean_value(inst.src1),
+            src2_value: self.eng.rf.clean_value(inst.src2),
             src1_producer,
             src2_producer,
             store_color: self.sbuf.ssn_tail(),
@@ -301,12 +295,8 @@ impl IcfpMachine {
             self.drain_stores(seq, at);
             while self.sbuf.is_full() {
                 let Some(k) = self.earliest else { break };
-                let r = self.take_rally(k);
-                let ret = r.returns_at;
-                self.eng.stats.resource_stall_cycles += ret.saturating_sub(self.eng.frontier);
-                self.eng.frontier = self.eng.frontier.max(ret);
                 // Rally to unclog poisoned stores, then drain again.
-                self.run_rally(trace, r);
+                self.wait_and_rally(trace, k, true);
                 self.drain_stores(seq, self.eng.frontier);
             }
         }
@@ -320,18 +310,18 @@ impl IcfpMachine {
         self.drain_scratch.clear();
         self.sbuf
             .drain_completed_into(completed_seq, &mut self.drain_scratch);
-        for k in 0..self.drain_scratch.len() {
-            let (addr, value) = self.drain_scratch[k];
-            self.eng.arch_mem.write(addr, value);
-            let _ = self.eng.demand_store(addr, at);
-        }
+        self.write_back(at);
     }
 
     /// Final drain when the run ends: every store must be clean by now.
     fn retire_all_stores(&mut self) {
-        let at = self.eng.frontier;
         self.drain_scratch.clear();
         self.sbuf.drain_all_into(&mut self.drain_scratch);
+        self.write_back(self.eng.frontier);
+    }
+
+    /// Writes the drained stores to architectural memory and the cache.
+    fn write_back(&mut self, at: Cycle) {
         for k in 0..self.drain_scratch.len() {
             let (addr, value) = self.drain_scratch[k];
             self.eng.arch_mem.write(addr, value);
@@ -347,7 +337,7 @@ impl IcfpMachine {
         let seq = i as InstSeq;
         let l1_lat = self.eng.cfg.mem.l1_hit_latency;
         let policy = self.eng.cfg.advance_policy;
-        let in_advance = !self.rallies.is_empty() || !self.slice.no_active();
+        let in_advance = self.in_episode();
 
         // Poisoned operands do not stall issue: the instruction flows to the
         // slice buffer at fetch rate.
@@ -492,11 +482,7 @@ impl IcfpMachine {
             else {
                 break;
             };
-            let r = self.take_rally(k);
-            let ret = r.returns_at;
-            self.eng.stats.resource_stall_cycles += ret.saturating_sub(self.eng.frontier);
-            self.eng.frontier = self.eng.frontier.max(ret);
-            self.run_rally(trace, r);
+            self.wait_and_rally(trace, k, true);
             if self.rallies.is_empty() {
                 break;
             }
@@ -506,9 +492,7 @@ impl IcfpMachine {
     /// Runs every pending rally to completion (limited-forwarding stall path).
     fn drain_all_rallies(&mut self, trace: &TraceCursor<'_>) {
         while let Some(k) = self.earliest {
-            let r = self.take_rally(k);
-            self.eng.frontier = self.eng.frontier.max(r.returns_at);
-            self.run_rally(trace, r);
+            self.wait_and_rally(trace, k, false);
         }
     }
 
@@ -540,9 +524,8 @@ impl IcfpMachine {
                 break;
             }
         }
-        if self.rallies.is_empty() && self.slice.no_active() {
+        if !self.in_episode() {
             // Episode over: speculative state retires.
-            self.in_episode = false;
             self.slice.clear();
             self.slice_values.clear();
             self.palloc.clear();
@@ -635,13 +618,7 @@ impl IcfpMachine {
             }
             if unresolved.is_poisoned() && !self.rallies.is_empty() {
                 // Entry waits for another miss (non-blocking rally).
-                let np = poison.without(select).union(unresolved);
-                self.slice.repoison_at(slot, np);
-                if let Some(dst) = inst.dst {
-                    if self.eng.rf.entry(dst).last_writer == Some(seq) {
-                        self.eng.rf.poison_write(dst, np, seq);
-                    }
-                }
+                self.defer(slot, inst, poison.without(select).union(unresolved));
                 continue;
             }
 
@@ -686,13 +663,7 @@ impl IcfpMachine {
                                 // The line is gone again: hand the entry to a
                                 // new rally instead of blocking this one.
                                 let bit = self.poison_for_miss(m, completes);
-                                let np = poison.without(select).union(bit);
-                                self.slice.repoison_at(slot, np);
-                                if let Some(dst) = inst.dst {
-                                    if self.eng.rf.entry(dst).last_writer == Some(seq) {
-                                        self.eng.rf.poison_write(dst, np, seq);
-                                    }
-                                }
+                                self.defer(slot, inst, poison.without(select).union(bit));
                                 continue;
                             }
                         }
@@ -742,14 +713,27 @@ impl IcfpMachine {
 
         if !multithreaded {
             // Single-threaded rally: tail execution stalls behind the rally.
-            self.eng.frontier = self.eng.frontier.max(rally_end);
+            self.eng.wait_until(rally_end, false);
             self.eng.fetch.stall_until(rally_end);
         }
         if !self.eng.cfg.features.chained_store_buffer {
             // SRL-style memory system: the program-order drain blocks the
             // tail (one store per cycle), as in SLTP.
             let drain_cycles = self.drain_scratch.len() as u64;
-            self.eng.frontier = self.eng.frontier.max(start + drain_cycles);
+            self.eng.wait_until(start + drain_cycles, false);
+        }
+    }
+
+    /// Defers the entry in slice slot `slot` to the misses in `poison`: the
+    /// entry is re-poisoned in place and, if it is still its destination's
+    /// last writer, so is the register.
+    fn defer(&mut self, slot: usize, inst: &DynInst, poison: PoisonMask) {
+        self.slice.repoison_at(slot, poison);
+        let seq = self.slice.entry_at(slot).trace_idx as InstSeq;
+        if let Some(dst) = inst.dst {
+            if self.eng.rf.entry(dst).last_writer == Some(seq) {
+                self.eng.rf.poison_write(dst, poison, seq);
+            }
         }
     }
 }
@@ -772,16 +756,13 @@ impl CoreEngine for IcfpMachine {
             }
             // 1. Fire any rally whose miss has returned by the current frontier.
             if let Some(k) = self.due_rally() {
-                let r = self.take_rally(k);
-                self.run_rally(trace, r);
+                self.wait_and_rally(trace, k, false);
                 continue;
             }
             // 2. Out of instructions: drain remaining rallies in return order.
             if self.i >= len {
                 if let Some(k) = self.earliest {
-                    let r = self.take_rally(k);
-                    self.eng.frontier = self.eng.frontier.max(r.returns_at);
-                    self.run_rally(trace, r);
+                    self.wait_and_rally(trace, k, false);
                     continue;
                 }
                 self.retire_all_stores();
@@ -797,10 +778,10 @@ impl CoreEngine for IcfpMachine {
     }
 
     /// Checkpoints taken afterwards carry the seed (the machine serializes
-    /// whole), so fast-forwarded runs mint ordinary `icfp-ckpt/v4`
+    /// whole), so fast-forwarded runs mint ordinary `icfp-ckpt/v5`
     /// checkpoints.
     fn seed(&mut self, warm: &Arc<ArchState>) -> Result<(), String> {
-        if self.i != 0 || self.eng.frontier != 0 || self.in_episode || self.done {
+        if self.i != 0 || self.eng.frontier != 0 || self.in_episode() || self.done {
             return Err("functional fast-forward requires a fresh machine".into());
         }
         self.eng.seed_arch(warm);
@@ -847,7 +828,6 @@ impl Serialize for IcfpMachine {
         self.rallies.serialize(out);
         self.slice_values.serialize(out);
         self.i.serialize(out);
-        self.in_episode.serialize(out);
         self.done.serialize(out);
     }
 }
@@ -880,7 +860,6 @@ impl Deserialize for IcfpMachine {
             rally_scratch: Vec::with_capacity(slice_cap),
             drain_scratch: Vec::with_capacity(store_cap),
             i: Deserialize::deserialize(r)?,
-            in_episode: Deserialize::deserialize(r)?,
             done: Deserialize::deserialize(r)?,
         })
     }

@@ -21,10 +21,14 @@
 //! next fetch-ready cycle: the whole poison plane; each register whose
 //! `ready_at` exceeds `F`, with its offset (every other register is
 //! equivalent, because issue never precedes `F` and the restore resets every
-//! register); the fetch slot phase; the issue schedule's live cycle and slot
-//! counters when that cycle is at or past `F`; and the issue frontier when
-//! it exceeds `F`.  Two walks in equal walk states at one trace position make
-//! the same inert visits, shifted by the difference of their `F`s.
+//! register); the issue schedule's live cycle and slot counters when that
+//! cycle is at or past `F`; and the issue frontier when it exceeds `F`.  The
+//! fetch engine's slots used within its cycle are not part of it: fetch and
+//! issue share one width and an instruction never issues before its fetch
+//! slot is ready, so once the issue phase is fixed the fetch slots never
+//! decide an inert visit's issue cycle.  Two walks in equal walk states at
+//! one trace position make the same inert visits, shifted by the difference
+//! of their `F`s.
 //!
 //! So every walk leaves a recording: per position, the frontier after the
 //! visit, the visit's completion and its kind; every 8th position, the walk
@@ -167,13 +171,12 @@ struct Recording {
     stamp: u64,
 }
 
-/// Walk-state word 0: fetch slots used (bits 0..8), whether an issue word
-/// follows (bit 8), which poison-plane words are non-zero (bits 16..32) and
-/// how many ready-register words end the state (bits 32..40).  Then the
-/// issue word, the frontier word, the non-zero poison words and the ready
-/// registers in index order.
+/// Walk-state word 0: whether an issue word follows (bit 0), which
+/// poison-plane words are non-zero (bits 16..32) and how many ready-register
+/// words end the state (bits 32..40).  Then the issue word, the frontier
+/// word, the non-zero poison words and the ready registers in index order.
 fn state_len(header: u64) -> usize {
-    2 + ((header >> 8) & 1) as usize + ((header >> 16) as u16).count_ones() as usize + ((header >> 32) & 0xFF) as usize
+    2 + (header & 1) as usize + ((header >> 16) as u16).count_ones() as usize + ((header >> 32) & 0xFF) as usize
 }
 
 impl Recording {
@@ -387,17 +390,16 @@ impl WalkRing {
 /// `F`; `None` if an offset does not fit its field.  Registers of `live` no
 /// longer ready after `F` leave it.
 fn capture(eng: &Engine, live: &mut u64, out: &mut Vec<u64>) -> Option<Cycle> {
-    let fetch = eng.fetch.phase();
-    let f = fetch.ready;
+    let f = eng.fetch.fetch_ready();
     out.clear();
     out.push(0);
-    let mut header = u8::try_from(fetch.used).ok()? as u64;
+    let mut header = 0;
     let issue = eng.issue.phase();
     if issue.cycle >= f {
         let SlotUse { total, int, mem_fp_br } = issue.used;
         let slots = total as u64 | (int as u64) << 8 | (mem_fp_br as u64) << 16;
         out.push(u32::try_from(issue.cycle - f).ok()? as u64 | slots << 32);
-        header |= 1 << 8;
+        header |= 1;
     }
     out.push(eng.frontier.saturating_sub(f));
     for (k, &w) in eng.rf.poison_words().iter().enumerate() {
@@ -490,14 +492,14 @@ fn land(
     replay(eng, to - g, rec.steps[to - 1 - rec.first], shift, top);
     let (f, state) = rec.state(to).expect("a block's state precedes its steps");
     let f = (f as Cycle).wrapping_add(shift);
-    debug_assert_eq!(eng.fetch.phase().ready, f, "the replayed fetch phase lands on the recorded one");
+    debug_assert_eq!(eng.fetch.fetch_ready(), f, "the replayed fetch slots land on the recorded F");
     install(eng, state, f, live);
     rec.truncate(to);
     Some((to, false))
 }
 
 /// Applies `n` replayed visits, the last of which is `last`: the two
-/// counters, the fetch and issue phases, the frontier and the latest
+/// counters, the fetch slots, the issue phase, the frontier and the latest
 /// completion `top` (frame cycles).
 fn replay(eng: &mut Engine, n: usize, last: Step, shift: Cycle, top: Cycle) {
     eng.stats.advance_instructions += n as u64;
@@ -520,7 +522,7 @@ fn install(eng: &mut Engine, state: &[u64], f: Cycle, live: &mut u64) {
         rf.write(r, rf.value(r), 0, 0);
     }
     rf.clear_poison_bits(PoisonMask::all_bits());
-    let mut at = 2 + ((header >> 8) & 1) as usize;
+    let mut at = 2 + (header & 1) as usize;
     let mut words = (header >> 16) as u16;
     while words != 0 {
         let k = words.trailing_zeros() as usize;

@@ -84,7 +84,7 @@ pub(crate) fn run_machine(
         // The front end restarts fetching the checkpointed instruction when
         // the miss returns; the restart pays a pipeline-refill penalty.
         m.eng.fetch.redirect(trigger_return);
-        m.eng.frontier = m.eng.frontier.max(trigger_return);
+        m.eng.wait_until(trigger_return, false);
     }
     m
 }

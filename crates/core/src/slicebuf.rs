@@ -398,9 +398,9 @@ impl SliceBuffer {
     }
 
     /// Borrowing iterator over the entries a rally for `returning` must
-    /// process, in program order.  This is the reference (per-entry) path the
-    /// word scan is checked against; hot paths use
-    /// [`SliceBuffer::rally_slots_into`].
+    /// process, in program order: the per-entry reference the word scan is
+    /// tested against.
+    #[cfg(test)]
     pub fn rally_iter(&self, returning: PoisonMask) -> impl Iterator<Item = SliceEntry> + '_ {
         (0..self.len)
             .map(|l| &self.slots[self.phys(l)])
@@ -425,7 +425,9 @@ impl SliceBuffer {
         (lo < n && self.slots[self.phys(lo)].trace_idx == trace_idx).then_some(lo)
     }
 
-    /// The current poison mask of the *active* entry for `trace_idx`, if any.
+    /// The current poison mask of the *active* entry for `trace_idx`, if any:
+    /// the by-search reference the O(1) link lookup is tested against.
+    #[cfg(test)]
     pub fn entry_poison(&self, trace_idx: usize) -> Option<PoisonMask> {
         self.position_of(trace_idx)
             .map(|l| &self.slots[self.phys(l)])
@@ -447,9 +449,9 @@ impl SliceBuffer {
 
     /// Where the producer of operand `operand` (0 = `src1_producer`, 1 =
     /// `src2_producer`) of the entry in physical slot `slot` stands — the O(1)
-    /// form of [`SliceBuffer::entry_poison`] on that producer.  The linked
-    /// slot still holds the producer exactly when its trace index matches: a
-    /// reclaimed slot is vacant or reused by a younger instruction.
+    /// form of a binary search for that producer.  The linked slot still
+    /// holds the producer exactly when its trace index matches: a reclaimed
+    /// slot is vacant or reused by a younger instruction.
     #[inline]
     pub fn producer(&self, slot: usize, operand: usize) -> Producer {
         let e = &self.slots[slot];
@@ -512,29 +514,15 @@ impl SliceBuffer {
         false
     }
 
-    /// O(1) form of [`SliceBuffer::repoison`] for a physical slot obtained
-    /// from [`SliceBuffer::rally_slots_into`].
+    /// Re-poisons the entry in physical slot `slot` (obtained from
+    /// [`SliceBuffer::rally_slots_into`]) in place: it depends on a miss that
+    /// is still outstanding, and stays active for a later pass.
     pub fn repoison_at(&mut self, slot: usize, poison: PoisonMask) -> bool {
         let e = &mut self.slots[slot];
         if e.active {
             e.poison = poison;
             self.plane.set(slot, poison);
             return true;
-        }
-        false
-    }
-
-    /// Re-poisons the entry for `trace_idx` in place (it depends on a miss
-    /// that is still outstanding); the entry stays active for a later pass.
-    pub fn repoison(&mut self, trace_idx: usize, poison: PoisonMask) -> bool {
-        if let Some(l) = self.position_of(trace_idx) {
-            let slot = self.phys(l);
-            let e = &mut self.slots[slot];
-            if e.active {
-                e.poison = poison;
-                self.plane.set(slot, poison);
-                return true;
-            }
         }
         false
     }
@@ -672,9 +660,10 @@ mod tests {
                     }
                 }
                 2 => {
-                    if let Some(e) = sb.active_entries().last() {
-                        let idx = e.trace_idx;
-                        sb.repoison(idx, PoisonMask::from_bits((lcg() % 0xFFFF) as u16 | 2));
+                    let mut slots = Vec::new();
+                    sb.rally_slots_into(PoisonMask::all_bits(), &mut slots);
+                    if let Some(&slot) = slots.last() {
+                        sb.repoison_at(slot as usize, PoisonMask::from_bits((lcg() % 0xFFFF) as u16 | 2));
                     }
                 }
                 _ => {
@@ -844,7 +833,7 @@ mod tests {
     fn repoison_keeps_entry_active() {
         let mut sb = SliceBuffer::new(4);
         sb.push(entry(0, PoisonMask::bit(0))).unwrap();
-        assert!(sb.repoison(0, PoisonMask::bit(3)));
+        assert!(sb.repoison_at(0, PoisonMask::bit(3)));
         let pass = entries_for_rally(&sb, PoisonMask::bit(3));
         assert_eq!(pass.len(), 1);
         assert!(entries_for_rally(&sb, PoisonMask::bit(0)).is_empty());

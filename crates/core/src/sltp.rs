@@ -63,7 +63,7 @@ pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchS
                     l1_lat,
                 );
                 episode = None;
-                eng.frontier = eng.frontier.max(rally_end);
+                eng.wait_until(rally_end, false);
                 eng.fetch.stall_until(rally_end);
                 eng.rf.clear_speculative_state();
                 continue;
@@ -83,9 +83,7 @@ pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchS
         if in_advance && (slice.is_full() || srl.is_full()) {
             let ep = episode.expect("in advance");
             eng.stats.simple_runahead_entries += 1;
-            eng.stats.resource_stall_cycles +=
-                ep.trigger_return.saturating_sub(eng.frontier);
-            eng.frontier = eng.frontier.max(ep.trigger_return);
+            eng.wait_until(ep.trigger_return, true);
             continue;
         }
 
@@ -246,20 +244,11 @@ fn push_slice(
         poison = PoisonMask::bit(0);
     }
     eng.stats.sliced_instructions += 1;
-    let capture = |r: Option<icfp_isa::Reg>| -> Option<Value> {
-        r.and_then(|r| {
-            if eng.rf.poison(r).is_clean() {
-                Some(eng.rf.value(r))
-            } else {
-                None
-            }
-        })
-    };
     let entry = SliceEntry {
         trace_idx: i,
         seq_from_ckpt: seq,
-        src1_value: capture(inst.src1),
-        src2_value: capture(inst.src2),
+        src1_value: eng.rf.clean_value(inst.src1),
+        src2_value: eng.rf.clean_value(inst.src2),
         // SLTP's blocking rally resolves operands through its own register
         // scratch, not producer pointers.
         src1_producer: usize::MAX,

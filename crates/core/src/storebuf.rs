@@ -268,35 +268,11 @@ impl ChainedStoreBuffer {
         false
     }
 
-    /// Re-poisons the store with dynamic sequence number `seq` (its data
-    /// turned out to depend on a still-pending miss during a rally).
-    pub fn repoison(&mut self, seq: InstSeq, poison: PoisonMask) -> bool {
-        for e in self.entries.iter_mut() {
-            if e.seq == seq {
-                e.poison = poison;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Drains (in program order) every store whose dynamic sequence number is
     /// `< completed_seq` and whose data is not poisoned, stopping at the first
-    /// store that cannot drain.  Returns the drained `(addr, value)` pairs so
+    /// store that cannot drain.  Appends the drained `(addr, value)` pairs to
+    /// `out` (which the caller clears, reusing its capacity across cycles) so
     /// the caller can write them to the data cache / architectural memory.
-    ///
-    /// Allocates a fresh `Vec` per call; the simulation hot path uses
-    /// [`ChainedStoreBuffer::drain_completed_into`] with a reused scratch
-    /// buffer instead.
-    pub fn drain_completed(&mut self, completed_seq: InstSeq) -> Vec<(Addr, Value)> {
-        let mut drained = Vec::new();
-        self.drain_completed_into(completed_seq, &mut drained);
-        drained
-    }
-
-    /// Zero-allocation form of [`ChainedStoreBuffer::drain_completed`]:
-    /// appends the drained `(addr, value)` pairs to `out` (which the caller
-    /// clears), reusing its capacity across cycles.
     pub fn drain_completed_into(&mut self, completed_seq: InstSeq, out: &mut Vec<(Addr, Value)>) {
         while let Some(front) = self.entries.front() {
             if front.seq < completed_seq && front.poison.is_clean() {
@@ -314,19 +290,9 @@ impl ChainedStoreBuffer {
         }
     }
 
-    /// Drains everything unconditionally (end of an episode where all stores
-    /// are known complete).  Poisoned stores are dropped — callers only do
-    /// this after a squash, when those stores are architecturally dead.
-    ///
-    /// Allocating wrapper over [`ChainedStoreBuffer::drain_all_into`].
-    pub fn drain_all(&mut self) -> Vec<(Addr, Value)> {
-        let mut drained = Vec::new();
-        self.drain_all_into(&mut drained);
-        drained
-    }
-
-    /// Zero-allocation form of [`ChainedStoreBuffer::drain_all`]: appends to
-    /// `out` (which the caller clears), reusing its capacity.
+    /// Drains everything unconditionally (end of a run, when all stores are
+    /// known complete), appending to `out` (which the caller clears).
+    /// Poisoned stores are dropped — architecturally dead by then.
     pub fn drain_all_into(&mut self, out: &mut Vec<(Addr, Value)>) {
         while let Some(e) = self.entries.pop_front() {
             self.ssn_complete = e.ssn;
@@ -547,12 +513,14 @@ mod tests {
         sb.push(2, 0x50, 3, PoisonMask::CLEAN).unwrap();
         // Only the first store can drain: the second is poisoned and blocks
         // the third (program order).
-        let drained = sb.drain_completed(10);
+        let mut drained = Vec::new();
+        sb.drain_completed_into(10, &mut drained);
         assert_eq!(drained, vec![(0x40, 1)]);
         assert_eq!(sb.len(), 2);
         // Resolve the poisoned store; now both drain.
         assert!(sb.resolve_value(1, 22));
-        let drained = sb.drain_completed(10);
+        drained.clear();
+        sb.drain_completed_into(10, &mut drained);
         assert_eq!(drained, vec![(0x48, 22), (0x50, 3)]);
         assert!(sb.is_empty());
     }
@@ -562,41 +530,10 @@ mod tests {
         let mut sb = chained(8, 64);
         sb.push(5, 0x40, 1, PoisonMask::CLEAN).unwrap();
         sb.push(9, 0x48, 2, PoisonMask::CLEAN).unwrap();
-        let drained = sb.drain_completed(9);
+        let mut drained = Vec::new();
+        sb.drain_completed_into(9, &mut drained);
         assert_eq!(drained.len(), 1);
         assert_eq!(sb.len(), 1);
-    }
-
-    #[test]
-    fn drain_into_is_equivalent_to_allocating_drain() {
-        // Two identical buffers, one drained through the allocating API and
-        // one through the scratch-buffer API: outputs and end states agree.
-        let fill = |sb: &mut ChainedStoreBuffer| {
-            for k in 0..12u64 {
-                let poison = if k % 5 == 3 {
-                    PoisonMask::bit(0)
-                } else {
-                    PoisonMask::CLEAN
-                };
-                sb.push(k, 0x40 + (k % 6) * 8, k * 10, poison).unwrap();
-            }
-        };
-        let mut a = chained(16, 64);
-        let mut b = chained(16, 64);
-        fill(&mut a);
-        fill(&mut b);
-        let mut scratch = Vec::new();
-        b.drain_completed_into(8, &mut scratch);
-        assert_eq!(a.drain_completed(8), scratch);
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.ssn_tail(), b.ssn_tail());
-        scratch.clear();
-        b.drain_all_into(&mut scratch);
-        assert_eq!(a.drain_all(), scratch);
-        assert!(a.is_empty() && b.is_empty());
-        // Both paths must also leave forwarding in the same (empty) state.
-        assert!(a.forward(0x40, a.ssn_tail()).store.is_none());
-        assert!(b.forward(0x40, b.ssn_tail()).store.is_none());
     }
 
     #[test]
@@ -633,7 +570,7 @@ mod tests {
     fn drained_stores_terminate_chains() {
         let mut sb = chained(8, 64);
         sb.push(0, 0x40, 1, PoisonMask::CLEAN).unwrap();
-        sb.drain_completed(1);
+        sb.drain_completed_into(1, &mut Vec::new());
         let f = sb.forward(0x40, sb.ssn_tail());
         assert!(f.store.is_none(), "drained store must act as a null pointer");
     }
@@ -666,13 +603,13 @@ mod tests {
     }
 
     #[test]
-    fn repoison_and_drain_all() {
+    fn drain_all_into_drops_poisoned_stores() {
         let mut sb = chained(8, 64);
         sb.push(0, 0x40, 1, PoisonMask::CLEAN).unwrap();
-        sb.push(1, 0x48, 2, PoisonMask::CLEAN).unwrap();
-        assert!(sb.repoison(1, PoisonMask::bit(1)));
-        let drained = sb.drain_all();
-        assert_eq!(drained, vec![(0x40, 1)], "poisoned store dropped on squash drain");
+        sb.push(1, 0x48, 2, PoisonMask::bit(1)).unwrap();
+        let mut drained = Vec::new();
+        sb.drain_all_into(&mut drained);
+        assert_eq!(drained, vec![(0x40, 1)], "poisoned store dropped on the final drain");
         assert!(sb.is_empty());
         assert_eq!(sb.forward(0x40, sb.ssn_tail()).store, None);
     }

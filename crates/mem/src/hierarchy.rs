@@ -233,7 +233,7 @@ impl MemoryHierarchy {
 
         // 3. True L1 miss: take an MSHR.
         let l1_line = self.l1d.line_addr(addr);
-        let mshr_id = match self.mshrs.request(l1_line, now, false) {
+        let mshr_id = match self.mshrs.request(l1_line, now) {
             MshrRequest::Merged { id, completes_at } => {
                 let outcome = match self.mshr_outcome[id.slot()] {
                     Some((owner, o)) if owner == id => o,

@@ -43,8 +43,6 @@ struct MshrEntry {
     id: MshrId,
     line_addr: Addr,
     completes_at: Cycle,
-    /// Whether this miss was initiated by a prefetch rather than a demand access.
-    prefetch: bool,
 }
 
 /// A finite file of MSHRs with merge-on-same-line semantics.
@@ -223,15 +221,11 @@ impl MshrFile {
     /// The caller must call [`MshrFile::set_completion`] after an
     /// `Allocated` result once it has scheduled the memory access and knows
     /// the completion cycle.
-    pub fn request(&mut self, line_addr: Addr, now: Cycle, prefetch: bool) -> MshrRequest {
+    pub fn request(&mut self, line_addr: Addr, now: Cycle) -> MshrRequest {
         self.retire_completed(now);
         let slot = match self.probe(line_addr) {
             SlotProbe::Covers(k) => {
-                let e = self.slots[k].as_mut().expect("probe found the slot occupied");
-                // A demand reference upgrades a prefetch-initiated miss.
-                if !prefetch {
-                    e.prefetch = false;
-                }
+                let e = self.slots[k].as_ref().expect("probe found the slot occupied");
                 return MshrRequest::Merged {
                     id: e.id,
                     completes_at: e.completes_at,
@@ -253,7 +247,6 @@ impl MshrFile {
             id,
             line_addr,
             completes_at: Cycle::MAX,
-            prefetch,
         });
         self.outstanding += 1;
         MshrRequest::Allocated(id)
@@ -282,12 +275,12 @@ mod tests {
     #[test]
     fn allocate_merge_and_retire() {
         let mut f = MshrFile::new(2);
-        let id = match f.request(0x1000, 0, false) {
+        let id = match f.request(0x1000, 0) {
             MshrRequest::Allocated(id) => id,
             other => panic!("expected allocation, got {other:?}"),
         };
         f.set_completion(id, 100);
-        match f.request(0x1000, 5, false) {
+        match f.request(0x1000, 5) {
             MshrRequest::Merged { id: mid, completes_at } => {
                 assert_eq!(mid, id);
                 assert_eq!(completes_at, 100);
@@ -302,27 +295,24 @@ mod tests {
     #[test]
     fn full_file_reports_retry_time() {
         let mut f = MshrFile::new(1);
-        let id = match f.request(0x1000, 0, false) {
+        let id = match f.request(0x1000, 0) {
             MshrRequest::Allocated(id) => id,
             _ => unreachable!(),
         };
         f.set_completion(id, 50);
-        match f.request(0x2000, 1, false) {
+        match f.request(0x2000, 1) {
             MshrRequest::Full { retry_at } => assert_eq!(retry_at, 50),
             other => panic!("expected full, got {other:?}"),
         }
         // After completion, allocation succeeds again.
-        assert!(matches!(
-            f.request(0x2000, 51, false),
-            MshrRequest::Allocated(_)
-        ));
+        assert!(matches!(f.request(0x2000, 51), MshrRequest::Allocated(_)));
     }
 
     #[test]
     fn different_lines_get_different_mshrs() {
         let mut f = MshrFile::new(4);
-        let a = f.request(0x1000, 0, false);
-        let b = f.request(0x2000, 0, false);
+        let a = f.request(0x1000, 0);
+        let b = f.request(0x2000, 0);
         match (a, b) {
             (MshrRequest::Allocated(x), MshrRequest::Allocated(y)) => assert_ne!(x, y),
             other => panic!("expected two allocations, got {other:?}"),
@@ -330,30 +320,15 @@ mod tests {
     }
 
     #[test]
-    fn demand_upgrades_prefetch() {
-        let mut f = MshrFile::new(2);
-        let id = match f.request(0x1000, 0, true) {
-            MshrRequest::Allocated(id) => id,
-            _ => unreachable!(),
-        };
-        f.set_completion(id, 100);
-        // A demand merge should succeed and keep the same completion.
-        match f.request(0x1000, 1, false) {
-            MshrRequest::Merged { completes_at, .. } => assert_eq!(completes_at, 100),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
     fn ids_are_unique_across_reuse() {
         let mut f = MshrFile::new(1);
-        let a = match f.request(0x1000, 0, false) {
+        let a = match f.request(0x1000, 0) {
             MshrRequest::Allocated(id) => id,
             _ => unreachable!(),
         };
         f.set_completion(a, 10);
         f.retire_completed(10);
-        let b = match f.request(0x3000, 11, false) {
+        let b = match f.request(0x3000, 11) {
             MshrRequest::Allocated(id) => id,
             _ => unreachable!(),
         };

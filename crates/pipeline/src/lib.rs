@@ -34,7 +34,7 @@ pub mod regfile;
 pub mod stats;
 
 pub use config::PipelineConfig;
-pub use frontend::{FetchEngine, FetchPhase};
+pub use frontend::FetchEngine;
 pub use issue::{IssuePhase, IssueSchedule, SlotUse};
 pub use poison::{lane_range_mask, PoisonAllocator, PoisonMask, PoisonVec, POISON_LANES_PER_WORD};
 pub use regfile::{RegEntry, TimedRegFile};

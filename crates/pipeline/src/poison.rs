@@ -159,15 +159,6 @@ impl PoisonAllocator {
         PoisonMask::bit(b)
     }
 
-    /// The poison bit previously assigned to `mshr`, if any — used when a miss
-    /// returns to know which bit is being un-poisoned.
-    pub fn lookup(&self, mshr: MshrId) -> Option<PoisonMask> {
-        self.assignments
-            .iter()
-            .find(|(id, _)| *id == mshr)
-            .map(|&(_, b)| PoisonMask::bit(b))
-    }
-
     /// Forgets the assignment for `mshr` (after its rally pass completes).
     pub fn release(&mut self, mshr: MshrId) {
         self.assignments.retain(|(id, _)| *id != mshr);
@@ -240,14 +231,6 @@ impl PoisonVec {
         *w = (*w & !(LANE_ONES << shift)) | ((mask.bits() as u64) << shift);
     }
 
-    /// Unions `mask` into lane `i`.
-    #[inline]
-    pub fn or(&mut self, i: usize, mask: PoisonMask) {
-        debug_assert!(i < self.len);
-        let shift = (i % POISON_LANES_PER_WORD) * LANE_BITS;
-        self.words[i / POISON_LANES_PER_WORD] |= (mask.bits() as u64) << shift;
-    }
-
     /// Clears lane `i`.
     #[inline]
     pub fn clear_lane(&mut self, i: usize) {
@@ -278,19 +261,10 @@ impl PoisonVec {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
-
-    /// Word `w` ANDed with `mask` broadcast to every lane: non-zero 16-bit
-    /// lanes are the entries whose poison intersects `mask`.  Callers locate
-    /// them with `trailing_zeros() / 16` and strip lanes with
-    /// [`lane_range_mask`].
-    #[inline]
-    pub fn select_word(&self, w: usize, mask: PoisonMask) -> u64 {
-        self.words[w] & broadcast(mask.bits())
-    }
 }
 
-/// A word mask covering lanes `lane_lo..lane_hi` (for restricting a
-/// [`PoisonVec::select_word`] scan to a partial word at a segment edge).
+/// A word mask covering lanes `lane_lo..lane_hi` (for restricting a scan of
+/// [`PoisonVec::words`] to a partial word at a segment edge).
 #[inline]
 pub fn lane_range_mask(lane_lo: usize, lane_hi: usize) -> u64 {
     debug_assert!(lane_lo <= lane_hi && lane_hi <= POISON_LANES_PER_WORD);
@@ -361,7 +335,7 @@ mod tests {
         let b1 = a.bit_for(MshrId(8));
         assert_ne!(b0, b1);
         assert_eq!(a.bit_for(MshrId(7)), b0);
-        assert_eq!(a.lookup(MshrId(8)), Some(b1));
+        assert_eq!(a.bit_for(MshrId(8)), b1);
     }
 
     #[test]
@@ -377,12 +351,12 @@ mod tests {
     #[test]
     fn release_and_clear() {
         let mut a = PoisonAllocator::new(4);
-        a.bit_for(MshrId(1));
+        assert_eq!(a.bit_for(MshrId(1)), PoisonMask::bit(0));
         a.release(MshrId(1));
-        assert_eq!(a.lookup(MshrId(1)), None);
+        assert_eq!(a.bit_for(MshrId(1)), PoisonMask::bit(1), "a released MSHR draws a fresh bit");
         a.bit_for(MshrId(2));
         a.clear();
-        assert_eq!(a.lookup(MshrId(2)), None);
+        assert_eq!(a.bit_for(MshrId(2)), PoisonMask::bit(0), "clear forgets every assignment");
     }
 
     #[test]
@@ -421,18 +395,14 @@ mod tests {
             let len = 1 + (lcg(&mut seed) % 130) as usize;
             let mut vec = PoisonVec::new(len);
             let mut naive = NaivePlane(vec![PoisonMask::CLEAN; len]);
-            // Random writes: set / or / clear_lane.
+            // Random writes: set / clear_lane.
             for _ in 0..3 * len {
                 let i = (lcg(&mut seed) % len as u64) as usize;
                 let m = PoisonMask::from_bits(lcg(&mut seed) as u16);
                 match lcg(&mut seed) % 3 {
-                    0 => {
+                    0 | 1 => {
                         vec.set(i, m);
                         naive.0[i] = m;
-                    }
-                    1 => {
-                        vec.or(i, m);
-                        naive.0[i] = naive.0[i].union(m);
                     }
                     _ => {
                         vec.clear_lane(i);
@@ -451,7 +421,7 @@ mod tests {
             let mut scanned = Vec::new();
             for w in 0..len.div_ceil(POISON_LANES_PER_WORD) {
                 let hi = (len - w * POISON_LANES_PER_WORD).min(POISON_LANES_PER_WORD);
-                let mut hits = vec.select_word(w, probe) & lane_range_mask(0, hi);
+                let mut hits = vec.words()[w] & probe.broadcast() & lane_range_mask(0, hi);
                 while hits != 0 {
                     let lane = hits.trailing_zeros() as usize / 16;
                     hits &= !(0xFFFFu64 << (lane * 16));

@@ -126,6 +126,14 @@ impl TimedRegFile {
         self.poison.get(r.index())
     }
 
+    /// The value of operand `r` if it is present and clean — the
+    /// miss-independent side input a slice entry captures (`None` for an
+    /// absent or poisoned operand).
+    #[inline]
+    pub fn clean_value(&self, r: Option<Reg>) -> Option<Value> {
+        r.filter(|&r| self.poison(r).is_clean()).map(|r| self.value(r))
+    }
+
     /// The last-writer stamp of `r`.
     pub fn last_writer(&self, r: Reg) -> Option<InstSeq> {
         self.regs[r.index()].last_writer
@@ -276,6 +284,10 @@ mod tests {
         assert!(rf.any_poisoned());
         assert_eq!(rf.poison(Reg::int(4)), PoisonMask::bit(2));
         assert_eq!(rf.last_writer(Reg::int(4)), Some(8));
+        // A slice entry captures clean operands only.
+        assert_eq!(rf.clean_value(Some(Reg::int(4))), None);
+        assert_eq!(rf.clean_value(Some(Reg::int(5))), Some(rf.value(Reg::int(5))));
+        assert_eq!(rf.clean_value(None), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Minimal vendored `serde`: a compact little-endian binary codec.
 //!
 //! This build environment has no access to crates.io, and the checkpoint
-//! subsystem (`icfp-ckpt/v4`) needs real serialization, so this crate is a
+//! subsystem (`icfp-ckpt/v5`) needs real serialization, so this crate is a
 //! self-contained stand-in: [`Serialize`] / [`Deserialize`] traits over a
 //! flat binary format, with derive macros (`crates/serde_derive`) generating
 //! field-by-field impls in declaration order.  If the real `serde` becomes
@@ -20,7 +20,7 @@
 //!   a `u32` variant tag (see `serde_derive`).
 //!
 //! The format is not self-describing: readers must know the type, which is
-//! exactly the checkpoint use case (the `icfp-ckpt/v4` container carries the
+//! exactly the checkpoint use case (the `icfp-ckpt/v5` container carries the
 //! versioning and digest validation).
 
 #![forbid(unsafe_code)]

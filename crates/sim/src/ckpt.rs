@@ -1,4 +1,4 @@
-//! The `icfp-ckpt/v4` checkpoint format.
+//! The `icfp-ckpt/v5` checkpoint format.
 //!
 //! A [`SimCheckpoint`] captures a running [`Simulator`](crate::Simulator) —
 //! the core engine's complete serialized state (register file and poison
@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       12    magic: the ASCII bytes "icfp-ckpt/v4"
+//! 0       12    magic: the ASCII bytes "icfp-ckpt/v5"
 //! 12      8     payload length (u64 LE)
 //! 20      n     payload: SimCheckpoint in the vendored-serde binary format
 //! 20+n    8     FNV-1a digest of the payload (u64 LE)
@@ -47,8 +47,18 @@
 //! iCFP checkpoints (20k-instruction stock runs, checkpointed halfway) shrink
 //! from 511,707 / 362,833 / 353,405 / 356,839 bytes (pointer-chase,
 //! dcache-thrash, branchy, streaming) to 510,543 / 361,609 / 352,789 /
-//! 356,223; no simulated figure moves.  Older containers are refused by
-//! magic, with an error naming both versions.
+//! 356,223; no simulated figure moves.
+//!
+//! v5 drops two facts the machine can derive.  iCFP's advance-episode flag
+//! leaves the bytes: an episode lasts while a rally is pending or a slice
+//! entry is active, which the decoded pending rallies and slice buffer
+//! already say.  Each outstanding MSHR loses its prefetch flag: the
+//! hierarchy allocates MSHRs for demand misses only, so the flag was always
+//! `false` and nothing read it.  The four
+//! golden mid-run checkpoints shrink from 510,543 / 361,609 / 352,789 /
+//! 356,223 bytes to 510,541 / 361,602 / 352,788 / 356,222; no simulated
+//! figure moves.  Older containers are refused by magic, with an error
+//! naming both versions.
 
 use crate::SimConfig;
 use icfp_core::EngineSnapshot;
@@ -57,7 +67,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Magic prefix of the on-disk container (also the format version).
-pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v4";
+pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v5";
 
 /// A captured simulation: engine snapshot plus trace identity.  Produced by
 /// [`Simulator::checkpoint`](crate::Simulator::checkpoint), consumed by
@@ -183,7 +193,7 @@ impl std::error::Error for CkptError {}
 use icfp_isa::fnv1a;
 
 impl SimCheckpoint {
-    /// Encodes the checkpoint as an `icfp-ckpt/v4` container.
+    /// Encodes the checkpoint as an `icfp-ckpt/v5` container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let payload = serde::to_bytes(self);
         let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 16 + payload.len());
@@ -195,7 +205,7 @@ impl SimCheckpoint {
         out
     }
 
-    /// Decodes an `icfp-ckpt/v4` container, validating magic, length and
+    /// Decodes an `icfp-ckpt/v5` container, validating magic, length and
     /// payload digest.
     ///
     /// # Errors
@@ -299,12 +309,12 @@ mod tests {
         assert_eq!(SimCheckpoint::from_bytes(b"xx"), Err(CkptError::BadMagic { found }));
         // A container of an earlier version is refused by name, not decoded
         // into the current layout: the error names both versions.
-        for old in ["icfp-ckpt/v2", "icfp-ckpt/v3"] {
+        for old in ["icfp-ckpt/v2", "icfp-ckpt/v3", "icfp-ckpt/v4"] {
             bytes[..CKPT_MAGIC.len()].copy_from_slice(old.as_bytes());
             let err = SimCheckpoint::from_bytes(&bytes).unwrap_err();
             assert_eq!(err, CkptError::BadMagic { found: old.into() });
             let message = err.to_string();
-            assert!(message.contains(old) && message.contains("icfp-ckpt/v4"), "{message}");
+            assert!(message.contains(old) && message.contains("icfp-ckpt/v5"), "{message}");
         }
     }
 

@@ -355,7 +355,7 @@ impl Simulator {
     /// timing structure — caches, MSHRs, slice buffer — cold.  The run then
     /// continues under the timing model from instruction `n`, and a
     /// [`Simulator::checkpoint`] afterwards mints an ordinary
-    /// `icfp-ckpt/v4` checkpoint at that position, so a resumed run
+    /// `icfp-ckpt/v5` checkpoint at that position, so a resumed run
     /// inherits the fast-forwarded state for free.  Returns the number of
     /// instructions skipped (clamped to the trace length).
     ///

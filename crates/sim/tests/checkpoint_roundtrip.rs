@@ -2,7 +2,7 @@
 //! model and every standard synthetic workload, save → restore → run must be
 //! bit-identical (cycle counts, statistics, state digests) to an
 //! uninterrupted run — including checkpoints taken through the on-disk
-//! `icfp-ckpt/v4` encoding, checkpoints taken mid-episode while the iCFP
+//! `icfp-ckpt/v5` encoding, checkpoints taken mid-episode while the iCFP
 //! machine has live speculative state, and checkpoints taken in the middle of
 //! the timed region of a functionally fast-forwarded run.
 

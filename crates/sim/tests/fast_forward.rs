@@ -103,7 +103,7 @@ fn checkpoints_minted_after_fast_forward_resume_into_the_cold_digest() {
         let skipped = sim.fast_forward(ff).expect("fresh loaded engine seeds");
         assert_eq!(skipped, ff as u64);
         // Mint the checkpoint at the fast-forward point itself and push it
-        // through the full icfp-ckpt/v4 byte encoding.
+        // through the full icfp-ckpt/v5 byte encoding.
         let ckpt = sim.checkpoint().expect("undrained engine checkpoints");
         let ckpt = SimCheckpoint::from_bytes(&ckpt.to_bytes()).expect("container round-trip");
 
