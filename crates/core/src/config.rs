@@ -274,12 +274,6 @@ impl CoreConfig {
         self.store_buffer_kind = kind;
         self
     }
-
-    /// Builder-style override of the L2 hit latency (Figure 6 sweep).
-    pub fn with_l2_hit_latency(mut self, latency: u64) -> Self {
-        self.mem.l2_hit_latency = latency;
-        self
-    }
 }
 
 impl Default for CoreConfig {
@@ -371,9 +365,9 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let c = CoreConfig::paper_default()
-            .with_l2_hit_latency(40)
-            .with_store_buffer_kind(StoreBufferKind::FullyAssociative);
+        let mut c = CoreConfig::paper_default();
+        c.mem.l2_hit_latency = 40;
+        let c = c.with_store_buffer_kind(StoreBufferKind::FullyAssociative);
         assert_eq!(c.mem.l2_hit_latency, 40);
         assert_eq!(c.store_buffer_kind, StoreBufferKind::FullyAssociative);
     }

@@ -381,7 +381,7 @@ impl Machine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::common::golden_final_state;
     use crate::config::AdvancePolicy;
@@ -516,7 +516,7 @@ mod tests {
     /// A seeded random trace over six registers: loads (a quarter of them to
     /// lines spread over 16 MiB, so they miss), stores, branches and
     /// single- and multi-cycle ALU ops.
-    fn random_trace(seed: u64, n: usize) -> Trace {
+    pub(crate) fn random_trace(seed: u64, n: usize) -> Trace {
         let mut b = TraceBuilder::new("random");
         let mut state = seed;
         for _ in 0..n {

@@ -20,11 +20,19 @@
 //! it finally executes, and each visit asks "has my producer rallied yet?";
 //! through the link that is one indexed read ([`SliceBuffer::producer`])
 //! instead of a search by trace index, and the same read hands over the
-//! producer's rallied result while the producer is still resident.  Links and
-//! results are derived state — not part of an entry, not serialized; links
-//! are rebuilt on decode and results by [`SliceBuffer::restore_results`].
+//! producer's rallied result while the producer is still resident.
+//!
+//! A third side array holds each slot's *shape*: which operands a rally must
+//! resolve and the destination register, recorded at push from the
+//! instruction.  With the plane and the links it is all a deferral reads, so
+//! [`SliceBuffer::defer_run`] certifies and re-poisons the deferred tail of a
+//! rally pass as one run, walking the plane words directly, without fetching
+//! a single instruction.  Links, results and shapes are derived state — not
+//! part of an entry, not serialized; links are rebuilt on decode, results by
+//! [`SliceBuffer::restore_results`], and shapes are unknown after decode
+//! (such an entry is only ever deferred by a visit).
 
-use icfp_isa::{Cycle, InstSeq, Value};
+use icfp_isa::{Cycle, DynInst, InstSeq, Reg, Value, NUM_ARCH_REGS};
 use icfp_pipeline::{lane_range_mask, PoisonMask, PoisonVec, POISON_LANES_PER_WORD};
 use serde::{Deserialize, Serialize};
 
@@ -75,6 +83,16 @@ impl SliceEntry {
     }
 }
 
+/// What a deferral reads of an entry's instruction, recorded when the entry
+/// is pushed ([`SliceBuffer::push_inst`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct EntryShape {
+    /// Per operand: present in the instruction and not captured at slice
+    /// time, so a rally must resolve it through its producer.
+    needs: [bool; 2],
+    dst: Option<Reg>,
+}
+
 /// Error returned when the slice buffer is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SliceBufferFull;
@@ -118,10 +136,68 @@ pub struct SliceBuffer {
     /// ([`SliceBuffer::record_result`]); meaningful while the slot holds that
     /// retired entry.  Derived state, like `links`.
     results: Vec<Option<(Value, Cycle)>>,
+    /// Per slot, the shape of the entry's instruction (`None` = unknown: the
+    /// entry was pushed without its instruction or the buffer was decoded).
+    /// Derived state, like `links`.
+    shapes: Vec<Option<EntryShape>>,
 }
 
 /// The link of an operand that has no resident producer.
 const NO_LINK: u32 = u32::MAX;
+
+/// Width of one lane of the poison plane.
+const LANE_BITS: usize = 16;
+
+// A deferral run keeps one bit per register in a `u64`.
+const _: () = assert!(NUM_ARCH_REGS <= 64);
+
+/// The plane words covering physical slots `[lo, hi)`.
+#[inline]
+fn words_of(lo: usize, hi: usize) -> std::ops::Range<usize> {
+    if lo >= hi {
+        return 0..0;
+    }
+    lo / POISON_LANES_PER_WORD..(hi - 1) / POISON_LANES_PER_WORD + 1
+}
+
+/// The lanes of plane word `word` (its first slot `base`) that intersect
+/// `comparand` (a broadcast mask) and lie in physical slots `[lo, hi)`, as
+/// the top bit of each such lane.  A word with no intersecting lane costs a
+/// single compare; only the edge words of a range pay for lane masking.
+#[inline]
+fn hit_lanes(word: u64, comparand: u64, base: usize, lo: usize, hi: usize) -> u64 {
+    let mut hits = word & comparand;
+    if hits == 0 {
+        return 0;
+    }
+    if lo > base {
+        hits &= lane_range_mask(lo - base, POISON_LANES_PER_WORD);
+    }
+    if hi < base + POISON_LANES_PER_WORD {
+        hits &= lane_range_mask(0, hi - base);
+    }
+    // Collapse each non-zero 16-bit lane to its MSB (SWAR: adding 0x7FFF to
+    // the low 15 bits carries into bit 15 iff any is set; OR-ing the original
+    // covers lanes with only bit 15).  The extraction loop is then one ctz +
+    // one clear per matching entry.
+    const LANE_LOW: u64 = 0x7FFF_7FFF_7FFF_7FFF;
+    const LANE_MSB: u64 = 0x8000_8000_8000_8000;
+    ((hits & LANE_LOW).wrapping_add(LANE_LOW) | hits) & LANE_MSB
+}
+
+/// Calls `deferred(register, youngest[register])` for each register with a
+/// bit in `written` ([`SliceBuffer::defer_run`]).
+fn report_writers(
+    mut written: u64,
+    youngest: &[InstSeq; NUM_ARCH_REGS],
+    mut deferred: impl FnMut(Reg, InstSeq),
+) {
+    while written != 0 {
+        let r = written.trailing_zeros() as usize;
+        written &= written - 1;
+        deferred(Reg::from_index(r), youngest[r]);
+    }
+}
 
 /// What a consumer's producer link finds ([`SliceBuffer::producer`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,12 +239,14 @@ impl Deserialize for SliceBuffer {
             inserted: Deserialize::deserialize(r)?,
             links: Vec::new(),
             results: Vec::new(),
+            shapes: Vec::new(),
         };
         if sb.slots.len() != sb.capacity || sb.head >= sb.capacity.max(1) || sb.len > sb.capacity {
             return Err(serde::Error::invalid("slice buffer ring geometry", r.position()));
         }
         sb.links = vec![[NO_LINK; 2]; sb.capacity];
         sb.results = vec![None; sb.capacity];
+        sb.shapes = vec![None; sb.capacity];
         for l in 0..sb.len {
             let slot = sb.phys(l);
             sb.links[slot] = sb.links_for(&sb.slots[slot]);
@@ -196,6 +274,7 @@ impl SliceBuffer {
             inserted: 0,
             links: vec![[NO_LINK; 2]; capacity],
             results: vec![None; capacity],
+            shapes: vec![None; capacity],
         }
     }
 
@@ -245,13 +324,32 @@ impl SliceBuffer {
         self.inserted
     }
 
-    /// Appends an entry at the tail.
+    /// Appends an entry at the tail.  Its instruction's shape stays unknown,
+    /// so [`SliceBuffer::defer_run`] never takes it.
     ///
     /// # Errors
     ///
     /// Returns [`SliceBufferFull`] if no slot is free (after reclaiming
     /// retired entries from the head).
     pub fn push(&mut self, entry: SliceEntry) -> Result<(), SliceBufferFull> {
+        self.insert(entry, None)
+    }
+
+    /// [`SliceBuffer::push`] for an entry made from `inst`, recording what a
+    /// deferral reads of the instruction.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SliceBufferFull`] as [`SliceBuffer::push`] does.
+    pub fn push_inst(&mut self, entry: SliceEntry, inst: &DynInst) -> Result<(), SliceBufferFull> {
+        let needs = [
+            inst.src1.is_some() && entry.src1_value.is_none(),
+            inst.src2.is_some() && entry.src2_value.is_none(),
+        ];
+        self.insert(entry, Some(EntryShape { needs, dst: inst.dst }))
+    }
+
+    fn insert(&mut self, entry: SliceEntry, shape: Option<EntryShape>) -> Result<(), SliceBufferFull> {
         if self.is_full() {
             self.reclaim_head();
         }
@@ -261,6 +359,7 @@ impl SliceBuffer {
         let slot = self.phys(self.len);
         self.links[slot] = self.links_for(&entry);
         self.results[slot] = None;
+        self.shapes[slot] = shape;
         self.active += usize::from(entry.active);
         self.plane.set(
             slot,
@@ -298,27 +397,52 @@ impl SliceBuffer {
             .filter(|e| e.active)
     }
 
-    /// The physical slots of the active entries whose poison mask intersects
-    /// `returning` — the entries a rally pass for that returning miss must
-    /// process (Section 3.4) — appended to `out` (cleared first) in program
-    /// order.  The pass reads each entry in place ([`SliceBuffer::entry_at`])
-    /// and retires or re-poisons it by slot ([`SliceBuffer::retire_at`] /
-    /// [`SliceBuffer::repoison_at`]); slots stay valid until the next push or
-    /// head reclamation (entries never move otherwise).
+    /// The first entry a rally pass for the returning misses `returning`
+    /// must process (Section 3.4) at or after logical position `from` (0 =
+    /// the oldest entry): the first active entry there whose poison
+    /// intersects `returning`, as its physical slot and logical position.  A
+    /// pass walks its selection in program order by asking again from one
+    /// past the position returned, reading each entry in place
+    /// ([`SliceBuffer::entry_at`]) and retiring or re-poisoning it by slot
+    /// ([`SliceBuffer::retire_at`] / [`SliceBuffer::repoison_at`]); the
+    /// walk sees the selection as it stood when the pass began, because a
+    /// pass changes no entry ahead of its position.  Slots and positions stay
+    /// valid until the next push or head reclamation.
     ///
     /// This is the word-level hot path: the packed poison plane is scanned
     /// four entries per `u64` word (`returning` broadcast into every lane), so
     /// words with no intersecting lane are skipped with a single compare.
-    pub fn rally_slots_into(&self, returning: PoisonMask, out: &mut Vec<u32>) {
-        out.clear();
-        self.scan_ring(returning, &mut |slot| out.push(slot as u32));
+    pub fn next_selected(&self, returning: PoisonMask, from: usize) -> Option<(usize, usize)> {
+        let comparand = returning.broadcast();
+        let mut at = from;
+        while at < self.len {
+            let lo = self.phys(at);
+            // The physical slots from `lo` to the end of its word or of the
+            // ring's contiguous run.
+            let base = lo - lo % POISON_LANES_PER_WORD;
+            let hi = (base + POISON_LANES_PER_WORD).min(lo + self.len - at).min(self.capacity);
+            let word = self.plane.words()[base / POISON_LANES_PER_WORD];
+            let lanes = hit_lanes(word, comparand, base, lo, hi);
+            if lanes != 0 {
+                let slot = base + lanes.trailing_zeros() as usize / LANE_BITS;
+                return Some((slot, at + slot - lo));
+            }
+            at += hi - lo;
+        }
+        None
     }
 
-    /// [`SliceBuffer::rally_slots_into`] with a copy of each selected entry
-    /// beside its slot, for callers that want the entries by value.
+    /// The whole selection of a rally pass for `returning`
+    /// ([`SliceBuffer::next_selected`] from position 0 on), each entry by
+    /// value beside its physical slot, appended to `out` (cleared first) in
+    /// program order.
     pub fn rally_select_into(&self, returning: PoisonMask, out: &mut Vec<(u32, SliceEntry)>) {
         out.clear();
-        self.scan_ring(returning, &mut |slot| out.push((slot as u32, self.slots[slot])));
+        let mut next = 0;
+        while let Some((slot, at)) = self.next_selected(returning, next) {
+            out.push((slot as u32, self.slots[slot]));
+            next = at + 1;
+        }
     }
 
     /// The entry in physical slot `slot` (vacant slots read as an inactive
@@ -332,68 +456,26 @@ impl SliceBuffer {
         &self.slots[slot]
     }
 
-    /// Scans the ring in program order for active entries whose poison
-    /// intersects `returning`, feeding each one's physical slot to `sink`.
+    /// Logical position (distance from the head) of occupied slot `slot`.
     #[inline]
-    fn scan_ring(&self, returning: PoisonMask, sink: &mut impl FnMut(usize)) {
-        if self.len == 0 || returning.is_clean() {
-            return;
-        }
-        let tail = self.head + self.len;
-        // The ring occupies [head, min(tail, capacity)) and, when it wraps,
-        // [0, tail - capacity).  Scan both physical segments in order: within
-        // a segment, ascending slot order is program order, and the first
-        // segment holds the logically older entries.
-        self.scan_segment(self.head, tail.min(self.capacity), returning, sink);
-        if tail > self.capacity {
-            self.scan_segment(0, tail - self.capacity, returning, sink);
+    fn logical(&self, slot: usize) -> usize {
+        if slot >= self.head {
+            slot - self.head
+        } else {
+            slot + self.capacity - self.head
         }
     }
 
-    /// Word-scans physical slots `[lo, hi)` for lanes intersecting
-    /// `returning`, feeding the matching slots to `sink` in slot order.  The
-    /// broadcast comparand is hoisted and only the two edge words pay for
-    /// lane masking; zero words (no intersecting entry among four) are
-    /// skipped with a single compare.
-    fn scan_segment(
-        &self,
-        lo: usize,
-        hi: usize,
-        returning: PoisonMask,
-        sink: &mut impl FnMut(usize),
-    ) {
-        if lo >= hi {
-            return;
-        }
-        let comparand = returning.broadcast();
-        let first_word = lo / POISON_LANES_PER_WORD;
-        let last_word = (hi - 1) / POISON_LANES_PER_WORD;
-        let words = &self.plane.words()[first_word..=last_word];
-        for (k, &word) in words.iter().enumerate() {
-            let mut hits = word & comparand;
-            if hits == 0 {
-                continue;
-            }
-            let w = first_word + k;
-            let base = w * POISON_LANES_PER_WORD;
-            if w == first_word && lo > base {
-                hits &= lane_range_mask(lo - base, POISON_LANES_PER_WORD);
-            }
-            if w == last_word && hi < base + POISON_LANES_PER_WORD {
-                hits &= lane_range_mask(0, hi - base);
-            }
-            // Collapse each non-zero 16-bit lane to its MSB (SWAR: adding
-            // 0x7FFF to the low 15 bits carries into bit 15 iff any is set;
-            // OR-ing the original covers lanes with only bit 15).  The
-            // extraction loop is then one ctz + one clear per matching entry.
-            const LANE_LOW: u64 = 0x7FFF_7FFF_7FFF_7FFF;
-            const LANE_MSB: u64 = 0x8000_8000_8000_8000;
-            let mut lanes = ((hits & LANE_LOW).wrapping_add(LANE_LOW) | hits) & LANE_MSB;
-            while lanes != 0 {
-                let lane = lanes.trailing_zeros() as usize >> 4;
-                lanes &= lanes - 1;
-                sink(base + lane);
-            }
+    /// The physical slot ranges holding logical positions `from..len`,
+    /// oldest first: within a range, ascending slot order is program order,
+    /// and the second range is empty unless the ring wraps.
+    #[inline]
+    fn segments(&self, from: usize) -> [(usize, usize); 2] {
+        let (start, tail) = (self.head + from.min(self.len), self.head + self.len);
+        if start >= self.capacity {
+            [(start - self.capacity, tail - self.capacity), (0, 0)]
+        } else {
+            [(start, tail.min(self.capacity)), (0, tail.saturating_sub(self.capacity))]
         }
     }
 
@@ -502,7 +584,7 @@ impl SliceBuffer {
     }
 
     /// O(1) form of [`SliceBuffer::retire`] for a physical slot obtained from
-    /// [`SliceBuffer::rally_slots_into`].
+    /// [`SliceBuffer::next_selected`].
     pub fn retire_at(&mut self, slot: usize) -> bool {
         let e = &mut self.slots[slot];
         if e.active {
@@ -515,7 +597,7 @@ impl SliceBuffer {
     }
 
     /// Re-poisons the entry in physical slot `slot` (obtained from
-    /// [`SliceBuffer::rally_slots_into`]) in place: it depends on a miss that
+    /// [`SliceBuffer::next_selected`]) in place: it depends on a miss that
     /// is still outstanding, and stays active for a later pass.
     pub fn repoison_at(&mut self, slot: usize, poison: PoisonMask) -> bool {
         let e = &mut self.slots[slot];
@@ -525,6 +607,117 @@ impl SliceBuffer {
             return true;
         }
         false
+    }
+
+    /// Defers, as one run, the selected entries from logical position `from`
+    /// on that a rally visit would defer to `to`, and returns how many it
+    /// took and the position of the first entry it left for the visit
+    /// (`len` if none).  Position `from` must follow an entry that a pass
+    /// for `select` has just deferred to `to` (non-empty, disjoint from
+    /// `select`) while a rally is still pending; the run walks the pass's
+    /// selection ([`SliceBuffer::next_selected`]) from there.
+    ///
+    /// An entry is taken exactly when the visit would defer it to `to`: its
+    /// shape is known; its poison outside `select` lies inside `to`; at least
+    /// one operand it must resolve has a producer still active; every such
+    /// producer's poison outside `select` is exactly `to` (an entry taken
+    /// earlier in the run already carries `to`); and every other operand it
+    /// must resolve has a value — a producer's recorded result, or for a
+    /// producer no longer in the buffer, `resolved(its trace index)`.  Each
+    /// taken entry is re-poisoned with `to` in place (its plane lane with the
+    /// rest of its word).  Then `deferred(dst, seq)` is called once per
+    /// destination register of the run, with the youngest taken entry that
+    /// writes it: the only one that can still be the register's last writer.
+    /// Allocation-free.
+    pub fn defer_run(
+        &mut self,
+        from: usize,
+        select: PoisonMask,
+        to: PoisonMask,
+        resolved: impl Fn(usize) -> bool,
+        deferred: impl FnMut(Reg, InstSeq),
+    ) -> (usize, usize) {
+        debug_assert!(to.is_poisoned() && !to.intersects(select));
+        let comparand = select.broadcast();
+        // Bits an entry's own poison may not carry.
+        let outside = !select.union(to).broadcast();
+        let mut taken = 0;
+        // Per register, the youngest taken writer; `written` has a bit per
+        // register with one.
+        let (mut youngest, mut written) = ([0; NUM_ARCH_REGS], 0u64);
+        for (lo, hi) in self.segments(from) {
+            for w in words_of(lo, hi) {
+                let word = self.plane.words()[w];
+                let base = w * POISON_LANES_PER_WORD;
+                let mut lanes = hit_lanes(word, comparand, base, lo, hi);
+                let mut done = 0;
+                while lanes != 0 {
+                    let lane = lanes.trailing_zeros() as usize / LANE_BITS;
+                    lanes &= lanes - 1;
+                    let slot = base + lane;
+                    let lane_bits = 0xFFFF << (lane * LANE_BITS);
+                    let shape = match self.shapes[slot] {
+                        Some(shape)
+                            if word & lane_bits & outside == 0
+                                && self.waits_on(slot, shape, select, to, &resolved) =>
+                        {
+                            shape
+                        }
+                        _ => {
+                            self.plane.fill_lanes(w, done, to);
+                            report_writers(written, &youngest, deferred);
+                            return (taken, self.logical(slot));
+                        }
+                    };
+                    let e = &mut self.slots[slot];
+                    e.poison = to;
+                    if let Some(dst) = shape.dst {
+                        let r = dst.index() % NUM_ARCH_REGS;
+                        youngest[r] = e.trace_idx as InstSeq;
+                        written |= 1 << r;
+                    }
+                    done |= lane_bits;
+                    taken += 1;
+                }
+                self.plane.fill_lanes(w, done, to);
+            }
+        }
+        report_writers(written, &youngest, deferred);
+        (taken, self.len)
+    }
+
+    /// Whether the operands the entry in `slot` must resolve all either wait
+    /// on a producer whose poison outside `select` is exactly `to` — at
+    /// least one of them — or have a value ([`SliceBuffer::defer_run`]).
+    #[inline]
+    fn waits_on(
+        &self,
+        slot: usize,
+        shape: EntryShape,
+        select: PoisonMask,
+        to: PoisonMask,
+        resolved: &impl Fn(usize) -> bool,
+    ) -> bool {
+        let e = &self.slots[slot];
+        let [l0, l1] = self.links[slot];
+        let stands = |needed: bool, link: u32, producer: usize| -> Option<bool> {
+            if !needed {
+                return Some(false);
+            }
+            match self.slots.get(link as usize) {
+                Some(p) if p.trace_idx == producer => {
+                    if p.active {
+                        (p.poison.without(select) == to).then_some(true)
+                    } else {
+                        self.results[link as usize].map(|_| false)
+                    }
+                }
+                _ => resolved(producer).then_some(false),
+            }
+        };
+        let Some(w0) = stands(shape.needs[0], l0, e.src1_producer) else { return false };
+        let Some(w1) = stands(shape.needs[1], l1, e.src2_producer) else { return false };
+        w0 | w1
     }
 
     /// Clears the buffer entirely (squash).
@@ -550,6 +743,17 @@ mod tests {
         let mut selected = Vec::new();
         sb.rally_select_into(returning, &mut selected);
         selected.into_iter().map(|(_, e)| e).collect()
+    }
+
+    /// The physical slots a rally pass for `returning` walks, asking
+    /// [`SliceBuffer::next_selected`] from one past each position it gets.
+    fn walk(sb: &SliceBuffer, returning: PoisonMask) -> Vec<u32> {
+        let (mut slots, mut next) = (Vec::new(), 0);
+        while let Some((slot, at)) = sb.next_selected(returning, next) {
+            slots.push(slot as u32);
+            next = at + 1;
+        }
+        slots
     }
 
     fn entry(idx: usize, poison: PoisonMask) -> SliceEntry {
@@ -609,29 +813,30 @@ mod tests {
 
     #[test]
     fn rally_selection_apis_are_equivalent() {
-        // The slot-only (word-scan) form, the entry-carrying wrapper and the
+        // The position walk (word scan), the entry-carrying wrapper and the
         // iterator (per-entry) form must select exactly the same entries, and
-        // the slot scratch must reuse its capacity.
+        // a walk resumed from any position must select the rest of them.
         let mut sb = SliceBuffer::new(16);
         for k in 0..12usize {
             sb.push(entry(k, PoisonMask::bit((k % 3) as u8))).unwrap();
         }
         sb.retire(3);
         sb.retire(6);
-        let mut slots = Vec::new();
         for bit in 0..3u8 {
             let select = PoisonMask::bit(bit);
             let iterated: Vec<SliceEntry> = sb.rally_iter(select).collect();
             assert_eq!(entries_for_rally(&sb, select), iterated);
-            sb.rally_slots_into(select, &mut slots);
             let in_place: Vec<SliceEntry> =
-                slots.iter().map(|&s| *sb.entry_at(s as usize)).collect();
+                walk(&sb, select).iter().map(|&s| *sb.entry_at(s as usize)).collect();
             assert_eq!(in_place, iterated);
-        }
-        let warmed = slots.capacity();
-        for _ in 0..50 {
-            sb.rally_slots_into(PoisonMask::bit(0), &mut slots);
-            assert_eq!(slots.capacity(), warmed, "scratch must not reallocate");
+            for from in 0..=sb.len() {
+                let rest: Vec<usize> =
+                    iterated.iter().map(|e| e.trace_idx).filter(|&idx| idx >= from).collect();
+                let first = sb
+                    .next_selected(select, from)
+                    .map(|(slot, at)| (sb.entry_at(slot).trace_idx, at));
+                assert_eq!(first, rest.first().map(|&idx| (idx, idx)), "bit {bit} from {from}");
+            }
         }
     }
 
@@ -660,8 +865,7 @@ mod tests {
                     }
                 }
                 2 => {
-                    let mut slots = Vec::new();
-                    sb.rally_slots_into(PoisonMask::all_bits(), &mut slots);
+                    let slots = walk(&sb, PoisonMask::all_bits());
                     if let Some(&slot) = slots.last() {
                         sb.repoison_at(slot as usize, PoisonMask::from_bits((lcg() % 0xFFFF) as u16 | 2));
                     }
@@ -707,10 +911,9 @@ mod tests {
             let mut sb = SliceBuffer::new(capacity);
             let mut recorded = std::collections::HashMap::new();
             let mut next_idx = 0usize;
-            let mut slots = Vec::new();
             let (mut gone, mut rallied, mut wraps) = (0usize, 0usize, 0usize);
             for step in 0..1500 {
-                sb.rally_slots_into(PoisonMask::all_bits(), &mut slots);
+                let mut slots = walk(&sb, PoisonMask::all_bits());
                 match lcg() % 8 {
                     0..=3 => {
                         let mut producer = || match lcg() % 4 {
@@ -756,7 +959,7 @@ mod tests {
                 }
 
                 wraps += usize::from(sb.head + sb.len > sb.capacity);
-                sb.rally_slots_into(PoisonMask::all_bits(), &mut slots);
+                slots = walk(&sb, PoisonMask::all_bits());
                 for &slot in &slots {
                     let slot = slot as usize;
                     let e = *sb.entry_at(slot);
@@ -780,7 +983,7 @@ mod tests {
                 }
                 for bit in 0..16u8 {
                     let select = PoisonMask::bit(bit);
-                    sb.rally_slots_into(select, &mut slots);
+                    slots = walk(&sb, select);
                     let by_slot: Vec<SliceEntry> =
                         slots.iter().map(|&s| *sb.entry_at(s as usize)).collect();
                     let reference: Vec<SliceEntry> = sb.rally_iter(select).collect();

@@ -118,13 +118,6 @@ impl MemoryBus {
             line_complete_at,
         }
     }
-
-    /// Resets the bus to idle (used between independent simulation runs that
-    /// share a hierarchy object).
-    pub fn reset(&mut self) {
-        self.next_free = 0;
-        self.demand_next_free = 0;
-    }
 }
 
 #[cfg(test)]
@@ -170,15 +163,6 @@ mod tests {
         // memory bus bandwidth (one L2 cache line every 32 cycles)".
         let bus = paper_bus();
         assert_eq!(bus.latency / bus.line_interval, 12);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut bus = paper_bus();
-        bus.schedule(0);
-        bus.reset();
-        assert_eq!(bus.next_free(), 0);
-        assert_eq!(bus.schedule(0).starts_at, 0, "an idle bus starts a transfer at once");
     }
 
     #[test]

@@ -99,23 +99,10 @@ impl MemConfig {
         }
     }
 
-    /// Returns a copy with a different L2 hit latency (Figure 6 sweep).
-    pub fn with_l2_hit_latency(mut self, latency: u64) -> Self {
-        self.l2_hit_latency = latency;
-        self
-    }
-
     /// Returns a copy with the prefetcher enabled or disabled.
     pub fn with_prefetch(mut self, enabled: bool) -> Self {
         self.prefetch_enabled = enabled;
         self
-    }
-
-    /// Total latency for a full line transfer from memory (first chunk plus
-    /// all remaining chunks of an L2 line).
-    pub fn full_line_transfer_latency(&self) -> u64 {
-        let chunks = (self.l2.line_bytes / self.mem_chunk_bytes).max(1);
-        self.mem_latency + (chunks - 1) * self.mem_chunk_latency
     }
 }
 
@@ -146,15 +133,26 @@ mod tests {
 
     #[test]
     fn full_line_transfer_is_428_cycles() {
-        // 128-byte line in 16-byte chunks: 400 + 7*4 = 428.
-        assert_eq!(MemConfig::paper_default().full_line_transfer_latency(), 428);
+        // 128-byte line in 16-byte chunks: 400 + 7*4 = 428, as the bus the
+        // hierarchy builds from the paper configuration times it.
+        let c = MemConfig::paper_default();
+        let mut bus = crate::bus::MemoryBus::new(
+            c.mem_latency,
+            c.mem_chunk_latency,
+            c.l2.line_bytes,
+            c.mem_chunk_bytes,
+            c.bus_line_interval,
+        );
+        assert_eq!(bus.schedule(0).line_complete_at, 428);
     }
 
     #[test]
     fn builder_style_overrides() {
-        let c = MemConfig::paper_default()
-            .with_l2_hit_latency(40)
-            .with_prefetch(false);
+        let c = MemConfig {
+            l2_hit_latency: 40,
+            ..MemConfig::paper_default()
+        }
+        .with_prefetch(false);
         assert_eq!(c.l2_hit_latency, 40);
         assert!(!c.prefetch_enabled);
     }

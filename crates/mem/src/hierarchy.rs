@@ -184,19 +184,6 @@ impl MemoryHierarchy {
             })
     }
 
-    /// Non-destructive classification of how a load to `addr` would be
-    /// serviced right now.  Does not update replacement state, statistics,
-    /// MSHRs or prefetch streams.  Used by diagnostics and tests.
-    pub fn classify(&self, addr: Addr) -> AccessOutcome {
-        if self.l1d.peek(addr) {
-            AccessOutcome::L1Hit
-        } else if self.l2.peek(addr) {
-            AccessOutcome::L1MissL2Hit
-        } else {
-            AccessOutcome::L2Miss
-        }
-    }
-
     /// Invalidates `addr` from the L1 only (used by SLTP's speculative-line
     /// flush before a rally).
     pub fn invalidate_l1(&mut self, addr: Addr) -> bool {
@@ -469,13 +456,6 @@ mod tests {
             outcomes.contains(&AccessOutcome::PrefetchHit),
             "expected some prefetch hits on a sequential stream: {outcomes:?}"
         );
-    }
-
-    #[test]
-    fn classify_is_non_destructive() {
-        let m = hier();
-        assert_eq!(m.classify(0x4000), AccessOutcome::L2Miss);
-        assert_eq!(m.stats().loads, 0);
     }
 
     #[test]

@@ -36,19 +36,6 @@ impl PipelineConfig {
             baseline_store_buffer: 32,
         }
     }
-
-    /// A single-issue configuration used by some unit tests to make hand
-    /// calculations trivial.
-    pub fn scalar_for_tests() -> Self {
-        PipelineConfig {
-            width: 1,
-            int_ports: 1,
-            mem_fp_br_ports: 1,
-            branch_redirect_penalty: 6,
-            frontend_depth: 5,
-            baseline_store_buffer: 32,
-        }
-    }
 }
 
 impl Default for PipelineConfig {
@@ -68,10 +55,5 @@ mod tests {
         assert_eq!(c.int_ports, 2);
         assert_eq!(c.mem_fp_br_ports, 1);
         assert!(c.branch_redirect_penalty >= c.frontend_depth);
-    }
-
-    #[test]
-    fn scalar_config_is_single_issue() {
-        assert_eq!(PipelineConfig::scalar_for_tests().width, 1);
     }
 }

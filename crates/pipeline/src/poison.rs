@@ -231,6 +231,15 @@ impl PoisonVec {
         *w = (*w & !(LANE_ONES << shift)) | ((mask.bits() as u64) << shift);
     }
 
+    /// Sets to `mask` the lanes of word `w` that `lanes` covers (whole
+    /// lanes, as [`lane_range_mask`] builds them): one store for up to four
+    /// lanes.
+    #[inline]
+    pub fn fill_lanes(&mut self, w: usize, lanes: u64, mask: PoisonMask) {
+        let word = &mut self.words[w];
+        *word = (*word & !lanes) | (broadcast(mask.bits()) & lanes);
+    }
+
     /// Clears lane `i`.
     #[inline]
     pub fn clear_lane(&mut self, i: usize) {
