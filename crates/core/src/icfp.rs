@@ -43,23 +43,25 @@
 //! exactly what the visits would, so nothing reported, digested or
 //! checkpointed depends on it.
 //!
-//! The hot loop reuses its storage: drain buffers and the slice-value table
+//! The hot loop reuses its storage: drain buffers and the slice-value window
 //! keep their capacity across cycles and episodes, and a rally pass walks
 //! its selection in place, so after the first tenth of a trace a run makes
 //! fewer than 2 heap-allocation calls per 1000 instructions (what is left is
-//! the occasional growth of a hash table or a stream buffer) — the bound
-//! `crates/sim/tests/steady_state_allocs.rs` enforces.
+//! the occasional growth of the slice-value window or of architectural
+//! memory's hash table) — the bound `crates/sim/tests/steady_state_allocs.rs`
+//! enforces.  A rally records each result in that window by its position
+//! from the episode's start, not by a hash insert.
 
 use crate::common::{Engine, OperandWait};
 use crate::config::CoreConfig;
 use crate::engine::{check_model, CoreEngine, CoreModel, EngineSnapshot};
-use crate::fxmap::FxHashMap;
 use crate::slicebuf::{Producer, SliceBuffer, SliceEntry};
 use crate::storebuf::ChainedStoreBuffer;
 use icfp_isa::{exec, exec::ArchState, Cycle, DynInst, InstSeq, OpClass, TraceCursor, Value};
 use icfp_mem::MshrId;
 use icfp_pipeline::{PoisonAllocator, PoisonMask, RunResult};
 use serde::{Deserialize, Serialize};
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
 /// A miss whose return will trigger a rally pass.
@@ -106,27 +108,94 @@ impl RallyBatch {
 /// position.  This models the paper's slice-buffer data storage: a rallying
 /// instruction reads "pending from slice" operands from here.
 ///
-/// Backed by an [`FxHashMap`] (fast non-cryptographic hash — a rally writes
-/// it once per executed instruction and reads it only for producers that
-/// have left the slice buffer) whose capacity is retained across rallies
-/// (cleared, not dropped, at episode boundaries).  The serde codec writes
-/// entries sorted by key, so checkpoint bytes are independent of the hasher.
-#[derive(Debug, Default, Serialize, Deserialize)]
+/// A dense window of positions: `slots[k]` says where the result of trace
+/// position `base + k` sits in `vals` (`None` if nothing was recorded there).
+/// `base` is where the episode started, so no slice entry that can still
+/// record a result lies below it, and a rally's write is two indexed stores
+/// (reads come only for producers that have left the slice buffer).  A
+/// position costs four bytes and a result sixteen, so a sparse episode (most
+/// of its instructions never sliced) stays smaller than a hash table of its
+/// results.  Both vectors keep their capacity across episodes (cleared, not
+/// dropped, at episode boundaries).  The checkpoint form is the recorded
+/// `(position, (value, ready))` pairs in increasing position order.
+#[derive(Debug, Default)]
 struct SliceValues {
-    vals: FxHashMap<usize, (Value, Cycle)>,
+    base: usize,
+    slots: Vec<Option<NonZeroU32>>,
+    vals: Vec<(Value, Cycle)>,
 }
 
 impl SliceValues {
+    /// Starts an episode's window at trace position `at`; a window that
+    /// still holds values keeps its base.
+    fn begin(&mut self, at: usize) {
+        if self.slots.is_empty() {
+            self.base = at;
+        }
+    }
+
     fn get(&self, idx: usize) -> Option<(Value, Cycle)> {
-        self.vals.get(&idx).copied()
+        let slot = (*self.slots.get(idx.wrapping_sub(self.base))?)?;
+        Some(self.vals[slot.get() as usize - 1])
     }
 
     fn set(&mut self, idx: usize, v: Value, ready: Cycle) {
-        self.vals.insert(idx, (v, ready));
+        assert!(idx >= self.base, "slice value {idx} below its window");
+        let k = idx - self.base;
+        if k >= self.slots.len() {
+            self.slots.resize(k + 1, None);
+        }
+        match self.slots[k] {
+            Some(slot) => self.vals[slot.get() as usize - 1] = (v, ready),
+            None => self.slots[k] = Some(self.push(v, ready)),
+        }
+    }
+
+    /// Appends a result and returns its slot (its index in `vals`, plus one).
+    fn push(&mut self, v: Value, ready: Cycle) -> NonZeroU32 {
+        self.vals.push((v, ready));
+        u32::try_from(self.vals.len())
+            .ok()
+            .and_then(NonZeroU32::new)
+            .expect("fewer than 2^32 slice values in one episode")
     }
 
     fn clear(&mut self) {
+        self.slots.clear();
         self.vals.clear();
+    }
+
+    /// The window of decoded `pairs` whose base is no higher than `floor`:
+    /// positions must be strictly increasing and below `end` (the machine's
+    /// next trace position).
+    fn from_pairs(pairs: &[(usize, (Value, Cycle))], floor: usize, end: usize) -> Result<Self, &'static str> {
+        let increasing = pairs.windows(2).all(|w| w[0].0 < w[1].0);
+        if !increasing || pairs.last().is_some_and(|p| p.0 >= end) {
+            return Err("slice value positions");
+        }
+        let base = pairs.first().map_or(floor, |p| p.0.min(floor));
+        let span = pairs.last().map_or(0, |p| p.0 + 1 - base);
+        let mut values = SliceValues { base, slots: Vec::new(), vals: Vec::with_capacity(pairs.len()) };
+        if u32::try_from(pairs.len()).is_err() || values.slots.try_reserve_exact(span).is_err() {
+            return Err("slice value window");
+        }
+        values.slots.resize(span, None);
+        for &(idx, (v, ready)) in pairs {
+            values.slots[idx - base] = Some(values.push(v, ready));
+        }
+        Ok(values)
+    }
+}
+
+impl Serialize for SliceValues {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        (self.vals.len() as u64).serialize(out);
+        for (idx, slot) in (self.base..).zip(&self.slots) {
+            if let Some(slot) = slot {
+                idx.serialize(out);
+                self.vals[slot.get() as usize - 1].serialize(out);
+            }
+        }
     }
 }
 
@@ -153,7 +222,7 @@ pub struct IcfpMachine {
     earliest: Option<usize>,
     /// Results of re-executed slice instructions (the slice data storage).
     /// A consumer reads a producer that still sits in the slice buffer through
-    /// its link ([`SliceBuffer::producer`]); this map serves the producers
+    /// its link ([`SliceBuffer::producer`]); this window serves the producers
     /// already reclaimed from the head, and is what a checkpoint carries.
     slice_values: SliceValues,
     /// Scratch: stores drained from the store buffer this step.
@@ -216,6 +285,7 @@ impl IcfpMachine {
     fn poison_for_miss(&mut self, mshr: MshrId, returns_at: Cycle) -> PoisonMask {
         if !self.in_episode() {
             self.eng.stats.advance_episodes += 1;
+            self.slice_values.begin(self.i);
         }
         let bit = self.palloc.bit_for(mshr);
         if let Some(r) = self.rallies.iter_mut().find(|r| r.mshr == mshr) {
@@ -910,7 +980,13 @@ impl Deserialize for IcfpMachine {
         let sbuf = Deserialize::deserialize(r)?;
         let palloc = Deserialize::deserialize(r)?;
         let rallies: Vec<PendingRally> = Deserialize::deserialize(r)?;
-        let slice_values: SliceValues = Deserialize::deserialize(r)?;
+        let pairs: Vec<(usize, (Value, Cycle))> = Deserialize::deserialize(r)?;
+        let i: usize = Deserialize::deserialize(r)?;
+        // Every result still to be recorded belongs to an active entry or
+        // to an instruction not yet processed.
+        let floor = slice.active_entries().map(|e| e.trace_idx).fold(i, usize::min);
+        let slice_values = SliceValues::from_pairs(&pairs, floor, i)
+            .map_err(|what| serde::Error::invalid(what, r.position()))?;
         slice.restore_results(|idx| slice_values.get(idx));
         Ok(IcfpMachine {
             eng,
@@ -922,7 +998,7 @@ impl Deserialize for IcfpMachine {
             slice_values,
             drain_scratch: Vec::with_capacity(store_cap),
             batch: Some(RallyBatch::default()),
-            i: Deserialize::deserialize(r)?,
+            i,
             done: Deserialize::deserialize(r)?,
         })
     }
@@ -1153,6 +1229,32 @@ mod tests {
         let bytes = serde::to_bytes(&IcfpMachine::new(&CoreConfig::paper_default()));
         let words = |w: &[u64]| w.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
         let halves = |w: &[u32]| w.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+        // The slice values, the machine's last fields but two: a count, then
+        // position, value and ready cycle per pair; then the next trace
+        // position and the `done` flag.
+        let fresh = bytes.len() - 8 - 8 - 1;
+        let with_values = |pairs: &[[u64; 3]], i: u64| {
+            let mut b = bytes[..fresh].to_vec();
+            b.extend(words(&[pairs.len() as u64]));
+            pairs.iter().for_each(|p| b.extend(words(p)));
+            b.extend(words(&[i]));
+            b.push(0);
+            b
+        };
+        let sound = with_values(&[[3, 7, 100], [5, 8, 120]], 10);
+        let m = serde::from_bytes::<IcfpMachine>(&sound).expect("sorted positions below i decode");
+        assert_eq!((m.slice_values.get(3), m.slice_values.get(4)), (Some((7, 100)), None));
+        assert_eq!(serde::to_bytes(&m), sound, "the window re-encodes the pairs it decoded");
+        for (what, pairs, i) in [
+            ("slice value positions", vec![[5, 8, 120], [3, 7, 100]], 10),
+            ("slice value positions", vec![[3, 7, 100], [3, 8, 120]], 10),
+            ("slice value positions", vec![[3, 7, 100], [10, 8, 120]], 10),
+            // A span of 2^60 pairs: more bytes than an allocation may hold.
+            ("slice value window", vec![[0, 7, 100], [1 << 60, 8, 120]], 1 << 61),
+        ] {
+            let err = serde::from_bytes::<IcfpMachine>(&with_values(&pairs, i)).unwrap_err();
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
         for (what, from, to) in [
             // The L1 (32 KB, 4-way, 64 B lines) as 48 KB: 192 sets.
             ("cache set count", words(&[32768, 4, 64]), words(&[49152, 4, 64])),

@@ -148,7 +148,9 @@ const VALID: Addr = 1;
 /// A set-associative, LRU-replacement cache tag array with a victim buffer.
 ///
 /// One flat array per field, indexed `set * assoc + way`: a probe scans one
-/// contiguous run of keys.
+/// contiguous run of keys, and so does a fill, which finds the resident way,
+/// the first invalid way and the first least-recently-used way in that one
+/// scan.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
@@ -250,15 +252,33 @@ impl Cache {
         self.fill_internal(self.config.line_addr(addr), now, ready_at, dirty)
     }
 
+    /// Refreshes the line if it is resident, else installs it in the set's
+    /// first invalid way, else in its first least-recently-used way.
     fn fill_internal(&mut self, line_addr: Addr, now: Cycle, ready_at: Cycle, dirty: bool) -> Option<Evicted> {
-        // Already present (e.g. prefetch raced a demand fill): refresh.
-        if let Some(i) = self.find(line_addr) {
+        let ways = self.ways_of(line_addr);
+        let (keys, uses) = (&self.keys[ways.clone()], &self.last_use[ways.clone()]);
+        // One pass finds all three.  It runs backwards so that each find is a
+        // plain overwrite (the last one written is the first way) and compiles
+        // to conditional moves: which way is older is a coin toss to the
+        // host's branch predictor.
+        const NONE: usize = usize::MAX;
+        let (mut resident, mut invalid, mut lru, mut lru_use) = (NONE, NONE, 0, Cycle::MAX);
+        for (w, (&key, &last_use)) in keys.iter().zip(uses).enumerate().rev() {
+            resident = if key == line_addr | VALID { w } else { resident };
+            invalid = if key & VALID == 0 { w } else { invalid };
+            let older = last_use <= lru_use;
+            lru = if older { w } else { lru };
+            lru_use = if older { last_use } else { lru_use };
+        }
+        if resident != NONE {
+            // Already present (e.g. prefetch raced a demand fill): refresh.
+            let i = ways.start + resident;
             self.last_use[i] = now;
             self.ready_at[i] = self.ready_at[i].min(ready_at);
             self.dirty[i] |= dirty;
             return None;
         }
-        let i = self.choose_victim(line_addr);
+        let i = ways.start + if invalid != NONE { invalid } else { lru };
         let (old_key, old_dirty, old_ready) = (self.keys[i], self.dirty[i], self.ready_at[i]);
         self.keys[i] = line_addr | VALID;
         self.dirty[i] = dirty;
@@ -270,17 +290,6 @@ impl Cache {
             return self.victim.insert(old_key & !VALID, old_dirty, old_ready);
         }
         None
-    }
-
-    /// The flat index of the way a fill of `line_addr` replaces: the set's
-    /// first invalid way, else its first least-recently-used way.
-    fn choose_victim(&self, line_addr: Addr) -> usize {
-        let ways = self.ways_of(line_addr);
-        let first = ways.start;
-        match ways.clone().find(|&i| self.keys[i] & VALID == 0) {
-            Some(invalid) => invalid,
-            None => ways.min_by_key(|&i| self.last_use[i]).unwrap_or(first),
-        }
     }
 
     /// Invalidates `addr`'s line if present (used by SLTP's speculative-line

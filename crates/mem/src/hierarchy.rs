@@ -55,7 +55,10 @@ pub struct LoadResponse {
     pub completes_at: Cycle,
     /// How the access was serviced.
     pub outcome: AccessOutcome,
-    /// The MSHR tracking the miss, if the access is waiting on one.  Used by
+    /// The MSHR of a fill still in flight when the data is needed.  An L1
+    /// hit reports it only while its data arrives later than the hit
+    /// latency (a hit under a pending fill) and `None` once the data is
+    /// ready; a miss reports the MSHR it allocated or merged into.  Used by
     /// iCFP to assign poison-vector bits (paper Section 3.4).
     pub mshr: Option<MshrId>,
 }
@@ -202,8 +205,13 @@ impl MemoryHierarchy {
         // 1. L1 probe.
         if let ProbeResult::Hit { ready_at } = self.l1d.access(addr, now, is_write) {
             let completes = ready_at.max(now + l1_lat);
-            // If the line is still being filled there is an MSHR for it.
-            let mshr = self.mshrs.lookup(self.l1d.line_addr(addr)).map(|(id, _)| id);
+            // Data still in flight: the MSHR filling the line, if it is still
+            // outstanding.  Data in time for an ordinary hit needs no walk.
+            let mshr = if completes > now + l1_lat {
+                self.mshrs.lookup(self.l1d.line_addr(addr)).map(|(id, _)| id)
+            } else {
+                None
+            };
             return Ok((completes, AccessOutcome::L1Hit, mshr));
         }
 
@@ -429,6 +437,24 @@ mod tests {
         let r = m.load(0x20000 + 8, a.completes_at + 2).unwrap();
         assert_eq!(r.mshr, Some(b_id));
         assert_eq!(r.completes_at, b.completes_at.max(a.completes_at + 2 + 3));
+    }
+
+    #[test]
+    fn an_l1_hit_names_the_mshr_only_while_its_fill_is_in_flight() {
+        let mut m = hier();
+        let a = m.load(0x4000, 0).unwrap();
+        let id = a.mshr.expect("primary miss holds an MSHR");
+        // A hit under the pending fill waits for it and names its MSHR.
+        let under = m.load(0x4008, 10).unwrap();
+        assert_eq!((under.outcome, under.completes_at, under.mshr), (AccessOutcome::L1Hit, a.completes_at, Some(id)));
+        // Issued within the hit latency of the fill's return, the data is
+        // ready in time: the MSHR is still outstanding, but not reported.
+        let l1_lat = m.config().l1_hit_latency;
+        let late = m.load(0x4010, a.completes_at - l1_lat).unwrap();
+        assert_eq!((late.outcome, late.completes_at, late.mshr), (AccessOutcome::L1Hit, a.completes_at, None));
+        // A plain hit long after the fill.
+        let ready = m.load(0x4018, a.completes_at + 10).unwrap();
+        assert_eq!((ready.outcome, ready.mshr), (AccessOutcome::L1Hit, None));
     }
 
     #[test]

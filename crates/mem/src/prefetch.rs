@@ -8,6 +8,12 @@
 //! ahead by one more block; a demand miss that hits no buffer allocates a new
 //! stream (round-robin over the buffers) starting at the next sequential
 //! block.
+//!
+//! Every L1 miss asks the prefetcher twice whether some buffer holds a block
+//! (the probe, then the "already covered" test when it trains a stream), and
+//! nearly always the answer is no.  A counting presence filter over the held
+//! blocks answers that no without looking at the table; only a block the
+//! filter may hold costs a pass over it.
 
 use icfp_isa::{Addr, Cycle};
 use serde::{Deserialize, Reader, Serialize};
@@ -30,9 +36,9 @@ const EMPTY: Addr = 1;
 ///
 /// One flat `buffers × depth` block table: buffer `b` owns slots
 /// `b * depth .. (b + 1) * depth`, its blocks packed at the front in arrival
-/// order and the rest empty (an odd sentinel), so a probe is one pass over
-/// the table.
-#[derive(Debug, Clone, Serialize)]
+/// order and the rest empty (an odd sentinel).  A lookup is one pass over
+/// the table, taken only when the presence filter may hold the block.
+#[derive(Debug, Clone)]
 pub struct StreamPrefetcher {
     depth: usize,
     block_bytes: u64,
@@ -47,6 +53,15 @@ pub struct StreamPrefetcher {
     blocks: Vec<Addr>,
     /// Arrival cycle of each slot's block.
     ready: Vec<Cycle>,
+    /// The index below is derived from `blocks`: not in the serialized form,
+    /// rebuilt on decode.  Per buffer: how many of its slots hold a block
+    /// (the packed front), so an arrival takes the next free slot directly.
+    filled: Vec<usize>,
+    /// Counting presence filter: per counter, how many held blocks hash to
+    /// it ([`StreamPrefetcher::counter`]).  Zero means no slot holds any
+    /// block of that hash.  A power-of-two length of at least four counters
+    /// per slot.
+    present: Vec<u32>,
 }
 
 impl StreamPrefetcher {
@@ -54,7 +69,7 @@ impl StreamPrefetcher {
     /// to `depth` blocks of `block_bytes` bytes (a power of two of at least
     /// 2).
     pub fn new(num_buffers: usize, depth: usize, block_bytes: u64) -> Self {
-        StreamPrefetcher {
+        let mut p = StreamPrefetcher {
             depth,
             block_bytes,
             next_block: vec![EMPTY; num_buffers],
@@ -62,12 +77,54 @@ impl StreamPrefetcher {
             last_use: vec![0; num_buffers],
             blocks: vec![EMPTY; num_buffers * depth],
             ready: vec![0; num_buffers * depth],
+            filled: Vec::new(),
+            present: Vec::new(),
+        };
+        p.index();
+        p
+    }
+
+    /// Builds the derived index from the block table; false if some buffer
+    /// holds a block after an empty slot (the table is not packed).
+    fn index(&mut self) -> bool {
+        self.filled = vec![0; self.next_block.len()];
+        self.present = vec![0; self.blocks.len().saturating_mul(4).max(4).next_power_of_two()];
+        for (b, slots) in self.blocks.chunks(self.depth.max(1)).enumerate() {
+            self.filled[b] = slots.iter().take_while(|&&a| a != EMPTY).count();
+            if slots[self.filled[b]..].iter().any(|&a| a != EMPTY) {
+                return false;
+            }
         }
+        for k in 0..self.blocks.len() {
+            if self.blocks[k] != EMPTY {
+                let c = self.counter(self.blocks[k]);
+                self.present[c] += 1;
+            }
+        }
+        true
     }
 
     /// Block-aligned address for this prefetcher's block size.
     pub fn block_addr(&self, addr: Addr) -> Addr {
         addr & !(self.block_bytes - 1)
+    }
+
+    /// The presence-filter counter of `block`: its block number,
+    /// Fibonacci-hashed so strided streams spread over the counters.
+    #[inline]
+    fn counter(&self, block: Addr) -> usize {
+        let number = block >> self.block_bytes.trailing_zeros();
+        let bits = self.present.len().trailing_zeros();
+        (number.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// The first slot holding `block`, in table order.
+    #[inline]
+    fn slot_of(&self, block: Addr) -> Option<usize> {
+        if self.present[self.counter(block)] == 0 {
+            return None;
+        }
+        self.blocks.iter().position(|&a| a == block)
     }
 
     /// Probes the stream buffers for `addr`.  On a hit, the block is consumed,
@@ -79,16 +136,20 @@ impl StreamPrefetcher {
         now: Cycle,
     ) -> (Option<Cycle>, Option<PrefetchRequest>) {
         let block = self.block_addr(addr);
-        let Some(slot) = self.blocks.iter().position(|&a| a == block) else {
+        let Some(slot) = self.slot_of(block) else {
             return (None, None);
         };
         let ready = self.ready[slot];
-        // Remove the block, keeping the order of the rest of its buffer.
+        // Remove the block, keeping the order of the rest of its buffer (the
+        // whole buffer shifts: an empty slot's ready time is checkpointed).
         let buffer = slot / self.depth;
         let end = (buffer + 1) * self.depth;
         self.blocks.copy_within(slot + 1..end, slot);
         self.ready.copy_within(slot + 1..end, slot);
         self.blocks[end - 1] = EMPTY;
+        self.filled[buffer] -= 1;
+        let c = self.counter(block);
+        self.present[c] -= 1;
         self.last_use[buffer] = now;
         // Keep the stream running ahead (the buffer now has room).
         let next = self.next_block[buffer];
@@ -126,27 +187,35 @@ impl StreamPrefetcher {
         let block = self.block_addr(addr);
         let next = block.wrapping_add(self.block_bytes);
         // Don't steal a buffer that is already streaming over this address:
-        // some active stream holds the missing block's successor (one pass
-        // over the table — inactive buffers hold no blocks) or its span
-        // covers the miss.
-        if self.next_block.is_empty() || self.blocks.contains(&next) {
+        // some active stream holds the missing block's successor (inactive
+        // buffers hold no blocks) or its span covers the miss.
+        if self.next_block.is_empty() || self.slot_of(next).is_some() {
             return None;
         }
         // One walk over the buffers both checks span coverage and picks the
         // victim: the least-recently-used buffer, inactive buffers first, the
-        // first such on a tie.
-        let (mut victim, mut victim_key) = (0, (true, Cycle::MAX));
-        for (b, &last_use) in self.last_use.iter().enumerate() {
-            let (base, high) = (self.stream_base[b], self.next_block[b]);
+        // first such on a tie.  Like `Cache::fill`'s pass it runs backwards,
+        // so each pick is a plain overwrite in conditional moves.
+        let (mut covered, mut victim, mut victim_active, mut victim_use) = (false, 0, true, Cycle::MAX);
+        let buffers = self.stream_base.iter().zip(&self.next_block).zip(&self.last_use);
+        for (b, ((&base, &high), &last_use)) in buffers.enumerate().rev() {
             let active = high != EMPTY;
-            if active && (high == next || (block >= base && next <= high)) {
-                return None;
-            }
-            if b == 0 || (active, last_use) < victim_key {
-                (victim, victim_key) = (b, (active, last_use));
-            }
+            covered |= active & ((high == next) | ((block >= base) & (next <= high)));
+            let older = (!active & victim_active) | ((active == victim_active) & (last_use <= victim_use));
+            victim = if older { b } else { victim };
+            victim_active = if older { active } else { victim_active };
+            victim_use = if older { last_use } else { victim_use };
         }
-        self.blocks[victim * self.depth..(victim + 1) * self.depth].fill(EMPTY);
+        if covered {
+            return None;
+        }
+        let start = victim * self.depth;
+        for k in start..start + self.filled[victim] {
+            let c = self.counter(self.blocks[k]);
+            self.present[c] -= 1;
+            self.blocks[k] = EMPTY;
+        }
+        self.filled[victim] = 0;
         self.last_use[victim] = now;
         self.stream_base[victim] = block;
         self.next_block[victim] = next.wrapping_add(self.block_bytes.wrapping_mul(self.depth as u64));
@@ -156,13 +225,15 @@ impl StreamPrefetcher {
     /// Records that a previously requested prefetch block will arrive at
     /// `ready_at`.  Blocks beyond the buffer's depth are dropped.
     pub fn record_arrival(&mut self, req: PrefetchRequest, ready_at: Cycle) {
-        if self.next_block.get(req.buffer).is_some_and(|&n| n != EMPTY) {
-            let start = req.buffer * self.depth;
-            let slots = &self.blocks[start..start + self.depth];
-            if let Some(k) = slots.iter().position(|&a| a == EMPTY) {
-                self.blocks[start + k] = req.block_addr;
-                self.ready[start + k] = ready_at;
-            }
+        debug_assert_ne!(req.block_addr, EMPTY, "a requested block is aligned");
+        let b = req.buffer;
+        if self.next_block.get(b).is_some_and(|&n| n != EMPTY) && self.filled[b] < self.depth {
+            let slot = b * self.depth + self.filled[b];
+            self.blocks[slot] = req.block_addr;
+            self.ready[slot] = ready_at;
+            self.filled[b] += 1;
+            let c = self.counter(req.block_addr);
+            self.present[c] += 1;
         }
     }
 
@@ -178,12 +249,27 @@ impl StreamPrefetcher {
 
     /// Number of blocks currently held or in flight across all buffers.
     pub fn blocks_in_flight(&self) -> usize {
-        self.blocks.iter().filter(|&&a| a != EMPTY).count()
+        self.filled.iter().sum()
+    }
+}
+
+/// Checkpoint codec: the geometry, then each per-buffer and per-slot array;
+/// the derived index is left out.
+impl Serialize for StreamPrefetcher {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        self.depth.serialize(out);
+        self.block_bytes.serialize(out);
+        self.next_block.serialize(out);
+        self.stream_base.serialize(out);
+        self.last_use.serialize(out);
+        self.blocks.serialize(out);
+        self.ready.serialize(out);
     }
 }
 
 /// Refuses a block size with no free low bit, per-buffer arrays of unequal
-/// length, and a block table that is not buffers × depth slots.
+/// length, a block table that is not buffers × depth slots, and a buffer
+/// with a block after an empty slot; rebuilds the derived index.
 impl Deserialize for StreamPrefetcher {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
         let depth: usize = Deserialize::deserialize(r)?;
@@ -196,7 +282,7 @@ impl Deserialize for StreamPrefetcher {
         let slots = buffers
             .checked_mul(depth)
             .ok_or(serde::Error::invalid("stream buffer depth", r.position()))?;
-        Ok(StreamPrefetcher {
+        let mut p = StreamPrefetcher {
             depth,
             block_bytes,
             next_block,
@@ -204,7 +290,13 @@ impl Deserialize for StreamPrefetcher {
             last_use: serde::vec_of_len(r, buffers, "stream last-use array length")?,
             blocks: serde::vec_of_len(r, slots, "stream table length")?,
             ready: serde::vec_of_len(r, slots, "stream ready-time array length")?,
-        })
+            filled: Vec::new(),
+            present: Vec::new(),
+        };
+        if !p.index() {
+            return Err(serde::Error::invalid("stream buffer packing", r.position()));
+        }
+        Ok(p)
     }
 }
 
@@ -298,6 +390,7 @@ mod tests {
             (|p| p.last_use.push(0), "stream last-use array length"),
             (|p| p.depth = usize::MAX, "stream buffer depth"),
             (|p| p.block_bytes = 1, "stream block size"),
+            (|p| p.blocks[0] = EMPTY, "stream buffer packing"),
         ] {
             let mut hostile = p.clone();
             mutate(&mut hostile);

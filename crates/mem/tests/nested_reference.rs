@@ -1,7 +1,11 @@
 //! The nested-table [`Cache`] and [`StreamPrefetcher`] the flat ones
 //! replaced — a `Vec` of lines per set, a `Vec` of blocks per stream buffer —
 //! kept as test references: seeded random operation streams must get the same
-//! answers and occupancy from both.
+//! answers and occupancy from both, also where the flat ones answer from a
+//! derived index (the prefetcher's presence filter and fill counts, rebuilt
+//! from the checkpoint bytes) or from one pass over a set (a fill picks the
+//! resident way, else the first invalid way, else the first of the
+//! least-recently-used ways).
 
 use icfp_isa::{Addr, Cycle};
 use icfp_mem::cache::{Evicted, ProbeResult};
@@ -21,6 +25,9 @@ struct NestedCache {
     config: CacheConfig,
     sets: Vec<Vec<Line>>,
     victim: VictimBuffer,
+    /// Fills that replaced a valid way while two or more ways were least
+    /// recently used.
+    lru_ties: u32,
 }
 
 impl NestedCache {
@@ -30,6 +37,7 @@ impl NestedCache {
             sets: vec![vec![invalid; config.assoc]; config.num_sets()],
             victim: VictimBuffer::new(config.victim_entries),
             config,
+            lru_ties: 0,
         }
     }
 
@@ -72,7 +80,9 @@ impl NestedCache {
         let set = &mut self.sets[self.config.set_index(line_addr)];
         let way = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
             let oldest = set.iter().enumerate().min_by_key(|(_, l)| l.last_use);
-            oldest.map(|(i, _)| i).expect("associativity is at least 1")
+            let (way, line) = oldest.expect("associativity is at least 1");
+            self.lru_ties += u32::from(set.iter().filter(|l| l.last_use == line.last_use).count() > 1);
+            way
         });
         let old = std::mem::replace(&mut set[way], Line { tag: line_addr, valid: true, dirty, last_use: now, ready_at });
         if !old.valid {
@@ -103,6 +113,8 @@ struct NestedPrefetcher {
     buffers: Vec<StreamBuffer>,
     depth: usize,
     block_bytes: u64,
+    /// Probe hits on a block two or more active buffers held.
+    shared_hits: u32,
 }
 
 impl NestedPrefetcher {
@@ -112,11 +124,14 @@ impl NestedPrefetcher {
             buffers: (0..num_buffers).map(|_| empty()).collect(),
             depth,
             block_bytes,
+            shared_hits: 0,
         }
     }
 
     fn probe(&mut self, addr: Addr, now: Cycle) -> (Option<Cycle>, Option<PrefetchRequest>) {
         let block = addr & !(self.block_bytes - 1);
+        let holders = self.buffers.iter().filter(|b| b.active && b.blocks.iter().any(|&(a, _)| a == block));
+        self.shared_hits += u32::from(holders.count() > 1);
         for (bi, buf) in self.buffers.iter_mut().enumerate().filter(|(_, b)| b.active) {
             if let Some(pos) = buf.blocks.iter().position(|&(a, _)| a == block) {
                 let (_, ready) = buf.blocks.remove(pos);
@@ -191,18 +206,26 @@ fn next(state: &mut u64) -> u64 {
 fn flat_caches_match_the_nested_reference_on_random_operations() {
     let (paper, tiny) = (MemConfig::paper_default(), MemConfig::tiny_for_tests());
     let direct = CacheConfig { size_bytes: 2048, assoc: 1, line_bytes: 32, victim_entries: 0 };
-    for (seed, config) in [paper.l1d, paper.l2, tiny.l1d, tiny.l2, direct].into_iter().enumerate() {
+    let configs = [paper.l1d, paper.l2, tiny.l1d, tiny.l2, direct];
+    // Two streams per geometry: one whose clock advances on two operations in
+    // three over every set, and one whose clock stands still for fifteen in
+    // sixteen over two sets, so least-recently-used ties meet evictions and
+    // the fill must take the first of the tied ways.
+    let streams = configs.into_iter().enumerate().flat_map(|(seed, c)| [(seed, c, false), (seed + 100, c, true)]);
+    for (seed, config, still) in streams {
         let (mut flat, mut nested) = (Cache::new(config), NestedCache::new(config));
         // Three lines per way, so sets fill, evict and hit the victim buffer.
-        let lines = (config.num_sets() * config.assoc * 3) as u64;
+        let sets = if still { config.num_sets().min(2) } else { config.num_sets() } as u64;
+        let lines = sets * config.assoc as u64 * 3;
         let (mut state, mut now) = (seed as u64, 0u64);
         // Coverage: array hits, victim-buffer hits, misses, dirty lines
         // handed back for writeback.
         let (mut hits, mut victim_hits, mut misses, mut writebacks) = (0, 0, 0, 0);
         for k in 0..30_000 {
             let r = next(&mut state);
-            now += (r >> 60) % 3;
-            let addr = (r % lines) * config.line_bytes + (r >> 20) % config.line_bytes;
+            now += if still { u64::from(r >> 60 == 0) } else { (r >> 60) % 3 };
+            let line = (r % lines) / sets * config.num_sets() as u64 + (r % lines) % sets;
+            let addr = line * config.line_bytes + (r >> 20) % config.line_bytes;
             match (r >> 32) % 8 {
                 0..=3 => {
                     let write = (r >> 40).is_multiple_of(4);
@@ -228,9 +251,11 @@ fn flat_caches_match_the_nested_reference_on_random_operations() {
                 assert_eq!(flat.resident_lines(), nested.resident_lines(), "{config:?} op {k}");
             }
         }
-        let counts = format!("{hits} hits, {victim_hits} victim hits, {misses} misses, {writebacks} writebacks");
+        let ties = nested.lru_ties;
+        let counts = format!("{hits} hits, {victim_hits} victim hits, {misses} misses, {writebacks} writebacks, {ties} LRU ties");
         assert!(hits > 1000 && misses > 1000 && writebacks > 0, "{config:?}: {counts}");
         assert!(config.victim_entries == 0 || victim_hits > 0, "{config:?}: {counts}");
+        assert!(!still || config.assoc == 1 || ties > 20, "{config:?}: {counts}");
     }
 }
 
@@ -249,7 +274,7 @@ fn flat_stream_buffers_match_the_nested_reference_on_random_operations() {
         // Requests the prefetcher made and the hierarchy has not answered.
         let mut pending: Vec<PrefetchRequest> = Vec::new();
         let (mut state, mut now) = (seed as u64 + 100, 0u64);
-        let mut hits = 0;
+        let (mut hits, mut drops, mut decodes) = (0, 0, 0);
         for k in 0..30_000 {
             let r = next(&mut state);
             now += (r >> 60) % 4;
@@ -274,16 +299,30 @@ fn flat_stream_buffers_match_the_nested_reference_on_random_operations() {
                     if (r >> 36).is_multiple_of(4) {
                         flat.record_drop(req);
                         nested.record_drop(req);
+                        drops += 1;
                     } else {
                         let ready = now + (r >> 44) % 600;
                         flat.record_arrival(req, ready);
                         nested.record_arrival(req, ready);
                     }
                 }
+                7 if (r >> 40).is_multiple_of(8) => {
+                    // Continue from the checkpoint bytes: the derived index
+                    // is rebuilt from them.
+                    let bytes = serde::to_bytes(&flat);
+                    flat = serde::from_bytes(&bytes).expect("own bytes decode");
+                    assert_eq!(serde::to_bytes(&flat), bytes, "{buffers}x{depth}x{block} op {k}");
+                    decodes += 1;
+                }
                 _ => {}
             }
             assert_eq!(flat.blocks_in_flight(), nested.blocks_in_flight(), "{buffers}x{depth}x{block} op {k}");
         }
-        assert!(buffers == 0 || hits > 100, "{buffers}x{depth}: the stream never hit");
+        let shared = nested.shared_hits;
+        let counts = format!("{hits} hits, {shared} on a block two buffers held, {drops} drops, {decodes} decodes");
+        assert!(buffers == 0 || hits > 100, "{buffers}x{depth}: {counts}");
+        assert!(buffers < 2 || shared > 0, "{buffers}x{depth}: {counts}");
+        assert!(buffers == 0 || drops > 100, "{buffers}x{depth}: {counts}");
+        assert!(decodes > 100, "{buffers}x{depth}: {counts}");
     }
 }
