@@ -444,7 +444,8 @@ fn follow(
     // the same before the last of them.
     let (mut k, mut top, mut prev) = (g, 0, 0);
     loop {
-        if k > g && rec.state(k).is_none() {
+        // `rec.state(k).is_none()`, without decoding the grid's state.
+        if k > g && (k - rec.first) / GRID >= rec.grids.len() {
             return land(rec, shift, eng, g, k - GRID, prev, live);
         }
         // A whole inert block the walk does not end in is taken at once.

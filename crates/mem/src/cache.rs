@@ -85,18 +85,30 @@ pub struct Evicted {
 /// (who normally re-fills it into the main array).  Each entry keeps the
 /// line's fill-ready cycle: a line evicted while its fill is still in flight
 /// must not supply data before that fill would have arrived.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Entries stay in the slot they were inserted into, stamped with their
+/// insertion order, so nothing shifts: an insert takes a free slot or
+/// displaces the oldest entry, and a probe takes the oldest entry holding the
+/// line — a line a prefetch refilled while it was buffered can be evicted
+/// into the buffer a second time — each in one pass.  The checkpoint lists
+/// the entries oldest first.
+#[derive(Debug, Clone)]
 pub struct VictimBuffer {
-    entries: Vec<(Addr, bool, Cycle)>, // (line address, dirty, data ready at)
+    /// (line address, dirty, data ready at, insertion stamp); stamp 0 is a
+    /// free slot.  Grows to `capacity` slots, then slots are reused.
+    slots: Vec<(Addr, bool, Cycle, u64)>,
     capacity: usize,
+    /// The next insertion's stamp (stamps start at 1).
+    next_stamp: u64,
 }
 
 impl VictimBuffer {
     /// Creates a victim buffer with `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         VictimBuffer {
-            entries: Vec::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
             capacity,
+            next_stamp: 1,
         }
     }
 
@@ -106,38 +118,66 @@ impl VictimBuffer {
         if self.capacity == 0 {
             return Some(Evicted { line_addr, dirty });
         }
-        let displaced = if self.entries.len() == self.capacity {
-            let (a, d, _) = self.entries.remove(0);
-            Some(Evicted {
-                line_addr: a,
-                dirty: d,
-            })
-        } else {
-            None
-        };
-        self.entries.push((line_addr, dirty, ready_at));
-        displaced
+        let entry = (line_addr, dirty, ready_at, self.next_stamp);
+        self.next_stamp += 1;
+        if self.slots.len() < self.capacity {
+            self.slots.push(entry);
+            return None;
+        }
+        // A free slot's stamp (0) is the lowest, so the one pass finds a free
+        // slot before it finds the oldest entry.
+        let oldest = self.slots.iter_mut().min_by_key(|s| s.3).expect("capacity > 0");
+        let (a, d, _, stamp) = std::mem::replace(oldest, entry);
+        (stamp != 0).then_some(Evicted { line_addr: a, dirty: d })
     }
 
-    /// Probes for a line; on a hit the entry is removed and its dirtiness and
-    /// data-ready cycle returned (the caller re-fills it into the main array).
+    /// Probes for a line; on a hit the oldest entry holding it is removed and
+    /// its dirtiness and data-ready cycle returned (the caller re-fills it
+    /// into the main array).
     pub fn take(&mut self, line_addr: Addr) -> Option<(bool, Cycle)> {
-        if let Some(pos) = self.entries.iter().position(|&(a, _, _)| a == line_addr) {
-            let (_, dirty, ready_at) = self.entries.remove(pos);
-            Some((dirty, ready_at))
-        } else {
-            None
-        }
+        let held = self.slots.iter_mut().filter(|s| s.0 == line_addr && s.3 != 0);
+        let oldest = held.min_by_key(|s| s.3)?;
+        oldest.3 = 0;
+        Some((oldest.1, oldest.2))
     }
 
     /// Number of lines currently buffered.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.iter().filter(|s| s.3 != 0).count()
     }
 
     /// True if no lines are buffered.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
+    }
+}
+
+/// Checkpoint codec: the entries as `(line address, dirty, ready at)`, oldest
+/// first, then the capacity.
+impl Serialize for VictimBuffer {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        let mut held: Vec<_> = self.slots.iter().filter(|s| s.3 != 0).collect();
+        held.sort_unstable_by_key(|s| s.3);
+        (held.len() as u64).serialize(out);
+        for &&(line_addr, dirty, ready_at, _) in &held {
+            (line_addr, dirty, ready_at).serialize(out);
+        }
+        self.capacity.serialize(out);
+    }
+}
+
+/// Refuses more entries than the capacity.
+impl Deserialize for VictimBuffer {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        let entries: Vec<(Addr, bool, Cycle)> = Deserialize::deserialize(r)?;
+        let at = r.position();
+        let capacity: usize = Deserialize::deserialize(r)?;
+        if entries.len() > capacity {
+            return Err(serde::Error::invalid("victim buffer occupancy (more entries than its capacity)", at));
+        }
+        let stamped = (1..).zip(entries).map(|(stamp, (a, d, ready))| (a, d, ready, stamp));
+        let slots: Vec<_> = stamped.collect();
+        Ok(VictimBuffer { next_stamp: slots.len() as u64 + 1, slots, capacity })
     }
 }
 
@@ -404,6 +444,27 @@ mod tests {
         let displaced = vb.insert(0x80, true, 0).expect("should displace");
         assert_eq!(displaced.line_addr, 0x40);
         assert_eq!(vb.len(), 1);
+    }
+
+    #[test]
+    fn a_line_buffered_twice_is_taken_oldest_copy_first() {
+        let mut vb = VictimBuffer::new(3);
+        vb.insert(0x40, false, 1);
+        vb.insert(0x80, false, 2);
+        assert!(vb.take(0x80).is_some());
+        vb.insert(0x40, true, 9); // into the slot 0x80 freed
+        assert_eq!((vb.take(0x40), vb.take(0x40), vb.take(0x40)), (Some((false, 1)), Some((true, 9)), None));
+        assert!(vb.is_empty());
+    }
+
+    #[test]
+    fn a_victim_buffer_with_more_entries_than_its_capacity_does_not_decode() {
+        let entries = vec![(0x40u64, false, 0u64), (0x80, true, 3)];
+        let fits = serde::to_bytes(&(entries.clone(), 2usize));
+        let vb: VictimBuffer = serde::from_bytes(&fits).expect("decode");
+        assert_eq!((vb.len(), serde::to_bytes(&vb)), (2, fits));
+        let over = serde::from_bytes::<VictimBuffer>(&serde::to_bytes(&(entries, 1usize))).unwrap_err();
+        assert!(over.to_string().contains("victim buffer occupancy"), "{over}");
     }
 
     #[test]

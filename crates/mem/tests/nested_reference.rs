@@ -1,16 +1,57 @@
 //! The nested-table [`Cache`] and [`StreamPrefetcher`] the flat ones
 //! replaced — a `Vec` of lines per set, a `Vec` of blocks per stream buffer —
-//! kept as test references: seeded random operation streams must get the same
-//! answers and occupancy from both, also where the flat ones answer from a
-//! derived index (the prefetcher's presence filter and fill counts, rebuilt
-//! from the checkpoint bytes) or from one pass over a set (a fill picks the
-//! resident way, else the first invalid way, else the first of the
-//! least-recently-used ways).
+//! and the shifting [`VictimBuffer`] the stamped one replaced, kept as test
+//! references: seeded random operation streams must get the same answers,
+//! occupancy and checkpoint bytes from both, also where the flat ones answer
+//! from a derived index (the prefetcher's presence filter and fill counts,
+//! rebuilt from the checkpoint bytes), from one pass over a set (a fill picks
+//! the resident way, else the first invalid way, else the first of the
+//! least-recently-used ways) or from insertion stamps (the victim buffer's
+//! oldest entry, and its oldest copy of a line buffered twice).
 
 use icfp_isa::{Addr, Cycle};
 use icfp_mem::cache::{Evicted, ProbeResult};
 use icfp_mem::prefetch::PrefetchRequest;
 use icfp_mem::{Cache, CacheConfig, MemConfig, StreamPrefetcher, VictimBuffer};
+
+/// The victim buffer as a `Vec` in insertion order: an insert past capacity
+/// shifts out the front, a probe takes the first match and shifts the rest.
+struct ShiftingVictims {
+    entries: Vec<(Addr, bool, Cycle)>,
+    capacity: usize,
+    /// Inserts of a line the buffer already held.
+    duplicates: u32,
+}
+
+impl ShiftingVictims {
+    fn new(capacity: usize) -> Self {
+        ShiftingVictims { entries: Vec::new(), capacity, duplicates: 0 }
+    }
+
+    fn insert(&mut self, line_addr: Addr, dirty: bool, ready_at: Cycle) -> Option<Evicted> {
+        if self.capacity == 0 {
+            return Some(Evicted { line_addr, dirty });
+        }
+        self.duplicates += u32::from(self.entries.iter().any(|e| e.0 == line_addr));
+        let displaced = (self.entries.len() == self.capacity).then(|| {
+            let (line_addr, dirty, _) = self.entries.remove(0);
+            Evicted { line_addr, dirty }
+        });
+        self.entries.push((line_addr, dirty, ready_at));
+        displaced
+    }
+
+    fn take(&mut self, line_addr: Addr) -> Option<(bool, Cycle)> {
+        let pos = self.entries.iter().position(|e| e.0 == line_addr)?;
+        let (_, dirty, ready_at) = self.entries.remove(pos);
+        Some((dirty, ready_at))
+    }
+
+    /// The checkpoint bytes of a buffer holding these entries.
+    fn bytes(&self) -> Vec<u8> {
+        serde::to_bytes(&(self.entries.clone(), self.capacity))
+    }
+}
 
 #[derive(Clone, Copy)]
 struct Line {
@@ -24,7 +65,7 @@ struct Line {
 struct NestedCache {
     config: CacheConfig,
     sets: Vec<Vec<Line>>,
-    victim: VictimBuffer,
+    victim: ShiftingVictims,
     /// Fills that replaced a valid way while two or more ways were least
     /// recently used.
     lru_ties: u32,
@@ -35,7 +76,7 @@ impl NestedCache {
         let invalid = Line { tag: 0, valid: false, dirty: false, last_use: 0, ready_at: 0 };
         NestedCache {
             sets: vec![vec![invalid; config.assoc]; config.num_sets()],
-            victim: VictimBuffer::new(config.victim_entries),
+            victim: ShiftingVictims::new(config.victim_entries),
             config,
             lru_ties: 0,
         }
@@ -206,7 +247,8 @@ fn next(state: &mut u64) -> u64 {
 fn flat_caches_match_the_nested_reference_on_random_operations() {
     let (paper, tiny) = (MemConfig::paper_default(), MemConfig::tiny_for_tests());
     let direct = CacheConfig { size_bytes: 2048, assoc: 1, line_bytes: 32, victim_entries: 0 };
-    let configs = [paper.l1d, paper.l2, tiny.l1d, tiny.l2, direct];
+    let one_victim = CacheConfig { size_bytes: 1024, assoc: 2, line_bytes: 64, victim_entries: 1 };
+    let configs = [paper.l1d, paper.l2, tiny.l1d, tiny.l2, direct, one_victim];
     // Two streams per geometry: one whose clock advances on two operations in
     // three over every set, and one whose clock stands still for fifteen in
     // sixteen over two sets, so least-recently-used ties meet evictions and
@@ -250,12 +292,61 @@ fn flat_caches_match_the_nested_reference_on_random_operations() {
             if k % 64 == 0 {
                 assert_eq!(flat.resident_lines(), nested.resident_lines(), "{config:?} op {k}");
             }
+            if k % 1000 == 999 {
+                // Continue from the checkpoint bytes: the victim buffer's
+                // stamps are rebuilt from its entry order.
+                let bytes = serde::to_bytes(&flat);
+                flat = serde::from_bytes(&bytes).expect("own bytes decode");
+                assert_eq!(serde::to_bytes(&flat), bytes, "{config:?} op {k}");
+            }
         }
-        let ties = nested.lru_ties;
-        let counts = format!("{hits} hits, {victim_hits} victim hits, {misses} misses, {writebacks} writebacks, {ties} LRU ties");
+        let (ties, duplicates) = (nested.lru_ties, nested.victim.duplicates);
+        let counts = format!(
+            "{hits} hits, {victim_hits} victim hits, {misses} misses, {writebacks} writebacks, {ties} LRU ties, \
+             {duplicates} lines buffered twice"
+        );
         assert!(hits > 1000 && misses > 1000 && writebacks > 0, "{config:?}: {counts}");
         assert!(config.victim_entries == 0 || victim_hits > 0, "{config:?}: {counts}");
+        assert!(!still || config.victim_entries < 2 || duplicates > 0, "{config:?}: {counts}");
         assert!(!still || config.assoc == 1 || ties > 20, "{config:?}: {counts}");
+    }
+}
+
+#[test]
+fn the_stamped_victim_buffer_matches_the_shifting_reference_on_random_operations() {
+    for (seed, capacity) in [0usize, 1, 2, 3, 8].into_iter().enumerate() {
+        let (mut stamped, mut shifting) = (VictimBuffer::new(capacity), ShiftingVictims::new(capacity));
+        let (mut state, mut hits, mut displaced, mut decodes) = (seed as u64 + 200, 0, 0, 0);
+        for k in 0..20_000 {
+            let r = next(&mut state);
+            // Few lines, so the buffer often holds one line twice.
+            let line = ((r >> 8) % (capacity as u64 + 3)) * 64;
+            match (r >> 32) % 8 {
+                0..=3 => {
+                    let (dirty, ready) = ((r >> 40).is_multiple_of(3), (r >> 44) % 1000);
+                    let got = stamped.insert(line, dirty, ready);
+                    assert_eq!(got, shifting.insert(line, dirty, ready), "capacity {capacity} op {k}");
+                    displaced += u32::from(got.is_some());
+                }
+                4..=6 => {
+                    let got = stamped.take(line);
+                    assert_eq!(got, shifting.take(line), "capacity {capacity} op {k}");
+                    hits += u32::from(got.is_some());
+                }
+                _ => {
+                    let bytes = serde::to_bytes(&stamped);
+                    assert_eq!(bytes, shifting.bytes(), "capacity {capacity} op {k}");
+                    stamped = serde::from_bytes(&bytes).expect("own bytes decode");
+                    decodes += 1;
+                }
+            }
+            assert_eq!(stamped.len(), shifting.entries.len(), "capacity {capacity} op {k}");
+        }
+        let duplicates = shifting.duplicates;
+        let counts = format!("{hits} hits, {displaced} displaced, {duplicates} lines buffered twice, {decodes} decodes");
+        assert!(displaced > 1000 && decodes > 1000, "capacity {capacity}: {counts}");
+        assert!(capacity == 0 || hits > 1000, "capacity {capacity}: {counts}");
+        assert!(capacity < 2 || duplicates > 1000, "capacity {capacity}: {counts}");
     }
 }
 

@@ -31,19 +31,34 @@
 //! Every load failure — wrong magic, truncation, key or digest mismatch,
 //! undecodable payload — is a typed [`CacheError`], never a panic; the
 //! executor treats a damaged entry as a miss and recomputes.
+//!
+//! A handle also remembers, in memory only, the trace digest of each registry
+//! column a sweep built through it: a registry column's digest is a pure
+//! function of its name, instruction budget and per-column seed, so a later
+//! submission keys that column's cells without generating it again.
 
 use crate::fault::FaultPlan;
 use icfp_isa::fnv1a;
 use icfp_sim::CellFigures;
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The container magic (and version): bump to invalidate every entry.
 pub const MAGIC: &[u8] = b"icfp-cache/v1";
+
+/// The most registry columns one handle remembers; past it the memory starts
+/// over, which costs later submissions a rebuild of their columns, nothing
+/// else.
+const REMEMBERED_COLUMNS: usize = 1024;
+
+/// A registry column's identity: workload name, instruction budget and
+/// per-column seed.
+pub(crate) type ColumnId = (&'static str, usize, u64);
 
 /// Distinguishes concurrent writers' temp files within one process.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -105,11 +120,16 @@ impl From<io::Error> for CacheError {
 }
 
 /// A persistent result cache rooted at one directory; one `.cell` file per
-/// entry, named by the entry's key.  Cheap to clone conceptually (it holds
-/// only the path) and safe to share across the executor's worker threads.
+/// entry, named by the entry's key.  It holds the path and, shared by every
+/// clone and never persisted, the trace digests of the registry columns built
+/// through it (see the module docs), so a daemon that opens it once serves a
+/// fully cached grid without generating a column.  Cheap to clone and safe to
+/// share across the executor's worker threads.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     dir: PathBuf,
+    /// Registry column identity → the trace digest its cells are keyed under.
+    columns: Arc<Mutex<HashMap<ColumnId, u64>>>,
     /// Armed only by the fault-injection harness: tears the chosen entry
     /// write before it reaches disk (see [`FaultPlan::corrupt_cache_write`]).
     fault: Option<Arc<FaultPlan>>,
@@ -124,7 +144,22 @@ impl ResultCache {
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, CacheError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(ResultCache { dir, fault: None })
+        Ok(ResultCache { dir, columns: Arc::default(), fault: None })
+    }
+
+    /// The trace digest remembered for a registry column, if one was built
+    /// through this handle (or a clone of it).
+    pub(crate) fn column_digest(&self, column: ColumnId) -> Option<u64> {
+        self.columns.lock().unwrap_or_else(PoisonError::into_inner).get(&column).copied()
+    }
+
+    /// Remembers a built registry column's trace digest.
+    pub(crate) fn remember_column(&self, column: ColumnId, digest: u64) {
+        let mut columns = self.columns.lock().unwrap_or_else(PoisonError::into_inner);
+        if columns.len() >= REMEMBERED_COLUMNS {
+            columns.clear();
+        }
+        columns.insert(column, digest);
     }
 
     /// Arms a [`FaultPlan`] on this cache's write path — the deterministic

@@ -2,11 +2,14 @@
 //! fork groups — the jobs of one column that share a cache key — in
 //! column-major order), then a `std::thread` pool pulling those groups from an
 //! atomic counter — each computed once, optionally through a persistent
-//! result cache — streaming cells to a callback as they finish.  A column's
-//! trace is built when its first group starts and released when its last has
-//! finished, so a pool of T threads holds at most T columns.
+//! result cache — streaming cells to a callback as they finish.  A group is
+//! keyed under its column's trace digest, which for a registry column the
+//! result cache remembers from an earlier sweep; a column's trace is built
+//! only when a group needs it — to learn that digest, or to compute a cell the
+//! cache lacks — and released when its last group has finished, so a pool of
+//! T threads holds at most T columns and a fully cached grid builds none.
 
-use crate::cache::ResultCache;
+use crate::cache::{ColumnId, ResultCache};
 use crate::fault::FaultPlan;
 use crate::job::SweepJob;
 use crate::plan::{merge_cells, SweepShard};
@@ -277,6 +280,9 @@ pub(crate) fn fork_groups(jobs: &[SweepJob], columns: usize) -> Vec<Vec<usize>> 
 enum ColumnState {
     /// Resolved; nothing generated or decoded yet.
     Resolved(Column),
+    /// Not built, but its digest is known: the one the result cache remembers
+    /// for this registry column, held to the submission's.
+    Keyed(Column, u64),
     /// Built and, where a digest was supplied, checked: some group needs it yet.
     Live(Arc<dyn TraceSource>),
     /// Every group of the column has finished or failed, or none runs here.
@@ -311,6 +317,9 @@ pub(crate) struct Prepared<'a> {
     /// or a shard's.  The plan — and every deterministic output — is
     /// independent of thread count and scheduling.
     groups: Vec<Vec<usize>>,
+    /// Columns built by this sweep.
+    #[cfg(test)]
+    built: AtomicUsize,
 }
 
 impl<'a> Prepared<'a> {
@@ -344,7 +353,15 @@ impl<'a> Prepared<'a> {
             })
         };
         let columns = spec.workloads.iter().enumerate().map(slot).collect::<Result<_, String>>()?;
-        Ok(Prepared { spec, opts: *opts, jobs, columns, groups })
+        Ok(Prepared {
+            spec,
+            opts: *opts,
+            jobs,
+            columns,
+            groups,
+            #[cfg(test)]
+            built: AtomicUsize::new(0),
+        })
     }
 
     /// How many cells this sweep produces: the grid's, or the shard's.
@@ -359,27 +376,80 @@ impl<'a> Prepared<'a> {
         self.opts.threads.clamp(1, self.groups.len())
     }
 
+    /// The registry identity of column `c` ([`ResultCache::column_digest`]),
+    /// if it is a registry column.
+    fn registry_id(&self, c: usize, column: &Column) -> Option<ColumnId> {
+        let Column::Registry(row) = column else { return None };
+        Some((row.name, self.spec.insts, self.spec.workload_seed(&self.spec.workloads[c])))
+    }
+
+    /// Refuses column `c` unless `digest` is the one the submission planned
+    /// for it, if any.
+    fn hold(&self, c: usize, digest: u64) -> Result<(), String> {
+        match self.columns[c].expect {
+            Some(planned) if planned != digest => Err(format!(
+                "shard column {:?}: trace digest {digest:#018x} does not match the planner's \
+                 {planned:#018x}",
+                self.spec.workloads[c]
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Column `c`'s trace digest, which its groups are keyed under: the one
+    /// the result cache remembers for a registry column — nothing is built —
+    /// or else the built trace's ([`Prepared::column`]).  Either is held to
+    /// the submission's digest before any cell of the column is computed,
+    /// cached or streamed.
+    fn digest(&self, c: usize) -> Result<u64, String> {
+        let mut state = self.columns[c].state.lock().unwrap_or_else(PoisonError::into_inner);
+        let remembered = match &*state {
+            ColumnState::Live(source) => return Ok(source.digest()),
+            ColumnState::Keyed(_, digest) => return Ok(*digest),
+            ColumnState::Resolved(column) => {
+                self.opts.cache.and_then(|cache| cache.column_digest(self.registry_id(c, column)?))
+            }
+            ColumnState::Released => None,
+        };
+        let Some(digest) = remembered else {
+            drop(state);
+            return Ok(self.column(c)?.digest());
+        };
+        if let Err(e) = self.hold(c, digest) {
+            *state = ColumnState::Released;
+            return Err(e);
+        }
+        if let ColumnState::Resolved(column) = std::mem::replace(&mut *state, ColumnState::Released) {
+            *state = ColumnState::Keyed(column, digest);
+        }
+        Ok(digest)
+    }
+
     /// Column `c`'s trace, built by whichever of its groups asks first (the
     /// others wait on the slot) and — where the submission supplied one —
     /// held to its digest before any cell of the column is computed, cached or
-    /// streamed: a mismatch drops the trace again and ends the sweep.
+    /// streamed: a mismatch drops the trace again and ends the sweep.  A built
+    /// registry column's digest is remembered by the result cache.
     fn column(&self, c: usize) -> Result<Arc<dyn TraceSource>, String> {
         let (slot, workload) = (&self.columns[c], &self.spec.workloads[c]);
         // Every update of the state is one assignment made once a source
         // exists, so a generator that panicked under the lock left it valid.
         let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
-        let source = match &*state {
+        let column = match &*state {
             ColumnState::Live(source) => return Ok(Arc::clone(source)),
-            ColumnState::Resolved(column) => build_column(self.spec, workload, column),
+            ColumnState::Resolved(column) | ColumnState::Keyed(column, _) => column,
             ColumnState::Released => return Err(format!("column {workload:?} is not held")),
         };
-        if let Some(planned) = slot.expect.filter(|&planned| planned != source.digest()) {
+        let source = build_column(self.spec, workload, column);
+        #[cfg(test)]
+        self.built.fetch_add(1, Ordering::Relaxed);
+        let digest = source.digest();
+        if let Err(e) = self.hold(c, digest) {
             *state = ColumnState::Released;
-            return Err(format!(
-                "shard column {workload:?}: trace digest {:#018x} does not match the planner's \
-                 {planned:#018x}",
-                source.digest()
-            ));
+            return Err(e);
+        }
+        if let (Some(cache), Some(id)) = (self.opts.cache, self.registry_id(c, column)) {
+            cache.remember_column(id, digest);
         }
         *state = ColumnState::Live(Arc::clone(&source));
         Ok(source)
@@ -400,11 +470,12 @@ impl<'a> Prepared<'a> {
     /// first-write-wins, and replayed into every cell of the group — sharing
     /// the leader's host figures is what makes a later fully-cached rerun
     /// reproduce this report byte-for-byte.  A damaged entry is counted and
-    /// treated as a miss.
+    /// treated as a miss.  Only a miss needs the column's trace.
     ///
     /// # Errors
     ///
-    /// The group's column was refused ([`Prepared::column`]).
+    /// The group's column was refused ([`Prepared::digest`],
+    /// [`Prepared::column`]).
     fn run_group(&self, k: usize, tallies: &Tallies) -> Result<Batch, String> {
         let group = &self.groups[k];
         // Executor fault seam: an armed job panics here, inside the caller's
@@ -419,9 +490,9 @@ impl<'a> Prepared<'a> {
         }
         let members = group.len() as u64;
         let leader = &self.jobs[group[0]];
-        let trace = self.column(group[0] % self.columns.len())?;
-        let cache = self.opts.cache;
-        let keyed = cache.map(|c| (c, leader.cache_key(trace.digest())));
+        let c = group[0] % self.columns.len();
+        let key = leader.cache_key(self.digest(c)?);
+        let keyed = self.opts.cache.map(|cache| (cache, key));
         let found = keyed.and_then(|(cache, key)| match cache.load(key) {
             Ok(found) => found,
             Err(_) => {
@@ -439,7 +510,7 @@ impl<'a> Prepared<'a> {
                 figures
             }
             None => {
-                let figures = leader.figures(&*trace);
+                let figures = leader.figures(&*self.column(c)?);
                 // Tally the miss only after the compute succeeds: a panicking
                 // attempt unwinds past this point, so a retry never
                 // double-counts and hits + misses always total the cell count.
@@ -918,6 +989,75 @@ mod tests {
         // deterministic field.
         let uncached = run_sweep(&spec, 1).unwrap();
         assert_deterministically_equal(&uncached, &warm.report);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Prepares and runs `work`, returning the outcome and how many columns
+    /// the sweep built.
+    fn run_counting_builds(work: &SweepShard, opts: &ExecOptions<'_>) -> (SweepOutcome, usize) {
+        let prepared = Prepared::new(work, opts).unwrap();
+        (prepared.run(|_| {}).unwrap(), prepared.built.load(Ordering::Relaxed))
+    }
+
+    #[test]
+    fn a_fully_cached_rerun_builds_no_registry_column() {
+        let dir = tmp_cache("remembered");
+        let cache = ResultCache::open(&dir).unwrap();
+        let spec = tiny_spec();
+        let run = |spec: &SweepSpec, cache: &ResultCache, threads| {
+            let opts = ExecOptions { threads, cache: Some(cache), ..ExecOptions::default() };
+            run_counting_builds(&SweepShard::whole(spec), &opts)
+        };
+        let (cold, built) = run(&spec, &cache, 2);
+        assert_eq!((cold.cache.misses, built), (32, 4));
+        // The handle — and every clone of it — keys each column from the
+        // digest it remembers: every cell a hit, no column built, the report
+        // byte for byte the cold one.
+        for (handle, threads) in [(&cache, 1), (&cache.clone(), 8)] {
+            let (warm, built) = run(&spec, handle, threads);
+            assert_eq!((warm.cache.hits, warm.cache.misses, built), (32, 0, 0));
+            assert_eq!(warm.report.cells, cold.report.cells);
+        }
+        let (warm, _) = run(&spec, &cache, 2);
+        assert_eq!(warm.report.to_json(), cold.report.to_json());
+        // The memory is the handle's, not the directory's: a new handle on
+        // the same entries hits every cell but builds each column once.
+        let reopened = ResultCache::open(&dir).unwrap();
+        let (warm, built) = run(&spec, &reopened, 2);
+        assert_eq!((warm.cache.hits, built), (32, 4));
+        // The same workloads at another budget or seed are other columns.
+        for other in [SweepSpec { insts: 700, ..spec.clone() }, SweepSpec { seed: 0xC0DF, ..spec.clone() }] {
+            let (outcome, built) = run(&other, &cache, 2);
+            assert_eq!((outcome.cache.hits, outcome.cache.misses, built), (0, 32, 4));
+            assert_eq!(run(&other, &cache, 2).1, 0);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_planned_digest_that_disagrees_with_a_remembered_column_is_refused() {
+        let dir = tmp_cache("remembered-shard");
+        let cache = ResultCache::open(&dir).unwrap();
+        let opts = ExecOptions { threads: 1, cache: Some(&cache), ..ExecOptions::default() };
+        let spec = tiny_spec();
+        run_counting_builds(&SweepShard::whole(&spec), &opts);
+        for shard in crate::plan_shards(&spec, 2).unwrap() {
+            // As planned: every cell a hit, nothing built.
+            let (outcome, built) = run_counting_builds(&shard, &opts);
+            assert_eq!((outcome.cache.misses, built), (0, 0));
+            // One digest off: refused before any cell of the column streams,
+            // still without building it.
+            let mut forged = shard.clone();
+            forged.columns[1].trace_digest ^= 1;
+            let prepared = Prepared::new(&forged, &opts).unwrap();
+            let mut streamed = Vec::new();
+            let err = prepared.run(|e| streamed.push(e.index % 4)).unwrap_err();
+            assert!(err.contains("does not match the planner's"), "{err}");
+            assert!(err.contains(&forged.columns[1].workload), "{err}");
+            assert_eq!(prepared.built.load(Ordering::Relaxed), 0);
+            let column = spec.workloads.iter().position(|w| *w == forged.columns[1].workload);
+            assert!(!streamed.contains(&column.unwrap()), "a refused column streamed a cell");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -41,7 +41,8 @@
 //! or one for every column its cells touch ([`crate::plan`] says who sends
 //! which).  The worker resolves each column by its name
 //! ([`crate::column_source`]) and refuses the submission on a mismatch as it
-//! builds that column, before any cell of it is computed, cached or streamed;
+//! first keys that column — from the digest its result cache remembers, or by
+//! building it — before any cell of it is computed, cached or streamed;
 //! a list that covers only some of the touched columns is refused before
 //! `Accepted`.
 //!

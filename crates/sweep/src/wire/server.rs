@@ -4,9 +4,12 @@
 //! or one shard of it, the same request — is prepared exactly once (grid
 //! expanded and grouped, the cell list checked, columns resolved — none
 //! built) *before* its `Accepted` frame, which reads the cell count and the
-//! pool size off that preparation; the same value then runs, building each
-//! column as its first group starts and holding it there to the digest the
-//! submission carries for it, if it carries any.
+//! pool size off that preparation; the same value then runs, keying each
+//! column's groups under the digest the result cache remembers for it or
+//! else building the column as its first group starts, and holding that
+//! digest to the one the submission carries for the column, if it carries
+//! any.  A column is built only where its digest is not remembered or a cell
+//! of it must be computed.
 
 use super::protocol::{base_features, recv, send, Request, Response, WireError, WIRE_VERSION};
 use crate::executor::{ExecOptions, Prepared};
