@@ -86,29 +86,20 @@ pub struct Evicted {
 /// line's fill-ready cycle: a line evicted while its fill is still in flight
 /// must not supply data before that fill would have arrived.
 ///
-/// Entries stay in the slot they were inserted into, stamped with their
-/// insertion order, so nothing shifts: an insert takes a free slot or
-/// displaces the oldest entry, and a probe takes the oldest entry holding the
-/// line — a line a prefetch refilled while it was buffered can be evicted
-/// into the buffer a second time — each in one pass.  The checkpoint lists
-/// the entries oldest first.
-#[derive(Debug, Clone)]
+/// A line a prefetch refilled while it was buffered can be evicted into the
+/// buffer a second time; a probe takes the oldest copy.
+#[derive(Debug, Clone, Serialize)]
 pub struct VictimBuffer {
-    /// (line address, dirty, data ready at, insertion stamp); stamp 0 is a
-    /// free slot.  Grows to `capacity` slots, then slots are reused.
-    slots: Vec<(Addr, bool, Cycle, u64)>,
+    entries: Vec<(Addr, bool, Cycle)>, // (line address, dirty, data ready at)
     capacity: usize,
-    /// The next insertion's stamp (stamps start at 1).
-    next_stamp: u64,
 }
 
 impl VictimBuffer {
     /// Creates a victim buffer with `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         VictimBuffer {
-            slots: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(capacity),
             capacity,
-            next_stamp: 1,
         }
     }
 
@@ -118,55 +109,43 @@ impl VictimBuffer {
         if self.capacity == 0 {
             return Some(Evicted { line_addr, dirty });
         }
-        let entry = (line_addr, dirty, ready_at, self.next_stamp);
-        self.next_stamp += 1;
-        if self.slots.len() < self.capacity {
-            self.slots.push(entry);
-            return None;
-        }
-        // A free slot's stamp (0) is the lowest, so the one pass finds a free
-        // slot before it finds the oldest entry.
-        let oldest = self.slots.iter_mut().min_by_key(|s| s.3).expect("capacity > 0");
-        let (a, d, _, stamp) = std::mem::replace(oldest, entry);
-        (stamp != 0).then_some(Evicted { line_addr: a, dirty: d })
+        let displaced = if self.entries.len() == self.capacity {
+            let (a, d, _) = self.entries.remove(0);
+            Some(Evicted {
+                line_addr: a,
+                dirty: d,
+            })
+        } else {
+            None
+        };
+        self.entries.push((line_addr, dirty, ready_at));
+        displaced
     }
 
-    /// Probes for a line; on a hit the oldest entry holding it is removed and
-    /// its dirtiness and data-ready cycle returned (the caller re-fills it
-    /// into the main array).
+    /// Probes for a line; on a hit the entry is removed and its dirtiness and
+    /// data-ready cycle returned (the caller re-fills it into the main array).
     pub fn take(&mut self, line_addr: Addr) -> Option<(bool, Cycle)> {
-        let held = self.slots.iter_mut().filter(|s| s.0 == line_addr && s.3 != 0);
-        let oldest = held.min_by_key(|s| s.3)?;
-        oldest.3 = 0;
-        Some((oldest.1, oldest.2))
+        if let Some(pos) = self.entries.iter().position(|&(a, _, _)| a == line_addr) {
+            let (_, dirty, ready_at) = self.entries.remove(pos);
+            Some((dirty, ready_at))
+        } else {
+            None
+        }
     }
 
     /// Number of lines currently buffered.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.3 != 0).count()
+        self.entries.len()
     }
 
     /// True if no lines are buffered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 }
 
-/// Checkpoint codec: the entries as `(line address, dirty, ready at)`, oldest
-/// first, then the capacity.
-impl Serialize for VictimBuffer {
-    fn serialize(&self, out: &mut Vec<u8>) {
-        let mut held: Vec<_> = self.slots.iter().filter(|s| s.3 != 0).collect();
-        held.sort_unstable_by_key(|s| s.3);
-        (held.len() as u64).serialize(out);
-        for &&(line_addr, dirty, ready_at, _) in &held {
-            (line_addr, dirty, ready_at).serialize(out);
-        }
-        self.capacity.serialize(out);
-    }
-}
-
-/// Refuses more entries than the capacity.
+/// Decodes the derived layout (entries, then capacity); refuses more entries
+/// than the capacity, which no insert could have left.
 impl Deserialize for VictimBuffer {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
         let entries: Vec<(Addr, bool, Cycle)> = Deserialize::deserialize(r)?;
@@ -175,9 +154,7 @@ impl Deserialize for VictimBuffer {
         if entries.len() > capacity {
             return Err(serde::Error::invalid("victim buffer occupancy (more entries than its capacity)", at));
         }
-        let stamped = (1..).zip(entries).map(|(stamp, (a, d, ready))| (a, d, ready, stamp));
-        let slots: Vec<_> = stamped.collect();
-        Ok(VictimBuffer { next_stamp: slots.len() as u64 + 1, slots, capacity })
+        Ok(VictimBuffer { entries, capacity })
     }
 }
 
@@ -452,7 +429,7 @@ mod tests {
         vb.insert(0x40, false, 1);
         vb.insert(0x80, false, 2);
         assert!(vb.take(0x80).is_some());
-        vb.insert(0x40, true, 9); // into the slot 0x80 freed
+        vb.insert(0x40, true, 9); // a second copy of 0x40
         assert_eq!((vb.take(0x40), vb.take(0x40), vb.take(0x40)), (Some((false, 1)), Some((true, 9)), None));
         assert!(vb.is_empty());
     }

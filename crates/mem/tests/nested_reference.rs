@@ -1,13 +1,13 @@
 //! The nested-table [`Cache`] and [`StreamPrefetcher`] the flat ones
 //! replaced — a `Vec` of lines per set, a `Vec` of blocks per stream buffer —
-//! and the shifting [`VictimBuffer`] the stamped one replaced, kept as test
-//! references: seeded random operation streams must get the same answers,
+//! and a shifting victim buffer of the tests' own, kept as references for
+//! the real ones: seeded random operation streams must get the same answers,
 //! occupancy and checkpoint bytes from both, also where the flat ones answer
 //! from a derived index (the prefetcher's presence filter and fill counts,
 //! rebuilt from the checkpoint bytes), from one pass over a set (a fill picks
 //! the resident way, else the first invalid way, else the first of the
-//! least-recently-used ways) or from insertion stamps (the victim buffer's
-//! oldest entry, and its oldest copy of a line buffered twice).
+//! least-recently-used ways), and where the [`VictimBuffer`] holds one line
+//! twice (a probe takes the oldest copy).
 
 use icfp_isa::{Addr, Cycle};
 use icfp_mem::cache::{Evicted, ProbeResult};
@@ -293,8 +293,7 @@ fn flat_caches_match_the_nested_reference_on_random_operations() {
                 assert_eq!(flat.resident_lines(), nested.resident_lines(), "{config:?} op {k}");
             }
             if k % 1000 == 999 {
-                // Continue from the checkpoint bytes: the victim buffer's
-                // stamps are rebuilt from its entry order.
+                // Continue from the checkpoint bytes.
                 let bytes = serde::to_bytes(&flat);
                 flat = serde::from_bytes(&bytes).expect("own bytes decode");
                 assert_eq!(serde::to_bytes(&flat), bytes, "{config:?} op {k}");
@@ -313,9 +312,9 @@ fn flat_caches_match_the_nested_reference_on_random_operations() {
 }
 
 #[test]
-fn the_stamped_victim_buffer_matches_the_shifting_reference_on_random_operations() {
+fn the_victim_buffer_matches_the_shifting_reference_on_random_operations() {
     for (seed, capacity) in [0usize, 1, 2, 3, 8].into_iter().enumerate() {
-        let (mut stamped, mut shifting) = (VictimBuffer::new(capacity), ShiftingVictims::new(capacity));
+        let (mut real, mut shifting) = (VictimBuffer::new(capacity), ShiftingVictims::new(capacity));
         let (mut state, mut hits, mut displaced, mut decodes) = (seed as u64 + 200, 0, 0, 0);
         for k in 0..20_000 {
             let r = next(&mut state);
@@ -324,23 +323,23 @@ fn the_stamped_victim_buffer_matches_the_shifting_reference_on_random_operations
             match (r >> 32) % 8 {
                 0..=3 => {
                     let (dirty, ready) = ((r >> 40).is_multiple_of(3), (r >> 44) % 1000);
-                    let got = stamped.insert(line, dirty, ready);
+                    let got = real.insert(line, dirty, ready);
                     assert_eq!(got, shifting.insert(line, dirty, ready), "capacity {capacity} op {k}");
                     displaced += u32::from(got.is_some());
                 }
                 4..=6 => {
-                    let got = stamped.take(line);
+                    let got = real.take(line);
                     assert_eq!(got, shifting.take(line), "capacity {capacity} op {k}");
                     hits += u32::from(got.is_some());
                 }
                 _ => {
-                    let bytes = serde::to_bytes(&stamped);
+                    let bytes = serde::to_bytes(&real);
                     assert_eq!(bytes, shifting.bytes(), "capacity {capacity} op {k}");
-                    stamped = serde::from_bytes(&bytes).expect("own bytes decode");
+                    real = serde::from_bytes(&bytes).expect("own bytes decode");
                     decodes += 1;
                 }
             }
-            assert_eq!(stamped.len(), shifting.entries.len(), "capacity {capacity} op {k}");
+            assert_eq!(real.len(), shifting.entries.len(), "capacity {capacity} op {k}");
         }
         let duplicates = shifting.duplicates;
         let counts = format!("{hits} hits, {displaced} displaced, {duplicates} lines buffered twice, {decodes} decodes");

@@ -2,9 +2,9 @@
 //! fork groups — the jobs of one column that share a cache key — in
 //! column-major order), then a `std::thread` pool pulling those groups from an
 //! atomic counter — each computed once, optionally through a persistent
-//! result cache — streaming cells to a callback as they finish.  A group is
-//! keyed under its column's trace digest, which for a registry column the
-//! result cache remembers from an earlier sweep; a column's trace is built
+//! result cache — streaming cells to a callback as they finish.  A result
+//! cache keys a group under its column's trace digest, which for a registry
+//! column the cache remembers from an earlier sweep; a column's trace is built
 //! only when a group needs it — to learn that digest, or to compute a cell the
 //! cache lacks — and released when its last group has finished, so a pool of
 //! T threads holds at most T columns and a fully cached grid builds none.
@@ -280,9 +280,6 @@ pub(crate) fn fork_groups(jobs: &[SweepJob], columns: usize) -> Vec<Vec<usize>> 
 enum ColumnState {
     /// Resolved; nothing generated or decoded yet.
     Resolved(Column),
-    /// Not built, but its digest is known: the one the result cache remembers
-    /// for this registry column, held to the submission's.
-    Keyed(Column, u64),
     /// Built and, where a digest was supplied, checked: some group needs it yet.
     Live(Arc<dyn TraceSource>),
     /// Every group of the column has finished or failed, or none runs here.
@@ -396,40 +393,31 @@ impl<'a> Prepared<'a> {
         }
     }
 
-    /// Column `c`'s trace digest, which its groups are keyed under: the one
-    /// the result cache remembers for a registry column — nothing is built —
+    /// Column `c`'s trace digest, which a result cache keys its groups under:
+    /// the one the cache remembers for a registry column — nothing is built —
     /// or else the built trace's ([`Prepared::column`]).  Either is held to
     /// the submission's digest before any cell of the column is computed,
     /// cached or streamed.
-    fn digest(&self, c: usize) -> Result<u64, String> {
-        let mut state = self.columns[c].state.lock().unwrap_or_else(PoisonError::into_inner);
+    fn digest(&self, c: usize, cache: &ResultCache) -> Result<u64, String> {
+        let state = self.columns[c].state.lock().unwrap_or_else(PoisonError::into_inner);
         let remembered = match &*state {
             ColumnState::Live(source) => return Ok(source.digest()),
-            ColumnState::Keyed(_, digest) => return Ok(*digest),
-            ColumnState::Resolved(column) => {
-                self.opts.cache.and_then(|cache| cache.column_digest(self.registry_id(c, column)?))
-            }
+            ColumnState::Resolved(column) => self.registry_id(c, column).and_then(|id| cache.column_digest(id)),
             ColumnState::Released => None,
         };
-        let Some(digest) = remembered else {
-            drop(state);
-            return Ok(self.column(c)?.digest());
-        };
-        if let Err(e) = self.hold(c, digest) {
-            *state = ColumnState::Released;
-            return Err(e);
+        drop(state);
+        match remembered {
+            Some(digest) => self.hold(c, digest).map(|()| digest),
+            None => Ok(self.column(c)?.digest()),
         }
-        if let ColumnState::Resolved(column) = std::mem::replace(&mut *state, ColumnState::Released) {
-            *state = ColumnState::Keyed(column, digest);
-        }
-        Ok(digest)
     }
 
     /// Column `c`'s trace, built by whichever of its groups asks first (the
     /// others wait on the slot) and — where the submission supplied one —
     /// held to its digest before any cell of the column is computed, cached or
     /// streamed: a mismatch drops the trace again and ends the sweep.  A built
-    /// registry column's digest is remembered by the result cache.
+    /// registry column's digest is remembered by the result cache, if any; a
+    /// sweep with neither a cache nor a planned digest never digests a column.
     fn column(&self, c: usize) -> Result<Arc<dyn TraceSource>, String> {
         let (slot, workload) = (&self.columns[c], &self.spec.workloads[c]);
         // Every update of the state is one assignment made once a source
@@ -437,19 +425,21 @@ impl<'a> Prepared<'a> {
         let mut state = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
         let column = match &*state {
             ColumnState::Live(source) => return Ok(Arc::clone(source)),
-            ColumnState::Resolved(column) | ColumnState::Keyed(column, _) => column,
+            ColumnState::Resolved(column) => column,
             ColumnState::Released => return Err(format!("column {workload:?} is not held")),
         };
         let source = build_column(self.spec, workload, column);
         #[cfg(test)]
         self.built.fetch_add(1, Ordering::Relaxed);
-        let digest = source.digest();
-        if let Err(e) = self.hold(c, digest) {
-            *state = ColumnState::Released;
-            return Err(e);
-        }
-        if let (Some(cache), Some(id)) = (self.opts.cache, self.registry_id(c, column)) {
-            cache.remember_column(id, digest);
+        if slot.expect.is_some() || self.opts.cache.is_some() {
+            let digest = source.digest();
+            if let Err(e) = self.hold(c, digest) {
+                *state = ColumnState::Released;
+                return Err(e);
+            }
+            if let (Some(cache), Some(id)) = (self.opts.cache, self.registry_id(c, column)) {
+                cache.remember_column(id, digest);
+            }
         }
         *state = ColumnState::Live(Arc::clone(&source));
         Ok(source)
@@ -491,8 +481,10 @@ impl<'a> Prepared<'a> {
         let members = group.len() as u64;
         let leader = &self.jobs[group[0]];
         let c = group[0] % self.columns.len();
-        let key = leader.cache_key(self.digest(c)?);
-        let keyed = self.opts.cache.map(|cache| (cache, key));
+        let keyed = match self.opts.cache {
+            Some(cache) => Some((cache, leader.cache_key(self.digest(c, cache)?))),
+            None => None,
+        };
         let found = keyed.and_then(|(cache, key)| match cache.load(key) {
             Ok(found) => found,
             Err(_) => {
