@@ -21,7 +21,7 @@
 //! of being re-implemented per subsystem where one typo could silently fork a
 //! digest domain.
 
-use crate::{DynInst, Reg};
+use crate::{DynInst, InstSeq, Reg};
 
 /// Incremental FNV-1a 64 hasher.
 #[derive(Debug, Clone)]
@@ -103,16 +103,17 @@ fn fold(a: u64, b: u64) -> u64 {
 }
 
 /// One instruction's contribution to a content digest: a pure function of
-/// its field values.  The ten fields are packed into seven words and mixed by
-/// four independent multiplies — nothing here depends on the previous
-/// instruction, so consecutive calls overlap in the host's pipeline and the
-/// only serial work per instruction is [`InstDigest::push_mix`].
+/// its dynamic position `pos` and its field values.  The position and the
+/// nine fields are packed into seven words and mixed by four independent
+/// multiplies — nothing here depends on the previous instruction, so
+/// consecutive calls overlap in the host's pipeline and the only serial work
+/// per instruction is [`InstDigest::push_mix`].
 ///
 /// Every `Option` keeps `None` apart from its zero value: registers enter as
 /// `index + 1` (`None` = 0), `addr` and `branch` as a presence bit beside the
 /// value, and `predictability` as its IEEE bit pattern.
 #[inline]
-pub fn inst_mix(inst: &DynInst) -> u64 {
+pub fn inst_mix(pos: InstSeq, inst: &DynInst) -> u64 {
     let reg = |r: Option<Reg>| r.map_or(0, |r| r.index() as u64 + 1);
     let shape = inst.op as u64
         | reg(inst.dst) << 8
@@ -124,7 +125,7 @@ pub fn inst_mix(inst: &DynInst) -> u64 {
         let outcome = u64::from(b.predictability.to_bits()) | u64::from(b.taken) << 32 | 1 << 33;
         (b.target, outcome)
     });
-    fold(inst.seq ^ SALT[0], inst.pc ^ SALT[1])
+    fold(pos ^ SALT[0], inst.pc ^ SALT[1])
         ^ fold(inst.imm ^ SALT[2], inst.addr.unwrap_or(0) ^ SALT[3])
         ^ fold(target ^ SALT[4], outcome ^ SALT[5])
         ^ fold(shape ^ SALT[6], SALT[7])
@@ -134,38 +135,43 @@ pub fn inst_mix(inst: &DynInst) -> u64 {
 /// *instruction-content* hasher.  Order-sensitive (the chain step is a
 /// rotate-xor-multiply, a bijection of the state for each mix) and
 /// length-sensitive (the count is folded by [`InstDigest::finish`], last, so
-/// a streaming producer needs no length up front).
+/// a streaming producer needs no length up front).  It counts positions
+/// itself: the `k`-th instruction pushed sits at the digest's first
+/// position plus `k`.
 #[derive(Debug, Clone, Default)]
 pub struct InstDigest {
     chain: u64,
+    first: InstSeq,
     len: u64,
 }
 
 impl InstDigest {
-    /// The start of a block digest ([`crate::block_digest_of`]).
-    pub fn new() -> Self {
-        Self::default()
+    /// The start of the digest of a block whose first instruction sits at
+    /// position `first` ([`crate::block_digest_at`]).
+    pub fn at(first: InstSeq) -> Self {
+        InstDigest { first, ..Self::default() }
     }
 
     /// The start of a whole-trace digest: the chain is seeded with the
     /// trace's name, so equal content under two names is two identities.
     pub fn named(name: &str) -> Self {
-        InstDigest { chain: fnv1a(name.as_bytes()), len: 0 }
+        InstDigest { chain: fnv1a(name.as_bytes()), ..Self::default() }
     }
 
-    /// Folds the next instruction, given its [`inst_mix`].  A producer that
-    /// feeds several chains (the container writer and the generator scan
-    /// keep a whole-trace and a per-block digest) computes the mix once.
+    /// Folds the next instruction, given its [`inst_mix`] at this digest's
+    /// next position.  A producer that feeds several chains (the container
+    /// writer and the generator scan keep a whole-trace and a per-block
+    /// digest) computes the mix once.
     #[inline]
     pub fn push_mix(&mut self, mix: u64) {
         self.chain = (self.chain.rotate_left(23) ^ mix).wrapping_mul(CHAIN);
         self.len += 1;
     }
 
-    /// Folds the next instruction.
+    /// Folds the next instruction, at the next position.
     #[inline]
     pub fn push(&mut self, inst: &DynInst) {
-        self.push_mix(inst_mix(inst));
+        self.push_mix(inst_mix(self.first + self.len, inst));
     }
 
     /// The digest of everything pushed so far, its count folded last.
@@ -223,7 +229,7 @@ mod tests {
     }
 
     use crate::inst::BranchInfo;
-    use crate::{block_digest_of, MemWidth, Op, Trace};
+    use crate::{block_digest_at, block_digest_of, MemWidth, Op, Trace};
 
     /// One instruction of each constructor shape, with distinct non-zero
     /// values in every field a constructor fills.
@@ -239,7 +245,7 @@ mod tests {
         ]
         .into_iter()
         .enumerate()
-        .map(|(k, i)| i.with_seq(k as u64).with_pc(0x1000 + 4 * k as u64))
+        .map(|(k, i)| i.with_pc(0x1000 + 4 * k as u64))
         .collect()
     }
 
@@ -247,7 +253,6 @@ mod tests {
     /// instruction it was given (flipping `taken` needs a branch).
     type Mutation = (&'static str, fn(&mut DynInst) -> bool);
     const MUTATIONS: &[Mutation] = &[
-        ("seq", |i| { i.seq += 1; true }),
         ("pc", |i| { i.pc ^= 4; true }),
         ("pc top bit", |i| { i.pc ^= 1 << 63; true }),
         ("op", |i| { i.op = if i.op == Op::Add { Op::Sub } else { Op::Add }; true }),
@@ -297,6 +302,20 @@ mod tests {
                 }
             }
         }
+        // The position row: a record has no position field, so the same
+        // instruction pushed at two different positions must digest apart.
+        for (k, inst) in base.iter().enumerate() {
+            let pushed_at = |pos: u64| {
+                let mut d = InstDigest::at(pos);
+                d.push(inst);
+                d.finish()
+            };
+            let k = k as u64;
+            for other in [k + 1, k ^ 1 << 63] {
+                assert_ne!(pushed_at(k), pushed_at(other), "{inst} at {k} and {other}");
+            }
+        }
+        assert_ne!(block_digest_at(1, &base), digest, "the block one position on");
     }
 
     #[test]
@@ -310,7 +329,7 @@ mod tests {
         }
         assert_ne!(block_digest_of(&base[..base.len() - 1]), digest, "last dropped");
         // Equal mixes: only the count tells the three apart.
-        let mut d = InstDigest::new();
+        let mut d = InstDigest::default();
         let empty = d.finish();
         d.push_mix(0);
         let one = d.finish();

@@ -1,6 +1,6 @@
 //! Dynamic instructions and opcodes.
 
-use crate::{Addr, InstSeq, Reg, Value};
+use crate::{Addr, Reg, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -208,10 +208,12 @@ pub struct BranchInfo {
 /// immediate values are pre-resolved (trace-driven simulation).  The timing
 /// models still decide *when* each field may legally be observed (e.g. a
 /// poisoned address cannot be used to chain a store into the store buffer).
+///
+/// A record carries no sequence number: an instruction's dynamic position
+/// ([`crate::InstSeq`]) is where it sits in its trace or block, which is how
+/// every model indexes it and how [`crate::inst_mix`] is told it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DynInst {
-    /// Dynamic sequence number (position in the trace, starting at 0).
-    pub seq: InstSeq,
     /// Program counter of this instruction.
     pub pc: Addr,
     /// Opcode.
@@ -234,12 +236,15 @@ pub struct DynInst {
     pub branch: Option<BranchInfo>,
 }
 
+// Trace arenas hold millions of records, so record width is host memory
+// bandwidth: a new field must earn its bytes.
+const _: () = assert!(size_of::<DynInst>() == 56);
+
 impl DynInst {
     /// Creates a three-register ALU instruction `op dst, src1, src2`.
     pub fn alu(op: Op, dst: Reg, src1: Reg, src2: Reg) -> Self {
         debug_assert!(!op.is_mem() && !op.is_branch());
         DynInst {
-            seq: 0,
             pc: 0,
             op,
             dst: Some(dst),
@@ -256,7 +261,6 @@ impl DynInst {
     pub fn alu_imm(op: Op, dst: Reg, src1: Reg, imm: Value) -> Self {
         debug_assert!(!op.is_mem() && !op.is_branch());
         DynInst {
-            seq: 0,
             pc: 0,
             op,
             dst: Some(dst),
@@ -272,7 +276,6 @@ impl DynInst {
     /// Creates a load `ld dst, [base]` with a pre-resolved effective address.
     pub fn load(dst: Reg, base: Reg, addr: Addr) -> Self {
         DynInst {
-            seq: 0,
             pc: 0,
             op: Op::Load,
             dst: Some(dst),
@@ -288,7 +291,6 @@ impl DynInst {
     /// Creates a store `st data, [base]` with a pre-resolved effective address.
     pub fn store(data: Reg, base: Reg, addr: Addr) -> Self {
         DynInst {
-            seq: 0,
             pc: 0,
             op: Op::Store,
             dst: None,
@@ -304,7 +306,6 @@ impl DynInst {
     /// Creates a conditional branch with the given resolved outcome.
     pub fn branch(cond: Reg, taken: bool, target: Addr, predictability: f32) -> Self {
         DynInst {
-            seq: 0,
             pc: 0,
             op: Op::Branch,
             dst: None,
@@ -324,7 +325,6 @@ impl DynInst {
     /// Creates a no-operation.
     pub fn nop() -> Self {
         DynInst {
-            seq: 0,
             pc: 0,
             op: Op::Nop,
             dst: None,
@@ -385,12 +385,6 @@ impl DynInst {
         self.src1.into_iter().chain(self.src2)
     }
 
-    /// Sets the dynamic sequence number (builder style).
-    pub fn with_seq(mut self, seq: InstSeq) -> Self {
-        self.seq = seq;
-        self
-    }
-
     /// Sets the program counter (builder style).
     pub fn with_pc(mut self, pc: Addr) -> Self {
         self.pc = pc;
@@ -400,7 +394,7 @@ impl DynInst {
 
 impl fmt::Display for DynInst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{:>6}] {}", self.seq, self.op)?;
+        write!(f, "{}", self.op)?;
         if let Some(d) = self.dst {
             write!(f, " {d}")?;
         }
@@ -465,11 +459,8 @@ mod tests {
 
     #[test]
     fn display_contains_opcode_and_regs() {
-        let i = DynInst::alu(Op::Xor, Reg::int(1), Reg::int(2), Reg::int(3)).with_seq(7);
-        let s = i.to_string();
-        assert!(s.contains("xor"));
-        assert!(s.contains("r1"));
-        assert!(s.contains("7"));
+        let i = DynInst::alu(Op::Xor, Reg::int(1), Reg::int(2), Reg::int(3));
+        assert_eq!(i.to_string(), "xor r1, r2, r3");
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub use exec::{ArchState, FunctionalMemory};
 pub use inst::{DynInst, MemWidth, Op, OpClass};
 pub use reg::{Reg, RegClass, NUM_ARCH_REGS, NUM_FP_REGS, NUM_INT_REGS};
 pub use source::{
-    block_digest_of, ArenaSource, InstReader, Residency, TraceBlock, TraceCursor, TraceSource,
-    TraceSourceError, WarmStore, DEFAULT_BLOCK_INSTS,
+    block_digest_at, block_digest_of, ArenaSource, InstReader, Residency, TraceBlock, TraceCursor,
+    TraceSource, TraceSourceError, WarmStore, DEFAULT_BLOCK_INSTS,
 };
 pub use trace::{Trace, TraceBuilder, TraceStats};
 pub use trace_file::{TraceFile, TraceFileWriter, TraceFormat, TRACE_MAGIC, TRACE_MAGIC_V2};

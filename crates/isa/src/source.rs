@@ -26,7 +26,7 @@
 
 use crate::exec::ArchState;
 use crate::trace::Trace;
-use crate::{DynInst, InstDigest};
+use crate::{DynInst, InstDigest, InstSeq};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
@@ -39,16 +39,23 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// handful of resident blocks stay far under any real trace's footprint.
 pub const DEFAULT_BLOCK_INSTS: usize = 4096;
 
-/// Digest of one block's content: [`InstDigest`] over its instructions, in
-/// order, their count last.  Every [`TraceSource`] implementation must use
-/// this exact definition so block digests agree across arena, generator and
-/// file backings (checkpoint resume validates the resume block against it).
-pub fn block_digest_of(insts: &[DynInst]) -> u64 {
-    let mut d = InstDigest::new();
+/// Digest of one block's content: [`InstDigest`] over its instructions and
+/// their positions from `first`, in order, their count last.  Every
+/// [`TraceSource`] implementation must use this exact definition so block
+/// digests agree across arena, generator and file backings (checkpoint
+/// resume validates the resume block against it).
+pub fn block_digest_at(first: InstSeq, insts: &[DynInst]) -> u64 {
+    let mut d = InstDigest::at(first);
     for inst in insts {
         d.push(inst);
     }
     d.finish()
+}
+
+/// [`block_digest_at`] position 0: the digest of a trace's first block, or
+/// of a slice taken as a block of its own.
+pub fn block_digest_of(insts: &[DynInst]) -> u64 {
+    block_digest_at(0, insts)
 }
 
 /// Errors from block-based trace access (shared by every [`TraceSource`]
@@ -325,7 +332,8 @@ pub trait TraceSource: Send + Sync {
     /// Out-of-range indices, I/O failures and content corruption.
     fn block(&self, index: usize) -> Result<Arc<TraceBlock>, TraceSourceError>;
 
-    /// Digest of block `index`'s content, per [`block_digest_of`].
+    /// Digest of block `index`'s content, per [`block_digest_at`] its first
+    /// position.
     ///
     /// # Errors
     ///
@@ -498,7 +506,8 @@ impl TraceSource for ArenaSource {
     }
 
     fn block_digest(&self, index: usize) -> Result<u64, TraceSourceError> {
-        Ok(block_digest_of(self.block_slice(index)?))
+        let first = (index * self.block_size) as InstSeq;
+        Ok(block_digest_at(first, self.block_slice(index)?))
     }
 
     fn as_arena(&self) -> Option<&Trace> {
@@ -794,6 +803,8 @@ mod tests {
         // Block digests agree with hashing the slice directly.
         let d = block_digest_of(&s.trace().as_slice()[0..4]);
         assert_eq!(s.block_digest(0).unwrap(), d);
+        let d = block_digest_at(8, &s.trace().as_slice()[8..]);
+        assert_eq!(s.block_digest(2).unwrap(), d);
     }
 
     #[test]

@@ -4,20 +4,22 @@
 //! correct-path dynamic instruction stream.  The synthetic workload generators
 //! in `icfp-workloads` produce traces; the cores in `icfp-core` consume them.
 
-use crate::{DynInst, InstSeq, Op};
+use crate::{DynInst, Op};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
-/// A finite dynamic instruction stream with pre-assigned sequence numbers.
+/// A finite dynamic instruction stream.  An instruction's sequence number
+/// ([`crate::InstSeq`]) is its position here, counted from 0; records carry
+/// none of their own.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     insts: Vec<DynInst>,
     name: String,
     /// Cached content digest: computed on first [`Trace::digest`] call,
-    /// invalidated by mutation.  Excluded from equality and serialization —
-    /// it is derived state, and checkpoint resume validates against many
-    /// shared references to one trace (the cache is what makes that O(1)
-    /// after the first validation instead of O(len) per resume).
+    /// invalidated by mutation.  Excluded from equality — it is derived
+    /// state, and checkpoint resume validates against many shared
+    /// references to one trace (the cache is what makes that O(1) after the
+    /// first validation instead of O(len) per resume).
     digest: OnceLock<u64>,
 }
 
@@ -29,30 +31,9 @@ impl PartialEq for Trace {
     }
 }
 
-impl Serialize for Trace {
-    fn serialize(&self, out: &mut Vec<u8>) {
-        self.insts.serialize(out);
-        self.name.serialize(out);
-    }
-}
-
-impl Deserialize for Trace {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        Ok(Trace {
-            insts: Deserialize::deserialize(r)?,
-            name: Deserialize::deserialize(r)?,
-            digest: OnceLock::new(),
-        })
-    }
-}
-
 impl Trace {
-    /// Creates a trace from a vector of instructions, (re)assigning sequence
-    /// numbers to match their position.
-    pub fn new(name: impl Into<String>, mut insts: Vec<DynInst>) -> Self {
-        for (i, inst) in insts.iter_mut().enumerate() {
-            inst.seq = i as InstSeq;
-        }
+    /// Creates a trace from a vector of instructions, in program order.
+    pub fn new(name: impl Into<String>, insts: Vec<DynInst>) -> Self {
         Trace {
             insts,
             name: name.into(),
@@ -91,7 +72,8 @@ impl Trace {
     }
 
     /// Content digest of the whole trace: a [`crate::InstDigest`] seeded with
-    /// the name, over every instruction's field values, the length last.
+    /// the name, over every instruction's position and field values, the
+    /// length last.
     /// Checkpoints record it so a resume against the wrong trace — or a
     /// differently seeded regeneration of the "same" workload — is rejected
     /// instead of silently diverging.
@@ -150,11 +132,7 @@ impl FromIterator<DynInst> for Trace {
 impl Extend<DynInst> for Trace {
     fn extend<T: IntoIterator<Item = DynInst>>(&mut self, iter: T) {
         self.digest.take(); // content changes: drop the cached digest
-        let base = self.insts.len() as InstSeq;
-        for (i, mut inst) in iter.into_iter().enumerate() {
-            inst.seq = base + i as InstSeq;
-            self.insts.push(inst);
-        }
+        self.insts.extend(iter);
     }
 }
 
@@ -199,8 +177,8 @@ impl TraceStats {
 
 /// Incremental builder for [`Trace`]s.
 ///
-/// Assigns program counters (4-byte spaced) and sequence numbers as
-/// instructions are pushed, which keeps the workload generators simple.
+/// Assigns program counters (4-byte spaced) as instructions are pushed,
+/// which keeps the workload generators simple; push order is position.
 #[derive(Debug, Clone, Default)]
 pub struct TraceBuilder {
     name: String,
@@ -212,16 +190,22 @@ impl TraceBuilder {
     /// Creates a builder for a trace with the given name.  Program counters
     /// start at `0x1000`.
     pub fn new(name: impl Into<String>) -> Self {
+        Self::with_capacity(name, 0)
+    }
+
+    /// [`TraceBuilder::new`] with room for `insts` instructions reserved up
+    /// front, so a producer that knows its length never grows the arena by
+    /// doubling (nor leaves it up to half empty).
+    pub fn with_capacity(name: impl Into<String>, insts: usize) -> Self {
         TraceBuilder {
             name: name.into(),
-            insts: Vec::new(),
+            insts: Vec::with_capacity(insts),
             next_pc: 0x1000,
         }
     }
 
-    /// Appends an instruction, assigning its sequence number and PC.
+    /// Appends an instruction, assigning its PC if it has none.
     pub fn push(&mut self, mut inst: DynInst) -> &mut Self {
-        inst.seq = self.insts.len() as InstSeq;
         if inst.pc == 0 {
             inst.pc = self.next_pc;
         }
@@ -273,14 +257,16 @@ mod tests {
     }
 
     #[test]
-    fn builder_assigns_seq_and_pc() {
+    fn builder_assigns_pc() {
         let t = small_trace();
         assert_eq!(t.len(), 4);
-        for (i, inst) in t.iter().enumerate() {
-            assert_eq!(inst.seq, i as u64);
-        }
         assert_eq!(t.get(0).unwrap().pc, 0x1000);
         assert_eq!(t.get(1).unwrap().pc, 0x1004);
+        let mut b = TraceBuilder::new("t");
+        b.push(DynInst::nop().with_pc(0x8000));
+        b.push(DynInst::nop());
+        let t = b.build();
+        assert_eq!((t.get(0).unwrap().pc, t.get(1).unwrap().pc), (0x8000, 0x8004));
     }
 
     #[test]
@@ -296,20 +282,23 @@ mod tests {
     }
 
     #[test]
-    fn from_iterator_reassigns_seq() {
-        let t: Trace = vec![DynInst::nop().with_seq(99), DynInst::nop().with_seq(99)]
-            .into_iter()
-            .collect();
-        assert_eq!(t.get(0).unwrap().seq, 0);
-        assert_eq!(t.get(1).unwrap().seq, 1);
+    fn from_iterator_is_an_anonymous_trace() {
+        let insts = small_trace().as_slice().to_vec();
+        let t: Trace = insts.iter().copied().collect();
+        assert_eq!(t, Trace::new("anonymous", insts));
     }
 
     #[test]
     fn extend_continues_sequence_numbers() {
+        // Appended instructions sit at the old end onwards, so the digest is
+        // the one of the whole sequence built at once.
         let mut t = small_trace();
-        t.extend(vec![DynInst::nop(), DynInst::nop()]);
+        let tail = [DynInst::nop(), DynInst::nop()];
+        t.extend(tail);
         assert_eq!(t.len(), 6);
-        assert_eq!(t.get(5).unwrap().seq, 5);
+        let mut whole = small_trace().as_slice().to_vec();
+        whole.extend(tail);
+        assert_eq!(t.digest(), Trace::new("t", whole).digest());
     }
 
     #[test]

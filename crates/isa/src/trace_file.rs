@@ -13,9 +13,10 @@
 //! offset  size  field
 //! 0       13    magic: the ASCII bytes "icfp-trace/v1" or "icfp-trace/v2"
 //! 13      8     index offset (u64 LE; patched when the writer finishes)
-//! 21      ...   blocks, back to back: v1 blocks are the vendored-serde
-//!               encoding of their Vec<DynInst> (length-prefixed); v2 blocks
-//!               use the varint + delta codec of [`crate::trace_v2`]
+//! 21      ...   blocks, back to back: a v1 block is a u64 record count,
+//!               then per record the instruction's position (u64) and the
+//!               vendored-serde encoding of its DynInst; v2 blocks use the
+//!               varint + delta codec of the crate's `trace_v2` module
 //! index   n     index: vendored-serde encoding of [`struct@TraceIndex`]
 //!               (name, total instructions, block size, whole-trace digest,
 //!               per-block {offset, byte length, instruction count, digest})
@@ -45,7 +46,7 @@
 //! `open_validated` with [`TraceSourceError::Corrupt`].
 
 use crate::source::{
-    block_digest_of, BlockCache, Residency, TraceBlock, TraceSource, TraceSourceError, WarmStore,
+    block_digest_at, BlockCache, Residency, TraceBlock, TraceSource, TraceSourceError, WarmStore,
 };
 use crate::trace::Trace;
 use crate::{inst_mix, DynInst, InstDigest, InstSeq};
@@ -68,10 +69,11 @@ const DATA_START: u64 = TRACE_MAGIC.len() as u64 + 8;
 /// On-disk block encoding of a trace container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
-    /// `icfp-trace/v1`: vendored-serde `Vec<DynInst>` per block.
+    /// `icfp-trace/v1`: per block a record count, then each record's
+    /// position and vendored-serde `DynInst`.
     V1,
-    /// `icfp-trace/v2`: varint + delta codec ([`crate::trace_v2`]), roughly
-    /// a fifth of the v1 size on real instruction streams.
+    /// `icfp-trace/v2`: varint + delta codec (the crate's `trace_v2`
+    /// module), roughly a fifth of the v1 size on real instruction streams.
     V2,
 }
 
@@ -118,7 +120,7 @@ struct BlockMeta {
     byte_len: u64,
     /// Number of instructions in the block.
     inst_count: u64,
-    /// [`block_digest_of`] the block's instructions.
+    /// [`block_digest_at`] the block's first position, of its instructions.
     digest: u64,
 }
 
@@ -144,8 +146,8 @@ fn io_err(path: &Path, e: std::io::Error) -> TraceSourceError {
 /// memory (one block buffer plus the index).
 ///
 /// [`TraceFileWriter::push`] mirrors [`crate::TraceBuilder`] exactly —
-/// sequence numbers follow the push order and a zero program counter is
-/// assigned from the running PC (4-byte spaced, [`TraceFileWriter::set_next_pc`]
+/// positions follow the push order and a zero program counter is assigned
+/// from the running PC (4-byte spaced, [`TraceFileWriter::set_next_pc`]
 /// models loops) — so a converter emitting through the writer produces the
 /// same instruction stream it would have built in memory.
 #[derive(Debug)]
@@ -216,7 +218,7 @@ impl TraceFileWriter {
             offset: DATA_START,
             total: 0,
             whole,
-            block: InstDigest::new(),
+            block: InstDigest::at(0),
             next_pc: 0x1000,
         })
     }
@@ -237,8 +239,8 @@ impl TraceFileWriter {
         self.next_pc = pc;
     }
 
-    /// Appends an instruction, assigning its sequence number and (if zero)
-    /// its program counter, exactly as [`crate::TraceBuilder::push`] would.
+    /// Appends an instruction, assigning its program counter if it is zero,
+    /// exactly as [`crate::TraceBuilder::push`] would.
     ///
     /// # Errors
     ///
@@ -251,16 +253,14 @@ impl TraceFileWriter {
         self.push_raw(inst)
     }
 
-    /// Appends an instruction preserving its PC verbatim (only the sequence
-    /// number is assigned, as [`Trace::new`] does).  Used when re-containering
-    /// content that already carries final PCs.
+    /// Appends an instruction verbatim, PC included.  Used when
+    /// re-containering content that already carries final PCs.
     ///
     /// # Errors
     ///
     /// Filesystem failures while flushing a completed block.
-    pub fn push_raw(&mut self, mut inst: DynInst) -> Result<(), TraceSourceError> {
-        inst.seq = self.total as InstSeq;
-        let mix = inst_mix(&inst);
+    pub fn push_raw(&mut self, inst: DynInst) -> Result<(), TraceSourceError> {
+        let mix = inst_mix(self.total, &inst);
         self.whole.push_mix(mix);
         self.block.push_mix(mix);
         self.buf.push(inst);
@@ -276,7 +276,7 @@ impl TraceFileWriter {
             return Ok(());
         }
         let bytes = match self.format {
-            TraceFormat::V1 => serde::to_bytes(&self.buf),
+            TraceFormat::V1 => encode_v1(self.total - self.buf.len() as InstSeq, &self.buf),
             TraceFormat::V2 => {
                 let mut out = Vec::with_capacity(self.buf.len() * 12);
                 crate::trace_v2::encode_block(&self.buf, &mut out);
@@ -382,6 +382,52 @@ impl TraceFileWriter {
         }
         w.finish()
     }
+}
+
+/// Shortest `icfp-trace/v1` record: position, `pc` and `imm` (8 bytes
+/// each), the `op` and `width` variant tags (4 each) and the five `Option`
+/// presence bytes.
+const V1_MIN_RECORD_BYTES: usize = 8 + 8 + 8 + 4 + 4 + 5;
+
+/// Encodes one `icfp-trace/v1` block whose first instruction sits at
+/// position `first`: the record count, then per record its position as a
+/// `u64` and the instruction's vendored-serde fields — the bytes a record
+/// with a leading sequence-number field encoded to, so v1 files keep one
+/// byte image.
+fn encode_v1(first: InstSeq, insts: &[DynInst]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + insts.len() * 48);
+    (insts.len() as u64).serialize(&mut out);
+    for (pos, inst) in (first..).zip(insts) {
+        pos.serialize(&mut out);
+        inst.serialize(&mut out);
+    }
+    out
+}
+
+/// Decodes exactly `count` `icfp-trace/v1` records starting at position
+/// `first`.  A record whose stored position is not where it sits is refused:
+/// the position is not content the reader keeps, so it must at least agree.
+fn decode_v1(bytes: &[u8], first: InstSeq, count: usize) -> Result<Vec<DynInst>, String> {
+    let mut r = serde::Reader::new(bytes);
+    let stored = u64::deserialize(&mut r).map_err(|e| e.to_string())?;
+    if stored != count as u64 {
+        return Err(format!("it holds {stored} instructions, the index claims {count}"));
+    }
+    if count > bytes.len() / V1_MIN_RECORD_BYTES {
+        return Err(format!("{} bytes cannot hold {count} instructions", bytes.len()));
+    }
+    let mut insts = Vec::with_capacity(count);
+    for pos in first..first + count as InstSeq {
+        let stored = u64::deserialize(&mut r).map_err(|e| e.to_string())?;
+        if stored != pos {
+            return Err(format!("the record at position {pos} stores position {stored}"));
+        }
+        insts.push(DynInst::deserialize(&mut r).map_err(|e| e.to_string())?);
+    }
+    if r.remaining() != 0 {
+        return Err(format!("{} trailing bytes after {count} instructions", r.remaining()));
+    }
+    Ok(insts)
 }
 
 // ---------------------------------------------------------------------------
@@ -728,27 +774,14 @@ impl TraceFileInner {
         meta: &BlockMeta,
         bytes: &[u8],
     ) -> Result<Vec<DynInst>, TraceSourceError> {
-        let insts: Vec<DynInst> = match self.format {
-            TraceFormat::V1 => serde::from_bytes(bytes).map_err(|e| {
-                TraceSourceError::Corrupt(format!("block {index} does not decode: {e}"))
-            })?,
-            TraceFormat::V2 => crate::trace_v2::decode_block(
-                bytes,
-                index as u64 * self.index.block_size,
-                meta.inst_count as usize,
-            )
-            .map_err(|e| {
-                TraceSourceError::Corrupt(format!("block {index} does not decode: {e}"))
-            })?,
-        };
-        if insts.len() as u64 != meta.inst_count {
-            return Err(TraceSourceError::Corrupt(format!(
-                "block {index} decoded {} instructions, index claims {}",
-                insts.len(),
-                meta.inst_count
-            )));
+        let first = index as InstSeq * self.index.block_size;
+        let count = meta.inst_count as usize;
+        let insts = match self.format {
+            TraceFormat::V1 => decode_v1(bytes, first, count),
+            TraceFormat::V2 => crate::trace_v2::decode_block(bytes, count),
         }
-        let found = block_digest_of(&insts);
+        .map_err(|e| TraceSourceError::Corrupt(format!("block {index} does not decode: {e}")))?;
+        let found = block_digest_at(first, &insts);
         if found != meta.digest {
             return Err(TraceSourceError::BlockDigestMismatch {
                 index,
@@ -994,6 +1027,34 @@ mod tests {
     }
 
     #[test]
+    fn a_v1_record_that_stores_another_position_is_refused() {
+        // Block 1 of 8-instruction blocks holds positions 8..16; each of its
+        // records leads with its position, after the block's 8-byte count.
+        let t = sample_trace(10);
+        let path = tmp("v1-position");
+        TraceFileWriter::write_trace_as(&path, &t, 8, TraceFormat::V1).expect("write");
+        let bytes = std::fs::read(&path).expect("read back");
+        let at = TraceFile::open(&path).expect("open").inner.index.blocks[1].offset as usize + 8;
+        assert_eq!(bytes[at..at + 8], 8u64.to_le_bytes(), "the first record of block 1");
+        for stored in [0u64, 7, 9, u64::MAX] {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&stored.to_le_bytes());
+            std::fs::write(&path, &b).unwrap();
+            let f = TraceFile::open(&path).expect("structure untouched");
+            f.block(0).expect("block 0 is intact");
+            match f.block(1) {
+                Err(TraceSourceError::Corrupt(msg)) => assert!(
+                    msg.contains(&format!("position 8 stores position {stored}")),
+                    "{msg}"
+                ),
+                other => panic!("stored position {stored}: expected a refusal, got {other:?}"),
+            }
+            assert!(f.verify().is_err());
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn hostile_index_offset_and_lengths_are_errors() {
         let t = sample_trace(10);
         let path = tmp("hostile-index");
@@ -1058,13 +1119,15 @@ mod tests {
     #[test]
     fn containers_carrying_the_old_digest_definition_are_refused() {
         // What builds before `InstDigest` recorded: FNV-1a over each
-        // instruction's serde image (whole: name first, length last).
-        fn old_digest(name: Option<&str>, insts: &[DynInst]) -> u64 {
+        // instruction's serde image, its position leading (whole: name
+        // first, length last).
+        fn old_digest(name: Option<&str>, first: u64, insts: &[DynInst]) -> u64 {
             let mut h = crate::Fnv1a::new();
             if let Some(name) = name {
                 h.write(name.as_bytes());
             }
-            for inst in insts {
+            for (pos, inst) in (first..).zip(insts) {
+                h.write_u64(pos);
                 h.write(&serde::to_bytes(inst));
             }
             if name.is_some() {
@@ -1077,9 +1140,10 @@ mod tests {
             let path = tmp(&format!("old-digests-{format}"));
             TraceFileWriter::write_trace_as(&path, &t, 8, format).expect("write");
             rewrite_index(&path, |index| {
-                index.whole_digest = old_digest(Some(t.name()), t.as_slice());
-                for (meta, insts) in index.blocks.iter_mut().zip(t.as_slice().chunks(8)) {
-                    meta.digest = old_digest(None, insts);
+                index.whole_digest = old_digest(Some(t.name()), 0, t.as_slice());
+                let blocks = index.blocks.iter_mut().zip(t.as_slice().chunks(8));
+                for (first, (meta, insts)) in (0..).step_by(8).zip(blocks) {
+                    meta.digest = old_digest(None, first, insts);
                 }
             });
             // The structure is intact, so it opens — and then every way of

@@ -2,10 +2,10 @@
 //!
 //! Version 2 of the container keeps the v1 *file* geometry (magic, index
 //! offset, index, trailing index digest — see [`crate::trace_file`]) and
-//! changes only how a block's instructions are serialized.  The vendored-serde
-//! encoding of v1 spends ~45 bytes per instruction, most of it on fields that
-//! are either derivable (`seq` is the block's first sequence number plus the
-//! record's position) or strongly correlated with the previous record (`pc`
+//! changes only how a block's instructions are serialized.  The v1 encoding
+//! spends ~45 bytes per instruction, most of it on what is either derivable
+//! (each record's leading position, always the block's first position plus
+//! the record's index) or strongly correlated with the previous record (`pc`
 //! and effective addresses advance by small strides).  The v2 record is:
 //!
 //! ```text
@@ -23,20 +23,21 @@
 //! pred    4 bytes  present iff flags bit4: predictability f32 LE
 //! ```
 //!
-//! `seq` is never stored: the decoder reconstructs it as `first_seq + k`,
-//! which matches the writer's assignment exactly (sequence numbers follow
-//! push order from 0).  Deltas reset at block boundaries so every block
-//! decodes independently — random access and checkpoint resume work the same
-//! as v1, and [`crate::source::block_digest_of`] of the decoded instructions
-//! still guards content integrity (the digest is over the *instructions*, not
-//! the encoding, so it is identical across container versions).
+//! No record carries a position, in the file or once decoded: an
+//! instruction's position is where it sits, the block's first position plus
+//! its index.  Deltas reset at block boundaries so every block decodes
+//! independently — random access and checkpoint resume work the same as v1,
+//! and [`crate::source::block_digest_at`] the block's first position, over
+//! the decoded instructions, still guards content integrity (the digest is
+//! over the *instructions*, not the encoding, so it is identical across
+//! container versions).
 //!
 //! Decoding never panics on hostile bytes: every read is bounds-checked and
 //! every ordinal is range-checked, returning a message the caller wraps into
 //! a typed [`crate::source::TraceSourceError`].
 
 use crate::inst::BranchInfo;
-use crate::{DynInst, InstSeq, MemWidth, Op, Reg, NUM_ARCH_REGS};
+use crate::{DynInst, MemWidth, Op, Reg, NUM_ARCH_REGS};
 
 /// Opcode ordinals: index in this table == on-disk byte.  Appending new
 /// opcodes is forwards-compatible; reordering is a format break.
@@ -220,18 +221,13 @@ impl Reader<'_> {
     }
 }
 
-/// Decodes exactly `count` instructions from `bytes`, assigning sequence
-/// numbers `first_seq..first_seq + count`.
+/// Decodes exactly `count` instructions from `bytes`.
 ///
 /// # Errors
 ///
 /// A description of the first malformation (truncation, trailing bytes,
 /// out-of-range opcode or register ordinals); never panics.
-pub(crate) fn decode_block(
-    bytes: &[u8],
-    first_seq: u64,
-    count: usize,
-) -> Result<Vec<DynInst>, String> {
+pub(crate) fn decode_block(bytes: &[u8], count: usize) -> Result<Vec<DynInst>, String> {
     // `count` comes from the container index: bound it by what the bytes can
     // hold (a record is at least flags, opcode, pc and imm) before reserving.
     if count > bytes.len() / MIN_RECORD_BYTES {
@@ -241,7 +237,7 @@ pub(crate) fn decode_block(
         ));
     }
     let mut r = Reader { bytes, pos: 0 };
-    let insts = decode_records(&mut r, first_seq, count).map_err(|e| match e {
+    let insts = decode_records(&mut r, count).map_err(|e| match e {
         Malformed::Truncated => format!("truncated at byte {}", r.pos),
         Malformed::Opcode(op) => format!("opcode ordinal {op} out of range"),
         Malformed::Register(reg) => format!("register index {reg} out of range"),
@@ -256,15 +252,11 @@ pub(crate) fn decode_block(
     Ok(insts)
 }
 
-fn decode_records(
-    r: &mut Reader<'_>,
-    first_seq: u64,
-    count: usize,
-) -> Result<Vec<DynInst>, Malformed> {
+fn decode_records(r: &mut Reader<'_>, count: usize) -> Result<Vec<DynInst>, Malformed> {
     let mut insts = Vec::with_capacity(count);
     let mut prev_pc: u64 = 0;
     let mut prev_addr: u64 = 0;
-    for seq in first_seq..first_seq + count as InstSeq {
+    for _ in 0..count {
         let flags = r.u8()?;
         let op_byte = r.u8()?;
         let op = *OPS.get(usize::from(op_byte)).ok_or(Malformed::Opcode(op_byte))?;
@@ -292,7 +284,6 @@ fn decode_records(
             None
         };
         insts.push(DynInst {
-            seq,
             pc,
             op,
             dst,
@@ -324,7 +315,7 @@ mod tests {
                 Op::Nop => DynInst::nop(),
                 _ => DynInst::alu(op, Reg::fp(k % 32), Reg::int(5), Reg::int(6)),
             };
-            v.push(inst.with_seq(k as u64).with_pc(0x1000 + k as u64 * 4));
+            v.push(inst.with_pc(0x1000 + k as u64 * 4));
         }
         // Every width, a huge immediate, a wrapping-negative immediate, and a
         // backwards branch (negative target delta).
@@ -334,28 +325,24 @@ mod tests {
         {
             let mut i = DynInst::load(Reg::int(7), Reg::int(8), u64::MAX - 64 + k as u64);
             i.width = w;
-            v.push(i.with_seq(v.len() as u64).with_pc(0x2000));
+            v.push(i.with_pc(0x2000));
         }
         // ... and the two immediates whose zigzag needs all ten varint bytes.
         for imm in [u64::MAX - 5, 1 << 62, 1 << 63] {
             let imm = DynInst::alu_imm(Op::Xor, Reg::int(9), Reg::int(9), imm);
-            v.push(imm.with_seq(v.len() as u64).with_pc(0x3000));
+            v.push(imm.with_pc(0x3000));
         }
         let back = DynInst::branch(Reg::int(1), true, 0x10, 0.0).with_pc(0xFFFF_0000);
-        v.push(back.with_seq(v.len() as u64));
+        v.push(back);
         v
     }
 
     #[test]
     fn round_trips_every_opcode_width_and_field_shape() {
-        let mut insts = every_shape();
-        let first = 1234u64;
-        for (k, i) in insts.iter_mut().enumerate() {
-            i.seq = first + k as u64;
-        }
+        let insts = every_shape();
         let mut bytes = Vec::new();
         encode_block(&insts, &mut bytes);
-        let back = decode_block(&bytes, first, insts.len()).expect("decode");
+        let back = decode_block(&bytes, insts.len()).expect("decode");
         assert_eq!(back, insts);
     }
 
@@ -372,7 +359,7 @@ mod tests {
         let mut bytes = Vec::new();
         encode_block(&insts, &mut bytes);
         for cut in 0..bytes.len() {
-            let err = decode_block(&bytes[..cut], 0, insts.len());
+            let err = decode_block(&bytes[..cut], insts.len());
             assert!(err.is_err(), "cut at {cut} decoded");
         }
     }
@@ -383,17 +370,17 @@ mod tests {
         let mut bytes = Vec::new();
         encode_block(&insts, &mut bytes);
         bytes.push(0x00);
-        assert!(decode_block(&bytes, 0, 1).unwrap_err().contains("trailing"));
+        assert!(decode_block(&bytes, 1).unwrap_err().contains("trailing"));
     }
 
     #[test]
     fn hostile_ordinals_are_errors() {
         // Opcode ordinal 16 does not exist (OPS covers 0..16).
         let bytes = [0u8, 16, 0, 0];
-        assert!(decode_block(&bytes, 0, 1).unwrap_err().contains("opcode ordinal 16"));
+        assert!(decode_block(&bytes, 1).unwrap_err().contains("opcode ordinal 16"));
         // Register index 64 is out of range.
         let bytes = [FLAG_DST, 15, 64, 0, 0];
-        assert!(decode_block(&bytes, 0, 1).unwrap_err().contains("register index 64"));
+        assert!(decode_block(&bytes, 1).unwrap_err().contains("register index 64"));
     }
 
     #[test]
@@ -402,25 +389,27 @@ mod tests {
         let mut bytes = vec![0u8, 15];
         bytes.extend_from_slice(&[0x80; 10]);
         bytes.push(0x01);
-        assert_eq!(decode_block(&bytes, 0, 1).unwrap_err(), "varint overflows u64 at byte 11");
+        assert_eq!(decode_block(&bytes, 1).unwrap_err(), "varint overflows u64 at byte 11");
         // A 10-byte varint whose final byte overflows the top bit.
         let mut bytes = vec![0u8, 15];
         bytes.extend_from_slice(&[0x80; 9]);
         bytes.push(0x7F);
-        assert_eq!(decode_block(&bytes, 0, 1).unwrap_err(), "varint overflows u64 at byte 11");
+        assert_eq!(decode_block(&bytes, 1).unwrap_err(), "varint overflows u64 at byte 11");
     }
 
     #[test]
-    fn sequence_numbers_come_from_block_position() {
-        let insts: Vec<DynInst> = (0..5)
-            .map(|k| DynInst::nop().with_seq(700 + k).with_pc(0x1000 + k * 4))
-            .collect();
+    fn a_block_digest_depends_on_its_first_position() {
+        // The bytes carry no position, so one encoded block placed at two
+        // first positions decodes to equal records and two identities.
+        let insts = every_shape();
         let mut bytes = Vec::new();
         encode_block(&insts, &mut bytes);
-        let back = decode_block(&bytes, 700, 5).expect("decode");
-        for (k, i) in back.iter().enumerate() {
-            assert_eq!(i.seq, 700 + k as u64);
-        }
+        let back = decode_block(&bytes, insts.len()).expect("decode");
+        assert_eq!(back, insts);
+        let digest = |first| crate::source::block_digest_at(first, &back);
+        assert_eq!(digest(0), crate::source::block_digest_of(&insts));
+        assert_ne!(digest(0), digest(700));
+        assert_ne!(digest(700), digest(701));
     }
 
     #[test]
@@ -431,7 +420,6 @@ mod tests {
         let insts: Vec<DynInst> = (0..1000u64)
             .map(|k| {
                 DynInst::load(Reg::int((k % 30) as usize), Reg::int(31), 0x10000 + k * 64)
-                    .with_seq(k)
                     .with_pc(0x1000 + k * 4)
             })
             .collect();

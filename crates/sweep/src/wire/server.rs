@@ -312,7 +312,7 @@ pub struct ServeSummary {
 /// executor and result cache, bounded by [`AcceptOptions::max_inflight`].
 ///
 /// Each accepted stream gets [`ServeOptions::io_timeout`] deadlines and its
-/// own [`handle_conn`] thread; the loop itself never blocks on a
+/// own connection-handler thread; the loop itself never blocks on a
 /// conversation, so a quick cache-hit submission runs beside a cold sweep.
 /// The loop exits when [`AcceptOptions::max_submissions`] submissions have
 /// been served or [`AcceptOptions::shutdown`] goes true, then *drains*:

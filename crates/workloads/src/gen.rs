@@ -1,31 +1,32 @@
 //! Resumable generator state machines behind the synthetic workloads.
 //!
 //! Each of the four standard generators is a small cloneable state machine
-//! ([`Gen`]) that emits one *burst* (one loop iteration of the original
+//! (`Gen`) that emits one *burst* (one loop iteration of the original
 //! generator, 1–8 instructions) per call.  The same state machine drives two
 //! frontends:
 //!
-//! * [`materialize`] — run bursts into a [`TraceBuilder`] until the budget is
+//! * `materialize` — run bursts into a [`TraceBuilder`] until the budget is
 //!   met, producing exactly the `Trace` the pre-streaming generators built
-//!   (bit-identical content, digests unchanged);
+//!   (bit-identical content, digests unchanged), in an arena reserved at
+//!   its final size;
 //! * [`WorkloadSource`] — a streaming [`TraceSource`]: the constructor makes
 //!   one O(total) scan recording a tiny resume snapshot (generator clone +
-//!   PC/seq state + the few overshoot instructions of a split burst) per
-//!   block boundary, and [`TraceSource::block`] re-generates any block from
-//!   its snapshot on demand.  A 100M-instruction pointer-chase is never
-//!   resident beyond a handful of blocks plus the boundary table.
+//!   PC and position state + the few overshoot instructions of a split
+//!   burst) per block boundary, and [`TraceSource::block`] re-generates any
+//!   block from its snapshot on demand.  A 100M-instruction pointer-chase
+//!   is never resident beyond a handful of blocks plus the boundary table.
 
 use crate::SplitMix64;
 use icfp_isa::source::{
-    block_digest_of, BlockCache, Residency, TraceBlock, TraceSource, TraceSourceError, WarmStore,
+    block_digest_at, BlockCache, Residency, TraceBlock, TraceSource, TraceSourceError, WarmStore,
 };
 use icfp_isa::{inst_mix, DynInst, InstDigest, InstSeq, Op, Reg, Trace, TraceBuilder};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A consumer of generated instructions, mirroring the [`TraceBuilder`]
-/// surface the original generators were written against (push order assigns
-/// sequence numbers; zero PCs are assigned from a running counter;
+/// surface the original generators were written against (push order is
+/// position; zero PCs are assigned from a running counter;
 /// [`TraceSink::set_next_pc`] models loops).  Implemented by
 /// [`TraceBuilder`], by the streaming emitter here, and by the
 /// `icfp-trace/v1` writer adapter in the converter.
@@ -185,6 +186,10 @@ impl StreamingGen {
     }
 }
 
+/// The most instructions one burst emits (dcache-thrash: load, add, up to
+/// five adds, a store), so a budget is overshot by less than this.
+const MAX_BURST: usize = 8;
+
 /// One of the four generator state machines, as a cloneable value (the
 /// block-boundary resume snapshot is literally a clone of this).
 #[derive(Debug, Clone)]
@@ -209,9 +214,10 @@ impl Gen {
 
 /// Runs `gen` into a fresh [`TraceBuilder`] until at least `insts`
 /// instructions exist — byte-for-byte what the pre-streaming generator
-/// functions produced.
+/// functions produced.  The arena is reserved once, for the budget plus one
+/// burst, so it never grows and never holds more than that spare.
 pub(crate) fn materialize(name: &str, mut gen: Gen, insts: usize) -> Trace {
-    let mut b = TraceBuilder::new(name);
+    let mut b = TraceBuilder::with_capacity(name, insts + MAX_BURST);
     while b.len() < insts {
         gen.burst(&mut b);
     }
@@ -222,18 +228,18 @@ pub(crate) fn materialize(name: &str, mut gen: Gen, insts: usize) -> Trace {
 // Streaming emission
 // ---------------------------------------------------------------------------
 
-/// PC/seq assignment state plus the overshoot queue of a split burst —
+/// PC assignment and position state plus the overshoot queue of a split burst —
 /// everything (besides the generator itself) needed to resume emission at an
 /// arbitrary instruction boundary.
 #[derive(Debug, Clone)]
 struct EmitState {
     gen: Gen,
     next_pc: u64,
-    /// Sequence number of the next emitted instruction == instructions
-    /// emitted so far (bursts check this against the budget).
-    next_seq: u64,
+    /// Instructions emitted so far == the position of the next one (bursts
+    /// check this against the budget).
+    emitted: usize,
     /// Instructions a burst emitted past the point we have consumed
-    /// (already PC/seq-assigned).  Bounded by the largest burst (8).
+    /// (already PC-assigned).  Bounded by the largest burst ([`MAX_BURST`]).
     pending: VecDeque<DynInst>,
 }
 
@@ -242,7 +248,7 @@ impl EmitState {
         EmitState {
             gen,
             next_pc: 0x1000,
-            next_seq: 0,
+            emitted: 0,
             pending: VecDeque::new(),
         }
     }
@@ -255,35 +261,34 @@ impl EmitState {
         }
         // The original generators loop `while emitted < target { burst }`:
         // a burst fires iff the count *before* it is under budget.
-        if self.next_seq as usize >= target {
+        if self.emitted >= target {
             return None;
         }
         let mut sink = PendingSink {
             pending: &mut self.pending,
             next_pc: &mut self.next_pc,
-            next_seq: &mut self.next_seq,
+            emitted: &mut self.emitted,
         };
         self.gen.burst(&mut sink);
         self.pending.pop_front()
     }
 }
 
-/// [`TraceSink`] that assigns PC/seq exactly like [`TraceBuilder`] but emits
+/// [`TraceSink`] that assigns PCs exactly like [`TraceBuilder`] but emits
 /// into the overshoot queue instead of an arena.
 struct PendingSink<'a> {
     pending: &'a mut VecDeque<DynInst>,
     next_pc: &'a mut u64,
-    next_seq: &'a mut u64,
+    emitted: &'a mut usize,
 }
 
 impl TraceSink for PendingSink<'_> {
     fn push(&mut self, mut inst: DynInst) {
-        inst.seq = *self.next_seq as InstSeq;
         if inst.pc == 0 {
             inst.pc = *self.next_pc;
         }
         *self.next_pc = inst.pc + 4;
-        *self.next_seq += 1;
+        *self.emitted += 1;
         self.pending.push_back(inst);
     }
 
@@ -292,14 +297,14 @@ impl TraceSink for PendingSink<'_> {
     }
 
     fn emitted(&self) -> usize {
-        *self.next_seq as usize
+        *self.emitted
     }
 }
 
 /// Streaming [`TraceSource`] over a synthetic generator: block `k` is
 /// re-generated on demand from the boundary snapshot recorded during the
 /// constructor's single scan.  Content, digests and block geometry are
-/// identical to [`materialize`]-ing the same generator and wrapping it in an
+/// identical to materializing the same generator and wrapping it in an
 /// [`icfp_isa::ArenaSource`] with the same block size — streamed and
 /// arena-backed simulations are bit-identical.
 #[derive(Debug)]
@@ -328,14 +333,16 @@ impl WorkloadSource {
         let mut boundaries = Vec::new();
         let mut block_digests = Vec::new();
         let mut whole = InstDigest::named(name);
+        let mut pos: InstSeq = 0;
         loop {
             boundaries.push(emit.clone());
             // One mix per instruction, folded into both chains.
-            let mut block = InstDigest::new();
+            let mut block = InstDigest::at(pos);
             let mut len = 0;
             while len < block_size {
                 let Some(inst) = emit.next(insts) else { break };
-                let mix = inst_mix(&inst);
+                let mix = inst_mix(pos, &inst);
+                pos += 1;
                 whole.push_mix(mix);
                 block.push_mix(mix);
                 len += 1;
@@ -349,7 +356,7 @@ impl WorkloadSource {
                 break;
             }
         }
-        let total = emit.next_seq as usize;
+        let total = emit.emitted;
         WorkloadSource {
             name: name.to_string(),
             target: insts,
@@ -401,15 +408,13 @@ impl TraceSource for WorkloadSource {
             // The scan's digest is what consumers were promised (checkpoint
             // resume validates against it), so a regeneration that diverges
             // from it is refused, in every profile.
-            let (expected, found) = (self.block_digests[index], block_digest_of(&insts));
+            let first = index * self.block_size;
+            let found = block_digest_at(first as InstSeq, &insts);
+            let expected = self.block_digests[index];
             if found != expected {
                 return Err(TraceSourceError::BlockDigestMismatch { index, expected, found });
             }
-            Ok(Arc::new(TraceBlock::counted(
-                index * self.block_size,
-                insts,
-                &self.residency,
-            )))
+            Ok(Arc::new(TraceBlock::counted(first, insts, &self.residency)))
         })
     }
 

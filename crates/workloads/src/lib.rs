@@ -315,7 +315,7 @@ mod tests {
                     at += 1;
                 }
                 assert_eq!(src.block_digest(k).unwrap(), {
-                    icfp_isa::block_digest_of(b.insts())
+                    icfp_isa::block_digest_at(b.first as u64, b.insts())
                 });
             }
             assert_eq!(at, arena.len());
