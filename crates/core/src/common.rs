@@ -245,16 +245,6 @@ impl Engine {
     }
 }
 
-/// Seeds `eng` from a functional fast-forward state, if one was supplied,
-/// and returns the trace index the timed run starts at (0 when cold).  The
-/// shared prologue of every whole-trace model.
-pub fn seed_start(eng: &mut Engine, warm: Option<&exec::ArchState>, len: usize) -> usize {
-    warm.map_or(0, |w| {
-        eng.seed_arch(w);
-        (w.instructions as usize).min(len)
-    })
-}
-
 /// Runs the architectural golden model over a trace, returning the final
 /// register values and memory image in the same format as [`RunResult`].
 /// Integration tests compare every timing model against this.

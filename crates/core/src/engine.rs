@@ -8,16 +8,18 @@
 //! [`CoreEngine::finish`] consumes the engine, so a finished engine cannot be
 //! stepped, saved or finished again.
 //!
-//! The iCFP model ([`IcfpMachine`]) implements the trait itself and stops at
-//! any instruction; the four whole-trace comparison models are plain
-//! functions held by one private adapter, whose first `advance` with budget
-//! left simulates the trace to completion.  [`run_model`] /
-//! [`run_model_cursor`] are the workspace's only "run to completion" entry
-//! points.
+//! Every model is a resumable machine that holds its whole run in its
+//! fields: [`IcfpMachine`], `SltpMachine`, and the Runahead machine
+//! (`runahead::Machine`), which is also the in-order and the Multipass
+//! core.  Their `save`, `restore` and `seed` share one body each
+//! (`machine_bodies!`).
+//! [`run_model`] / [`run_model_cursor`] are the workspace's only "run to
+//! completion" entry points.
 
 use crate::config::CoreConfig;
 use crate::icfp::IcfpMachine;
-use crate::{inorder, multipass, runahead, sltp};
+use crate::runahead;
+use crate::sltp::SltpMachine;
 use icfp_isa::{exec::ArchState, Trace, TraceCursor};
 use icfp_pipeline::RunResult;
 use serde::{Deserialize, Serialize};
@@ -35,7 +37,7 @@ pub enum CoreModel {
     Multipass,
     /// SLTP.
     Sltp,
-    /// iCFP (the paper's mechanism; the one model that stops mid-trace).
+    /// iCFP (the paper's mechanism).
     Icfp,
 }
 
@@ -88,20 +90,11 @@ impl CoreModel {
     /// Builds an engine for this model — the workspace's single model
     /// dispatch point (the registry).
     pub fn engine(self, cfg: &CoreConfig) -> Box<dyn CoreEngine> {
-        let run = match self {
-            CoreModel::Icfp => return Box::new(IcfpMachine::new(cfg)),
-            CoreModel::InOrder => inorder::run,
-            CoreModel::Runahead => runahead::run,
-            CoreModel::Multipass => multipass::run,
-            CoreModel::Sltp => sltp::run,
-        };
-        Box::new(WholeTraceEngine {
-            model: self,
-            cfg: cfg.clone(),
-            run,
-            result: None,
-            seed: None,
-        })
+        match self {
+            CoreModel::Icfp => Box::new(IcfpMachine::new(cfg)),
+            CoreModel::Sltp => Box::new(SltpMachine::new(cfg)),
+            _ => Box::new(runahead::Machine::new(self, cfg)),
+        }
     }
 
     /// True if the model's timing depends on the slice-buffer configuration
@@ -125,11 +118,9 @@ impl fmt::Display for CoreModel {
 /// engine of the same model, produced by [`CoreEngine::save`] and consumed by
 /// [`CoreEngine::restore`].
 ///
-/// `bytes` is the model-specific state in the vendored-serde binary format
-/// (for the iCFP model, the whole [`IcfpMachine`] including its register
-/// file, poison planes, slice/store buffers, caches, MSHRs, bus and
-/// prefetcher; for the whole-trace comparison models, the run result and
-/// fast-forward seed, if any).  Nothing is duplicated outside the blob: a
+/// `bytes` is the model's machine in the vendored-serde binary format: its
+/// register file, poison planes, buffers, caches, MSHRs, bus, prefetcher,
+/// statistics and trace position.  Nothing is duplicated outside the blob: a
 /// driver that needs the run's position asks the engine
 /// ([`CoreEngine::processed`]) before saving.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -156,10 +147,10 @@ pub trait CoreEngine: Send {
     ///
     /// The engine reads the trace through the [`TraceCursor`] block by block
     /// (the whole arena for in-memory sources), so arena and block-streamed
-    /// sources take the identical code path.  Granularity is the model's: the
-    /// iCFP model stops at any instruction (after the rally passes due by
-    /// then), the whole-trace models run to completion on the first call
-    /// that has budget left.
+    /// sources take the identical code path.  Granularity is the model's:
+    /// in-order and SLTP stop at any instruction, iCFP too (after the rally
+    /// passes due by then); Runahead and Multipass stop between units of
+    /// work, an advance walk and its squash being one.
     fn advance(&mut self, trace: &TraceCursor<'_>, inst_limit: usize) -> bool;
 
     /// Installs the outcome of a functional fast-forward into a *fresh*
@@ -193,10 +184,9 @@ pub trait CoreEngine: Send {
 
     /// Replaces this engine's state with a snapshot from [`CoreEngine::save`].
     ///
-    /// The engine must have been built for the same model *and
-    /// configuration* as the one that produced the snapshot (the snapshot
-    /// carries its own configuration; restoring onto a mismatched engine
-    /// replaces the configuration wholesale for the iCFP model).
+    /// The engine must have been built for the same model as the one that
+    /// produced the snapshot; the snapshot carries its own configuration,
+    /// which replaces the engine's wholesale.
     ///
     /// # Errors
     ///
@@ -204,91 +194,45 @@ pub trait CoreEngine: Send {
     fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), String>;
 }
 
-/// Refuses a snapshot taken by a different model.
-pub(crate) fn check_model(snapshot: &EngineSnapshot, model: CoreModel) -> Result<(), String> {
-    if snapshot.model == model {
-        Ok(())
-    } else {
-        Err(format!(
-            "snapshot is for model {}, engine runs {model}",
-            snapshot.model
-        ))
-    }
+/// The `seed`, `processed`, `save` and `restore` bodies of every model's
+/// [`CoreEngine`] impl, written once: a machine holds its `Engine` in
+/// `eng` and its next trace position in `i`, and its bytes are the snapshot.
+/// A seed is refused once the machine has left position 0 or cycle 0; a
+/// snapshot is refused if another model took it or its configuration could
+/// not build the machine.
+macro_rules! machine_bodies {
+    () => {
+        fn seed(&mut self, warm: &std::sync::Arc<icfp_isa::exec::ArchState>) -> Result<(), String> {
+            if self.i != 0 || self.eng.frontier != 0 {
+                return Err("functional fast-forward requires a fresh machine".into());
+            }
+            self.eng.seed_arch(warm);
+            self.i = warm.instructions as usize;
+            Ok(())
+        }
+
+        fn processed(&self) -> usize {
+            self.i
+        }
+
+        fn save(&self) -> $crate::engine::EngineSnapshot {
+            $crate::engine::EngineSnapshot { model: self.model(), bytes: serde::to_bytes(self) }
+        }
+
+        fn restore(&mut self, snapshot: &$crate::engine::EngineSnapshot) -> Result<(), String> {
+            let model = self.model();
+            if snapshot.model != model {
+                return Err(format!("snapshot is for model {}, engine runs {model}", snapshot.model));
+            }
+            let machine: Self = serde::from_bytes(&snapshot.bytes).map_err(|e| format!("decoding {model} snapshot: {e}"))?;
+            // The bytes are outside input: their sizes must build a machine.
+            machine.eng.cfg.validate().map_err(|e| format!("{model} snapshot configuration: {e}"))?;
+            *self = machine;
+            Ok(())
+        }
+    };
 }
-
-/// [`CoreEngine`] adapter for the whole-trace comparison models: the first
-/// [`CoreEngine::advance`] with budget left simulates the trace to
-/// completion.
-struct WholeTraceEngine {
-    model: CoreModel,
-    cfg: CoreConfig,
-    /// The model: simulates the trace behind the cursor to completion,
-    /// starting from the functional fast-forward state if one is given.
-    run: fn(&CoreConfig, &TraceCursor<'_>, Option<&ArchState>) -> RunResult,
-    result: Option<RunResult>,
-    /// Functional fast-forward state installed before the run, if any: the
-    /// shared state itself — the run copies its image into the model.
-    seed: Option<Arc<ArchState>>,
-}
-
-impl CoreEngine for WholeTraceEngine {
-    fn model(&self) -> CoreModel {
-        self.model
-    }
-
-    fn advance(&mut self, trace: &TraceCursor<'_>, inst_limit: usize) -> bool {
-        if self.result.is_some() {
-            return false;
-        }
-        if self.processed() >= inst_limit {
-            return true;
-        }
-        self.result = Some((self.run)(&self.cfg, trace, self.seed.as_deref()));
-        false
-    }
-
-    fn seed(&mut self, warm: &Arc<ArchState>) -> Result<(), String> {
-        if self.result.is_some() || self.seed.is_some() {
-            return Err("functional fast-forward requires a fresh engine".into());
-        }
-        self.seed = Some(Arc::clone(warm));
-        Ok(())
-    }
-
-    fn processed(&self) -> usize {
-        match (&self.result, &self.seed) {
-            (Some(r), _) => r.stats.instructions as usize,
-            // Seeded but not yet run: the first pass stands at the seed's
-            // trace position (checkpoints taken here resume there).
-            (None, Some(s)) => s.instructions as usize,
-            (None, None) => 0,
-        }
-    }
-
-    fn finish(mut self: Box<Self>, trace: &TraceCursor<'_>) -> RunResult {
-        self.advance(trace, usize::MAX);
-        self.result.expect("an unbounded advance completes the run")
-    }
-
-    fn save(&self) -> EngineSnapshot {
-        // Whole-trace models have exactly three states: not started (the
-        // model is stateless until it runs), seeded by a functional
-        // fast-forward but not yet run, and finished.  All are captured by
-        // the optional result + optional seed.
-        EngineSnapshot {
-            model: self.model,
-            bytes: serde::to_bytes(&(self.result.clone(), self.seed.as_deref().cloned())),
-        }
-    }
-
-    fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), String> {
-        check_model(snapshot, self.model)?;
-        let (result, seed): (_, Option<ArchState>) = serde::from_bytes(&snapshot.bytes)
-            .map_err(|e| format!("decoding {} snapshot: {e}", self.model))?;
-        (self.result, self.seed) = (result, seed.map(Arc::new));
-        Ok(())
-    }
-}
+pub(crate) use machine_bodies;
 
 /// Runs the trace behind `trace` to completion on `model` under `cfg`
 /// through the registry — the uniform entry point for any backing (arena or
@@ -341,21 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn whole_trace_engines_finish_on_first_step() {
-        let t = trace();
-        let cfg = CoreModel::InOrder.default_config();
-        let mut e = CoreModel::InOrder.engine(&cfg);
-        let c = cur(&t);
-        assert!(e.advance(&c, 0), "an exhausted budget runs nothing");
-        assert_eq!(e.processed(), 0, "no work before the first advance");
-        assert!(!e.advance(&c, 1), "whole-trace models complete on the first advance");
-        let processed = e.processed();
-        let r = e.finish(&c);
-        assert_eq!(r.core, "in-order");
-        assert_eq!(processed, r.stats.instructions as usize);
-    }
-
-    #[test]
     fn drain_without_step_runs_the_trace() {
         let t = trace();
         for m in CoreModel::ALL {
@@ -391,6 +320,16 @@ mod tests {
         b.build()
     }
 
+    /// True if `snap` was taken inside an advance episode of iCFP or SLTP;
+    /// always true for the models whose episodes never span a pause.
+    fn mid_episode(snap: &EngineSnapshot) -> bool {
+        match snap.model {
+            CoreModel::Icfp => serde::from_bytes::<IcfpMachine>(&snap.bytes).expect("decodes").in_episode(),
+            CoreModel::Sltp => serde::from_bytes::<SltpMachine>(&snap.bytes).expect("decodes").in_episode(),
+            _ => true,
+        }
+    }
+
     #[test]
     fn save_restore_mid_run_is_bit_identical_for_every_model() {
         let t = missy_trace();
@@ -406,6 +345,7 @@ mod tests {
             first.advance(&c, 25);
             let snap = first.save();
             assert_eq!(snap.model, m);
+            assert!(mid_episode(&snap), "{m}: paused outside an episode");
 
             let mut second = m.engine(&cfg);
             second.restore(&snap).expect("restore");
@@ -452,8 +392,8 @@ mod tests {
     }
 
     /// Runs `m` over `c` in chunks of 7 instructions and, at the first chunk
-    /// boundary that falls mid-run (for iCFP: mid-episode), moves the run
-    /// into a fresh engine through `save` → `restore`.
+    /// boundary that falls mid-run (for iCFP and SLTP: mid-episode), moves
+    /// the run into a fresh engine through `save` → `restore`.
     fn chunked(m: CoreModel, c: &TraceCursor<'_>, warm: Option<&Arc<ArchState>>) -> RunResult {
         let cfg = m.default_config();
         let mut e = m.engine(&cfg);
@@ -465,20 +405,14 @@ mod tests {
         while e.advance(c, e.processed() + 7) {
             chunks += 1;
             let snap = e.save();
-            let mid_episode = m != CoreModel::Icfp
-                || serde::from_bytes::<IcfpMachine>(&snap.bytes)
-                    .expect("an icfp snapshot decodes")
-                    .in_episode();
-            if !moved && mid_episode {
+            if !moved && mid_episode(&snap) {
                 e = m.engine(&cfg);
                 e.restore(&snap).expect("restore");
                 moved = true;
             }
         }
-        if m == CoreModel::Icfp {
-            assert!(chunks > 1, "icfp must stop at chunk boundaries");
-            assert!(moved, "no chunk boundary fell mid-episode");
-        }
+        assert!(chunks > 1, "{m} must stop at chunk boundaries");
+        assert!(moved, "{m}: no chunk boundary fell mid-episode");
         e.finish(c)
     }
 
@@ -574,6 +508,17 @@ mod tests {
             assert!(err.contains("icfp") && err.contains(m.name()), "{err}");
             let err = CoreModel::Icfp.engine(&cfg).restore(&other.save()).unwrap_err();
             assert!(err.contains("icfp") && err.contains(m.name()), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_snapshot_whose_configuration_cannot_build_its_machine_is_refused() {
+        // A zero-entry baseline store queue would panic at the first store.
+        let mut cfg = CoreConfig::paper_default();
+        cfg.pipeline.baseline_store_buffer = 0;
+        for m in CoreModel::ALL {
+            let snap = m.engine(&cfg).save();
+            assert!(m.engine(&m.default_config()).restore(&snap).is_err(), "{m}");
         }
     }
 

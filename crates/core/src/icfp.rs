@@ -54,15 +54,14 @@
 
 use crate::common::{Engine, OperandWait};
 use crate::config::CoreConfig;
-use crate::engine::{check_model, CoreEngine, CoreModel, EngineSnapshot};
+use crate::engine::{machine_bodies, CoreEngine, CoreModel};
 use crate::slicebuf::{Producer, SliceBuffer, SliceEntry};
 use crate::storebuf::ChainedStoreBuffer;
-use icfp_isa::{exec, exec::ArchState, Cycle, DynInst, InstSeq, OpClass, TraceCursor, Value};
+use icfp_isa::{exec, Cycle, DynInst, InstSeq, OpClass, TraceCursor, Value};
 use icfp_mem::MshrId;
 use icfp_pipeline::{PoisonAllocator, PoisonMask, RunResult};
 use serde::{Deserialize, Serialize};
 use std::num::NonZeroU32;
-use std::sync::Arc;
 
 /// A miss whose return will trigger a rally pass.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -912,40 +911,12 @@ impl CoreEngine for IcfpMachine {
         }
     }
 
-    /// Checkpoints taken afterwards carry the seed (the machine serializes
-    /// whole), so fast-forwarded runs mint ordinary `icfp-ckpt/v5`
-    /// checkpoints.
-    fn seed(&mut self, warm: &Arc<ArchState>) -> Result<(), String> {
-        if self.i != 0 || self.eng.frontier != 0 || self.in_episode() || self.done {
-            return Err("functional fast-forward requires a fresh machine".into());
-        }
-        self.eng.seed_arch(warm);
-        self.i = warm.instructions as usize;
-        Ok(())
-    }
-
-    fn processed(&self) -> usize {
-        self.i
-    }
+    machine_bodies!();
 
     fn finish(mut self: Box<Self>, trace: &TraceCursor<'_>) -> RunResult {
         self.advance(trace, usize::MAX);
         self.eng.stats.slice_peak = self.slice.peak() as u64;
         self.eng.finish(CoreModel::Icfp.name(), trace)
-    }
-
-    fn save(&self) -> EngineSnapshot {
-        EngineSnapshot {
-            model: CoreModel::Icfp,
-            bytes: serde::to_bytes(self),
-        }
-    }
-
-    fn restore(&mut self, snapshot: &EngineSnapshot) -> Result<(), String> {
-        check_model(snapshot, CoreModel::Icfp)?;
-        *self = serde::from_bytes(&snapshot.bytes)
-            .map_err(|e| format!("decoding icfp snapshot: {e}"))?;
-        Ok(())
     }
 }
 

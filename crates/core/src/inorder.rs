@@ -4,39 +4,18 @@
 //! stalls at the first instruction that needs the result of a pending cache
 //! miss (not at the miss itself), exactly as the paper describes, because
 //! issue is in order: a stalled instruction blocks everything younger.
-
-use crate::common::seed_start;
-use crate::config::CoreConfig;
-use crate::engine::CoreModel;
-use crate::runahead::Machine;
-use icfp_isa::{exec::ArchState, TraceCursor};
-use icfp_pipeline::RunResult;
-
-/// Simulates the trace to completion on the vanilla in-order core, starting
-/// from the functional fast-forward state `warm` if one is given: the
-/// latency-tolerant machine's normal mode, with advance compiled out.
-pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
-    let mut m = Machine::new(cfg, 0);
-    let start = seed_start(&mut m.eng, warm, trace.len());
-    // Walk the trace block by block: the per-instruction work reads a
-    // plain slice, so streamed sources pay the cursor's RefCell dispatch
-    // once per block instead of once per instruction.
-    trace.for_each_block_from(start, |first, insts| {
-        for (off, inst) in insts.iter().enumerate() {
-            let episode = m.normal_visit::<false>(inst, first + off);
-            debug_assert!(episode.is_none(), "advance is compiled out");
-        }
-        true
-    });
-    m.eng.finish(CoreModel::InOrder.name(), trace)
-}
+//!
+//! The core is the latency-tolerant machine's normal mode with advance
+//! compiled out: [`crate::runahead`]'s machine, built for
+//! [`crate::CoreModel::InOrder`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::common::golden_final_state;
-    use crate::engine::run_model;
+    use crate::config::CoreConfig;
+    use crate::engine::{run_model, CoreModel};
     use icfp_isa::{DynInst, Op, Reg, Trace, TraceBuilder};
+    use icfp_pipeline::RunResult;
 
     fn run(trace: &Trace) -> RunResult {
         run_model(CoreModel::InOrder, &CoreConfig::paper_default(), trace)

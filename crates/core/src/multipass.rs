@@ -6,26 +6,14 @@
 //! post-miss instruction; the saved results only make that re-processing
 //! cheaper.  Per Section 5.1, Multipass advances under L2 misses and primary
 //! data-cache misses but blocks on secondary data-cache misses
-//! ([`crate::AdvancePolicy::L2AndPrimaryDcache`]).
-
-use crate::config::CoreConfig;
-use crate::engine::CoreModel;
-use crate::runahead::runahead_like_run;
-use icfp_isa::{exec::ArchState, TraceCursor};
-use icfp_pipeline::RunResult;
-
-/// Simulates the trace to completion on the Multipass core, starting from the
-/// functional fast-forward state `warm` if one is given.  Use
-/// [`CoreConfig::multipass_default`] for the paper's advance policy.
-pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
-    runahead_like_run(cfg, trace, CoreModel::Multipass, warm)
-}
+//! ([`crate::AdvancePolicy::L2AndPrimaryDcache`]).  The machine is
+//! [`crate::runahead`]'s, built for [`crate::CoreModel::Multipass`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::common::golden_final_state;
-    use crate::engine::run_model;
+    use crate::config::CoreConfig;
+    use crate::engine::{run_model, CoreModel};
     use icfp_isa::{DynInst, Op, Reg, Trace, TraceBuilder};
 
     /// Independent L2 misses each followed by a short dependence chain of ALU

@@ -20,80 +20,30 @@
 //! else comes.  The replayed walk leaves every statistic, final state and
 //! engine byte the visited one would; `walk_replay_*` holds it to that.
 
-use crate::common::{seed_start, Engine, OperandWait};
+use crate::common::{Engine, OperandWait};
 use crate::config::CoreConfig;
-use crate::engine::CoreModel;
+use crate::engine::{machine_bodies, CoreEngine, CoreModel};
 use crate::fxmap::FxHashMap;
 use crate::replay::{Inert, WalkRing, GRID};
 use crate::storebuf::RunaheadCache;
-use icfp_isa::{exec::ArchState, Addr, Cycle, DynInst, InstReader, OpClass, TraceCursor};
+use icfp_isa::{Addr, Cycle, DynInst, InstReader, OpClass, TraceCursor};
 use icfp_mem::AccessOutcome;
 use icfp_pipeline::{PoisonMask, RunResult};
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Simulates the trace to completion on the Runahead core, starting from the
-/// functional fast-forward state `warm` if one is given.  The paper's default
+/// The pipeline outside advance mode — which *is* the in-order core (the
+/// in-order model runs it with advance compiled out) — plus what an advance
+/// episode adds to it: the machine of the in-order, Runahead and Multipass
+/// models.  For [`CoreModel::Multipass`], results of miss-independent
+/// advance instructions are kept in a bounded result buffer and used to
+/// accelerate the post-squash re-execution (Multipass's
+/// dependence-breaking); plain Runahead discards them.  The paper's default
 /// advance policy for Runahead is [`crate::AdvancePolicy::L2Only`]
 /// ([`CoreConfig::runahead_default`]).
-pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
-    runahead_like_run(cfg, trace, CoreModel::Runahead, warm)
-}
-
-/// Shared Runahead/Multipass execution.  For [`CoreModel::Multipass`],
-/// results of miss-independent advance instructions are kept in a bounded
-/// result buffer and used to accelerate the post-squash re-execution
-/// (Multipass's dependence-breaking), otherwise they are discarded (plain
-/// Runahead).
-pub(crate) fn runahead_like_run(
-    cfg: &CoreConfig,
-    trace: &TraceCursor<'_>,
-    model: CoreModel,
-    warm: Option<&ArchState>,
-) -> RunResult {
-    run_machine(cfg, trace, model, warm, Some(&mut WalkRing::default())).eng.finish(model.name(), trace)
-}
-
-/// Runs the whole trace on the Runahead/Multipass machine and returns the
-/// machine unfinished.  Advance walks replay from `replay`'s recordings;
-/// without a ring they visit every instruction — the reference the replayed
-/// walk is tested against.
-pub(crate) fn run_machine(
-    cfg: &CoreConfig,
-    trace: &TraceCursor<'_>,
-    model: CoreModel,
-    warm: Option<&ArchState>,
-    mut replay: Option<&mut WalkRing>,
-) -> Machine {
-    let result_capacity = if model == CoreModel::Multipass { cfg.result_buffer_entries } else { 0 };
-    let mut m = Machine::new(cfg, result_capacity);
-    let len = trace.len();
-    let mut insts = trace.reader();
-    let mut i = seed_start(&mut m.eng, warm, len);
-    while i < len {
-        let Some(trigger_return) = m.normal_visit::<true>(insts.inst(i), i) else {
-            i += 1;
-            continue;
-        };
-        // Advance until execution time reaches the trigger's return (or the
-        // trace runs out), then restore and re-execute from the checkpoint.
-        let j = m.advance(&mut insts, i, len, trigger_return, replay.as_deref_mut());
-        m.eng.stats.rally_instructions += (j - i) as u64;
-        m.eng.stats.rally_passes += 1;
-        m.eng.rf.restore(trigger_return);
-        m.rcache.clear();
-        // The front end restarts fetching the checkpointed instruction when
-        // the miss returns; the restart pays a pipeline-refill penalty.
-        m.eng.fetch.redirect(trigger_return);
-        m.eng.wait_until(trigger_return, false);
-    }
-    m
-}
-
-/// The pipeline outside advance mode — which *is* the in-order core
-/// ([`crate::inorder`] runs it with advance compiled out) — plus what an
-/// advance episode adds to it.
 pub(crate) struct Machine {
-    pub(crate) eng: Engine,
+    model: CoreModel,
+    eng: Engine,
     /// Outstanding (not yet drained) stores: (drain completion, word addr).
     store_q: VecDeque<(Cycle, u64)>,
     rcache: RunaheadCache,
@@ -112,19 +62,131 @@ pub(crate) struct Machine {
     /// observe stale memory (conservative memory-dependence handling for
     /// Multipass's result buffer).
     poisoned_store_seen: bool,
+    /// Next trace position to visit.
+    i: usize,
+    /// Where the last squash restarted (`usize::MAX`: none yet).  The load
+    /// there waits for its access instead of starting an episode: a walk
+    /// that evicted the trigger's line would otherwise miss and trigger
+    /// again, forever.
+    restart: usize,
+    /// Recordings of earlier advance walks; `None` visits every instruction
+    /// — the reference the replayed walk is tested against.  Not in the
+    /// checkpoint bytes: a restored machine starts with an empty ring.
+    ring: Option<WalkRing>,
+}
+
+impl CoreEngine for Machine {
+    fn model(&self) -> CoreModel {
+        self.model
+    }
+
+    /// In-order visits the trace block by block and stops at any
+    /// instruction.  Runahead and Multipass stop only between units of
+    /// work: a visit, or a trigger with its advance walk and squash.
+    fn advance(&mut self, trace: &TraceCursor<'_>, inst_limit: usize) -> bool {
+        let len = trace.len();
+        let limit = inst_limit.min(len);
+        if self.model == CoreModel::InOrder {
+            // The per-instruction work reads a plain slice, so streamed
+            // sources pay the cursor's RefCell dispatch once per block
+            // instead of once per instruction.
+            if self.i < limit {
+                trace.for_each_block_from(self.i, |first, insts| {
+                    let take = insts.len().min(limit - first);
+                    for (off, inst) in insts[..take].iter().enumerate() {
+                        let episode = self.normal_visit::<false>(inst, first + off);
+                        debug_assert!(episode.is_none(), "advance is compiled out");
+                    }
+                    self.i = first + take;
+                    self.i < limit
+                });
+            }
+            return self.i < len;
+        }
+        let mut insts = trace.reader();
+        let mut i = self.i;
+        while i < limit {
+            let Some(trigger_return) = self.normal_visit::<true>(insts.inst(i), i) else {
+                i += 1;
+                continue;
+            };
+            // Advance until execution time reaches the trigger's return (or
+            // the trace runs out), then restore and re-execute from the
+            // checkpoint.
+            let j = self.walk(&mut insts, i, len, trigger_return);
+            self.eng.stats.rally_instructions += (j - i) as u64;
+            self.eng.stats.rally_passes += 1;
+            self.eng.rf.restore(trigger_return);
+            self.rcache.clear();
+            // The front end restarts fetching the checkpointed instruction
+            // when the miss returns; the restart pays a pipeline-refill
+            // penalty.
+            self.eng.fetch.redirect(trigger_return);
+            self.eng.wait_until(trigger_return, false);
+            self.restart = i;
+        }
+        self.i = i;
+        i < len
+    }
+
+    machine_bodies!();
+
+    fn finish(mut self: Box<Self>, trace: &TraceCursor<'_>) -> RunResult {
+        self.advance(trace, usize::MAX);
+        self.eng.finish(self.model.name(), trace)
+    }
+}
+
+/// Checkpoint codec: every field but the walk ring, in declaration order.
+impl Serialize for Machine {
+    fn serialize(&self, out: &mut Vec<u8>) {
+        self.model.serialize(out);
+        self.eng.serialize(out);
+        self.store_q.serialize(out);
+        self.rcache.serialize(out);
+        self.results.serialize(out);
+        self.result_capacity.serialize(out);
+        self.saved_end.serialize(out);
+        self.poisoned_store_seen.serialize(out);
+        self.i.serialize(out);
+        self.restart.serialize(out);
+    }
+}
+
+impl Deserialize for Machine {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        Ok(Machine {
+            model: Deserialize::deserialize(r)?,
+            eng: Deserialize::deserialize(r)?,
+            store_q: Deserialize::deserialize(r)?,
+            rcache: Deserialize::deserialize(r)?,
+            results: Deserialize::deserialize(r)?,
+            result_capacity: Deserialize::deserialize(r)?,
+            saved_end: Deserialize::deserialize(r)?,
+            poisoned_store_seen: Deserialize::deserialize(r)?,
+            i: Deserialize::deserialize(r)?,
+            restart: Deserialize::deserialize(r)?,
+            ring: Some(WalkRing::default()),
+        })
+    }
 }
 
 impl Machine {
-    /// A machine whose result buffer holds `result_capacity` entries.
-    pub(crate) fn new(cfg: &CoreConfig, result_capacity: usize) -> Self {
+    /// A machine for one run of `model` (in-order, Runahead or Multipass)
+    /// under `cfg`.
+    pub(crate) fn new(model: CoreModel, cfg: &CoreConfig) -> Self {
         Machine {
+            model,
             eng: Engine::new(cfg),
             store_q: VecDeque::new(),
             rcache: RunaheadCache::new(cfg.runahead_cache_entries),
             results: FxHashMap::default(),
-            result_capacity,
+            result_capacity: if model == CoreModel::Multipass { cfg.result_buffer_entries } else { 0 },
             saved_end: 0,
             poisoned_store_seen: false,
+            i: 0,
+            restart: usize::MAX,
+            ring: Some(WalkRing::default()),
         }
     }
 
@@ -134,7 +196,7 @@ impl Machine {
     /// the saved-result probe and the trigger fold away, and what is left is
     /// the in-order pipeline.
     #[inline(always)]
-    pub(crate) fn normal_visit<const ADVANCES: bool>(&mut self, inst: &DynInst, i: usize) -> Option<Cycle> {
+    fn normal_visit<const ADVANCES: bool>(&mut self, inst: &DynInst, i: usize) -> Option<Cycle> {
         let eng = &mut self.eng;
         let seq = i as u64;
         let l1_lat = eng.cfg.mem.l1_hit_latency;
@@ -166,7 +228,8 @@ impl Machine {
                 }
                 let (completes, outcome) = self.load_access(addr, issue);
                 let eng = &mut self.eng;
-                let triggers = ADVANCES && eng.cfg.advance_policy.triggers_on(outcome.is_l2_miss());
+                let triggers =
+                    ADVANCES && i != self.restart && eng.cfg.advance_policy.triggers_on(outcome.is_l2_miss());
                 if triggers && outcome.is_l1_miss() && completes > issue + l1_lat {
                     // Enter advance mode: checkpoint here, poison the dest.
                     eng.rf.checkpoint();
@@ -212,20 +275,14 @@ impl Machine {
     /// time reaches `trigger_return` or the trace runs out, and returns the
     /// position it stopped at.  With a ring, a stretch a recorded walk
     /// provably repeats is replayed instead of visited.
-    fn advance(
-        &mut self,
-        insts: &mut InstReader<'_, '_>,
-        i: usize,
-        len: usize,
-        trigger_return: Cycle,
-        mut ring: Option<&mut WalkRing>,
-    ) -> usize {
-        if let Some(ring) = ring.as_deref_mut() {
+    fn walk(&mut self, insts: &mut InstReader<'_, '_>, i: usize, len: usize, trigger_return: Cycle) -> usize {
+        let mut ring = self.ring.take();
+        if let Some(ring) = ring.as_mut() {
             ring.begin(i);
         }
         let mut j = i + 1;
         while j < len && self.eng.frontier < trigger_return {
-            let Some(ring) = ring.as_deref_mut() else {
+            let Some(ring) = ring.as_mut() else {
                 self.advance_visit(insts.inst(j), j);
                 j += 1;
                 continue;
@@ -244,6 +301,7 @@ impl Machine {
             ring.record(&self.eng, j, inst, poisoned);
             j += 1;
         }
+        self.ring = ring;
         j
     }
 
@@ -469,19 +527,20 @@ pub(crate) mod tests {
     const ADVANCING: [CoreModel; 2] = [CoreModel::Runahead, CoreModel::Multipass];
 
     /// Runs `model` with and without walk replay and requires equal run
-    /// statistics, state digests, result buffers and serialized final engine
-    /// bytes.  Returns the advance visits replayed and the advance visits.
+    /// statistics, state digests and serialized final machines (result
+    /// buffers included).  Returns the advance visits replayed and the
+    /// advance visits.
     fn walk_replay_is_exact(model: CoreModel, cfg: &CoreConfig, trace: &Trace, what: &str) -> (u64, u64) {
         let cursor = TraceCursor::from_trace(trace);
-        let visited = run_machine(cfg, &cursor, model, None, None);
-        let mut ring = WalkRing::default();
-        let replayed = run_machine(cfg, &cursor, model, None, Some(&mut ring));
-        assert_eq!(replayed.results, visited.results, "{what}: result buffer");
-        assert!(serde::to_bytes(&replayed.eng) == serde::to_bytes(&visited.eng), "{what}: engine bytes differ");
-        let (r, v) = (replayed.eng.finish(model.name(), &cursor), visited.eng.finish(model.name(), &cursor));
+        let mut visited = Box::new(Machine { ring: None, ..Machine::new(model, cfg) });
+        let mut replayed = Box::new(Machine::new(model, cfg));
+        assert!(!visited.advance(&cursor, usize::MAX) && !replayed.advance(&cursor, usize::MAX));
+        assert!(serde::to_bytes(&*replayed) == serde::to_bytes(&*visited), "{what}: machine bytes differ");
+        let count = replayed.ring.as_ref().expect("the ring is on").replayed;
+        let (r, v) = (replayed.finish(&cursor), visited.finish(&cursor));
         assert_eq!(r.stats, v.stats, "{what}");
         assert_eq!(r.state_digest(), v.state_digest(), "{what}");
-        (ring.replayed, v.stats.advance_instructions)
+        (count, v.stats.advance_instructions)
     }
 
     #[test]
@@ -545,17 +604,34 @@ pub(crate) mod tests {
             let t = random_trace(seed, 1_500);
             for model in ADVANCING {
                 // Odd seeds shrink the result buffer and the runahead cache, so
-                // that Multipass fills its buffer mid-episode.  (The tiny
-                // caches of `tiny_for_tests` can evict a trigger's line before
-                // it is re-executed, which re-triggers forever.)
+                // that Multipass fills its buffer mid-episode; every third
+                // seed runs on the tiny caches, where a walk can evict its
+                // trigger's line.
                 let mut cfg = model.default_config();
                 if seed % 2 == 1 {
                     (cfg.result_buffer_entries, cfg.runahead_cache_entries) = (16, 16);
+                }
+                if seed % 3 == 0 {
+                    cfg.mem = icfp_mem::MemConfig::tiny_for_tests();
                 }
                 replayed += walk_replay_is_exact(model, &cfg, &t, &format!("{model} random seed {seed}")).0;
             }
         }
         assert!(replayed > 0, "no random trace replayed a single visit");
+    }
+
+    #[test]
+    fn a_squash_restart_waits_for_its_load_instead_of_triggering_again() {
+        // On these seeds a walk evicts its trigger's line from the tiny
+        // caches, so the re-executed trigger misses again; were it to start
+        // the same episode, the run would never finish.
+        let mut cfg = CoreModel::Multipass.default_config();
+        cfg.mem = icfp_mem::MemConfig::tiny_for_tests();
+        for seed in [49, 64, 77, 105, 151, 161, 176] {
+            let t = random_trace(seed, 1_500);
+            let r = run_model(CoreModel::Multipass, &cfg, &t);
+            assert_eq!((r.final_regs, r.final_mem), golden_final_state(&t), "seed {seed}");
+        }
     }
 
     #[test]

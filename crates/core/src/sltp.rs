@@ -17,211 +17,250 @@
 //!    the whole slice must re-execute successfully in one pass, and a
 //!    dependent miss inside the slice stalls the rally until it returns.
 
-use crate::common::{seed_start, Engine, OperandWait};
+use crate::common::{Engine, OperandWait};
 use crate::config::CoreConfig;
-use crate::engine::CoreModel;
+use crate::engine::{machine_bodies, CoreEngine, CoreModel};
 use crate::slicebuf::{SliceBuffer, SliceEntry};
 use crate::storebuf::StoreRedoLog;
-use icfp_isa::{exec, exec::ArchState, Cycle, OpClass, TraceCursor, Value, NUM_ARCH_REGS};
+use icfp_isa::{exec, Cycle, OpClass, TraceCursor, Value, NUM_ARCH_REGS};
 use icfp_pipeline::{PoisonMask, RunResult};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Episode {
     trigger_return: Cycle,
 }
 
-/// Simulates the trace to completion on the SLTP core, starting from the
-/// functional fast-forward state `warm` if one is given.  Use
+/// The SLTP core: the state of one run, which [`CoreEngine::advance`] stops
+/// at any instruction, mid-episode included.  Use
 /// [`CoreConfig::sltp_default`] for the paper's advance policy (L2 misses
 /// only).
-pub(crate) fn run(cfg: &CoreConfig, trace: &TraceCursor<'_>, warm: Option<&ArchState>) -> RunResult {
-    let mut eng = Engine::new(cfg);
-    let start = seed_start(&mut eng, warm, trace.len());
-    let l1_lat = cfg.mem.l1_hit_latency;
-    let policy = cfg.advance_policy;
-    let mut slice = SliceBuffer::new(cfg.slice_buffer_entries);
-    let mut srl = StoreRedoLog::new(cfg.srl_entries);
-    let mut episode: Option<Episode> = None;
-    // Word address -> drain completion of the most recent committed store,
-    // used for store-to-load forwarding outside advance mode.
-    let mut recent_stores: HashMap<u64, Cycle> = HashMap::new();
+#[derive(Debug, Serialize, Deserialize)]
+pub(crate) struct SltpMachine {
+    eng: Engine,
+    slice: SliceBuffer,
+    srl: StoreRedoLog,
+    /// The advance episode in progress: its rally fires when the trigger
+    /// returns.
+    episode: Option<Episode>,
+    /// Word address -> drain completion of the most recent committed store,
+    /// used for store-to-load forwarding outside advance mode.
+    recent_stores: HashMap<u64, Cycle>,
+    /// Next trace position to process.
+    i: usize,
+}
 
-    let mut i = start;
-    while i < trace.len() || episode.is_some() {
-        // A pending rally fires once execution time reaches the trigger's
-        // return, or when the trace has run out.
-        if let Some(ep) = episode {
-            if eng.frontier >= ep.trigger_return || i >= trace.len() {
-                let rally_start = ep.trigger_return;
-                let rally_end = run_blocking_rally(
-                    &mut eng,
-                    trace,
-                    &mut slice,
-                    &mut srl,
-                    rally_start,
-                    l1_lat,
-                );
-                episode = None;
-                eng.wait_until(rally_end, false);
-                eng.fetch.stall_until(rally_end);
-                eng.rf.clear_speculative_state();
-                continue;
-            }
+impl SltpMachine {
+    /// Creates a machine for one run under `cfg`.
+    pub(crate) fn new(cfg: &CoreConfig) -> Self {
+        SltpMachine {
+            eng: Engine::new(cfg),
+            slice: SliceBuffer::new(cfg.slice_buffer_entries),
+            srl: StoreRedoLog::new(cfg.srl_entries),
+            episode: None,
+            recent_stores: HashMap::new(),
+            i: 0,
         }
-        if i >= trace.len() {
-            break;
-        }
+    }
 
-        let inst = trace.get(i);
-        let inst = &inst;
-        let seq = i as u64;
-        let in_advance = episode.is_some();
+    /// True while an advance episode waits for its rally.
+    #[cfg(test)]
+    pub(crate) fn in_episode(&self) -> bool {
+        self.episode.is_some()
+    }
+}
 
-        // Structural stalls: a full slice buffer or SRL freezes advance
-        // execution until the rally (SLTP has no other recourse).
-        if in_advance && (slice.is_full() || srl.is_full()) {
-            let ep = episode.expect("in advance");
-            eng.stats.simple_runahead_entries += 1;
-            eng.wait_until(ep.trigger_return, true);
-            continue;
-        }
+impl CoreEngine for SltpMachine {
+    fn model(&self) -> CoreModel {
+        CoreModel::Sltp
+    }
 
-        let (issue, src_poison) = eng.visit(inst, OperandWait::UnlessPoisoned, 0);
-        debug_assert!(in_advance || src_poison.is_clean(), "every rally ends with a clean register file");
-        if in_advance {
-            eng.stats.advance_instructions += 1;
-        }
-
-        // Miss-dependent instructions drain into the slice buffer.
-        if src_poison.is_poisoned() {
-            push_slice(&mut eng, &mut slice, &mut srl, trace, i, issue);
-            i += 1;
-            continue;
-        }
-
-        match inst.class() {
-            OpClass::Load => {
-                let addr = inst.addr.expect("load without address");
-                if !in_advance {
-                    eng.stats.demand_loads += 1;
-                }
-                // Idealised memory dependence handling (Table 1): a load
-                // that would forward from a still-poisoned SRL store is
-                // itself miss-dependent.
-                let srl_hit = srl
-                    .iter()
-                    .rev()
-                    .find(|(sseq, a, _, _)| *sseq < seq && (*a & !7) == (addr & !7))
-                    .copied();
-                if let Some((_, _, v, p)) = srl_hit {
-                    if p.is_poisoned() {
-                        if let Some(dst) = inst.dst {
-                            eng.rf.poison_write(dst, p, seq);
-                        }
-                        push_slice(&mut eng, &mut slice, &mut srl, trace, i, issue);
-                        i += 1;
-                        continue;
-                    }
-                    eng.stats.store_forwards += 1;
-                    if let Some(dst) = inst.dst {
-                        eng.rf.write(dst, v, issue + l1_lat, seq);
-                    }
-                    eng.note_completion(issue + l1_lat);
-                    i += 1;
+    fn advance(&mut self, trace: &TraceCursor<'_>, inst_limit: usize) -> bool {
+        let SltpMachine { eng, slice, srl, episode, recent_stores, i: at } = self;
+        let l1_lat = eng.cfg.mem.l1_hit_latency;
+        let policy = eng.cfg.advance_policy;
+        let mut i = *at;
+        while i < trace.len() || episode.is_some() {
+            // A pending rally fires once execution time reaches the trigger's
+            // return, or when the trace has run out.
+            if let Some(ep) = *episode {
+                if eng.frontier >= ep.trigger_return || i >= trace.len() {
+                    let rally_start = ep.trigger_return;
+                    let rally_end = run_blocking_rally(eng, trace, slice, srl, rally_start, l1_lat);
+                    *episode = None;
+                    eng.wait_until(rally_end, false);
+                    eng.fetch.stall_until(rally_end);
+                    eng.rf.clear_speculative_state();
                     continue;
                 }
-                // Forward from a recent committed store still draining.
-                if !in_advance {
-                    if let Some(&done) = recent_stores.get(&(addr & !7)) {
-                        if done > issue {
-                            eng.stats.store_forwards += 1;
+            }
+            if i >= trace.len() {
+                break;
+            }
+            if i >= inst_limit {
+                *at = i;
+                return true;
+            }
+
+            let inst = trace.get(i);
+            let inst = &inst;
+            let seq = i as u64;
+            let in_advance = episode.is_some();
+
+            // Structural stalls: a full slice buffer or SRL freezes advance
+            // execution until the rally (SLTP has no other recourse).
+            if in_advance && (slice.is_full() || srl.is_full()) {
+                let ep = episode.expect("in advance");
+                eng.stats.simple_runahead_entries += 1;
+                eng.wait_until(ep.trigger_return, true);
+                continue;
+            }
+
+            let (issue, src_poison) = eng.visit(inst, OperandWait::UnlessPoisoned, 0);
+            debug_assert!(in_advance || src_poison.is_clean(), "every rally ends with a clean register file");
+            if in_advance {
+                eng.stats.advance_instructions += 1;
+            }
+
+            // Miss-dependent instructions drain into the slice buffer.
+            if src_poison.is_poisoned() {
+                push_slice(eng, slice, srl, trace, i, issue);
+                i += 1;
+                continue;
+            }
+
+            match inst.class() {
+                OpClass::Load => {
+                    let addr = inst.addr.expect("load without address");
+                    if !in_advance {
+                        eng.stats.demand_loads += 1;
+                    }
+                    // Idealised memory dependence handling (Table 1): a load
+                    // that would forward from a still-poisoned SRL store is
+                    // itself miss-dependent.
+                    let srl_hit = srl
+                        .iter()
+                        .rev()
+                        .find(|(sseq, a, _, _)| *sseq < seq && (*a & !7) == (addr & !7))
+                        .copied();
+                    if let Some((_, _, v, p)) = srl_hit {
+                        if p.is_poisoned() {
                             if let Some(dst) = inst.dst {
-                                eng.rf.write(dst, eng.arch_mem.read(addr), issue + l1_lat, seq);
+                                eng.rf.poison_write(dst, p, seq);
                             }
-                            eng.note_completion(issue + l1_lat);
+                            push_slice(eng, slice, srl, trace, i, issue);
                             i += 1;
                             continue;
                         }
-                    }
-                }
-                let (completes, outcome, _) = eng.demand_load(addr, issue);
-                let value = eng.arch_mem.read(addr);
-                let is_miss = outcome.is_l1_miss() && completes > issue + l1_lat;
-                let is_l2_miss = outcome.is_l2_miss();
-                if !in_advance {
-                    if is_miss && policy.triggers_on(is_l2_miss) {
-                        // Enter advance mode; the missing load is the first
-                        // slice entry.
-                        eng.stats.advance_episodes += 1;
-                        episode = Some(Episode {
-                            trigger_return: completes,
-                        });
+                        eng.stats.store_forwards += 1;
                         if let Some(dst) = inst.dst {
-                            eng.rf.poison_write(dst, PoisonMask::bit(0), seq);
+                            eng.rf.write(dst, v, issue + l1_lat, seq);
                         }
-                        push_slice(&mut eng, &mut slice, &mut srl, trace, i, issue);
+                        eng.note_completion(issue + l1_lat);
+                        i += 1;
+                        continue;
+                    }
+                    // Forward from a recent committed store still draining.
+                    if !in_advance {
+                        if let Some(&done) = recent_stores.get(&(addr & !7)) {
+                            if done > issue {
+                                eng.stats.store_forwards += 1;
+                                if let Some(dst) = inst.dst {
+                                    eng.rf.write(dst, eng.arch_mem.read(addr), issue + l1_lat, seq);
+                                }
+                                eng.note_completion(issue + l1_lat);
+                                i += 1;
+                                continue;
+                            }
+                        }
+                    }
+                    let (completes, outcome, _) = eng.demand_load(addr, issue);
+                    let value = eng.arch_mem.read(addr);
+                    let is_miss = outcome.is_l1_miss() && completes > issue + l1_lat;
+                    let is_l2_miss = outcome.is_l2_miss();
+                    if !in_advance {
+                        if is_miss && policy.triggers_on(is_l2_miss) {
+                            // Enter advance mode; the missing load is the first
+                            // slice entry.
+                            eng.stats.advance_episodes += 1;
+                            *episode = Some(Episode {
+                                trigger_return: completes,
+                            });
+                            if let Some(dst) = inst.dst {
+                                eng.rf.poison_write(dst, PoisonMask::bit(0), seq);
+                            }
+                            push_slice(eng, slice, srl, trace, i, issue);
+                        } else {
+                            if let Some(dst) = inst.dst {
+                                eng.rf.write(dst, value, completes, seq);
+                            }
+                            eng.note_completion(completes);
+                        }
                     } else {
-                        if let Some(dst) = inst.dst {
-                            eng.rf.write(dst, value, completes, seq);
+                        // Secondary miss during advance.
+                        let tolerate = if is_l2_miss {
+                            true
+                        } else {
+                            policy.poisons_secondary_dcache()
+                        };
+                        if is_miss && tolerate {
+                            if let Some(dst) = inst.dst {
+                                eng.rf.poison_write(dst, PoisonMask::bit(0), seq);
+                            }
+                            push_slice(eng, slice, srl, trace, i, issue);
+                        } else {
+                            // Hit, or a data-cache miss SLTP blocks on.
+                            if let Some(dst) = inst.dst {
+                                eng.rf.write(dst, value, completes, seq);
+                            }
+                            eng.note_completion(completes);
                         }
-                        eng.note_completion(completes);
                     }
-                } else {
-                    // Secondary miss during advance.
-                    let tolerate = if is_l2_miss {
-                        true
+                }
+                OpClass::Store => {
+                    let addr = inst.addr.expect("store without address");
+                    let data = inst.store_data_reg().map(|r| eng.rf.value(r)).unwrap_or(0);
+                    if in_advance {
+                        // Miss-independent advance store: logged in the SRL and
+                        // speculatively written to the data cache.
+                        if srl.push(seq, addr, data, PoisonMask::CLEAN).is_err() {
+                            eng.stats.simple_runahead_entries += 1;
+                        }
+                        let _ = eng.demand_store(addr, issue + 1);
+                        eng.note_completion(issue + 1);
                     } else {
-                        policy.poisons_secondary_dcache()
-                    };
-                    if is_miss && tolerate {
-                        if let Some(dst) = inst.dst {
-                            eng.rf.poison_write(dst, PoisonMask::bit(0), seq);
-                        }
-                        push_slice(&mut eng, &mut slice, &mut srl, trace, i, issue);
-                    } else {
-                        // Hit, or a data-cache miss SLTP blocks on.
-                        if let Some(dst) = inst.dst {
-                            eng.rf.write(dst, value, completes, seq);
-                        }
-                        eng.note_completion(completes);
+                        eng.arch_mem.write(addr, data);
+                        let done = eng.demand_store(addr, issue + 1);
+                        recent_stores.insert(addr & !7, done);
+                        eng.note_completion(issue + 1);
                     }
                 }
-            }
-            OpClass::Store => {
-                let addr = inst.addr.expect("store without address");
-                let data = inst.store_data_reg().map(|r| eng.rf.value(r)).unwrap_or(0);
-                if in_advance {
-                    // Miss-independent advance store: logged in the SRL and
-                    // speculatively written to the data cache.
-                    if srl.push(seq, addr, data, PoisonMask::CLEAN).is_err() {
-                        eng.stats.simple_runahead_entries += 1;
+                OpClass::Branch => {
+                    let resolve = issue + inst.latency();
+                    eng.exec_branch(inst, resolve);
+                    eng.note_completion(resolve);
+                }
+                _ => {
+                    let completes = issue + inst.latency();
+                    if let (Some(dst), Some(v)) = (inst.dst, eng.compute(inst)) {
+                        eng.rf.write(dst, v, completes, seq);
                     }
-                    let _ = eng.demand_store(addr, issue + 1);
-                    eng.note_completion(issue + 1);
-                } else {
-                    eng.arch_mem.write(addr, data);
-                    let done = eng.demand_store(addr, issue + 1);
-                    recent_stores.insert(addr & !7, done);
-                    eng.note_completion(issue + 1);
+                    eng.note_completion(completes);
                 }
             }
-            OpClass::Branch => {
-                let resolve = issue + inst.latency();
-                eng.exec_branch(inst, resolve);
-                eng.note_completion(resolve);
-            }
-            _ => {
-                let completes = issue + inst.latency();
-                if let (Some(dst), Some(v)) = (inst.dst, eng.compute(inst)) {
-                    eng.rf.write(dst, v, completes, seq);
-                }
-                eng.note_completion(completes);
-            }
+            i += 1;
         }
-        i += 1;
+        *at = i;
+        false
     }
-    eng.finish(CoreModel::Sltp.name(), trace)
+
+    machine_bodies!();
+
+    fn finish(mut self: Box<Self>, trace: &TraceCursor<'_>) -> RunResult {
+        self.advance(trace, usize::MAX);
+        self.eng.finish(CoreModel::Sltp.name(), trace)
+    }
 }
 
 /// Diverts instruction `i` into the slice buffer, capturing its currently

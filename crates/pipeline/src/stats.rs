@@ -78,7 +78,7 @@ impl RunStats {
 }
 
 /// The result of simulating one trace on one core model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// Core model name (e.g. `"in-order"`, `"icfp"`).
     pub core: String,

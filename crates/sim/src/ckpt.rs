@@ -1,4 +1,4 @@
-//! The `icfp-ckpt/v5` checkpoint format.
+//! The `icfp-ckpt/v6` checkpoint format.
 //!
 //! A [`SimCheckpoint`] captures a running [`Simulator`](crate::Simulator) —
 //! the core engine's complete serialized state (register file and poison
@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       12    magic: the ASCII bytes "icfp-ckpt/v5"
+//! 0       12    magic: the ASCII bytes "icfp-ckpt/v6"
 //! 12      8     payload length (u64 LE)
 //! 20      n     payload: SimCheckpoint in the vendored-serde binary format
 //! 20+n    8     FNV-1a digest of the payload (u64 LE)
@@ -57,8 +57,17 @@
 //! `false` and nothing read it.  The four
 //! golden mid-run checkpoints shrink from 510,543 / 361,609 / 352,789 /
 //! 356,223 bytes to 510,541 / 361,602 / 352,788 / 356,222; no simulated
-//! figure moves.  Older containers are refused by magic, with an error
-//! naming both versions.
+//! figure moves.
+//!
+//! v6 makes every model a resumable machine.  The in-order, Runahead,
+//! Multipass and SLTP payloads were one of three states — not started,
+//! seeded by a fast-forward (the whole warmed state), finished (the whole
+//! run result) — and are now the machine itself, as iCFP's always was: its
+//! engine, buffers and trace position, plus, for the Runahead machine, the
+//! position its last squash restarted at.  iCFP's bytes do not change: its
+//! four golden mid-run checkpoints keep their sizes, and the golden table
+//! now pins a mid-run checkpoint of every model.  Older containers are
+//! refused by magic, with an error naming both versions.
 
 use crate::SimConfig;
 use icfp_core::EngineSnapshot;
@@ -67,7 +76,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Magic prefix of the on-disk container (also the format version).
-pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v5";
+pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v6";
 
 /// A captured simulation: engine snapshot plus trace identity.  Produced by
 /// [`Simulator::checkpoint`](crate::Simulator::checkpoint), consumed by
@@ -193,7 +202,7 @@ impl std::error::Error for CkptError {}
 use icfp_isa::fnv1a;
 
 impl SimCheckpoint {
-    /// Encodes the checkpoint as an `icfp-ckpt/v5` container.
+    /// Encodes the checkpoint as an `icfp-ckpt/v6` container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let payload = serde::to_bytes(self);
         let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 16 + payload.len());
@@ -205,7 +214,7 @@ impl SimCheckpoint {
         out
     }
 
-    /// Decodes an `icfp-ckpt/v5` container, validating magic, length and
+    /// Decodes an `icfp-ckpt/v6` container, validating magic, length and
     /// payload digest.
     ///
     /// # Errors
@@ -309,12 +318,12 @@ mod tests {
         assert_eq!(SimCheckpoint::from_bytes(b"xx"), Err(CkptError::BadMagic { found }));
         // A container of an earlier version is refused by name, not decoded
         // into the current layout: the error names both versions.
-        for old in ["icfp-ckpt/v2", "icfp-ckpt/v3", "icfp-ckpt/v4"] {
+        for old in ["icfp-ckpt/v2", "icfp-ckpt/v3", "icfp-ckpt/v4", "icfp-ckpt/v5"] {
             bytes[..CKPT_MAGIC.len()].copy_from_slice(old.as_bytes());
             let err = SimCheckpoint::from_bytes(&bytes).unwrap_err();
             assert_eq!(err, CkptError::BadMagic { found: old.into() });
             let message = err.to_string();
-            assert!(message.contains(old) && message.contains("icfp-ckpt/v5"), "{message}");
+            assert!(message.contains(old) && message.contains("icfp-ckpt/v6"), "{message}");
         }
     }
 

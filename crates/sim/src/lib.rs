@@ -331,9 +331,8 @@ impl Simulator {
     /// Loads a trace for a run paused at instruction positions:
     /// [`Simulator::advance_to_inst`] moves it forward,
     /// [`Simulator::checkpoint`] captures it and [`Simulator::finish_loaded`]
-    /// completes it.  The iCFP model stops at any instruction; the other
-    /// models — whole-trace designs — simulate to completion on the first
-    /// advance that has budget left.
+    /// completes it.  Runahead and Multipass stop between advance walks;
+    /// the other models at any instruction.
     ///
     /// Accepts anything convertible to a shared [`TraceSource`]: an owned
     /// [`Trace`] (wrapped in an arena source), an
@@ -355,7 +354,7 @@ impl Simulator {
     /// timing structure — caches, MSHRs, slice buffer — cold.  The run then
     /// continues under the timing model from instruction `n`, and a
     /// [`Simulator::checkpoint`] afterwards mints an ordinary
-    /// `icfp-ckpt/v5` checkpoint at that position, so a resumed run
+    /// `icfp-ckpt/v6` checkpoint at that position, so a resumed run
     /// inherits the fast-forwarded state for free.  Returns the number of
     /// instructions skipped (clamped to the trace length).
     ///
@@ -628,9 +627,7 @@ mod tests {
             let mut sim = Simulator::new(SimConfig::new(m));
             sim.load(t.clone());
             let (pauses, report) = step_n_then_finish(&mut sim, 100);
-            if m == CoreModel::Icfp {
-                assert_eq!(pauses, 4, "100-instruction steps pause a 480-instruction run");
-            }
+            assert_eq!(pauses, 4, "{m}: 100-instruction steps pause a 480-instruction run");
             assert_eq!(report.cycles, full.cycles, "{m}");
             assert_eq!(report.state_digest, full.state_digest, "{m}");
         }

@@ -6,8 +6,9 @@
 //! stock workloads under their default configurations, plus iCFP under a
 //! 16-entry slice buffer (forces the overflow / simple-runahead fallback) and
 //! under 4 MSHRs (forces the MSHR-full retry path) — with the *full*
-//! `RunStats` and the final-state digest, and one line per workload with the
-//! size and digest of a mid-run iCFP checkpoint (the on-disk layout).
+//! `RunStats` and the final-state digest, and one line per model and workload
+//! with the size and digest of a checkpoint taken half-way (the on-disk
+//! layout, and where `advance` stops at an instruction limit).
 //!
 //! A change that moves a simulated figure on purpose regenerates the table:
 //! `GOLDEN_REGEN=1 cargo test -p icfp-sim --test golden_figures`.
@@ -53,17 +54,14 @@ fn render_table() -> String {
             let config = SimConfig::with_config(CoreModel::Icfp, cfg);
             writeln!(out, "{}", cell_line(&config, label, &trace)).unwrap();
         }
-        let mut sim = Simulator::new(SimConfig::new(CoreModel::Icfp));
-        sim.load(trace.clone());
-        sim.advance_to_inst(trace.len() / 2).expect("loaded");
-        let bytes = sim.checkpoint().expect("mid-run checkpoint").to_bytes();
-        writeln!(
-            out,
-            "ckpt icfp {wl} half: bytes={} digest={:#018x}",
-            bytes.len(),
-            icfp_isa::fnv1a(&bytes)
-        )
-        .unwrap();
+        for model in CoreModel::ALL {
+            let mut sim = Simulator::new(SimConfig::new(model));
+            sim.load(trace.clone());
+            sim.advance_to_inst(trace.len() / 2).expect("loaded");
+            let bytes = sim.checkpoint().expect("mid-run checkpoint").to_bytes();
+            let digest = icfp_isa::fnv1a(&bytes);
+            writeln!(out, "ckpt {model} {wl} half: bytes={} digest={digest:#018x}", bytes.len()).unwrap();
+        }
     }
     out
 }

@@ -1,8 +1,7 @@
 //! Seeding an engine copies the warmed memory image exactly once, in every
 //! model: the bytes allocated between `seed` and the fetch of the first timed
 //! instruction, less what the same engine allocates before its first fetch
-//! of a cold run (the whole-trace models build their machine there), stay
-//! within 1.1 × the image.
+//! of a cold run, stay within 1.1 × the image.
 //!
 //! One `#[test]` only: see `common/alloc.rs`.
 

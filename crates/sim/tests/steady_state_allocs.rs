@@ -2,11 +2,9 @@
 //! (caches of scratch capacity warmed, hash tables grown) a run may make
 //! fewer than 2 heap-allocation calls per 1000 simulated instructions.
 //!
-//! In-order is a whole-trace model and cannot be paused, so "after the first
-//! 10 %" is measured by difference: the allocation calls of a run over the
-//! whole trace minus those of a run over its first tenth are the calls the
-//! last nine tenths made (runs are deterministic, so the prefix run repeats
-//! exactly what the full run did up to that point, plus one result assembly).
+//! Every model pauses at an instruction position, so "after the first 10 %"
+//! is a run paused there: the allocation calls from the pause until the
+//! trace is fully stepped (the result is assembled after that).
 //!
 //! One `#[test]` only: see `common/alloc.rs`.
 
@@ -14,7 +12,6 @@
 mod alloc;
 
 use alloc::{CountingAlloc, ALLOC_CALLS};
-use icfp_isa::Trace;
 use icfp_sim::{CoreModel, SimConfig, Simulator};
 use std::sync::atomic::Ordering;
 
@@ -25,25 +22,20 @@ const INSTS: usize = 40_000;
 const SEED: u64 = 0xA110C;
 const BUDGET_PER_KINST: f64 = 2.0;
 
-fn alloc_calls_of_run(model: CoreModel, trace: &Trace) -> u64 {
-    let mut sim = Simulator::new(SimConfig::new(model));
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
-    let report = sim.run(trace);
-    let calls = ALLOC_CALLS.load(Ordering::Relaxed) - before;
-    assert_eq!(report.instructions, trace.len() as u64);
-    calls
-}
-
 #[test]
 fn steady_state_simulation_stays_under_two_allocations_per_kinst() {
     for wl in ["pointer-chase", "dcache-thrash"] {
-        let full = icfp_workloads::by_name(wl, INSTS, SEED).expect("standard workload");
-        let warm_len = full.len() / 10;
-        let prefix = Trace::new(full.name(), full.as_slice()[..warm_len].to_vec());
+        let trace = icfp_workloads::by_name(wl, INSTS, SEED).expect("standard workload");
+        let warm_len = trace.len() / 10;
         for model in CoreModel::ALL {
-            let steady =
-                alloc_calls_of_run(model, &full).saturating_sub(alloc_calls_of_run(model, &prefix));
-            let per_kinst = steady as f64 * 1000.0 / (full.len() - warm_len) as f64;
+            let mut sim = Simulator::new(SimConfig::new(model));
+            sim.load(trace.clone());
+            assert!(sim.advance_to_inst(warm_len).expect("loaded"), "{model}: paused");
+            let before = ALLOC_CALLS.load(Ordering::Relaxed);
+            assert!(!sim.advance_to_inst(usize::MAX).expect("loaded"), "{model}: fully stepped");
+            let steady = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+            assert_eq!(sim.finish_loaded().expect("loaded").instructions, trace.len() as u64);
+            let per_kinst = steady as f64 * 1000.0 / (trace.len() - warm_len) as f64;
             assert!(
                 per_kinst < BUDGET_PER_KINST,
                 "{model} on {wl}: {per_kinst:.2} allocation calls per 1000 instructions \

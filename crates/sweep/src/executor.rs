@@ -740,8 +740,8 @@ mod tests {
     #[test]
     fn grouped_cells_equal_the_same_job_run_standalone() {
         // Every multi-member group a valid spec can form: the inert slice
-        // axis (three whole-trace models, three members each); iCFP reads
-        // that axis, so its cells stand alone.
+        // axis (three models without a slice buffer, three members each);
+        // iCFP reads that axis, so its cells stand alone.
         let mut spec = tiny_spec();
         spec.models = vec![
             CoreModel::InOrder,
