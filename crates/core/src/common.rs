@@ -164,7 +164,7 @@ impl Engine {
 
     /// Moves the issue frontier forward to `to` (never back): the one place
     /// a model moves its frontier outside issuing.  A `structural` wait (a
-    /// full slice buffer, store buffer or SRL, an un-chainable store) counts
+    /// full slice buffer or store buffer, an un-chainable store) counts
     /// the cycles it skips as resource-stall cycles.
     #[inline]
     pub fn wait_until(&mut self, to: Cycle, structural: bool) {

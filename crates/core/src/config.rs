@@ -61,7 +61,10 @@ pub enum StoreBufferKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IcfpFeatures {
     /// Use the chained store buffer (`true`) or an SLTP-style SRL memory
-    /// system (`false`).
+    /// system (`false`): the same buffer, sized by
+    /// [`CoreConfig::srl_entries`] instead of
+    /// [`CoreConfig::store_buffer_entries`], whose program-order drain after
+    /// a rally pass stalls the tail one cycle per store.
     pub chained_store_buffer: bool,
     /// Multiple non-blocking rallies (`true`) vs. a single blocking rally
     /// (`false`).
@@ -85,11 +88,11 @@ impl IcfpFeatures {
     }
 
     /// The starting point of the Figure 7 build: SRL memory system, single
-    /// blocking rallies, 1-bit poison, no multithreading.  This is iCFP's
-    /// machine ([`crate::IcfpMachine`]) given SLTP's memory system and rally
-    /// discipline, not the SLTP model: its figures are not
-    /// [`CoreModel::Sltp`](crate::CoreModel::Sltp)'s, which runs `sltp.rs`
-    /// (speculative cache writes, a pre-rally L1 flush, a store redo log).
+    /// blocking rallies, 1-bit poison, no multithreading.  This is SLTP:
+    /// [`CoreModel::Sltp`](crate::CoreModel::Sltp) runs iCFP's machine
+    /// ([`crate::IcfpMachine`]) under these features
+    /// ([`CoreConfig::sltp_default`]), so Figure 7's first bar is the SLTP
+    /// bar by construction.
     pub fn srl_blocking() -> Self {
         IcfpFeatures {
             chained_store_buffer: false,
@@ -155,7 +158,9 @@ pub struct CoreConfig {
     pub runahead_cache_entries: usize,
     /// Multipass result/instruction buffer entries (Table 1: 128).
     pub result_buffer_entries: usize,
-    /// SLTP store-redo-log entries (Table 1: 128).
+    /// Store-redo-log entries (Table 1: 128): the store buffer's capacity
+    /// under the SRL memory system (`features.chained_store_buffer` off, as
+    /// in SLTP), in place of `store_buffer_entries`.
     pub srl_entries: usize,
     /// Store-buffer organisation used by iCFP (Figure 8 knob).
     pub store_buffer_kind: StoreBufferKind,
@@ -175,7 +180,7 @@ impl CoreConfig {
 
     /// The one definition of a configuration the models can be built from:
     /// every structure size the models allocate up front — slice buffer,
-    /// store buffer, chain table, MSHRs, SLTP's store redo log, the runahead
+    /// store buffer, chain table, MSHRs, the store redo log, the runahead
     /// cache, the baseline store queue — lies in
     /// `1..=`[`CoreConfig::MAX_STRUCTURE_ENTRIES`].  A zero panics
     /// `SliceBuffer::new` or the first store of a baseline run, or retries a
@@ -238,9 +243,12 @@ impl CoreConfig {
         Self::paper_default().with_advance_policy(AdvancePolicy::L2AndPrimaryDcache)
     }
 
-    /// SLTP default configuration (advance under L2 misses only).
+    /// SLTP default configuration: advance under L2 misses only, on the
+    /// first step of the Figure 7 build ([`IcfpFeatures::srl_blocking`]).
     pub fn sltp_default() -> Self {
-        Self::paper_default().with_advance_policy(AdvancePolicy::L2Only)
+        Self::paper_default()
+            .with_advance_policy(AdvancePolicy::L2Only)
+            .with_features(IcfpFeatures::srl_blocking())
     }
 
     /// A scaled-down configuration for fast unit tests.
@@ -316,6 +324,7 @@ mod tests {
             AdvancePolicy::L2AndPrimaryDcache
         );
         assert_eq!(CoreConfig::sltp_default().advance_policy, AdvancePolicy::L2Only);
+        assert_eq!(CoreConfig::sltp_default().features, IcfpFeatures::srl_blocking());
         assert_eq!(CoreConfig::paper_default().advance_policy, AdvancePolicy::AllMisses);
     }
 

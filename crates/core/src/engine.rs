@@ -9,17 +9,17 @@
 //! stepped, saved or finished again.
 //!
 //! Every model is a resumable machine that holds its whole run in its
-//! fields: [`IcfpMachine`], `SltpMachine`, and the Runahead machine
-//! (`runahead::Machine`), which is also the in-order and the Multipass
-//! core.  Their `save`, `restore` and `seed` share one body each
-//! (`machine_bodies!`).
+//! fields, and there are two machines: [`IcfpMachine`], which is also the
+//! SLTP core (the first step of the Figure 7 build), and the Runahead
+//! machine (`runahead::Machine`), which is also the in-order and the
+//! Multipass core.  Each carries its [`CoreModel`].  Their `save`, `restore`
+//! and `seed` share one body each (`machine_bodies!`).
 //! [`run_model`] / [`run_model_cursor`] are the workspace's only "run to
 //! completion" entry points.
 
 use crate::config::CoreConfig;
 use crate::icfp::IcfpMachine;
 use crate::runahead;
-use crate::sltp::SltpMachine;
 use icfp_isa::{exec::ArchState, Trace, TraceCursor};
 use icfp_pipeline::RunResult;
 use serde::{Deserialize, Serialize};
@@ -88,11 +88,12 @@ impl CoreModel {
     }
 
     /// Builds an engine for this model — the workspace's single model
-    /// dispatch point (the registry).
+    /// dispatch point (the registry).  iCFP and SLTP run [`IcfpMachine`]
+    /// (SLTP's configuration is the first Figure 7 step); in-order, Runahead
+    /// and Multipass run the Runahead machine.
     pub fn engine(self, cfg: &CoreConfig) -> Box<dyn CoreEngine> {
         match self {
-            CoreModel::Icfp => Box::new(IcfpMachine::new(cfg)),
-            CoreModel::Sltp => Box::new(SltpMachine::new(cfg)),
+            CoreModel::Icfp | CoreModel::Sltp => Box::new(IcfpMachine::new(self, cfg)),
             _ => Box::new(runahead::Machine::new(self, cfg)),
         }
     }
@@ -147,8 +148,8 @@ pub trait CoreEngine: Send {
     ///
     /// The engine reads the trace through the [`TraceCursor`] block by block
     /// (the whole arena for in-memory sources), so arena and block-streamed
-    /// sources take the identical code path.  Granularity is the model's:
-    /// in-order and SLTP stop at any instruction, iCFP too (after the rally
+    /// sources take the identical code path.  Granularity is the machine's:
+    /// in-order stops at any instruction, iCFP and SLTP too (after the rally
     /// passes due by then); Runahead and Multipass stop between units of
     /// work, an advance walk and its squash being one.
     fn advance(&mut self, trace: &TraceCursor<'_>, inst_limit: usize) -> bool;
@@ -198,8 +199,8 @@ pub trait CoreEngine: Send {
 /// [`CoreEngine`] impl, written once: a machine holds its `Engine` in
 /// `eng` and its next trace position in `i`, and its bytes are the snapshot.
 /// A seed is refused once the machine has left position 0 or cycle 0; a
-/// snapshot is refused if another model took it or its configuration could
-/// not build the machine.
+/// snapshot is refused if another model took it (by its label or by the
+/// model its bytes carry) or its configuration could not build the machine.
 macro_rules! machine_bodies {
     () => {
         fn seed(&mut self, warm: &std::sync::Arc<icfp_isa::exec::ArchState>) -> Result<(), String> {
@@ -225,6 +226,9 @@ macro_rules! machine_bodies {
                 return Err(format!("snapshot is for model {}, engine runs {model}", snapshot.model));
             }
             let machine: Self = serde::from_bytes(&snapshot.bytes).map_err(|e| format!("decoding {model} snapshot: {e}"))?;
+            if machine.model() != model {
+                return Err(format!("{model} snapshot holds a machine for {}", machine.model()));
+            }
             // The bytes are outside input: their sizes must build a machine.
             machine.eng.cfg.validate().map_err(|e| format!("{model} snapshot configuration: {e}"))?;
             *self = machine;
@@ -324,8 +328,7 @@ mod tests {
     /// always true for the models whose episodes never span a pause.
     fn mid_episode(snap: &EngineSnapshot) -> bool {
         match snap.model {
-            CoreModel::Icfp => serde::from_bytes::<IcfpMachine>(&snap.bytes).expect("decodes").in_episode(),
-            CoreModel::Sltp => serde::from_bytes::<SltpMachine>(&snap.bytes).expect("decodes").in_episode(),
+            CoreModel::Icfp | CoreModel::Sltp => serde::from_bytes::<IcfpMachine>(&snap.bytes).expect("decodes").in_episode(),
             _ => true,
         }
     }
@@ -372,7 +375,7 @@ mod tests {
         let reference = run_model(CoreModel::Icfp, &cfg, &t);
 
         let c = cur(&t);
-        let mut machine = IcfpMachine::new(&cfg);
+        let mut machine = IcfpMachine::new(CoreModel::Icfp, &cfg);
         while !machine.in_episode() {
             assert!(
                 machine.advance(&c, machine.processed() + 1),
@@ -501,6 +504,10 @@ mod tests {
         let e = CoreModel::Icfp.engine(&cfg);
         let snap = e.save();
         let _ = e.finish(&cur(&t));
+        // SLTP runs the same machine: the model its bytes carry must match.
+        let relabelled = EngineSnapshot { model: CoreModel::Sltp, ..snap.clone() };
+        let err = CoreModel::Sltp.engine(&cfg).restore(&relabelled).unwrap_err();
+        assert!(err.contains("sltp snapshot holds a machine for icfp"), "{err}");
 
         for m in CoreModel::ALL.into_iter().filter(|&m| m != CoreModel::Icfp) {
             let mut other = m.engine(&m.default_config());

@@ -9,13 +9,12 @@
 //! | Vanilla in-order | [`inorder`] | baseline; stalls at the first miss-dependent instruction |
 //! | Runahead execution | [`runahead`] | non-blocking advance, discards and re-executes everything |
 //! | Multipass pipelining | [`multipass`] | Runahead + saved miss-independent results to accelerate re-execution |
-//! | SLTP | [`sltp`] | commits miss-independent work, SRL memory system, single *blocking* rally |
+//! | SLTP | [`icfp`] | iCFP's machine at the first Figure 7 step: SRL memory system, single *blocking* rally, 1-bit poison |
 //! | iCFP | [`icfp`] | commits miss-independent work, chained store buffer, multiple non-blocking multithreaded rallies |
 //!
 //! Supporting structures that the paper introduces or relies on are their own
 //! modules: the address-hash-chained store buffer ([`storebuf`]), the slice
-//! buffer ([`slicebuf`]), and the store redo log and runahead cache (also in
-//! [`storebuf`]).
+//! buffer ([`slicebuf`]), and the runahead cache (also in [`storebuf`]).
 //!
 //! Every model reads a trace through an [`icfp_isa::TraceCursor`] — so the
 //! same code path serves in-memory arenas (the cursor's zero-cost fast path)
@@ -56,7 +55,6 @@ pub mod multipass;
 pub mod replay;
 pub mod runahead;
 pub mod slicebuf;
-pub mod sltp;
 pub mod storebuf;
 
 /// The block-fetch counting source wrapper `icfp-sim`'s tests use.
@@ -69,4 +67,4 @@ pub use config::{AdvancePolicy, CoreConfig, IcfpFeatures, StoreBufferKind};
 pub use engine::{run_model, CoreEngine, CoreModel, EngineSnapshot};
 pub use icfp::IcfpMachine;
 pub use slicebuf::{SliceBuffer, SliceEntry};
-pub use storebuf::{ChainedStoreBuffer, RunaheadCache, StoreRedoLog};
+pub use storebuf::{ChainedStoreBuffer, RunaheadCache};

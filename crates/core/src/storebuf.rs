@@ -1,7 +1,6 @@
 //! Store-forwarding structures: the address-hash-chained store buffer (the
 //! paper's design, Section 3.2), its idealised and limited alternatives
-//! (Figure 8), the Runahead cache used by Runahead/Multipass, and SLTP's
-//! store redo log.
+//! (Figure 8) and the Runahead cache used by Runahead/Multipass.
 //!
 //! ## Address-hash chaining
 //!
@@ -304,12 +303,6 @@ impl ChainedStoreBuffer {
             *slot = 0;
         }
     }
-
-    /// Iterates over the buffered stores, oldest first.  Double-ended so
-    /// consumers can scan youngest-first for forwarding.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &StoreEntry> {
-        self.entries.iter()
-    }
 }
 
 /// The Runahead cache (R$): a small direct-mapped, best-effort structure that
@@ -353,85 +346,6 @@ impl RunaheadCache {
         for e in &mut self.entries {
             *e = None;
         }
-    }
-}
-
-/// SLTP's store redo log (SRL): a simple FIFO of advance stores that must be
-/// drained to the data cache, in program order, before tail execution can
-/// resume after a rally (Section 4 / Gandhi et al.).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StoreRedoLog {
-    entries: VecDeque<(InstSeq, Addr, Value, PoisonMask)>,
-    capacity: usize,
-}
-
-impl StoreRedoLog {
-    /// Creates an SRL with the given capacity.
-    pub fn new(capacity: usize) -> Self {
-        StoreRedoLog {
-            entries: VecDeque::with_capacity(capacity),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Number of logged stores.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// True if the log is full (forces SLTP to stall its advance mode).
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
-
-    /// Appends a store.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreBufferFull`] if the log is full.
-    pub fn push(
-        &mut self,
-        seq: InstSeq,
-        addr: Addr,
-        value: Value,
-        poison: PoisonMask,
-    ) -> Result<(), StoreBufferFull> {
-        if self.is_full() {
-            return Err(StoreBufferFull);
-        }
-        self.entries.push_back((seq, addr, value, poison));
-        Ok(())
-    }
-
-    /// Resolves the value of a poisoned store during slice re-execution.
-    pub fn resolve_value(&mut self, seq: InstSeq, value: Value) -> bool {
-        for e in self.entries.iter_mut() {
-            if e.0 == seq {
-                e.2 = value;
-                e.3 = PoisonMask::CLEAN;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Drains the whole log in program order, returning the `(seq, addr,
-    /// value)` triples.  Entries still poisoned at drain time are returned
-    /// with their stale value and must have been resolved by the caller
-    /// beforehand (SLTP interleaves SRL drain with slice re-execution).
-    pub fn drain(&mut self) -> Vec<(InstSeq, Addr, Value)> {
-        self.entries.drain(..).map(|(s, a, v, _)| (s, a, v)).collect()
-    }
-
-    /// Iterates over logged stores, oldest first.  Double-ended so consumers
-    /// can scan youngest-first for forwarding.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &(InstSeq, Addr, Value, PoisonMask)> {
-        self.entries.iter()
     }
 }
 
@@ -633,27 +547,5 @@ mod tests {
         rc.write(0x100, 0, PoisonMask::bit(0));
         let (_, p) = rc.read(0x100).unwrap();
         assert!(p.is_poisoned());
-    }
-
-    #[test]
-    fn srl_fifo_order_and_capacity() {
-        let mut srl = StoreRedoLog::new(2);
-        srl.push(0, 0x40, 1, PoisonMask::CLEAN).unwrap();
-        srl.push(1, 0x48, 2, PoisonMask::CLEAN).unwrap();
-        assert!(srl.is_full());
-        assert!(srl.push(2, 0x50, 3, PoisonMask::CLEAN).is_err());
-        let drained = srl.drain();
-        assert_eq!(drained, vec![(0, 0x40, 1), (1, 0x48, 2)]);
-        assert!(srl.is_empty());
-    }
-
-    #[test]
-    fn srl_resolve_value() {
-        let mut srl = StoreRedoLog::new(4);
-        srl.push(3, 0x40, 0, PoisonMask::bit(0)).unwrap();
-        assert!(srl.resolve_value(3, 99));
-        assert!(!srl.resolve_value(4, 1));
-        let drained = srl.drain();
-        assert_eq!(drained[0].2, 99);
     }
 }

@@ -309,14 +309,6 @@ impl Cache {
         None
     }
 
-    /// Invalidates `addr`'s line if present (used by SLTP's speculative-line
-    /// flush and by external invalidations).  Returns true if a line was
-    /// invalidated.
-    pub fn invalidate(&mut self, addr: Addr) -> bool {
-        let found = self.find(self.config.line_addr(addr));
-        found.map(|i| self.keys[i] &= !VALID).is_some()
-    }
-
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
         self.keys.iter().filter(|&&k| k & VALID != 0).count()
@@ -481,16 +473,6 @@ mod tests {
         // line the caller must write back.
         let written_back = c.fill(0x0400, 5, 5, false);
         assert_eq!(written_back, Some(Evicted { line_addr: 0x0000, dirty: true }));
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = tiny();
-        c.fill(0x1000, 0, 0, false);
-        assert!(c.peek(0x1000));
-        assert!(c.invalidate(0x1000));
-        assert!(!c.peek(0x1000));
-        assert!(!c.invalidate(0x1000));
     }
 
     #[test]

@@ -187,12 +187,6 @@ impl MemoryHierarchy {
             })
     }
 
-    /// Invalidates `addr` from the L1 only (used by SLTP's speculative-line
-    /// flush before a rally).
-    pub fn invalidate_l1(&mut self, addr: Addr) -> bool {
-        self.l1d.invalidate(addr)
-    }
-
     fn access(
         &mut self,
         addr: Addr,

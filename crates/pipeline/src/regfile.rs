@@ -194,14 +194,6 @@ impl TimedRegFile {
         self.poison.clear_bits(bits);
     }
 
-    /// Clears all poison and last-writer state (end of an advance episode).
-    pub fn clear_speculative_state(&mut self) {
-        self.poison.clear_all();
-        for e in &mut self.regs {
-            e.last_writer = None;
-        }
-    }
-
     /// Creates the checkpoint (there is only one, as in the paper's
     /// shadow-bitcell design).  Overwrites any previous checkpoint.
     pub fn checkpoint(&mut self) {
@@ -355,15 +347,6 @@ mod tests {
         let snap = rf.values_snapshot();
         assert_eq!(snap.len(), NUM_ARCH_REGS);
         assert_eq!(snap[Reg::int(7).index()], 1234);
-    }
-
-    #[test]
-    fn clear_speculative_state_resets_poison_and_stamps() {
-        let mut rf = TimedRegFile::new();
-        rf.poison_write(Reg::int(1), PoisonMask::bit(3), 5);
-        rf.clear_speculative_state();
-        assert!(!rf.any_poisoned());
-        assert_eq!(rf.last_writer(Reg::int(1)), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The `icfp-ckpt/v6` checkpoint format.
+//! The `icfp-ckpt/v7` checkpoint format.
 //!
 //! A [`SimCheckpoint`] captures a running [`Simulator`](crate::Simulator) —
 //! the core engine's complete serialized state (register file and poison
@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       12    magic: the ASCII bytes "icfp-ckpt/v6"
+//! 0       12    magic: the ASCII bytes "icfp-ckpt/v7"
 //! 12      8     payload length (u64 LE)
 //! 20      n     payload: SimCheckpoint in the vendored-serde binary format
 //! 20+n    8     FNV-1a digest of the payload (u64 LE)
@@ -66,8 +66,17 @@
 //! engine, buffers and trace position, plus, for the Runahead machine, the
 //! position its last squash restarted at.  iCFP's bytes do not change: its
 //! four golden mid-run checkpoints keep their sizes, and the golden table
-//! now pins a mid-run checkpoint of every model.  Older containers are
-//! refused by magic, with an error naming both versions.
+//! now pins a mid-run checkpoint of every model.
+//!
+//! v7 has one SLTP: [`CoreModel::Sltp`](icfp_core::CoreModel::Sltp) runs
+//! iCFP's machine at the first step of the Figure 7 build, so an SLTP
+//! payload is that machine's (slice buffer, store buffer, pending rallies,
+//! slice values) in place of the retired SLTP machine's store redo log,
+//! episode and committed-store map.  iCFP's machine now leads its bytes
+//! with the model it runs, as the Runahead machine always did, so each
+//! iCFP payload grows by that tag; nothing else in a non-SLTP payload
+//! moves.  Older containers are refused by magic, with an error naming
+//! both versions.
 
 use crate::SimConfig;
 use icfp_core::EngineSnapshot;
@@ -76,7 +85,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Magic prefix of the on-disk container (also the format version).
-pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v6";
+pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v7";
 
 /// A captured simulation: engine snapshot plus trace identity.  Produced by
 /// [`Simulator::checkpoint`](crate::Simulator::checkpoint), consumed by
@@ -202,7 +211,7 @@ impl std::error::Error for CkptError {}
 use icfp_isa::fnv1a;
 
 impl SimCheckpoint {
-    /// Encodes the checkpoint as an `icfp-ckpt/v6` container.
+    /// Encodes the checkpoint as an `icfp-ckpt/v7` container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let payload = serde::to_bytes(self);
         let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 16 + payload.len());
@@ -214,7 +223,7 @@ impl SimCheckpoint {
         out
     }
 
-    /// Decodes an `icfp-ckpt/v6` container, validating magic, length and
+    /// Decodes an `icfp-ckpt/v7` container, validating magic, length and
     /// payload digest.
     ///
     /// # Errors
@@ -317,13 +326,14 @@ mod tests {
         let found = String::from("xx");
         assert_eq!(SimCheckpoint::from_bytes(b"xx"), Err(CkptError::BadMagic { found }));
         // A container of an earlier version is refused by name, not decoded
-        // into the current layout: the error names both versions.
-        for old in ["icfp-ckpt/v2", "icfp-ckpt/v3", "icfp-ckpt/v4", "icfp-ckpt/v5"] {
+        // into the current layout: the error names both versions.  (A v6
+        // SLTP payload is another machine's bytes.)
+        for old in ["icfp-ckpt/v2", "icfp-ckpt/v3", "icfp-ckpt/v4", "icfp-ckpt/v5", "icfp-ckpt/v6"] {
             bytes[..CKPT_MAGIC.len()].copy_from_slice(old.as_bytes());
             let err = SimCheckpoint::from_bytes(&bytes).unwrap_err();
             assert_eq!(err, CkptError::BadMagic { found: old.into() });
             let message = err.to_string();
-            assert!(message.contains(old) && message.contains("icfp-ckpt/v6"), "{message}");
+            assert!(message.contains(old) && message.contains("icfp-ckpt/v7"), "{message}");
         }
     }
 
@@ -400,9 +410,10 @@ mod tests {
                 other => panic!("{bad}: expected a config error, got {other:?}"),
             }
         }
-        // Sizes only the other models allocate: SLTP's store redo log
-        // (`VecDeque::with_capacity` overflow) and the baseline store queue
-        // (a zero panics on the first store of an in-order run).
+        // Sizes only some models allocate: SLTP's store buffer, sized by
+        // `srl_entries` under its SRL memory system (`VecDeque::with_capacity`
+        // overflow), and the baseline store queue (a zero panics on the
+        // first store of an in-order run).
         for (model, field) in [
             (CoreModel::Sltp, "srl_entries"),
             (CoreModel::InOrder, "pipeline.baseline_store_buffer"),

@@ -1,6 +1,7 @@
 //! The simulation loop's allocation budget: after the first 10 % of a trace
 //! (caches of scratch capacity warmed, hash tables grown) a run may make
-//! fewer than 2 heap-allocation calls per 1000 simulated instructions.
+//! fewer than 0.5 heap-allocation calls per 1000 simulated instructions —
+//! well under two, the bound the test is named for.
 //!
 //! Every model pauses at an instruction position, so "after the first 10 %"
 //! is a run paused there: the allocation calls from the pause until the
@@ -20,11 +21,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const INSTS: usize = 40_000;
 const SEED: u64 = 0xA110C;
-const BUDGET_PER_KINST: f64 = 2.0;
+const BUDGET_PER_KINST: f64 = 0.5;
 
 #[test]
 fn steady_state_simulation_stays_under_two_allocations_per_kinst() {
-    for wl in ["pointer-chase", "dcache-thrash"] {
+    for wl in ["pointer-chase", "dcache-thrash", "streaming"] {
         let trace = icfp_workloads::by_name(wl, INSTS, SEED).expect("standard workload");
         let warm_len = trace.len() / 10;
         for model in CoreModel::ALL {

@@ -842,9 +842,11 @@ mod tests {
         with_container.workloads.push(path.to_str().unwrap().to_string());
         // What the build before the warm-state store prints for `registry`
         // (`--insts 600 --seed 0xC0DE --workload dcache-thrash,streaming
-        // --sweep-slice 64,128 --fast-forward 300`); a container's path is
-        // part of its cells, so that grid is held to itself.
-        let pinned = [(&registry, Some(0xce6a2d5d7995a9c3)), (&with_container, None)];
+        // --sweep-slice 64,128 --fast-forward 300`), with its two SLTP
+        // dcache-thrash cells re-recorded when SLTP became iCFP's machine
+        // (`0xce6a2d5d7995a9c3` before); a container's path is part of its
+        // cells, so that grid is held to itself.
+        let pinned = [(&registry, Some(0xc36afa8ef895643e)), (&with_container, None)];
         fn opts(threads: usize, cache: Option<&ResultCache>) -> ExecOptions<'_> {
             ExecOptions { threads, cache, ..ExecOptions::default() }
         }
