@@ -56,8 +56,10 @@
 //! fewer than 0.5 heap-allocation calls per 1000 instructions (what is left is
 //! the occasional growth of the slice-value window or of architectural
 //! memory's hash table) — the bound `crates/sim/tests/steady_state_allocs.rs`
-//! enforces.  A rally records each result in that window by its position
-//! from the episode's start, not by a hash insert.
+//! enforces.  A rally records each result in that window by its trace
+//! position, not by a hash insert, and the window keeps only what a rally can
+//! still read, so a run's heap does not grow with the length of an episode
+//! (`crates/sim/tests/heap_bound.rs`).
 
 use crate::common::{Engine, OperandWait};
 use crate::config::CoreConfig;
@@ -68,7 +70,6 @@ use icfp_isa::{exec, Cycle, DynInst, InstSeq, OpClass, TraceCursor, Value};
 use icfp_mem::MshrId;
 use icfp_pipeline::{PoisonAllocator, PoisonMask, RunResult};
 use serde::{Deserialize, Serialize};
-use std::num::NonZeroU32;
 
 /// A miss whose return will trigger a rally pass.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -114,22 +115,31 @@ impl RallyBatch {
 /// position.  This models the paper's slice-buffer data storage: a rallying
 /// instruction reads "pending from slice" operands from here.
 ///
-/// A dense window of positions: `slots[k]` says where the result of trace
-/// position `base + k` sits in `vals` (`None` if nothing was recorded there).
-/// `base` is where the episode started, so no slice entry that can still
-/// record a result lies below it, and a rally's write is two indexed stores
-/// (reads come only for producers that have left the slice buffer).  A
-/// position costs four bytes and a result sixteen, so a sparse episode (most
-/// of its instructions never sliced) stays smaller than a hash table of its
-/// results.  Both vectors keep their capacity across episodes (cleared, not
-/// dropped, at episode boundaries).  The checkpoint form is the recorded
-/// `(position, (value, ready))` pairs in increasing position order.
+/// A dense window of positions: `slots[k]` holds the result recorded at trace
+/// position `base + k` (`None` if none was), so a rally's write is one
+/// indexed store.  A rally reads two kinds of value only: results of entries
+/// still in the slice buffer, and the producers active entries name.  A new
+/// entry names only producers in the buffer, so nothing below the lowest of
+/// those ([`IcfpMachine::live_floor`]) is ever read again, and the machine
+/// drops that prefix whenever the window has grown past twice what the last
+/// drop kept plus [`PRUNE_SLACK`] ([`SliceValues::prune`]).  The window
+/// therefore spans about what the slice buffer covers, not the episode, and
+/// a drop costs a scan of at most `slice_buffer_entries` entries and a move of
+/// the kept span, O(1) per recorded position.  The vector keeps its capacity
+/// across episodes (cleared, not dropped, at episode boundaries).  The
+/// checkpoint holds only the live values ([`IcfpMachine::live_values`]), so
+/// its bytes do not depend on when the window was last pruned.
 #[derive(Debug, Default)]
 struct SliceValues {
     base: usize,
-    slots: Vec<Option<NonZeroU32>>,
-    vals: Vec<(Value, Cycle)>,
+    slots: Vec<Option<(Value, Cycle)>>,
+    /// Positions the last prune kept.  Derived: not in the checkpoint.
+    kept: usize,
 }
+
+/// Positions a window may grow by beyond twice what its last prune kept
+/// before it is pruned again.
+const PRUNE_SLACK: usize = 512;
 
 impl SliceValues {
     /// Starts an episode's window at trace position `at`; a window that
@@ -141,8 +151,7 @@ impl SliceValues {
     }
 
     fn get(&self, idx: usize) -> Option<(Value, Cycle)> {
-        let slot = (*self.slots.get(idx.wrapping_sub(self.base))?)?;
-        Some(self.vals[slot.get() as usize - 1])
+        *self.slots.get(idx.wrapping_sub(self.base))?
     }
 
     fn set(&mut self, idx: usize, v: Value, ready: Cycle) {
@@ -151,24 +160,26 @@ impl SliceValues {
         if k >= self.slots.len() {
             self.slots.resize(k + 1, None);
         }
-        match self.slots[k] {
-            Some(slot) => self.vals[slot.get() as usize - 1] = (v, ready),
-            None => self.slots[k] = Some(self.push(v, ready)),
-        }
+        self.slots[k] = Some((v, ready));
     }
 
-    /// Appends a result and returns its slot (its index in `vals`, plus one).
-    fn push(&mut self, v: Value, ready: Cycle) -> NonZeroU32 {
-        self.vals.push((v, ready));
-        u32::try_from(self.vals.len())
-            .ok()
-            .and_then(NonZeroU32::new)
-            .expect("fewer than 2^32 slice values in one episode")
+    /// Whether the window has grown enough since its last prune to be
+    /// pruned again.
+    fn prune_due(&self) -> bool {
+        self.slots.len() > 2 * self.kept + PRUNE_SLACK
+    }
+
+    /// Drops every position below `floor`.
+    fn prune(&mut self, floor: usize) {
+        let cut = floor.saturating_sub(self.base).min(self.slots.len());
+        self.slots.drain(..cut);
+        self.base = if self.slots.is_empty() { floor } else { self.base + cut };
+        self.kept = self.slots.len();
     }
 
     fn clear(&mut self) {
         self.slots.clear();
-        self.vals.clear();
+        self.kept = 0;
     }
 
     /// The window of decoded `pairs` whose base is no higher than `floor`:
@@ -181,27 +192,15 @@ impl SliceValues {
         }
         let base = pairs.first().map_or(floor, |p| p.0.min(floor));
         let span = pairs.last().map_or(0, |p| p.0 + 1 - base);
-        let mut values = SliceValues { base, slots: Vec::new(), vals: Vec::with_capacity(pairs.len()) };
-        if u32::try_from(pairs.len()).is_err() || values.slots.try_reserve_exact(span).is_err() {
+        let mut values = SliceValues { base, slots: Vec::new(), kept: span };
+        if values.slots.try_reserve_exact(span).is_err() {
             return Err("slice value window");
         }
         values.slots.resize(span, None);
-        for &(idx, (v, ready)) in pairs {
-            values.slots[idx - base] = Some(values.push(v, ready));
+        for &(idx, value) in pairs {
+            values.slots[idx - base] = Some(value);
         }
         Ok(values)
-    }
-}
-
-impl Serialize for SliceValues {
-    fn serialize(&self, out: &mut Vec<u8>) {
-        (self.vals.len() as u64).serialize(out);
-        for (idx, slot) in (self.base..).zip(&self.slots) {
-            if let Some(slot) = slot {
-                idx.serialize(out);
-                self.vals[slot.get() as usize - 1].serialize(out);
-            }
-        }
     }
 }
 
@@ -232,7 +231,8 @@ pub struct IcfpMachine {
     /// Results of re-executed slice instructions (the slice data storage).
     /// A consumer reads a producer that still sits in the slice buffer through
     /// its link ([`SliceBuffer::producer`]); this window serves the producers
-    /// already reclaimed from the head, and is what a checkpoint carries.
+    /// already reclaimed from the head, and what it can still serve is what a
+    /// checkpoint carries.
     slice_values: SliceValues,
     /// Scratch: stores drained from the store buffer this step.
     drain_scratch: Vec<(u64, Value)>,
@@ -674,6 +674,35 @@ impl IcfpMachine {
         }
     }
 
+    /// The lowest trace position a rally can still read a slice value at: the
+    /// oldest entry in the slice buffer (the next trace position when it is
+    /// empty), or a producer that an active entry names below it.  A new
+    /// entry names only producers in the buffer, so within an episode this
+    /// never goes down.
+    fn live_floor(&self) -> usize {
+        let oldest = self.slice.entries().next().map_or(self.i, |e| e.trace_idx);
+        self.slice
+            .active_entries()
+            .flat_map(|e| [e.src1_producer, e.src2_producer])
+            .fold(oldest, usize::min)
+    }
+
+    /// The slice values a rally can still read, by increasing position: the
+    /// results of entries in the slice buffer and of the producers active
+    /// entries name.  This is the checkpoint's form of the window, the same
+    /// whenever the window was last pruned.
+    fn live_values(&self) -> Vec<(usize, (Value, Cycle))> {
+        let mut live: Vec<usize> = self
+            .slice
+            .entries()
+            .map(|e| e.trace_idx)
+            .chain(self.slice.active_entries().flat_map(|e| [e.src1_producer, e.src2_producer]))
+            .collect();
+        live.sort_unstable();
+        live.dedup();
+        live.into_iter().filter_map(|idx| Some((idx, self.slice_values.get(idx)?))).collect()
+    }
+
     /// One pass over the active slice entries selected by `select`.
     fn rally_pass(&mut self, trace: &TraceCursor<'_>, select: PoisonMask, returns_at: Cycle) {
         self.eng.stats.rally_passes += 1;
@@ -833,6 +862,9 @@ impl IcfpMachine {
             self.slice.retire_at(slot);
         }
         self.slice.reclaim_head();
+        if self.slice_values.prune_due() {
+            self.slice_values.prune(self.live_floor());
+        }
 
         // Drain stores unblocked by this rally.
         self.drain_stores(self.i as InstSeq, rally_frontier);
@@ -940,7 +972,8 @@ impl CoreEngine for IcfpMachine {
 }
 
 /// Checkpoint codec for the machine: every *persistent* field, the model
-/// first, is written in declaration order; the drain scratch buffer is pure
+/// first, is written in declaration order, the slice-value window as its live
+/// values (`IcfpMachine::live_values`); the drain scratch buffer is pure
 /// per-step staging (always drained before `advance` returns) and is
 /// rebuilt empty, with its configured capacity, on restore, the rally batch
 /// is rebuilt, and the derived `earliest` index and the slice buffer's
@@ -953,7 +986,7 @@ impl Serialize for IcfpMachine {
         self.sbuf.serialize(out);
         self.palloc.serialize(out);
         self.rallies.serialize(out);
-        self.slice_values.serialize(out);
+        self.live_values().serialize(out);
         self.i.serialize(out);
         self.done.serialize(out);
     }
@@ -1237,7 +1270,8 @@ mod tests {
         let sound = with_values(&[[3, 7, 100], [5, 8, 120]], 10);
         let m = serde::from_bytes::<IcfpMachine>(&sound).expect("sorted positions below i decode");
         assert_eq!((m.slice_values.get(3), m.slice_values.get(4)), (Some((7, 100)), None));
-        assert_eq!(serde::to_bytes(&m), sound, "the window re-encodes the pairs it decoded");
+        // An empty slice buffer names no position: nothing left to re-encode.
+        assert_eq!(serde::to_bytes(&m), with_values(&[], 10), "the window re-encodes what a rally can read");
         for (what, pairs, i) in [
             ("slice value positions", vec![[5, 8, 120], [3, 7, 100]], 10),
             ("slice value positions", vec![[3, 7, 100], [3, 8, 120]], 10),
@@ -1269,6 +1303,30 @@ mod tests {
             let err = serde::from_bytes::<IcfpMachine>(&hostile).unwrap_err();
             assert!(err.to_string().contains(what), "{what}: {err}");
         }
+    }
+
+    #[test]
+    fn a_pruned_window_keeps_every_position_from_its_floor() {
+        let mut w = SliceValues::default();
+        w.begin(100);
+        for idx in (100..100 + 2 * PRUNE_SLACK).step_by(3) {
+            w.set(idx, idx as Value, idx as Cycle + 1);
+        }
+        assert!(w.prune_due());
+        let floor = 100 + PRUNE_SLACK;
+        w.prune(floor);
+        assert!(!w.prune_due(), "due again only after the window doubles");
+        for idx in 90..110 + 2 * PRUNE_SLACK {
+            let want = (idx >= floor && idx < 100 + 2 * PRUNE_SLACK && (idx - 100) % 3 == 0)
+                .then_some((idx as Value, idx as Cycle + 1));
+            assert_eq!(w.get(idx), want, "position {idx}");
+        }
+        // A floor beyond every recorded position empties the window and
+        // starts it there.
+        w.prune(5_000);
+        assert_eq!((w.slots.len(), w.base), (0, 5_000));
+        w.set(5_000, 1, 2);
+        assert_eq!(w.get(5_000), Some((1, 2)));
     }
 
     /// Runs iCFP with the rally batch and without it (every deferral a
@@ -1360,6 +1418,55 @@ mod tests {
         let share = batched as f64 / deferrals as f64;
         eprintln!("batched {batched} of {deferrals} deferrals ({share:.4})");
         assert!(share >= 0.95, "{batched} of {deferrals} deferrals batched ({share:.3}), floor 0.95");
+    }
+
+    #[test]
+    fn every_checkpointed_field_is_read_again() {
+        use crate::liveness::{self, engine_fields, Field};
+        let mut fields: Vec<Field<IcfpMachine>> =
+            vec![Field { name: "model", bytes: |m| serde::to_bytes(&m.model), scramble: |m| m.model = CoreModel::Sltp }];
+        fields.extend(engine_fields!(IcfpMachine));
+        let own: [Field<IcfpMachine>; 7] = [
+            Field {
+                name: "slice",
+                bytes: |m| serde::to_bytes(&m.slice),
+                scramble: |m| m.slice = SliceBuffer::new(m.eng.cfg.slice_buffer_entries),
+            },
+            Field {
+                name: "sbuf",
+                bytes: |m| serde::to_bytes(&m.sbuf),
+                scramble: |m| {
+                    let cfg = &m.eng.cfg;
+                    m.sbuf = ChainedStoreBuffer::new(cfg.store_buffer_kind, store_capacity(cfg), cfg.chain_table_entries);
+                },
+            },
+            Field {
+                name: "palloc",
+                bytes: |m| serde::to_bytes(&m.palloc),
+                scramble: |m| m.palloc = PoisonAllocator::new(m.eng.cfg.features.poison_vector_width.clamp(1, 16)),
+            },
+            Field {
+                name: "rallies",
+                bytes: |m| serde::to_bytes(&m.rallies),
+                scramble: |m| m.rallies.iter_mut().for_each(|r| r.returns_at += 1_000),
+            },
+            Field {
+                name: "slice_values",
+                bytes: |m| serde::to_bytes(&m.live_values()),
+                scramble: |m| m.slice_values.slots.iter_mut().flatten().for_each(|(v, _)| *v ^= 1),
+            },
+            Field { name: "i", bytes: |m| serde::to_bytes(&m.i), scramble: |m| m.i += 1 },
+            Field { name: "done", bytes: |m| serde::to_bytes(&m.done), scramble: |m| m.done = true },
+        ];
+        fields.extend(own);
+        // Paused inside episodes (pointer-chase is one, dcache-thrash many),
+        // and among branches that train the predictor.
+        let insts = if cfg!(debug_assertions) { 4_000 } else { 20_000 };
+        let runs = ["pointer-chase", "dcache-thrash", "branchy"].map(|wl| {
+            let t = icfp_workloads::by_name(wl, insts, 0xC0DE).expect("stock workload");
+            (IcfpMachine::new(CoreModel::Icfp, &CoreConfig::paper_default()), t, vec![insts / 4, insts / 2, insts * 3 / 4])
+        });
+        assert_eq!(liveness::surviving(runs.into(), &fields), Vec::<&str>::new(), "fields no scramble changed");
     }
 
     #[test]

@@ -57,6 +57,9 @@ pub mod runahead;
 pub mod slicebuf;
 pub mod storebuf;
 
+#[cfg(test)]
+mod liveness;
+
 /// The block-fetch counting source wrapper `icfp-sim`'s tests use.
 #[cfg(test)]
 #[path = "../../sim/tests/common/tap.rs"]

@@ -137,35 +137,43 @@ impl CoreEngine for Machine {
     }
 }
 
-/// Checkpoint codec: every field but the walk ring, in declaration order.
+/// Checkpoint codec: the fields a paused machine reads again, in declaration
+/// order.  A machine pauses only between units of work, so three fields are
+/// left out and rebuilt on decode as the pause leaves them: the runahead
+/// cache (cleared after every walk), the store-seen flag (reset when a walk
+/// starts, read only inside one) and the last squash restart (behind every
+/// position a paused machine visits again).  The walk ring starts empty.
 impl Serialize for Machine {
     fn serialize(&self, out: &mut Vec<u8>) {
         self.model.serialize(out);
         self.eng.serialize(out);
         self.store_q.serialize(out);
-        self.rcache.serialize(out);
         self.results.serialize(out);
         self.result_capacity.serialize(out);
         self.saved_end.serialize(out);
-        self.poisoned_store_seen.serialize(out);
         self.i.serialize(out);
-        self.restart.serialize(out);
     }
 }
 
 impl Deserialize for Machine {
     fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let model = Deserialize::deserialize(r)?;
+        let eng: Engine = Deserialize::deserialize(r)?;
+        // The runahead cache below is built to this configuration.
+        if eng.cfg.validate().is_err() {
+            return Err(serde::Error::invalid("core configuration", r.position()));
+        }
         Ok(Machine {
-            model: Deserialize::deserialize(r)?,
-            eng: Deserialize::deserialize(r)?,
+            model,
+            rcache: RunaheadCache::new(eng.cfg.runahead_cache_entries),
+            eng,
             store_q: Deserialize::deserialize(r)?,
-            rcache: Deserialize::deserialize(r)?,
             results: Deserialize::deserialize(r)?,
             result_capacity: Deserialize::deserialize(r)?,
             saved_end: Deserialize::deserialize(r)?,
-            poisoned_store_seen: Deserialize::deserialize(r)?,
+            poisoned_store_seen: false,
             i: Deserialize::deserialize(r)?,
-            restart: Deserialize::deserialize(r)?,
+            restart: usize::MAX,
             ring: Some(WalkRing::default()),
         })
     }
@@ -618,6 +626,71 @@ pub(crate) mod tests {
             }
         }
         assert!(replayed > 0, "no random trace replayed a single visit");
+    }
+
+    fn miss_then_chain_trace(n: usize) -> Trace {
+        let mut b = TraceBuilder::new("miss-then-chain");
+        for k in 0..n as u64 {
+            b.push(DynInst::load(Reg::int(1), Reg::int(2), 0x100000 + k * 0x4000));
+            for j in 0..15u64 {
+                b.push(DynInst::alu_imm(Op::Mul, Reg::int(4), Reg::int(4), j | 1));
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn every_checkpointed_field_is_read_again() {
+        use crate::liveness::{self, engine_fields, Field};
+        let mut fields: Vec<Field<Machine>> = vec![Field {
+            name: "model",
+            bytes: |m| serde::to_bytes(&m.model),
+            scramble: |m| m.model = CoreModel::Runahead,
+        }];
+        fields.extend(engine_fields!(Machine));
+        let own: [Field<Machine>; 5] = [
+            Field {
+                name: "store_q",
+                bytes: |m| serde::to_bytes(&m.store_q),
+                scramble: |m| {
+                    let far = m.eng.frontier + 100_000;
+                    m.store_q.resize(m.eng.cfg.pipeline.baseline_store_buffer, (far, 0));
+                },
+            },
+            Field { name: "results", bytes: |m| serde::to_bytes(&m.results), scramble: |m| m.results.clear() },
+            Field {
+                name: "result_capacity",
+                bytes: |m| serde::to_bytes(&m.result_capacity),
+                scramble: |m| m.result_capacity = 0,
+            },
+            Field { name: "saved_end", bytes: |m| serde::to_bytes(&m.saved_end), scramble: |m| m.saved_end = 0 },
+            Field { name: "i", bytes: |m| serde::to_bytes(&m.i), scramble: |m| m.i += 1 },
+        ];
+        fields.extend(own);
+        // Multipass, the model that uses every field, paused between walks
+        // (pointer-chase, dcache-thrash, and misses with independent work
+        // after them), among branches that train the predictor, and with a
+        // result buffer that does not fill.
+        let insts = if cfg!(debug_assertions) { 4_000 } else { 20_000 };
+        let stock = |wl| icfp_workloads::by_name(wl, insts, 0xC0DE).expect("stock workload");
+        let paper = CoreConfig::multipass_default();
+        let roomy = CoreConfig { result_buffer_entries: 1 << 20, ..paper.clone() };
+        let runs = [
+            (&paper, stock("pointer-chase"), 4),
+            (&paper, stock("dcache-thrash"), 4),
+            (&paper, stock("branchy"), 4),
+            (&roomy, stock("dcache-thrash"), 4),
+            // Misses followed by a dependent multiply chain, whose saved
+            // results a re-execution does not wait for, paused often enough
+            // that some pause falls between a squash and the end of that
+            // re-execution.
+            (&roomy, miss_then_chain_trace(insts / 64), 8),
+        ]
+        .map(|(cfg, t, pauses)| {
+            let at = (1..pauses).map(|k| t.len() * k / pauses).collect();
+            (Machine::new(CoreModel::Multipass, cfg), t, at)
+        });
+        assert_eq!(liveness::surviving(runs.into(), &fields), Vec::<&str>::new(), "fields no scramble changed");
     }
 
     #[test]

@@ -390,11 +390,15 @@ impl SliceBuffer {
         }
     }
 
+    /// Iterates over the occupied entries, active or retired, in program
+    /// order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &SliceEntry> {
+        (0..self.len).map(|l| &self.slots[self.phys(l)])
+    }
+
     /// Iterates over the *active* entries in program order.
     pub fn active_entries(&self) -> impl Iterator<Item = &SliceEntry> {
-        (0..self.len)
-            .map(|l| &self.slots[self.phys(l)])
-            .filter(|e| e.active)
+        self.entries().filter(|e| e.active)
     }
 
     /// The first entry a rally pass for the returning misses `returning`

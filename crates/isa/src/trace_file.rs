@@ -917,7 +917,11 @@ mod tests {
         let t = sample_trace(200); // 400 insts, 25 blocks of 16
         let path = tmp("residency");
         TraceFileWriter::write_trace_as(&path, &t, 16, TraceFormat::V2).expect("write");
-        let f = TraceFile::open(&path).expect("open");
+        // Decoded inline, so no decode is in flight when a block is counted:
+        // the bound is the MRU cache plus the cursor's pinned block.  The
+        // background reader's bound, one decode more, is held by
+        // `async_and_sync_prefetch_serve_identical_content`.
+        let f = TraceFile::open_sync(&path).expect("open");
         let cur = TraceCursor::new(&f);
         for k in 0..f.len() {
             let _ = cur.get(k);

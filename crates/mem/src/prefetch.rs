@@ -51,7 +51,8 @@ pub struct StreamPrefetcher {
     last_use: Vec<Cycle>,
     /// Block address held / in flight in each slot.
     blocks: Vec<Addr>,
-    /// Arrival cycle of each slot's block.
+    /// Arrival cycle of each slot's block; stale in an empty slot, and not
+    /// serialized there.
     ready: Vec<Cycle>,
     /// The index below is derived from `blocks`: not in the serialized form,
     /// rebuilt on decode.  Per buffer: how many of its slots hold a block
@@ -140,10 +141,10 @@ impl StreamPrefetcher {
             return (None, None);
         };
         let ready = self.ready[slot];
-        // Remove the block, keeping the order of the rest of its buffer (the
-        // whole buffer shifts: an empty slot's ready time is checkpointed).
+        // Remove the block, keeping the order of the rest of its buffer: its
+        // filled front shifts down by one.
         let buffer = slot / self.depth;
-        let end = (buffer + 1) * self.depth;
+        let end = buffer * self.depth + self.filled[buffer];
         self.blocks.copy_within(slot + 1..end, slot);
         self.ready.copy_within(slot + 1..end, slot);
         self.blocks[end - 1] = EMPTY;
@@ -247,14 +248,20 @@ impl StreamPrefetcher {
         }
     }
 
+    /// The slots that hold a block, in table order.
+    fn held_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.blocks.len()).filter(|&k| self.blocks[k] != EMPTY)
+    }
+
     /// Number of blocks currently held or in flight across all buffers.
     pub fn blocks_in_flight(&self) -> usize {
         self.filled.iter().sum()
     }
 }
 
-/// Checkpoint codec: the geometry, then each per-buffer and per-slot array;
-/// the derived index is left out.
+/// Checkpoint codec: the geometry, then each per-buffer array and the block
+/// table, then the ready times of the slots that hold a block, in table
+/// order; the derived index is left out.
 impl Serialize for StreamPrefetcher {
     fn serialize(&self, out: &mut Vec<u8>) {
         self.depth.serialize(out);
@@ -263,13 +270,15 @@ impl Serialize for StreamPrefetcher {
         self.stream_base.serialize(out);
         self.last_use.serialize(out);
         self.blocks.serialize(out);
-        self.ready.serialize(out);
+        let held: Vec<Cycle> = self.held_slots().map(|k| self.ready[k]).collect();
+        held.serialize(out);
     }
 }
 
 /// Refuses a block size with no free low bit, per-buffer arrays of unequal
-/// length, a block table that is not buffers × depth slots, and a buffer
-/// with a block after an empty slot; rebuilds the derived index.
+/// length, a block table that is not buffers × depth slots, a ready time
+/// count that is not its block count, and a buffer with a block after an
+/// empty slot; rebuilds the derived index.
 impl Deserialize for StreamPrefetcher {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, serde::Error> {
         let depth: usize = Deserialize::deserialize(r)?;
@@ -289,10 +298,15 @@ impl Deserialize for StreamPrefetcher {
             stream_base: serde::vec_of_len(r, buffers, "stream base array length")?,
             last_use: serde::vec_of_len(r, buffers, "stream last-use array length")?,
             blocks: serde::vec_of_len(r, slots, "stream table length")?,
-            ready: serde::vec_of_len(r, slots, "stream ready-time array length")?,
+            ready: vec![0; slots],
             filled: Vec::new(),
             present: Vec::new(),
         };
+        let held: Vec<usize> = p.held_slots().collect();
+        let ready: Vec<Cycle> = serde::vec_of_len(r, held.len(), "stream ready-time array length")?;
+        for (k, at) in held.into_iter().zip(ready) {
+            p.ready[k] = at;
+        }
         if !p.index() {
             return Err(serde::Error::invalid("stream buffer packing", r.position()));
         }
@@ -385,7 +399,6 @@ mod tests {
         assert_eq!(serde::to_bytes(&back), serde::to_bytes(&p));
         for (mutate, what) in [
             ((|p: &mut StreamPrefetcher| p.depth = 3) as fn(&mut StreamPrefetcher), "stream table length"),
-            (|p| p.ready.push(0), "stream ready-time array length"),
             (|p| p.stream_base.truncate(1), "stream base array length"),
             (|p| p.last_use.push(0), "stream last-use array length"),
             (|p| p.depth = usize::MAX, "stream buffer depth"),
@@ -397,6 +410,36 @@ mod tests {
             let err = serde::from_bytes::<StreamPrefetcher>(&serde::to_bytes(&hostile)).unwrap_err();
             assert!(err.to_string().contains(what), "{what}: {err}");
         }
+        // The bytes end with the held blocks' ready times, a count first:
+        // one time fewer than blocks held is refused.
+        let bytes = serde::to_bytes(&p);
+        let mut hostile = bytes[..bytes.len() - 8 * 4 - 8].to_vec();
+        hostile.extend(3u64.to_le_bytes());
+        hostile.extend(500u64.to_le_bytes().repeat(3));
+        let err = serde::from_bytes::<StreamPrefetcher>(&hostile).unwrap_err();
+        assert!(err.to_string().contains("stream ready-time array length"), "{err}");
+    }
+
+    #[test]
+    fn empty_slots_are_not_in_the_bytes() {
+        // Two prefetchers holding the same blocks at the same times encode
+        // alike, whatever their empty slots once held: `a` consumed two of
+        // its four blocks, `b` only ever received the other two.
+        let (mut a, mut b) = (pf(), pf());
+        let reqs: Vec<_> = a.on_demand_miss(0x1000, 0).collect();
+        assert_eq!(b.on_demand_miss(0x1000, 0).len(), reqs.len());
+        for &r in &reqs {
+            a.record_arrival(r, 500);
+        }
+        for &r in &reqs[2..] {
+            b.record_arrival(r, 500);
+        }
+        assert!(a.probe(0x1080, 600).0.is_some() && a.probe(0x1100, 600).0.is_some());
+        b.next_block.clone_from(&a.next_block);
+        b.last_use.clone_from(&a.last_use);
+        assert_eq!(a.blocks, b.blocks);
+        assert_ne!(a.ready, b.ready, "the empty slots' stale times differ");
+        assert_eq!(serde::to_bytes(&a), serde::to_bytes(&b));
     }
 
     #[test]

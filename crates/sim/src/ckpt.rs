@@ -1,4 +1,4 @@
-//! The `icfp-ckpt/v7` checkpoint format.
+//! The `icfp-ckpt/v8` checkpoint format.
 //!
 //! A [`SimCheckpoint`] captures a running [`Simulator`](crate::Simulator) —
 //! the core engine's complete serialized state (register file and poison
@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! offset  size  field
-//! 0       12    magic: the ASCII bytes "icfp-ckpt/v7"
+//! 0       12    magic: the ASCII bytes "icfp-ckpt/v8"
 //! 12      8     payload length (u64 LE)
 //! 20      n     payload: SimCheckpoint in the vendored-serde binary format
 //! 20+n    8     FNV-1a digest of the payload (u64 LE)
@@ -75,8 +75,20 @@
 //! episode and committed-store map.  iCFP's machine now leads its bytes
 //! with the model it runs, as the Runahead machine always did, so each
 //! iCFP payload grows by that tag; nothing else in a non-SLTP payload
-//! moves.  Older containers are refused by magic, with an error naming
-//! both versions.
+//! moves.
+//!
+//! v8 holds only what the run can still read.  iCFP's (and SLTP's)
+//! slice-value window is written as the values a rally can still read —
+//! results of entries in the slice buffer and of the producers active
+//! entries name — not every value the episode recorded.  A stream buffer's
+//! empty slots no longer carry a ready time.  The Runahead machine's
+//! runahead cache, store-seen flag and squash restart leave the bytes: a
+//! machine pauses only between walks, where the first is empty and the other
+//! two are never read again.  The golden mid-run checkpoint of iCFP on
+//! pointer-chase goes from 510,545 to 352,889 bytes, and a checkpoint taken
+//! 130k instructions into that run from 2,434,529 to 352,905; no simulated
+//! figure moves.  Older containers are refused by magic, with an error
+//! naming both versions.
 
 use crate::SimConfig;
 use icfp_core::EngineSnapshot;
@@ -85,7 +97,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Magic prefix of the on-disk container (also the format version).
-pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v7";
+pub const CKPT_MAGIC: &[u8; 12] = b"icfp-ckpt/v8";
 
 /// A captured simulation: engine snapshot plus trace identity.  Produced by
 /// [`Simulator::checkpoint`](crate::Simulator::checkpoint), consumed by
@@ -211,7 +223,7 @@ impl std::error::Error for CkptError {}
 use icfp_isa::fnv1a;
 
 impl SimCheckpoint {
-    /// Encodes the checkpoint as an `icfp-ckpt/v7` container.
+    /// Encodes the checkpoint as an `icfp-ckpt/v8` container.
     pub fn to_bytes(&self) -> Vec<u8> {
         let payload = serde::to_bytes(self);
         let mut out = Vec::with_capacity(CKPT_MAGIC.len() + 16 + payload.len());
@@ -223,7 +235,7 @@ impl SimCheckpoint {
         out
     }
 
-    /// Decodes an `icfp-ckpt/v7` container, validating magic, length and
+    /// Decodes an `icfp-ckpt/v8` container, validating magic, length and
     /// payload digest.
     ///
     /// # Errors
@@ -327,13 +339,14 @@ mod tests {
         assert_eq!(SimCheckpoint::from_bytes(b"xx"), Err(CkptError::BadMagic { found }));
         // A container of an earlier version is refused by name, not decoded
         // into the current layout: the error names both versions.  (A v6
-        // SLTP payload is another machine's bytes.)
-        for old in ["icfp-ckpt/v2", "icfp-ckpt/v3", "icfp-ckpt/v4", "icfp-ckpt/v5", "icfp-ckpt/v6"] {
+        // SLTP payload is another machine's bytes; a v7 iCFP payload carries
+        // slice values a rally can no longer read.)
+        for old in ["icfp-ckpt/v2", "icfp-ckpt/v3", "icfp-ckpt/v4", "icfp-ckpt/v5", "icfp-ckpt/v6", "icfp-ckpt/v7"] {
             bytes[..CKPT_MAGIC.len()].copy_from_slice(old.as_bytes());
             let err = SimCheckpoint::from_bytes(&bytes).unwrap_err();
             assert_eq!(err, CkptError::BadMagic { found: old.into() });
             let message = err.to_string();
-            assert!(message.contains(old) && message.contains("icfp-ckpt/v7"), "{message}");
+            assert!(message.contains(old) && message.contains("icfp-ckpt/v8"), "{message}");
         }
     }
 

@@ -2,7 +2,7 @@
 //! model and every standard synthetic workload, save → restore → run must be
 //! bit-identical (cycle counts, statistics, state digests) to an
 //! uninterrupted run — including checkpoints taken through the on-disk
-//! `icfp-ckpt/v7` encoding, checkpoints taken mid-episode while the iCFP
+//! `icfp-ckpt/v8` encoding, checkpoints taken mid-episode while the iCFP
 //! machine has live speculative state, and checkpoints taken in the middle of
 //! the timed region of a functionally fast-forwarded run.  Every model is a
 //! machine that pauses mid-trace, so every fork point is a real pause.
