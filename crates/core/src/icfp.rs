@@ -50,21 +50,21 @@
 //! exactly what the visits would, so nothing reported, digested or
 //! checkpointed depends on it.
 //!
-//! The hot loop reuses its storage: drain buffers and the slice-value window
-//! keep their capacity across cycles and episodes, and a rally pass walks
-//! its selection in place, so after the first tenth of a trace a run makes
-//! fewer than 0.5 heap-allocation calls per 1000 instructions (what is left is
-//! the occasional growth of the slice-value window or of architectural
+//! The hot loop reuses its storage: drain buffers and the slice buffer's
+//! data storage keep their capacity across cycles and episodes, and a rally
+//! pass walks its selection in place, so after the first tenth of a trace a
+//! run makes fewer than 0.5 heap-allocation calls per 1000 instructions (what
+//! is left is the occasional growth of that storage or of architectural
 //! memory's hash table) — the bound `crates/sim/tests/steady_state_allocs.rs`
-//! enforces.  A rally records each result in that window by its trace
-//! position, not by a hash insert, and the window keeps only what a rally can
-//! still read, so a run's heap does not grow with the length of an episode
-//! (`crates/sim/tests/heap_bound.rs`).
+//! enforces.  The slice buffer holds each rallied result once, by trace
+//! position, and only while a rally can still read it
+//! ([`SliceBuffer::producer`]), so a run's heap does not grow with the length
+//! of an episode (`crates/sim/tests/heap_bound.rs`).
 
 use crate::common::{Engine, OperandWait};
 use crate::config::CoreConfig;
 use crate::engine::{machine_bodies, CoreEngine, CoreModel};
-use crate::slicebuf::{Producer, SliceBuffer, SliceEntry};
+use crate::slicebuf::{SliceBuffer, SliceEntry};
 use crate::storebuf::ChainedStoreBuffer;
 use icfp_isa::{exec, Cycle, DynInst, InstSeq, OpClass, TraceCursor, Value};
 use icfp_mem::MshrId;
@@ -111,99 +111,6 @@ impl RallyBatch {
     }
 }
 
-/// Values produced by re-executed slice instructions, indexed by trace
-/// position.  This models the paper's slice-buffer data storage: a rallying
-/// instruction reads "pending from slice" operands from here.
-///
-/// A dense window of positions: `slots[k]` holds the result recorded at trace
-/// position `base + k` (`None` if none was), so a rally's write is one
-/// indexed store.  A rally reads two kinds of value only: results of entries
-/// still in the slice buffer, and the producers active entries name.  A new
-/// entry names only producers in the buffer, so nothing below the lowest of
-/// those ([`IcfpMachine::live_floor`]) is ever read again, and the machine
-/// drops that prefix whenever the window has grown past twice what the last
-/// drop kept plus [`PRUNE_SLACK`] ([`SliceValues::prune`]).  The window
-/// therefore spans about what the slice buffer covers, not the episode, and
-/// a drop costs a scan of at most `slice_buffer_entries` entries and a move of
-/// the kept span, O(1) per recorded position.  The vector keeps its capacity
-/// across episodes (cleared, not dropped, at episode boundaries).  The
-/// checkpoint holds only the live values ([`IcfpMachine::live_values`]), so
-/// its bytes do not depend on when the window was last pruned.
-#[derive(Debug, Default)]
-struct SliceValues {
-    base: usize,
-    slots: Vec<Option<(Value, Cycle)>>,
-    /// Positions the last prune kept.  Derived: not in the checkpoint.
-    kept: usize,
-}
-
-/// Positions a window may grow by beyond twice what its last prune kept
-/// before it is pruned again.
-const PRUNE_SLACK: usize = 512;
-
-impl SliceValues {
-    /// Starts an episode's window at trace position `at`; a window that
-    /// still holds values keeps its base.
-    fn begin(&mut self, at: usize) {
-        if self.slots.is_empty() {
-            self.base = at;
-        }
-    }
-
-    fn get(&self, idx: usize) -> Option<(Value, Cycle)> {
-        *self.slots.get(idx.wrapping_sub(self.base))?
-    }
-
-    fn set(&mut self, idx: usize, v: Value, ready: Cycle) {
-        assert!(idx >= self.base, "slice value {idx} below its window");
-        let k = idx - self.base;
-        if k >= self.slots.len() {
-            self.slots.resize(k + 1, None);
-        }
-        self.slots[k] = Some((v, ready));
-    }
-
-    /// Whether the window has grown enough since its last prune to be
-    /// pruned again.
-    fn prune_due(&self) -> bool {
-        self.slots.len() > 2 * self.kept + PRUNE_SLACK
-    }
-
-    /// Drops every position below `floor`.
-    fn prune(&mut self, floor: usize) {
-        let cut = floor.saturating_sub(self.base).min(self.slots.len());
-        self.slots.drain(..cut);
-        self.base = if self.slots.is_empty() { floor } else { self.base + cut };
-        self.kept = self.slots.len();
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.kept = 0;
-    }
-
-    /// The window of decoded `pairs` whose base is no higher than `floor`:
-    /// positions must be strictly increasing and below `end` (the machine's
-    /// next trace position).
-    fn from_pairs(pairs: &[(usize, (Value, Cycle))], floor: usize, end: usize) -> Result<Self, &'static str> {
-        let increasing = pairs.windows(2).all(|w| w[0].0 < w[1].0);
-        if !increasing || pairs.last().is_some_and(|p| p.0 >= end) {
-            return Err("slice value positions");
-        }
-        let base = pairs.first().map_or(floor, |p| p.0.min(floor));
-        let span = pairs.last().map_or(0, |p| p.0 + 1 - base);
-        let mut values = SliceValues { base, slots: Vec::new(), kept: span };
-        if values.slots.try_reserve_exact(span).is_err() {
-            return Err("slice value window");
-        }
-        values.slots.resize(span, None);
-        for &(idx, value) in pairs {
-            values.slots[idx - base] = Some(value);
-        }
-        Ok(values)
-    }
-}
-
 /// The iCFP pipeline model, and SLTP's.
 ///
 /// Create one per run ([`CoreConfig::paper_default`] gives the paper's iCFP
@@ -228,12 +135,6 @@ pub struct IcfpMachine {
     /// a tie) — what every step asks for, recomputed only when `rallies`
     /// changes.  Derived: not in the checkpoint bytes, rebuilt on restore.
     earliest: Option<usize>,
-    /// Results of re-executed slice instructions (the slice data storage).
-    /// A consumer reads a producer that still sits in the slice buffer through
-    /// its link ([`SliceBuffer::producer`]); this window serves the producers
-    /// already reclaimed from the head, and what it can still serve is what a
-    /// checkpoint carries.
-    slice_values: SliceValues,
     /// Scratch: stores drained from the store buffer this step.
     drain_scratch: Vec<(u64, Value)>,
     /// Deferred tails of rally passes run as one batch
@@ -268,7 +169,6 @@ impl IcfpMachine {
             palloc: PoisonAllocator::new(cfg.features.poison_vector_width.clamp(1, 16)),
             rallies: Vec::with_capacity(cfg.mem.max_outstanding_misses),
             earliest: None,
-            slice_values: SliceValues::default(),
             drain_scratch: Vec::with_capacity(store_capacity(cfg)),
             batch: Some(RallyBatch::default()),
             i: 0,
@@ -303,7 +203,6 @@ impl IcfpMachine {
     fn poison_for_miss(&mut self, mshr: MshrId, returns_at: Cycle) -> PoisonMask {
         if !self.in_episode() {
             self.eng.stats.advance_episodes += 1;
-            self.slice_values.begin(self.i);
         }
         let bit = self.palloc.bit_for(mshr);
         if let Some(r) = self.rallies.iter_mut().find(|r| r.mshr == mshr) {
@@ -653,54 +552,8 @@ impl IcfpMachine {
         if !self.in_episode() {
             // Episode over: speculative state retires.
             self.slice.clear();
-            self.slice_values.clear();
             self.palloc.clear();
         }
-    }
-
-    /// The rallied result of the producer of operand `operand` of the entry
-    /// in slice slot `slot`; `Err` if it has none yet, with the misses the
-    /// producer waits on when it is still active in the buffer.
-    #[inline]
-    fn produced(&self, slot: usize, operand: usize) -> Result<(Value, Cycle), Option<PoisonMask>> {
-        match self.slice.producer(slot, operand) {
-            Producer::Waiting(poison) => Err(Some(poison)),
-            Producer::Rallied(result) => result.ok_or(None),
-            Producer::Gone => {
-                let e = self.slice.entry_at(slot);
-                let producer = [e.src1_producer, e.src2_producer][operand];
-                self.slice_values.get(producer).ok_or(None)
-            }
-        }
-    }
-
-    /// The lowest trace position a rally can still read a slice value at: the
-    /// oldest entry in the slice buffer (the next trace position when it is
-    /// empty), or a producer that an active entry names below it.  A new
-    /// entry names only producers in the buffer, so within an episode this
-    /// never goes down.
-    fn live_floor(&self) -> usize {
-        let oldest = self.slice.entries().next().map_or(self.i, |e| e.trace_idx);
-        self.slice
-            .active_entries()
-            .flat_map(|e| [e.src1_producer, e.src2_producer])
-            .fold(oldest, usize::min)
-    }
-
-    /// The slice values a rally can still read, by increasing position: the
-    /// results of entries in the slice buffer and of the producers active
-    /// entries name.  This is the checkpoint's form of the window, the same
-    /// whenever the window was last pruned.
-    fn live_values(&self) -> Vec<(usize, (Value, Cycle))> {
-        let mut live: Vec<usize> = self
-            .slice
-            .entries()
-            .map(|e| e.trace_idx)
-            .chain(self.slice.active_entries().flat_map(|e| [e.src1_producer, e.src2_producer]))
-            .collect();
-        live.sort_unstable();
-        live.dedup();
-        live.into_iter().filter_map(|idx| Some((idx, self.slice_values.get(idx)?))).collect()
     }
 
     /// One pass over the active slice entries selected by `select`.
@@ -756,7 +609,7 @@ impl IcfpMachine {
                     *val = v;
                     continue;
                 }
-                match self.produced(slot, n) {
+                match self.slice.producer(slot, n) {
                     Ok((v, c)) => {
                         *val = v;
                         ready = ready.max(c);
@@ -834,7 +687,7 @@ impl IcfpMachine {
                         } else {
                             (src1_value, 0)
                         };
-                        cap.or_else(|| self.produced(slot, n).ok().map(|(v, _)| v))
+                        cap.or_else(|| self.slice.producer(slot, n).ok().map(|(v, _)| v))
                             .unwrap_or_else(|| self.eng.rf.value(data))
                     } else {
                         0
@@ -852,19 +705,15 @@ impl IcfpMachine {
                     (v, issue + inst.latency())
                 }
             };
+            let result = inst.dst.and(value).map(|v| (v, completes));
             if let (Some(dst), Some(v)) = (inst.dst, value) {
-                self.slice_values.set(trace_idx, v, completes);
-                self.slice.record_result(slot, v, completes);
                 self.eng.rf.rally_write(dst, v, completes, seq);
             }
             rally_end = rally_end.max(completes);
             self.eng.note_completion(completes);
-            self.slice.retire_at(slot);
+            self.slice.retire_at(slot, result);
         }
         self.slice.reclaim_head();
-        if self.slice_values.prune_due() {
-            self.slice_values.prune(self.live_floor());
-        }
 
         // Drain stores unblocked by this rally.
         self.drain_stores(self.i as InstSeq, rally_frontier);
@@ -913,9 +762,7 @@ impl IcfpMachine {
             (0, next)
         } else {
             debug_assert!(!self.rallies.is_empty(), "a deferral waits for a pending rally");
-            let values = &self.slice_values;
-            let resolved = |producer| values.get(producer).is_some();
-            self.slice.defer_run(next, select, poison, resolved, repoison)
+            self.slice.defer_run(next, select, poison, repoison)
         };
         self.eng.stats.rally_instructions += run as u64;
         batch.count(run);
@@ -972,12 +819,12 @@ impl CoreEngine for IcfpMachine {
 }
 
 /// Checkpoint codec for the machine: every *persistent* field, the model
-/// first, is written in declaration order, the slice-value window as its live
-/// values (`IcfpMachine::live_values`); the drain scratch buffer is pure
-/// per-step staging (always drained before `advance` returns) and is
-/// rebuilt empty, with its configured capacity, on restore, the rally batch
-/// is rebuilt, and the derived `earliest` index and the slice buffer's
-/// recorded results are recomputed.
+/// first, is written in declaration order, and after the pending rallies the
+/// slice buffer's live values ([`SliceBuffer::live_values`]); the drain
+/// scratch buffer is pure per-step staging (always drained before `advance`
+/// returns) and is rebuilt empty, with its configured capacity, on restore,
+/// the rally batch is rebuilt, and the derived `earliest` index is
+/// recomputed.
 impl Serialize for IcfpMachine {
     fn serialize(&self, out: &mut Vec<u8>) {
         self.model.serialize(out);
@@ -986,7 +833,7 @@ impl Serialize for IcfpMachine {
         self.sbuf.serialize(out);
         self.palloc.serialize(out);
         self.rallies.serialize(out);
-        self.live_values().serialize(out);
+        self.slice.live_values().serialize(out);
         self.i.serialize(out);
         self.done.serialize(out);
     }
@@ -1007,12 +854,9 @@ impl Deserialize for IcfpMachine {
         let rallies: Vec<PendingRally> = Deserialize::deserialize(r)?;
         let pairs: Vec<(usize, (Value, Cycle))> = Deserialize::deserialize(r)?;
         let i: usize = Deserialize::deserialize(r)?;
-        // Every result still to be recorded belongs to an active entry or
-        // to an instruction not yet processed.
-        let floor = slice.active_entries().map(|e| e.trace_idx).fold(i, usize::min);
-        let slice_values = SliceValues::from_pairs(&pairs, floor, i)
+        slice
+            .restore_values(&pairs, i)
             .map_err(|what| serde::Error::invalid(what, r.position()))?;
-        slice.restore_results(|idx| slice_values.get(idx));
         Ok(IcfpMachine {
             model,
             eng,
@@ -1021,7 +865,6 @@ impl Deserialize for IcfpMachine {
             palloc,
             earliest: earliest_of(&rallies),
             rallies,
-            slice_values,
             drain_scratch: Vec::with_capacity(store_cap),
             batch: Some(RallyBatch::default()),
             i,
@@ -1251,8 +1094,15 @@ mod tests {
         }
         // Flat tables whose own geometry disagrees with their length: the
         // machine's bytes with one structure's geometry rewritten (its last
-        // encoding; the configuration copies come first).
-        let bytes = serde::to_bytes(&IcfpMachine::new(CoreModel::Icfp, &CoreConfig::paper_default()));
+        // encoding; the configuration copies come first).  Its slice buffer
+        // holds an active entry at 4 whose first operand waits on 3, and a
+        // retired one at 5.
+        let mut m = IcfpMachine::new(CoreModel::Icfp, &CoreConfig::paper_default());
+        for (trace_idx, active) in [(4, true), (5, false)] {
+            let e = SliceEntry { trace_idx, src1_producer: 3, poison: PoisonMask::bit(0), active, ..SliceEntry::vacant() };
+            m.slice.push(e).unwrap();
+        }
+        let bytes = serde::to_bytes(&m);
         let words = |w: &[u64]| w.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
         let halves = |w: &[u32]| w.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
         // The slice values, the machine's last fields but two: a count, then
@@ -1269,13 +1119,18 @@ mod tests {
         };
         let sound = with_values(&[[3, 7, 100], [5, 8, 120]], 10);
         let m = serde::from_bytes::<IcfpMachine>(&sound).expect("sorted positions below i decode");
-        assert_eq!((m.slice_values.get(3), m.slice_values.get(4)), (Some((7, 100)), None));
-        // An empty slice buffer names no position: nothing left to re-encode.
-        assert_eq!(serde::to_bytes(&m), with_values(&[], 10), "the window re-encodes what a rally can read");
+        assert_eq!(m.slice.producer(0, 0), Ok((7, 100)), "the active entry reads its producer's value");
+        assert_eq!(serde::to_bytes(&m), sound, "every value is live");
+        // A value at a position no entry names is not read again, nor kept.
+        let stray = with_values(&[[2, 6, 90], [3, 7, 100], [5, 8, 120]], 10);
+        let m = serde::from_bytes::<IcfpMachine>(&stray).expect("sorted positions below i decode");
+        assert_eq!(serde::to_bytes(&m), sound, "the buffer re-encodes what a rally can read");
         for (what, pairs, i) in [
             ("slice value positions", vec![[5, 8, 120], [3, 7, 100]], 10),
             ("slice value positions", vec![[3, 7, 100], [3, 8, 120]], 10),
             ("slice value positions", vec![[3, 7, 100], [10, 8, 120]], 10),
+            // The entries at 4 and 5 were processed before the next position.
+            ("slice entry positions", vec![], 5),
             // A span of 2^60 pairs: more bytes than an allocation may hold.
             ("slice value window", vec![[0, 7, 100], [1 << 60, 8, 120]], 1 << 61),
         ] {
@@ -1303,30 +1158,6 @@ mod tests {
             let err = serde::from_bytes::<IcfpMachine>(&hostile).unwrap_err();
             assert!(err.to_string().contains(what), "{what}: {err}");
         }
-    }
-
-    #[test]
-    fn a_pruned_window_keeps_every_position_from_its_floor() {
-        let mut w = SliceValues::default();
-        w.begin(100);
-        for idx in (100..100 + 2 * PRUNE_SLACK).step_by(3) {
-            w.set(idx, idx as Value, idx as Cycle + 1);
-        }
-        assert!(w.prune_due());
-        let floor = 100 + PRUNE_SLACK;
-        w.prune(floor);
-        assert!(!w.prune_due(), "due again only after the window doubles");
-        for idx in 90..110 + 2 * PRUNE_SLACK {
-            let want = (idx >= floor && idx < 100 + 2 * PRUNE_SLACK && (idx - 100) % 3 == 0)
-                .then_some((idx as Value, idx as Cycle + 1));
-            assert_eq!(w.get(idx), want, "position {idx}");
-        }
-        // A floor beyond every recorded position empties the window and
-        // starts it there.
-        w.prune(5_000);
-        assert_eq!((w.slots.len(), w.base), (0, 5_000));
-        w.set(5_000, 1, 2);
-        assert_eq!(w.get(5_000), Some((1, 2)));
     }
 
     /// Runs iCFP with the rally batch and without it (every deferral a
@@ -1451,9 +1282,9 @@ mod tests {
                 scramble: |m| m.rallies.iter_mut().for_each(|r| r.returns_at += 1_000),
             },
             Field {
-                name: "slice_values",
-                bytes: |m| serde::to_bytes(&m.live_values()),
-                scramble: |m| m.slice_values.slots.iter_mut().flatten().for_each(|(v, _)| *v ^= 1),
+                name: "slice values",
+                bytes: |m| serde::to_bytes(&m.slice.live_values()),
+                scramble: |m| m.slice.flip_values(),
             },
             Field { name: "i", bytes: |m| serde::to_bytes(&m.i), scramble: |m| m.i += 1 },
             Field { name: "done", bytes: |m| serde::to_bytes(&m.done), scramble: |m| m.done = true },

@@ -14,22 +14,29 @@
 //! and only touches the entries that actually match, instead of testing every
 //! entry's mask in a bit loop.
 //!
-//! A second side array holds each slot's producer *links*: the physical slots
-//! of the (up to two) sliced instructions its operands wait on, resolved once
-//! when the entry is pushed.  A rally pass visits an entry many times before
-//! it finally executes, and each visit asks "has my producer rallied yet?";
-//! through the link that is one indexed read ([`SliceBuffer::producer`])
-//! instead of a search by trace index, and the same read hands over the
-//! producer's rallied result while the producer is still resident.
+//! The buffer also holds the slice *data storage*: a dense window of cells by
+//! trace position, one per pushed entry, each holding the ring slot the entry
+//! was pushed into and the result it rallied with.  A rally pass visits an
+//! entry many times before it finally executes, and each visit asks "has my
+//! producer rallied yet?"; [`SliceBuffer::producer`] answers with one indexed
+//! read of the producer's cell — still waiting on these misses while the slot
+//! holds it active, otherwise its value and ready cycle, or no value.  A
+//! producer reclaimed from the head keeps its cell, so its consumers still
+//! read it.  A new entry names only producers in the buffer, so nothing below
+//! the oldest entry and the producers active entries name
+//! ([`SliceBuffer::live_values`]) is read again; head reclamation drops that
+//! prefix once the window has grown past twice what the last drop kept plus
+//! `PRUNE_SLACK`, and an empty buffer holds no values at all.  The window
+//! therefore spans about what the buffer covers, not the advance episode.
 //!
-//! A third side array holds each slot's *shape*: which operands a rally must
+//! A side array holds each slot's *shape*: which operands a rally must
 //! resolve and the destination register, recorded at push from the
-//! instruction.  With the plane and the links it is all a deferral reads, so
+//! instruction.  With the plane and the window it is all a deferral reads, so
 //! [`SliceBuffer::defer_run`] certifies and re-poisons the deferred tail of a
 //! rally pass as one run, walking the plane words directly, without fetching
-//! a single instruction.  Links, results and shapes are derived state — not
-//! part of an entry, not serialized; links are rebuilt on decode, results by
-//! [`SliceBuffer::restore_results`], and shapes are unknown after decode
+//! a single instruction.  The window and the shapes are not part of the
+//! serialized ring: a checkpoint carries the live values beside it
+//! ([`SliceBuffer::restore_values`]), and shapes are unknown after decode
 //! (such an entry is only ever deferred by a visit).
 
 use icfp_isa::{Cycle, DynInst, InstSeq, Reg, Value, NUM_ARCH_REGS};
@@ -68,7 +75,7 @@ pub struct SliceEntry {
 
 impl SliceEntry {
     /// Placeholder for an unoccupied ring slot.
-    fn vacant() -> Self {
+    pub(crate) fn vacant() -> Self {
         SliceEntry {
             trace_idx: usize::MAX,
             seq_from_ckpt: 0,
@@ -126,24 +133,35 @@ pub struct SliceBuffer {
     peak: usize,
     /// Total entries ever inserted.
     inserted: u64,
-    /// Per slot, the physical slots that held the entry's two producers when
-    /// it was pushed ([`NO_LINK`] = operand captured, absent, or its producer
-    /// not resident).  A link may outlive its producer — the slot is
-    /// reclaimed and reused — which [`SliceBuffer::producer`] detects by
-    /// comparing trace indices.  Derived state: see the module docs.
-    links: Vec<[u32; 2]>,
-    /// Per slot, the result its entry produced when it rallied
-    /// ([`SliceBuffer::record_result`]); meaningful while the slot holds that
-    /// retired entry.  Derived state, like `links`.
-    results: Vec<Option<(Value, Cycle)>>,
     /// Per slot, the shape of the entry's instruction (`None` = unknown: the
     /// entry was pushed without its instruction or the buffer was decoded).
-    /// Derived state, like `links`.
     shapes: Vec<Option<EntryShape>>,
+    /// The slice data storage: `values[k]` is the cell of trace position
+    /// `base + k`.  Empty whenever the buffer is.
+    values: Vec<Cell>,
+    base: usize,
+    /// Positions the last prune kept.
+    kept: usize,
 }
 
-/// The link of an operand that has no resident producer.
-const NO_LINK: u32 = u32::MAX;
+/// One trace position of the slice data storage.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    /// The ring slot the entry at this position was pushed into; the slot
+    /// still holds it exactly when the trace indices match.
+    slot: u32,
+    /// The result the entry rallied with.
+    result: Option<(Value, Cycle)>,
+}
+
+impl Cell {
+    /// A position no entry was pushed at.
+    const EMPTY: Cell = Cell { slot: u32::MAX, result: None };
+}
+
+/// Positions the window may grow by beyond twice what its last prune kept
+/// before head reclamation prunes it again.
+const PRUNE_SLACK: usize = 512;
 
 /// Width of one lane of the poison plane.
 const LANE_BITS: usize = 16;
@@ -199,20 +217,9 @@ fn report_writers(
     }
 }
 
-/// What a consumer's producer link finds ([`SliceBuffer::producer`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Producer {
-    /// The producer is still active in the buffer, waiting on these misses.
-    Waiting(PoisonMask),
-    /// The producer has rallied and still occupies its slot; its recorded
-    /// result, if it produced one.
-    Rallied(Option<(Value, Cycle)>),
-    /// The producer is not in the buffer: reclaimed from the head, or never
-    /// sliced.
-    Gone,
-}
-
-/// The serialized form is the ring without its derived side arrays.
+/// The serialized form is the ring alone: a decoded buffer holds no value
+/// until it is given its live values again ([`SliceBuffer::restore_values`]).
+/// Decoding refuses an entry at the vacant position `usize::MAX`.
 impl Serialize for SliceBuffer {
     fn serialize(&self, out: &mut Vec<u8>) {
         self.slots.serialize(out);
@@ -237,20 +244,16 @@ impl Deserialize for SliceBuffer {
             active: Deserialize::deserialize(r)?,
             peak: Deserialize::deserialize(r)?,
             inserted: Deserialize::deserialize(r)?,
-            links: Vec::new(),
-            results: Vec::new(),
             shapes: Vec::new(),
+            values: Vec::new(),
+            base: 0,
+            kept: 0,
         };
         if sb.slots.len() != sb.capacity || sb.head >= sb.capacity.max(1) || sb.len > sb.capacity {
             return Err(serde::Error::invalid("slice buffer ring geometry", r.position()));
         }
-        sb.links = vec![[NO_LINK; 2]; sb.capacity];
-        sb.results = vec![None; sb.capacity];
         sb.shapes = vec![None; sb.capacity];
-        for l in 0..sb.len {
-            let slot = sb.phys(l);
-            sb.links[slot] = sb.links_for(&sb.slots[slot]);
-        }
+        sb.restore_values(&[], usize::MAX).map_err(|what| serde::Error::invalid(what, r.position()))?;
         Ok(sb)
     }
 }
@@ -272,9 +275,10 @@ impl SliceBuffer {
             active: 0,
             peak: 0,
             inserted: 0,
-            links: vec![[NO_LINK; 2]; capacity],
-            results: vec![None; capacity],
             shapes: vec![None; capacity],
+            values: Vec::new(),
+            base: 0,
+            kept: 0,
         }
     }
 
@@ -357,8 +361,16 @@ impl SliceBuffer {
             return Err(SliceBufferFull);
         }
         let slot = self.phys(self.len);
-        self.links[slot] = self.links_for(&entry);
-        self.results[slot] = None;
+        if self.values.is_empty() {
+            self.base = entry.trace_idx;
+        }
+        // Entries come in trace order; one that does not has no cell.
+        if let Some(k) = entry.trace_idx.checked_sub(self.base) {
+            if k >= self.values.len() {
+                self.values.resize(k + 1, Cell::EMPTY);
+            }
+            self.values[k] = Cell { slot: slot as u32, result: None };
+        }
         self.shapes[slot] = shape;
         self.active += usize::from(entry.active);
         self.plane.set(
@@ -373,7 +385,9 @@ impl SliceBuffer {
     }
 
     /// Reclaims retired entries from the head (the only form of compaction
-    /// the paper's design performs).
+    /// the paper's design performs), then drops the values no rally can read
+    /// any more: all of them once the buffer is empty, otherwise, when the
+    /// window is due, those below its live floor.
     pub fn reclaim_head(&mut self) {
         while self.len > 0 && !self.slots[self.head].active {
             // Retire already cleared the plane lane; vacate the slot.
@@ -387,12 +401,102 @@ impl SliceBuffer {
         }
         if self.len == 0 {
             self.head = 0;
+            self.values.clear();
+            self.kept = 0;
+        } else if self.values.len() > 2 * self.kept + PRUNE_SLACK {
+            self.prune(self.live_floor());
         }
+    }
+
+    /// The lowest trace position a rally can still read a value at: the
+    /// oldest entry, or a producer that an active entry names below it.  A
+    /// new entry names only producers in the buffer, so while the buffer
+    /// holds an entry this never goes down.
+    fn live_floor(&self) -> usize {
+        let oldest = self.entries().next().map_or(usize::MAX, |e| e.trace_idx);
+        self.active_entries()
+            .flat_map(|e| [e.src1_producer, e.src2_producer])
+            .fold(oldest, usize::min)
+    }
+
+    /// Drops the window's positions below `floor`: a drop costs a move of
+    /// the kept span, O(1) per pushed position.
+    fn prune(&mut self, floor: usize) {
+        let cut = floor.saturating_sub(self.base).min(self.values.len());
+        self.values.drain(..cut);
+        self.base += cut;
+        self.kept = self.values.len();
+    }
+
+    /// The value and ready cycle the entry at trace position `idx` rallied
+    /// with, if the window still holds one.
+    fn value_at(&self, idx: usize) -> Option<(Value, Cycle)> {
+        self.values.get(idx.wrapping_sub(self.base))?.result
+    }
+
+    /// The values a rally can still read, by increasing trace position: the
+    /// results of entries in the buffer and of the producers active entries
+    /// name.  This is a checkpoint's form of the window, the same whenever
+    /// the window was last pruned.
+    pub fn live_values(&self) -> Vec<(usize, (Value, Cycle))> {
+        let mut live: Vec<usize> = self
+            .entries()
+            .map(|e| e.trace_idx)
+            .chain(self.active_entries().flat_map(|e| [e.src1_producer, e.src2_producer]))
+            .collect();
+        live.sort_unstable();
+        live.dedup();
+        live.into_iter().filter_map(|idx| Some((idx, self.value_at(idx)?))).collect()
+    }
+
+    /// Gives a decoded buffer its [`SliceBuffer::live_values`] again: a
+    /// cell for each entry and the values `pairs`, none at all when the
+    /// buffer is empty.
+    ///
+    /// # Errors
+    ///
+    /// The reason, if the positions of `pairs` or of the entries are not
+    /// strictly increasing or reach `end` (the next trace position to
+    /// process), or the window they span cannot be allocated.
+    pub fn restore_values(&mut self, pairs: &[(usize, (Value, Cycle))], end: usize) -> Result<(), &'static str> {
+        let increasing = pairs.windows(2).all(|w| w[0].0 < w[1].0);
+        if !increasing || pairs.last().is_some_and(|p| p.0 >= end) {
+            return Err("slice value positions");
+        }
+        let positions = || self.entries().map(|e| e.trace_idx);
+        if positions().zip(positions().skip(1)).any(|(a, b)| a >= b) || positions().any(|p| p >= end) {
+            return Err("slice entry positions");
+        }
+        let (first, last) = (positions().next(), positions().last());
+        self.values.clear();
+        self.kept = 0;
+        let (Some(first), Some(last)) = (first, last) else { return Ok(()) };
+        let base = pairs.first().map_or(first, |p| p.0.min(first));
+        let span = pairs.last().map_or(last, |p| p.0.max(last)) - base + 1;
+        if self.values.try_reserve_exact(span).is_err() {
+            return Err("slice value window");
+        }
+        self.values.resize(span, Cell::EMPTY);
+        (self.base, self.kept) = (base, span);
+        for &(idx, result) in pairs {
+            self.values[idx - base].result = Some(result);
+        }
+        for l in 0..self.len {
+            let slot = self.phys(l);
+            self.values[self.slots[slot].trace_idx - base].slot = slot as u32;
+        }
+        Ok(())
+    }
+
+    /// Flips a bit of every value the window holds.
+    #[cfg(test)]
+    pub(crate) fn flip_values(&mut self) {
+        self.values.iter_mut().filter_map(|c| c.result.as_mut()).for_each(|(v, _)| *v ^= 1);
     }
 
     /// Iterates over the occupied entries, active or retired, in program
     /// order.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = &SliceEntry> {
+    fn entries(&self) -> impl Iterator<Item = &SliceEntry> {
         (0..self.len).map(|l| &self.slots[self.phys(l)])
     }
 
@@ -521,83 +625,49 @@ impl SliceBuffer {
             .map(|e| e.poison)
     }
 
-    /// The physical slots currently holding `entry`'s two producers
-    /// ([`NO_LINK`] where the operand has none in the buffer).
-    fn links_for(&self, entry: &SliceEntry) -> [u32; 2] {
-        [entry.src1_producer, entry.src2_producer].map(|producer| {
-            if producer == usize::MAX {
-                return NO_LINK;
-            }
-            self.position_of(producer)
-                .map_or(NO_LINK, |l| self.phys(l) as u32)
-        })
-    }
-
-    /// Where the producer of operand `operand` (0 = `src1_producer`, 1 =
-    /// `src2_producer`) of the entry in physical slot `slot` stands — the O(1)
-    /// form of a binary search for that producer.  The linked slot still
-    /// holds the producer exactly when its trace index matches: a reclaimed
-    /// slot is vacant or reused by a younger instruction.
+    /// What the producer of operand `operand` (0 = `src1_producer`, 1 =
+    /// `src2_producer`) of the entry in physical slot `slot` holds for it:
+    /// `Err(Some(poison))` while the producer is active in the buffer,
+    /// waiting on the misses `poison`; otherwise its rallied value and ready
+    /// cycle, or `Err(None)` if it has none — captured or absent operand,
+    /// no result, or dropped from the window.  One indexed read of the
+    /// producer's cell: its slot still holds it exactly when the trace
+    /// indices match (a reclaimed slot is vacant or reused by a younger
+    /// instruction).
     #[inline]
-    pub fn producer(&self, slot: usize, operand: usize) -> Producer {
+    pub fn producer(&self, slot: usize, operand: usize) -> Result<(Value, Cycle), Option<PoisonMask>> {
         let e = &self.slots[slot];
-        let trace_idx = [e.src1_producer, e.src2_producer][operand];
-        let link = self.links[slot][operand] as usize;
-        match self.slots.get(link) {
-            Some(p) if p.trace_idx == trace_idx => {
-                if p.active {
-                    Producer::Waiting(p.poison)
-                } else {
-                    Producer::Rallied(self.results[link])
-                }
-            }
-            _ => Producer::Gone,
+        let idx = [e.src1_producer, e.src2_producer][operand];
+        let cell = self.values.get(idx.wrapping_sub(self.base)).ok_or(None)?;
+        match self.slots.get(cell.slot as usize) {
+            Some(p) if p.trace_idx == idx && p.active => Err(Some(p.poison)),
+            _ => cell.result.ok_or(None),
         }
     }
 
-    /// Records the result the entry in physical slot `slot` produced, for
-    /// its consumers to read through their links once it is retired.
-    #[inline]
-    pub fn record_result(&mut self, slot: usize, value: Value, ready: Cycle) {
-        self.results[slot] = Some((value, ready));
-    }
-
-    /// Rebuilds the recorded results of a decoded buffer: `result_of` gives,
-    /// by trace index, what [`SliceBuffer::record_result`] had been told.
-    pub fn restore_results(&mut self, result_of: impl Fn(usize) -> Option<(Value, Cycle)>) {
-        for l in 0..self.len {
-            let slot = self.phys(l);
-            let e = &self.slots[slot];
-            self.results[slot] = if e.active { None } else { result_of(e.trace_idx) };
-        }
-    }
-
-    /// Marks the entry for `trace_idx` as retired (executed successfully).
+    /// Marks the entry for `trace_idx` as retired (executed successfully)
+    /// without a result.
     pub fn retire(&mut self, trace_idx: usize) -> bool {
-        if let Some(l) = self.position_of(trace_idx) {
-            let slot = self.phys(l);
-            let e = &mut self.slots[slot];
-            if e.active {
-                e.active = false;
-                self.active -= 1;
-                self.plane.clear_lane(slot);
-                return true;
-            }
-        }
-        false
+        self.position_of(trace_idx)
+            .is_some_and(|l| self.retire_at(self.phys(l), None))
     }
 
-    /// O(1) form of [`SliceBuffer::retire`] for a physical slot obtained from
-    /// [`SliceBuffer::next_selected`].
-    pub fn retire_at(&mut self, slot: usize) -> bool {
+    /// Retires the entry in physical slot `slot` (obtained from
+    /// [`SliceBuffer::next_selected`]) with the value and ready cycle it
+    /// rallied with, if it produced one, for its consumers to read
+    /// ([`SliceBuffer::producer`]).
+    pub fn retire_at(&mut self, slot: usize, result: Option<(Value, Cycle)>) -> bool {
         let e = &mut self.slots[slot];
-        if e.active {
-            e.active = false;
-            self.active -= 1;
-            self.plane.clear_lane(slot);
-            return true;
+        if !e.active {
+            return false;
         }
-        false
+        e.active = false;
+        self.active -= 1;
+        self.plane.clear_lane(slot);
+        if let Some(cell) = self.values.get_mut(e.trace_idx.wrapping_sub(self.base)) {
+            cell.result = result;
+        }
+        true
     }
 
     /// Re-poisons the entry in physical slot `slot` (obtained from
@@ -626,8 +696,7 @@ impl SliceBuffer {
     /// one operand it must resolve has a producer still active; every such
     /// producer's poison outside `select` is exactly `to` (an entry taken
     /// earlier in the run already carries `to`); and every other operand it
-    /// must resolve has a value — a producer's recorded result, or for a
-    /// producer no longer in the buffer, `resolved(its trace index)`.  Each
+    /// must resolve has a value ([`SliceBuffer::producer`]).  Each
     /// taken entry is re-poisoned with `to` in place (its plane lane with the
     /// rest of its word).  Then `deferred(dst, seq)` is called once per
     /// destination register of the run, with the youngest taken entry that
@@ -638,7 +707,6 @@ impl SliceBuffer {
         from: usize,
         select: PoisonMask,
         to: PoisonMask,
-        resolved: impl Fn(usize) -> bool,
         deferred: impl FnMut(Reg, InstSeq),
     ) -> (usize, usize) {
         debug_assert!(to.is_poisoned() && !to.intersects(select));
@@ -663,7 +731,7 @@ impl SliceBuffer {
                     let shape = match self.shapes[slot] {
                         Some(shape)
                             if word & lane_bits & outside == 0
-                                && self.waits_on(slot, shape, select, to, &resolved) =>
+                                && self.waits_on(slot, shape, select, to) =>
                         {
                             shape
                         }
@@ -694,34 +762,18 @@ impl SliceBuffer {
     /// on a producer whose poison outside `select` is exactly `to` — at
     /// least one of them — or have a value ([`SliceBuffer::defer_run`]).
     #[inline]
-    fn waits_on(
-        &self,
-        slot: usize,
-        shape: EntryShape,
-        select: PoisonMask,
-        to: PoisonMask,
-        resolved: &impl Fn(usize) -> bool,
-    ) -> bool {
-        let e = &self.slots[slot];
-        let [l0, l1] = self.links[slot];
-        let stands = |needed: bool, link: u32, producer: usize| -> Option<bool> {
-            if !needed {
-                return Some(false);
-            }
-            match self.slots.get(link as usize) {
-                Some(p) if p.trace_idx == producer => {
-                    if p.active {
-                        (p.poison.without(select) == to).then_some(true)
-                    } else {
-                        self.results[link as usize].map(|_| false)
-                    }
+    fn waits_on(&self, slot: usize, shape: EntryShape, select: PoisonMask, to: PoisonMask) -> bool {
+        let mut waits = false;
+        for operand in 0..2 {
+            if shape.needs[operand] {
+                match self.producer(slot, operand) {
+                    Err(Some(poison)) if poison.without(select) == to => waits = true,
+                    Ok(_) => {}
+                    Err(_) => return false,
                 }
-                _ => resolved(producer).then_some(false),
             }
-        };
-        let Some(w0) = stands(shape.needs[0], l0, e.src1_producer) else { return false };
-        let Some(w1) = stands(shape.needs[1], l1, e.src2_producer) else { return false };
-        w0 | w1
+        }
+        waits
     }
 
     /// Clears the buffer entirely (squash).
@@ -735,6 +787,8 @@ impl SliceBuffer {
         self.head = 0;
         self.len = 0;
         self.active = 0;
+        self.values.clear();
+        self.kept = 0;
     }
 }
 
@@ -897,14 +951,16 @@ mod tests {
     }
 
     #[test]
-    fn link_lookup_matches_binary_search_on_randomized_ring_states() {
+    fn producer_lookup_matches_binary_search_on_randomized_ring_states() {
         // Seeded push / retire_at / repoison_at / reclaim_head / clear churn
-        // with every pushed entry naming up to two earlier instructions as
-        // producers — resident, already reclaimed from the head, or never
-        // sliced.  After every step, and across a serialize → decode of the
-        // buffer mid-sequence, each active consumer's link must answer
-        // exactly what the binary search by trace index answers (poison from
-        // `entry_poison`, results from a reference map), and the slot-only
+        // over sparse positions, with every pushed entry naming up to two
+        // active entries as producers (a sliced instruction's poisoned
+        // operands name only those: a rallied register is clean).  After every
+        // step, and across a serialize → decode of the buffer mid-sequence,
+        // each active consumer's `producer` must answer exactly what the
+        // binary search by trace index answers: the poison of an active
+        // producer (`entry_poison`), otherwise the result it retired with
+        // (a reference map), resident or reclaimed since; and the slot-only
         // selection must name the slots of `rally_iter`'s entries.
         for (seed, capacity) in [(0x11CFu64, 13usize), (0xBEEF, 8), (0x5EED, 32)] {
             let mut state = seed;
@@ -915,14 +971,17 @@ mod tests {
             let mut sb = SliceBuffer::new(capacity);
             let mut recorded = std::collections::HashMap::new();
             let mut next_idx = 0usize;
-            let (mut gone, mut rallied, mut wraps) = (0usize, 0usize, 0usize);
-            for step in 0..1500 {
+            let (mut reclaimed, mut rallied, mut wraps, mut prunes) = (0usize, 0usize, 0usize, 0usize);
+            for step in 0..4000 {
                 let mut slots = walk(&sb, PoisonMask::all_bits());
+                let before = (sb.len(), sb.base);
                 match lcg() % 8 {
                     0..=3 => {
+                        let waiting: Vec<usize> = sb.active_entries().map(|e| e.trace_idx).collect();
                         let mut producer = || match lcg() % 4 {
                             0 => usize::MAX,
-                            _ => next_idx.checked_sub(1 + (lcg() % 24) as usize).unwrap_or(usize::MAX),
+                            _ if waiting.is_empty() => usize::MAX,
+                            _ => waiting[(lcg() % waiting.len() as u64) as usize],
                         };
                         let e = SliceEntry {
                             src1_value: None,
@@ -931,36 +990,39 @@ mod tests {
                             ..entry(next_idx, PoisonMask::from_bits((lcg() % 0xFFFF) as u16 | 1))
                         };
                         if sb.push(e).is_ok() {
-                            next_idx += 1;
+                            // Sparse positions: not every instruction slices.
+                            next_idx += 1 + (lcg() % 4) as usize;
                         } else {
-                            sb.retire_at(slots[0] as usize);
+                            sb.retire_at(slots[0] as usize, None);
                         }
                     }
                     4 | 5 if !slots.is_empty() => {
                         let pick = slots[(lcg() % slots.len() as u64) as usize] as usize;
-                        if lcg() % 4 != 0 {
-                            let result = (lcg(), lcg() % 1000);
-                            sb.record_result(pick, result.0, result.1);
+                        let result = (lcg() % 4 != 0).then(|| (lcg(), lcg() % 1000));
+                        if let Some(result) = result {
                             recorded.insert(sb.entry_at(pick).trace_idx, result);
                         }
-                        sb.retire_at(pick);
+                        sb.retire_at(pick, result);
                     }
                     6 if !slots.is_empty() => {
                         let pick = slots[(lcg() % slots.len() as u64) as usize] as usize;
                         sb.repoison_at(pick, PoisonMask::from_bits((lcg() % 0xFFFF) as u16 | 2));
                     }
-                    _ if lcg() % 64 == 0 => {
+                    _ if lcg() % 256 == 0 => {
                         sb.clear();
                         recorded.clear();
                     }
                     _ => sb.reclaim_head(),
                 }
-                if step % 97 == 41 {
-                    let bytes = serde::to_bytes(&sb);
+                prunes += usize::from(before.0 > 0 && !sb.is_empty() && sb.base > before.1);
+                if step % 997 == 41 {
+                    let (bytes, live) = (serde::to_bytes(&sb), sb.live_values());
                     sb = serde::from_bytes(&bytes).expect("a serialized buffer decodes");
                     assert_eq!(serde::to_bytes(&sb), bytes, "decode must not change the bytes");
-                    sb.restore_results(|idx| recorded.get(&idx).copied());
+                    sb.restore_values(&live, next_idx).expect("live values restore");
+                    assert_eq!(sb.live_values(), live, "restoring must not change the live values");
                 }
+                assert!(!sb.is_empty() || sb.values.is_empty(), "an empty buffer holds values");
 
                 wraps += usize::from(sb.head + sb.len > sb.capacity);
                 slots = walk(&sb, PoisonMask::all_bits());
@@ -968,21 +1030,15 @@ mod tests {
                     let slot = slot as usize;
                     let e = *sb.entry_at(slot);
                     for (n, producer) in [e.src1_producer, e.src2_producer].into_iter().enumerate() {
-                        let searched = match sb.position_of(producer) {
-                            None => Producer::Gone,
-                            Some(l) if sb.slots[sb.phys(l)].active => {
-                                Producer::Waiting(sb.entry_poison(producer).expect("active"))
-                            }
-                            Some(_) => Producer::Rallied(recorded.get(&producer).copied()),
+                        let searched = match sb.entry_poison(producer) {
+                            Some(poison) => Err(Some(poison)),
+                            None => recorded.get(&producer).copied().ok_or(None),
                         };
-                        assert_eq!(
-                            sb.producer(slot, n),
-                            searched,
-                            "seed {seed:#x} step {step}: consumer {} producer {producer}",
-                            e.trace_idx
-                        );
-                        gone += usize::from(producer != usize::MAX && searched == Producer::Gone);
-                        rallied += usize::from(matches!(searched, Producer::Rallied(Some(_))));
+                        let consumer = e.trace_idx;
+                        assert_eq!(sb.producer(slot, n), searched, "seed {seed:#x} step {step}: {consumer} {producer}");
+                        let resident = sb.position_of(producer).is_some();
+                        reclaimed += usize::from(!resident && searched.is_ok());
+                        rallied += usize::from(resident && searched.is_ok());
                     }
                 }
                 for bit in 0..16u8 {
@@ -996,9 +1052,68 @@ mod tests {
             }
             assert!(next_idx > 4 * capacity, "churn should have cycled the ring");
             assert!(wraps > 0, "the ring never wrapped");
-            assert!(gone > 0, "no active consumer ever outlived its producer");
+            assert!(reclaimed > 0, "no active consumer ever read a reclaimed producer's value");
             assert!(rallied > 0, "no active consumer ever read a resident result");
+            assert!(prunes > 0, "head reclamation never pruned the window");
         }
+    }
+
+    #[test]
+    fn a_pruned_window_keeps_every_position_from_its_floor() {
+        // One active entry at 100 holds the head while entries every third
+        // position up to 100 + 2 * PRUNE_SLACK rally; an active consumer at
+        // the end names the one at `floor`.  Retiring the head lets
+        // reclamation prune: every value from `floor` on stays.
+        let mut sb = SliceBuffer::new(2 * PRUNE_SLACK);
+        sb.push(entry(100, PoisonMask::bit(0))).unwrap();
+        let top = 100 + 2 * PRUNE_SLACK;
+        for idx in (103..top).step_by(3) {
+            sb.push(entry(idx, PoisonMask::bit(0))).unwrap();
+            let (slot, _) = sb.next_selected(PoisonMask::bit(0), sb.len() - 1).unwrap();
+            sb.retire_at(slot, Some((idx as Value, idx as Cycle + 1)));
+        }
+        let floor = 100 + PRUNE_SLACK + 1;
+        assert_eq!((floor - 100) % 3, 0, "the floor holds a value");
+        sb.push(SliceEntry { src1_value: None, src1_producer: floor, ..entry(top, PoisonMask::bit(1)) }).unwrap();
+        sb.retire(100);
+        sb.reclaim_head();
+        assert_eq!((sb.len(), sb.base), (1, floor), "reclaimed to the consumer, pruned to its producer");
+        assert!(sb.values.len() <= 2 * sb.kept + PRUNE_SLACK, "due again only after the window doubles");
+        for idx in 90..top + 10 {
+            let want = (idx >= floor && idx < top && (idx - 100) % 3 == 0).then_some((idx as Value, idx as Cycle + 1));
+            assert_eq!(sb.value_at(idx), want, "position {idx}");
+        }
+        assert_eq!(sb.producer(sb.head, 0), Ok((floor as Value, floor as Cycle + 1)));
+        // Emptied, the buffer holds no value; its next entry starts the window.
+        sb.retire(top);
+        sb.reclaim_head();
+        assert!(sb.values.is_empty());
+        sb.push(entry(5_000, PoisonMask::bit(0))).unwrap();
+        assert_eq!((sb.values.len(), sb.base), (1, 5_000));
+    }
+
+    #[test]
+    fn a_standalone_buffer_holds_no_values_when_empty() {
+        // Push until full, retire everything, reclaim, repeat — over sparse
+        // increasing positions, the way a host-speed probe drives a buffer
+        // with no machine around it: the window never outgrows what the
+        // buffer spans, and an empty buffer holds no values.
+        let mut sb = SliceBuffer::new(128);
+        let (mut emptied, mut widest) = (0usize, 0usize);
+        for k in 0..120_000usize {
+            let idx = 7 * k + k % 5;
+            if sb.push(entry(idx, PoisonMask::bit((k % 8) as u8))).is_err() {
+                let live: Vec<usize> = sb.active_entries().map(|e| e.trace_idx).collect();
+                live.into_iter().for_each(|idx| assert!(sb.retire(idx)));
+                sb.reclaim_head();
+                assert!(sb.is_empty() && sb.values.is_empty(), "an emptied buffer holds values");
+                emptied += 1;
+                sb.push(entry(idx, PoisonMask::bit(0))).expect("an emptied buffer has room");
+            }
+            widest = widest.max(sb.values.len());
+        }
+        assert!(emptied > 900, "the buffer emptied {emptied} times");
+        assert!(widest <= 8 * 128, "the window spanned {widest} positions");
     }
 
     #[test]
@@ -1029,8 +1144,8 @@ mod tests {
             assert_eq!(sb.entry_poison(e.trace_idx), Some(e.poison));
             assert!(sb.repoison_at(slot as usize, PoisonMask::bit(5)));
             assert_eq!(sb.entry_poison(e.trace_idx), Some(PoisonMask::bit(5)));
-            assert!(sb.retire_at(slot as usize));
-            assert!(!sb.retire_at(slot as usize), "already retired");
+            assert!(sb.retire_at(slot as usize, None));
+            assert!(!sb.retire_at(slot as usize, None), "already retired");
             assert_eq!(sb.entry_poison(e.trace_idx), None);
         }
         assert!(entries_for_rally(&sb, PoisonMask::bit(0)).is_empty());

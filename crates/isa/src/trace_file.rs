@@ -49,7 +49,7 @@ use crate::source::{
     block_digest_at, BlockCache, Residency, TraceBlock, TraceSource, TraceSourceError, WarmStore,
 };
 use crate::trace::Trace;
-use crate::{inst_mix, DynInst, InstDigest, InstSeq};
+use crate::{inst_mix, DynInst, InstDigest, InstSeq, Op};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -404,9 +404,17 @@ fn encode_v1(first: InstSeq, insts: &[DynInst]) -> Vec<u8> {
     out
 }
 
+/// Why a load or store at trace position `pos` is refused: every model
+/// reads the address of each memory operation it times.
+pub(crate) fn no_address(op: Op, pos: InstSeq) -> String {
+    let what = if op.is_load() { "load" } else { "store" };
+    format!("the {what} at position {pos} has no address")
+}
+
 /// Decodes exactly `count` `icfp-trace/v1` records starting at position
 /// `first`.  A record whose stored position is not where it sits is refused:
-/// the position is not content the reader keeps, so it must at least agree.
+/// the position is not content the reader keeps, so it must at least agree;
+/// so is a load or store without an address.
 fn decode_v1(bytes: &[u8], first: InstSeq, count: usize) -> Result<Vec<DynInst>, String> {
     let mut r = serde::Reader::new(bytes);
     let stored = u64::deserialize(&mut r).map_err(|e| e.to_string())?;
@@ -422,7 +430,11 @@ fn decode_v1(bytes: &[u8], first: InstSeq, count: usize) -> Result<Vec<DynInst>,
         if stored != pos {
             return Err(format!("the record at position {pos} stores position {stored}"));
         }
-        insts.push(DynInst::deserialize(&mut r).map_err(|e| e.to_string())?);
+        let inst = DynInst::deserialize(&mut r).map_err(|e| e.to_string())?;
+        if inst.op.is_mem() && inst.addr.is_none() {
+            return Err(no_address(inst.op, pos));
+        }
+        insts.push(inst);
     }
     if r.remaining() != 0 {
         return Err(format!("{} trailing bytes after {count} instructions", r.remaining()));
@@ -778,7 +790,7 @@ impl TraceFileInner {
         let count = meta.inst_count as usize;
         let insts = match self.format {
             TraceFormat::V1 => decode_v1(bytes, first, count),
-            TraceFormat::V2 => crate::trace_v2::decode_block(bytes, count),
+            TraceFormat::V2 => crate::trace_v2::decode_block(bytes, first, count),
         }
         .map_err(|e| TraceSourceError::Corrupt(format!("block {index} does not decode: {e}")))?;
         let found = block_digest_at(first, &insts);
@@ -949,6 +961,30 @@ mod tests {
         assert_eq!(f.digest(), Trace::new("empty", vec![]).digest());
         f.verify().expect("verify empty");
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_load_or_store_without_an_address_does_not_decode() {
+        // Every model reads each memory operation's address: a container
+        // holding one without is malformed in either encoding, at its
+        // position, and never reaches a model.
+        let load = DynInst::load(Reg::int(3), Reg::int(2), 0x80);
+        for format in [TraceFormat::V1, TraceFormat::V2] {
+            for (what, inst) in [("load", load), ("store", DynInst::store(Reg::int(1), Reg::int(2), 0x40))] {
+                let path = tmp(&format!("noaddr-{format}-{what}"));
+                let mut w = TraceFileWriter::create_as(&path, "noaddr", 16, format).expect("create");
+                for inst in [DynInst::nop(), load, DynInst { addr: None, ..inst }, DynInst::nop()] {
+                    w.push_raw(inst).expect("push");
+                }
+                w.finish().expect("finish");
+                let f = TraceFile::open(&path).expect("the structure is sound");
+                let want = format!("block 0 does not decode: the {what} at position 2 has no address");
+                for err in [f.block(0).map(|_| ()).unwrap_err(), f.verify().unwrap_err()] {
+                    assert!(matches!(&err, TraceSourceError::Corrupt(m) if *m == want), "{format} {what}: {err}");
+                }
+                let _ = std::fs::remove_file(&path);
+            }
+        }
     }
 
     #[test]

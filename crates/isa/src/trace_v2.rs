@@ -37,7 +37,7 @@
 //! a typed [`crate::source::TraceSourceError`].
 
 use crate::inst::BranchInfo;
-use crate::{DynInst, MemWidth, Op, Reg, NUM_ARCH_REGS};
+use crate::{DynInst, InstSeq, MemWidth, Op, Reg, NUM_ARCH_REGS};
 
 /// Opcode ordinals: index in this table == on-disk byte.  Appending new
 /// opcodes is forwards-compatible; reordering is a format break.
@@ -170,6 +170,8 @@ enum Malformed {
     Opcode(u8),
     Register(u8),
     VarintOverflow,
+    /// A load or store without an address, the `k`-th record of the block.
+    NoAddress(Op, usize),
 }
 
 /// Bounds-checked byte reader over a block's encoded bytes.
@@ -221,13 +223,15 @@ impl Reader<'_> {
     }
 }
 
-/// Decodes exactly `count` instructions from `bytes`.
+/// Decodes exactly `count` instructions from `bytes`, the first of them at
+/// trace position `first`.
 ///
 /// # Errors
 ///
 /// A description of the first malformation (truncation, trailing bytes,
-/// out-of-range opcode or register ordinals); never panics.
-pub(crate) fn decode_block(bytes: &[u8], count: usize) -> Result<Vec<DynInst>, String> {
+/// out-of-range opcode or register ordinals, a load or store without an
+/// address); never panics.
+pub(crate) fn decode_block(bytes: &[u8], first: InstSeq, count: usize) -> Result<Vec<DynInst>, String> {
     // `count` comes from the container index: bound it by what the bytes can
     // hold (a record is at least flags, opcode, pc and imm) before reserving.
     if count > bytes.len() / MIN_RECORD_BYTES {
@@ -242,6 +246,7 @@ pub(crate) fn decode_block(bytes: &[u8], count: usize) -> Result<Vec<DynInst>, S
         Malformed::Opcode(op) => format!("opcode ordinal {op} out of range"),
         Malformed::Register(reg) => format!("register index {reg} out of range"),
         Malformed::VarintOverflow => format!("varint overflows u64 at byte {}", r.pos - 1),
+        Malformed::NoAddress(op, k) => crate::trace_file::no_address(op, first + k as InstSeq),
     })?;
     if r.pos != bytes.len() {
         return Err(format!(
@@ -270,6 +275,8 @@ fn decode_records(r: &mut Reader<'_>, count: usize) -> Result<Vec<DynInst>, Malf
             let a = prev_addr.wrapping_add(unzigzag(r.varint()?) as u64);
             prev_addr = a;
             Some(a)
+        } else if op.is_mem() {
+            return Err(Malformed::NoAddress(op, insts.len()));
         } else {
             None
         };
@@ -342,7 +349,7 @@ mod tests {
         let insts = every_shape();
         let mut bytes = Vec::new();
         encode_block(&insts, &mut bytes);
-        let back = decode_block(&bytes, insts.len()).expect("decode");
+        let back = decode_block(&bytes, 0, insts.len()).expect("decode");
         assert_eq!(back, insts);
     }
 
@@ -359,7 +366,7 @@ mod tests {
         let mut bytes = Vec::new();
         encode_block(&insts, &mut bytes);
         for cut in 0..bytes.len() {
-            let err = decode_block(&bytes[..cut], insts.len());
+            let err = decode_block(&bytes[..cut], 0, insts.len());
             assert!(err.is_err(), "cut at {cut} decoded");
         }
     }
@@ -370,17 +377,17 @@ mod tests {
         let mut bytes = Vec::new();
         encode_block(&insts, &mut bytes);
         bytes.push(0x00);
-        assert!(decode_block(&bytes, 1).unwrap_err().contains("trailing"));
+        assert!(decode_block(&bytes, 0, 1).unwrap_err().contains("trailing"));
     }
 
     #[test]
     fn hostile_ordinals_are_errors() {
         // Opcode ordinal 16 does not exist (OPS covers 0..16).
         let bytes = [0u8, 16, 0, 0];
-        assert!(decode_block(&bytes, 1).unwrap_err().contains("opcode ordinal 16"));
+        assert!(decode_block(&bytes, 0, 1).unwrap_err().contains("opcode ordinal 16"));
         // Register index 64 is out of range.
         let bytes = [FLAG_DST, 15, 64, 0, 0];
-        assert!(decode_block(&bytes, 1).unwrap_err().contains("register index 64"));
+        assert!(decode_block(&bytes, 0, 1).unwrap_err().contains("register index 64"));
     }
 
     #[test]
@@ -389,12 +396,12 @@ mod tests {
         let mut bytes = vec![0u8, 15];
         bytes.extend_from_slice(&[0x80; 10]);
         bytes.push(0x01);
-        assert_eq!(decode_block(&bytes, 1).unwrap_err(), "varint overflows u64 at byte 11");
+        assert_eq!(decode_block(&bytes, 0, 1).unwrap_err(), "varint overflows u64 at byte 11");
         // A 10-byte varint whose final byte overflows the top bit.
         let mut bytes = vec![0u8, 15];
         bytes.extend_from_slice(&[0x80; 9]);
         bytes.push(0x7F);
-        assert_eq!(decode_block(&bytes, 1).unwrap_err(), "varint overflows u64 at byte 11");
+        assert_eq!(decode_block(&bytes, 0, 1).unwrap_err(), "varint overflows u64 at byte 11");
     }
 
     #[test]
@@ -404,7 +411,7 @@ mod tests {
         let insts = every_shape();
         let mut bytes = Vec::new();
         encode_block(&insts, &mut bytes);
-        let back = decode_block(&bytes, insts.len()).expect("decode");
+        let back = decode_block(&bytes, 0, insts.len()).expect("decode");
         assert_eq!(back, insts);
         let digest = |first| crate::source::block_digest_at(first, &back);
         assert_eq!(digest(0), crate::source::block_digest_of(&insts));
